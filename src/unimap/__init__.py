@@ -1,6 +1,6 @@
 """Synthesis of unitary and subspace maps on controllable quantum systems.
 
-The library couples a gradient-ascent search for state-to-state control
+The library couples a projected L-BFGS search for state-to-state control
 waveforms with deterministic constructions that assemble arbitrary
 unitaries (one fiducial-phase imprint per eigenvector) and subspace maps
 (one pi-rotation per basis vector).  It ships an 8-level cesium hyperfine

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .cesium import CONTROL_NAMES, CesiumParams, PRESETS, build_restricted_system
-from .control import propagate
+from .control import ControlSystem, propagate
 from .core import as_state, basis_state
 from .ec import ECConfig, ec_maps, ec_sweep, synthesize_ec_maps
 from .eigensynth import synthesize_unitary, synthesize_unitary_exact
@@ -59,12 +59,13 @@ def _resolve_system(args):
     return PRESETS[preset](_load_params(getattr(args, "params", None)))
 
 
-def _resolve_state(spec: str, d: int) -> np.ndarray:
+def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
     """A state argument: 'basis:<k>', 'fiducial', or a JSON file path."""
+    d = sys_model.dim
     if spec.startswith("basis:"):
         return basis_state(d, int(spec.split(":", 1)[1]))
     if spec == "fiducial":
-        return basis_state(d, d - 1)
+        return sys_model.fiducial_state()
     return as_state(load_state_json(spec), d)
 
 
@@ -80,7 +81,6 @@ def _search_config(args, sys_model) -> SearchConfig:
         max_iterations=args.max_iterations,
         seed=args.seed,
         restarts=args.restarts,
-        step_size=args.step_size,
         **overrides,
     )
 
@@ -94,7 +94,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--step-size", type=float, default=1.0)
 
 
 def _manifest(args, command: str, inputs, outputs, seed, t0: float) -> None:
@@ -137,8 +136,8 @@ def cmd_model_info(args) -> int:
 def cmd_optimize_state(args) -> int:
     t0 = time.monotonic()
     sys_model = _resolve_system(args)
-    psi_i = _resolve_state(args.initial, sys_model.dim)
-    psi_f = _resolve_state(args.target, sys_model.dim)
+    psi_i = _resolve_state(args.initial, sys_model)
+    psi_f = _resolve_state(args.target, sys_model)
     cfg = _search_config(args, sys_model)
     result = multi_start(sys_model, psi_i, psi_f, cfg)
     save_waveform(args.out_waveform, result.waveform)
@@ -170,12 +169,10 @@ def _cfg_dict(cfg: SearchConfig) -> dict:
     return {
         "segment_count": cfg.segment_count,
         "segment_duration": cfg.segment_duration,
-        "step_size": cfg.step_size,
         "fidelity_goal": cfg.fidelity_goal,
         "max_iterations": cfg.max_iterations,
         "seed": cfg.seed,
         "restarts": cfg.restarts,
-        "line_search": cfg.line_search,
     }
 
 
@@ -382,6 +379,7 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_verify_clifford(args) -> int:
+    t0 = time.monotonic()
     report = verify_clifford_relations(args.d, a=args.a)
     doc = {
         "d": report.d,
@@ -397,7 +395,7 @@ def cmd_verify_clifford(args) -> int:
         print(f"{name:24s} max deviation {dev:.3e}{marker}")
     if args.out:
         save_json(args.out, doc)
-        _manifest(args, "verify-clifford", [], [args.out], None, time.monotonic())
+        _manifest(args, "verify-clifford", [], [args.out], None, t0)
     return 0
 
 
@@ -409,8 +407,8 @@ def cmd_propagate(args) -> int:
     print(f"propagator unitary on d={sys_model.dim}, {w.n_segments} segments, "
           f"{w.total_duration:.6g} s total")
     if args.target_state and args.initial_state:
-        psi_i = _resolve_state(args.initial_state, sys_model.dim)
-        psi_f = _resolve_state(args.target_state, sys_model.dim)
+        psi_i = _resolve_state(args.initial_state, sys_model)
+        psi_f = _resolve_state(args.target_state, sys_model)
         fid = float(abs(np.vdot(psi_f, u @ psi_i)) ** 2)
         print(f"state-map fidelity {fid:.8f}")
     return 0

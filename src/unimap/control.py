@@ -87,8 +87,8 @@ class Waveform:
             raise ValueError(
                 f"{durations.size} durations but {amplitudes.shape[0]} amplitude rows"
             )
-        if np.any(durations <= 0):
-            raise ValueError("every segment duration must be > 0")
+        if not np.all(np.isfinite(durations) & (durations > 0)):
+            raise ValueError("every segment duration must be finite and > 0")
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "amplitudes", _readonly(amplitudes))
 
@@ -146,7 +146,7 @@ def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
         raise ValueError(f"waveform has {w.n_controls} controls, system has {sys.n_controls}")
     for k, (lo, hi) in enumerate(sys.amplitude_bounds):
         col = w.amplitudes[:, k]
-        bad = np.where((col < lo - AMPLITUDE_TOL) | (col > hi + AMPLITUDE_TOL))[0]
+        bad = np.where(~np.isfinite(col) | (col < lo - AMPLITUDE_TOL) | (col > hi + AMPLITUDE_TOL))[0]
         if bad.size:
             raise ValueError(
                 f"amplitude {col[bad[0]]:g} of control {k} in segment {bad[0]} "

@@ -30,7 +30,10 @@ def as_state(psi, d: int | None = None) -> np.ndarray:
     if d is not None and v.size != d:
         raise ValueError(f"state has dimension {v.size}, expected {d}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    # written as "not <=" so that a NaN norm fails the check too
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:
+        if not np.isfinite(norm):
+            raise ValueError("state has non-finite entries")
         raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return v
 
@@ -56,7 +59,9 @@ def assert_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= tol:
+        if not np.isfinite(defect):
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not unitary: U†U deviates from I by {defect:.3e}")
     return u
 
@@ -67,7 +72,9 @@ def assert_hermitian(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     defect = float(np.abs(h - h.conj().T).max())
-    if defect > tol:
+    if not defect <= tol:
+        if not np.isfinite(defect):
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian: H - H† deviates by {defect:.3e}")
     return h
 

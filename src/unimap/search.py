@@ -1,17 +1,19 @@
-"""Gradient-ascent search for state-to-state control waveforms.
+"""Projected quasi-Newton search for state-to-state control waveforms.
 
 The objective is J = |<psi_f| U(T) |psi_i>|^2 over the segment amplitudes
 of a piecewise-constant waveform.  Gradients are exact: each segment
-generator is diagonalized once and the spectral divided-difference kernel
-of the matrix exponential is chained through the left/right partial
-products, so one gradient costs about as much as one propagation.
+generator is diagonalized once, and the spectral divided-difference kernel
+of the matrix exponential is contracted for all segments at once against
+the left/right partial products, so one gradient costs about as much as
+one propagation.  The search is a box-projected L-BFGS ascent (GRAPE with
+exact gradients in its quasi-Newton form) with a projected Armijo
+backtracking step.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,25 +21,23 @@ import numpy as np
 from .control import ControlSystem, Waveform, check_amplitudes, segment_eigs
 from .core import as_state
 
-THREADS_ENV_VAR = "UNIMAP_THREADS"
-
 ARMIJO_C = 1e-4
 GRAD_NORM_STOP = 1e-9
 MIN_STEP = 1e-14
+#: (s, y) pairs kept by the L-BFGS two-loop recursion
+LBFGS_MEMORY = 10
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for one gradient-ascent search."""
+    """Knobs for one state-map search."""
 
     segment_count: int
     segment_duration: float
-    step_size: float = 1.0
     fidelity_goal: float = 0.99
     max_iterations: int = 2000
     seed: int = 0
     restarts: int = 1
-    line_search: bool = True
     try_zero_seed: bool = True
 
     def __post_init__(self):
@@ -63,7 +63,6 @@ def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:
     defaults = dict(
         segment_count=math.ceil(n_vars / sys.n_controls),
         segment_duration=10e-6,
-        step_size=1.0,
     )
     defaults.update(overrides)
     return SearchConfig(**defaults)
@@ -118,31 +117,35 @@ def _forward(sys: ControlSystem, w: Waveform, psi_i, psi_f):
     return overlap, lam, v, kets
 
 
+def _gradient(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, kets) -> np.ndarray:
+    """dJ/du from a forward pass's overlap, eigensystems and kets."""
+    m = w.n_segments
+    if not m:
+        return np.zeros(0)
+    # backward pass: bras[j] = psi_f† U_M ... U_{j+1}
+    bras = np.empty((m + 1, sys.dim), dtype=complex)
+    bras[m] = psi_f.conj()
+    for j in range(m - 1, -1, -1):
+        phases = np.exp(-1j * lam[j] * w.durations[j])
+        bras[j] = ((bras[j + 1] @ v[j]) * phases) @ v[j].conj().T
+    # divided-difference kernel of exp(-i lam tau) for every segment, stable
+    # at coincident eigenvalues via the sinc form
+    tau = w.durations[:, None, None]
+    delta = lam[:, :, None] - lam[:, None, :]
+    mean = (lam[:, :, None] + lam[:, None, :]) / 2
+    kernel = -1j * tau * np.exp(-1j * mean * tau) * np.sinc(delta * tau / (2 * np.pi))
+    left = np.einsum("ma,mai->mi", bras[1:], v)
+    right = np.einsum("mai,ma->mi", v.conj(), kets[:-1])
+    # dC_mk = left_m · (kernel_m ⊙ V_m† H_k V_m) · right_m = Σ_ab H_k,ab C_m,ab
+    # with C_m = conj(V_m) A_m V_mᵀ and A_m = left_m ⊙ kernel_m ⊙ right_m
+    c = v.conj() @ (left[:, :, None] * kernel * right[:, None, :]) @ v.transpose(0, 2, 1)
+    dc = np.einsum("kab,mab->mk", np.stack(sys.controls), c)
+    return (2 * np.real(np.conj(overlap) * dc)).ravel()
+
+
 def _objective_and_gradient(sys: ControlSystem, w: Waveform, psi_i, psi_f):
-    overlap, lam, v, kets = _forward(sys, w, psi_i, psi_f)
-    m, k_ctrl, d = w.n_segments, sys.n_controls, sys.dim
-    grad = np.zeros((m, k_ctrl))
-    if m:
-        # backward pass: bras[j] = psi_f† U_M ... U_{j+1}
-        bras = np.empty((m + 1, d), dtype=complex)
-        bras[m] = psi_f.conj()
-        for j in range(m - 1, -1, -1):
-            phases = np.exp(-1j * lam[j] * w.durations[j])
-            bras[j] = ((bras[j + 1] @ v[j]) * phases) @ v[j].conj().T
-        hks = np.stack(sys.controls)
-        for j in range(m):
-            tau = w.durations[j]
-            # divided-difference kernel of exp(-i lam tau), stable at
-            # coincident eigenvalues via the sinc form
-            delta = lam[j][:, None] - lam[j][None, :]
-            mean = (lam[j][:, None] + lam[j][None, :]) / 2
-            kernel = -1j * tau * np.exp(-1j * mean * tau) * np.sinc(delta * tau / (2 * np.pi))
-            left = bras[j + 1] @ v[j]
-            right = v[j].conj().T @ kets[j]
-            hk_eig = np.einsum("ai,kab,bj->kij", v[j].conj(), hks, v[j])
-            dc = np.einsum("i,kij,j->k", left, kernel[None] * hk_eig, right)
-            grad[j] = 2 * np.real(np.conj(overlap) * dc)
-    return float(abs(overlap) ** 2), grad.ravel()
+    fwd = _forward(sys, w, psi_i, psi_f)
+    return float(abs(fwd[0]) ** 2), _gradient(sys, w, psi_f, *fwd)
 
 
 def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
@@ -154,20 +157,24 @@ def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Gener
     return mid + half * u
 
 
-def _clip_to_bounds(sys: ControlSystem, amps: np.ndarray) -> np.ndarray:
-    lo = np.array([b[0] for b in sys.amplitude_bounds])
-    hi = np.array([b[1] for b in sys.amplitude_bounds])
-    return np.clip(amps, lo, hi)
+def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
+    """Two-loop recursion: the inverse-Hessian estimate applied to g.
 
-
-def _projected_grad_norm(sys: ControlSystem, amps: np.ndarray, grad: np.ndarray) -> float:
-    """Ascent-direction gradient norm with bound-blocked components zeroed."""
-    lo = np.array([b[0] for b in sys.amplitude_bounds])
-    hi = np.array([b[1] for b in sys.amplitude_bounds])
-    g = grad.reshape(amps.shape).copy()
-    g[(amps >= hi) & (g > 0)] = 0.0
-    g[(amps <= lo) & (g < 0)] = 0.0
-    return float(np.linalg.norm(g))
+    With no stored pairs the result is g scaled to unit norm.
+    """
+    if not memory:
+        return g / np.linalg.norm(g)
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(memory):
+        a = (s @ q) / (y @ s)
+        q -= a * y
+        alphas.append(a)
+    s, y = memory[-1]
+    r = ((s @ y) / (y @ y)) * q
+    for (s, y), a in zip(memory, reversed(alphas)):
+        r += s * (a - (y @ r) / (y @ s))
+    return r
 
 
 def search_state_map(
@@ -178,10 +185,16 @@ def search_state_map(
     initial: Waveform | None = None,
     restart_index: int = 0,
 ) -> SearchResult:
-    """Gradient ascent with backtracking line search from one random seed.
+    """Projected L-BFGS ascent of J from one random seed.
 
-    Deterministic given (sys, psi_i, psi_f, cfg); non-convergence is
-    reported through the ``converged`` flag, never raised.
+    A variable at a bound whose gradient points outward is held fixed and
+    the quasi-Newton direction is taken on the rest.  Each step backtracks
+    from the full direction (alpha = 1) until the projected point meets
+    the Armijo condition; a failure clears the curvature memory once and
+    retries along the gradient.  Stops at the fidelity goal, at
+    ``max_iterations``, at a vanishing projected gradient, or when a
+    gradient step fails too.  Deterministic given (sys, psi_i, psi_f,
+    cfg); non-convergence is reported through ``converged``, never raised.
     """
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
@@ -193,71 +206,56 @@ def search_state_map(
     else:
         rng = np.random.default_rng([cfg.seed, restart_index])
         amps = _seed_amplitudes(sys, cfg, rng)
+    shape = amps.shape
+    lo = np.broadcast_to([b[0] for b in sys.amplitude_bounds], shape).ravel()
+    hi = np.broadcast_to([b[1] for b in sys.amplitude_bounds], shape).ravel()
 
-    def make_wave(a):
-        return Waveform(durations, a)
+    def make_wave(x):
+        return Waveform(durations, x.reshape(shape))
 
-    j_val, grad = _objective_and_gradient(sys, make_wave(amps), psi_i, psi_f)
+    x = amps.ravel()
+    j_val, grad = _objective_and_gradient(sys, make_wave(x), psi_i, psi_f)
     history = [j_val]
-    step = cfg.step_size
-    converged = j_val >= cfg.fidelity_goal
+    memory: deque = deque(maxlen=LBFGS_MEMORY)
     iterations = 0
-    while not converged and iterations < cfg.max_iterations:
-        g = grad.reshape(amps.shape)
-        if _projected_grad_norm(sys, amps, grad) < GRAD_NORM_STOP:
+    while j_val < cfg.fidelity_goal and iterations < cfg.max_iterations:
+        free = ~(((x >= hi) & (grad > 0)) | ((x <= lo) & (grad < 0)))
+        g = np.where(free, grad, 0.0)
+        if np.linalg.norm(g) < GRAD_NORM_STOP:
             break
-        if cfg.line_search:
-            step = min(2 * step, cfg.step_size * 1024)
-            accepted = False
-
-            def try_step(alpha):
-                candidate = _clip_to_bounds(sys, amps + alpha * g)
-                return candidate, objective_state_prep(sys, make_wave(candidate), psi_i, psi_f)
-
-            while step > MIN_STEP:
-                trial, j_trial = try_step(step)
-                if j_trial >= j_val + ARMIJO_C * float(np.sum(g * (trial - amps))):
-                    accepted = True
-                    break
-                step /= 2
-            if not accepted:
+        p = np.where(free, _lbfgs_direction(g, memory), 0.0)
+        alpha = 1.0
+        while alpha > MIN_STEP:
+            trial = np.clip(x + alpha * p, lo, hi)
+            rise = float(grad @ (trial - x))
+            fwd = _forward(sys, make_wave(trial), psi_i, psi_f)
+            j_trial = float(abs(fwd[0]) ** 2)
+            if rise > 0 and j_trial >= j_val + ARMIJO_C * rise:
                 break
-            # keep halving while that strictly improves the objective, so a
-            # barely-acceptable step cannot oscillate across the optimum
-            while step / 2 > MIN_STEP:
-                smaller, j_smaller = try_step(step / 2)
-                if j_smaller <= j_trial:
-                    break
-                step /= 2
-                trial, j_trial = smaller, j_smaller
-            amps = trial
-            j_val = j_trial
+            alpha /= 2
         else:
-            amps = _clip_to_bounds(sys, amps + cfg.step_size * g)
-            j_val = objective_state_prep(sys, make_wave(amps), psi_i, psi_f)
+            # no acceptable step: retry once along the gradient, then stop
+            if not memory:
+                break
+            memory.clear()
+            continue
+        grad_new = _gradient(sys, make_wave(trial), psi_f, *fwd)
+        s, y = trial - x, grad - grad_new
+        # keep only pairs with positive curvature, so the two-loop estimate
+        # stays positive definite and its direction stays an ascent one
+        if s @ y > 1e-10 * (y @ y):
+            memory.append((s, y))
+        x, j_val, grad = trial, j_trial, grad_new
         iterations += 1
         history.append(j_val)
-        if j_val >= cfg.fidelity_goal:
-            converged = True
-            break
-        j_val, grad = _objective_and_gradient(sys, make_wave(amps), psi_i, psi_f)
-        history[-1] = j_val
     return SearchResult(
-        waveform=make_wave(amps),
+        waveform=make_wave(x),
         fidelity=j_val,
         iterations=iterations,
-        converged=converged,
+        converged=j_val >= cfg.fidelity_goal,
         objective_history=np.array(history),
         restart_index=restart_index,
     )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchResult | None:
@@ -286,27 +284,19 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
 
 
 def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchResult:
-    """Best result over cfg.restarts independent seeds.
+    """Best result over cfg.restarts independent seeds, run one after another.
 
     Restart r runs with the rng stream (cfg.seed, r), so adding restarts
     never changes earlier ones; the first restart achieving the maximum
-    fidelity wins, independent of execution order.
+    fidelity wins.
     """
     if cfg.try_zero_seed:
         zero = _zero_seed_result(sys, psi_i, psi_f, cfg)
         if zero is not None:
             return zero
-    runs = range(cfg.restarts)
-    threads = _thread_count()
-    if threads > 1 and cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda r: search_state_map(sys, psi_i, psi_f, cfg, restart_index=r), runs)
-            )
-    else:
-        results = [search_state_map(sys, psi_i, psi_f, cfg, restart_index=r) for r in runs]
-    best = results[0]
-    for res in results[1:]:
-        if res.fidelity > best.fidelity:
+    best = None
+    for r in range(cfg.restarts):
+        res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)
+        if best is None or res.fidelity > best.fidelity:
             best = res
     return best

@@ -1,11 +1,19 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unimap.cli import main
+import unimap
+import unimap.cli
+from unimap.cli import _resolve_state, main
+from unimap.core import basis_state
 from unimap.io import complex_to_pairs, load_schema, load_waveform
 
 import jsonschema
@@ -37,6 +45,19 @@ class TestVerifyClifford:
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, load_schema("clifford_report"))
         assert doc["deviations"]["HXH* = Z"] <= 1e-12
+
+    def test_manifest_times_the_whole_command(self, tmp_path, monkeypatch):
+        verify = unimap.cli.verify_clifford_relations
+
+        def slow_verify(*args, **kwargs):
+            time.sleep(0.05)
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(unimap.cli, "verify_clifford_relations", slow_verify)
+        out = tmp_path / "rel.json"
+        assert run(["verify-clifford", "--d", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "rel.json.manifest.json").read_text())
+        assert manifest["duration_s"] >= 0.05
 
 
 class TestOptimizeState:
@@ -219,6 +240,22 @@ class TestPropagateCLI:
 
     def test_missing_file_exits_2(self):
         assert run(["propagate", "--waveform", "/nonexistent/w.csv"]) == 2
+
+
+def test_fiducial_state_follows_system_index(two_level):
+    # the two-level system's fiducial level is 0, not the last index
+    assert np.array_equal(_resolve_state("fiducial", two_level), basis_state(2, 0))
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize costs ~17 MB of resident memory
+    src = str(Path(unimap.__file__).resolve().parents[1])
+    code = "import sys, unimap.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_argparse_error_exits_2():

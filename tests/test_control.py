@@ -8,6 +8,7 @@ from unimap.control import (
     PhaseImprint,
     Waveform,
     apply_adjoint,
+    check_amplitudes,
     lie_algebra_dimension,
     phase_imprint_unitary,
     propagate,
@@ -170,6 +171,18 @@ class TestWaveformValidation:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError, match="duration"):
             Waveform(np.array([0.0]), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_duration(self, bad):
+        with pytest.raises(ValueError, match="duration"):
+            Waveform(np.array([1e-6, bad]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_amplitudes_rejects_non_finite(self, cesium, bad):
+        amps = np.zeros((3, cesium.n_controls))
+        amps[1, 2] = bad
+        with pytest.raises(ValueError, match="control 2 in segment 1"):
+            check_amplitudes(cesium, Waveform(np.full(3, 1e-5), amps))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="durations"):

@@ -217,3 +217,22 @@ class TestValidation:
     def test_assert_hermitian_accepts(self):
         h = assert_hermitian(np.diag([1.0, 2.0]))
         assert h.dtype == complex
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_as_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_state(np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_assert_unitary_rejects_non_finite(self, bad):
+        u = np.eye(3, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            assert_unitary(u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_assert_hermitian_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            assert_hermitian(np.diag([1.0, bad]))

@@ -1,9 +1,9 @@
-"""Objective, exact gradients, and gradient-ascent convergence."""
+"""Objective, exact gradients, and projected L-BFGS convergence."""
 
 import numpy as np
 import pytest
 
-from unimap.control import Waveform, propagate
+from unimap.control import Waveform, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
 from unimap.search import (
     SearchConfig,
@@ -26,6 +26,36 @@ def finite_difference_gradient(sys, w, psi_i, psi_f, step=1e-6):
         j_dn = objective_state_prep(sys, Waveform(w.durations, down.reshape(w.amplitudes.shape)), psi_i, psi_f)
         grad[idx] = (j_up - j_dn) / (2 * step)
     return grad
+
+
+def per_segment_gradient(sys, w, psi_i, psi_f):
+    """Reference dJ/du: one 3-operand einsum per segment, no batching."""
+    lam, v = segment_eigs(sys, w)
+    m, d = w.n_segments, sys.dim
+    kets = np.empty((m + 1, d), dtype=complex)
+    kets[0] = psi_i
+    for j in range(m):
+        phases = np.exp(-1j * lam[j] * w.durations[j])
+        kets[j + 1] = v[j] @ (phases * (v[j].conj().T @ kets[j]))
+    overlap = np.vdot(psi_f, kets[m])
+    bras = np.empty((m + 1, d), dtype=complex)
+    bras[m] = psi_f.conj()
+    for j in range(m - 1, -1, -1):
+        phases = np.exp(-1j * lam[j] * w.durations[j])
+        bras[j] = ((bras[j + 1] @ v[j]) * phases) @ v[j].conj().T
+    hks = np.stack(sys.controls)
+    grad = np.zeros((m, sys.n_controls))
+    for j in range(m):
+        tau = w.durations[j]
+        delta = lam[j][:, None] - lam[j][None, :]
+        mean = (lam[j][:, None] + lam[j][None, :]) / 2
+        kernel = -1j * tau * np.exp(-1j * mean * tau) * np.sinc(delta * tau / (2 * np.pi))
+        left = bras[j + 1] @ v[j]
+        right = v[j].conj().T @ kets[j]
+        hk_eig = np.einsum("ai,kab,bj->kij", v[j].conj(), hks, v[j])
+        dc = np.einsum("i,kij,j->k", left, kernel[None] * hk_eig, right)
+        grad[j] = 2 * np.real(np.conj(overlap) * dc)
+    return grad.ravel()
 
 
 def assert_gradient_close(analytic, fd, rel=1e-5, floor=1e-8):
@@ -101,6 +131,21 @@ class TestGradient:
         assert np.all(np.isfinite(analytic))
         assert_gradient_close(analytic, fd, rel=1e-4)
 
+    @pytest.mark.parametrize("case", ["cesium_random", "two_level", "cesium_zero_drift"])
+    def test_batched_matches_per_segment(self, cesium, two_level, case):
+        rng = np.random.default_rng(6)
+        if case == "two_level":
+            sys_m = two_level
+            w = Waveform(np.full(3, 0.8), rng.uniform(-1, 1, (3, 1)))
+        else:
+            sys_m = cesium
+            scale = 0.0 if case == "cesium_zero_drift" else 1.0
+            w = Waveform(np.full(26, 1e-5), scale * rng.uniform(-1, 1, (26, 5)))
+        psi_i, psi_f = haar_random_state(sys_m.dim, rng), haar_random_state(sys_m.dim, rng)
+        batched = gradient_state_prep(sys_m, w, psi_i, psi_f)
+        reference = per_segment_gradient(sys_m, w, psi_i, psi_f)
+        assert np.linalg.norm(batched - reference) <= 1e-12 * np.linalg.norm(reference)
+
 
 class TestSearch:
     def test_trivial_target_zero_seed(self, cesium):
@@ -140,6 +185,24 @@ class TestSearch:
         res = search_state_map(cesium, basis_state(8, 7), psi_f, cfg)
         diffs = np.diff(res.objective_history)
         assert diffs.min() >= -1e-12
+
+    def test_amplitudes_within_bounds_and_iteration_cap(self, cesium):
+        cfg = default_search_config(cesium, seed=35, max_iterations=15, fidelity_goal=1.0)
+        psi_f = haar_random_state(8, np.random.default_rng(36))
+        res = search_state_map(cesium, basis_state(8, 7), psi_f, cfg)
+        lo, hi = np.array(cesium.amplitude_bounds).T
+        amps = res.waveform.amplitudes
+        assert np.all((amps >= lo) & (amps <= hi))
+        assert res.iterations <= cfg.max_iterations
+        assert len(res.objective_history) == res.iterations + 1
+
+    def test_rejects_non_finite_initial(self, cesium):
+        cfg = default_search_config(cesium, max_iterations=5)
+        amps = np.zeros((cfg.segment_count, 5))
+        amps[0, 0] = np.nan
+        initial = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
+        with pytest.raises(ValueError, match="control 0 in segment 0"):
+            search_state_map(cesium, basis_state(8, 7), basis_state(8, 0), cfg, initial=initial)
 
     def test_result_fidelity_consistent_with_waveform(self, cesium):
         cfg = default_search_config(cesium, seed=31, max_iterations=80)
