@@ -357,7 +357,7 @@ def cmd_ec_sweep(args) -> int:
     meta_path = str(Path(args.out).with_suffix("")) + ".meta.json"
     save_json(meta_path, meta)
     _manifest(args, "ec-sweep", [], [args.out, meta_path, *waveform_files], args.seed, t0)
-    print(f"swept {len(grid)} error angles x {cfg.samples} samples ({cfg.maps_mode} maps)")
+    print(f"swept {len(grid)} error angles x {cfg.n_states} states ({cfg.maps_mode} maps)")
     return 0
 
 
@@ -370,8 +370,9 @@ def cmd_wigner(args) -> int:
         except ValueError:
             raise CliError("--block must be START:SIZE") from None
         state = extract_block(state, start, size)
-    state = state / np.linalg.norm(state)
-    grid = wigner_grid(state, n_theta=args.n_theta, n_phi=args.n_phi)
+    # as_state admits a norm off by up to its tolerance; W scales with the norm squared
+    state = as_state(state)
+    grid = wigner_grid(state / np.linalg.norm(state), n_theta=args.n_theta, n_phi=args.n_phi)
     save_wigner_csv(args.out, grid)
     _manifest(args, "wigner", [args.state], [args.out], None, t0)
     print(f"wrote {args.n_theta} x {args.n_phi} grid")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cesium import CesiumParams, build_restricted_system, x_basis_state
 from .control import PhaseImprint, Waveform, apply_adjoint, phase_imprint_unitary, propagate
-from .core import as_state, haar_random_state
+from .core import STATE_NORM_TOL, as_state, haar_random_state
 from .search import SearchConfig, multi_start
 from .subspace import (
     SubspaceMapSpec,
@@ -135,25 +135,68 @@ def physical_qubit_state(psi_qubit) -> np.ndarray:
     return q[0] * sim_z_state(4) + q[1] * sim_z_state(3)
 
 
+def run_ec_trials(qubits, epsilon: float, maps, draws):
+    """One protocol round on n qubit states at once.
+
+    Row i of ``qubits`` (n, 2) is encoded, dephased by ``epsilon`` and
+    error-extracted; the QND measurement of F reads outcome 3 when
+    ``draws[i] < P(F=3)`` and outcome 4 otherwise; triggered rows are
+    recovered, and every row is decoded.  Returns the (n,) arrays
+    (corrected fidelity, uncorrected fidelity, syndrome triggered).  The
+    uncorrected curve keeps the qubit in the physical stretched pair,
+    where it only dephases.
+    """
+    q = np.asarray(qubits, dtype=complex)
+    u = np.asarray(draws, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 2 or u.shape != (q.shape[0],):
+        raise ValueError(f"need qubits of shape (n, 2) and draws of shape (n,), got {q.shape} and {u.shape}")
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("draws must lie in [0, 1)")
+    # written as "not <=" so that a NaN norm fails the check too
+    if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= STATE_NORM_TOL):
+        raise ValueError("qubit states must be finite with unit norm")
+    phases = np.diag(error_channel(epsilon))
+    psi0 = q @ np.array([sim_z_state(4), sim_z_state(3)])
+    uncorrected = _overlap_fidelity(psi0, psi0 * phases)
+
+    encode, extract, recover = maps
+    psi = ((psi0 @ encode.T) * phases) @ extract.T
+    p3 = np.sum(np.abs(psi[:, :7]) ** 2, axis=1)
+    p4 = np.sum(np.abs(psi[:, 7:]) ** 2, axis=1)
+    total = p3 + p4
+    if not np.all(np.abs(np.sqrt(total) - 1.0) <= STATE_NORM_TOL):
+        raise ValueError("protocol maps do not preserve the state norm")
+    p3, p4 = p3 / total, p4 / total
+    triggered = ~(u < p3)
+    if np.any(np.where(triggered, p4, p3) <= 1e-30):
+        raise ValueError("a sampled measurement branch has zero probability")
+    psi[triggered, :7] = 0.0
+    psi[~triggered, 7:] = 0.0
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    psi[triggered] = psi[triggered] @ recover.T
+    corrected = _overlap_fidelity(psi0, psi @ encode.conj())
+    return corrected, uncorrected, triggered
+
+
+def _overlap_fidelity(psi0: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Row-wise |<psi0|final>|^2, clipped at 1 against rounding."""
+    return np.minimum(np.abs(np.sum(psi0.conj() * final, axis=1)) ** 2, 1.0)
+
+
 def run_ec_trial(psi_qubit, epsilon: float, maps, rng: np.random.Generator, correct: bool = True):
     """One protocol round; returns (fidelity, syndrome_triggered).
 
-    With correct=False the qubit stays in the physical stretched pair and
-    only dephases, giving the comparison curve; the maps and rng are then
-    unused and the syndrome flag is False.
+    A one-row call of ``run_ec_trials`` that takes the measurement draw
+    from ``rng.uniform()``.  With correct=False it returns the
+    uncorrected fidelity instead; the rng is then unused and the syndrome
+    flag is False.
     """
-    psi0 = physical_qubit_state(psi_qubit)
-    err = error_channel(epsilon)
+    qubit = as_state(psi_qubit, 2)[None, :]
+    draws = np.array([rng.uniform() if correct else 0.5])
+    corrected, uncorrected, triggered = run_ec_trials(qubit, epsilon, maps, draws)
     if not correct:
-        final = err @ psi0
-        return min(float(abs(np.vdot(psi0, final)) ** 2), 1.0), False
-    encode, extract, recover = maps
-    psi = extract @ (err @ (encode @ psi0))
-    outcome, psi, _ = qnd_measure_F(psi, rng)
-    if outcome == 4:
-        psi = recover @ psi
-    final = encode.conj().T @ psi
-    return min(float(abs(np.vdot(psi0, final)) ** 2), 1.0), outcome == 4
+        return float(uncorrected[0]), False
+    return float(corrected[0]), bool(triggered[0])
 
 
 #: the six Bloch-axis qubit states, a 2-design for exact averaging
@@ -189,6 +232,11 @@ class ECConfig:
             raise ValueError(f"average must be 'haar' or 'axes', got {self.average!r}")
         object.__setattr__(self, "epsilon_grid", grid)
 
+    @property
+    def n_states(self) -> int:
+        """Qubit states averaged per error angle."""
+        return len(BLOCH_AXIS_STATES) if self.average == "axes" else self.samples
+
 
 @dataclass(frozen=True)
 class ECResult:
@@ -207,32 +255,30 @@ class ECResult:
 def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
     """Monte Carlo (or 2-design) average of both curves over the grid.
 
-    Each trial owns the rng stream (seed, epsilon index, sample index), so
-    the result is independent of execution order and fully reproducible.
+    Each trial owns the rng stream (seed, epsilon index, sample index): it
+    draws the Haar qubit (haar mode only) and then the uniform that
+    samples the F measurement, so the result is independent of execution
+    order and fully reproducible.  All trials of one error angle run as a
+    single ``run_ec_trials`` batch.
     """
     if maps is None:
         if cfg.maps_mode != "ideal":
             raise ValueError("synthesized maps_mode requires explicit maps")
         maps = ec_maps(ideal=True)
+    n = cfg.n_states
     corrected, uncorrected, trigger = [], [], []
     for i_eps, eps in enumerate(cfg.epsilon_grid):
-        c_sum = u_sum = 0.0
-        n_trig = 0
-        n = len(BLOCH_AXIS_STATES) if cfg.average == "axes" else cfg.samples
+        qubits = np.empty((n, 2), dtype=complex)
+        draws = np.empty(n)
         for i_s in range(n):
             rng = np.random.default_rng([cfg.seed, i_eps, i_s])
-            if cfg.average == "axes":
-                qubit = BLOCH_AXIS_STATES[i_s]
-            else:
-                qubit = haar_random_state(2, rng)
-            fc, triggered = run_ec_trial(qubit, eps, maps, rng, correct=True)
-            fu, _ = run_ec_trial(qubit, eps, maps, rng, correct=False)
-            c_sum += fc
-            u_sum += fu
-            n_trig += triggered
-        corrected.append(c_sum / n)
-        uncorrected.append(u_sum / n)
-        trigger.append(n_trig / n)
+            qubits[i_s] = BLOCH_AXIS_STATES[i_s] if cfg.average == "axes" else haar_random_state(2, rng)
+            draws[i_s] = rng.uniform()
+        fc, fu, triggered = run_ec_trials(qubits, eps, maps, draws)
+        # summed in trial order, as a running total would be, not pairwise
+        corrected.append(sum(fc.tolist()) / n)
+        uncorrected.append(sum(fu.tolist()) / n)
+        trigger.append(np.count_nonzero(triggered) / n)
     return ECResult(
         epsilon=cfg.epsilon_grid,
         corrected=tuple(corrected),

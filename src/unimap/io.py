@@ -140,25 +140,47 @@ def save_ec_csv(path: str, result: ECResult) -> None:
 
 def save_wigner_csv(path: str, grid: WignerGrid) -> None:
     lines = ["theta,phi,w"]
-    for i, theta in enumerate(grid.thetas):
-        for j, phi in enumerate(grid.phis):
-            lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}")
+    phis = [fmt(phi) for phi in grid.phis.tolist()]
+    for theta, row in zip(grid.thetas.tolist(), grid.values.tolist()):
+        prefix = fmt(theta) + ","
+        lines.extend(f"{prefix}{phi},{fmt(w)}" for phi, w in zip(phis, row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-_SCHEMA_CACHE: dict[str, dict] = {}
+#: one validator per shipped schema, built by the first validation of that
+#: schema, which also checks the schema against its metaschema
+_VALIDATORS: dict[str, jsonschema.protocols.Validator] = {}
+
+
+def _read_schema(name: str) -> dict:
+    return json.loads(resources.files("unimap").joinpath(f"schemas/{name}.schema.json").read_text())
 
 
 def load_schema(name: str) -> dict:
-    if name not in _SCHEMA_CACHE:
-        text = resources.files("unimap").joinpath(f"schemas/{name}.schema.json").read_text()
-        _SCHEMA_CACHE[name] = json.loads(text)
-    return _SCHEMA_CACHE[name]
+    """A shipped schema as a dict.
+
+    Reading does not build a validator: the metaschema check costs more
+    than most validations, so only validating pays for it.
+    """
+    validator = _VALIDATORS.get(name)
+    return validator.schema if validator is not None else _read_schema(name)
 
 
 def validate_report(name: str, doc: dict) -> dict:
-    """Validate a report document against its shipped schema; returns doc."""
-    jsonschema.validate(doc, load_schema(name))
+    """Validate a report document against its shipped schema; returns doc.
+
+    Raises the same errors as ``jsonschema.validate``, which re-checks the
+    schema on every call; here each schema is checked once.
+    """
+    validator = _VALIDATORS.get(name)
+    if validator is None:
+        schema = _read_schema(name)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[name] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise error
     return doc
 
 

@@ -3,6 +3,11 @@
 W(theta, phi) = sum_{k=0..2F} sum_{q=-k..k} rho_kq Y_kq(theta, phi) with
 rho_kq = Tr(rho T_kq†), where the T_kq are orthonormal spherical tensor
 operators on the spin-F block.  Real-valued for Hermitian rho.
+
+The harmonics separate as Y_kq(theta, phi) = P_kq(theta) e^{i q phi} with
+P_kq the normalized associated Legendre function, so a grid is evaluated
+as L[theta, q] = sum_k rho_kq P_kq(theta) on the polar axis followed by one
+product with the azimuthal phases e^{i q phi}.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sph_harm_y
+from scipy.special import sph_legendre_p
 
 from .cesium import spin_operators
 
@@ -86,16 +91,18 @@ def wigner_grid(state, n_theta: int = 61, n_phi: int = 120) -> WignerGrid:
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     comps = multipole_components(rho)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    w = np.zeros((n_theta, n_phi), dtype=complex)
+    qs = np.arange(-(dim - 1), dim)
+    legendre = np.zeros((n_theta, qs.size), dtype=complex)
     for k in range(dim):
         for q in range(-k, k + 1):
             c = comps[k][k + q]
             if abs(c) < 1e-16:
                 continue
-            w += c * sph_harm_y(k, q, tt, pp)
+            legendre[:, q + dim - 1] += c * sph_legendre_p(k, q, thetas)[0]
+    w = legendre @ np.exp(1j * np.outer(qs, phis))
     residue = float(np.abs(w.imag).max())
-    if residue > REALITY_TOL:
+    # written as "not <=" so that a NaN residue fails the check too
+    if not residue <= REALITY_TOL:
         raise ValueError(f"Wigner values have imaginary residue {residue:.3e}; state not Hermitian?")
     return WignerGrid(thetas=thetas, phis=phis, values=w.real)
 

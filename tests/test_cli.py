@@ -196,6 +196,13 @@ class TestECSweep:
     def test_bad_epsilons_exit_2(self, tmp_path):
         assert run(["ec-sweep", "--epsilons", "0.1,zzz", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_axes_mode_reports_states_averaged(self, tmp_path, capsys):
+        assert run(["ec-sweep", "--average", "axes", "--epsilons", "0.1", "--samples", "200",
+                    "--out", str(tmp_path / "ec.csv")]) == 0
+        assert "x 6 states" in capsys.readouterr().out
+        meta = json.loads((tmp_path / "ec.meta.json").read_text())
+        assert meta["samples"] == 200
+
 
 class TestWignerCLI:
     def test_grid_csv(self, tmp_path):
@@ -226,6 +233,17 @@ class TestWignerCLI:
         assert run(["wigner", "--state", str(state), "--block", "0:7",
                     "--out", str(tmp_path / "g.csv")]) == 2
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitude, message", [(np.nan, "non-finite"), (2.0, "norm deviates")])
+    def test_invalid_state_exits_2_without_grid(self, tmp_path, capsys, amplitude, message):
+        state = tmp_path / "psi.json"
+        amps = np.zeros(7, dtype=complex)
+        amps[0] = amplitude
+        state.write_text(json.dumps({"amplitudes": complex_to_pairs(amps)}))
+        out = tmp_path / "g.csv"
+        assert run(["wigner", "--state", str(state), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPropagateCLI:

@@ -15,6 +15,7 @@ from unimap.ec import (
     physical_qubit_state,
     qnd_measure_F,
     run_ec_trial,
+    run_ec_trials,
     sim_x_state,
     sim_z_state,
 )
@@ -269,3 +270,91 @@ class TestSweep:
         sigma = np.sqrt(p_mean * (1 - p_mean) / n)
         assert res.trigger_rate[0] > 0
         assert abs(res.trigger_rate[0] - p_mean) <= 3 * sigma
+
+
+def _reference_trial(qubit, eps, maps, rng):
+    """The per-state protocol round the batched code replaced."""
+    psi0 = physical_qubit_state(qubit)
+    err = error_channel(eps)
+    uncorrected = min(float(abs(np.vdot(psi0, err @ psi0)) ** 2), 1.0)
+    encode, extract, recover = maps
+    psi = extract @ (err @ (encode @ psi0))
+    outcome, psi, _ = qnd_measure_F(psi, rng)
+    if outcome == 4:
+        psi = recover @ psi
+    final = encode.conj().T @ psi
+    return min(float(abs(np.vdot(psi0, final)) ** 2), 1.0), uncorrected, outcome == 4
+
+
+def _reference_sweep(cfg, maps):
+    """One trial at a time, each on its own rng stream, summed in trial order."""
+    corrected, uncorrected, trigger = [], [], []
+    for i_eps, eps in enumerate(cfg.epsilon_grid):
+        c_sum = u_sum = 0.0
+        n_trig = 0
+        n = len(BLOCH_AXIS_STATES) if cfg.average == "axes" else cfg.samples
+        for i_s in range(n):
+            rng = np.random.default_rng([cfg.seed, i_eps, i_s])
+            qubit = BLOCH_AXIS_STATES[i_s] if cfg.average == "axes" else haar_random_state(2, rng)
+            fc, fu, triggered = _reference_trial(qubit, eps, maps, rng)
+            c_sum += fc
+            u_sum += fu
+            n_trig += triggered
+        corrected.append(c_sum / n)
+        uncorrected.append(u_sum / n)
+        trigger.append(n_trig / n)
+    return corrected, uncorrected, trigger
+
+
+class _FixedDraw:
+    """Stands in for an rng whose next uniform() is known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self):
+        return self.value
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("average", ["haar", "axes"])
+    @pytest.mark.parametrize("seed", [4, 17])
+    def test_sweep_matches_per_trial_reference(self, ideal_maps, average, seed):
+        cfg = ECConfig(epsilon_grid=(0.0, 0.05, 0.15, 0.3), samples=150, seed=seed, average=average)
+        res = ec_sweep(cfg, ideal_maps)
+        corrected, uncorrected, trigger = _reference_sweep(cfg, ideal_maps)
+        assert np.abs(np.subtract(res.corrected, corrected)).max() <= 1e-12
+        assert np.abs(np.subtract(res.uncorrected, uncorrected)).max() <= 1e-12
+        assert res.trigger_rate == tuple(trigger)
+        if average == "haar":
+            assert res.trigger_rate[-1] > 0
+
+    def test_rows_match_single_trials(self, ideal_maps):
+        rng = np.random.default_rng(8)
+        qubits = np.array([haar_random_state(2, rng) for _ in range(40)])
+        draws = rng.uniform(size=40)
+        fc, fu, triggered = run_ec_trials(qubits, 0.25, ideal_maps, draws)
+        assert triggered.any() and not triggered.all()
+        for i in range(40):
+            want_c, want_u, want_t = _reference_trial(qubits[i], 0.25, ideal_maps, _FixedDraw(draws[i]))
+            assert fc[i] == pytest.approx(want_c, abs=1e-12)
+            assert fu[i] == pytest.approx(want_u, abs=1e-12)
+            assert triggered[i] == want_t
+
+    def test_rejects_bad_input(self, ideal_maps):
+        good = np.array([BLOCH_AXIS_STATES[0]])
+        with pytest.raises(ValueError, match="shape"):
+            run_ec_trials(good, 0.1, ideal_maps, np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            run_ec_trials(good[0], 0.1, ideal_maps, np.zeros(1))
+        for draw in (-0.1, 1.0, np.nan):
+            with pytest.raises(ValueError, match="draws"):
+                run_ec_trials(good, 0.1, ideal_maps, np.array([draw]))
+        with pytest.raises(ValueError, match="unit norm"):
+            run_ec_trials(2 * good, 0.1, ideal_maps, np.zeros(1))
+        with pytest.raises(ValueError, match="unit norm"):
+            run_ec_trials(np.array([[np.nan, 1.0]]), 0.1, ideal_maps, np.zeros(1))
+        with pytest.raises(ValueError, match="finite"):
+            run_ec_trials(good, float("nan"), ideal_maps, np.zeros(1))
+        with pytest.raises(ValueError, match="norm"):
+            run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps), np.zeros(1))

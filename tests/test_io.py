@@ -1,7 +1,9 @@
 """Waveform CSV, state/spec JSON, schema validation, atomic writes."""
 
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from unimap.io import (
     save_json,
     save_state_json,
     save_waveform,
+    save_wigner_csv,
     validate_report,
 )
+from unimap.wigner import wigner_grid
 
 
 class TestFloatFormat:
@@ -136,10 +140,29 @@ class TestSchemas:
             assert schema["type"] == "object"
 
     def test_validation_failure_raises(self):
-        import jsonschema
-
         with pytest.raises(jsonschema.ValidationError):
             validate_report("clifford_report", {"d": 2})
+
+    def test_every_shipped_schema_passes_its_metaschema(self):
+        files = [f for f in resources.files("unimap").joinpath("schemas").iterdir() if f.name.endswith(".json")]
+        assert len(files) >= 6
+        for f in files:
+            schema = json.loads(f.read_text())
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("doc", [
+        {"d": 2},
+        {"d": "seven", "a": 1, "deviations": {}, "s_discrepancy": False},
+        {"d": 7, "a": 1, "deviations": {"X^d = I": "big"}, "s_discrepancy": False},
+    ])
+    def test_same_error_as_jsonschema_validate(self, doc):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, load_schema("clifford_report"))
+        for _ in range(2):  # the first call builds the cached validator
+            with pytest.raises(jsonschema.ValidationError) as got:
+                validate_report("clifford_report", doc)
+            assert got.value.message == want.value.message
+            assert list(got.value.path) == list(want.value.path)
 
     def test_manifest_duplicate_output_rejected(self):
         m = RunManifest(
@@ -148,6 +171,20 @@ class TestSchemas:
         )
         with pytest.raises(ValueError, match="exactly once"):
             m.to_dict()
+
+
+def test_wigner_csv_matches_per_point_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=5) + 1j * rng.normal(size=5)
+    grid = wigner_grid(psi / np.linalg.norm(psi), 9, 14)
+    lines = ["theta,phi,w"]
+    for i, theta in enumerate(grid.thetas):
+        for j, phi in enumerate(grid.phis):
+            lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}")
+    want = ("\n".join(lines) + "\n").encode()
+    path = tmp_path / "grid.csv"
+    save_wigner_csv(str(path), grid)
+    assert path.read_bytes() == want
 
 
 def test_save_json_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from unimap.cesium import spin_operators
 from unimap.core import basis_state, mat_exp
@@ -89,6 +90,30 @@ class TestWignerGrid:
             wigner_grid(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="grid"):
             wigner_grid(basis_state(3, 0), n_theta=1)
+
+    def test_rejects_nan_state(self):
+        state = basis_state(4, 1)
+        state[2] = np.nan
+        with pytest.raises(ValueError, match="residue nan"):
+            wigner_grid(state, 5, 6)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_full_grid_harmonic_sum(self, dim):
+        # reference: the double sum of full-grid Y_kq evaluations that the
+        # separable theta/phi product replaced
+        rng = np.random.default_rng(40 + dim)
+        a = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        n_theta, n_phi = 23, 37
+        got = wigner_grid(rho, n_theta, n_phi)
+        tt, pp = np.meshgrid(got.thetas, got.phis, indexing="ij")
+        comps = multipole_components(rho)
+        want = np.zeros((n_theta, n_phi), dtype=complex)
+        for k in range(dim):
+            for q in range(-k, k + 1):
+                want += comps[k][k + q] * sph_harm_y(k, q, tt, pp)
+        assert np.abs(got.values - want.real).max() <= 1e-12
 
 
 class TestMultipoles:
