@@ -8,7 +8,7 @@ segments, each a duration in seconds plus one amplitude per control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,10 @@ class ControlSystem:
     fiducial_index: int
     reversible_drift: bool = False
     name: str = ""
+    #: (K, d, d) stack of the control generators, built once per system
+    control_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (2, K) lower and upper amplitude bounds, one column per control
+    bound_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         drift = _readonly(assert_hermitian(self.drift))
@@ -52,6 +56,9 @@ class ControlSystem:
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "amplitude_bounds", bounds)
+        stack = np.stack(controls) if controls else np.zeros((0, d, d), dtype=complex)
+        object.__setattr__(self, "control_stack", _readonly(stack))
+        object.__setattr__(self, "bound_array", _readonly(np.array(bounds, dtype=float).reshape(-1, 2).T))
 
     @property
     def dim(self) -> int:
@@ -141,11 +148,16 @@ class PhaseImprint:
 
 
 def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
-    """Reject waveforms whose amplitudes violate the system's bounds."""
+    """Reject waveforms whose amplitudes are non-finite or violate the system's bounds."""
     if w.n_controls != sys.n_controls:
         raise ValueError(f"waveform has {w.n_controls} controls, system has {sys.n_controls}")
+    amps = w.amplitudes
+    low, high = sys.bound_array
+    if np.all(np.isfinite(amps) & (amps >= low - AMPLITUDE_TOL) & (amps <= high + AMPLITUDE_TOL)):
+        return
+    # some entry is bad: scan control by control for the first one to report
     for k, (lo, hi) in enumerate(sys.amplitude_bounds):
-        col = w.amplitudes[:, k]
+        col = amps[:, k]
         bad = np.where(~np.isfinite(col) | (col < lo - AMPLITUDE_TOL) | (col > hi + AMPLITUDE_TOL))[0]
         if bad.size:
             raise ValueError(
@@ -156,8 +168,9 @@ def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
 
 def segment_hamiltonians(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """(M, d, d) stack of per-segment generators H0 + sum_k u_k H_k."""
-    hks = np.stack(sys.controls) if sys.controls else np.zeros((0, sys.dim, sys.dim))
-    return sys.drift[None, :, :] + np.einsum("mk,kij->mij", w.amplitudes, hks)
+    d = sys.dim
+    ctrl = w.amplitudes @ sys.control_stack.reshape(sys.n_controls, d * d)
+    return sys.drift + ctrl.reshape(w.n_segments, d, d)
 
 
 def segment_eigs(sys: ControlSystem, w: Waveform):
@@ -165,11 +178,16 @@ def segment_eigs(sys: ControlSystem, w: Waveform):
     return np.linalg.eigh(segment_hamiltonians(sys, w))
 
 
+def _eig_propagators(lam: np.ndarray, v: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """(M, d, d) stack V_m e^{-i lam_m tau_m} V_m† from the segment eigensystems."""
+    phases = np.exp(-1j * lam * durations[:, None])
+    return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
 def segment_propagators(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """(M, d, d) stack of per-segment propagators exp(-i H_m tau_m)."""
     lam, v = segment_eigs(sys, w)
-    phases = np.exp(-1j * lam * w.durations[:, None])
-    return np.einsum("mij,mj,mkj->mik", v, phases, v.conj())
+    return _eig_propagators(lam, v, w.durations)
 
 
 def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
@@ -184,8 +202,9 @@ def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
 def apply_adjoint(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """Conjugate transpose of the waveform's propagator.
 
-    Synthesis pipelines invert state maps through this exact adjoint, so
-    their correctness never rests on the physical reversibility flag.
+    Synthesis pipelines invert state maps through this exact adjoint (taken
+    of the propagator they already hold), so their correctness never rests
+    on the physical reversibility flag.
     """
     return propagate(sys, w).conj().T
 

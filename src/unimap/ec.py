@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cesium import CesiumParams, build_restricted_system, x_basis_state
-from .control import PhaseImprint, Waveform, apply_adjoint, phase_imprint_unitary, propagate
+from .control import PhaseImprint, Waveform, phase_imprint_unitary, propagate
 from .core import STATE_NORM_TOL, as_state, haar_random_state
 from .search import SearchConfig, multi_start
 from .subspace import (
@@ -349,7 +349,7 @@ def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
             result = multi_start(sys8, phi8, sys8.fiducial_state(), cfg)
             v = propagate(sys8, result.waveform)
             pi_imprint = phase_imprint_unitary(8, PhaseImprint(np.pi, sys8.fiducial_index))
-            s8 = apply_adjoint(sys8, result.waveform) @ pi_imprint @ v
+            s8 = v.conj().T @ pi_imprint @ v
             t = embed_aux_system(s8, aux) @ t
             aux_choices.append(aux)
             fidelities.append(result.fidelity)

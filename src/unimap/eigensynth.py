@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSystem, PhaseImprint, Waveform, apply_adjoint, phase_imprint_unitary, propagate
+from .control import ControlSystem, PhaseImprint, Waveform, phase_imprint_unitary, propagate
 from .core import TWO_PI, as_state, assert_unitary, eig_unitary, trace_fidelity
 from .search import SearchConfig, multi_start
 from .subspace import pair_rotation
@@ -160,7 +160,7 @@ def synthesize_unitary(sys: ControlSystem, w: np.ndarray, cfg: SearchConfig) -> 
         searches += 1
         v = propagate(sys, result.waveform)
         imprint = phase_imprint_unitary(sys.dim, PhaseImprint(step.phase, sys.fiducial_index))
-        assembled = apply_adjoint(sys, result.waveform) @ imprint @ v @ assembled
+        assembled = v.conj().T @ imprint @ v @ assembled
         fidelities.append(result.fidelity)
         converged.append(result.converged)
         waveforms.append(result.waveform)

@@ -1,13 +1,18 @@
 """Projected quasi-Newton search for state-to-state control waveforms.
 
 The objective is J = |<psi_f| U(T) |psi_i>|^2 over the segment amplitudes
-of a piecewise-constant waveform.  Gradients are exact: each segment
-generator is diagonalized once, and the spectral divided-difference kernel
-of the matrix exponential is contracted for all segments at once against
-the left/right partial products, so one gradient costs about as much as
-one propagation.  The search is a box-projected L-BFGS ascent (GRAPE with
-exact gradients in its quasi-Newton form) with a projected Armijo
-backtracking step.
+of a piecewise-constant waveform.  Each trial point diagonalizes its M
+segment generators once (``control.segment_eigs``) and builds the stacked
+segment propagators U_m = V_m e^{-i lam_m tau_m} V_m† in one batched
+product.  The forward sweep applies that stack to the initial state, and
+the backward sweep for the gradient applies the same stack to the target
+bra, so no propagator is rebuilt.  Gradients are exact: the spectral
+divided-difference kernel of the matrix exponential is contracted for all
+segments at once against the forward kets and backward bras, and then
+against the system's cached stack of control generators, so one gradient
+costs about as much as one propagation.  The search is a box-projected
+L-BFGS ascent (GRAPE with exact gradients in its quasi-Newton form) with a
+projected Armijo backtracking step.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSystem, Waveform, check_amplitudes, segment_eigs
+from .control import ControlSystem, Waveform, _eig_propagators, check_amplitudes, segment_eigs
 from .core import as_state
 
 ARMIJO_C = 1e-4
@@ -87,8 +92,8 @@ class SearchResult:
 
 def objective_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> float:
     """J = |<psi_f| U(T) |psi_i>|^2 for the waveform's propagator."""
-    overlap, _, _, _ = _forward(sys, w, as_state(psi_i, sys.dim), as_state(psi_f, sys.dim))
-    return min(float(abs(overlap) ** 2), 1.0)
+    overlap = _forward(sys, w, as_state(psi_i, sys.dim), as_state(psi_f, sys.dim))[0]
+    return _fidelity(overlap)
 
 
 def gradient_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> np.ndarray:
@@ -103,55 +108,60 @@ def gradient_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> np.nda
     return grad
 
 
+def _fidelity(overlap) -> float:
+    """|overlap|^2, clamped to 1: rounding can push an exact map a few ulps above."""
+    return min(float(abs(overlap) ** 2), 1.0)
+
+
 def _forward(sys: ControlSystem, w: Waveform, psi_i, psi_f):
-    """Overlap <psi_f|U|psi_i> plus the per-segment eigensystem and kets."""
+    """Overlap <psi_f|U|psi_i>, the segment eigensystems and propagators, and the kets."""
     check_amplitudes(sys, w)
     lam, v = segment_eigs(sys, w)
+    u = _eig_propagators(lam, v, w.durations)
     m = w.n_segments
     kets = np.empty((m + 1, sys.dim), dtype=complex)
     kets[0] = psi_i
     for j in range(m):
-        phases = np.exp(-1j * lam[j] * w.durations[j])
-        kets[j + 1] = v[j] @ (phases * (v[j].conj().T @ kets[j]))
+        kets[j + 1] = u[j] @ kets[j]
     overlap = np.vdot(psi_f, kets[m])
-    return overlap, lam, v, kets
+    return overlap, lam, v, u, kets
 
 
-def _gradient(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, kets) -> np.ndarray:
-    """dJ/du from a forward pass's overlap, eigensystems and kets."""
-    m = w.n_segments
+def _gradient(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, u, kets) -> np.ndarray:
+    """dJ/du from a forward pass's overlap, eigensystems, propagators and kets."""
+    m, d = w.n_segments, sys.dim
     if not m:
         return np.zeros(0)
     # backward pass: bras[j] = psi_f† U_M ... U_{j+1}
-    bras = np.empty((m + 1, sys.dim), dtype=complex)
+    bras = np.empty((m + 1, d), dtype=complex)
     bras[m] = psi_f.conj()
     for j in range(m - 1, -1, -1):
-        phases = np.exp(-1j * lam[j] * w.durations[j])
-        bras[j] = ((bras[j + 1] @ v[j]) * phases) @ v[j].conj().T
-    # divided-difference kernel of exp(-i lam tau) for every segment, stable
-    # at coincident eigenvalues via the sinc form
-    tau = w.durations[:, None, None]
-    delta = lam[:, :, None] - lam[:, None, :]
-    mean = (lam[:, :, None] + lam[:, None, :]) / 2
-    kernel = -1j * tau * np.exp(-1j * mean * tau) * np.sinc(delta * tau / (2 * np.pi))
-    left = np.einsum("ma,mai->mi", bras[1:], v)
-    right = np.einsum("mai,ma->mi", v.conj(), kets[:-1])
-    # dC_mk = left_m · (kernel_m ⊙ V_m† H_k V_m) · right_m = Σ_ab H_k,ab C_m,ab
-    # with C_m = conj(V_m) A_m V_mᵀ and A_m = left_m ⊙ kernel_m ⊙ right_m
-    c = v.conj() @ (left[:, :, None] * kernel * right[:, None, :]) @ v.transpose(0, 2, 1)
-    dc = np.einsum("kab,mab->mk", np.stack(sys.controls), c)
+        bras[j] = bras[j + 1] @ u[j]
+    left = (bras[1:, None, :] @ v)[:, 0]
+    right = (kets[:-1, None, :] @ v.conj())[:, 0]
+    # dC_mk = left_m · (K_m ⊙ V_m† H_k V_m) · right_m = Σ_ab H_k,ab C_m,ab with
+    # C_m = conj(V_m) A_m V_mᵀ and A_m = left_m ⊙ K_m ⊙ right_m, where K_m is
+    # the divided-difference kernel of exp(-i lam tau) in its sinc form,
+    # K_ab = -i tau e^{-i lam_a tau / 2} e^{-i lam_b tau / 2} sinc((lam_a - lam_b) tau / 2),
+    # which stays finite at coincident eigenvalues
+    tau = w.durations[:, None]
+    half = np.exp(-0.5j * lam * tau)
+    x = (lam[:, :, None] - lam[:, None, :]) * (tau[:, :, None] / 2)
+    x[x == 0] = 1e-20  # so that sin(x) / x = 1 there
+    a = (-1j * tau * half * left)[:, :, None] * (half * right)[:, None, :] * (np.sin(x) / x)
+    c = v.conj() @ a @ v.transpose(0, 2, 1)
+    dc = c.reshape(m, d * d) @ sys.control_stack.reshape(sys.n_controls, d * d).T
     return (2 * np.real(np.conj(overlap) * dc)).ravel()
 
 
 def _objective_and_gradient(sys: ControlSystem, w: Waveform, psi_i, psi_f):
     fwd = _forward(sys, w, psi_i, psi_f)
-    return float(abs(fwd[0]) ** 2), _gradient(sys, w, psi_f, *fwd)
+    return _fidelity(fwd[0]), _gradient(sys, w, psi_f, *fwd)
 
 
 def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the middle 50% of each control's bounds."""
-    lo = np.array([b[0] for b in sys.amplitude_bounds])
-    hi = np.array([b[1] for b in sys.amplitude_bounds])
+    lo, hi = sys.bound_array
     mid, half = (lo + hi) / 2, (hi - lo) / 4
     u = rng.uniform(-1.0, 1.0, size=(cfg.segment_count, sys.n_controls))
     return mid + half * u
@@ -207,8 +217,8 @@ def search_state_map(
         rng = np.random.default_rng([cfg.seed, restart_index])
         amps = _seed_amplitudes(sys, cfg, rng)
     shape = amps.shape
-    lo = np.broadcast_to([b[0] for b in sys.amplitude_bounds], shape).ravel()
-    hi = np.broadcast_to([b[1] for b in sys.amplitude_bounds], shape).ravel()
+    lo = np.broadcast_to(sys.bound_array[0], shape).ravel()
+    hi = np.broadcast_to(sys.bound_array[1], shape).ravel()
 
     def make_wave(x):
         return Waveform(durations, x.reshape(shape))
@@ -229,7 +239,7 @@ def search_state_map(
             trial = np.clip(x + alpha * p, lo, hi)
             rise = float(grad @ (trial - x))
             fwd = _forward(sys, make_wave(trial), psi_i, psi_f)
-            j_trial = float(abs(fwd[0]) ** 2)
+            j_trial = _fidelity(fwd[0])
             if rise > 0 and j_trial >= j_val + ARMIJO_C * rise:
                 break
             alpha /= 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSystem, PhaseImprint, Waveform, apply_adjoint, phase_imprint_unitary, propagate
+from .control import ControlSystem, PhaseImprint, Waveform, phase_imprint_unitary, propagate
 from .core import as_state
 from .search import SearchConfig, multi_start
 
@@ -210,7 +210,7 @@ def synthesize_subspace_map(
             continue
         result = multi_start(sys, step.reflection, fiducial, cfg)
         v = propagate(sys, result.waveform)
-        s = apply_adjoint(sys, result.waveform) @ pi_imprint @ v
+        s = v.conj().T @ pi_imprint @ v
         t = s @ t
         fidelities.append(result.fidelity)
         converged.append(result.converged)

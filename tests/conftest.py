@@ -52,3 +52,31 @@ def two_level():
         reversible_drift=True,
         name="two-level",
     )
+
+
+@pytest.fixture
+def fixed_search(monkeypatch):
+    """Replace ``multi_start`` in a module by a seeded stand-in search.
+
+    ``fixed_search(module)`` patches the module and returns the list of
+    (system, waveform) pairs the stand-in handed out, in call order.  Each
+    waveform is a fixed random draw inside the bounds, so a synthesis built
+    on it is deterministic without running any search.
+    """
+    from unimap.control import Waveform
+    from unimap.search import SearchResult
+
+    def install(module):
+        handed_out = []
+
+        def stand_in(sys, psi_i, psi_f, cfg):
+            rng = np.random.default_rng([2024, len(handed_out)])
+            amps = 0.8 * rng.uniform(-1, 1, size=(cfg.segment_count, sys.n_controls))
+            w = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
+            handed_out.append((sys, w))
+            return SearchResult(w, 0.5, 0, False, np.array([0.5]))
+
+        monkeypatch.setattr(module, "multi_start", stand_in)
+        return handed_out
+
+    return install

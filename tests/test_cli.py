@@ -91,6 +91,25 @@ class TestOptimizeState:
         ])
         assert code == 0
 
+    def test_goal_one_exits_zero_with_valid_report(self, tmp_path):
+        # the final |overlap|^2 of this search rounds above 1 unless clamped
+        from unimap.core import haar_random_state
+
+        state = tmp_path / "s.json"
+        psi = haar_random_state(8, np.random.default_rng([5, 1]))
+        state.write_text(json.dumps({"amplitudes": complex_to_pairs(psi)}))
+        report = tmp_path / "r.json"
+        code = run([
+            "optimize-state", "--initial", "fiducial", "--target", str(state),
+            "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(report),
+            "--goal", "1", "--restarts", "1", "--max-iterations", "300",
+        ])
+        assert code == 0
+        doc = json.loads(report.read_text())
+        jsonschema.validate(doc, load_schema("search_report"))
+        assert doc["converged"] and doc["fidelity"] == 1.0
+        assert max(doc["objective_history"]) <= 1.0
+
     def test_bad_state_dimension_exits_2(self, tmp_path, capsys):
         state = tmp_path / "psi.json"
         state.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))

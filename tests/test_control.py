@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from unimap.cesium import CesiumParams, build_restricted_system
 from unimap.control import (
+    AMPLITUDE_TOL,
     ControlSystem,
     PhaseImprint,
     Waveform,
@@ -13,8 +15,22 @@ from unimap.control import (
     phase_imprint_unitary,
     propagate,
     reverse_waveform,
+    segment_propagators,
 )
 from unimap.core import mat_exp, unitarity_defect
+
+
+def scan_message(sys, w):
+    """The per-control scan check_amplitudes used before it was vectorized."""
+    for k, (lo, hi) in enumerate(sys.amplitude_bounds):
+        col = w.amplitudes[:, k]
+        bad = np.where(~np.isfinite(col) | (col < lo - AMPLITUDE_TOL) | (col > hi + AMPLITUDE_TOL))[0]
+        if bad.size:
+            return (
+                f"amplitude {col[bad[0]]:g} of control {k} in segment {bad[0]} "
+                f"violates bounds [{lo:g}, {hi:g}]"
+            )
+    return None
 
 
 def random_waveform(sys, n_segments, rng, duration=10e-6, scale=0.8):
@@ -67,6 +83,17 @@ class TestPropagate:
     def test_rejects_wrong_control_count(self, cesium):
         with pytest.raises(ValueError, match="controls"):
             propagate(cesium, Waveform.constant(1e-6, [0.1]))
+
+
+@pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 2e3])
+def test_segment_propagators_match_mat_exp(detuning):
+    sys_m = build_restricted_system(CesiumParams(rf_detuning=detuning))
+    w = random_waveform(sys_m, 7, np.random.default_rng(9))
+    stack = segment_propagators(sys_m, w)
+    assert stack.shape == (7, 8, 8)
+    for amps, tau, u in zip(w.amplitudes, w.durations, stack):
+        h = sys_m.drift + sum(a * hk for a, hk in zip(amps, sys_m.controls))
+        assert np.abs(u - mat_exp(h, tau)).max() < 1e-12
 
 
 class TestReverseWaveform:
@@ -183,6 +210,39 @@ class TestWaveformValidation:
         amps[1, 2] = bad
         with pytest.raises(ValueError, match="control 2 in segment 1"):
             check_amplitudes(cesium, Waveform(np.full(3, 1e-5), amps))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(0, 0, np.nan)],
+            [(0, 0, np.inf)],
+            [(0, 0, -1.5)],
+            [(0, 0, 1.5)],
+            [(4, 3, np.nan)],
+            [(2, 4, -np.inf)],
+            [(5, 1, -1 - 1e-9)],
+            [(3, 2, 1 + 1e-9)],
+            # the scan goes control by control: a later segment of an earlier
+            # control is reported before an earlier segment of a later one
+            [(0, 3, np.nan), (5, 1, 2.0)],
+            [(1, 0, -3.0), (0, 0, 3.0), (0, 4, np.inf)],
+        ],
+    )
+    def test_check_amplitudes_message_matches_scan(self, cesium, bad):
+        amps = 0.5 * np.ones((6, cesium.n_controls))
+        for seg, ctrl, value in bad:
+            amps[seg, ctrl] = value
+        w = Waveform(np.full(6, 1e-5), amps)
+        expected = scan_message(cesium, w)
+        with pytest.raises(ValueError) as err:
+            check_amplitudes(cesium, w)
+        assert str(err.value) == expected
+
+    def test_check_amplitudes_admits_tolerance(self, cesium):
+        amps = np.ones((2, cesium.n_controls))
+        amps[0] += 0.5 * AMPLITUDE_TOL
+        amps[1] = -1 - 0.5 * AMPLITUDE_TOL
+        check_amplitudes(cesium, Waveform(np.full(2, 1e-5), amps))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="durations"):

@@ -358,3 +358,32 @@ class TestBatchedTrials:
             run_ec_trials(good, float("nan"), ideal_maps, np.zeros(1))
         with pytest.raises(ValueError, match="norm"):
             run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps), np.zeros(1))
+
+
+def test_synthesized_maps_equal_two_propagation_form(fixed_search):
+    # each pi-rotation inverts the one propagator it computed; the maps must
+    # equal the form that propagated the same waveform a second time
+    import unimap.ec
+    from unimap.cesium import CesiumParams, build_restricted_system
+    from unimap.control import PhaseImprint, apply_adjoint, phase_imprint_unitary, propagate
+    from unimap.search import default_search_config
+    from unimap.subspace import phase_correction_factor, plan_subspace_map
+
+    params = CesiumParams()
+    handed_out = fixed_search(unimap.ec)
+    maps, _ = unimap.ec.synthesize_ec_maps(params, default_search_config(build_restricted_system(params)))
+    calls = iter(handed_out)
+    for spec, got in zip(ec_map_specs(), maps):
+        steps = plan_subspace_map(spec)
+        expected = np.eye(9, dtype=complex)
+        for step in steps:
+            if step.skipped:
+                continue
+            sys8, wave = next(calls)
+            pi_imprint = phase_imprint_unitary(8, PhaseImprint(np.pi, sys8.fiducial_index))
+            s8 = apply_adjoint(sys8, wave) @ pi_imprint @ propagate(sys8, wave)
+            expected = unimap.ec.embed_aux_system(s8, unimap.ec._aux_for_reflection(step.reflection)) @ expected
+        if spec.phase_correction:
+            expected = phase_correction_factor(steps, spec) @ expected
+        assert np.array_equal(got, expected)
+    assert len(handed_out) == 6 and next(calls, None) is None

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from unimap.control import PhaseImprint, phase_imprint_unitary
+import unimap.eigensynth
+from unimap.control import PhaseImprint, apply_adjoint, phase_imprint_unitary, propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.eigensynth import (
     EigenPlanStep,
@@ -192,3 +193,17 @@ class TestSynthesizeWaveform:
         cfg = default_search_config(cesium, seed=3, max_iterations=400, fidelity_goal=0.99)
         report = synthesize_unitary(cesium, w, cfg)
         assert abs(report.fidelity - trace_fidelity(report.target, report.assembled)) < 1e-12
+
+    def test_assembled_equals_two_propagation_form(self, cesium, fixed_search):
+        # each step inverts the one propagator it computed; the result must
+        # equal the form that propagated the same waveform a second time
+        handed_out = fixed_search(unimap.eigensynth)
+        w = haar_random_unitary(8, np.random.default_rng(11))
+        report = synthesize_unitary(cesium, w, default_search_config(cesium))
+        active = [s for s in plan_unitary(w) if not s.skippable]
+        assert len(active) == len(handed_out) == 8
+        expected = np.eye(8, dtype=complex)
+        for step, (sys_m, wave) in zip(active, handed_out):
+            imprint = phase_imprint_unitary(8, PhaseImprint(step.phase, sys_m.fiducial_index))
+            expected = apply_adjoint(sys_m, wave) @ imprint @ propagate(sys_m, wave) @ expected
+        assert np.array_equal(report.assembled, expected)

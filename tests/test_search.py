@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from unimap.control import Waveform, propagate, segment_eigs
+import unimap.search
+from unimap.cesium import CesiumParams, build_restricted_system
+from unimap.control import Waveform, check_amplitudes, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
 from unimap.search import (
     SearchConfig,
@@ -56,6 +58,55 @@ def per_segment_gradient(sys, w, psi_i, psi_f):
         dc = np.einsum("i,kij,j->k", left, kernel[None] * hk_eig, right)
         grad[j] = 2 * np.real(np.conj(overlap) * dc)
     return grad.ravel()
+
+
+def reference_forward(sys, w, psi_i, psi_f):
+    """The per-segment forward sweep the stacked propagators replaced."""
+    check_amplitudes(sys, w)
+    lam, v = segment_eigs(sys, w)
+    m = w.n_segments
+    kets = np.empty((m + 1, sys.dim), dtype=complex)
+    kets[0] = psi_i
+    for j in range(m):
+        phases = np.exp(-1j * lam[j] * w.durations[j])
+        kets[j + 1] = v[j] @ (phases * (v[j].conj().T @ kets[j]))
+    overlap = np.vdot(psi_f, kets[m])
+    return overlap, lam, v, kets
+
+
+def reference_gradient(sys, w, psi_f, overlap, lam, v, kets):
+    """The per-segment backward sweep and einsum contraction they replaced."""
+    m = w.n_segments
+    bras = np.empty((m + 1, sys.dim), dtype=complex)
+    bras[m] = psi_f.conj()
+    for j in range(m - 1, -1, -1):
+        phases = np.exp(-1j * lam[j] * w.durations[j])
+        bras[j] = ((bras[j + 1] @ v[j]) * phases) @ v[j].conj().T
+    tau = w.durations[:, None, None]
+    delta = lam[:, :, None] - lam[:, None, :]
+    mean = (lam[:, :, None] + lam[:, None, :]) / 2
+    kernel = -1j * tau * np.exp(-1j * mean * tau) * np.sinc(delta * tau / (2 * np.pi))
+    left = np.einsum("ma,mai->mi", bras[1:], v)
+    right = np.einsum("mai,ma->mi", v.conj(), kets[:-1])
+    c = v.conj() @ (left[:, :, None] * kernel * right[:, None, :]) @ v.transpose(0, 2, 1)
+    dc = np.einsum("kab,mab->mk", np.stack(sys.controls), c)
+    return (2 * np.real(np.conj(overlap) * dc)).ravel()
+
+
+KERNEL_CASES = ("cesium_m26", "dense_d4", "single_segment", "rf_detuning")
+
+
+def kernel_case(cesium, case):
+    """(system, waveform, psi_i, psi_f) for one kernel-equivalence case."""
+    rng = np.random.default_rng(KERNEL_CASES.index(case))
+    if case == "dense_d4":
+        sys_m, m = dense_system(4), 24
+    elif case == "rf_detuning":
+        sys_m, m = build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 2e3)), 26
+    else:
+        sys_m, m = cesium, 1 if case == "single_segment" else 26
+    w = Waveform(np.full(m, 10e-6), rng.uniform(-1, 1, (m, sys_m.n_controls)))
+    return sys_m, w, haar_random_state(sys_m.dim, rng), haar_random_state(sys_m.dim, rng)
 
 
 def assert_gradient_close(analytic, fd, rel=1e-5, floor=1e-8):
@@ -147,6 +198,35 @@ class TestGradient:
         assert np.linalg.norm(batched - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
+class TestStackedKernel:
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_matches_per_segment_loops(self, cesium, case):
+        sys_m, w, psi_i, psi_f = kernel_case(cesium, case)
+        fwd = reference_forward(sys_m, w, psi_i, psi_f)
+        j_ref = min(float(abs(fwd[0]) ** 2), 1.0)
+        g_ref = reference_gradient(sys_m, w, psi_f, *fwd)
+        assert abs(objective_state_prep(sys_m, w, psi_i, psi_f) - j_ref) <= 1e-14
+        g = gradient_state_prep(sys_m, w, psi_i, psi_f)
+        assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+    def test_every_trial_point_is_checked_and_diagonalized(self, cesium, monkeypatch):
+        # each forward pass goes through the module's check_amplitudes and
+        # segment_eigs, so wrapping them sees every evaluated point
+        calls = {"check": 0, "eigs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(unimap.search, "check_amplitudes", counted("check", check_amplitudes))
+        monkeypatch.setattr(unimap.search, "segment_eigs", counted("eigs", segment_eigs))
+        cfg = default_search_config(cesium, seed=37, max_iterations=20, fidelity_goal=1.0)
+        res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(38)), cfg)
+        assert calls["check"] == calls["eigs"] >= res.iterations + 1
+
+
 class TestSearch:
     def test_trivial_target_zero_seed(self, cesium):
         cfg = default_search_config(cesium, seed=1, max_iterations=50)
@@ -203,6 +283,18 @@ class TestSearch:
         initial = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
         with pytest.raises(ValueError, match="control 0 in segment 0"):
             search_state_map(cesium, basis_state(8, 7), basis_state(8, 0), cfg, initial=initial)
+
+    @pytest.mark.parametrize("target", range(4))
+    def test_goal_one_reports_fidelity_at_most_one(self, cesium, target):
+        # at goal 1 the search ends on a point whose rounded |overlap|^2 can
+        # exceed 1 by a few ulps; the reported values are clamped
+        cfg = default_search_config(cesium, seed=0, max_iterations=300, fidelity_goal=1.0)
+        psi_f = haar_random_state(8, np.random.default_rng([5, target]))
+        res = search_state_map(cesium, basis_state(8, 7), psi_f, cfg)
+        assert res.fidelity <= 1.0
+        assert res.objective_history.max() <= 1.0
+        assert res.objective_history[-1] == res.fidelity
+        assert res.converged == (res.fidelity >= cfg.fidelity_goal)
 
     def test_result_fidelity_consistent_with_waveform(self, cesium):
         cfg = default_search_config(cesium, seed=31, max_iterations=80)

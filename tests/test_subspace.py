@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import unimap.subspace
 from unimap.cesium import x_basis_state
+from unimap.control import PhaseImprint, apply_adjoint, phase_imprint_unitary, propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.search import default_search_config
 from unimap.subspace import (
@@ -11,6 +13,7 @@ from unimap.subspace import (
     assemble_subspace_map,
     naive_sequential_map,
     pair_rotation,
+    phase_correction_factor,
     plan_subspace_map,
     subspace_fidelity,
     synthesize_subspace_map,
@@ -200,6 +203,20 @@ class TestSynthesize:
         cfg = default_search_config(cesium, seed=0)
         with pytest.raises(ValueError, match="dimension"):
             synthesize_subspace_map(cesium, spec, cfg)
+
+    def test_assembled_equals_two_propagation_form(self, cesium, fixed_search):
+        # each pi-rotation inverts the one propagator it computed; the result
+        # must equal the form that propagated the same waveform a second time
+        handed_out = fixed_search(unimap.subspace)
+        spec = random_spec(3, 8, seed=12)
+        rep = synthesize_subspace_map(cesium, spec, default_search_config(cesium))
+        assert len(handed_out) == 3
+        pi_imprint = phase_imprint_unitary(8, PhaseImprint(np.pi, cesium.fiducial_index))
+        expected = np.eye(8, dtype=complex)
+        for sys_m, wave in handed_out:
+            expected = apply_adjoint(sys_m, wave) @ pi_imprint @ propagate(sys_m, wave) @ expected
+        expected = phase_correction_factor(plan_subspace_map(spec), spec) @ expected
+        assert np.array_equal(rep.assembled, expected)
 
 
 def test_subspace_fidelity_phase_sensitivity():
