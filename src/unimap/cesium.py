@@ -11,6 +11,7 @@ alone.  Basis order is |3,3>, |3,2>, ..., |3,-3>, then the auxiliary
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -68,11 +69,11 @@ class CesiumParams:
     segment_duration: float = 10e-6
 
     def __post_init__(self):
-        for name in ("rf_rabi_max", "uw_rabi_max", "lightshift_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.segment_duration <= 0:
-            raise ValueError("segment_duration must be > 0")
+        for name in ("rf_rabi_max", "uw_rabi_max", "lightshift_max", "segment_duration"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not math.isfinite(self.rf_detuning):
+            raise ValueError("rf_detuning must be finite")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

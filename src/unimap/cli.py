@@ -9,6 +9,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -494,11 +495,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first ``main`` call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the cached parser holds the handlers it was built with: call the
+    # module's current binding, so a handler rebound since (by a test or a
+    # tracer) is the one that runs
+    handler = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

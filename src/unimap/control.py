@@ -4,6 +4,12 @@ A ``ControlSystem`` bundles the drift generator, the control generators
 (rad/s), per-control bounds on the dimensionless amplitudes, and the index
 of the fiducial basis state.  A ``Waveform`` is an ordered list of
 segments, each a duration in seconds plus one amplitude per control.
+
+Segment generators are diagonalized in one batched ``eigh``.  When the
+couplings of drift and controls form a single chain (a path graph, as in
+the cesium model), a diagonal phase gauge makes every segment generator
+real symmetric, so the real ``eigh`` is used; any other coupling pattern
+takes the complex ``eigh``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _path_walk(pattern: np.ndarray) -> np.ndarray | None:
+    """Nodes of the graph with adjacency ``pattern`` in order from one end, if it is a path.
+
+    The diagonal of ``pattern`` is ignored.  The graph is a path when it has
+    d - 1 edges, no node of degree above 2, and is connected; otherwise None.
+    """
+    adj = np.array(pattern, dtype=bool)
+    np.fill_diagonal(adj, False)
+    d = adj.shape[0]
+    degree = adj.sum(axis=1)
+    if degree.sum() != 2 * (d - 1) or degree.max() > 2:
+        return None
+    # with d - 1 edges some node has degree below 2: start the walk there
+    walk = [int(np.argmin(degree))]
+    while len(walk) < d:
+        step = [j for j in np.flatnonzero(adj[walk[-1]]) if j not in walk[-2:]]
+        if not step:
+            return None  # the walk ended early: the graph is not connected
+        walk.append(int(step[0]))
+    return _readonly(walk)
+
+
 @dataclass(frozen=True)
 class ControlSystem:
     """Immutable bilinear control model H[u] = drift + sum_k u_k * controls[k]."""
@@ -37,6 +65,9 @@ class ControlSystem:
     control_stack: np.ndarray = field(init=False, repr=False, compare=False)
     #: (2, K) lower and upper amplitude bounds, one column per control
     bound_array: np.ndarray = field(init=False, repr=False, compare=False)
+    #: basis indices in chain order from one end when the drift and controls
+    #: couple the levels along a single path, else None
+    chain_walk: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         drift = _readonly(assert_hermitian(self.drift))
@@ -59,6 +90,8 @@ class ControlSystem:
         stack = np.stack(controls) if controls else np.zeros((0, d, d), dtype=complex)
         object.__setattr__(self, "control_stack", _readonly(stack))
         object.__setattr__(self, "bound_array", _readonly(np.array(bounds, dtype=float).reshape(-1, 2).T))
+        coupled = np.abs(drift) + np.abs(stack).sum(axis=0)
+        object.__setattr__(self, "chain_walk", _path_walk(coupled != 0))
 
     @property
     def dim(self) -> int:
@@ -174,8 +207,22 @@ def segment_hamiltonians(sys: ControlSystem, w: Waveform) -> np.ndarray:
 
 
 def segment_eigs(sys: ControlSystem, w: Waveform):
-    """Batched eigendecomposition of all segment generators."""
-    return np.linalg.eigh(segment_hamiltonians(sys, w))
+    """Batched eigendecomposition (lam, V) of all segment generators, H_m = V_m diag(lam_m) V_m†.
+
+    On a chain-coupled system the gauge g = e^{i theta}, with theta the
+    negated running sum of the coupling phases along the chain, makes
+    conj(g_a) H_ab g_b real symmetric (Golub & Van Loan, Matrix
+    Computations, section 8.3): its real eigenvectors Q give V = diag(g) Q.
+    """
+    h = segment_hamiltonians(sys, w)
+    walk = sys.chain_walk
+    if walk is None:
+        return np.linalg.eigh(h)
+    theta = np.zeros(h.shape[:2])
+    theta[:, walk[1:]] = -np.cumsum(np.angle(h[:, walk[:-1], walk[1:]]), axis=1)
+    g = np.exp(1j * theta)
+    lam, q = np.linalg.eigh((g.conj()[:, :, None] * h * g[:, None, :]).real)
+    return lam, g[:, :, None] * q
 
 
 def _eig_propagators(lam: np.ndarray, v: np.ndarray, durations: np.ndarray) -> np.ndarray:
@@ -197,16 +244,6 @@ def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
     for step in segment_propagators(sys, w):
         u = step @ u
     return u
-
-
-def apply_adjoint(sys: ControlSystem, w: Waveform) -> np.ndarray:
-    """Conjugate transpose of the waveform's propagator.
-
-    Synthesis pipelines invert state maps through this exact adjoint (taken
-    of the propagator they already hold), so their correctness never rests
-    on the physical reversibility flag.
-    """
-    return propagate(sys, w).conj().T
 
 
 def reverse_waveform(sys: ControlSystem, w: Waveform) -> Waveform:

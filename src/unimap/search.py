@@ -2,15 +2,17 @@
 
 The objective is J = |<psi_f| U(T) |psi_i>|^2 over the segment amplitudes
 of a piecewise-constant waveform.  Each trial point diagonalizes its M
-segment generators once (``control.segment_eigs``) and builds the stacked
-segment propagators U_m = V_m e^{-i lam_m tau_m} V_m† in one batched
-product.  The forward sweep applies that stack to the initial state, and
-the backward sweep for the gradient applies the same stack to the target
-bra, so no propagator is rebuilt.  Gradients are exact: the spectral
-divided-difference kernel of the matrix exponential is contracted for all
-segments at once against the forward kets and backward bras, and then
-against the system's cached stack of control generators, so one gradient
-costs about as much as one propagation.  The search is a box-projected
+segment generators once (``control.segment_eigs``: a real ``eigh`` after a
+diagonal phase gauge when the system couples its levels in a single chain,
+as the cesium model does, and the complex ``eigh`` otherwise) and builds
+the stacked segment propagators U_m = V_m e^{-i lam_m tau_m} V_m† in one
+batched product.  The forward sweep applies that stack to the initial
+state, and the backward sweep for the gradient applies the same stack to
+the target bra, so no propagator is rebuilt.  Gradients are exact: the
+spectral divided-difference kernel of the matrix exponential is contracted
+for all segments at once against the forward kets and backward bras, and
+then against the system's cached stack of control generators, so one
+gradient costs about as much as one propagation.  The search is a box-projected
 L-BFGS ascent (GRAPE with exact gradients in its quasi-Newton form) with a
 projected Armijo backtracking step.
 """
@@ -46,16 +48,16 @@ class SearchConfig:
     try_zero_seed: bool = True
 
     def __post_init__(self):
-        if self.segment_count < 1:
-            raise ValueError("segment_count must be >= 1")
-        if self.segment_duration <= 0:
-            raise ValueError("segment_duration must be > 0")
+        if not 1 <= self.segment_count < math.inf:
+            raise ValueError("segment_count must be finite and >= 1")
+        if not 0 < self.segment_duration < math.inf:
+            raise ValueError("segment_duration must be finite and > 0")
         if not 0 < self.fidelity_goal <= 1:
             raise ValueError("fidelity_goal must lie in (0, 1]")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not 0 <= self.max_iterations < math.inf:
+            raise ValueError("max_iterations must be finite and >= 0")
+        if not 1 <= self.restarts < math.inf:
+            raise ValueError("restarts must be finite and >= 1")
 
 
 def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:

@@ -1,10 +1,11 @@
-"""Shared fixtures: the cesium preset and a small generic test system."""
+"""Shared fixtures and helpers: the cesium presets, small generic test
+systems, and the exact adjoint of a waveform's propagator."""
 
 import numpy as np
 import pytest
 
 from unimap.cesium import CesiumParams, build_restricted_system, spin_operators
-from unimap.control import ControlSystem
+from unimap.control import ControlSystem, propagate
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +16,17 @@ def cesium():
 @pytest.fixture(scope="session")
 def cesium_minus():
     return build_restricted_system(CesiumParams(), aux=-4)
+
+
+def apply_adjoint(sys, w) -> np.ndarray:
+    """Conjugate transpose of the waveform's propagator, from its own propagation.
+
+    The synthesizers invert each searched state map through the adjoint of
+    the propagator they already hold, never through the physical
+    reversibility flag; tests compare them against this separately
+    propagated form.
+    """
+    return propagate(sys, w).conj().T
 
 
 def make_spin_system(two_f: int, rate: float = 2 * np.pi * 25e3) -> ControlSystem:

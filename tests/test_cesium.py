@@ -126,6 +126,14 @@ class TestParams:
         with pytest.raises(ValueError):
             CesiumParams(rf_rabi_max=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name", ["rf_rabi_max", "uw_rabi_max", "lightshift_max", "segment_duration", "rf_detuning"]
+    )
+    def test_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            CesiumParams(**{name: bad})
+
     def test_round_trip(self):
         import json
 

@@ -12,7 +12,7 @@ import pytest
 
 import unimap
 import unimap.cli
-from unimap.cli import _resolve_state, main
+from unimap.cli import _resolve_state, build_parser, main
 from unimap.core import basis_state
 from unimap.io import complex_to_pairs, load_schema, load_waveform
 
@@ -34,6 +34,15 @@ class TestModelInfo:
     def test_unknown_preset_exits_2(self, capsys):
         assert run(["model", "info", "nope"]) == 2
         assert "preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["segment_duration", "rf_rabi_max", "rf_detuning"])
+    def test_non_finite_param_exits_2_without_json(self, tmp_path, capsys, field):
+        params = tmp_path / "p.json"
+        params.write_text(f'{{"{field}": NaN}}')
+        assert run(["model", "info", "--params", str(params)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert field in out.err
 
 
 class TestVerifyClifford:
@@ -109,6 +118,17 @@ class TestOptimizeState:
         jsonschema.validate(doc, load_schema("search_report"))
         assert doc["converged"] and doc["fidelity"] == 1.0
         assert max(doc["objective_history"]) <= 1.0
+
+    def test_non_finite_param_exits_2_without_outputs(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"uw_rabi_max": Infinity}')
+        code = run([
+            "optimize-state", "--initial", "fiducial", "--target", "basis:0", "--params", str(params),
+            "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "uw_rabi_max" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
     def test_bad_state_dimension_exits_2(self, tmp_path, capsys):
         state = tmp_path / "psi.json"
@@ -299,3 +319,36 @@ def test_argparse_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["optimize-state"])  # missing required arguments
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_flags(tmp_path, monkeypatch):
+    # main reuses one parser; each call still parses onto fresh defaults
+    unimap.cli._parser.cache_clear()
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(unimap.cli, "build_parser", counted)
+
+    def restarts_reported(*flags):
+        report = tmp_path / "r.json"
+        code = run([
+            "optimize-state", "--initial", "fiducial", "--target", "basis:0", "--max-iterations", "0",
+            "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(report), *flags,
+        ])
+        assert code == 0
+        return json.loads(report.read_text())["config"]["restarts"]
+
+    assert restarts_reported("--restarts", "1") == 1
+    assert restarts_reported() == 3
+    assert len(built) == 1
+
+
+def test_rebound_handler_runs_after_parser_is_cached(monkeypatch):
+    assert run(["model", "info"]) == 0  # builds and caches the parser
+    seen = []
+    monkeypatch.setattr(unimap.cli, "cmd_model_info", lambda args: seen.append(args.preset) or 0)
+    assert run(["model", "info", "cs133-f3-aux-4"]) == 0
+    assert seen == ["cs133-f3-aux-4"]

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
+from conftest import apply_adjoint
 from unimap.cesium import CesiumParams, build_restricted_system
 from unimap.control import (
     AMPLITUDE_TOL,
     ControlSystem,
     PhaseImprint,
     Waveform,
-    apply_adjoint,
     check_amplitudes,
     lie_algebra_dimension,
     phase_imprint_unitary,
     propagate,
     reverse_waveform,
+    segment_eigs,
+    segment_hamiltonians,
     segment_propagators,
 )
 from unimap.core import mat_exp, unitarity_defect
@@ -95,6 +97,133 @@ def test_segment_propagators_match_mat_exp(detuning):
         h = sys_m.drift + sum(a * hk for a, hk in zip(amps, sys_m.controls))
         assert np.abs(u - mat_exp(h, tau)).max() < 1e-12
 
+
+
+def complex_eigs(sys, w):
+    """The complex batched eigh, which every system used before the chain gauge."""
+    return np.linalg.eigh(segment_hamiltonians(sys, w))
+
+
+def complex_propagators(sys, w):
+    lam, v = complex_eigs(sys, w)
+    phases = np.exp(-1j * lam * w.durations[:, None])
+    return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def gauge_waveform(sys, rng):
+    """26 random segments, some with every control off and some with the rf off."""
+    w = random_waveform(sys, 26, rng)
+    amps = np.array(w.amplitudes)
+    amps[::9] = 0.0
+    amps[4::7, :2] = 0.0
+    return Waveform(w.durations, amps)
+
+
+def coupling_system(edges, d, rng, rate=2 * np.pi * 25e3):
+    """d levels coupled on the given edges with random complex rates, plus a random diagonal drift."""
+    h = np.zeros((d, d), dtype=complex)
+    for a, b in edges:
+        h[a, b] = rate * rng.uniform(0.5, 1) * np.exp(2j * np.pi * rng.uniform())
+        h[b, a] = np.conj(h[a, b])
+    return ControlSystem(
+        drift=np.diag(rate * rng.uniform(-1, 1, d)).astype(complex),
+        controls=(h, np.diag(rate * rng.uniform(-1, 1, d)).astype(complex)),
+        amplitude_bounds=((-1.0, 1.0),) * 2,
+        fiducial_index=0,
+    )
+
+
+def dense_system(d=4, seed=11, rate=2 * np.pi * 25e3):
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return rate * (a + a.conj().T) / (2 * d)
+
+    return ControlSystem(
+        drift=hermitian(),
+        controls=(hermitian(), hermitian()),
+        amplitude_bounds=((-1.0, 1.0),) * 2,
+        fiducial_index=0,
+    )
+
+
+def assert_walks_couplings(sys):
+    """The walk visits every level once, and each step crosses a coupling."""
+    walk = sys.chain_walk
+    assert sorted(walk.tolist()) == list(range(sys.dim))
+    coupled = np.abs(sys.drift) + sum(np.abs(h) for h in sys.controls)
+    assert all(coupled[a, b] > 0 for a, b in zip(walk[:-1], walk[1:]))
+
+
+class TestChainGauge:
+    @pytest.mark.parametrize("aux", [+4, -4])
+    @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 2e3])
+    def test_cesium_matches_complex_path(self, aux, detuning):
+        sys_m = build_restricted_system(CesiumParams(rf_detuning=detuning), aux=aux)
+        assert sys_m.chain_walk is not None
+        w = gauge_waveform(sys_m, np.random.default_rng(21))
+        h = segment_hamiltonians(sys_m, w)
+        lam, v = segment_eigs(sys_m, w)
+        residual = np.linalg.norm(h @ v - v * lam[:, None, :], axis=(1, 2))
+        assert residual.max() <= 1e-12 * np.linalg.norm(h, axis=(1, 2)).max()
+        lam_ref = complex_eigs(sys_m, w)[0]
+        assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+        assert np.abs(segment_propagators(sys_m, w) - complex_propagators(sys_m, w)).max() <= 1e-12
+
+    @pytest.mark.parametrize("aux", [+4, -4])
+    def test_cesium_presets_are_chains(self, aux):
+        sys_m = build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 2e3), aux=aux)
+        assert_walks_couplings(sys_m)
+        assert sys_m.fiducial_index in (sys_m.chain_walk[0], sys_m.chain_walk[-1])
+        assert np.array_equal(sys_m.with_negated_drift().chain_walk, sys_m.chain_walk)
+
+    def test_chain_in_any_basis_order(self):
+        rng = np.random.default_rng(5)
+        sys_m = coupling_system([(3, 0), (0, 4), (4, 1), (1, 2)], 5, rng)
+        assert_walks_couplings(sys_m)
+        w = gauge_waveform(sys_m, rng)
+        h = segment_hamiltonians(sys_m, w)
+        lam, v = segment_eigs(sys_m, w)
+        assert np.abs(h @ v - v * lam[:, None, :]).max() <= 1e-12 * np.abs(h).max()
+        assert np.abs(segment_propagators(sys_m, w) - complex_propagators(sys_m, w)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "edges, d",
+        [
+            ([(0, 1), (1, 2), (2, 0)], 3),  # 3-cycle
+            ([(0, 1), (1, 2), (2, 0)], 4),  # d - 1 edges, but a cycle plus an isolated level
+            ([(0, 1), (0, 2), (0, 3)], 4),  # star: a level of degree 3
+            ([(0, 1), (2, 3)], 4),  # two separate pairs
+        ],
+    )
+    def test_other_couplings_have_no_walk(self, edges, d):
+        assert coupling_system(edges, d, np.random.default_rng(6)).chain_walk is None
+
+    def test_dense_system_keeps_complex_path(self, monkeypatch):
+        import unimap.control
+        import unimap.search
+        from unimap.core import haar_random_state
+        from unimap.search import SearchConfig, search_state_map
+
+        sys_m = dense_system()
+        assert sys_m.chain_walk is None
+        rng = np.random.default_rng(7)
+        w = random_waveform(sys_m, 12, rng)
+        psi_i, psi_f = haar_random_state(4, rng), haar_random_state(4, rng)
+        cfg = SearchConfig(segment_count=12, segment_duration=10e-6, fidelity_goal=0.999, max_iterations=15, seed=3)
+        lam, v = segment_eigs(sys_m, w)
+        u = propagate(sys_m, w)
+        res = search_state_map(sys_m, psi_i, psi_f, cfg)
+        lam_ref, v_ref = complex_eigs(sys_m, w)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(v, v_ref)
+        monkeypatch.setattr(unimap.control, "segment_eigs", complex_eigs)
+        monkeypatch.setattr(unimap.search, "segment_eigs", complex_eigs)
+        assert np.array_equal(u, propagate(sys_m, w))
+        ref = search_state_map(sys_m, psi_i, psi_f, cfg)
+        assert res.iterations == ref.iterations > 0
+        assert np.array_equal(res.waveform.amplitudes, ref.waveform.amplitudes)
+        assert np.array_equal(res.objective_history, ref.objective_history)
 
 class TestReverseWaveform:
     def test_zero_amplitude_driftless(self, two_level):

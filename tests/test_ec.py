@@ -365,7 +365,8 @@ def test_synthesized_maps_equal_two_propagation_form(fixed_search):
     # equal the form that propagated the same waveform a second time
     import unimap.ec
     from unimap.cesium import CesiumParams, build_restricted_system
-    from unimap.control import PhaseImprint, apply_adjoint, phase_imprint_unitary, propagate
+    from conftest import apply_adjoint
+    from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
     from unimap.search import default_search_config
     from unimap.subspace import phase_correction_factor, plan_subspace_map
 

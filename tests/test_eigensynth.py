@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import apply_adjoint
 import unimap.eigensynth
-from unimap.control import PhaseImprint, apply_adjoint, phase_imprint_unitary, propagate
+from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.eigensynth import (
     EigenPlanStep,

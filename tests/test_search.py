@@ -406,6 +406,15 @@ def test_config_validation():
         SearchConfig(segment_count=4, segment_duration=1e-5, restarts=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name", ["segment_count", "segment_duration", "fidelity_goal", "max_iterations", "restarts"]
+)
+def test_config_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        SearchConfig(**{"segment_count": 4, "segment_duration": 1e-5, name: bad})
+
+
 def test_default_config_variable_count(cesium):
     cfg = default_search_config(cesium)
     assert cfg.segment_count * cesium.n_controls >= 2 * cesium.dim**2

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import apply_adjoint
 import unimap.subspace
 from unimap.cesium import x_basis_state
-from unimap.control import PhaseImprint, apply_adjoint, phase_imprint_unitary, propagate
+from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.search import default_search_config
 from unimap.subspace import (
