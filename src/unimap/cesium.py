@@ -80,10 +80,16 @@ class CesiumParams:
 
     @staticmethod
     def from_dict(data: dict) -> "CesiumParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"cesium parameters must be a JSON object, got {type(data).__name__}")
         known = {f for f in CesiumParams.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown cesium parameter field: {sorted(unknown)[0]}")
+        for name, value in data.items():
+            # bool is an int subclass, but true/false is never a rate or a duration
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"cesium parameter {name} must be a number, got {value!r}")
         return CesiumParams(**data)
 
 

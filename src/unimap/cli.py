@@ -23,7 +23,7 @@ from .cesium import CONTROL_NAMES, CesiumParams, PRESETS, build_restricted_syste
 from .control import ControlSystem, propagate
 from .core import as_state, basis_state
 from .ec import ECConfig, ec_maps, ec_sweep, synthesize_ec_maps
-from .eigensynth import synthesize_unitary, synthesize_unitary_exact
+from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
 from .io import (
     RunManifest,
@@ -38,7 +38,7 @@ from .io import (
     validate_report,
 )
 from .search import SearchConfig, default_search_config, multi_start
-from .subspace import plan_subspace_map, assemble_subspace_map, subspace_fidelity, synthesize_subspace_map
+from .subspace import ExactMapper, SearchedMapper, synthesize_subspace_map
 from .wigner import extract_block, wigner_grid
 
 
@@ -53,11 +53,11 @@ def _load_params(path: str | None) -> CesiumParams:
         return CesiumParams.from_dict(json.load(fh))
 
 
-def _resolve_system(args):
+def _resolve_system(args, params: CesiumParams | None = None):
     preset = getattr(args, "preset", "cs133-f3-aux4")
     if preset not in PRESETS:
         raise CliError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[preset](_load_params(getattr(args, "params", None)))
+    return PRESETS[preset](params or _load_params(getattr(args, "params", None)))
 
 
 def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
@@ -71,10 +71,11 @@ def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
 
 
 def _search_config(args, sys_model) -> SearchConfig:
+    """Search settings from the command's flags; ec-sweep has no segment flags."""
     overrides = {}
-    if args.segments is not None:
+    if getattr(args, "segments", None) is not None:
         overrides["segment_count"] = args.segments
-    if args.segment_duration is not None:
+    if getattr(args, "segment_duration", None) is not None:
         overrides["segment_duration"] = args.segment_duration
     return default_search_config(
         sys_model,
@@ -114,8 +115,8 @@ def _manifest(args, command: str, inputs, outputs, seed, t0: float) -> None:
 
 
 def cmd_model_info(args) -> int:
-    sys_model = _resolve_system(args)
     params = _load_params(args.params)
+    sys_model = _resolve_system(args, params)
     info = {
         "name": sys_model.name,
         "dimension": sys_model.dim,
@@ -194,114 +195,97 @@ def _load_target(args) -> tuple[np.ndarray, str]:
     raise CliError("one of --gate or --matrix-file is required")
 
 
+def _pick_mapper(args, exact: bool, dim: int):
+    """The exact mapper on ``dim`` levels, or the searched mapper on the preset, plus its config."""
+    if exact:
+        return ExactMapper(dim), {}
+    sys_model = _resolve_system(args)
+    cfg = _search_config(args, sys_model)
+    return SearchedMapper(sys_model, cfg), _cfg_dict(cfg)
+
+
+def _save_waveforms(prefix, waveforms, start: int = 0) -> list[str]:
+    """Write waveform k to ``<prefix><k>.csv``, k counting from ``start``; return the paths."""
+    paths = [f"{prefix}{k}.csv" for k in range(start, start + len(waveforms))]
+    if paths:
+        Path(prefix).parent.mkdir(parents=True, exist_ok=True)
+    for path, wf in zip(paths, waveforms):
+        save_waveform(path, wf)
+    return paths
+
+
+def _step_fields(args, rep) -> dict:
+    """Write the report's waveforms next to it; the per-step fields both build reports share."""
+    prefix = Path(args.waveform_dir or Path(args.out_report).parent) / f"{Path(args.out_report).stem}-step"
+    return {
+        "step_fidelities": list(rep.step_fidelities),
+        "step_converged": list(rep.converged),
+        "skipped_steps": list(rep.skipped_steps),
+        "searches_performed": rep.searches_performed,
+        "total_duration_s": rep.total_duration,
+        "waveform_files": _save_waveforms(prefix, rep.waveforms),
+    }
+
+
 def cmd_build_unitary(args) -> int:
     t0 = time.monotonic()
     target, label = _load_target(args)
     d_block = target.shape[0]
-    if args.exact_mappers:
-        report_obj = synthesize_unitary_exact(target, fiducial_index=0)
-        waveform_files: list[str] = []
-        block_fid = None
-        dim = d_block
-    else:
-        sys_model = _resolve_system(args)
-        if d_block > sys_model.dim:
-            raise CliError(f"gate dimension {d_block} exceeds system dimension {sys_model.dim}")
-        if d_block < sys_model.dim:
-            full = np.eye(sys_model.dim, dtype=complex)
-            full[:d_block, :d_block] = target
-            target = full
-        cfg = _search_config(args, sys_model)
-        report_obj = synthesize_unitary(sys_model, target, cfg)
-        wave_dir = Path(args.waveform_dir or Path(args.out_report).parent)
-        wave_dir.mkdir(parents=True, exist_ok=True)
-        waveform_files = []
-        for i, wf in enumerate(report_obj.waveforms):
-            path = wave_dir / f"{Path(args.out_report).stem}-step{i}.csv"
-            save_waveform(str(path), wf)
-            waveform_files.append(str(path))
-        block = report_obj.assembled[:d_block, :d_block]
+    mapper, cfg = _pick_mapper(args, args.exact_mappers, d_block)
+    if d_block > mapper.dim:
+        raise CliError(f"gate dimension {d_block} exceeds system dimension {mapper.dim}")
+    if d_block < mapper.dim:
+        full = np.eye(mapper.dim, dtype=complex)
+        full[:d_block, :d_block] = target
+        target = full
+    rep = synthesize_unitary(target, mapper)
+    block_fid = None
+    if not args.exact_mappers:
+        block = rep.assembled[:d_block, :d_block]
         block_fid = min(float(abs(np.trace(target[:d_block, :d_block].conj().T @ block)) / d_block), 1.0)
-        dim = sys_model.dim
     report = validate_report(
         "synthesis_report",
         {
             "target": label,
-            "dimension": dim,
-            "trace_fidelity": report_obj.fidelity,
+            "dimension": mapper.dim,
+            "trace_fidelity": rep.fidelity,
             "block_trace_fidelity": block_fid,
-            "step_fidelities": list(report_obj.step_fidelities),
-            "step_converged": list(report_obj.converged),
-            "skipped_steps": list(report_obj.skipped_steps),
-            "searches_performed": report_obj.searches_performed,
-            "total_duration_s": report_obj.total_duration,
-            "waveform_files": waveform_files,
+            **_step_fields(args, rep),
             "exact_mappers": bool(args.exact_mappers),
-            "config": {} if args.exact_mappers else _cfg_dict(cfg),
+            "config": cfg,
         },
     )
     save_json(args.out_report, report)
     inputs = [args.matrix_file] if args.matrix_file else []
-    _manifest(args, "build-unitary", inputs, [args.out_report, *waveform_files], args.seed, t0)
-    print(f"trace fidelity {report_obj.fidelity:.8f} searches={report_obj.searches_performed}")
+    _manifest(args, "build-unitary", inputs, [args.out_report, *report["waveform_files"]], args.seed, t0)
+    print(f"trace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
     return 0
 
 
 def cmd_build_subspace_map(args) -> int:
     t0 = time.monotonic()
     spec = load_subspace_spec(args.spec)
-    if args.exact:
-        steps = plan_subspace_map(spec)
-        t = assemble_subspace_map(steps, spec)
-        basis_errors = [float(np.linalg.norm(t @ a - b)) for a, b in zip(spec.source, spec.target)]
-        report = {
+    mapper, cfg = _pick_mapper(args, args.exact, spec.dim)
+    rep = synthesize_subspace_map(spec, mapper)
+    report = validate_report(
+        "subspace_report",
+        {
             "dimension": spec.dim,
             "subspace_size": spec.n,
-            "subspace_fidelity": subspace_fidelity(t, spec),
-            "basis_errors": basis_errors,
-            "step_fidelities": [],
-            "step_converged": [],
-            "skipped_steps": [k for k, s in enumerate(steps) if s.skipped],
-            "searches_performed": 0,
-            "total_duration_s": 0.0,
-            "waveform_files": [],
-            "phase_correction": spec.phase_correction,
-            "exact": True,
-            "config": {},
-        }
-    else:
-        sys_model = _resolve_system(args)
-        cfg = _search_config(args, sys_model)
-        rep = synthesize_subspace_map(sys_model, spec, cfg)
-        wave_dir = Path(args.waveform_dir or Path(args.out_report).parent)
-        wave_dir.mkdir(parents=True, exist_ok=True)
-        waveform_files = []
-        for i, wf in enumerate(rep.waveforms):
-            path = wave_dir / f"{Path(args.out_report).stem}-step{i}.csv"
-            save_waveform(str(path), wf)
-            waveform_files.append(str(path))
-        report = {
-            "dimension": spec.dim,
-            "subspace_size": spec.n,
-            "subspace_fidelity": rep.subspace_fidelity,
+            "subspace_fidelity": rep.fidelity,
             "basis_errors": [
-                float(np.linalg.norm(rep.assembled @ a - b))
-                for a, b in zip(spec.source, spec.target)
+                float(np.linalg.norm(rep.assembled @ a - b)) for a, b in zip(spec.source, spec.target)
             ],
-            "step_fidelities": list(rep.step_fidelities),
-            "step_converged": list(rep.converged),
-            "skipped_steps": list(rep.skipped_steps),
-            "searches_performed": rep.searches_performed,
-            "total_duration_s": rep.total_duration,
-            "waveform_files": waveform_files,
+            **_step_fields(args, rep),
             "phase_correction": spec.phase_correction,
-            "exact": False,
-            "config": _cfg_dict(cfg),
-        }
-    save_json(args.out_report, validate_report("subspace_report", report))
+            "exact": bool(args.exact),
+            "config": cfg,
+        },
+    )
+    save_json(args.out_report, report)
     outputs = [args.out_report, *report["waveform_files"]]
     _manifest(args, "build-subspace-map", [args.spec], outputs, args.seed, t0)
-    print(f"subspace fidelity {report['subspace_fidelity']:.8f} searches={report['searches_performed']}")
+    print(f"subspace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
     return 0
 
 
@@ -318,28 +302,17 @@ def cmd_ec_sweep(args) -> int:
         maps_mode=args.maps,
         average=args.average,
     )
+    stem = Path(args.out).with_suffix("")
     step_fidelities: list[list[float]] = []
     waveform_files: list[str] = []
     if args.maps == "ideal":
-        maps = ec_maps(ideal=True)
+        maps = ec_maps()
     else:
         params = _load_params(args.params)
-        sys_model = build_restricted_system(params)
-        search_cfg = default_search_config(
-            sys_model,
-            fidelity_goal=args.goal,
-            max_iterations=args.max_iterations,
-            seed=args.seed,
-            restarts=args.restarts,
-        )
-        maps, reports = synthesize_ec_maps(params, search_cfg)
+        maps, reports = synthesize_ec_maps(params, _search_config(args, build_restricted_system(params)))
         step_fidelities = [list(r.step_fidelities) for r in reports]
-        stem = Path(args.out).with_suffix("")
-        for i, rep in enumerate(reports):
-            for j, wf in enumerate(rep.waveforms):
-                path = f"{stem}-map{i + 1}-step{j + 1}.csv"
-                save_waveform(path, wf)
-                waveform_files.append(path)
+        for i, rep in enumerate(reports, 1):
+            waveform_files += _save_waveforms(f"{stem}-map{i}-step", rep.waveforms, start=1)
     result = ec_sweep(cfg, maps)
     save_ec_csv(args.out, result)
     meta = validate_report(
@@ -355,7 +328,7 @@ def cmd_ec_sweep(args) -> int:
             "waveform_files": waveform_files,
         },
     )
-    meta_path = str(Path(args.out).with_suffix("")) + ".meta.json"
+    meta_path = f"{stem}.meta.json"
     save_json(meta_path, meta)
     _manifest(args, "ec-sweep", [], [args.out, meta_path, *waveform_files], args.seed, t0)
     print(f"swept {len(grid)} error angles x {cfg.n_states} states ({cfg.maps_mode} maps)")

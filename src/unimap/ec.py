@@ -8,26 +8,24 @@ the syndrome without touching the qubit coherence, and a conditional map
 brings triggered states back, followed by decoding.
 
 The simulation lives on 9 levels: the seven F=3 sublevels (indices 0..6,
-m = 3..-3) plus |4,4_z> at index 7 and |4,-4_z> at index 8.
+m = 3..-3) plus |4,4_z> at index 7 and |4,-4_z> at index 8.  The three
+protocol maps come from the phase-about-a-vector builder of ``subspace``:
+``ec_maps`` uses its exact mapper, and ``synthesize_ec_maps`` a searched
+mapper that switches between the two 8-level cesium systems (aux +4 or
+-4), runs each rotation on the one that holds its reflection vector, and
+lifts the factor back to the 9 levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cesium import CesiumParams, build_restricted_system, x_basis_state
-from .control import PhaseImprint, Waveform, phase_imprint_unitary, propagate
 from .core import STATE_NORM_TOL, as_state, haar_random_state
-from .search import SearchConfig, multi_start
-from .subspace import (
-    SubspaceMapSpec,
-    assemble_subspace_map,
-    phase_correction_factor,
-    plan_subspace_map,
-    subspace_fidelity,
-)
+from .search import SearchConfig
+from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
 IDX_44Z = 7
@@ -76,21 +74,10 @@ def ec_map_specs() -> tuple[SubspaceMapSpec, SubspaceMapSpec, SubspaceMapSpec]:
     return encode, extract, recover
 
 
-def ec_maps(ideal: bool = True, params: CesiumParams | None = None, cfg: SearchConfig | None = None):
-    """The three protocol maps as 9x9 unitaries.
-
-    Ideal maps are assembled algebraically with phase correction.  The
-    waveform-backed mode needs a search config; it returns the maps plus
-    the per-map synthesis details.
-    """
-    if ideal:
-        return tuple(
-            assemble_subspace_map(plan_subspace_map(spec), spec) for spec in ec_map_specs()
-        )
-    if cfg is None:
-        raise ValueError("waveform-backed maps require a search config")
-    maps, _ = synthesize_ec_maps(params or CesiumParams(), cfg)
-    return maps
+def ec_maps():
+    """The three protocol maps as ideal 9x9 unitaries, from exact pi-rotations."""
+    mapper = ExactMapper(SIM_DIM)
+    return tuple(synthesize_subspace_map(spec, mapper).assembled for spec in ec_map_specs())
 
 
 def error_channel(epsilon: float) -> np.ndarray:
@@ -183,22 +170,6 @@ def _overlap_fidelity(psi0: np.ndarray, final: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(np.sum(psi0.conj() * final, axis=1)) ** 2, 1.0)
 
 
-def run_ec_trial(psi_qubit, epsilon: float, maps, rng: np.random.Generator, correct: bool = True):
-    """One protocol round; returns (fidelity, syndrome_triggered).
-
-    A one-row call of ``run_ec_trials`` that takes the measurement draw
-    from ``rng.uniform()``.  With correct=False it returns the
-    uncorrected fidelity instead; the rng is then unused and the syndrome
-    flag is False.
-    """
-    qubit = as_state(psi_qubit, 2)[None, :]
-    draws = np.array([rng.uniform() if correct else 0.5])
-    corrected, uncorrected, triggered = run_ec_trials(qubit, epsilon, maps, draws)
-    if not correct:
-        return float(uncorrected[0]), False
-    return float(corrected[0]), bool(triggered[0])
-
-
 #: the six Bloch-axis qubit states, a 2-design for exact averaging
 BLOCH_AXIS_STATES = (
     np.array([1.0, 0.0], dtype=complex),
@@ -264,7 +235,7 @@ def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
     if maps is None:
         if cfg.maps_mode != "ideal":
             raise ValueError("synthesized maps_mode requires explicit maps")
-        maps = ec_maps(ideal=True)
+        maps = ec_maps()
     n = cfg.n_states
     corrected, uncorrected, trigger = [], [], []
     for i_eps, eps in enumerate(cfg.epsilon_grid):
@@ -291,23 +262,28 @@ def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
     )
 
 
+def _aux_levels(aux: int) -> list[int]:
+    """Simulation-space indices of the 8-level system with this aux level."""
+    return list(range(7)) + [IDX_44Z if aux == +4 else IDX_4M4Z]
+
+
 def embed_aux_system(u8: np.ndarray, aux: int) -> np.ndarray:
     """Lift an 8-level (F=3 + one aux) unitary into the 9-level space."""
-    idx = list(range(7)) + [IDX_44Z if aux == +4 else IDX_4M4Z]
+    idx = _aux_levels(aux)
     u9 = np.eye(SIM_DIM, dtype=complex)
     u9[np.ix_(idx, idx)] = u8
     return u9
 
 
 @dataclass(frozen=True)
-class ECMapSynthesis:
-    """Search details behind one waveform-backed protocol map."""
+class ECMapSynthesis(SynthesisReport):
+    """A protocol map's synthesis report, plus the aux system of each search."""
 
     aux_choices: tuple[int, ...]
-    step_fidelities: tuple[float, ...]
-    converged: tuple[bool, ...]
-    waveforms: tuple[Waveform, ...]
-    subspace_fidelity: float
+
+    @property
+    def subspace_fidelity(self) -> float:
+        return self.fidelity
 
 
 def _aux_for_reflection(phi: np.ndarray) -> int:
@@ -324,6 +300,27 @@ def _aux_for_reflection(phi: np.ndarray) -> int:
     return -4 if on_m4 else +4
 
 
+@dataclass
+class _AuxSwitchingMapper:
+    """Searched mapper on whichever 8-level system holds the reflection.
+
+    The search runs on the reflection restricted to that system's levels,
+    and the 8-level factor is lifted back into the simulation space.
+    """
+
+    searched: dict[int, SearchedMapper]
+    aux_choices: list[int] = field(default_factory=list)
+    dim = SIM_DIM
+
+    def phase_about(self, phi, theta: float):
+        aux = _aux_for_reflection(phi)
+        phi8 = phi[_aux_levels(aux)]
+        phi8 = phi8 / np.linalg.norm(phi8)
+        factor, fidelity, converged, waveform = self.searched[aux].phase_about(phi8, theta)
+        self.aux_choices.append(aux)
+        return embed_aux_system(factor, aux), fidelity, converged, waveform
+
+
 def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
     """Waveform-backed protocol maps with the aux-switching convention.
 
@@ -331,40 +328,11 @@ def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
     whichever 8-level control system (aux = +4 or -4) contains its
     reflection vector, then lifted back.  Phase corrections are analytic.
     """
-    systems = {+4: build_restricted_system(params, aux=+4), -4: build_restricted_system(params, aux=-4)}
-    maps = []
-    reports = []
+    searched = {aux: SearchedMapper(build_restricted_system(params, aux=aux), cfg) for aux in (+4, -4)}
+    maps, reports = [], []
     for spec in ec_map_specs():
-        steps = plan_subspace_map(spec)
-        t = np.eye(SIM_DIM, dtype=complex)
-        aux_choices, fidelities, conv, waves = [], [], [], []
-        for step in steps:
-            if step.skipped:
-                continue
-            aux = _aux_for_reflection(step.reflection)
-            sys8 = systems[aux]
-            keep = list(range(7)) + [IDX_44Z if aux == +4 else IDX_4M4Z]
-            phi8 = step.reflection[keep]
-            phi8 = phi8 / np.linalg.norm(phi8)
-            result = multi_start(sys8, phi8, sys8.fiducial_state(), cfg)
-            v = propagate(sys8, result.waveform)
-            pi_imprint = phase_imprint_unitary(8, PhaseImprint(np.pi, sys8.fiducial_index))
-            s8 = v.conj().T @ pi_imprint @ v
-            t = embed_aux_system(s8, aux) @ t
-            aux_choices.append(aux)
-            fidelities.append(result.fidelity)
-            conv.append(result.converged)
-            waves.append(result.waveform)
-        if spec.phase_correction:
-            t = phase_correction_factor(steps, spec) @ t
-        maps.append(t)
-        reports.append(
-            ECMapSynthesis(
-                aux_choices=tuple(aux_choices),
-                step_fidelities=tuple(fidelities),
-                converged=tuple(conv),
-                waveforms=tuple(waves),
-                subspace_fidelity=subspace_fidelity(t, spec),
-            )
-        )
+        mapper = _AuxSwitchingMapper(searched)
+        rep = synthesize_subspace_map(spec, mapper)
+        maps.append(rep.assembled)
+        reports.append(ECMapSynthesis(**vars(rep), aux_choices=tuple(mapper.aux_choices)))
     return tuple(maps), tuple(reports)

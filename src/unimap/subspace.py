@@ -1,21 +1,31 @@
-"""Unitary maps between subspaces built from pi-rotations.
+"""The phase-about-a-vector builder, and subspace maps built from pi-rotations.
 
-A single reflection S = I - 2|phi><phi| with phi proportional to a - b
-sends a to b (after rephasing b so <b|a> is real positive) while acting as
-the identity on the orthogonal complement of span{a, b}.  Chaining one
-such rotation per basis vector, each retargeted through the rotations
-before it, yields a map that is exact on the whole source basis: every
-rotation leaves the previously mapped vectors untouched.
+Both constructions of the paper are products of factors V† P(theta) V: a
+phase theta imprinted on the fiducial state, conjugated by a map V that
+sends phi to that state, imprints theta on phi alone.  ``phase_product``
+multiplies these factors over a list of (phi, theta) steps and takes each
+from a *mapper*: ``ExactMapper`` (V an algebraic reflection, no search) or
+``SearchedMapper`` (V the propagator of a multi-start state-map search);
+``ec`` adds a third that switches between the two 8-level cesium systems.
+
+A subspace map is one such product with theta = pi.  A single reflection
+S = I - 2|phi><phi| with phi proportional to a - b sends a to b (after
+rephasing b so <b|a> is real positive) while acting as the identity on the
+orthogonal complement of span{a, b}.  Chaining one such rotation per basis
+vector, each retargeted through the rotations before it, yields a map that
+is exact on the whole source basis: every rotation leaves the previously
+mapped vectors untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .control import ControlSystem, PhaseImprint, Waveform, phase_imprint_unitary, propagate
-from .core import as_state
+from .core import as_state, basis_state
 from .search import SearchConfig, multi_start
 
 ORTHONORMAL_TOL = 1e-10
@@ -75,13 +85,21 @@ class RotationStep:
     def skipped(self) -> bool:
         return self.reflection is None
 
-    def matrix(self) -> np.ndarray:
-        """The rotation as a unitary: identity when skipped."""
-        d = self.rotated_source.size
-        if self.reflection is None:
-            return np.eye(d, dtype=complex)
-        phi = self.reflection
-        return np.eye(d, dtype=complex) - 2.0 * np.outer(phi, phi.conj())
+
+def _reflection_vector(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Unit phi with (I - 2|phi><phi|) a = e^{i theta} b, or None when a is already there."""
+    overlap = np.vdot(b, a)
+    theta = 0.0 if abs(overlap) <= ZERO_OVERLAP_TOL else float(np.angle(overlap))
+    diff = a - np.exp(1j * theta) * b
+    norm = np.linalg.norm(diff)
+    return (None if norm <= SKIP_TOL else diff / norm), theta
+
+
+def _reflector(phi: np.ndarray | None, d: int) -> np.ndarray:
+    """I - 2|phi><phi| on d levels; the identity when phi is None."""
+    if phi is None:
+        return np.eye(d, dtype=complex)
+    return np.eye(d, dtype=complex) - 2.0 * np.outer(phi, phi.conj())
 
 
 def pair_rotation(a, b) -> tuple[np.ndarray, float]:
@@ -96,15 +114,107 @@ def pair_rotation(a, b) -> tuple[np.ndarray, float]:
     b = as_state(b)
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    overlap = np.vdot(b, a)
-    theta = 0.0 if abs(overlap) <= ZERO_OVERLAP_TOL else float(np.angle(overlap))
-    b_re = np.exp(1j * theta) * b
-    diff = a - b_re
-    norm = np.linalg.norm(diff)
-    if norm <= SKIP_TOL:
-        return np.eye(a.size, dtype=complex), theta
-    phi = diff / norm
-    return np.eye(a.size, dtype=complex) - 2.0 * np.outer(phi, phi.conj()), theta
+    phi, theta = _reflection_vector(a, b)
+    return _reflector(phi, a.size), theta
+
+
+@dataclass(frozen=True)
+class ExactMapper:
+    """V = pair_rotation(phi, fiducial): an exact reflection, no search."""
+
+    dim: int
+    fiducial_index: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.fiducial_index < self.dim:
+            raise ValueError(f"fiducial index {self.fiducial_index} out of range for d={self.dim}")
+
+    def phase_about(self, phi, theta: float):
+        fiducial = basis_state(self.dim, self.fiducial_index)
+        v, _ = pair_rotation(phi, fiducial)
+        imprint = phase_imprint_unitary(self.dim, PhaseImprint(theta, self.fiducial_index))
+        fidelity = min(float(abs(np.vdot(fiducial, v @ phi)) ** 2), 1.0)
+        return v.conj().T @ imprint @ v, fidelity, True, None
+
+
+@dataclass(frozen=True)
+class SearchedMapper:
+    """V = the propagator of a multi-start search from phi to the fiducial state.
+
+    The inverse is the exact matrix adjoint of that one propagator, never a
+    second search or propagation.
+    """
+
+    sys: ControlSystem
+    cfg: SearchConfig
+
+    @property
+    def dim(self) -> int:
+        return self.sys.dim
+
+    def phase_about(self, phi, theta: float):
+        result = multi_start(self.sys, phi, self.sys.fiducial_state(), self.cfg)
+        v = propagate(self.sys, result.waveform)
+        imprint = phase_imprint_unitary(self.sys.dim, PhaseImprint(theta, self.sys.fiducial_index))
+        return v.conj().T @ imprint @ v, result.fidelity, result.converged, result.waveform
+
+
+@dataclass(frozen=True)
+class SynthesisReport:
+    """The builder's product, its fidelity, and what each active step's map reached.
+
+    ``fidelity`` is the trace fidelity to a target unitary, or the subspace
+    fidelity of a subspace map.  Step fidelities and converged flags hold
+    one entry per active step; only searched steps have waveforms.
+    """
+
+    assembled: np.ndarray
+    fidelity: float
+    step_fidelities: tuple[float, ...]
+    converged: tuple[bool, ...]
+    waveforms: tuple[Waveform, ...]
+    skipped_steps: tuple[int, ...]
+
+    @property
+    def searches_performed(self) -> int:
+        return len(self.waveforms)
+
+    @property
+    def total_duration(self) -> float:
+        return float(sum(w.total_duration for w in self.waveforms))
+
+
+def phase_product(steps, mapper, score: Callable[[np.ndarray], float], correction=None) -> SynthesisReport:
+    """Product of V† P(theta) V over the (phi, theta) steps, first step rightmost.
+
+    A step whose phi is None is skipped.  ``mapper.phase_about(phi, theta)``
+    returns the factor, |<fiducial|V|phi>|^2, the converged flag, and the
+    searched waveform (None for an exact mapper).  ``correction``, when
+    given, multiplies the product from the left; ``score`` turns the final
+    matrix into the report's fidelity.
+    """
+    acc = np.eye(mapper.dim, dtype=complex)
+    fidelities, converged, waveforms, skipped = [], [], [], []
+    for k, (phi, theta) in enumerate(steps):
+        if phi is None:
+            skipped.append(k)
+            continue
+        factor, fidelity, ok, waveform = mapper.phase_about(phi, theta)
+        acc = factor @ acc
+        fidelities.append(fidelity)
+        converged.append(ok)
+        if waveform is not None:
+            waveforms.append(waveform)
+    if correction is not None:
+        acc = correction @ acc
+    return SynthesisReport(
+        assembled=acc,
+        fidelity=score(acc),
+        step_fidelities=tuple(fidelities),
+        converged=tuple(converged),
+        waveforms=tuple(waveforms),
+        skipped_steps=tuple(skipped),
+    )
 
 
 def plan_subspace_map(spec: SubspaceMapSpec) -> list[RotationStep]:
@@ -118,17 +228,10 @@ def plan_subspace_map(spec: SubspaceMapSpec) -> list[RotationStep]:
     accumulated = np.eye(spec.dim, dtype=complex)
     for a, b in zip(spec.source, spec.target):
         a_rot = accumulated @ a
-        overlap = np.vdot(b, a_rot)
-        theta = 0.0 if abs(overlap) <= ZERO_OVERLAP_TOL else float(np.angle(overlap))
-        b_re = np.exp(1j * theta) * b
-        diff = a_rot - b_re
-        if np.linalg.norm(diff) <= SKIP_TOL:
-            steps.append(RotationStep(a_rot, b_re, None, theta))
-            continue
-        phi = diff / np.linalg.norm(diff)
-        steps.append(RotationStep(a_rot, b_re, phi, theta))
-        s = np.eye(spec.dim, dtype=complex) - 2.0 * np.outer(phi, phi.conj())
-        accumulated = s @ accumulated
+        phi, theta = _reflection_vector(a_rot, b)
+        steps.append(RotationStep(a_rot, np.exp(1j * theta) * b, phi, theta))
+        if phi is not None:
+            accumulated = _reflector(phi, spec.dim) @ accumulated
     return steps
 
 
@@ -143,36 +246,6 @@ def phase_correction_factor(steps: list[RotationStep], spec: SubspaceMapSpec) ->
     return corr
 
 
-def assemble_subspace_map(steps: list[RotationStep], spec: SubspaceMapSpec) -> np.ndarray:
-    """T = s_n ... s_1, with per-vector phase corrections when requested.
-
-    With phase correction on, T a_i = b_i exactly; with it off,
-    T a_i = e^{i theta_i} b_i for the phases recorded in the steps.
-    """
-    t = np.eye(spec.dim, dtype=complex)
-    for step in steps:
-        if not step.skipped:
-            t = step.matrix() @ t
-    if spec.phase_correction:
-        t = phase_correction_factor(steps, spec) @ t
-    return t
-
-
-@dataclass(frozen=True)
-class SubspaceSynthesisReport:
-    """Waveform-backed subspace map: achieved matrix plus per-step searches."""
-
-    spec: SubspaceMapSpec
-    assembled: np.ndarray
-    subspace_fidelity: float
-    step_fidelities: tuple[float, ...]
-    skipped_steps: tuple[int, ...]
-    searches_performed: int
-    converged: tuple[bool, ...]
-    waveforms: tuple[Waveform, ...]
-    total_duration: float
-
-
 def subspace_fidelity(t: np.ndarray, spec: SubspaceMapSpec) -> float:
     """|sum_i <b_i| T |a_i>| / n: phase-corrected domain overlap.
 
@@ -183,50 +256,23 @@ def subspace_fidelity(t: np.ndarray, spec: SubspaceMapSpec) -> float:
     return min(float(abs(total) / spec.n), 1.0)
 
 
-def synthesize_subspace_map(
-    sys: ControlSystem, spec: SubspaceMapSpec, cfg: SearchConfig
-) -> SubspaceSynthesisReport:
-    """Realize each rotation as V† (pi imprint) V with a searched V.
+def synthesize_subspace_map(spec: SubspaceMapSpec, mapper) -> SynthesisReport:
+    """T = s_n ... s_1 with each pi-rotation s_k realized as V† P(pi) V.
 
-    One multi-start search per non-skipped step maps the reflection vector
-    phi_k to the fiducial state; the pi imprint on the fiducial then acts
-    as I - 2|phi_k><phi_k| after inverting through the exact adjoint.
-    Phase corrections, when enabled, are applied analytically and cost no
-    searches.
+    The mapper sends the reflection vector phi_k to its fiducial state, so
+    the pi imprint there acts as I - 2|phi_k><phi_k|.  Phase corrections,
+    when enabled, are applied analytically and cost no searches: with them
+    T a_i = b_i, without them T a_i = e^{i theta_i} b_i for the phases
+    recorded in the plan.
     """
-    if spec.dim != sys.dim:
-        raise ValueError(f"spec dimension {spec.dim} != system dimension {sys.dim}")
+    if spec.dim != mapper.dim:
+        raise ValueError(f"spec dimension {spec.dim} != mapper dimension {mapper.dim}")
     steps = plan_subspace_map(spec)
-    fiducial = sys.fiducial_state()
-    pi_imprint = phase_imprint_unitary(sys.dim, PhaseImprint(np.pi, sys.fiducial_index))
-    t = np.eye(sys.dim, dtype=complex)
-    fidelities: list[float] = []
-    converged: list[bool] = []
-    waveforms: list[Waveform] = []
-    skipped: list[int] = []
-    for k, step in enumerate(steps):
-        if step.skipped:
-            skipped.append(k)
-            continue
-        result = multi_start(sys, step.reflection, fiducial, cfg)
-        v = propagate(sys, result.waveform)
-        s = v.conj().T @ pi_imprint @ v
-        t = s @ t
-        fidelities.append(result.fidelity)
-        converged.append(result.converged)
-        waveforms.append(result.waveform)
-    if spec.phase_correction:
-        t = phase_correction_factor(steps, spec) @ t
-    return SubspaceSynthesisReport(
-        spec=spec,
-        assembled=t,
-        subspace_fidelity=subspace_fidelity(t, spec),
-        step_fidelities=tuple(fidelities),
-        skipped_steps=tuple(skipped),
-        searches_performed=len(fidelities),
-        converged=tuple(converged),
-        waveforms=tuple(waveforms),
-        total_duration=float(sum(w.total_duration for w in waveforms)),
+    return phase_product(
+        [(step.reflection, np.pi) for step in steps],
+        mapper,
+        score=lambda t: subspace_fidelity(t, spec),
+        correction=phase_correction_factor(steps, spec) if spec.phase_correction else None,
     )
 
 

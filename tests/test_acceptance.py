@@ -18,12 +18,13 @@ from unimap.cesium import CesiumParams, build_restricted_system, x_basis_state
 from unimap.control import Waveform
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.ec import ECConfig, ec_maps, ec_sweep
-from unimap.eigensynth import synthesize_unitary, synthesize_unitary_exact
+from unimap.eigensynth import synthesize_unitary
 from unimap.gates import gate_from_name, verify_clifford_relations
 from unimap.search import default_search_config, gradient_state_prep, multi_start, objective_state_prep
 from unimap.subspace import (
+    ExactMapper,
+    SearchedMapper,
     SubspaceMapSpec,
-    assemble_subspace_map,
     naive_sequential_map,
     plan_subspace_map,
     synthesize_subspace_map,
@@ -51,7 +52,7 @@ def gate_synthesis():
         gate = gate_from_name(name, 7)
         target = np.eye(8, dtype=complex)
         target[:7, :7] = gate
-        reports[name] = synthesize_unitary(sys8, target, cfg)
+        reports[name] = synthesize_unitary(target, SearchedMapper(sys8, cfg))
     return reports, time.monotonic() - t0
 
 
@@ -62,7 +63,7 @@ def test_criterion_1_exact_eigen_assembly():
         rng = np.random.default_rng([1, d])
         for _ in range(50):
             w = haar_random_unitary(d, rng)
-            rep = synthesize_unitary_exact(w, fiducial_index=0)
+            rep = synthesize_unitary(w, ExactMapper(d, 0))
             worst = min(worst, rep.fidelity)
     elapsed = time.monotonic() - t0
     verdict(
@@ -88,7 +89,7 @@ def test_criterion_2_subspace_correctness():
             target=tuple(v[:, i] for i in range(n)),
         )
         steps = plan_subspace_map(spec)
-        t = assemble_subspace_map(steps, spec)
+        t = synthesize_subspace_map(spec, ExactMapper(d)).assembled
         worst_basis = max(
             worst_basis,
             max(np.linalg.norm(t @ a - b) for a, b in zip(spec.source, spec.target)),
@@ -195,7 +196,7 @@ def test_criterion_5_gate_synthesis(gate_synthesis):
     for name in GATE_NAMES:
         rep = reports[name]
         all_steps_ok = all(f >= 0.99 for f in rep.step_fidelities)
-        exact = synthesize_unitary_exact(gate_from_name(name, 7), fiducial_index=0)
+        exact = synthesize_unitary(gate_from_name(name, 7), ExactMapper(7, 0))
         gate_ok = all_steps_ok and rep.fidelity >= 0.97 and exact.fidelity >= 1 - 1e-10
         ok = ok and gate_ok
         lines.append(
@@ -235,7 +236,7 @@ def test_criterion_6_search_count_bound(gate_synthesis):
         source=(basis_state(8, 7), basis_state(8, 0)), target=(basis_state(8, 7), target)
     )
     cfg = default_search_config(sys8, fidelity_goal=0.99, max_iterations=2000, seed=60, restarts=2)
-    sub = synthesize_subspace_map(sys8, spec, cfg)
+    sub = synthesize_subspace_map(spec, SearchedMapper(sys8, cfg))
     sub_ok = sub.searches_performed == 1 and sub.skipped_steps == (0,)
     ok = ok and sub_ok
     details.append(f"subspace n=2: {sub.searches_performed} search, 1 skipped")
@@ -268,7 +269,7 @@ def ec_result():
     grid = tuple(np.geomspace(0.02, 0.3, 9))
     cfg = ECConfig(epsilon_grid=grid, samples=200, seed=8)
     t0 = time.monotonic()
-    res = ec_sweep(cfg, ec_maps(ideal=True))
+    res = ec_sweep(cfg, ec_maps())
     return res, time.monotonic() - t0
 
 

@@ -145,6 +145,19 @@ class TestParams:
         with pytest.raises(ValueError, match="unknown"):
             CesiumParams.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("value", ["1e5", None, True, [1.0]])
+    def test_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match="rf_rabi_max must be a number"):
+            CesiumParams.from_dict({"rf_rabi_max": value})
+
+    @pytest.mark.parametrize("data", [5, [["rf_detuning", 1.0]], "rf_detuning"])
+    def test_rejects_non_objects(self, data):
+        with pytest.raises(ValueError, match="JSON object"):
+            CesiumParams.from_dict(data)
+
+    def test_accepts_ints(self):
+        assert CesiumParams.from_dict({"rf_detuning": 0}).rf_detuning == 0
+
 
 def test_fiducial_state(cesium):
     assert np.array_equal(cesium.fiducial_state(), basis_state(8, 7))

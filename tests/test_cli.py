@@ -44,6 +44,29 @@ class TestModelInfo:
         assert out.out == ""
         assert field in out.err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"rf_rabi_max": "1e5"}', "rf_rabi_max"),
+        ('{"segment_duration": null}', "segment_duration"),
+        ('{"rf_detuning": true}', "rf_detuning"),
+    ])
+    def test_non_number_param_exits_2_without_json(self, tmp_path, capsys, text, field):
+        params = tmp_path / "p.json"
+        params.write_text(text)
+        assert run(["model", "info", "--params", str(params)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"{field} must be a number" in out.err
+
+    def test_reads_params_file_once(self, tmp_path, monkeypatch, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"rf_detuning": 5.0}')
+        load = unimap.cli._load_params
+        calls = []
+        monkeypatch.setattr(unimap.cli, "_load_params", lambda path: calls.append(path) or load(path))
+        assert run(["model", "info", "--params", str(params)]) == 0
+        assert json.loads(capsys.readouterr().out)["rates_rad_per_s"]["rf_detuning"] == 5.0
+        assert calls == [str(params)]
+
 
 class TestVerifyClifford:
     def test_exit_zero_and_report(self, tmp_path, capsys):
@@ -150,6 +173,9 @@ class TestBuildUnitary:
         jsonschema.validate(doc, load_schema("synthesis_report"))
         assert doc["trace_fidelity"] >= 1 - 1e-10
         assert doc["searches_performed"] == 0
+        active = 7 - len(doc["skipped_steps"])
+        assert len(doc["step_fidelities"]) == active and min(doc["step_fidelities"]) >= 1 - 1e-12
+        assert doc["step_converged"] == [True] * active
 
     def test_gate_and_matrix_mutually_exclusive(self, tmp_path, capsys):
         code = run(["build-unitary", "--gate", "X", "--matrix-file", "m.json",
@@ -200,6 +226,35 @@ class TestSubspaceMapCLI:
         jsonschema.validate(doc, load_schema("subspace_report"))
         assert doc["subspace_fidelity"] >= 1 - 1e-12
         assert max(doc["basis_errors"]) < 1e-9
+
+    def test_exact_mode_lists_active_steps(self, tmp_path):
+        # e0 -> e2 needs one rotation; e5 -> e5 is skipped
+        spec = {
+            "source": {"a1": complex_to_pairs(np.eye(8)[0]), "a2": complex_to_pairs(np.eye(8)[5])},
+            "target": {"b1": complex_to_pairs(np.eye(8)[2]), "b2": complex_to_pairs(np.eye(8)[5])},
+        }
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        report = tmp_path / "r.json"
+        assert run(["build-subspace-map", "--spec", str(spec_file), "--exact",
+                    "--out-report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["skipped_steps"] == [1]
+        assert len(doc["step_fidelities"]) == 1 and doc["step_fidelities"][0] >= 1 - 1e-12
+        assert doc["step_converged"] == [True]
+        assert doc["searches_performed"] == 0 and doc["waveform_files"] == []
+
+    def test_spec_dimension_mismatch_exits_2_without_report(self, tmp_path, capsys):
+        spec = {
+            "source": [complex_to_pairs(np.eye(4)[0])],
+            "target": [complex_to_pairs(np.eye(4)[1])],
+        }
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        report = tmp_path / "r.json"
+        assert run(["build-subspace-map", "--spec", str(spec_file), "--out-report", str(report)]) == 2
+        assert "dimension" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

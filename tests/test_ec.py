@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unimap.core import haar_random_state
+from unimap.core import as_state, haar_random_state
 from unimap.ec import (
     BLOCH_AXIS_STATES,
     ECConfig,
@@ -14,7 +14,6 @@ from unimap.ec import (
     error_channel,
     physical_qubit_state,
     qnd_measure_F,
-    run_ec_trial,
     run_ec_trials,
     sim_x_state,
     sim_z_state,
@@ -23,7 +22,7 @@ from unimap.ec import (
 
 @pytest.fixture(scope="module")
 def ideal_maps():
-    return ec_maps(ideal=True)
+    return ec_maps()
 
 
 class TestStatesAndError:
@@ -73,10 +72,6 @@ class TestMaps:
         for spec in ec_map_specs():
             assert spec.n == 2 and spec.dim == 9
 
-    def test_waveform_mode_requires_config(self):
-        with pytest.raises(ValueError, match="config"):
-            ec_maps(ideal=False)
-
 
 class TestQND:
     def test_pure_f3(self):
@@ -110,6 +105,22 @@ class TestQND:
         for branch in (3, 4):
             _, state, _ = qnd_measure_F(psi, np.random.default_rng(4), force_outcome=branch)
             assert abs(np.linalg.norm(state) - 1) < 1e-12
+
+
+def run_ec_trial(psi_qubit, epsilon: float, maps, rng: np.random.Generator, correct: bool = True):
+    """One protocol round; returns (fidelity, syndrome_triggered).
+
+    A one-row call of ``run_ec_trials`` that takes the measurement draw
+    from ``rng.uniform()``.  With correct=False it returns the
+    uncorrected fidelity instead; the rng is then unused and the syndrome
+    flag is False.
+    """
+    qubit = as_state(psi_qubit, 2)[None, :]
+    draws = np.array([rng.uniform() if correct else 0.5])
+    corrected, uncorrected, triggered = run_ec_trials(qubit, epsilon, maps, draws)
+    if not correct:
+        return float(uncorrected[0]), False
+    return float(corrected[0]), bool(triggered[0])
 
 
 class TestTrial:
@@ -364,6 +375,7 @@ def test_synthesized_maps_equal_two_propagation_form(fixed_search):
     # each pi-rotation inverts the one propagator it computed; the maps must
     # equal the form that propagated the same waveform a second time
     import unimap.ec
+    import unimap.subspace
     from unimap.cesium import CesiumParams, build_restricted_system
     from conftest import apply_adjoint
     from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
@@ -371,7 +383,7 @@ def test_synthesized_maps_equal_two_propagation_form(fixed_search):
     from unimap.subspace import phase_correction_factor, plan_subspace_map
 
     params = CesiumParams()
-    handed_out = fixed_search(unimap.ec)
+    handed_out = fixed_search(unimap.subspace)
     maps, _ = unimap.ec.synthesize_ec_maps(params, default_search_config(build_restricted_system(params)))
     calls = iter(handed_out)
     for spec, got in zip(ec_map_specs(), maps):

@@ -4,18 +4,35 @@ import numpy as np
 import pytest
 
 from conftest import apply_adjoint
-import unimap.eigensynth
+import unimap.subspace
 from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
-from unimap.eigensynth import (
-    EigenPlanStep,
-    assemble_unitary,
-    exact_mapper,
-    plan_unitary,
-    synthesize_unitary,
-    synthesize_unitary_exact,
-)
+from unimap.eigensynth import plan_unitary, synthesize_unitary
 from unimap.search import default_search_config
+from unimap.subspace import ExactMapper, SearchedMapper, pair_rotation, phase_product
+
+
+class GivenMapper:
+    """Test mapper whose V for each vector is handed in, imprinting on level 0."""
+
+    def __init__(self, dim, v_of):
+        self.dim = dim
+        self.v_of = v_of
+
+    def phase_about(self, phi, theta):
+        v = self.v_of(phi)
+        imprint = phase_imprint_unitary(self.dim, PhaseImprint(theta, 0))
+        fid = abs(np.vdot(basis_state(self.dim, 0), v @ phi)) ** 2
+        return v.conj().T @ imprint @ v, fid, True, None
+
+
+def plan_pairs(w):
+    """The (phi or None, theta) steps that synthesize_unitary builds from a target."""
+    return [(None if s.skippable else s.eigenvector, s.phase) for s in plan_unitary(w)]
+
+
+def product(pairs, mapper):
+    return phase_product(pairs, mapper, score=lambda u: 0.0).assembled
 
 
 class TestPlan:
@@ -48,62 +65,56 @@ class TestPlan:
 
 class TestExactMapper:
     def test_fiducial_input(self):
-        v = exact_mapper(basis_state(4, 0), 0)
-        assert abs(abs(v[0, 0]) - 1) < 1e-12
+        factor, fid, converged, waveform = ExactMapper(4, 0).phase_about(basis_state(4, 0), 0.9)
+        assert np.abs(factor - phase_imprint_unitary(4, PhaseImprint(0.9, 0))).max() < 1e-12
+        assert abs(fid - 1) < 1e-12
+        assert converged and waveform is None
 
     def test_swap_case(self):
-        v = exact_mapper(basis_state(2, 1), 0)
-        assert abs(np.vdot(basis_state(2, 0), v @ basis_state(2, 1))) ** 2 == pytest.approx(1.0, abs=1e-12)
+        _, fid, _, _ = ExactMapper(2, 0).phase_about(basis_state(2, 1), 1.0)
+        assert fid == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_contract_d16(self):
         rng = np.random.default_rng(1)
         phi = haar_random_state(16, rng)
-        v = exact_mapper(phi, 0)
-        assert abs(np.vdot(basis_state(16, 0), v @ phi)) ** 2 >= 1 - 1e-12
+        factor, fid, _, _ = ExactMapper(16, 0).phase_about(phi, 2.5)
+        assert fid >= 1 - 1e-12
+        # the factor imprints the phase on phi and nowhere else
+        assert np.linalg.norm(factor @ phi - np.exp(-2.5j) * phi) < 1e-12
 
     @pytest.mark.parametrize("fid", [0, 3, 7])
     def test_any_fiducial_index(self, fid):
         rng = np.random.default_rng(fid)
         phi = haar_random_state(8, rng)
-        v = exact_mapper(phi, fid)
-        assert abs(np.vdot(basis_state(8, fid), v @ phi)) ** 2 >= 1 - 1e-12
+        _, got, _, _ = ExactMapper(8, fid).phase_about(phi, 1.0)
+        assert got >= 1 - 1e-12
+
+    def test_rejects_fiducial_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ExactMapper(3, 3)
 
 
 class TestAssemble:
     def test_all_skippable_gives_identity(self):
-        steps = plan_unitary(np.eye(6))
-        assert np.array_equal(assemble_unitary(steps, 6, 0), np.eye(6))
+        assert np.array_equal(synthesize_unitary(np.eye(6), ExactMapper(6)).assembled, np.eye(6))
 
     def test_single_manual_step(self):
         lam = 0.77
-        step = EigenPlanStep(
-            phase=lam, eigenvector=basis_state(3, 0), skippable=False, mapper=np.eye(3, dtype=complex)
-        )
-        got = assemble_unitary([step], 3, 0)
+        got = product([(basis_state(3, 0), lam)], GivenMapper(3, lambda phi: np.eye(3, dtype=complex)))
         assert np.abs(got - phase_imprint_unitary(3, PhaseImprint(lam, 0))).max() < 1e-14
 
     @pytest.mark.parametrize("d", list(range(2, 9)))
     def test_exact_haar_targets(self, d):
         rng = np.random.default_rng(d)
         w = haar_random_unitary(d, rng)
-        report = synthesize_unitary_exact(w, fiducial_index=0)
+        report = synthesize_unitary(w, ExactMapper(d, 0))
         assert report.fidelity >= 1 - 1e-10
-
-    def test_missing_mapper_names_step(self):
-        steps = plan_unitary(phase_imprint_unitary(3, PhaseImprint(1.0, 1)))
-        idx = next(i for i, s in enumerate(steps) if not s.skippable)
-        with pytest.raises(ValueError, match=f"step {idx}"):
-            assemble_unitary(steps, 3, 0)
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(5)
-        w = haar_random_unitary(6, rng)
-        steps = plan_unitary(w)
-        filled = [
-            s if s.skippable else s.with_mapper(exact_mapper(s.eigenvector, 0)) for s in steps
-        ]
-        a = assemble_unitary(filled, 6, 0)
-        b = assemble_unitary(filled[::-1], 6, 0)
+        pairs = plan_pairs(haar_random_unitary(6, rng))
+        a = product(pairs, ExactMapper(6, 0))
+        b = product(pairs[::-1], ExactMapper(6, 0))
         assert np.abs(a - b).max() < 1e-10
 
     @pytest.mark.parametrize("noise_scale", [0.005, 0.05])
@@ -115,18 +126,19 @@ class TestAssemble:
 
         rng = np.random.default_rng(6)
         w = haar_random_unitary(5, rng)
-        steps = plan_unitary(w)
-        filled = []
+        pairs = plan_pairs(w)
+        given = []
         budget = 0.0
         fiducial = basis_state(5, 0)
-        for s in steps:
+        for phi, lam in pairs:
             noise = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            v = mat_exp((noise + noise.conj().T) / 2, noise_scale) @ exact_mapper(s.eigenvector, 0)
-            fid = abs(np.vdot(fiducial, v @ s.eigenvector)) ** 2
-            budget += 2 * abs(np.exp(-1j * s.phase) - 1) * np.sqrt(max(1 - fid, 0.0))
-            filled.append(s.with_mapper(v, map_fidelity=fid))
-        a = assemble_unitary(filled, 5, 0)
-        b = assemble_unitary(filled[::-1], 5, 0)
+            v = mat_exp((noise + noise.conj().T) / 2, noise_scale) @ pair_rotation(phi, fiducial)[0]
+            fid = abs(np.vdot(fiducial, v @ phi)) ** 2
+            budget += 2 * abs(np.exp(-1j * lam) - 1) * np.sqrt(max(1 - fid, 0.0))
+            given.append((phi, v))
+        mapper = GivenMapper(5, lambda phi: next(v for p, v in given if p is phi))
+        a = product(pairs, mapper)
+        b = product(pairs[::-1], mapper)
         moved = float(np.linalg.norm(a - b, ord=2))
         assert moved <= budget + 1e-9
 
@@ -138,30 +150,44 @@ class TestSynthesizeExact:
         v = haar_random_unitary(5, rng)
         phases = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
         w = (v * np.exp(-1j * phases)) @ v.conj().T
-        report = synthesize_unitary_exact(w)
+        report = synthesize_unitary(w, ExactMapper(5))
         assert len(report.skipped_steps) == 2
         assert len(report.step_fidelities) == 3
         assert report.fidelity >= 1 - 1e-10
 
+    def test_one_entry_per_active_step_and_no_searches(self):
+        rng = np.random.default_rng(7)
+        v = haar_random_unitary(5, rng)
+        w = (v * np.exp(-1j * np.array([0.0, 0.5, 1.0, 2.0, 3.0]))) @ v.conj().T
+        report = synthesize_unitary(w, ExactMapper(5))
+        assert report.converged == (True,) * 4
+        assert all(f >= 1 - 1e-12 for f in report.step_fidelities) and len(report.step_fidelities) == 4
+        assert report.searches_performed == 0 and report.waveforms == ()
+        assert report.total_duration == 0.0
+
     def test_error_bound_with_exact_mappers(self):
         rng = np.random.default_rng(8)
         w = haar_random_unitary(8, rng)
-        report = synthesize_unitary_exact(w)
+        report = synthesize_unitary(w, ExactMapper(8))
         budget = 4 * sum(1 - f for f in report.step_fidelities) + 1e-9
         assert 1 - report.fidelity <= budget
+
+    def test_dimension_mismatch_even_without_active_steps(self):
+        with pytest.raises(ValueError, match="dimension"):
+            synthesize_unitary(np.eye(7), ExactMapper(8))
 
 
 class TestSynthesizeWaveform:
     def test_identity_zero_searches(self, cesium):
         cfg = default_search_config(cesium, seed=0, max_iterations=100)
-        report = synthesize_unitary(cesium, np.eye(8), cfg)
+        report = synthesize_unitary(np.eye(8), SearchedMapper(cesium, cfg))
         assert report.searches_performed == 0
         assert report.fidelity == pytest.approx(1.0)
 
     def test_fiducial_imprint_trivial_search(self, cesium):
         w = phase_imprint_unitary(8, PhaseImprint(np.pi, 7))
         cfg = default_search_config(cesium, seed=1, max_iterations=200)
-        report = synthesize_unitary(cesium, w, cfg)
+        report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
         assert report.searches_performed == 1
         assert report.converged == (True,)
         assert report.fidelity >= 1 - 1e-10
@@ -169,7 +195,7 @@ class TestSynthesizeWaveform:
     def test_dimension_mismatch(self, cesium):
         cfg = default_search_config(cesium, seed=0)
         with pytest.raises(ValueError, match="dimension"):
-            synthesize_unitary(cesium, np.eye(7), cfg)
+            synthesize_unitary(np.eye(7), SearchedMapper(cesium, cfg))
 
     def test_search_count_equals_active_phases(self, cesium):
         rng = np.random.default_rng(9)
@@ -177,7 +203,7 @@ class TestSynthesizeWaveform:
         phases = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.9, 1.8, 2.7])
         w = (v * np.exp(-1j * phases)) @ v.conj().T
         cfg = default_search_config(cesium, seed=2, max_iterations=400, fidelity_goal=0.995)
-        report = synthesize_unitary(cesium, w, cfg)
+        report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
         assert report.searches_performed == 3
         assert report.searches_performed <= 8
         assert len(report.waveforms) == 3
@@ -192,15 +218,15 @@ class TestSynthesizeWaveform:
         phases[:2] = [1.1, 2.2]
         w = (v * np.exp(-1j * phases)) @ v.conj().T
         cfg = default_search_config(cesium, seed=3, max_iterations=400, fidelity_goal=0.99)
-        report = synthesize_unitary(cesium, w, cfg)
-        assert abs(report.fidelity - trace_fidelity(report.target, report.assembled)) < 1e-12
+        report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
+        assert abs(report.fidelity - trace_fidelity(w, report.assembled)) < 1e-12
 
     def test_assembled_equals_two_propagation_form(self, cesium, fixed_search):
         # each step inverts the one propagator it computed; the result must
         # equal the form that propagated the same waveform a second time
-        handed_out = fixed_search(unimap.eigensynth)
+        handed_out = fixed_search(unimap.subspace)
         w = haar_random_unitary(8, np.random.default_rng(11))
-        report = synthesize_unitary(cesium, w, default_search_config(cesium))
+        report = synthesize_unitary(w, SearchedMapper(cesium, default_search_config(cesium)))
         active = [s for s in plan_unitary(w) if not s.skippable]
         assert len(active) == len(handed_out) == 8
         expected = np.eye(8, dtype=complex)

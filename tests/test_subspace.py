@@ -10,8 +10,9 @@ from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.search import default_search_config
 from unimap.subspace import (
+    ExactMapper,
+    SearchedMapper,
     SubspaceMapSpec,
-    assemble_subspace_map,
     naive_sequential_map,
     pair_rotation,
     phase_correction_factor,
@@ -19,6 +20,18 @@ from unimap.subspace import (
     subspace_fidelity,
     synthesize_subspace_map,
 )
+
+
+def reflection(step):
+    """The step's pi-rotation I - 2|phi><phi| as a matrix; identity when skipped."""
+    d = step.rotated_source.size
+    if step.skipped:
+        return np.eye(d, dtype=complex)
+    return np.eye(d, dtype=complex) - 2.0 * np.outer(step.reflection, step.reflection.conj())
+
+
+def exact_map(spec):
+    return synthesize_subspace_map(spec, ExactMapper(spec.dim)).assembled
 
 
 def random_spec(n, d, seed, phase_correction=True):
@@ -100,7 +113,7 @@ class TestPlan:
         s_direct, theta = pair_rotation(a, b)
         assert len(steps) == 1
         assert steps[0].residual_phase == pytest.approx(theta)
-        assert np.abs(steps[0].matrix() - s_direct).max() < 1e-12
+        assert np.abs(reflection(steps[0]) - s_direct).max() < 1e-12
 
     def test_induction_lemma(self):
         spec = random_spec(3, 8, seed=2)
@@ -114,7 +127,7 @@ class TestPlan:
             spec = random_spec(4, 8, seed=100 + seed)
             steps = plan_subspace_map(spec)
             for j, step in enumerate(steps):
-                s = step.matrix()
+                s = reflection(step)
                 for k in range(j):
                     b_k = steps[k].target
                     assert np.linalg.norm(s @ b_k - b_k) < 1e-9
@@ -129,13 +142,13 @@ class TestAssemble:
     def test_full_identity(self):
         basis = tuple(basis_state(4, k) for k in range(4))
         spec = SubspaceMapSpec(source=basis, target=basis)
-        t = assemble_subspace_map(plan_subspace_map(spec), spec)
+        t = exact_map(spec)
         assert np.array_equal(t, np.eye(4))
 
     def test_random_maps_exact(self):
         for seed in range(8):
             spec = random_spec(4, 8, seed=200 + seed)
-            t = assemble_subspace_map(plan_subspace_map(spec), spec)
+            t = exact_map(spec)
             assert np.abs(t.conj().T @ t - np.eye(8)).max() < 1e-10
             for a, b in zip(spec.source, spec.target):
                 assert np.linalg.norm(t @ a - b) < 1e-9
@@ -143,7 +156,7 @@ class TestAssemble:
     def test_phase_correction_off_records_phases(self):
         spec = random_spec(3, 6, seed=33, phase_correction=False)
         steps = plan_subspace_map(spec)
-        t = assemble_subspace_map(steps, spec)
+        t = exact_map(spec)
         for step, a, b in zip(steps, spec.source, spec.target):
             want = np.exp(1j * step.residual_phase) * b
             assert np.linalg.norm(t @ a - want) < 1e-9
@@ -152,9 +165,32 @@ class TestAssemble:
         from unimap.ec import ec_map_specs
 
         for spec in ec_map_specs():
-            t = assemble_subspace_map(plan_subspace_map(spec), spec)
+            t = exact_map(spec)
             for a, b in zip(spec.source, spec.target):
                 assert np.linalg.norm(t @ a - b) < 1e-10
+
+    @pytest.mark.parametrize("phase_correction", [True, False])
+    def test_equals_product_of_reflections(self, phase_correction):
+        spec = random_spec(4, 8, seed=44, phase_correction=phase_correction)
+        steps = plan_subspace_map(spec)
+        want = np.eye(8, dtype=complex)
+        for step in steps:
+            want = reflection(step) @ want
+        if phase_correction:
+            want = phase_correction_factor(steps, spec) @ want
+        assert np.abs(exact_map(spec) - want).max() < 1e-12
+
+    def test_exact_report_lists_active_steps(self):
+        keep = basis_state(6, 5)
+        spec = SubspaceMapSpec(
+            source=(keep, basis_state(6, 0), basis_state(6, 1)),
+            target=(keep, basis_state(6, 2), basis_state(6, 3)),
+        )
+        rep = synthesize_subspace_map(spec, ExactMapper(6))
+        assert rep.skipped_steps == (0,)
+        assert len(rep.step_fidelities) == 2 and all(f >= 1 - 1e-12 for f in rep.step_fidelities)
+        assert rep.converged == (True, True)
+        assert rep.searches_performed == 0 and rep.total_duration == 0.0
 
     def test_naive_product_fails_witness(self):
         spec = random_spec(2, 4, seed=11, phase_correction=False)
@@ -164,7 +200,7 @@ class TestAssemble:
         )
         assert worst > 1e-3
         # the retargeted construction fixes the same instance
-        t_good = assemble_subspace_map(plan_subspace_map(spec), spec)
+        t_good = exact_map(spec)
         for a, b in zip(spec.source, spec.target):
             assert 1 - abs(np.vdot(b, t_good @ a)) ** 2 < 1e-12
 
@@ -174,7 +210,7 @@ class TestSynthesize:
         basis = (basis_state(8, 0), basis_state(8, 3))
         spec = SubspaceMapSpec(source=basis, target=basis)
         cfg = default_search_config(cesium, seed=0)
-        rep = synthesize_subspace_map(cesium, spec, cfg)
+        rep = synthesize_subspace_map(spec, SearchedMapper(cesium, cfg))
         assert rep.searches_performed == 0
         assert np.array_equal(rep.assembled, np.eye(8))
 
@@ -184,9 +220,9 @@ class TestSynthesize:
         target[:7] = x_basis_state(3, -3)
         spec = SubspaceMapSpec(source=(basis_state(8, 0),), target=(target,))
         cfg = default_search_config(cesium, seed=5, max_iterations=2000, fidelity_goal=0.995)
-        rep = synthesize_subspace_map(cesium, spec, cfg)
+        rep = synthesize_subspace_map(spec, SearchedMapper(cesium, cfg))
         assert rep.searches_performed == 1
-        assert rep.subspace_fidelity >= 0.99
+        assert rep.fidelity >= 0.99
 
     def test_search_count_never_exceeds_n(self, cesium):
         # one pair identical, one differing: exactly one search
@@ -195,7 +231,7 @@ class TestSynthesize:
         target[:7] = x_basis_state(3, 1)
         spec = SubspaceMapSpec(source=(keep, basis_state(8, 0)), target=(keep, target))
         cfg = default_search_config(cesium, seed=6, max_iterations=1500, fidelity_goal=0.99)
-        rep = synthesize_subspace_map(cesium, spec, cfg)
+        rep = synthesize_subspace_map(spec, SearchedMapper(cesium, cfg))
         assert rep.skipped_steps == (0,)
         assert rep.searches_performed == 1
 
@@ -203,14 +239,22 @@ class TestSynthesize:
         spec = random_spec(2, 4, seed=1)
         cfg = default_search_config(cesium, seed=0)
         with pytest.raises(ValueError, match="dimension"):
-            synthesize_subspace_map(cesium, spec, cfg)
+            synthesize_subspace_map(spec, SearchedMapper(cesium, cfg))
+
+    def test_dimension_mismatch_without_active_steps(self, cesium, fixed_search):
+        handed_out = fixed_search(unimap.subspace)
+        basis = (basis_state(4, 0), basis_state(4, 1))
+        spec = SubspaceMapSpec(source=basis, target=basis)
+        with pytest.raises(ValueError, match="dimension"):
+            synthesize_subspace_map(spec, SearchedMapper(cesium, default_search_config(cesium)))
+        assert handed_out == []
 
     def test_assembled_equals_two_propagation_form(self, cesium, fixed_search):
         # each pi-rotation inverts the one propagator it computed; the result
         # must equal the form that propagated the same waveform a second time
         handed_out = fixed_search(unimap.subspace)
         spec = random_spec(3, 8, seed=12)
-        rep = synthesize_subspace_map(cesium, spec, default_search_config(cesium))
+        rep = synthesize_subspace_map(spec, SearchedMapper(cesium, default_search_config(cesium)))
         assert len(handed_out) == 3
         pi_imprint = phase_imprint_unitary(8, PhaseImprint(np.pi, cesium.fiducial_index))
         expected = np.eye(8, dtype=complex)
@@ -222,7 +266,7 @@ class TestSynthesize:
 
 def test_subspace_fidelity_phase_sensitivity():
     spec = random_spec(2, 4, seed=3)
-    t = assemble_subspace_map(plan_subspace_map(spec), spec)
+    t = exact_map(spec)
     assert subspace_fidelity(t, spec) == pytest.approx(1.0, abs=1e-12)
     # flipping the relative phase of one mapped vector must hurt
     flip = np.eye(4, dtype=complex) + (np.exp(1j * np.pi) - 1) * np.outer(
