@@ -5,7 +5,9 @@ the x-stretched states {|3,3_x>, |3,-3_x>}, where a small z-rotation
 error moves amplitude into |3,+-2_x>.  Subspace maps shuttle that error
 amplitude to the F=4 stretched states, a QND measurement of F diagnoses
 the syndrome without touching the qubit coherence, and a conditional map
-brings triggered states back, followed by decoding.
+brings triggered states back, followed by decoding.  A protocol round
+sums both measurement branches instead of sampling one, so its corrected
+fidelity and syndrome rate are expectations.
 
 The simulation lives on 9 levels: the seven F=3 sublevels (indices 0..6,
 m = 3..-3) plus |4,4_z> at index 7 and |4,-4_z> at index 8.  The three
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cesium import CesiumParams, build_restricted_system, x_basis_state
-from .core import STATE_NORM_TOL, as_state, haar_random_state
+from .core import STATE_NORM_TOL, haar_random_state
 from .search import SearchConfig
 from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
@@ -87,58 +89,21 @@ def error_channel(epsilon: float) -> np.ndarray:
     return np.diag(np.exp(-2j * epsilon * np.diag(FZ_SIM)))
 
 
-def qnd_measure_F(state, rng: np.random.Generator, force_outcome: int | None = None):
-    """Projective measurement of total F: 3 (indices 0..6) vs 4 (7, 8).
-
-    Returns (outcome, collapsed state, probability of that outcome).  The
-    outcome is sampled from the rng unless forced; forcing a branch of
-    zero probability is an error.
-    """
-    psi = as_state(state, SIM_DIM)
-    p3 = float(np.sum(np.abs(psi[:7]) ** 2))
-    p4 = float(np.sum(np.abs(psi[7:]) ** 2))
-    total = p3 + p4
-    p3, p4 = p3 / total, p4 / total
-    if force_outcome is None:
-        outcome = 3 if rng.uniform() < p3 else 4
-    elif force_outcome in (3, 4):
-        outcome = force_outcome
-    else:
-        raise ValueError(f"outcome must be 3 or 4, got {force_outcome}")
-    prob = p3 if outcome == 3 else p4
-    if prob <= 1e-30:
-        raise ValueError(f"requested branch F={outcome} has zero probability")
-    collapsed = psi.copy()
-    if outcome == 3:
-        collapsed[7:] = 0.0
-    else:
-        collapsed[:7] = 0.0
-    return outcome, collapsed / np.linalg.norm(collapsed), prob
-
-
-def physical_qubit_state(psi_qubit) -> np.ndarray:
-    """alpha |4,4_z> + beta |3,3_z> on the simulation space."""
-    q = as_state(psi_qubit, 2)
-    return q[0] * sim_z_state(4) + q[1] * sim_z_state(3)
-
-
-def run_ec_trials(qubits, epsilon: float, maps, draws):
-    """One protocol round on n qubit states at once.
+def run_ec_trials(qubits, epsilon: float, maps):
+    """One protocol round on n qubit states at once, summed over both QND outcomes.
 
     Row i of ``qubits`` (n, 2) is encoded, dephased by ``epsilon`` and
-    error-extracted; the QND measurement of F reads outcome 3 when
-    ``draws[i] < P(F=3)`` and outcome 4 otherwise; triggered rows are
-    recovered, and every row is decoded.  Returns the (n,) arrays
-    (corrected fidelity, uncorrected fidelity, syndrome triggered).  The
-    uncorrected curve keeps the qubit in the physical stretched pair,
+    error-extracted.  The QND measurement of F splits the state into its
+    F=3 part, decoded as it stands, and its F=4 part, recovered and then
+    decoded; the expected corrected fidelity is the sum of the two
+    branches' |<psi|K_o|psi>|^2, with no renormalization.  Returns the (n,)
+    arrays (expected corrected fidelity, uncorrected fidelity, P(F=4)).
+    The uncorrected curve keeps the qubit in the physical stretched pair,
     where it only dephases.
     """
     q = np.asarray(qubits, dtype=complex)
-    u = np.asarray(draws, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 2 or u.shape != (q.shape[0],):
-        raise ValueError(f"need qubits of shape (n, 2) and draws of shape (n,), got {q.shape} and {u.shape}")
-    if not np.all((u >= 0.0) & (u < 1.0)):
-        raise ValueError("draws must lie in [0, 1)")
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValueError(f"need qubits of shape (n, 2), got {q.shape}")
     # written as "not <=" so that a NaN norm fails the check too
     if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= STATE_NORM_TOL):
         raise ValueError("qubit states must be finite with unit norm")
@@ -148,26 +113,17 @@ def run_ec_trials(qubits, epsilon: float, maps, draws):
 
     encode, extract, recover = maps
     psi = ((psi0 @ encode.T) * phases) @ extract.T
-    p3 = np.sum(np.abs(psi[:, :7]) ** 2, axis=1)
-    p4 = np.sum(np.abs(psi[:, 7:]) ** 2, axis=1)
-    total = p3 + p4
-    if not np.all(np.abs(np.sqrt(total) - 1.0) <= STATE_NORM_TOL):
+    if not np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= STATE_NORM_TOL):
         raise ValueError("protocol maps do not preserve the state norm")
-    p3, p4 = p3 / total, p4 / total
-    triggered = ~(u < p3)
-    if np.any(np.where(triggered, p4, p3) <= 1e-30):
-        raise ValueError("a sampled measurement branch has zero probability")
-    psi[triggered, :7] = 0.0
-    psi[~triggered, 7:] = 0.0
-    psi /= np.linalg.norm(psi, axis=1)[:, None]
-    psi[triggered] = psi[triggered] @ recover.T
-    corrected = _overlap_fidelity(psi0, psi @ encode.conj())
-    return corrected, uncorrected, triggered
+    in_f4 = np.arange(SIM_DIM) >= IDX_44Z
+    f3, f4 = np.where(in_f4, 0.0, psi), np.where(in_f4, psi, 0.0)
+    corrected = _overlap_fidelity(psi0, f3 @ encode.conj(), f4 @ recover.T @ encode.conj())
+    return corrected, uncorrected, np.sum(np.abs(f4) ** 2, axis=1)
 
 
-def _overlap_fidelity(psi0: np.ndarray, final: np.ndarray) -> np.ndarray:
-    """Row-wise |<psi0|final>|^2, clipped at 1 against rounding."""
-    return np.minimum(np.abs(np.sum(psi0.conj() * final, axis=1)) ** 2, 1.0)
+def _overlap_fidelity(psi0: np.ndarray, *finals: np.ndarray) -> np.ndarray:
+    """Row-wise sum of |<psi0|final>|^2 over the finals, clipped at 1 against rounding."""
+    return np.minimum(sum(np.abs(np.sum(psi0.conj() * f, axis=1)) ** 2 for f in finals), 1.0)
 
 
 #: the six Bloch-axis qubit states, a 2-design for exact averaging
@@ -224,13 +180,15 @@ class ECResult:
 
 
 def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
-    """Monte Carlo (or 2-design) average of both curves over the grid.
+    """Haar (Monte Carlo) or exact 2-design average of both curves over the grid.
 
-    Each trial owns the rng stream (seed, epsilon index, sample index): it
-    draws the Haar qubit (haar mode only) and then the uniform that
-    samples the F measurement, so the result is independent of execution
-    order and fully reproducible.  All trials of one error angle run as a
-    single ``run_ec_trials`` batch.
+    Each trial sums over both measurement outcomes, so only the qubit
+    states are sampled: in haar mode trial i_s of error angle i_eps draws
+    its qubit from the rng stream (seed, i_eps, i_s), so the result is
+    independent of execution order and fully reproducible; axes mode uses
+    the six Bloch-axis states and no rng.  All trials of one error angle
+    run as a single ``run_ec_trials`` batch, and the trigger rate is the
+    mean P(F=4).
     """
     if maps is None:
         if cfg.maps_mode != "ideal":
@@ -239,17 +197,16 @@ def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
     n = cfg.n_states
     corrected, uncorrected, trigger = [], [], []
     for i_eps, eps in enumerate(cfg.epsilon_grid):
-        qubits = np.empty((n, 2), dtype=complex)
-        draws = np.empty(n)
-        for i_s in range(n):
-            rng = np.random.default_rng([cfg.seed, i_eps, i_s])
-            qubits[i_s] = BLOCH_AXIS_STATES[i_s] if cfg.average == "axes" else haar_random_state(2, rng)
-            draws[i_s] = rng.uniform()
-        fc, fu, triggered = run_ec_trials(qubits, eps, maps, draws)
+        if cfg.average == "axes":
+            qubits = np.array(BLOCH_AXIS_STATES)
+        else:
+            streams = (np.random.default_rng([cfg.seed, i_eps, i_s]) for i_s in range(n))
+            qubits = np.array([haar_random_state(2, rng) for rng in streams])
+        fc, fu, p4 = run_ec_trials(qubits, eps, maps)
         # summed in trial order, as a running total would be, not pairwise
         corrected.append(sum(fc.tolist()) / n)
         uncorrected.append(sum(fu.tolist()) / n)
-        trigger.append(np.count_nonzero(triggered) / n)
+        trigger.append(sum(p4.tolist()) / n)
     return ECResult(
         epsilon=cfg.epsilon_grid,
         corrected=tuple(corrected),

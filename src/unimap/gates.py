@@ -97,10 +97,6 @@ class CliffordRelationReport:
     deviations: dict[str, float]
     s_discrepancy: bool
 
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations.values())
-
 
 RELATION_TOL = 1e-12
 

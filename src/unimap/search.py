@@ -45,7 +45,6 @@ class SearchConfig:
     max_iterations: int = 2000
     seed: int = 0
     restarts: int = 1
-    try_zero_seed: bool = True
 
     def __post_init__(self):
         if not 1 <= self.segment_count < math.inf:
@@ -194,7 +193,6 @@ def search_state_map(
     psi_i,
     psi_f,
     cfg: SearchConfig,
-    initial: Waveform | None = None,
     restart_index: int = 0,
 ) -> SearchResult:
     """Projected L-BFGS ascent of J from one random seed.
@@ -211,13 +209,7 @@ def search_state_map(
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
     durations = np.full(cfg.segment_count, cfg.segment_duration)
-    if initial is not None:
-        check_amplitudes(sys, initial)
-        amps = np.array(initial.amplitudes, dtype=float)
-        durations = np.array(initial.durations, dtype=float)
-    else:
-        rng = np.random.default_rng([cfg.seed, restart_index])
-        amps = _seed_amplitudes(sys, cfg, rng)
+    amps = _seed_amplitudes(sys, cfg, np.random.default_rng([cfg.seed, restart_index]))
     shape = amps.shape
     lo = np.broadcast_to(sys.bound_array[0], shape).ravel()
     hi = np.broadcast_to(sys.bound_array[1], shape).ravel()
@@ -302,10 +294,9 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     never changes earlier ones; the first restart achieving the maximum
     fidelity wins.
     """
-    if cfg.try_zero_seed:
-        zero = _zero_seed_result(sys, psi_i, psi_f, cfg)
-        if zero is not None:
-            return zero
+    zero = _zero_seed_result(sys, psi_i, psi_f, cfg)
+    if zero is not None:
+        return zero
     best = None
     for r in range(cfg.restarts):
         res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)

@@ -4,9 +4,10 @@ Both constructions of the paper are products of factors V† P(theta) V: a
 phase theta imprinted on the fiducial state, conjugated by a map V that
 sends phi to that state, imprints theta on phi alone.  ``phase_product``
 multiplies these factors over a list of (phi, theta) steps and takes each
-from a *mapper*: ``ExactMapper`` (V an algebraic reflection, no search) or
-``SearchedMapper`` (V the propagator of a multi-start state-map search);
-``ec`` adds a third that switches between the two 8-level cesium systems.
+from a *mapper*: ``ExactMapper`` (the factor's closed form, the rank-one
+update I + (e^{-i theta} - 1)|phi><phi|, no search) or ``SearchedMapper``
+(V the propagator of a multi-start state-map search); ``ec`` adds a third
+that switches between the two 8-level cesium systems.
 
 A subspace map is one such product with theta = pi.  A single reflection
 S = I - 2|phi><phi| with phi proportional to a - b sends a to b (after
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .control import ControlSystem, PhaseImprint, Waveform, phase_imprint_unitary, propagate
-from .core import as_state, basis_state
+from .core import as_state
 from .search import SearchConfig, multi_start
 
 ORTHONORMAL_TOL = 1e-10
@@ -95,11 +96,9 @@ def _reflection_vector(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None,
     return (None if norm <= SKIP_TOL else diff / norm), theta
 
 
-def _reflector(phi: np.ndarray | None, d: int) -> np.ndarray:
-    """I - 2|phi><phi| on d levels; the identity when phi is None."""
-    if phi is None:
-        return np.eye(d, dtype=complex)
-    return np.eye(d, dtype=complex) - 2.0 * np.outer(phi, phi.conj())
+def _rank_one(phi: np.ndarray, c: complex) -> np.ndarray:
+    """I + c|phi><phi|: the reflection about phi at c = -2, e^{-i theta |phi><phi|} at c = e^{-i theta} - 1."""
+    return np.eye(phi.size, dtype=complex) + c * np.outer(phi, phi.conj())
 
 
 def pair_rotation(a, b) -> tuple[np.ndarray, float]:
@@ -115,26 +114,21 @@ def pair_rotation(a, b) -> tuple[np.ndarray, float]:
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
     phi, theta = _reflection_vector(a, b)
-    return _reflector(phi, a.size), theta
+    return (np.eye(a.size, dtype=complex) if phi is None else _rank_one(phi, -2.0)), theta
 
 
 @dataclass(frozen=True)
 class ExactMapper:
-    """V = pair_rotation(phi, fiducial): an exact reflection, no search."""
+    """The factor in closed form, I + (e^{-i theta} - 1)|phi><phi|: no map V, no search.
+
+    Any exact V sending phi to a fiducial state gives this same factor, so
+    the step fidelity is 1.
+    """
 
     dim: int
-    fiducial_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.fiducial_index < self.dim:
-            raise ValueError(f"fiducial index {self.fiducial_index} out of range for d={self.dim}")
 
     def phase_about(self, phi, theta: float):
-        fiducial = basis_state(self.dim, self.fiducial_index)
-        v, _ = pair_rotation(phi, fiducial)
-        imprint = phase_imprint_unitary(self.dim, PhaseImprint(theta, self.fiducial_index))
-        fidelity = min(float(abs(np.vdot(fiducial, v @ phi)) ** 2), 1.0)
-        return v.conj().T @ imprint @ v, fidelity, True, None
+        return _rank_one(as_state(phi, self.dim), np.exp(-1j * theta) - 1.0), 1.0, True, None
 
 
 @dataclass(frozen=True)
@@ -231,7 +225,7 @@ def plan_subspace_map(spec: SubspaceMapSpec) -> list[RotationStep]:
         phi, theta = _reflection_vector(a_rot, b)
         steps.append(RotationStep(a_rot, np.exp(1j * theta) * b, phi, theta))
         if phi is not None:
-            accumulated = _reflector(phi, spec.dim) @ accumulated
+            accumulated = _rank_one(phi, -2.0) @ accumulated
     return steps
 
 
@@ -240,9 +234,7 @@ def phase_correction_factor(steps: list[RotationStep], spec: SubspaceMapSpec) ->
     corr = np.eye(spec.dim, dtype=complex)
     for step, b in zip(steps, spec.target):
         if step.residual_phase != 0.0:
-            factor = np.eye(spec.dim, dtype=complex)
-            factor += (np.exp(-1j * step.residual_phase) - 1.0) * np.outer(b, b.conj())
-            corr = factor @ corr
+            corr = _rank_one(b, np.exp(-1j * step.residual_phase) - 1.0) @ corr
     return corr
 
 

@@ -4,9 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criterion 8's pointwise-ordering clause is asserted exactly as
 stated over the full half-angle range [0.02, 0.3]; physically the code's
 uncorrectable second-order leakage (|3,+-3_x> to |3,+-1_x>, about 15 eps^4)
-overtakes free-evolution dephasing (about 0.67 eps^2) near eps = 0.21, so
+overtakes free-evolution dephasing (about 0.67 eps^2) near eps = 0.23, so
 the top of that range is expected to trip and the verdict line shows the
-per-point gaps.
+per-point gaps and the crossover eps*.
 """
 
 import time
@@ -63,7 +63,7 @@ def test_criterion_1_exact_eigen_assembly():
         rng = np.random.default_rng([1, d])
         for _ in range(50):
             w = haar_random_unitary(d, rng)
-            rep = synthesize_unitary(w, ExactMapper(d, 0))
+            rep = synthesize_unitary(w, ExactMapper(d))
             worst = min(worst, rep.fidelity)
     elapsed = time.monotonic() - t0
     verdict(
@@ -196,7 +196,7 @@ def test_criterion_5_gate_synthesis(gate_synthesis):
     for name in GATE_NAMES:
         rep = reports[name]
         all_steps_ok = all(f >= 0.99 for f in rep.step_fidelities)
-        exact = synthesize_unitary(gate_from_name(name, 7), ExactMapper(7, 0))
+        exact = synthesize_unitary(gate_from_name(name, 7), ExactMapper(7))
         gate_ok = all_steps_ok and rep.fidelity >= 0.97 and exact.fidelity >= 1 - 1e-10
         ok = ok and gate_ok
         lines.append(
@@ -273,6 +273,23 @@ def ec_result():
     return res, time.monotonic() - t0
 
 
+def ec_crossover(maps, lo: float = 0.1, hi: float = 0.3) -> float:
+    """eps* where the exact six-state average of corrected minus uncorrected changes sign.
+
+    Bisection on [lo, hi], where the gap is positive at lo and negative at hi.
+    """
+
+    def gap(eps):
+        res = ec_sweep(ECConfig(epsilon_grid=(eps,), average="axes"), maps)
+        return res.corrected[0] - res.uncorrected[0]
+
+    assert gap(lo) > 0 > gap(hi)
+    while hi - lo > 1e-6:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
 def test_criterion_8_ec_ordering(ec_result):
     res, elapsed = ec_result
     gaps = [c - u for c, u in zip(res.corrected, res.uncorrected)]
@@ -280,10 +297,11 @@ def test_criterion_8_ec_ordering(ec_result):
     detail = ", ".join(
         f"eps={e:.3f}: {'+' if g >= 0 else ''}{g:.4f}" for e, g in zip(res.epsilon, gaps)
     )
+    crossover = ec_crossover(ec_maps())
     verdict(
         "criterion 8 (ordering)",
         ordered and elapsed < 120.0,
-        f"corrected-minus-uncorrected gaps: {detail}; {elapsed:.0f}s",
+        f"corrected-minus-uncorrected gaps: {detail}; crossover eps* = {crossover:.4f}; {elapsed:.0f}s",
     )
 
 

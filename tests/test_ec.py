@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from unimap.core import as_state, haar_random_state
+from unimap.core import as_state, haar_random_state, haar_random_unitary
 from unimap.ec import (
     BLOCH_AXIS_STATES,
     ECConfig,
     FZ_SIM,
+    SIM_DIM,
     ec_map_specs,
     ec_maps,
     ec_sweep,
     error_channel,
-    physical_qubit_state,
-    qnd_measure_F,
     run_ec_trials,
     sim_x_state,
     sim_z_state,
@@ -23,6 +22,41 @@ from unimap.ec import (
 @pytest.fixture(scope="module")
 def ideal_maps():
     return ec_maps()
+
+
+def qnd_measure_F(state, rng: np.random.Generator, force_outcome: int | None = None):
+    """Reference projective measurement of total F: 3 (indices 0..6) vs 4 (7, 8).
+
+    Returns (outcome, collapsed state, probability of that outcome).  The
+    outcome is sampled from the rng unless forced; forcing a branch of
+    zero probability is an error.
+    """
+    psi = as_state(state, SIM_DIM)
+    p3 = float(np.sum(np.abs(psi[:7]) ** 2))
+    p4 = float(np.sum(np.abs(psi[7:]) ** 2))
+    total = p3 + p4
+    p3, p4 = p3 / total, p4 / total
+    if force_outcome is None:
+        outcome = 3 if rng.uniform() < p3 else 4
+    elif force_outcome in (3, 4):
+        outcome = force_outcome
+    else:
+        raise ValueError(f"outcome must be 3 or 4, got {force_outcome}")
+    prob = p3 if outcome == 3 else p4
+    if prob <= 1e-30:
+        raise ValueError(f"requested branch F={outcome} has zero probability")
+    collapsed = psi.copy()
+    if outcome == 3:
+        collapsed[7:] = 0.0
+    else:
+        collapsed[:7] = 0.0
+    return outcome, collapsed / np.linalg.norm(collapsed), prob
+
+
+def physical_qubit_state(psi_qubit) -> np.ndarray:
+    """alpha |4,4_z> + beta |3,3_z> on the simulation space."""
+    q = as_state(psi_qubit, 2)
+    return q[0] * sim_z_state(4) + q[1] * sim_z_state(3)
 
 
 class TestStatesAndError:
@@ -107,50 +141,27 @@ class TestQND:
             assert abs(np.linalg.norm(state) - 1) < 1e-12
 
 
-def run_ec_trial(psi_qubit, epsilon: float, maps, rng: np.random.Generator, correct: bool = True):
-    """One protocol round; returns (fidelity, syndrome_triggered).
-
-    A one-row call of ``run_ec_trials`` that takes the measurement draw
-    from ``rng.uniform()``.  With correct=False it returns the
-    uncorrected fidelity instead; the rng is then unused and the syndrome
-    flag is False.
-    """
-    qubit = as_state(psi_qubit, 2)[None, :]
-    draws = np.array([rng.uniform() if correct else 0.5])
-    corrected, uncorrected, triggered = run_ec_trials(qubit, epsilon, maps, draws)
-    if not correct:
-        return float(uncorrected[0]), False
-    return float(corrected[0]), bool(triggered[0])
-
-
 class TestTrial:
     def test_identity_at_zero_error(self, ideal_maps):
-        for qubit in BLOCH_AXIS_STATES:
-            fid, triggered = run_ec_trial(qubit, 0.0, ideal_maps, np.random.default_rng(0))
-            assert fid >= 1 - 1e-10
-            assert not triggered
+        fc, _, p4 = run_ec_trials(np.array(BLOCH_AXIS_STATES), 0.0, ideal_maps)
+        assert fc.min() >= 1 - 1e-10
+        assert p4.max() <= 1e-20
 
     def test_uncorrected_matches_closed_form(self, ideal_maps):
         # two-level oracle: F = | |a|^2 e^{-2 i eps} + |b|^2 |^2
         rng = np.random.default_rng(5)
         for eps in (0.05, 0.2, 0.4):
             qubit = haar_random_state(2, rng)
-            fid, _ = run_ec_trial(qubit, eps, ideal_maps, rng, correct=False)
+            _, fu, _ = run_ec_trials(qubit[None, :], eps, ideal_maps)
             a2, b2 = abs(qubit[0]) ** 2, abs(qubit[1]) ** 2
             oracle = abs(a2 * np.exp(-2j * eps) + b2) ** 2
-            assert fid == pytest.approx(oracle, abs=1e-12)
+            assert fu[0] == pytest.approx(oracle, abs=1e-12)
 
     def test_corrected_beats_uncorrected_at_small_angle(self, ideal_maps):
         rng = np.random.default_rng(6)
-        eps = 0.1
-        cor, unc = [], []
-        for _ in range(60):
-            qubit = haar_random_state(2, rng)
-            fc, _ = run_ec_trial(qubit, eps, ideal_maps, rng, correct=True)
-            fu, _ = run_ec_trial(qubit, eps, ideal_maps, rng, correct=False)
-            cor.append(fc)
-            unc.append(fu)
-        assert np.mean(cor) >= np.mean(unc)
+        qubits = np.array([haar_random_state(2, rng) for _ in range(60)])
+        fc, fu, _ = run_ec_trials(qubits, 0.1, ideal_maps)
+        assert np.mean(fc) >= np.mean(fu)
 
     def test_norm_preserved_through_stages(self, ideal_maps):
         encode, extract, recover = ideal_maps
@@ -245,6 +256,14 @@ class TestSweep:
         want = 1 - (2 / 6) * (1 - np.cos(0.2))
         assert res.uncorrected[0] == pytest.approx(want, abs=1e-12)
 
+    def test_axes_mode_draws_nothing(self, ideal_maps, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("axes mode built an rng")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        res = ec_sweep(ECConfig(epsilon_grid=(0.1, 0.2), average="axes"), ideal_maps)
+        assert res.trigger_rate[1] > 0
+
     def test_default_maps_are_ideal(self):
         cfg = ECConfig(epsilon_grid=(0.1,), samples=5, seed=2)
         res = ec_sweep(cfg)
@@ -264,9 +283,8 @@ class TestSweep:
             ECConfig(epsilon_grid=(0.1,), samples=1, maps_mode="other")
 
     def test_trigger_rate_matches_projector_oracle(self, ideal_maps):
-        # at eps = 0.2 the syndrome fires; the observed rate must sit
-        # within 3 sigma of the exact branch probability averaged over the
-        # same sampled states
+        # at eps = 0.2 the syndrome fires; the rate is the exact branch
+        # probability averaged over the same sampled states
         eps, n, seed = 0.2, 400, 13
         cfg = ECConfig(epsilon_grid=(eps,), samples=n, seed=seed)
         res = ec_sweep(cfg, ideal_maps)
@@ -277,54 +295,59 @@ class TestSweep:
             qubit = haar_random_state(2, rng)
             psi = extract @ error_channel(eps) @ encode @ physical_qubit_state(qubit)
             p4_sum += float(np.sum(np.abs(psi[7:]) ** 2))
-        p_mean = p4_sum / n
-        sigma = np.sqrt(p_mean * (1 - p_mean) / n)
         assert res.trigger_rate[0] > 0
-        assert abs(res.trigger_rate[0] - p_mean) <= 3 * sigma
+        assert abs(res.trigger_rate[0] - p4_sum / n) <= 1e-12
+
+    def test_axes_average_equals_rotated_octahedron(self, ideal_maps):
+        # both curves and the trigger rate are at most quadratic in the
+        # qubit's density matrix, so any 2-design gives the same average
+        rng = np.random.default_rng(21)
+        cfg = ECConfig(epsilon_grid=(0.05, 0.2, 0.3), average="axes")
+        res = ec_sweep(cfg, ideal_maps)
+        rotation = haar_random_unitary(2, rng)
+        rotated = np.array(BLOCH_AXIS_STATES) @ rotation.T
+        for i, eps in enumerate(cfg.epsilon_grid):
+            fc, fu, p4 = run_ec_trials(rotated, eps, ideal_maps)
+            assert abs(res.corrected[i] - fc.mean()) <= 1e-12
+            assert abs(res.uncorrected[i] - fu.mean()) <= 1e-12
+            assert abs(res.trigger_rate[i] - p4.mean()) <= 1e-12
 
 
-def _reference_trial(qubit, eps, maps, rng):
-    """The per-state protocol round the batched code replaced."""
+def _reference_trial(qubit, eps, maps):
+    """One state at a time: sum over both outcomes o of p_o F_o, from forced measurements.
+
+    Returns (expected corrected fidelity, uncorrected fidelity, P(F=4)).
+    """
     psi0 = physical_qubit_state(qubit)
     err = error_channel(eps)
     uncorrected = min(float(abs(np.vdot(psi0, err @ psi0)) ** 2), 1.0)
     encode, extract, recover = maps
     psi = extract @ (err @ (encode @ psi0))
-    outcome, psi, _ = qnd_measure_F(psi, rng)
-    if outcome == 4:
-        psi = recover @ psi
-    final = encode.conj().T @ psi
-    return min(float(abs(np.vdot(psi0, final)) ** 2), 1.0), uncorrected, outcome == 4
+    corrected = p4 = 0.0
+    for outcome, part in ((3, psi[:7]), (4, psi[7:])):
+        if np.sum(np.abs(part) ** 2) <= 1e-30:
+            continue  # the measurement rejects a branch it can never read
+        _, collapsed, p = qnd_measure_F(psi, None, force_outcome=outcome)
+        if outcome == 4:
+            collapsed, p4 = recover @ collapsed, p
+        corrected += p * abs(np.vdot(psi0, encode.conj().T @ collapsed)) ** 2
+    return corrected, uncorrected, p4
 
 
 def _reference_sweep(cfg, maps):
-    """One trial at a time, each on its own rng stream, summed in trial order."""
+    """One state at a time through the branch reference, summed in trial order."""
     corrected, uncorrected, trigger = [], [], []
     for i_eps, eps in enumerate(cfg.epsilon_grid):
-        c_sum = u_sum = 0.0
-        n_trig = 0
-        n = len(BLOCH_AXIS_STATES) if cfg.average == "axes" else cfg.samples
-        for i_s in range(n):
-            rng = np.random.default_rng([cfg.seed, i_eps, i_s])
-            qubit = BLOCH_AXIS_STATES[i_s] if cfg.average == "axes" else haar_random_state(2, rng)
-            fc, fu, triggered = _reference_trial(qubit, eps, maps, rng)
-            c_sum += fc
-            u_sum += fu
-            n_trig += triggered
-        corrected.append(c_sum / n)
-        uncorrected.append(u_sum / n)
-        trigger.append(n_trig / n)
+        if cfg.average == "axes":
+            qubits = BLOCH_AXIS_STATES
+        else:
+            streams = (np.random.default_rng([cfg.seed, i_eps, i_s]) for i_s in range(cfg.samples))
+            qubits = [haar_random_state(2, rng) for rng in streams]
+        rows = [_reference_trial(q, eps, maps) for q in qubits]
+        corrected.append(sum(r[0] for r in rows) / len(rows))
+        uncorrected.append(sum(r[1] for r in rows) / len(rows))
+        trigger.append(sum(r[2] for r in rows) / len(rows))
     return corrected, uncorrected, trigger
-
-
-class _FixedDraw:
-    """Stands in for an rng whose next uniform() is known."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self):
-        return self.value
 
 
 class TestBatchedTrials:
@@ -336,39 +359,34 @@ class TestBatchedTrials:
         corrected, uncorrected, trigger = _reference_sweep(cfg, ideal_maps)
         assert np.abs(np.subtract(res.corrected, corrected)).max() <= 1e-12
         assert np.abs(np.subtract(res.uncorrected, uncorrected)).max() <= 1e-12
-        assert res.trigger_rate == tuple(trigger)
-        if average == "haar":
-            assert res.trigger_rate[-1] > 0
+        assert np.abs(np.subtract(res.trigger_rate, trigger)).max() <= 1e-12
+        assert res.trigger_rate[-1] > 0
 
     def test_rows_match_single_trials(self, ideal_maps):
         rng = np.random.default_rng(8)
         qubits = np.array([haar_random_state(2, rng) for _ in range(40)])
-        draws = rng.uniform(size=40)
-        fc, fu, triggered = run_ec_trials(qubits, 0.25, ideal_maps, draws)
-        assert triggered.any() and not triggered.all()
+        fc, fu, p4 = run_ec_trials(qubits, 0.25, ideal_maps)
+        assert np.all((p4 > 1e-6) & (p4 < 1 - 1e-6))
         for i in range(40):
-            want_c, want_u, want_t = _reference_trial(qubits[i], 0.25, ideal_maps, _FixedDraw(draws[i]))
+            want_c, want_u, want_p4 = _reference_trial(qubits[i], 0.25, ideal_maps)
             assert fc[i] == pytest.approx(want_c, abs=1e-12)
             assert fu[i] == pytest.approx(want_u, abs=1e-12)
-            assert triggered[i] == want_t
+            assert p4[i] == pytest.approx(want_p4, abs=1e-12)
 
     def test_rejects_bad_input(self, ideal_maps):
         good = np.array([BLOCH_AXIS_STATES[0]])
         with pytest.raises(ValueError, match="shape"):
-            run_ec_trials(good, 0.1, ideal_maps, np.zeros(2))
+            run_ec_trials(good[0], 0.1, ideal_maps)
         with pytest.raises(ValueError, match="shape"):
-            run_ec_trials(good[0], 0.1, ideal_maps, np.zeros(1))
-        for draw in (-0.1, 1.0, np.nan):
-            with pytest.raises(ValueError, match="draws"):
-                run_ec_trials(good, 0.1, ideal_maps, np.array([draw]))
+            run_ec_trials(np.zeros((1, 3)), 0.1, ideal_maps)
         with pytest.raises(ValueError, match="unit norm"):
-            run_ec_trials(2 * good, 0.1, ideal_maps, np.zeros(1))
+            run_ec_trials(2 * good, 0.1, ideal_maps)
         with pytest.raises(ValueError, match="unit norm"):
-            run_ec_trials(np.array([[np.nan, 1.0]]), 0.1, ideal_maps, np.zeros(1))
+            run_ec_trials(np.array([[np.nan, 1.0]]), 0.1, ideal_maps)
         with pytest.raises(ValueError, match="finite"):
-            run_ec_trials(good, float("nan"), ideal_maps, np.zeros(1))
+            run_ec_trials(good, float("nan"), ideal_maps)
         with pytest.raises(ValueError, match="norm"):
-            run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps), np.zeros(1))
+            run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps))
 
 
 def test_synthesized_maps_equal_two_propagation_form(fixed_search):

@@ -65,33 +65,40 @@ class TestPlan:
 
 class TestExactMapper:
     def test_fiducial_input(self):
-        factor, fid, converged, waveform = ExactMapper(4, 0).phase_about(basis_state(4, 0), 0.9)
+        factor, fid, converged, waveform = ExactMapper(4).phase_about(basis_state(4, 0), 0.9)
         assert np.abs(factor - phase_imprint_unitary(4, PhaseImprint(0.9, 0))).max() < 1e-12
         assert abs(fid - 1) < 1e-12
         assert converged and waveform is None
 
     def test_swap_case(self):
-        _, fid, _, _ = ExactMapper(2, 0).phase_about(basis_state(2, 1), 1.0)
+        _, fid, _, _ = ExactMapper(2).phase_about(basis_state(2, 1), 1.0)
         assert fid == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_contract_d16(self):
         rng = np.random.default_rng(1)
         phi = haar_random_state(16, rng)
-        factor, fid, _, _ = ExactMapper(16, 0).phase_about(phi, 2.5)
+        factor, fid, _, _ = ExactMapper(16).phase_about(phi, 2.5)
         assert fid >= 1 - 1e-12
         # the factor imprints the phase on phi and nowhere else
         assert np.linalg.norm(factor @ phi - np.exp(-2.5j) * phi) < 1e-12
 
+    def test_rejects_vector_of_wrong_dimension_or_norm(self):
+        with pytest.raises(ValueError, match="dimension"):
+            ExactMapper(4).phase_about(basis_state(3, 0), 1.0)
+        with pytest.raises(ValueError, match="norm"):
+            ExactMapper(4).phase_about(2 * basis_state(4, 0), 1.0)
+
     @pytest.mark.parametrize("fid", [0, 3, 7])
     def test_any_fiducial_index(self, fid):
+        # the closed form is V† P(theta) V for the exact reflection V sending
+        # phi to any fiducial state
         rng = np.random.default_rng(fid)
         phi = haar_random_state(8, rng)
-        _, got, _, _ = ExactMapper(8, fid).phase_about(phi, 1.0)
-        assert got >= 1 - 1e-12
-
-    def test_rejects_fiducial_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ExactMapper(3, 3)
+        v, _ = pair_rotation(phi, basis_state(8, fid))
+        want = v.conj().T @ phase_imprint_unitary(8, PhaseImprint(1.0, fid)) @ v
+        factor, got, _, _ = ExactMapper(8).phase_about(phi, 1.0)
+        assert np.abs(factor - want).max() <= 1e-12
+        assert got == 1.0
 
 
 class TestAssemble:
@@ -107,14 +114,14 @@ class TestAssemble:
     def test_exact_haar_targets(self, d):
         rng = np.random.default_rng(d)
         w = haar_random_unitary(d, rng)
-        report = synthesize_unitary(w, ExactMapper(d, 0))
+        report = synthesize_unitary(w, ExactMapper(d))
         assert report.fidelity >= 1 - 1e-10
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(5)
         pairs = plan_pairs(haar_random_unitary(6, rng))
-        a = product(pairs, ExactMapper(6, 0))
-        b = product(pairs[::-1], ExactMapper(6, 0))
+        a = product(pairs, ExactMapper(6))
+        b = product(pairs[::-1], ExactMapper(6))
         assert np.abs(a - b).max() < 1e-10
 
     @pytest.mark.parametrize("noise_scale", [0.005, 0.05])
