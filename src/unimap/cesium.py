@@ -153,8 +153,9 @@ def x_basis_state(F: float, m_x: float) -> np.ndarray:
 def lightshift_imprint_waveform(params: CesiumParams, angle: float) -> Waveform:
     """Single light-shift segment realizing the fiducial phase imprint.
 
-    Duration angle / lightshift_max at full amplitude; the analytic
-    diagonal imprint remains the authoritative form during assembly.
+    Duration angle / lightshift_max at full amplitude.  Assembly does not
+    play this segment: ``subspace.phase_product`` forms each factor
+    I + (e^{-i angle} - 1)|chi><chi| in closed form from the mapper's chi.
     """
     angle = float(np.mod(angle, 2 * np.pi))
     if angle == 0.0:

@@ -183,7 +183,7 @@ def _load_target(args) -> tuple[np.ndarray, str]:
     if args.gate and args.matrix_file:
         raise CliError("give either --gate or --matrix-file, not both")
     if args.gate:
-        d = args.d or 7
+        d = 7 if args.d is None else args.d
         return gate_from_name(args.gate, d), f"{args.gate}:d{d}"
     if args.matrix_file:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
@@ -191,6 +191,8 @@ def _load_target(args) -> tuple[np.ndarray, str]:
         entries = np.asarray(data["entries"] if isinstance(data, dict) else data, dtype=float)
         if entries.ndim != 3 or entries.shape[2] != 2 or entries.shape[0] != entries.shape[1]:
             raise CliError(f"{args.matrix_file}: entries must be a d x d matrix of [re, im] pairs")
+        if entries.shape[0] < 2:
+            raise CliError(f"{args.matrix_file}: dimension must be >= 2, got {entries.shape[0]}")
         return entries[..., 0] + 1j * entries[..., 1], Path(args.matrix_file).stem
     raise CliError("one of --gate or --matrix-file is required")
 
@@ -291,17 +293,14 @@ def cmd_build_subspace_map(args) -> int:
 
 def cmd_ec_sweep(args) -> int:
     t0 = time.monotonic()
-    if args.epsilons:
-        grid = tuple(float(x) for x in args.epsilons.split(","))
-    else:
+    if args.epsilons is None:
         grid = tuple(np.geomspace(args.eps_min, args.eps_max, args.eps_count))
-    cfg = ECConfig(
-        epsilon_grid=grid,
-        samples=args.samples,
-        seed=args.seed,
-        maps_mode=args.maps,
-        average=args.average,
-    )
+    else:
+        try:
+            grid = tuple(float(x) for x in args.epsilons.split(","))
+        except ValueError:
+            raise CliError(f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
+    cfg = ECConfig(epsilon_grid=grid, samples=args.samples, seed=args.seed, average=args.average)
     stem = Path(args.out).with_suffix("")
     step_fidelities: list[list[float]] = []
     waveform_files: list[str] = []
@@ -320,7 +319,7 @@ def cmd_ec_sweep(args) -> int:
         {
             "seed": cfg.seed,
             "samples": cfg.samples,
-            "maps_mode": cfg.maps_mode,
+            "maps_mode": args.maps,
             "average": cfg.average,
             "epsilon_grid": [float(e) for e in cfg.epsilon_grid],
             "csv_file": str(args.out),
@@ -331,7 +330,7 @@ def cmd_ec_sweep(args) -> int:
     meta_path = f"{stem}.meta.json"
     save_json(meta_path, meta)
     _manifest(args, "ec-sweep", [], [args.out, meta_path, *waveform_files], args.seed, t0)
-    print(f"swept {len(grid)} error angles x {cfg.n_states} states ({cfg.maps_mode} maps)")
+    print(f"swept {len(grid)} error angles x {cfg.n_states} states ({args.maps} maps)")
     return 0
 
 

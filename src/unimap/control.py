@@ -10,6 +10,10 @@ couplings of drift and controls form a single chain (a path graph, as in
 the cesium model), a diagonal phase gauge makes every segment generator
 real symmetric, so the real ``eigh`` is used; any other coupling pattern
 takes the complex ``eigh``.
+
+The builder in ``subspace`` needs no matrix for the fiducial phase imprint
+P(theta): its factor V† P(theta) V depends on V only through
+chi = V†|fiducial>, the conjugated fiducial row of ``propagate``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import TWO_PI, assert_hermitian
+from .core import assert_hermitian
 
 AMPLITUDE_TOL = 1e-12
 
@@ -167,19 +171,6 @@ class Waveform:
         )
 
 
-@dataclass(frozen=True)
-class PhaseImprint:
-    """A phase e^{-i angle} applied to one fiducial basis state."""
-
-    angle: float
-    fiducial_index: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.angle):
-            raise ValueError("imprint angle must be finite")
-        object.__setattr__(self, "angle", float(np.mod(self.angle, TWO_PI)))
-
-
 def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
     """Reject waveforms whose amplitudes are non-finite or violate the system's bounds."""
     if w.n_controls != sys.n_controls:
@@ -268,15 +259,6 @@ def reverse_waveform(sys: ControlSystem, w: Waveform) -> Waveform:
                 f"falls outside bounds [{lo:g}, {hi:g}]"
             )
     return Waveform(w.durations[::-1].copy(), neg[::-1].copy())
-
-
-def phase_imprint_unitary(d: int, imprint: PhaseImprint) -> np.ndarray:
-    """Diagonal unitary with e^{-i angle} at the fiducial position, 1 elsewhere."""
-    if not 0 <= imprint.fiducial_index < d:
-        raise ValueError(f"fiducial index {imprint.fiducial_index} out of range for d={d}")
-    diag = np.ones(d, dtype=complex)
-    diag[imprint.fiducial_index] = np.exp(-1j * imprint.angle)
-    return np.diag(diag)
 
 
 def lie_algebra_dimension(generators, max_dim: int | None = None) -> int:

@@ -15,12 +15,12 @@ protocol maps come from the phase-about-a-vector builder of ``subspace``:
 ``ec_maps`` uses its exact mapper, and ``synthesize_ec_maps`` a searched
 mapper that switches between the two 8-level cesium systems (aux +4 or
 -4), runs each rotation on the one that holds its reflection vector, and
-lifts the factor back to the 9 levels.
+writes that search's 8-level chi into the 9 levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,12 +139,11 @@ BLOCH_AXIS_STATES = (
 
 @dataclass(frozen=True)
 class ECConfig:
-    """Sweep settings: error angles, sampling, and which maps to use."""
+    """Sweep settings: error angles and sampling."""
 
     epsilon_grid: tuple[float, ...]
     samples: int = 200
     seed: int = 0
-    maps_mode: str = "ideal"
     average: str = "haar"  # "haar" (Monte Carlo) or "axes" (exact 2-design)
 
     def __post_init__(self):
@@ -153,8 +152,6 @@ class ECConfig:
             raise ValueError("epsilon_grid must be non-empty and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.maps_mode not in ("ideal", "synthesized"):
-            raise ValueError(f"maps_mode must be 'ideal' or 'synthesized', got {self.maps_mode!r}")
         if self.average not in ("haar", "axes"):
             raise ValueError(f"average must be 'haar' or 'axes', got {self.average!r}")
         object.__setattr__(self, "epsilon_grid", grid)
@@ -175,11 +172,10 @@ class ECResult:
     trigger_rate: tuple[float, ...]
     samples: int
     seed: int
-    maps_mode: str
     average: str
 
 
-def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
+def ec_sweep(cfg: ECConfig, maps) -> ECResult:
     """Haar (Monte Carlo) or exact 2-design average of both curves over the grid.
 
     Each trial sums over both measurement outcomes, so only the qubit
@@ -190,10 +186,6 @@ def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
     run as a single ``run_ec_trials`` batch, and the trigger rate is the
     mean P(F=4).
     """
-    if maps is None:
-        if cfg.maps_mode != "ideal":
-            raise ValueError("synthesized maps_mode requires explicit maps")
-        maps = ec_maps()
     n = cfg.n_states
     corrected, uncorrected, trigger = [], [], []
     for i_eps, eps in enumerate(cfg.epsilon_grid):
@@ -214,7 +206,6 @@ def ec_sweep(cfg: ECConfig, maps=None) -> ECResult:
         trigger_rate=tuple(trigger),
         samples=cfg.samples,
         seed=cfg.seed,
-        maps_mode=cfg.maps_mode,
         average=cfg.average,
     )
 
@@ -224,19 +215,9 @@ def _aux_levels(aux: int) -> list[int]:
     return list(range(7)) + [IDX_44Z if aux == +4 else IDX_4M4Z]
 
 
-def embed_aux_system(u8: np.ndarray, aux: int) -> np.ndarray:
-    """Lift an 8-level (F=3 + one aux) unitary into the 9-level space."""
-    idx = _aux_levels(aux)
-    u9 = np.eye(SIM_DIM, dtype=complex)
-    u9[np.ix_(idx, idx)] = u8
-    return u9
-
-
 @dataclass(frozen=True)
 class ECMapSynthesis(SynthesisReport):
-    """A protocol map's synthesis report, plus the aux system of each search."""
-
-    aux_choices: tuple[int, ...]
+    """A protocol map's synthesis report; its fidelity is the subspace fidelity."""
 
     @property
     def subspace_fidelity(self) -> float:
@@ -257,25 +238,26 @@ def _aux_for_reflection(phi: np.ndarray) -> int:
     return -4 if on_m4 else +4
 
 
-@dataclass
+@dataclass(frozen=True)
 class _AuxSwitchingMapper:
     """Searched mapper on whichever 8-level system holds the reflection.
 
     The search runs on the reflection restricted to that system's levels,
-    and the 8-level factor is lifted back into the simulation space.
+    and its 8-level chi is written into those levels of a zero 9-vector,
+    so the factor acts as the identity on the other aux level.
     """
 
     searched: dict[int, SearchedMapper]
-    aux_choices: list[int] = field(default_factory=list)
     dim = SIM_DIM
 
-    def phase_about(self, phi, theta: float):
+    def phase_about(self, phi):
         aux = _aux_for_reflection(phi)
-        phi8 = phi[_aux_levels(aux)]
-        phi8 = phi8 / np.linalg.norm(phi8)
-        factor, fidelity, converged, waveform = self.searched[aux].phase_about(phi8, theta)
-        self.aux_choices.append(aux)
-        return embed_aux_system(factor, aux), fidelity, converged, waveform
+        levels = _aux_levels(aux)
+        phi8 = phi[levels]
+        chi8, fidelity, converged, waveform = self.searched[aux].phase_about(phi8 / np.linalg.norm(phi8))
+        chi = np.zeros(SIM_DIM, dtype=complex)
+        chi[levels] = chi8
+        return chi, fidelity, converged, waveform
 
 
 def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
@@ -283,13 +265,10 @@ def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
 
     Rotations are planned on the 9-level space; each one is realized on
     whichever 8-level control system (aux = +4 or -4) contains its
-    reflection vector, then lifted back.  Phase corrections are analytic.
+    reflection vector.  Phase corrections are analytic.
     """
-    searched = {aux: SearchedMapper(build_restricted_system(params, aux=aux), cfg) for aux in (+4, -4)}
-    maps, reports = [], []
-    for spec in ec_map_specs():
-        mapper = _AuxSwitchingMapper(searched)
-        rep = synthesize_subspace_map(spec, mapper)
-        maps.append(rep.assembled)
-        reports.append(ECMapSynthesis(**vars(rep), aux_choices=tuple(mapper.aux_choices)))
-    return tuple(maps), tuple(reports)
+    mapper = _AuxSwitchingMapper(
+        {aux: SearchedMapper(build_restricted_system(params, aux=aux), cfg) for aux in (+4, -4)}
+    )
+    reports = tuple(ECMapSynthesis(**vars(synthesize_subspace_map(spec, mapper))) for spec in ec_map_specs())
+    return tuple(rep.assembled for rep in reports), reports

@@ -7,10 +7,11 @@ JSON keys are sorted.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import jsonschema
@@ -124,10 +125,13 @@ def load_subspace_spec(path: str) -> SubspaceMapSpec:
             raise ValueError(f"{path}: field {field!r} must be an object or array")
         return tuple(pairs_to_complex(v, what=f"{path}: {name}") for name, v in pairs)
 
+    phase_correction = data.get("phase_correction", True)
+    if not isinstance(phase_correction, bool):
+        raise ValueError(f"{path}: field 'phase_correction' must be true or false, got {phase_correction!r}")
     return SubspaceMapSpec(
         source=basis("source"),
         target=basis("target"),
-        phase_correction=bool(data.get("phase_correction", True)),
+        phase_correction=phase_correction,
     )
 
 
@@ -147,23 +151,18 @@ def save_wigner_csv(path: str, grid: WignerGrid) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-#: one validator per shipped schema, built by the first validation of that
-#: schema, which also checks the schema against its metaschema
-_VALIDATORS: dict[str, jsonschema.protocols.Validator] = {}
-
-
-def _read_schema(name: str) -> dict:
+def load_schema(name: str) -> dict:
+    """A shipped schema as a dict, read from the package; builds no validator."""
     return json.loads(resources.files("unimap").joinpath(f"schemas/{name}.schema.json").read_text())
 
 
-def load_schema(name: str) -> dict:
-    """A shipped schema as a dict.
-
-    Reading does not build a validator: the metaschema check costs more
-    than most validations, so only validating pays for it.
-    """
-    validator = _VALIDATORS.get(name)
-    return validator.schema if validator is not None else _read_schema(name)
+@functools.cache
+def _validator(name: str) -> jsonschema.protocols.Validator:
+    """The schema's validator, built once after checking the schema against its metaschema."""
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_report(name: str, doc: dict) -> dict:
@@ -172,13 +171,7 @@ def validate_report(name: str, doc: dict) -> dict:
     Raises the same errors as ``jsonschema.validate``, which re-checks the
     schema on every call; here each schema is checked once.
     """
-    validator = _VALIDATORS.get(name)
-    if validator is None:
-        schema = _read_schema(name)
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[name] = cls(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
     if error is not None:
         raise error
     return doc
@@ -197,18 +190,9 @@ class RunManifest:
     duration_s: float
 
     def to_dict(self) -> dict:
-        outputs = list(self.outputs)
-        if len(set(outputs)) != len(outputs):
+        if len(set(self.outputs)) != len(self.outputs):
             raise ValueError("manifest outputs must each be referenced exactly once")
-        return {
-            "command": self.command,
-            "config": self.config,
-            "inputs": list(self.inputs),
-            "outputs": outputs,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_s": self.duration_s,
-        }
+        return asdict(self)
 
 
 def save_manifest(path: str, manifest: RunManifest) -> None:

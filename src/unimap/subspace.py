@@ -2,12 +2,13 @@
 
 Both constructions of the paper are products of factors V† P(theta) V: a
 phase theta imprinted on the fiducial state, conjugated by a map V that
-sends phi to that state, imprints theta on phi alone.  ``phase_product``
-multiplies these factors over a list of (phi, theta) steps and takes each
-from a *mapper*: ``ExactMapper`` (the factor's closed form, the rank-one
-update I + (e^{-i theta} - 1)|phi><phi|, no search) or ``SearchedMapper``
-(V the propagator of a multi-start state-map search); ``ec`` adds a third
-that switches between the two 8-level cesium systems.
+sends phi to that state.  The factor equals I + (e^{-i theta} - 1)|chi><chi|
+with chi = V†|fiducial>, so one vector fixes it.  ``phase_product``
+multiplies these factors over a list of (phi, theta) steps; a *mapper*
+supplies each step's chi and ``phase_product`` alone forms the factor.
+``ExactMapper`` returns phi itself (no search), ``SearchedMapper`` the chi
+of a multi-start state-map search's propagator; ``ec`` adds a third that
+switches between the two 8-level cesium systems.
 
 A subspace map is one such product with theta = pi.  A single reflection
 S = I - 2|phi><phi| with phi proportional to a - b sends a to b (after
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import ControlSystem, PhaseImprint, Waveform, phase_imprint_unitary, propagate
+from .control import ControlSystem, Waveform, propagate
 from .core import as_state
 from .search import SearchConfig, multi_start
 
@@ -119,23 +120,23 @@ def pair_rotation(a, b) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class ExactMapper:
-    """The factor in closed form, I + (e^{-i theta} - 1)|phi><phi|: no map V, no search.
+    """chi = phi: no map V, no search.
 
-    Any exact V sending phi to a fiducial state gives this same factor, so
-    the step fidelity is 1.
+    Any exact V sending phi to a fiducial state has V†|fiducial> = phi up
+    to a phase, so the step fidelity is 1.
     """
 
     dim: int
 
-    def phase_about(self, phi, theta: float):
-        return _rank_one(as_state(phi, self.dim), np.exp(-1j * theta) - 1.0), 1.0, True, None
+    def phase_about(self, phi):
+        return as_state(phi, self.dim), 1.0, True, None
 
 
 @dataclass(frozen=True)
 class SearchedMapper:
-    """V = the propagator of a multi-start search from phi to the fiducial state.
+    """chi = V†|fiducial>, V the propagator of a multi-start search from phi to the fiducial state.
 
-    The inverse is the exact matrix adjoint of that one propagator, never a
+    chi is the conjugated fiducial row of that one propagator, never a
     second search or propagation.
     """
 
@@ -146,11 +147,10 @@ class SearchedMapper:
     def dim(self) -> int:
         return self.sys.dim
 
-    def phase_about(self, phi, theta: float):
+    def phase_about(self, phi):
         result = multi_start(self.sys, phi, self.sys.fiducial_state(), self.cfg)
-        v = propagate(self.sys, result.waveform)
-        imprint = phase_imprint_unitary(self.sys.dim, PhaseImprint(theta, self.sys.fiducial_index))
-        return v.conj().T @ imprint @ v, result.fidelity, result.converged, result.waveform
+        chi = propagate(self.sys, result.waveform)[self.sys.fiducial_index].conj()
+        return chi, result.fidelity, result.converged, result.waveform
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,12 @@ class SynthesisReport:
 def phase_product(steps, mapper, score: Callable[[np.ndarray], float], correction=None) -> SynthesisReport:
     """Product of V† P(theta) V over the (phi, theta) steps, first step rightmost.
 
-    A step whose phi is None is skipped.  ``mapper.phase_about(phi, theta)``
-    returns the factor, |<fiducial|V|phi>|^2, the converged flag, and the
-    searched waveform (None for an exact mapper).  ``correction``, when
-    given, multiplies the product from the left; ``score`` turns the final
-    matrix into the report's fidelity.
+    A step whose phi is None is skipped.  ``mapper.phase_about(phi)``
+    returns chi = V†|fiducial>, |<fiducial|V|phi>|^2, the converged flag,
+    and the searched waveform (None for an exact mapper); the factor is
+    I + (e^{-i theta} - 1)|chi><chi|.  ``correction``, when given,
+    multiplies the product from the left; ``score`` turns the final matrix
+    into the report's fidelity.
     """
     acc = np.eye(mapper.dim, dtype=complex)
     fidelities, converged, waveforms, skipped = [], [], [], []
@@ -193,8 +194,8 @@ def phase_product(steps, mapper, score: Callable[[np.ndarray], float], correctio
         if phi is None:
             skipped.append(k)
             continue
-        factor, fidelity, ok, waveform = mapper.phase_about(phi, theta)
-        acc = factor @ acc
+        chi, fidelity, ok, waveform = mapper.phase_about(phi)
+        acc = _rank_one(chi, np.exp(-1j * theta) - 1.0) @ acc
         fidelities.append(fidelity)
         converged.append(ok)
         if waveform is not None:

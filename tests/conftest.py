@@ -1,5 +1,6 @@
 """Shared fixtures and helpers: the cesium presets, small generic test
-systems, and the exact adjoint of a waveform's propagator."""
+systems, the exact adjoint of a waveform's propagator, and diagonal phase
+targets."""
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def apply_adjoint(sys, w) -> np.ndarray:
     propagated form.
     """
     return propagate(sys, w).conj().T
+
+
+def diag_phase(d: int, index: int, angle: float) -> np.ndarray:
+    """Diagonal unitary with e^{-i angle} on basis level ``index`` and 1 elsewhere."""
+    diag = np.ones(d, dtype=complex)
+    diag[index] = np.exp(-1j * angle)
+    return np.diag(diag)
 
 
 def make_spin_system(two_f: int, rate: float = 2 * np.pi * 25e3) -> ControlSystem:

@@ -11,7 +11,8 @@ from unimap.cesium import (
     spin_operators,
     x_basis_state,
 )
-from unimap.control import Waveform, lie_algebra_dimension, phase_imprint_unitary, propagate, PhaseImprint
+from conftest import diag_phase
+from unimap.control import Waveform, lie_algebra_dimension, propagate
 from unimap.core import basis_state
 
 
@@ -69,7 +70,7 @@ class TestRestrictedSystem:
         params = CesiumParams()
         lam = 1.234
         w = lightshift_imprint_waveform(params, lam)
-        target = phase_imprint_unitary(8, PhaseImprint(lam, 7))
+        target = diag_phase(8, 7, lam)
         assert np.abs(propagate(cesium, w) - target).max() < 1e-10
 
     def test_rf_never_populates_fiducial(self, cesium):

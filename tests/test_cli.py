@@ -182,6 +182,21 @@ class TestBuildUnitary:
                     "--exact-mappers", "--out-report", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_gate_dimension_zero_exits_2_without_report(self, tmp_path, capsys):
+        # an explicit --d 0 is rejected, not replaced by the default d=7
+        assert run(["build-unitary", "--gate", "X", "--d", "0", "--exact-mappers",
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "dimension must be >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_by_one_matrix_exits_2_without_report(self, tmp_path, capsys):
+        mfile = tmp_path / "one.json"
+        mfile.write_text(json.dumps({"entries": [[[1.0, 0.0]]]}))
+        assert run(["build-unitary", "--matrix-file", str(mfile), "--exact-mappers",
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "dimension must be >= 2" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
+
     def test_matrix_file_input(self, tmp_path):
         # pi phase imprint on the last level of d=3, as an explicit matrix
         m = np.diag([1.0, 1.0, -1.0]).astype(complex)
@@ -256,6 +271,19 @@ class TestSubspaceMapCLI:
         assert "dimension" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
+    def test_string_phase_correction_exits_2_without_report(self, tmp_path, capsys):
+        spec = {
+            "source": [complex_to_pairs(np.eye(8)[0])],
+            "target": [complex_to_pairs(np.eye(8)[2])],
+            "phase_correction": "false",
+        }
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run(["build-subspace-map", "--spec", str(spec_file), "--exact",
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "phase_correction" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"source": []}))
@@ -289,6 +317,12 @@ class TestECSweep:
 
     def test_bad_epsilons_exit_2(self, tmp_path):
         assert run(["ec-sweep", "--epsilons", "0.1,zzz", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_empty_epsilons_exit_2_without_outputs(self, tmp_path, capsys):
+        # an explicitly empty grid is an error, not a fall-back to the default grid
+        assert run(["ec-sweep", "--epsilons", "", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--epsilons" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_axes_mode_reports_states_averaged(self, tmp_path, capsys):
         assert run(["ec-sweep", "--average", "axes", "--epsilons", "0.1", "--samples", "200",

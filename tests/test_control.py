@@ -1,4 +1,4 @@
-"""Propagation, time reversal, and the fiducial phase imprint."""
+"""Propagation, time reversal, and the fiducial phase imprint as the builder forms it."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,17 @@ from unimap.cesium import CesiumParams, build_restricted_system
 from unimap.control import (
     AMPLITUDE_TOL,
     ControlSystem,
-    PhaseImprint,
     Waveform,
     check_amplitudes,
     lie_algebra_dimension,
-    phase_imprint_unitary,
     propagate,
     reverse_waveform,
     segment_eigs,
     segment_hamiltonians,
     segment_propagators,
 )
-from unimap.core import mat_exp, unitarity_defect
+from unimap.core import basis_state, mat_exp, unitarity_defect
+from unimap.subspace import ExactMapper, phase_product
 
 
 def scan_message(sys, w):
@@ -277,28 +276,33 @@ class TestReverseWaveform:
             reverse_waveform(sys, Waveform.constant(1e-6, [0.5]))
 
 
+def imprint(d, angle, index):
+    """The builder's factor about basis level ``index``: the phase imprint on that level."""
+    return phase_product([(basis_state(d, index), angle)], ExactMapper(d), score=lambda u: 0.0).assembled
+
+
 class TestPhaseImprint:
     def test_zero_angle_identity(self):
-        assert np.array_equal(phase_imprint_unitary(4, PhaseImprint(0.0, 0)), np.eye(4))
+        assert np.array_equal(imprint(4, 0.0, 0), np.eye(4))
 
     def test_pi_on_first_level(self):
-        got = phase_imprint_unitary(2, PhaseImprint(np.pi, 0))
+        got = imprint(2, np.pi, 0)
         assert np.abs(got - np.diag([-1.0, 1.0])).max() < 1e-14
 
     def test_matches_mat_exp_oracle(self):
         lam = 2 * np.pi / 7
         proj = np.zeros((8, 8), dtype=complex)
         proj[7, 7] = 1.0
-        got = phase_imprint_unitary(8, PhaseImprint(lam, 7))
+        got = imprint(8, lam, 7)
         assert np.abs(got - mat_exp(proj, lam)).max() < 1e-10
 
     def test_rejects_bad_index(self):
-        with pytest.raises(ValueError, match="index"):
-            phase_imprint_unitary(3, PhaseImprint(0.5, 3))
+        # level 3 exists only from 4 levels up: a 3-level mapper rejects its vector
+        with pytest.raises(ValueError, match="dimension"):
+            phase_product([(basis_state(4, 3), 0.5)], ExactMapper(3), score=lambda u: 0.0)
 
     def test_angle_wrapped(self):
-        p = PhaseImprint(2 * np.pi + 0.5, 1)
-        assert p.angle == pytest.approx(0.5)
+        assert np.abs(imprint(4, 2 * np.pi + 0.5, 1) - imprint(4, 0.5, 1)).max() < 1e-14
 
 
 class TestApplyAdjoint:

@@ -212,9 +212,13 @@ class TestSynthesizedMaps:
             assert rep.subspace_fidelity >= 0.98
 
     def test_aux_switching_convention(self, synthesized):
+        from unimap.ec import _aux_for_reflection
+        from unimap.subspace import plan_subspace_map
+
         _, reports = synthesized
         # the extraction map touches |4,4_z> then |4,-4_z>: aux must switch
-        assert reports[1].aux_choices == (4, -4)
+        extract = ec_map_specs()[1]
+        assert tuple(_aux_for_reflection(step.reflection) for step in plan_subspace_map(extract)) == (4, -4)
         # every map uses exactly two searches (n = 2, nothing skipped)
         for rep in reports:
             assert len(rep.step_fidelities) == 2
@@ -228,7 +232,7 @@ class TestSynthesizedMaps:
         # robustness survives imperfect maps once dephasing dominates the
         # map-error floor
         maps, _ = synthesized
-        cfg = ECConfig(epsilon_grid=(0.1, 0.2), samples=100, seed=3, maps_mode="synthesized")
+        cfg = ECConfig(epsilon_grid=(0.1, 0.2), samples=100, seed=3)
         res = ec_sweep(cfg, maps)
         assert res.corrected[0] >= res.uncorrected[0] - 1e-3
         assert res.corrected[1] >= res.uncorrected[1] - 1e-3
@@ -264,23 +268,13 @@ class TestSweep:
         res = ec_sweep(ECConfig(epsilon_grid=(0.1, 0.2), average="axes"), ideal_maps)
         assert res.trigger_rate[1] > 0
 
-    def test_default_maps_are_ideal(self):
-        cfg = ECConfig(epsilon_grid=(0.1,), samples=5, seed=2)
-        res = ec_sweep(cfg)
-        assert res.maps_mode == "ideal"
-
-    def test_synthesized_mode_requires_maps(self):
-        cfg = ECConfig(epsilon_grid=(0.1,), samples=5, seed=2, maps_mode="synthesized")
-        with pytest.raises(ValueError, match="explicit maps"):
-            ec_sweep(cfg)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ECConfig(epsilon_grid=(), samples=10)
         with pytest.raises(ValueError):
             ECConfig(epsilon_grid=(0.1,), samples=0)
-        with pytest.raises(ValueError):
-            ECConfig(epsilon_grid=(0.1,), samples=1, maps_mode="other")
+        with pytest.raises(ValueError, match="average"):
+            ECConfig(epsilon_grid=(0.1,), samples=1, average="other")
 
     def test_trigger_rate_matches_projector_oracle(self, ideal_maps):
         # at eps = 0.2 the syndrome fires; the rate is the exact branch
@@ -390,15 +384,17 @@ class TestBatchedTrials:
 
 
 def test_synthesized_maps_equal_two_propagation_form(fixed_search):
-    # each pi-rotation inverts the one propagator it computed; the maps must
-    # equal the form that propagated the same waveform a second time
+    # each pi-rotation phases about the fiducial row of the one propagator
+    # it computed, written into its aux system's levels; the maps must equal
+    # the rank-one product built from a second propagation of the same
+    # waveforms, and the 8-level V† P V lifted into the 9 levels to rounding
     import unimap.ec
     import unimap.subspace
     from unimap.cesium import CesiumParams, build_restricted_system
-    from conftest import apply_adjoint
-    from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
+    from conftest import apply_adjoint, diag_phase
+    from unimap.control import propagate
     from unimap.search import default_search_config
-    from unimap.subspace import phase_correction_factor, plan_subspace_map
+    from unimap.subspace import _rank_one, phase_correction_factor, plan_subspace_map
 
     params = CesiumParams()
     handed_out = fixed_search(unimap.subspace)
@@ -407,14 +403,24 @@ def test_synthesized_maps_equal_two_propagation_form(fixed_search):
     for spec, got in zip(ec_map_specs(), maps):
         steps = plan_subspace_map(spec)
         expected = np.eye(9, dtype=complex)
+        conjugated = np.eye(9, dtype=complex)
         for step in steps:
             if step.skipped:
                 continue
             sys8, wave = next(calls)
-            pi_imprint = phase_imprint_unitary(8, PhaseImprint(np.pi, sys8.fiducial_index))
-            s8 = apply_adjoint(sys8, wave) @ pi_imprint @ propagate(sys8, wave)
-            expected = unimap.ec.embed_aux_system(s8, unimap.ec._aux_for_reflection(step.reflection)) @ expected
+            aux = unimap.ec._aux_for_reflection(step.reflection)
+            assert sys8.name == build_restricted_system(params, aux=aux).name
+            levels = unimap.ec._aux_levels(aux)
+            v8 = propagate(sys8, wave)
+            chi = np.zeros(9, dtype=complex)
+            chi[levels] = v8[sys8.fiducial_index].conj()
+            expected = _rank_one(chi, np.exp(-1j * np.pi) - 1.0) @ expected
+            s9 = np.eye(9, dtype=complex)
+            s9[np.ix_(levels, levels)] = apply_adjoint(sys8, wave) @ diag_phase(8, sys8.fiducial_index, np.pi) @ v8
+            conjugated = s9 @ conjugated
         if spec.phase_correction:
             expected = phase_correction_factor(steps, spec) @ expected
+            conjugated = phase_correction_factor(steps, spec) @ conjugated
         assert np.array_equal(got, expected)
+        assert np.abs(got - conjugated).max() < 1e-12
     assert len(handed_out) == 6 and next(calls, None) is None

@@ -3,27 +3,26 @@
 import numpy as np
 import pytest
 
-from conftest import apply_adjoint
+from conftest import apply_adjoint, diag_phase
 import unimap.subspace
-from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
+from unimap.control import propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.eigensynth import plan_unitary, synthesize_unitary
 from unimap.search import default_search_config
-from unimap.subspace import ExactMapper, SearchedMapper, pair_rotation, phase_product
+from unimap.subspace import ExactMapper, SearchedMapper, _rank_one, pair_rotation, phase_product
 
 
 class GivenMapper:
-    """Test mapper whose V for each vector is handed in, imprinting on level 0."""
+    """Test mapper whose V for each vector is handed in, imprinting on level 0: chi = V†e_0."""
 
     def __init__(self, dim, v_of):
         self.dim = dim
         self.v_of = v_of
 
-    def phase_about(self, phi, theta):
+    def phase_about(self, phi):
         v = self.v_of(phi)
-        imprint = phase_imprint_unitary(self.dim, PhaseImprint(theta, 0))
         fid = abs(np.vdot(basis_state(self.dim, 0), v @ phi)) ** 2
-        return v.conj().T @ imprint @ v, fid, True, None
+        return v.conj().T @ basis_state(self.dim, 0), fid, True, None
 
 
 def plan_pairs(w):
@@ -42,7 +41,7 @@ class TestPlan:
 
     def test_single_imprint_target(self):
         lam = 1.9
-        w = phase_imprint_unitary(4, PhaseImprint(lam, 0))
+        w = diag_phase(4, 0, lam)
         steps = plan_unitary(w)
         active = [s for s in steps if not s.skippable]
         assert len(active) == 1
@@ -65,28 +64,30 @@ class TestPlan:
 
 class TestExactMapper:
     def test_fiducial_input(self):
-        factor, fid, converged, waveform = ExactMapper(4).phase_about(basis_state(4, 0), 0.9)
-        assert np.abs(factor - phase_imprint_unitary(4, PhaseImprint(0.9, 0))).max() < 1e-12
+        chi, fid, converged, waveform = ExactMapper(4).phase_about(basis_state(4, 0))
+        assert np.array_equal(chi, basis_state(4, 0))
+        assert np.abs(product([(chi, 0.9)], ExactMapper(4)) - diag_phase(4, 0, 0.9)).max() < 1e-12
         assert abs(fid - 1) < 1e-12
         assert converged and waveform is None
 
     def test_swap_case(self):
-        _, fid, _, _ = ExactMapper(2).phase_about(basis_state(2, 1), 1.0)
+        _, fid, _, _ = ExactMapper(2).phase_about(basis_state(2, 1))
         assert fid == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_contract_d16(self):
         rng = np.random.default_rng(1)
         phi = haar_random_state(16, rng)
-        factor, fid, _, _ = ExactMapper(16).phase_about(phi, 2.5)
+        _, fid, _, _ = ExactMapper(16).phase_about(phi)
+        factor = product([(phi, 2.5)], ExactMapper(16))
         assert fid >= 1 - 1e-12
         # the factor imprints the phase on phi and nowhere else
         assert np.linalg.norm(factor @ phi - np.exp(-2.5j) * phi) < 1e-12
 
     def test_rejects_vector_of_wrong_dimension_or_norm(self):
         with pytest.raises(ValueError, match="dimension"):
-            ExactMapper(4).phase_about(basis_state(3, 0), 1.0)
+            ExactMapper(4).phase_about(basis_state(3, 0))
         with pytest.raises(ValueError, match="norm"):
-            ExactMapper(4).phase_about(2 * basis_state(4, 0), 1.0)
+            ExactMapper(4).phase_about(2 * basis_state(4, 0))
 
     @pytest.mark.parametrize("fid", [0, 3, 7])
     def test_any_fiducial_index(self, fid):
@@ -95,9 +96,9 @@ class TestExactMapper:
         rng = np.random.default_rng(fid)
         phi = haar_random_state(8, rng)
         v, _ = pair_rotation(phi, basis_state(8, fid))
-        want = v.conj().T @ phase_imprint_unitary(8, PhaseImprint(1.0, fid)) @ v
-        factor, got, _, _ = ExactMapper(8).phase_about(phi, 1.0)
-        assert np.abs(factor - want).max() <= 1e-12
+        want = v.conj().T @ diag_phase(8, fid, 1.0) @ v
+        _, got, _, _ = ExactMapper(8).phase_about(phi)
+        assert np.abs(product([(phi, 1.0)], ExactMapper(8)) - want).max() <= 1e-12
         assert got == 1.0
 
 
@@ -108,7 +109,7 @@ class TestAssemble:
     def test_single_manual_step(self):
         lam = 0.77
         got = product([(basis_state(3, 0), lam)], GivenMapper(3, lambda phi: np.eye(3, dtype=complex)))
-        assert np.abs(got - phase_imprint_unitary(3, PhaseImprint(lam, 0))).max() < 1e-14
+        assert np.abs(got - diag_phase(3, 0, lam)).max() < 1e-14
 
     @pytest.mark.parametrize("d", list(range(2, 9)))
     def test_exact_haar_targets(self, d):
@@ -192,7 +193,7 @@ class TestSynthesizeWaveform:
         assert report.fidelity == pytest.approx(1.0)
 
     def test_fiducial_imprint_trivial_search(self, cesium):
-        w = phase_imprint_unitary(8, PhaseImprint(np.pi, 7))
+        w = diag_phase(8, 7, np.pi)
         cfg = default_search_config(cesium, seed=1, max_iterations=200)
         report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
         assert report.searches_performed == 1
@@ -229,15 +230,20 @@ class TestSynthesizeWaveform:
         assert abs(report.fidelity - trace_fidelity(w, report.assembled)) < 1e-12
 
     def test_assembled_equals_two_propagation_form(self, cesium, fixed_search):
-        # each step inverts the one propagator it computed; the result must
-        # equal the form that propagated the same waveform a second time
+        # each step phases about the fiducial row of the one propagator it
+        # computed; the result must equal the rank-one product built from a
+        # second propagation of the same waveforms, and V† P V to rounding
         handed_out = fixed_search(unimap.subspace)
         w = haar_random_unitary(8, np.random.default_rng(11))
         report = synthesize_unitary(w, SearchedMapper(cesium, default_search_config(cesium)))
         active = [s for s in plan_unitary(w) if not s.skippable]
         assert len(active) == len(handed_out) == 8
         expected = np.eye(8, dtype=complex)
+        conjugated = np.eye(8, dtype=complex)
         for step, (sys_m, wave) in zip(active, handed_out):
-            imprint = phase_imprint_unitary(8, PhaseImprint(step.phase, sys_m.fiducial_index))
-            expected = apply_adjoint(sys_m, wave) @ imprint @ propagate(sys_m, wave) @ expected
+            v = propagate(sys_m, wave)
+            expected = _rank_one(v[sys_m.fiducial_index].conj(), np.exp(-1j * step.phase) - 1.0) @ expected
+            imprint = diag_phase(8, sys_m.fiducial_index, step.phase)
+            conjugated = apply_adjoint(sys_m, wave) @ imprint @ v @ conjugated
         assert np.array_equal(report.assembled, expected)
+        assert np.abs(report.assembled - conjugated).max() < 1e-12

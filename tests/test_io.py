@@ -125,6 +125,18 @@ class TestSubspaceSpecJSON:
         assert spec.phase_correction
         assert np.array_equal(spec.target[0], np.array([0, 1j, 0]))
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_phase_correction_rejected(self, tmp_path, value):
+        doc = {
+            "source": [complex_to_pairs([1, 0])],
+            "target": [complex_to_pairs([0, 1])],
+            "phase_correction": value,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="phase_correction"):
+            load_subspace_spec(str(path))
+
     def test_missing_target_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"source": [complex_to_pairs([1, 0])]}))

@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
-from conftest import apply_adjoint
+from conftest import apply_adjoint, diag_phase
 import unimap.subspace
 from unimap.cesium import x_basis_state
-from unimap.control import PhaseImprint, phase_imprint_unitary, propagate
+from unimap.control import propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.search import default_search_config
 from unimap.subspace import (
     ExactMapper,
     SearchedMapper,
     SubspaceMapSpec,
+    _rank_one,
     naive_sequential_map,
     pair_rotation,
     phase_correction_factor,
+    phase_product,
     plan_subspace_map,
     subspace_fidelity,
     synthesize_subspace_map,
@@ -250,18 +252,46 @@ class TestSynthesize:
         assert handed_out == []
 
     def test_assembled_equals_two_propagation_form(self, cesium, fixed_search):
-        # each pi-rotation inverts the one propagator it computed; the result
-        # must equal the form that propagated the same waveform a second time
+        # each pi-rotation phases about the fiducial row of the one
+        # propagator it computed; the result must equal the rank-one product
+        # built from a second propagation of the same waveforms, and V† P V
+        # to rounding
         handed_out = fixed_search(unimap.subspace)
         spec = random_spec(3, 8, seed=12)
         rep = synthesize_subspace_map(spec, SearchedMapper(cesium, default_search_config(cesium)))
         assert len(handed_out) == 3
-        pi_imprint = phase_imprint_unitary(8, PhaseImprint(np.pi, cesium.fiducial_index))
+        pi_imprint = diag_phase(8, cesium.fiducial_index, np.pi)
         expected = np.eye(8, dtype=complex)
+        conjugated = np.eye(8, dtype=complex)
         for sys_m, wave in handed_out:
-            expected = apply_adjoint(sys_m, wave) @ pi_imprint @ propagate(sys_m, wave) @ expected
-        expected = phase_correction_factor(plan_subspace_map(spec), spec) @ expected
-        assert np.array_equal(rep.assembled, expected)
+            v = propagate(sys_m, wave)
+            expected = _rank_one(v[sys_m.fiducial_index].conj(), np.exp(-1j * np.pi) - 1.0) @ expected
+            conjugated = apply_adjoint(sys_m, wave) @ pi_imprint @ v @ conjugated
+        correction = phase_correction_factor(plan_subspace_map(spec), spec)
+        assert np.array_equal(rep.assembled, correction @ expected)
+        assert np.abs(rep.assembled - correction @ conjugated).max() < 1e-12
+
+
+class TestSearchedMapper:
+    def test_chi_is_adjoint_of_fiducial(self, cesium, fixed_search):
+        handed_out = fixed_search(unimap.subspace)
+        phi = haar_random_state(8, np.random.default_rng(13))
+        chi, fid, converged, wave = SearchedMapper(cesium, default_search_config(cesium)).phase_about(phi)
+        ((sys_m, handed),) = handed_out
+        assert sys_m is cesium and wave is handed
+        # the search's own step fidelity and flag, not recomputed from chi
+        assert (fid, converged) == (0.5, False)
+        assert np.array_equal(chi, apply_adjoint(cesium, wave) @ cesium.fiducial_state())
+
+    def test_factor_is_conjugated_imprint(self, cesium, fixed_search):
+        handed_out = fixed_search(unimap.subspace)
+        phi = haar_random_state(8, np.random.default_rng(14))
+        mapper = SearchedMapper(cesium, default_search_config(cesium))
+        rep = phase_product([(phi, 1.3)], mapper, score=lambda u: 0.0)
+        ((_, wave),) = handed_out
+        want = apply_adjoint(cesium, wave) @ diag_phase(8, cesium.fiducial_index, 1.3) @ propagate(cesium, wave)
+        assert np.abs(rep.assembled - want).max() < 1e-12
+        assert rep.step_fidelities == (0.5,) and rep.converged == (False,) and rep.waveforms == (wave,)
 
 
 def test_subspace_fidelity_phase_sensitivity():
