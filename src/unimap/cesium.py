@@ -56,7 +56,7 @@ def spin_operators(F: float) -> SpinOperators:
 
 @dataclass(frozen=True)
 class CesiumParams:
-    """Rates (rad/s) bounding each control channel, plus segment defaults.
+    """Rates (rad/s) bounding each control channel, and the rf detuning of the frame.
 
     The default frame sits on the rf resonance (zero detuning), where the
     drift vanishes and the light shift acts on the fiducial state alone.
@@ -66,10 +66,9 @@ class CesiumParams:
     uw_rabi_max: float = 2 * np.pi * 25e3
     lightshift_max: float = 2 * np.pi * 25e3
     rf_detuning: float = 0.0
-    segment_duration: float = 10e-6
 
     def __post_init__(self):
-        for name in ("rf_rabi_max", "uw_rabi_max", "lightshift_max", "segment_duration"):
+        for name in ("rf_rabi_max", "uw_rabi_max", "lightshift_max"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not math.isfinite(self.rf_detuning):
@@ -87,7 +86,7 @@ class CesiumParams:
         if unknown:
             raise ValueError(f"unknown cesium parameter field: {sorted(unknown)[0]}")
         for name, value in data.items():
-            # bool is an int subclass, but true/false is never a rate or a duration
+            # bool is an int subclass, but true/false is never a rate
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"cesium parameter {name} must be a number, got {value!r}")
         return CesiumParams(**data)

@@ -9,6 +9,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cesium import CONTROL_NAMES, CesiumParams, PRESETS, build_restricted_system
 from .control import ControlSystem, propagate
-from .core import as_state, basis_state
+from .core import as_state, basis_state, trace_fidelity
 from .ec import ECConfig, ec_maps, ec_sweep, synthesize_ec_maps
 from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
@@ -46,6 +47,15 @@ class CliError(ValueError):
     """Configuration problem that should exit with status 2."""
 
 
+#: values a run that searches takes for the search flags it is not given
+SEARCH_DEFAULTS = {"preset": "cs133-f3-aux4", "goal": 0.99, "max_iterations": 5000, "restarts": 3}
+#: the search flags that set a SearchConfig field, each with its field
+CONFIG_FLAGS = {"segments": "segment_count", "segment_duration": "segment_duration", "goal": "fidelity_goal",
+                "max_iterations": "max_iterations", "restarts": "restarts"}
+#: flags that only a search reads; --seed is not one, haar EC sweeps read it too
+SEARCH_FLAGS = ("preset", "params", *CONFIG_FLAGS)
+
+
 def _load_params(path: str | None) -> CesiumParams:
     if path is None:
         return CesiumParams()
@@ -53,8 +63,21 @@ def _load_params(path: str | None) -> CesiumParams:
         return CesiumParams.from_dict(json.load(fh))
 
 
+def _search_flag(args, name: str):
+    """The flag's value as given, else its search default (None if it has none)."""
+    value = getattr(args, name, None)
+    return SEARCH_DEFAULTS.get(name) if value is None else value
+
+
+def _reject_search_flags(args) -> None:
+    """Exit 2 on a search flag given to a run that does not search."""
+    for name in SEARCH_FLAGS:
+        if getattr(args, name, None) is not None:
+            raise CliError(f"--{name.replace('_', '-')} applies only to runs that search")
+
+
 def _resolve_system(args, params: CesiumParams | None = None):
-    preset = getattr(args, "preset", "cs133-f3-aux4")
+    preset = _search_flag(args, "preset")
     if preset not in PRESETS:
         raise CliError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
     return PRESETS[preset](params or _load_params(getattr(args, "params", None)))
@@ -71,50 +94,23 @@ def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
 
 
 def _search_config(args, sys_model) -> SearchConfig:
-    """Search settings from the command's flags; ec-sweep has no segment flags."""
-    overrides = {}
-    if getattr(args, "segments", None) is not None:
-        overrides["segment_count"] = args.segments
-    if getattr(args, "segment_duration", None) is not None:
-        overrides["segment_duration"] = args.segment_duration
-    return default_search_config(
-        sys_model,
-        fidelity_goal=args.goal,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        restarts=args.restarts,
-        **overrides,
-    )
+    """Search settings from the flags given, else SEARCH_DEFAULTS, else the system's default sizing."""
+    given = {field: _search_flag(args, flag) for flag, field in CONFIG_FLAGS.items()}
+    return default_search_config(sys_model, seed=args.seed, **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", default="cs133-f3-aux4", help="control-system preset")
+    p.add_argument("--preset", help="control-system preset (default cs133-f3-aux4)")
     p.add_argument("--params", help="JSON file overriding the cesium parameters")
-    p.add_argument("--segments", type=int, default=None, help="segment count (default: 2 d^2 variables)")
-    p.add_argument("--segment-duration", type=float, default=None, help="segment duration in seconds")
-    p.add_argument("--goal", type=float, default=0.99, help="fidelity goal")
-    p.add_argument("--max-iterations", type=int, default=5000)
+    p.add_argument("--segments", type=int, help="segment count (default: 2 d^2 variables)")
+    p.add_argument("--segment-duration", type=float, help="segment duration in seconds (default 1e-5)")
+    p.add_argument("--goal", type=float, help="fidelity goal (default 0.99)")
+    p.add_argument("--max-iterations", type=int, help="default 5000")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--restarts", type=int, help="default 3")
 
 
-def _manifest(args, command: str, inputs, outputs, seed, t0: float) -> None:
-    primary = outputs[0]
-    save_manifest(
-        str(primary) + ".manifest.json",
-        RunManifest(
-            command=command,
-            config={k: v for k, v in vars(args).items() if k != "func" and v is not None},
-            inputs=[str(p) for p in inputs],
-            outputs=[str(p) for p in outputs],
-            seed=seed,
-            version=__version__,
-            duration_s=time.monotonic() - t0,
-        ),
-    )
-
-
-def cmd_model_info(args) -> int:
+def cmd_model_info(args) -> None:
     params = _load_params(args.params)
     sys_model = _resolve_system(args, params)
     info = {
@@ -132,11 +128,9 @@ def cmd_model_info(args) -> int:
         "reversible_drift": sys_model.reversible_drift,
     }
     print(json.dumps(info, indent=2, sort_keys=True))
-    return 0
 
 
-def cmd_optimize_state(args) -> int:
-    t0 = time.monotonic()
+def cmd_optimize_state(args):
     sys_model = _resolve_system(args)
     psi_i = _resolve_state(args.initial, sys_model)
     psi_f = _resolve_state(args.target, sys_model)
@@ -154,28 +148,13 @@ def cmd_optimize_state(args) -> int:
             "waveform_file": str(args.out_waveform),
             "total_duration_s": result.waveform.total_duration,
             "objective_history": [float(x) for x in result.objective_history],
-            "config": _cfg_dict(cfg),
+            "config": dataclasses.asdict(cfg),
         },
     )
     save_json(args.out_report, report)
-    _manifest(args, "optimize-state", _state_inputs(args), [args.out_report, args.out_waveform], args.seed, t0)
     print(f"fidelity {result.fidelity:.6f} converged={result.converged} iterations={result.iterations}")
-    return 0
-
-
-def _state_inputs(args):
-    return [s for s in (args.initial, args.target) if not s.startswith("basis:") and s != "fiducial"]
-
-
-def _cfg_dict(cfg: SearchConfig) -> dict:
-    return {
-        "segment_count": cfg.segment_count,
-        "segment_duration": cfg.segment_duration,
-        "fidelity_goal": cfg.fidelity_goal,
-        "max_iterations": cfg.max_iterations,
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
-    }
+    inputs = [s for s in (args.initial, args.target) if not s.startswith("basis:") and s != "fiducial"]
+    return inputs, [args.out_report, args.out_waveform]
 
 
 def _load_target(args) -> tuple[np.ndarray, str]:
@@ -186,6 +165,8 @@ def _load_target(args) -> tuple[np.ndarray, str]:
         d = 7 if args.d is None else args.d
         return gate_from_name(args.gate, d), f"{args.gate}:d{d}"
     if args.matrix_file:
+        if args.d is not None:
+            raise CliError("--d goes only with --gate; a --matrix-file sets its own dimension")
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         entries = np.asarray(data["entries"] if isinstance(data, dict) else data, dtype=float)
@@ -200,10 +181,11 @@ def _load_target(args) -> tuple[np.ndarray, str]:
 def _pick_mapper(args, exact: bool, dim: int):
     """The exact mapper on ``dim`` levels, or the searched mapper on the preset, plus its config."""
     if exact:
+        _reject_search_flags(args)
         return ExactMapper(dim), {}
     sys_model = _resolve_system(args)
     cfg = _search_config(args, sys_model)
-    return SearchedMapper(sys_model, cfg), _cfg_dict(cfg)
+    return SearchedMapper(sys_model, cfg), dataclasses.asdict(cfg)
 
 
 def _save_waveforms(prefix, waveforms, start: int = 0) -> list[str]:
@@ -229,8 +211,7 @@ def _step_fields(args, rep) -> dict:
     }
 
 
-def cmd_build_unitary(args) -> int:
-    t0 = time.monotonic()
+def cmd_build_unitary(args):
     target, label = _load_target(args)
     d_block = target.shape[0]
     mapper, cfg = _pick_mapper(args, args.exact_mappers, d_block)
@@ -243,8 +224,7 @@ def cmd_build_unitary(args) -> int:
     rep = synthesize_unitary(target, mapper)
     block_fid = None
     if not args.exact_mappers:
-        block = rep.assembled[:d_block, :d_block]
-        block_fid = min(float(abs(np.trace(target[:d_block, :d_block].conj().T @ block)) / d_block), 1.0)
+        block_fid = trace_fidelity(target[:d_block, :d_block], rep.assembled[:d_block, :d_block])
     report = validate_report(
         "synthesis_report",
         {
@@ -258,14 +238,12 @@ def cmd_build_unitary(args) -> int:
         },
     )
     save_json(args.out_report, report)
-    inputs = [args.matrix_file] if args.matrix_file else []
-    _manifest(args, "build-unitary", inputs, [args.out_report, *report["waveform_files"]], args.seed, t0)
     print(f"trace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
-    return 0
+    inputs = [args.matrix_file] if args.matrix_file else []
+    return inputs, [args.out_report, *report["waveform_files"]]
 
 
-def cmd_build_subspace_map(args) -> int:
-    t0 = time.monotonic()
+def cmd_build_subspace_map(args):
     spec = load_subspace_spec(args.spec)
     mapper, cfg = _pick_mapper(args, args.exact, spec.dim)
     rep = synthesize_subspace_map(spec, mapper)
@@ -285,14 +263,11 @@ def cmd_build_subspace_map(args) -> int:
         },
     )
     save_json(args.out_report, report)
-    outputs = [args.out_report, *report["waveform_files"]]
-    _manifest(args, "build-subspace-map", [args.spec], outputs, args.seed, t0)
     print(f"subspace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
-    return 0
+    return [args.spec], [args.out_report, *report["waveform_files"]]
 
 
-def cmd_ec_sweep(args) -> int:
-    t0 = time.monotonic()
+def cmd_ec_sweep(args):
     if args.epsilons is None:
         grid = tuple(np.geomspace(args.eps_min, args.eps_max, args.eps_count))
     else:
@@ -305,6 +280,7 @@ def cmd_ec_sweep(args) -> int:
     step_fidelities: list[list[float]] = []
     waveform_files: list[str] = []
     if args.maps == "ideal":
+        _reject_search_flags(args)
         maps = ec_maps()
     else:
         params = _load_params(args.params)
@@ -329,13 +305,11 @@ def cmd_ec_sweep(args) -> int:
     )
     meta_path = f"{stem}.meta.json"
     save_json(meta_path, meta)
-    _manifest(args, "ec-sweep", [], [args.out, meta_path, *waveform_files], args.seed, t0)
     print(f"swept {len(grid)} error angles x {cfg.n_states} states ({args.maps} maps)")
-    return 0
+    return [], [args.out, meta_path, *waveform_files]
 
 
-def cmd_wigner(args) -> int:
-    t0 = time.monotonic()
+def cmd_wigner(args):
     state = load_state_json(args.state)
     if args.block:
         try:
@@ -347,13 +321,11 @@ def cmd_wigner(args) -> int:
     state = as_state(state)
     grid = wigner_grid(state / np.linalg.norm(state), n_theta=args.n_theta, n_phi=args.n_phi)
     save_wigner_csv(args.out, grid)
-    _manifest(args, "wigner", [args.state], [args.out], None, t0)
     print(f"wrote {args.n_theta} x {args.n_phi} grid")
-    return 0
+    return [args.state], [args.out]
 
 
-def cmd_verify_clifford(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify_clifford(args):
     report = verify_clifford_relations(args.d, a=args.a)
     doc = {
         "d": report.d,
@@ -369,11 +341,10 @@ def cmd_verify_clifford(args) -> int:
         print(f"{name:24s} max deviation {dev:.3e}{marker}")
     if args.out:
         save_json(args.out, doc)
-        _manifest(args, "verify-clifford", [], [args.out], None, t0)
-    return 0
+        return [], [args.out]
 
 
-def cmd_propagate(args) -> int:
+def cmd_propagate(args) -> None:
     """Utility: propagate a stored waveform and report the fidelity to a target."""
     sys_model = _resolve_system(args)
     w = load_waveform(args.waveform)
@@ -385,7 +356,6 @@ def cmd_propagate(args) -> int:
         psi_f = _resolve_state(args.target_state, sys_model)
         fid = float(abs(np.vdot(psi_f, u @ psi_i)) ** 2)
         print(f"state-map fidelity {fid:.8f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ec.add_argument("--average", choices=("haar", "axes"), default="haar")
     p_ec.add_argument("--out", required=True, help="result CSV path")
     p_ec.add_argument("--params", help="cesium parameter JSON (synthesized maps)")
-    p_ec.add_argument("--goal", type=float, default=0.99)
-    p_ec.add_argument("--max-iterations", type=int, default=5000)
-    p_ec.add_argument("--restarts", type=int, default=3)
+    p_ec.add_argument("--goal", type=float, help="fidelity goal (default 0.99)")
+    p_ec.add_argument("--max-iterations", type=int, help="default 5000")
+    p_ec.add_argument("--restarts", type=int, help="default 3")
     p_ec.set_defaults(func=cmd_ec_sweep)
 
     p_w = sub.add_parser("wigner", help="emit a Wigner sphere grid as CSV")
@@ -474,13 +444,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; when its handler returns the (inputs, outputs) it wrote, write their manifest."""
     args = _parser().parse_args(argv)
     # the cached parser holds the handlers it was built with: call the
     # module's current binding, so a handler rebound since (by a test or a
     # tracer) is the one that runs
     handler = globals()[args.func.__name__]
+    t0 = time.monotonic()
     try:
-        return handler(args)
+        written = handler(args)
+        if written is not None:
+            inputs, outputs = written
+            save_manifest(
+                f"{outputs[0]}.manifest.json",
+                RunManifest(
+                    command=args.command,
+                    config={k: v for k, v in vars(args).items() if k != "func" and v is not None},
+                    inputs=[str(p) for p in inputs],
+                    outputs=[str(p) for p in outputs],
+                    seed=getattr(args, "seed", None),
+                    version=__version__,
+                    duration_s=time.monotonic() - t0,
+                ),
+            )
+        return 0
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -171,23 +171,24 @@ class Waveform:
         )
 
 
+def _first_violation(sys: ControlSystem, amps: np.ndarray):
+    """(control, segment) of the first non-finite or out-of-bounds entry, control by control; None if all pass."""
+    low, high = sys.bound_array
+    ok = np.isfinite(amps) & (amps >= low - AMPLITUDE_TOL) & (amps <= high + AMPLITUDE_TOL)
+    return None if ok.all() else np.argwhere(~ok.T)[0]
+
+
 def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
     """Reject waveforms whose amplitudes are non-finite or violate the system's bounds."""
     if w.n_controls != sys.n_controls:
         raise ValueError(f"waveform has {w.n_controls} controls, system has {sys.n_controls}")
-    amps = w.amplitudes
-    low, high = sys.bound_array
-    if np.all(np.isfinite(amps) & (amps >= low - AMPLITUDE_TOL) & (amps <= high + AMPLITUDE_TOL)):
-        return
-    # some entry is bad: scan control by control for the first one to report
-    for k, (lo, hi) in enumerate(sys.amplitude_bounds):
-        col = amps[:, k]
-        bad = np.where(~np.isfinite(col) | (col < lo - AMPLITUDE_TOL) | (col > hi + AMPLITUDE_TOL))[0]
-        if bad.size:
-            raise ValueError(
-                f"amplitude {col[bad[0]]:g} of control {k} in segment {bad[0]} "
-                f"violates bounds [{lo:g}, {hi:g}]"
-            )
+    bad = _first_violation(sys, w.amplitudes)
+    if bad is not None:
+        k, m = bad
+        lo, hi = sys.amplitude_bounds[k]
+        raise ValueError(
+            f"amplitude {w.amplitudes[m, k]:g} of control {k} in segment {m} violates bounds [{lo:g}, {hi:g}]"
+        )
 
 
 def segment_hamiltonians(sys: ControlSystem, w: Waveform) -> np.ndarray:
@@ -250,14 +251,11 @@ def reverse_waveform(sys: ControlSystem, w: Waveform) -> Waveform:
         raise ValueError("drift is not reversible and is nonzero; cannot time-reverse")
     check_amplitudes(sys, w)
     neg = -w.amplitudes
-    for k, (lo, hi) in enumerate(sys.amplitude_bounds):
-        col = neg[:, k]
-        bad = np.where((col < lo - AMPLITUDE_TOL) | (col > hi + AMPLITUDE_TOL))[0]
-        if bad.size:
-            raise ValueError(
-                f"negated amplitude of control {k} in segment {bad[0]} "
-                f"falls outside bounds [{lo:g}, {hi:g}]"
-            )
+    bad = _first_violation(sys, neg)
+    if bad is not None:
+        k, m = bad
+        lo, hi = sys.amplitude_bounds[k]
+        raise ValueError(f"negated amplitude of control {k} in segment {m} falls outside bounds [{lo:g}, {hi:g}]")
     return Waveform(w.durations[::-1].copy(), neg[::-1].copy())
 
 

@@ -19,7 +19,6 @@ TWO_PI = 2.0 * np.pi
 STATE_NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
-PHASE_CLUSTER_TOL = 1e-9
 
 
 def as_state(psi, d: int | None = None) -> np.ndarray:
@@ -115,10 +114,11 @@ class SpectralDecomposition:
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a unitary with orthonormal eigenvectors.
 
-    Uses the complex Schur form, which is diagonal for normal matrices and
-    returns an orthonormal vector set even when eigenphases are degenerate
-    or clustered; a QR pass re-orthonormalizes any phase cluster closer
-    than ``PHASE_CLUSTER_TOL`` as a guard against Schur residue.
+    Uses the complex Schur form Q†UQ = T, whose Q is unitary for any
+    square matrix and whose T is diagonal for a normal one (Golub & Van
+    Loan, Matrix Computations, section 7.1): the Schur vectors are the
+    eigenvectors, orthonormal even when eigenphases are degenerate or
+    clustered.  They are returned in stable order of ascending phase.
     """
     u = assert_unitary(u)
     t, z = scipy.linalg.schur(u, output="complex")
@@ -127,29 +127,7 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     # 2pi-within-tolerance wraps back to phase 0
     phases[phases >= TWO_PI - 1e-15] = 0.0
     order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    vectors = z[:, order]
-    for start, stop in _phase_clusters(phases):
-        if stop - start > 1:
-            q, _ = np.linalg.qr(vectors[:, start:stop])
-            vectors[:, start:stop] = q
-    return SpectralDecomposition(phases=phases, vectors=vectors)
-
-
-def _phase_clusters(phases: np.ndarray):
-    """Index ranges of sorted phases closer than the degeneracy threshold.
-
-    Wraparound clusters (phases near 0 and near 2pi) cannot occur because
-    phases within tolerance of 2pi were already mapped to 0.
-    """
-    clusters = []
-    start = 0
-    for i in range(1, len(phases)):
-        if phases[i] - phases[i - 1] > PHASE_CLUSTER_TOL:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, len(phases)))
-    return clusters
+    return SpectralDecomposition(phases=phases[order], vectors=z[:, order])
 
 
 def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:

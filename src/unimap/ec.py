@@ -170,9 +170,6 @@ class ECResult:
     corrected: tuple[float, ...]
     uncorrected: tuple[float, ...]
     trigger_rate: tuple[float, ...]
-    samples: int
-    seed: int
-    average: str
 
 
 def ec_sweep(cfg: ECConfig, maps) -> ECResult:
@@ -204,9 +201,6 @@ def ec_sweep(cfg: ECConfig, maps) -> ECResult:
         corrected=tuple(corrected),
         uncorrected=tuple(uncorrected),
         trigger_rate=tuple(trigger),
-        samples=cfg.samples,
-        seed=cfg.seed,
-        average=cfg.average,
     )
 
 

@@ -4,7 +4,8 @@ Any unitary factors into commuting terms exp(-i lambda_j |phi_j><phi_j|),
 one per eigenpair.  Each factor is realized as V† (imprint of lambda_j on
 the fiducial state) V, where V is any map sending phi_j to the fiducial:
 the product runs through the phase-about-a-vector builder of ``subspace``,
-with V from the exact reflection mapper or from the searched mapper.
+which needs only chi = V†|fiducial>.  The exact mapper gives chi = phi_j
+with no V at all; the searched mapper takes chi from a searched V.
 """
 
 from __future__ import annotations

@@ -107,11 +107,14 @@ def save_state_json(path: str, psi) -> None:
 
 
 def load_subspace_spec(path: str) -> SubspaceMapSpec:
-    """Subspace spec from JSON with named (or listed) basis vectors."""
+    """Subspace spec from JSON with named (or listed) basis vectors; unknown fields are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: spec must be a JSON object")
+    unknown = set(data) - {"source", "target", "phase_correction"}
+    if unknown:
+        raise ValueError(f"{path}: unknown spec field: {sorted(unknown)[0]}")
 
     def basis(field: str):
         if field not in data:

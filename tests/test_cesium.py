@@ -129,7 +129,7 @@ class TestParams:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "name", ["rf_rabi_max", "uw_rabi_max", "lightshift_max", "segment_duration", "rf_detuning"]
+        "name", ["rf_rabi_max", "uw_rabi_max", "lightshift_max", "rf_detuning"]
     )
     def test_rejects_non_finite(self, name, bad):
         with pytest.raises(ValueError, match=name):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -46,7 +47,7 @@ class TestModelInfo:
 
     @pytest.mark.parametrize("text, field", [
         ('{"rf_rabi_max": "1e5"}', "rf_rabi_max"),
-        ('{"segment_duration": null}', "segment_duration"),
+        ('{"uw_rabi_max": null}', "uw_rabi_max"),
         ('{"rf_detuning": true}', "rf_detuning"),
     ])
     def test_non_number_param_exits_2_without_json(self, tmp_path, capsys, text, field):
@@ -153,6 +154,18 @@ class TestOptimizeState:
         assert "uw_rabi_max" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
+    def test_segment_duration_param_exits_2_as_unknown_field(self, tmp_path, capsys):
+        # segment lengths come from the search flags; a params file cannot set them
+        params = tmp_path / "p.json"
+        params.write_text('{"segment_duration": 2e-5}')
+        code = run([
+            "optimize-state", "--initial", "fiducial", "--target", "basis:0", "--params", str(params),
+            "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "unknown cesium parameter field: segment_duration" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
     def test_bad_state_dimension_exits_2(self, tmp_path, capsys):
         state = tmp_path / "psi.json"
         state.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
@@ -196,6 +209,21 @@ class TestBuildUnitary:
                     "--out-report", str(tmp_path / "r.json")]) == 2
         assert "dimension must be >= 2" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
+
+    def test_dimension_with_matrix_file_exits_2_without_report(self, tmp_path, capsys):
+        mfile = tmp_path / "m2.json"
+        mfile.write_text(json.dumps({"entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}))
+        assert run(["build-unitary", "--matrix-file", str(mfile), "--d", "5", "--exact-mappers",
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "--d" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m2.json"]
+
+    def test_search_flag_with_exact_mappers_exits_2_without_report(self, tmp_path, capsys):
+        # the params file is never read: the flag itself is the error
+        assert run(["build-unitary", "--gate", "X", "--d", "3", "--exact-mappers",
+                    "--params", "/nonexistent.json", "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "--params applies only to runs that search" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_matrix_file_input(self, tmp_path):
         # pi phase imprint on the last level of d=3, as an explicit matrix
@@ -284,6 +312,28 @@ class TestSubspaceMapCLI:
         assert "phase_correction" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
+    def test_misspelt_field_exits_2_without_report(self, tmp_path, capsys):
+        spec = {
+            "source": [complex_to_pairs(np.eye(8)[0])],
+            "target": [complex_to_pairs(np.eye(8)[2])],
+            "phase_corection": False,
+        }
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run(["build-subspace-map", "--spec", str(spec_file), "--exact",
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "unknown spec field: phase_corection" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_search_flag_with_exact_exits_2_without_report(self, tmp_path, capsys):
+        spec = {"source": [complex_to_pairs(np.eye(8)[0])], "target": [complex_to_pairs(np.eye(8)[2])]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run(["build-subspace-map", "--spec", str(spec_file), "--exact", "--segments", "12",
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "--segments applies only to runs that search" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"source": []}))
@@ -322,6 +372,12 @@ class TestECSweep:
         # an explicitly empty grid is an error, not a fall-back to the default grid
         assert run(["ec-sweep", "--epsilons", "", "--out", str(tmp_path / "x.csv")]) == 2
         assert "--epsilons" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_search_flags_with_ideal_maps_exit_2_without_outputs(self, tmp_path, capsys):
+        assert run(["ec-sweep", "--maps", "ideal", "--params", "nonexistent.json", "--goal", "0.5",
+                    "--out", str(tmp_path / "ec.csv")]) == 2
+        assert "--params applies only to runs that search" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_axes_mode_reports_states_averaged(self, tmp_path, capsys):
@@ -438,6 +494,27 @@ def test_parser_is_built_once_and_keeps_no_flags(tmp_path, monkeypatch):
 def test_rebound_handler_runs_after_parser_is_cached(monkeypatch):
     assert run(["model", "info"]) == 0  # builds and caches the parser
     seen = []
-    monkeypatch.setattr(unimap.cli, "cmd_model_info", lambda args: seen.append(args.preset) or 0)
+    monkeypatch.setattr(unimap.cli, "cmd_model_info", lambda args: seen.append(args.preset))
     assert run(["model", "info", "cs133-f3-aux-4"]) == 0
     assert seen == ["cs133-f3-aux-4"]
+
+
+def test_manifest_config_lists_only_flags_given(tmp_path):
+    report = tmp_path / "r.json"
+    assert run(["optimize-state", "--initial", "fiducial", "--target", "basis:0", "--max-iterations", "0",
+                "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(report)]) == 0
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["command"] == "optimize-state" and manifest["seed"] == 0
+    assert "restarts" not in manifest["config"] and manifest["config"]["max_iterations"] == 0
+    # the report keeps the effective search settings
+    config = json.loads(report.read_text())["config"]
+    assert (config["restarts"], config["fidelity_goal"], config["max_iterations"]) == (3, 0.99, 0)
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("unimap ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -371,6 +371,27 @@ class TestWaveformValidation:
             check_amplitudes(cesium, w)
         assert str(err.value) == expected
 
+    def test_both_checks_name_the_first_bad_entry_by_control(self):
+        # bad entries at (segment 0, control 3) and (segment 2, control 1):
+        # the scan goes control by control, so both checks name control 1
+        sys = ControlSystem(
+            drift=np.zeros((2, 2)),
+            controls=(np.diag([1.0, -1.0]).astype(complex),) * 4,
+            amplitude_bounds=((-0.2, 1.0),) * 4,
+            fiducial_index=0,
+        )
+        durations = np.full(3, 1e-6)
+        over = np.full((3, 4), 0.1)
+        over[0, 3] = over[2, 1] = 1.5
+        with pytest.raises(ValueError) as err:
+            check_amplitudes(sys, Waveform(durations, over))
+        assert str(err.value) == "amplitude 1.5 of control 1 in segment 2 violates bounds [-0.2, 1]"
+        flipped = np.full((3, 4), 0.1)
+        flipped[0, 3] = flipped[2, 1] = 0.9
+        with pytest.raises(ValueError) as err:
+            reverse_waveform(sys, Waveform(durations, flipped))
+        assert str(err.value) == "negated amplitude of control 1 in segment 2 falls outside bounds [-0.2, 1]"
+
     def test_check_amplitudes_admits_tolerance(self, cesium):
         amps = np.ones((2, cesium.n_controls))
         amps[0] += 0.5 * AMPLITUDE_TOL

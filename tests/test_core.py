@@ -16,6 +16,7 @@ from unimap.core import (
     trace_fidelity,
     unitarity_defect,
 )
+from unimap.gates import gate_from_name
 
 
 def random_hermitian(d, rng):
@@ -103,13 +104,21 @@ class TestEigUnitary:
         gram = dec.vectors.conj().T @ dec.vectors
         assert np.abs(gram - np.eye(d)).max() < 1e-10
 
-    @pytest.mark.parametrize("d", [4, 9, 16])
-    def test_degenerate_spectra(self, d):
-        rng = np.random.default_rng(200 + d)
-        v = haar_random_unitary(d, rng)
-        # half the phases coincide exactly
-        phases = np.concatenate([np.full(d // 2, 1.234), rng.uniform(0, 2 * np.pi, d - d // 2)])
-        u = (v * np.exp(-1j * phases)) @ v.conj().T
+    @pytest.mark.parametrize("case", [4, 9, 16, "H", "S", "G:2"])
+    def test_degenerate_spectra(self, case):
+        if isinstance(case, int):
+            d = case
+            rng = np.random.default_rng(200 + d)
+            v = haar_random_unitary(d, rng)
+            # half the phases coincide exactly
+            phases = np.concatenate([np.full(d // 2, 1.234), rng.uniform(0, 2 * np.pi, d - d // 2)])
+            u = (v * np.exp(-1j * phases)) @ v.conj().T
+        else:
+            # a d=7 gate padded to the 8-level model as build-unitary pads it;
+            # eigenvalue 1 then occurs three or four times
+            d = 8
+            u = np.eye(d, dtype=complex)
+            u[:7, :7] = gate_from_name(case, 7)
         dec = eig_unitary(u)
         assert np.abs(dec.reassemble() - u).max() < 1e-10
         gram = dec.vectors.conj().T @ dec.vectors
