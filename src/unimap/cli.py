@@ -52,8 +52,9 @@ SEARCH_DEFAULTS = {"preset": "cs133-f3-aux4", "goal": 0.99, "max_iterations": 50
 #: the search flags that set a SearchConfig field, each with its field
 CONFIG_FLAGS = {"segments": "segment_count", "segment_duration": "segment_duration", "goal": "fidelity_goal",
                 "max_iterations": "max_iterations", "restarts": "restarts"}
-#: flags that only a search reads; --seed is not one, haar EC sweeps read it too
-SEARCH_FLAGS = ("preset", "params", *CONFIG_FLAGS)
+#: flags that only a search reads (exact builds write no waveforms); --seed
+#: is not one, haar EC sweeps read it too
+SEARCH_FLAGS = ("preset", "params", "waveform_dir", *CONFIG_FLAGS)
 
 
 def _load_params(path: str | None) -> CesiumParams:
@@ -268,6 +269,8 @@ def cmd_build_subspace_map(args):
 
 
 def cmd_ec_sweep(args):
+    if args.samples is not None and args.average == "axes":
+        raise CliError("--samples applies only to --average haar; axes mode averages the six Bloch-axis states")
     if args.epsilons is None:
         grid = tuple(np.geomspace(args.eps_min, args.eps_max, args.eps_count))
     else:
@@ -275,7 +278,8 @@ def cmd_ec_sweep(args):
             grid = tuple(float(x) for x in args.epsilons.split(","))
         except ValueError:
             raise CliError(f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
-    cfg = ECConfig(epsilon_grid=grid, samples=args.samples, seed=args.seed, average=args.average)
+    samples = ECConfig.samples if args.samples is None else args.samples
+    cfg = ECConfig(epsilon_grid=grid, samples=samples, seed=args.seed, average=args.average)
     stem = Path(args.out).with_suffix("")
     step_fidelities: list[list[float]] = []
     waveform_files: list[str] = []
@@ -294,7 +298,7 @@ def cmd_ec_sweep(args):
         "ec_metadata",
         {
             "seed": cfg.seed,
-            "samples": cfg.samples,
+            "samples": cfg.n_states,
             "maps_mode": args.maps,
             "average": cfg.average,
             "epsilon_grid": [float(e) for e in cfg.epsilon_grid],
@@ -346,12 +350,14 @@ def cmd_verify_clifford(args):
 
 def cmd_propagate(args) -> None:
     """Utility: propagate a stored waveform and report the fidelity to a target."""
+    if (args.initial_state is None) != (args.target_state is None):
+        raise CliError("give --initial-state and --target-state together, or neither")
     sys_model = _resolve_system(args)
     w = load_waveform(args.waveform)
     u = propagate(sys_model, w)
     print(f"propagator unitary on d={sys_model.dim}, {w.n_segments} segments, "
           f"{w.total_duration:.6g} s total")
-    if args.target_state and args.initial_state:
+    if args.target_state is not None:
         psi_i = _resolve_state(args.initial_state, sys_model)
         psi_f = _resolve_state(args.target_state, sys_model)
         fid = float(abs(np.vdot(psi_f, u @ psi_i)) ** 2)
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ec.add_argument("--eps-min", type=float, default=0.02)
     p_ec.add_argument("--eps-max", type=float, default=0.3)
     p_ec.add_argument("--eps-count", type=int, default=9)
-    p_ec.add_argument("--samples", type=int, default=200)
+    p_ec.add_argument("--samples", type=int, help="Haar states averaged (haar mode only; default 200)")
     p_ec.add_argument("--seed", type=int, default=0)
     p_ec.add_argument("--average", choices=("haar", "axes"), default="haar")
     p_ec.add_argument("--out", required=True, help="result CSV path")

@@ -176,32 +176,20 @@ def ec_sweep(cfg: ECConfig, maps) -> ECResult:
     """Haar (Monte Carlo) or exact 2-design average of both curves over the grid.
 
     Each trial sums over both measurement outcomes, so only the qubit
-    states are sampled: in haar mode trial i_s of error angle i_eps draws
-    its qubit from the rng stream (seed, i_eps, i_s), so the result is
-    independent of execution order and fully reproducible; axes mode uses
-    the six Bloch-axis states and no rng.  All trials of one error angle
-    run as a single ``run_ec_trials`` batch, and the trigger rate is the
-    mean P(F=4).
+    states are sampled, and only once per sweep: haar mode draws
+    ``cfg.samples`` states from one generator seeded with ``cfg.seed``, and
+    axes mode takes the six Bloch-axis states and builds no rng.  Every
+    error angle averages those same states in one ``run_ec_trials`` batch;
+    the trigger rate is the mean P(F=4).
     """
-    n = cfg.n_states
-    corrected, uncorrected, trigger = [], [], []
-    for i_eps, eps in enumerate(cfg.epsilon_grid):
-        if cfg.average == "axes":
-            qubits = np.array(BLOCH_AXIS_STATES)
-        else:
-            streams = (np.random.default_rng([cfg.seed, i_eps, i_s]) for i_s in range(n))
-            qubits = np.array([haar_random_state(2, rng) for rng in streams])
-        fc, fu, p4 = run_ec_trials(qubits, eps, maps)
-        # summed in trial order, as a running total would be, not pairwise
-        corrected.append(sum(fc.tolist()) / n)
-        uncorrected.append(sum(fu.tolist()) / n)
-        trigger.append(sum(p4.tolist()) / n)
-    return ECResult(
-        epsilon=cfg.epsilon_grid,
-        corrected=tuple(corrected),
-        uncorrected=tuple(uncorrected),
-        trigger_rate=tuple(trigger),
-    )
+    if cfg.average == "axes":
+        qubits = np.array(BLOCH_AXIS_STATES)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        qubits = np.array([haar_random_state(2, rng) for _ in range(cfg.samples)])
+    means = np.array([[row.mean() for row in run_ec_trials(qubits, eps, maps)] for eps in cfg.epsilon_grid])
+    corrected, uncorrected, trigger = (tuple(col) for col in means.T.tolist())
+    return ECResult(cfg.epsilon_grid, corrected, uncorrected, trigger)
 
 
 def _aux_levels(aux: int) -> list[int]:

@@ -218,7 +218,8 @@ def search_state_map(
         return Waveform(durations, x.reshape(shape))
 
     x = amps.ravel()
-    j_val, grad = _objective_and_gradient(sys, make_wave(x), psi_i, psi_f)
+    wave = make_wave(x)
+    j_val, grad = _objective_and_gradient(sys, wave, psi_i, psi_f)
     history = [j_val]
     memory: deque = deque(maxlen=LBFGS_MEMORY)
     iterations = 0
@@ -232,7 +233,8 @@ def search_state_map(
         while alpha > MIN_STEP:
             trial = np.clip(x + alpha * p, lo, hi)
             rise = float(grad @ (trial - x))
-            fwd = _forward(sys, make_wave(trial), psi_i, psi_f)
+            trial_wave = make_wave(trial)
+            fwd = _forward(sys, trial_wave, psi_i, psi_f)
             j_trial = _fidelity(fwd[0])
             if rise > 0 and j_trial >= j_val + ARMIJO_C * rise:
                 break
@@ -243,17 +245,17 @@ def search_state_map(
                 break
             memory.clear()
             continue
-        grad_new = _gradient(sys, make_wave(trial), psi_f, *fwd)
+        grad_new = _gradient(sys, trial_wave, psi_f, *fwd)
         s, y = trial - x, grad - grad_new
         # keep only pairs with positive curvature, so the two-loop estimate
         # stays positive definite and its direction stays an ascent one
         if s @ y > 1e-10 * (y @ y):
             memory.append((s, y))
-        x, j_val, grad = trial, j_trial, grad_new
+        x, wave, j_val, grad = trial, trial_wave, j_trial, grad_new
         iterations += 1
         history.append(j_val)
     return SearchResult(
-        waveform=make_wave(x),
+        waveform=wave,
         fidelity=j_val,
         iterations=iterations,
         converged=j_val >= cfg.fidelity_goal,

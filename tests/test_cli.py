@@ -225,6 +225,13 @@ class TestBuildUnitary:
         assert "--params applies only to runs that search" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_waveform_dir_with_exact_mappers_exits_2_without_outputs(self, tmp_path, capsys):
+        # an exact build writes no waveforms, so the directory would never be read
+        assert run(["build-unitary", "--gate", "X", "--d", "3", "--exact-mappers",
+                    "--waveform-dir", str(tmp_path / "wd" / "x"), "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "--waveform-dir applies only to runs that search" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_matrix_file_input(self, tmp_path):
         # pi phase imprint on the last level of d=3, as an explicit matrix
         m = np.diag([1.0, 1.0, -1.0]).astype(complex)
@@ -334,6 +341,15 @@ class TestSubspaceMapCLI:
         assert "--segments applies only to runs that search" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
+    def test_waveform_dir_with_exact_exits_2_without_outputs(self, tmp_path, capsys):
+        spec = {"source": [complex_to_pairs(np.eye(8)[0])], "target": [complex_to_pairs(np.eye(8)[2])]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run(["build-subspace-map", "--spec", str(spec_file), "--exact", "--waveform-dir", str(tmp_path / "wd"),
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "--waveform-dir applies only to runs that search" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"source": []}))
@@ -381,11 +397,23 @@ class TestECSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_axes_mode_reports_states_averaged(self, tmp_path, capsys):
-        assert run(["ec-sweep", "--average", "axes", "--epsilons", "0.1", "--samples", "200",
-                    "--out", str(tmp_path / "ec.csv")]) == 0
+        assert run(["ec-sweep", "--average", "axes", "--epsilons", "0.1", "--out", str(tmp_path / "ec.csv")]) == 0
         assert "x 6 states" in capsys.readouterr().out
         meta = json.loads((tmp_path / "ec.meta.json").read_text())
+        assert meta["samples"] == 6
+
+    def test_haar_mode_defaults_to_200_samples(self, tmp_path, capsys):
+        assert run(["ec-sweep", "--epsilons", "0.1", "--out", str(tmp_path / "ec.csv")]) == 0
+        assert "x 200 states" in capsys.readouterr().out
+        meta = json.loads((tmp_path / "ec.meta.json").read_text())
         assert meta["samples"] == 200
+
+    def test_samples_with_axes_mode_exits_2_without_outputs(self, tmp_path, capsys):
+        # axes mode averages the six Bloch-axis states whatever --samples says
+        assert run(["ec-sweep", "--average", "axes", "--samples", "5000", "--maps", "synthesized",
+                    "--out", str(tmp_path / "ec.csv")]) == 2
+        assert "--samples applies only to --average haar" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWignerCLI:
@@ -442,6 +470,12 @@ class TestPropagateCLI:
 
     def test_missing_file_exits_2(self):
         assert run(["propagate", "--waveform", "/nonexistent/w.csv"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--initial-state", "--target-state"])
+    def test_one_sided_state_exits_2(self, capsys, flag):
+        # the waveform file is never read: a fidelity needs both states
+        assert run(["propagate", "--waveform", "/nonexistent/w.csv", flag, "fiducial"]) == 2
+        assert "--initial-state and --target-state together" in capsys.readouterr().err
 
 
 def test_fiducial_state_follows_system_index(two_level):

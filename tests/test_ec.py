@@ -284,13 +284,21 @@ class TestSweep:
         res = ec_sweep(cfg, ideal_maps)
         encode, extract, _ = ideal_maps
         p4_sum = 0.0
-        for i_s in range(n):
-            rng = np.random.default_rng([seed, 0, i_s])
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
             qubit = haar_random_state(2, rng)
             psi = extract @ error_channel(eps) @ encode @ physical_qubit_state(qubit)
             p4_sum += float(np.sum(np.abs(psi[7:]) ** 2))
         assert res.trigger_rate[0] > 0
         assert abs(res.trigger_rate[0] - p4_sum / n) <= 1e-12
+
+    def test_every_error_angle_averages_the_same_states(self, ideal_maps):
+        # the sweep draws its qubits once, so a grid's rows equal one-angle sweeps bit for bit
+        both = ec_sweep(ECConfig(epsilon_grid=(0.1, 0.25), samples=50, seed=3), ideal_maps)
+        for i, eps in enumerate(both.epsilon):
+            one = ec_sweep(ECConfig(epsilon_grid=(eps,), samples=50, seed=3), ideal_maps)
+            assert (one.corrected[0], one.uncorrected[0], one.trigger_rate[0]) == (
+                both.corrected[i], both.uncorrected[i], both.trigger_rate[i])
 
     def test_axes_average_equals_rotated_octahedron(self, ideal_maps):
         # both curves and the trigger rate are at most quadratic in the
@@ -329,14 +337,17 @@ def _reference_trial(qubit, eps, maps):
 
 
 def _reference_sweep(cfg, maps):
-    """One state at a time through the branch reference, summed in trial order."""
+    """One state at a time through the branch reference, summed in trial order.
+
+    The qubits are drawn once, before the error angles, from one generator.
+    """
+    if cfg.average == "axes":
+        qubits = BLOCH_AXIS_STATES
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        qubits = [haar_random_state(2, rng) for _ in range(cfg.samples)]
     corrected, uncorrected, trigger = [], [], []
-    for i_eps, eps in enumerate(cfg.epsilon_grid):
-        if cfg.average == "axes":
-            qubits = BLOCH_AXIS_STATES
-        else:
-            streams = (np.random.default_rng([cfg.seed, i_eps, i_s]) for i_s in range(cfg.samples))
-            qubits = [haar_random_state(2, rng) for rng in streams]
+    for eps in cfg.epsilon_grid:
         rows = [_reference_trial(q, eps, maps) for q in qubits]
         corrected.append(sum(r[0] for r in rows) / len(rows))
         uncorrected.append(sum(r[1] for r in rows) / len(rows))
