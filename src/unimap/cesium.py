@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .control import ControlSystem, Waveform
+from .control import ControlSystem
 from .core import mat_exp
 
 DIM = 8
@@ -132,7 +132,6 @@ def build_restricted_system(params: CesiumParams | None = None, aux: int = +4) -
         controls=controls,
         amplitude_bounds=((-1.0, 1.0),) * len(controls),
         fiducial_index=FIDUCIAL_INDEX,
-        reversible_drift=True,
         name=f"cs133-f3-aux{aux:+d}".replace("+", ""),
     )
 
@@ -147,21 +146,6 @@ def x_basis_state(F: float, m_x: float) -> np.ndarray:
     z_state = np.zeros(two_f + 1, dtype=complex)
     z_state[idx] = 1.0
     return mat_exp(ops.fy, np.pi / 2) @ z_state
-
-
-def lightshift_imprint_waveform(params: CesiumParams, angle: float) -> Waveform:
-    """Single light-shift segment realizing the fiducial phase imprint.
-
-    Duration angle / lightshift_max at full amplitude.  Assembly does not
-    play this segment: ``subspace.phase_product`` forms each factor
-    I + (e^{-i angle} - 1)|chi><chi| in closed form from the mapper's chi.
-    """
-    angle = float(np.mod(angle, 2 * np.pi))
-    if angle == 0.0:
-        return Waveform.empty(len(CONTROL_NAMES))
-    amps = np.zeros(len(CONTROL_NAMES))
-    amps[CONTROL_NAMES.index("light_shift")] = 1.0
-    return Waveform.constant(angle / params.lightshift_max, amps)
 
 
 PRESETS = {

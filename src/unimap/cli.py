@@ -47,13 +47,14 @@ class CliError(ValueError):
     """Configuration problem that should exit with status 2."""
 
 
-#: values a run that searches takes for the search flags it is not given
-SEARCH_DEFAULTS = {"preset": "cs133-f3-aux4", "goal": 0.99, "max_iterations": 5000, "restarts": 3}
+#: values a run that searches takes for the search flags it is not given (haar EC sweeps read seed too)
+SEARCH_DEFAULTS = {"preset": "cs133-f3-aux4", "goal": 0.99, "max_iterations": 5000, "restarts": 3, "seed": 0}
+#: geomspace(eps_min, eps_max, eps_count) is the EC error-angle grid when --epsilons is not given
+EPS_DEFAULTS = {"eps_min": 0.02, "eps_max": 0.3, "eps_count": 9}
 #: the search flags that set a SearchConfig field, each with its field
 CONFIG_FLAGS = {"segments": "segment_count", "segment_duration": "segment_duration", "goal": "fidelity_goal",
                 "max_iterations": "max_iterations", "restarts": "restarts"}
-#: flags that only a search reads (exact builds write no waveforms); --seed
-#: is not one, haar EC sweeps read it too
+#: flags that only a search reads (exact builds write no waveforms)
 SEARCH_FLAGS = ("preset", "params", "waveform_dir", *CONFIG_FLAGS)
 
 
@@ -64,21 +65,35 @@ def _load_params(path: str | None) -> CesiumParams:
         return CesiumParams.from_dict(json.load(fh))
 
 
-def _search_flag(args, name: str):
-    """The flag's value as given, else its search default (None if it has none)."""
+def _flag(args, name: str, defaults=SEARCH_DEFAULTS):
+    """The flag's value as given, else its default (None if it has none)."""
     value = getattr(args, name, None)
-    return SEARCH_DEFAULTS.get(name) if value is None else value
+    return defaults.get(name) if value is None else value
 
 
-def _reject_search_flags(args) -> None:
-    """Exit 2 on a search flag given to a run that does not search."""
-    for name in SEARCH_FLAGS:
+def _reject_flags(args, names, scope: str = "runs that search") -> None:
+    """Exit 2 on a flag given to a run that never reads it."""
+    for name in names:
         if getattr(args, name, None) is not None:
-            raise CliError(f"--{name.replace('_', '-')} applies only to runs that search")
+            raise CliError(f"--{name.replace('_', '-')} applies only to {scope}")
+
+
+def _seed(args) -> int:
+    """The seed of a run that draws random numbers, kept on ``args`` so the manifest records it."""
+    args.seed = _flag(args, "seed")
+    return args.seed
+
+
+def _searched_params(args) -> CesiumParams:
+    """Cesium parameters for a searched build: on a detuned frame no played sequence gives its factors."""
+    params = _load_params(args.params)
+    if params.rf_detuning != 0:
+        raise CliError(f"searched builds need rf_detuning = 0, got {params.rf_detuning:g} rad/s")
+    return params
 
 
 def _resolve_system(args, params: CesiumParams | None = None):
-    preset = _search_flag(args, "preset")
+    preset = _flag(args, "preset")
     if preset not in PRESETS:
         raise CliError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
     return PRESETS[preset](params or _load_params(getattr(args, "params", None)))
@@ -96,8 +111,8 @@ def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
 
 def _search_config(args, sys_model) -> SearchConfig:
     """Search settings from the flags given, else SEARCH_DEFAULTS, else the system's default sizing."""
-    given = {field: _search_flag(args, flag) for flag, field in CONFIG_FLAGS.items()}
-    return default_search_config(sys_model, seed=args.seed, **{k: v for k, v in given.items() if v is not None})
+    given = {field: _flag(args, flag) for flag, field in CONFIG_FLAGS.items()}
+    return default_search_config(sys_model, seed=_seed(args), **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -107,7 +122,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segment-duration", type=float, help="segment duration in seconds (default 1e-5)")
     p.add_argument("--goal", type=float, help="fidelity goal (default 0.99)")
     p.add_argument("--max-iterations", type=int, help="default 5000")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--restarts", type=int, help="default 3")
 
 
@@ -120,13 +135,7 @@ def cmd_model_info(args) -> None:
         "fiducial_index": sys_model.fiducial_index,
         "controls": list(CONTROL_NAMES),
         "amplitude_bounds": [list(b) for b in sys_model.amplitude_bounds],
-        "rates_rad_per_s": {
-            "rf_rabi_max": params.rf_rabi_max,
-            "uw_rabi_max": params.uw_rabi_max,
-            "lightshift_max": params.lightshift_max,
-            "rf_detuning": params.rf_detuning,
-        },
-        "reversible_drift": sys_model.reversible_drift,
+        "rates_rad_per_s": dataclasses.asdict(params),
     }
     print(json.dumps(info, indent=2, sort_keys=True))
 
@@ -182,9 +191,9 @@ def _load_target(args) -> tuple[np.ndarray, str]:
 def _pick_mapper(args, exact: bool, dim: int):
     """The exact mapper on ``dim`` levels, or the searched mapper on the preset, plus its config."""
     if exact:
-        _reject_search_flags(args)
+        _reject_flags(args, (*SEARCH_FLAGS, "seed"))
         return ExactMapper(dim), {}
-    sys_model = _resolve_system(args)
+    sys_model = _resolve_system(args, _searched_params(args))
     cfg = _search_config(args, sys_model)
     return SearchedMapper(sys_model, cfg), dataclasses.asdict(cfg)
 
@@ -269,25 +278,30 @@ def cmd_build_subspace_map(args):
 
 
 def cmd_ec_sweep(args):
-    if args.samples is not None and args.average == "axes":
-        raise CliError("--samples applies only to --average haar; axes mode averages the six Bloch-axis states")
+    if args.average == "axes":
+        _reject_flags(args, ("samples",), "--average haar; axes mode averages the six Bloch-axis states")
+        if args.maps == "ideal":
+            _reject_flags(args, ("seed",), "searched maps and --average haar")
     if args.epsilons is None:
-        grid = tuple(np.geomspace(args.eps_min, args.eps_max, args.eps_count))
+        grid = tuple(np.geomspace(*(_flag(args, k, EPS_DEFAULTS) for k in EPS_DEFAULTS)))
     else:
+        _reject_flags(args, EPS_DEFAULTS, "the default grid; --epsilons lists every angle")
         try:
             grid = tuple(float(x) for x in args.epsilons.split(","))
         except ValueError:
             raise CliError(f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
     samples = ECConfig.samples if args.samples is None else args.samples
-    cfg = ECConfig(epsilon_grid=grid, samples=samples, seed=args.seed, average=args.average)
+    # haar mode draws from the seed; axes mode reads it only through the searches of synthesized maps
+    seed = _seed(args) if args.average == "haar" else _flag(args, "seed")
+    cfg = ECConfig(epsilon_grid=grid, samples=samples, seed=seed, average=args.average)
     stem = Path(args.out).with_suffix("")
     step_fidelities: list[list[float]] = []
     waveform_files: list[str] = []
     if args.maps == "ideal":
-        _reject_search_flags(args)
+        _reject_flags(args, SEARCH_FLAGS)
         maps = ec_maps()
     else:
-        params = _load_params(args.params)
+        params = _searched_params(args)
         maps, reports = synthesize_ec_maps(params, _search_config(args, build_restricted_system(params)))
         step_fidelities = [list(r.step_fidelities) for r in reports]
         for i, rep in enumerate(reports, 1):
@@ -405,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ec = sub.add_parser("ec-sweep", help="error-correction fidelity sweep")
     p_ec.add_argument("--maps", choices=("ideal", "synthesized"), default="ideal")
     p_ec.add_argument("--epsilons", help="comma-separated error half-angles")
-    p_ec.add_argument("--eps-min", type=float, default=0.02)
-    p_ec.add_argument("--eps-max", type=float, default=0.3)
-    p_ec.add_argument("--eps-count", type=int, default=9)
+    p_ec.add_argument("--eps-min", type=float, help="default 0.02")
+    p_ec.add_argument("--eps-max", type=float, help="default 0.3")
+    p_ec.add_argument("--eps-count", type=int, help="default 9")
     p_ec.add_argument("--samples", type=int, help="Haar states averaged (haar mode only; default 200)")
-    p_ec.add_argument("--seed", type=int, default=0)
+    p_ec.add_argument("--seed", type=int, help="default 0")
     p_ec.add_argument("--average", choices=("haar", "axes"), default="haar")
     p_ec.add_argument("--out", required=True, help="result CSV path")
     p_ec.add_argument("--params", help="cesium parameter JSON (synthesized maps)")
@@ -457,6 +471,8 @@ def main(argv=None) -> int:
     # tracer) is the one that runs
     handler = globals()[args.func.__name__]
     t0 = time.monotonic()
+    # the flags as given, before a handler fills in the seed it reads
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     try:
         written = handler(args)
         if written is not None:
@@ -465,7 +481,7 @@ def main(argv=None) -> int:
                 f"{outputs[0]}.manifest.json",
                 RunManifest(
                     command=args.command,
-                    config={k: v for k, v in vars(args).items() if k != "func" and v is not None},
+                    config=config,
                     inputs=[str(p) for p in inputs],
                     outputs=[str(p) for p in outputs],
                     seed=getattr(args, "seed", None),

@@ -18,7 +18,7 @@ chi = V†|fiducial>, the conjugated fiducial row of ``propagate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class ControlSystem:
     controls: tuple[np.ndarray, ...]
     amplitude_bounds: tuple[tuple[float, float], ...]
     fiducial_index: int
-    reversible_drift: bool = False
     name: str = ""
     #: (K, d, d) stack of the control generators, built once per system
     control_stack: np.ndarray = field(init=False, repr=False, compare=False)
@@ -104,10 +103,6 @@ class ControlSystem:
     @property
     def n_controls(self) -> int:
         return len(self.controls)
-
-    def with_negated_drift(self) -> "ControlSystem":
-        """The same model with -H0, used when checking time-reversed waveforms."""
-        return replace(self, drift=-np.asarray(self.drift))
 
     def fiducial_state(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -171,23 +166,18 @@ class Waveform:
         )
 
 
-def _first_violation(sys: ControlSystem, amps: np.ndarray):
-    """(control, segment) of the first non-finite or out-of-bounds entry, control by control; None if all pass."""
-    low, high = sys.bound_array
-    ok = np.isfinite(amps) & (amps >= low - AMPLITUDE_TOL) & (amps <= high + AMPLITUDE_TOL)
-    return None if ok.all() else np.argwhere(~ok.T)[0]
-
-
 def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
     """Reject waveforms whose amplitudes are non-finite or violate the system's bounds."""
     if w.n_controls != sys.n_controls:
         raise ValueError(f"waveform has {w.n_controls} controls, system has {sys.n_controls}")
-    bad = _first_violation(sys, w.amplitudes)
-    if bad is not None:
-        k, m = bad
+    amps = w.amplitudes
+    low, high = sys.bound_array
+    ok = np.isfinite(amps) & (amps >= low - AMPLITUDE_TOL) & (amps <= high + AMPLITUDE_TOL)
+    if not ok.all():
+        k, m = np.argwhere(~ok.T)[0]  # control by control: the first bad segment of the lowest control
         lo, hi = sys.amplitude_bounds[k]
         raise ValueError(
-            f"amplitude {w.amplitudes[m, k]:g} of control {k} in segment {m} violates bounds [{lo:g}, {hi:g}]"
+            f"amplitude {amps[m, k]:g} of control {k} in segment {m} violates bounds [{lo:g}, {hi:g}]"
         )
 
 
@@ -236,27 +226,6 @@ def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
     for step in segment_propagators(sys, w):
         u = step @ u
     return u
-
-
-def reverse_waveform(sys: ControlSystem, w: Waveform) -> Waveform:
-    """Time-reversed waveform: segments reversed, amplitudes negated.
-
-    Valid only when the model declares a reversible drift (sign control in
-    the rotating frame) or has no drift at all; the caller must pair the
-    result with the negated-drift system for the adjoint identity
-    propagate(sys', reverse) = propagate(sys, w)† to hold.
-    """
-    drift_free = bool(np.abs(sys.drift).max() == 0.0)
-    if not (sys.reversible_drift or drift_free):
-        raise ValueError("drift is not reversible and is nonzero; cannot time-reverse")
-    check_amplitudes(sys, w)
-    neg = -w.amplitudes
-    bad = _first_violation(sys, neg)
-    if bad is not None:
-        k, m = bad
-        lo, hi = sys.amplitude_bounds[k]
-        raise ValueError(f"negated amplitude of control {k} in segment {m} falls outside bounds [{lo:g}, {hi:g}]")
-    return Waveform(w.durations[::-1].copy(), neg[::-1].copy())
 
 
 def lie_algebra_dimension(generators, max_dim: int | None = None) -> int:

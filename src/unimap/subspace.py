@@ -137,7 +137,8 @@ class SearchedMapper:
     """chi = V†|fiducial>, V the propagator of a multi-start search from phi to the fiducial state.
 
     chi is the conjugated fiducial row of that one propagator, never a
-    second search or propagation.
+    second search or propagation.  The closed-form factor assumes that
+    nothing acts between V and V† except the imprint, which rules out drift.
     """
 
     sys: ControlSystem

@@ -49,7 +49,6 @@ def make_spin_system(two_f: int, rate: float = 2 * np.pi * 25e3) -> ControlSyste
         controls=(rate * ops.fx, rate * ops.fy, rate * (ops.fz @ ops.fz)),
         amplitude_bounds=((-1.0, 1.0),) * 3,
         fiducial_index=0,
-        reversible_drift=True,
         name=f"spin-{two_f}/2",
     )
 
@@ -69,7 +68,6 @@ def two_level():
         controls=(sx / 2,),
         amplitude_bounds=((-1.0, 1.0),),
         fiducial_index=0,
-        reversible_drift=True,
         name="two-level",
     )
 

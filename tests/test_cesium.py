@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from unimap.cesium import (
+    CONTROL_NAMES,
     CesiumParams,
     PRESETS,
     build_restricted_system,
-    lightshift_imprint_waveform,
     spin_operators,
     x_basis_state,
 )
@@ -67,9 +67,10 @@ class TestRestrictedSystem:
         assert lie_algebra_dimension(gens) >= 63
 
     def test_lightshift_segment_matches_imprint(self, cesium):
-        params = CesiumParams()
+        # the imprint as played: one light-shift segment of lam / lightshift_max at amplitude 1
         lam = 1.234
-        w = lightshift_imprint_waveform(params, lam)
+        light = np.eye(len(CONTROL_NAMES))[CONTROL_NAMES.index("light_shift")]
+        w = Waveform.constant(lam / CesiumParams().lightshift_max, light)
         target = diag_phase(8, 7, lam)
         assert np.abs(propagate(cesium, w) - target).max() < 1e-10
 

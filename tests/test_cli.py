@@ -13,6 +13,7 @@ import pytest
 
 import unimap
 import unimap.cli
+import unimap.subspace
 from unimap.cli import _resolve_state, build_parser, main
 from unimap.core import basis_state
 from unimap.io import complex_to_pairs, load_schema, load_waveform
@@ -540,15 +541,120 @@ def test_manifest_config_lists_only_flags_given(tmp_path):
     manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
     assert manifest["command"] == "optimize-state" and manifest["seed"] == 0
     assert "restarts" not in manifest["config"] and manifest["config"]["max_iterations"] == 0
+    assert "seed" not in manifest["config"]  # the effective seed goes to manifest["seed"] only
     # the report keeps the effective search settings
     config = json.loads(report.read_text())["config"]
     assert (config["restarts"], config["fidelity_goal"], config["max_iterations"]) == (3, 0.99, 0)
 
 
-def test_readme_cli_lines_parse():
+def test_readme_cli_lines_parse(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("unimap ")]
     assert lines
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+    # the lines that read no input file and run no search also run, into tmp_path
+    runnable = ("model info", "build-unitary --gate H --d 7 --exact-mappers", "ec-sweep --samples 200",
+                "verify-clifford")
+    ran = [line for line in lines if line.startswith(tuple(f"unimap {r}" for r in runnable))]
+    assert len(ran) == len(runnable)
+    monkeypatch.chdir(tmp_path)
+    for line in ran:
+        assert main(shlex.split(line)[1:]) == 0, line
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _detuned(tmp_path) -> str:
+    return _write(tmp_path / "p.json", {"rf_detuning": 2 * np.pi * 2e3})
+
+
+def _spec(tmp_path) -> str:
+    return _write(tmp_path / "spec.json", {"source": [complex_to_pairs(np.eye(8)[0])],
+                                           "target": [complex_to_pairs(np.eye(8)[2])]})
+
+
+class TestDetunedFrame:
+    """A searched build reports closed-form factors that no played sequence gives on a detuned frame."""
+
+    @pytest.mark.parametrize("argv", [
+        ["build-unitary", "--gate", "Z", "--d", "3", "--out-report", "{out}/r.json"],
+        ["build-subspace-map", "--spec", "{spec}", "--out-report", "{out}/r.json"],
+        ["ec-sweep", "--maps", "synthesized", "--average", "axes", "--out", "{out}/ec.csv"],
+    ])
+    def test_searched_build_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, argv):
+        searches = []
+        monkeypatch.setattr(unimap.subspace, "multi_start", lambda *a: searches.append(a))
+        params, spec = _detuned(tmp_path), _spec(tmp_path)
+        argv = [a.format(out=tmp_path, spec=spec) for a in argv]
+        assert run([*argv, "--params", params]) == 2
+        assert "rf_detuning" in capsys.readouterr().err
+        assert searches == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "spec.json"]
+
+    def test_single_state_maps_still_run(self, tmp_path, capsys):
+        # optimize-state, propagate and model info use the one propagated
+        # state map, which holds on any frame
+        params = _detuned(tmp_path)
+        wave = tmp_path / "w.csv"
+        assert run(["optimize-state", "--initial", "fiducial", "--target", "basis:0", "--params", params,
+                    "--max-iterations", "0", "--restarts", "1",
+                    "--out-waveform", str(wave), "--out-report", str(tmp_path / "r.json")]) == 0
+        assert run(["propagate", "--waveform", str(wave), "--params", params,
+                    "--initial-state", "fiducial", "--target-state", "basis:0"]) == 0
+        capsys.readouterr()
+        assert run(["model", "info", "--params", params]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["rates_rad_per_s"]["rf_detuning"] == 2 * np.pi * 2e3
+        assert "reversible_drift" not in info
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv", [
+        ["build-unitary", "--gate", "X", "--d", "3", "--exact-mappers", "--out-report", "{out}/r.json"],
+        ["build-subspace-map", "--spec", "{spec}", "--exact", "--out-report", "{out}/r.json"],
+        ["ec-sweep", "--maps", "ideal", "--average", "axes", "--epsilons", "0.1", "--out", "{out}/ec.csv"],
+    ])
+    def test_seed_on_runs_that_draw_nothing_exits_2_without_outputs(self, tmp_path, capsys, argv):
+        spec = _spec(tmp_path)
+        assert run([*(a.format(out=tmp_path, spec=spec) for a in argv), "--seed", "5"]) == 2
+        assert "--seed applies only to" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_manifest_seed_is_null_when_nothing_draws(self, tmp_path):
+        assert run(["build-unitary", "--gate", "X", "--d", "3", "--exact-mappers",
+                    "--out-report", str(tmp_path / "r.json")]) == 0
+        assert json.loads((tmp_path / "r.json.manifest.json").read_text())["seed"] is None
+        assert run(["ec-sweep", "--average", "axes", "--epsilons", "0.1", "--out", str(tmp_path / "ec.csv")]) == 0
+        assert json.loads((tmp_path / "ec.csv.manifest.json").read_text())["seed"] is None
+        assert json.loads((tmp_path / "ec.meta.json").read_text())["seed"] == 0
+
+    @pytest.mark.parametrize("given, effective", [([], 0), (["--seed", "4"], 4)])
+    def test_manifest_records_the_seed_a_haar_sweep_draws_from(self, tmp_path, given, effective):
+        assert run(["ec-sweep", "--samples", "5", "--epsilons", "0.1", *given, "--out", str(tmp_path / "ec.csv")]) == 0
+        assert json.loads((tmp_path / "ec.csv.manifest.json").read_text())["seed"] == effective
+        assert json.loads((tmp_path / "ec.meta.json").read_text())["seed"] == effective
+
+    def test_synthesized_axes_sweep_reads_seed(self, tmp_path, fixed_search):
+        fixed_search(unimap.subspace)
+        assert run(["ec-sweep", "--maps", "synthesized", "--average", "axes", "--epsilons", "0.1",
+                    "--seed", "4", "--out", str(tmp_path / "ec.csv")]) == 0
+        assert json.loads((tmp_path / "ec.csv.manifest.json").read_text())["seed"] == 4
+
+    @pytest.mark.parametrize("flag, value", [("--eps-min", "0.05"), ("--eps-max", "0.2"), ("--eps-count", "4")])
+    def test_grid_flag_with_epsilons_exits_2_without_outputs(self, tmp_path, capsys, flag, value):
+        assert run(["ec-sweep", "--epsilons", "0.1", flag, value, "--out", str(tmp_path / "ec.csv")]) == 2
+        assert f"{flag} applies only to the default grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, grid", [
+        ([], np.geomspace(0.02, 0.3, 9)),
+        (["--eps-count", "3"], np.geomspace(0.02, 0.3, 3)),
+    ])
+    def test_default_grid(self, tmp_path, flags, grid):
+        assert run(["ec-sweep", "--average", "axes", *flags, "--out", str(tmp_path / "ec.csv")]) == 0
+        assert json.loads((tmp_path / "ec.meta.json").read_text())["epsilon_grid"] == grid.tolist()

@@ -1,4 +1,4 @@
-"""Propagation, time reversal, and the fiducial phase imprint as the builder forms it."""
+"""Propagation, bounds checks, and the fiducial phase imprint as the builder forms it."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from unimap.control import (
     check_amplitudes,
     lie_algebra_dimension,
     propagate,
-    reverse_waveform,
     segment_eigs,
     segment_hamiltonians,
     segment_propagators,
@@ -175,7 +174,6 @@ class TestChainGauge:
         sys_m = build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 2e3), aux=aux)
         assert_walks_couplings(sys_m)
         assert sys_m.fiducial_index in (sys_m.chain_walk[0], sys_m.chain_walk[-1])
-        assert np.array_equal(sys_m.with_negated_drift().chain_walk, sys_m.chain_walk)
 
     def test_chain_in_any_basis_order(self):
         rng = np.random.default_rng(5)
@@ -224,58 +222,6 @@ class TestChainGauge:
         assert np.array_equal(res.waveform.amplitudes, ref.waveform.amplitudes)
         assert np.array_equal(res.objective_history, ref.objective_history)
 
-class TestReverseWaveform:
-    def test_zero_amplitude_driftless(self, two_level):
-        w = Waveform.constant(0.5, [0.0])
-        rev = reverse_waveform(two_level, w)
-        assert np.array_equal(rev.amplitudes, -w.amplitudes)
-        assert np.abs(propagate(two_level, rev) - np.eye(2)).max() < 1e-12
-
-    def test_single_segment_inverse(self, two_level):
-        w = Waveform.constant(0.8, [0.63])
-        prod = propagate(two_level, reverse_waveform(two_level, w)) @ propagate(two_level, w)
-        assert np.abs(prod - np.eye(2)).max() < 1e-12
-
-    def test_cesium_adjoint_check(self):
-        from unimap.cesium import CesiumParams, build_restricted_system
-
-        detuned = build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 2e3))
-        rng = np.random.default_rng(4)
-        w = random_waveform(detuned, 40, rng)
-        rev = reverse_waveform(detuned, w)
-        u_rev = propagate(detuned.with_negated_drift(), rev)
-        assert np.abs(u_rev - propagate(detuned, w).conj().T).max() < 1e-10
-
-    def test_involution(self, cesium):
-        rng = np.random.default_rng(5)
-        w = random_waveform(cesium, 7, rng)
-        back = reverse_waveform(cesium, reverse_waveform(cesium, w))
-        assert np.array_equal(back.durations, w.durations)
-        assert np.array_equal(back.amplitudes, w.amplitudes)
-
-    def test_rejects_asymmetric_bounds(self):
-        sys = ControlSystem(
-            drift=np.zeros((2, 2)),
-            controls=(np.diag([1.0, -1.0]).astype(complex),),
-            amplitude_bounds=((-0.2, 1.0),),
-            fiducial_index=0,
-        )
-        w = Waveform(np.array([1e-6, 1e-6]), np.array([[0.1], [0.9]]))
-        with pytest.raises(ValueError, match="segment 1"):
-            reverse_waveform(sys, w)
-
-    def test_rejects_irreversible_drift(self):
-        sys = ControlSystem(
-            drift=np.diag([1.0, -1.0]).astype(complex),
-            controls=(np.array([[0, 1], [1, 0]], dtype=complex),),
-            amplitude_bounds=((-1.0, 1.0),),
-            fiducial_index=0,
-            reversible_drift=False,
-        )
-        with pytest.raises(ValueError, match="reversible"):
-            reverse_waveform(sys, Waveform.constant(1e-6, [0.5]))
-
-
 def imprint(d, angle, index):
     """The builder's factor about basis level ``index``: the phase imprint on that level."""
     return phase_product([(basis_state(d, index), angle)], ExactMapper(d), score=lambda u: 0.0).assembled
@@ -314,12 +260,6 @@ class TestApplyAdjoint:
         w = random_waveform(cesium, 9, rng)
         prod = apply_adjoint(cesium, w) @ propagate(cesium, w)
         assert np.abs(prod - np.eye(8)).max() < 1e-12
-
-    def test_matches_reversed_waveform(self, cesium):
-        rng = np.random.default_rng(7)
-        w = random_waveform(cesium, 6, rng)
-        via_reversal = propagate(cesium.with_negated_drift(), reverse_waveform(cesium, w))
-        assert np.abs(apply_adjoint(cesium, w) - via_reversal).max() < 1e-10
 
     def test_bit_identical_to_conjugate_transpose(self, cesium):
         rng = np.random.default_rng(8)
@@ -373,7 +313,7 @@ class TestWaveformValidation:
 
     def test_both_checks_name_the_first_bad_entry_by_control(self):
         # bad entries at (segment 0, control 3) and (segment 2, control 1):
-        # the scan goes control by control, so both checks name control 1
+        # the scan goes control by control, so the check names control 1
         sys = ControlSystem(
             drift=np.zeros((2, 2)),
             controls=(np.diag([1.0, -1.0]).astype(complex),) * 4,
@@ -386,11 +326,6 @@ class TestWaveformValidation:
         with pytest.raises(ValueError) as err:
             check_amplitudes(sys, Waveform(durations, over))
         assert str(err.value) == "amplitude 1.5 of control 1 in segment 2 violates bounds [-0.2, 1]"
-        flipped = np.full((3, 4), 0.1)
-        flipped[0, 3] = flipped[2, 1] = 0.9
-        with pytest.raises(ValueError) as err:
-            reverse_waveform(sys, Waveform(durations, flipped))
-        assert str(err.value) == "negated amplitude of control 1 in segment 2 falls outside bounds [-0.2, 1]"
 
     def test_check_amplitudes_admits_tolerance(self, cesium):
         amps = np.ones((2, cesium.n_controls))

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import apply_adjoint, diag_phase
 import unimap.subspace
-from unimap.control import propagate
+from unimap.cesium import CONTROL_NAMES, CesiumParams
+from unimap.control import Waveform, propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.eigensynth import plan_unitary, synthesize_unitary
+from unimap.gates import gate_from_name
 from unimap.search import default_search_config
 from unimap.subspace import ExactMapper, SearchedMapper, _rank_one, pair_rotation, phase_product
 
@@ -247,3 +249,21 @@ class TestSynthesizeWaveform:
             conjugated = apply_adjoint(sys_m, wave) @ imprint @ v @ conjugated
         assert np.array_equal(report.assembled, expected)
         assert np.abs(report.assembled - conjugated).max() < 1e-12
+
+    def test_played_sequence_matches_assembled(self, cesium):
+        # each factor played as V, one light-shift segment of
+        # theta / lightshift_max at amplitude 1, then V reversed with its
+        # amplitudes negated, which plays V† when no drift acts
+        target = np.eye(8, dtype=complex)
+        target[:3, :3] = gate_from_name("Z", 3)
+        cfg = default_search_config(cesium, seed=0, fidelity_goal=0.99, max_iterations=5000, restarts=3)
+        report = synthesize_unitary(target, SearchedMapper(cesium, cfg))
+        phases = [s.phase for s in plan_unitary(target) if not s.skippable]
+        assert len(phases) == len(report.waveforms) == 2
+        light = np.eye(cesium.n_controls)[CONTROL_NAMES.index("light_shift")]
+        played = Waveform.empty(cesium.n_controls)
+        for theta, v in zip(phases, report.waveforms):
+            imprint = Waveform.constant(theta / CesiumParams().lightshift_max, light)
+            reversed_v = Waveform(v.durations[::-1], -v.amplitudes[::-1])
+            played = played.concatenate(v).concatenate(imprint).concatenate(reversed_v)
+        assert np.abs(propagate(cesium, played) - report.assembled).max() < 1e-10

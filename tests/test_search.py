@@ -342,7 +342,6 @@ def dense_system(d, n_controls=3, seed=0, rate=2 * np.pi * 25e3):
         controls=tuple(controls),
         amplitude_bounds=((-1.0, 1.0),) * n_controls,
         fiducial_index=0,
-        reversible_drift=True,
     )
 
 
