@@ -10,9 +10,8 @@ alone.  Basis order is |3,3>, |3,2>, ..., |3,-3>, then the auxiliary
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,9 +73,6 @@ class CesiumParams:
         if not math.isfinite(self.rf_detuning):
             raise ValueError("rf_detuning must be finite")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     @staticmethod
     def from_dict(data: dict) -> "CesiumParams":
         if not isinstance(data, dict):
@@ -120,15 +116,16 @@ def build_restricted_system(params: CesiumParams | None = None, aux: int = +4) -
     light = np.zeros((DIM, DIM), dtype=complex)
     light[FIDUCIAL_INDEX, FIDUCIAL_INDEX] = 1.0
 
-    controls = (
-        params.rf_rabi_max * embed_f3(ops.fx),
-        params.rf_rabi_max * embed_f3(ops.fy),
-        params.uw_rabi_max * uw_x,
-        params.uw_rabi_max * uw_y,
-        params.lightshift_max * light,
-    )
+    rates = (params.rf_detuning,) + (params.rf_rabi_max,) * 2 + (params.uw_rabi_max,) * 2 + (params.lightshift_max,)
+    unit = (embed_f3(ops.fz), embed_f3(ops.fx), embed_f3(ops.fy), uw_x, uw_y, light)
+    # ||H0|| + sum_k ||H_k|| bounds every segment generator at the amplitude bounds +-1; summed
+    # in Python floats, which overflow to inf without a numpy warning
+    bound = sum(abs(rate) * float(np.linalg.norm(h, 2)) for rate, h in zip(rates, unit))
+    if not math.isfinite(bound):
+        raise ValueError(f"cesium rates {asdict(params)} (rad/s) overflow the bound ||H0|| + sum_k ||H_k||")
+    controls = tuple(rate * h for rate, h in zip(rates[1:], unit[1:]))
     return ControlSystem(
-        drift=params.rf_detuning * embed_f3(ops.fz),
+        drift=params.rf_detuning * unit[0],
         controls=controls,
         amplitude_bounds=((-1.0, 1.0),) * len(controls),
         fiducial_index=FIDUCIAL_INDEX,

@@ -27,7 +27,6 @@ from .ec import ECConfig, ec_maps, ec_sweep, synthesize_ec_maps
 from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
 from .io import (
-    RunManifest,
     load_state_json,
     load_subspace_spec,
     load_waveform,
@@ -477,18 +476,15 @@ def main(argv=None) -> int:
         written = handler(args)
         if written is not None:
             inputs, outputs = written
-            save_manifest(
-                f"{outputs[0]}.manifest.json",
-                RunManifest(
-                    command=args.command,
-                    config=config,
-                    inputs=[str(p) for p in inputs],
-                    outputs=[str(p) for p in outputs],
-                    seed=getattr(args, "seed", None),
-                    version=__version__,
-                    duration_s=time.monotonic() - t0,
-                ),
-            )
+            save_manifest(f"{outputs[0]}.manifest.json", {
+                "command": args.command,
+                "config": config,
+                "inputs": [str(p) for p in inputs],
+                "outputs": [str(p) for p in outputs],
+                "seed": getattr(args, "seed", None),
+                "version": __version__,
+                "duration_s": time.monotonic() - t0,
+            })
         return 0
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,11 +140,6 @@ class Waveform:
         return self.amplitudes.shape[1]
 
     @property
-    def n_variables(self) -> int:
-        """Number of scalar control variables (segments x controls)."""
-        return self.amplitudes.size
-
-    @property
     def total_duration(self) -> float:
         return float(self.durations.sum())
 
@@ -228,7 +223,7 @@ def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
     return u
 
 
-def lie_algebra_dimension(generators, max_dim: int | None = None) -> int:
+def lie_algebra_dimension(generators) -> int:
     """Real dimension of the Lie algebra generated by i*(Hermitian generators).
 
     Nested-commutator scan: maintain an orthonormal real basis of the span
@@ -236,8 +231,7 @@ def lie_algebra_dimension(generators, max_dim: int | None = None) -> int:
     Used as a numerical controllability witness.
     """
     mats = [np.asarray(g, dtype=complex) for g in generators]
-    d = mats[0].shape[0]
-    cap = max_dim if max_dim is not None else d * d
+    cap = mats[0].shape[0] ** 2  # the dimension of u(d)
 
     def to_vec(h):
         return np.concatenate([h.real.ravel(), h.imag.ravel()])

@@ -52,26 +52,26 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
-def assert_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
+def assert_unitary(u) -> np.ndarray:
     """Validate and return a unitary matrix."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if not defect <= tol:
+    if not defect <= UNITARY_TOL:
         if not np.isfinite(defect):
             raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not unitary: U†U deviates from I by {defect:.3e}")
     return u
 
 
-def assert_hermitian(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def assert_hermitian(h) -> np.ndarray:
     """Validate and return a Hermitian matrix."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     defect = float(np.abs(h - h.conj().T).max())
-    if not defect <= tol:
+    if not defect <= HERMITIAN_TOL:
         if not np.isfinite(defect):
             raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian: H - H† deviates by {defect:.3e}")
@@ -138,15 +138,6 @@ def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {w.shape} vs {u.shape}")
     d = w.shape[0]
     return min(float(abs(np.trace(w.conj().T @ u)) / d), 1.0)
-
-
-def state_fidelity(psi: np.ndarray, chi: np.ndarray) -> float:
-    """|<chi|psi>|^2 for unit-norm states."""
-    psi = as_state(psi)
-    chi = as_state(chi)
-    if psi.size != chi.size:
-        raise ValueError(f"dimension mismatch: {psi.size} vs {chi.size}")
-    return min(float(abs(np.vdot(chi, psi)) ** 2), 1.0)
 
 
 def haar_random_state(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -55,10 +55,8 @@ def phase_S(d: int) -> np.ndarray:
     the deviation instead of patching the gate.
     """
     d = _check_dim(d)
-    exps = np.empty(d, dtype=np.int64)
-    for j in range(d):
-        exps[j] = (j * j // 2) % d if j % 2 == 0 else (j * (j - 1) // 2) % d
-    return np.diag(omega(d) ** exps)
+    j = np.arange(d)
+    return np.diag(omega(d) ** ((j * (j - j % 2) // 2) % d))
 
 
 def mult_G(a: int, d: int) -> np.ndarray:

@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
 from importlib import resources
 
 import jsonschema
@@ -42,7 +41,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def save_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write doc as sorted JSON; a NaN or infinity anywhere in it raises ValueError before any write."""
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def save_waveform(path: str, w: Waveform) -> None:
@@ -180,23 +180,8 @@ def validate_report(name: str, doc: dict) -> dict:
     return doc
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written next to each command's outputs."""
-
-    command: str
-    config: dict
-    inputs: list[str]
-    outputs: list[str]
-    seed: int | None
-    version: str
-    duration_s: float
-
-    def to_dict(self) -> dict:
-        if len(set(self.outputs)) != len(self.outputs):
-            raise ValueError("manifest outputs must each be referenced exactly once")
-        return asdict(self)
-
-
-def save_manifest(path: str, manifest: RunManifest) -> None:
-    save_json(path, validate_report("run_manifest", manifest.to_dict()))
+def save_manifest(path: str, doc: dict) -> None:
+    """Write a command's provenance record after checking it against the run_manifest schema."""
+    if len(set(doc["outputs"])) != len(doc["outputs"]):
+        raise ValueError("manifest outputs must each be referenced exactly once")
+    save_json(path, validate_report("run_manifest", doc))

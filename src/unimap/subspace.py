@@ -52,16 +52,15 @@ class SubspaceMapSpec:
         if len(source) > d:
             raise ValueError(f"basis size {len(source)} exceeds dimension {d}")
         for basis, label in ((source, "source"), (target, "target")):
-            for v in basis:
-                if v.size != d:
-                    raise ValueError(f"{label} vectors have mixed dimensions")
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    if abs(np.vdot(basis[i], basis[j])) > ORTHONORMAL_TOL:
-                        raise ValueError(
-                            f"{label} vectors {i} and {j} are not orthogonal "
-                            f"(|overlap| = {abs(np.vdot(basis[i], basis[j])):.3e})"
-                        )
+            if any(v.size != d for v in basis):
+                raise ValueError(f"{label} vectors have mixed dimensions")
+            # |<v_i|v_j>| above the diagonal of the Gram matrix; argwhere scans it row by row
+            vecs = np.array(basis)
+            overlaps = np.abs(np.triu(vecs.conj() @ vecs.T, 1))
+            bad = np.argwhere(overlaps > ORTHONORMAL_TOL)
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"{label} vectors {i} and {j} are not orthogonal (|overlap| = {overlaps[i, j]:.3e})")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
 

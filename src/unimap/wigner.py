@@ -4,10 +4,13 @@ W(theta, phi) = sum_{k=0..2F} sum_{q=-k..k} rho_kq Y_kq(theta, phi) with
 rho_kq = Tr(rho T_kq†), where the T_kq are orthonormal spherical tensor
 operators on the spin-F block.  Real-valued for Hermitian rho.
 
-The harmonics separate as Y_kq(theta, phi) = P_kq(theta) e^{i q phi} with
-P_kq the normalized associated Legendre function, so a grid is evaluated
-as L[theta, q] = sum_k rho_kq P_kq(theta) on the polar axis followed by one
-product with the azimuthal phases e^{i q phi}.
+Tensors and multipoles share one flat layout: T_kq and rho_kq sit at row
+k^2 + k + q of a (dim^2, ...) array, ranks ascending and q ascending
+within a rank.  The harmonics separate as Y_kq(theta, phi) =
+P_kq(theta) e^{i q phi} with P_kq the normalized associated Legendre
+function, so a grid is evaluated as L[theta, q] = sum_k rho_kq P_kq(theta)
+on the polar axis followed by one product with the azimuthal phases
+e^{i q phi}.
 """
 
 from __future__ import annotations
@@ -21,17 +24,18 @@ from scipy.special import sph_legendre_p
 from .cesium import spin_operators
 
 REALITY_TOL = 1e-10
+#: norm a state may have outside the spin block extract_block slices out
+SUPPORT_TOL = 1e-10
 
 
 @lru_cache(maxsize=8)
 def spherical_tensor_operators(dim: int) -> np.ndarray:
-    """Orthonormal T_kq for spin F = (dim-1)/2, indexed [k][k+q].
+    """Orthonormal T_kq for spin F = (dim-1)/2 as one (dim^2, dim, dim) stack, T_kq at row k^2 + k + q.
 
     Built by Frobenius-normalizing the highest-weight operator
     (-1)^k (F+)^k (Condon-Shortley sign, so the q=0 components are
-    positive on the stretched m=+F state) and descending with
-    lowering-operator commutators; returned as an object array over ranks
-    with one (2k+1, dim, dim) block per rank.
+    positive on the stretched m=+F state) and descending in q with
+    lowering-operator commutators.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -39,16 +43,16 @@ def spherical_tensor_operators(dim: int) -> np.ndarray:
     ops = spin_operators(f) if dim > 1 else None
     f_minus = (ops.fx - 1j * ops.fy) if ops else np.zeros((1, 1), dtype=complex)
     f_plus = (ops.fx + 1j * ops.fy) if ops else np.zeros((1, 1), dtype=complex)
-    tensors = np.empty(dim, dtype=object)
+    tensors = np.empty((dim * dim, dim, dim), dtype=complex)
     for k in range(dim):
-        t_k = np.empty((2 * k + 1, dim, dim), dtype=complex)
+        row = k * k + k  # the row of T_k0
         high = np.linalg.matrix_power(f_plus, k) if k else np.eye(dim, dtype=complex)
-        high = (-1) ** k * high / np.sqrt(np.trace(high.conj().T @ high).real)
-        t_k[2 * k] = high
+        tensors[row + k] = (-1) ** k * high / np.sqrt(np.trace(high.conj().T @ high).real)
         for q in range(k, -k, -1):
             denom = np.sqrt(k * (k + 1) - q * (q - 1))
-            t_k[k + q - 1] = (f_minus @ t_k[k + q] - t_k[k + q] @ f_minus) / denom
-        tensors[k] = t_k
+            t = tensors[row + q]
+            tensors[row + q - 1] = (f_minus @ t - t @ f_minus) / denom
+    tensors.setflags(write=False)  # the cache hands this one array to every caller
     return tensors
 
 
@@ -62,13 +66,8 @@ class WignerGrid:
 
 
 def multipole_components(rho: np.ndarray) -> np.ndarray:
-    """rho_kq = Tr(rho T_kq†), same nesting as the tensor operators."""
-    dim = rho.shape[0]
-    tensors = spherical_tensor_operators(dim)
-    comps = np.empty(dim, dtype=object)
-    for k in range(dim):
-        comps[k] = np.einsum("qij,ji->q", tensors[k].conj(), rho.T)
-    return comps
+    """rho_kq = Tr(rho T_kq†) at row k^2 + k + q, the layout of the tensor operators."""
+    return np.einsum("nij,ji->n", spherical_tensor_operators(rho.shape[0]).conj(), rho.T)
 
 
 def wigner_grid(state, n_theta: int = 61, n_phi: int = 120) -> WignerGrid:
@@ -90,15 +89,12 @@ def wigner_grid(state, n_theta: int = 61, n_phi: int = 120) -> WignerGrid:
     dim = rho.shape[0]
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    comps = multipole_components(rho)
+    k = np.repeat(np.arange(dim), 2 * np.arange(dim) + 1)  # the rank of each row k^2 + k + q
+    q = np.arange(dim * dim) - k * k - k
+    terms = multipole_components(rho) * sph_legendre_p(k, q, thetas[:, None])[0]
     qs = np.arange(-(dim - 1), dim)
-    legendre = np.zeros((n_theta, qs.size), dtype=complex)
-    for k in range(dim):
-        for q in range(-k, k + 1):
-            c = comps[k][k + q]
-            if abs(c) < 1e-16:
-                continue
-            legendre[:, q + dim - 1] += c * sph_legendre_p(k, q, thetas)[0]
+    # summing the terms of each q over k: L[theta, q]
+    legendre = terms @ (q[:, None] == qs)
     w = legendre @ np.exp(1j * np.outer(qs, phis))
     residue = float(np.abs(w.imag).max())
     # written as "not <=" so that a NaN residue fails the check too
@@ -107,12 +103,12 @@ def wigner_grid(state, n_theta: int = 61, n_phi: int = 120) -> WignerGrid:
     return WignerGrid(thetas=thetas, phis=phis, values=w.real)
 
 
-def extract_block(state, start: int, size: int, tol: float = 1e-10) -> np.ndarray:
+def extract_block(state, start: int, size: int) -> np.ndarray:
     """Slice a spin block out of a larger state, rejecting outside support."""
     v = np.asarray(state, dtype=complex).reshape(-1)
     if not (0 <= start and start + size <= v.size):
         raise ValueError(f"block [{start}, {start + size}) exceeds state dimension {v.size}")
     outside = np.linalg.norm(np.delete(v, np.arange(start, start + size)))
-    if outside > tol:
+    if outside > SUPPORT_TOL:
         raise ValueError(f"state has support {outside:.3e} outside the requested block")
     return v[start : start + size]

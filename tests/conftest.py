@@ -22,10 +22,9 @@ def cesium_minus():
 def apply_adjoint(sys, w) -> np.ndarray:
     """Conjugate transpose of the waveform's propagator, from its own propagation.
 
-    The synthesizers invert each searched state map through the adjoint of
-    the propagator they already hold, never through the physical
-    reversibility flag; tests compare them against this separately
-    propagated form.
+    The builder forms each factor V† P(theta) V from chi = V†|fiducial>
+    alone; tests write the factor out as full matrices with this adjoint
+    and compare the builder's rank-one form against it.
     """
     return propagate(sys, w).conj().T
 

@@ -1,5 +1,7 @@
 """The restricted 8-level cesium model: spin operators, couplings, states."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,10 +139,8 @@ class TestParams:
             CesiumParams(**{name: bad})
 
     def test_round_trip(self):
-        import json
-
         p = CesiumParams(rf_rabi_max=1e5, rf_detuning=0.0)
-        q = CesiumParams.from_dict(json.loads(p.to_json()))
+        q = CesiumParams.from_dict(dataclasses.asdict(p))
         assert q == p
 
     def test_rejects_unknown_field(self):

@@ -613,6 +613,32 @@ class TestDetunedFrame:
         assert "reversible_drift" not in info
 
 
+class TestOverflowRates:
+    """Rates whose generator norm bound overflows float64 are refused before any search or write."""
+
+    @pytest.mark.parametrize("rates", [
+        {"rf_rabi_max": 1e308},
+        {"rf_rabi_max": 5e307},
+        {"uw_rabi_max": 1e308, "lightshift_max": 1e308},
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["optimize-state", "--initial", "fiducial", "--target", "basis:3",
+         "--out-waveform", "{out}/w.csv", "--out-report", "{out}/r.json"],
+        ["build-unitary", "--gate", "Z", "--d", "3", "--out-report", "{out}/r.json"],
+        ["ec-sweep", "--maps", "synthesized", "--average", "axes", "--out", "{out}/ec.csv"],
+    ])
+    def test_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, rates, argv):
+        searches = []
+        for module in (unimap.cli, unimap.subspace):
+            monkeypatch.setattr(module, "multi_start", lambda *a: searches.append(a))
+        params = _write(tmp_path / "p.json", rates)
+        assert run([*(a.format(out=tmp_path) for a in argv), "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and all(f"'{name}': {value!r}" in err for name, value in rates.items())
+        assert searches == []
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+
 class TestUnreadFlags:
     @pytest.mark.parametrize("argv", [
         ["build-unitary", "--gate", "X", "--d", "3", "--exact-mappers", "--out-report", "{out}/r.json"],

@@ -227,7 +227,7 @@ def imprint(d, angle, index):
     return phase_product([(basis_state(d, index), angle)], ExactMapper(d), score=lambda u: 0.0).assembled
 
 
-class TestPhaseImprint:
+class TestPhaseFactor:
     def test_zero_angle_identity(self):
         assert np.array_equal(imprint(4, 0.0, 0), np.eye(4))
 
@@ -339,7 +339,7 @@ class TestWaveformValidation:
 
     def test_variable_count(self):
         w = Waveform(np.full(4, 1e-6), np.zeros((4, 5)))
-        assert w.n_variables == 20
+        assert (w.n_segments, w.n_controls) == (4, 5)
 
 
 def test_lie_algebra_dimension_su2():

@@ -61,6 +61,12 @@ class TestPhaseGate:
         s = phase_S(7)
         assert abs(s[4, 4] - omega(7)) < 1e-14  # 16/2 = 8 = 1 mod 7
 
+    @pytest.mark.parametrize("d", range(2, 40))
+    def test_matches_parity_split_loop(self, d):
+        # reference: the exponent written out per level, as the docstring states it
+        exps = [(j * j // 2) % d if j % 2 == 0 else (j * (j - 1) // 2) % d for j in range(d)]
+        assert np.array_equal(phase_S(d), np.diag(omega(d) ** np.array(exps)))
+
     def test_z_conjugation_exact(self):
         s, z = phase_S(7), pauli_Z(7)
         assert np.abs(s @ z @ s.conj().T - z).max() < 1e-14

@@ -9,7 +9,6 @@ import pytest
 
 from unimap.control import Waveform, propagate
 from unimap.io import (
-    RunManifest,
     complex_to_pairs,
     fmt,
     load_schema,
@@ -18,6 +17,7 @@ from unimap.io import (
     load_waveform,
     pairs_to_complex,
     save_json,
+    save_manifest,
     save_state_json,
     save_waveform,
     save_wigner_csv,
@@ -176,13 +176,15 @@ class TestSchemas:
             assert got.value.message == want.value.message
             assert list(got.value.path) == list(want.value.path)
 
-    def test_manifest_duplicate_output_rejected(self):
-        m = RunManifest(
-            command="x", config={}, inputs=[], outputs=["a.csv", "a.csv"],
-            seed=0, version="0", duration_s=0.1,
-        )
+    def test_manifest_duplicate_output_rejected(self, tmp_path):
+        m = {
+            "command": "x", "config": {}, "inputs": [], "outputs": ["a.csv", "a.csv"],
+            "seed": 0, "version": "0", "duration_s": 0.1,
+        }
+        path = tmp_path / "m.json"
         with pytest.raises(ValueError, match="exactly once"):
-            m.to_dict()
+            save_manifest(str(path), m)
+        assert not path.exists()
 
 
 def test_wigner_csv_matches_per_point_writer(tmp_path):
@@ -206,3 +208,11 @@ def test_save_json_deterministic(tmp_path):
     save_json(str(p2), doc)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text())["b"] == 1.0 / 3.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_save_json_refuses_non_finite(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_json(str(path), {"fidelity": 0.5, "steps": [1.0, bad]})
+    assert list(tmp_path.iterdir()) == []

@@ -18,7 +18,7 @@ from unimap.search import (
 
 
 def finite_difference_gradient(sys, w, psi_i, psi_f, step=1e-6):
-    grad = np.zeros(w.n_variables)
+    grad = np.zeros(w.amplitudes.size)
     flat = w.amplitudes.ravel()
     for idx in range(flat.size):
         up, down = flat.copy(), flat.copy()

@@ -140,6 +140,58 @@ class TestPlan:
             SubspaceMapSpec(source=(basis_state(3, 0), v), target=(basis_state(3, 1), basis_state(3, 2)))
 
 
+class TestSpecValidation:
+    def _skewed(self, d):
+        """Unit vectors 0..3 in dimension d whose only overlaps are the pairs (1, 2) and (0, 3)."""
+        e = [basis_state(d, k) for k in range(d)]
+        return (e[0], e[1], (e[1] + e[4]) / np.sqrt(2), (e[0] + e[3]) / np.sqrt(2))
+
+    def test_non_orthogonal_source_names_first_pair(self):
+        target = tuple(basis_state(5, k) for k in range(4))
+        with pytest.raises(ValueError, match=r"^source vectors 0 and 3 are not orthogonal \(\|overlap\| = 7\.071e-01\)$"):
+            SubspaceMapSpec(source=self._skewed(5), target=target)
+
+    def test_non_orthogonal_target_names_first_pair(self):
+        source = tuple(basis_state(5, k) for k in range(4))
+        with pytest.raises(ValueError, match=r"^target vectors 0 and 3 are not orthogonal \(\|overlap\| = 7\.071e-01\)$"):
+            SubspaceMapSpec(source=source, target=self._skewed(5))
+
+    def test_source_checked_before_target(self):
+        with pytest.raises(ValueError, match="^source vectors 0 and 3"):
+            SubspaceMapSpec(source=self._skewed(5), target=self._skewed(5))
+
+    def test_overlap_at_tolerance_accepted(self):
+        target = (basis_state(3, 0), basis_state(3, 2))
+        v = np.array([1.0, 1e-10, 0.0])
+        assert SubspaceMapSpec(source=(basis_state(3, 1), v / np.linalg.norm(v)), target=target).n == 2
+        w = np.array([1.0, 2e-10, 0.0])
+        with pytest.raises(ValueError, match="^source vectors 0 and 1"):
+            SubspaceMapSpec(source=(basis_state(3, 1), w / np.linalg.norm(w)), target=target)
+
+    @pytest.mark.parametrize("label", ["source", "target"])
+    def test_mixed_dimensions(self, label):
+        good = (basis_state(3, 0), basis_state(3, 1))
+        mixed = (basis_state(3, 0), basis_state(4, 1))
+        bases = {"source": good, "target": good, label: mixed}
+        with pytest.raises(ValueError, match=f"^{label} vectors have mixed dimensions$"):
+            SubspaceMapSpec(**bases)
+
+    def test_target_dimension_differs_from_source(self):
+        with pytest.raises(ValueError, match="^target vectors have mixed dimensions$"):
+            SubspaceMapSpec(source=(basis_state(3, 0),), target=(basis_state(4, 0),))
+
+    def test_more_vectors_than_levels(self):
+        three = (basis_state(2, 0), basis_state(2, 1), basis_state(2, 0))
+        with pytest.raises(ValueError, match="^basis size 3 exceeds dimension 2$"):
+            SubspaceMapSpec(source=three, target=three)
+
+    @pytest.mark.parametrize("n_source, n_target", [(0, 0), (2, 1), (1, 2), (0, 1)])
+    def test_empty_or_unequal_bases(self, n_source, n_target):
+        basis = (basis_state(3, 0), basis_state(3, 1))
+        with pytest.raises(ValueError, match="^source and target must be non-empty bases of equal size$"):
+            SubspaceMapSpec(source=basis[:n_source], target=basis[:n_target])
+
+
 class TestAssemble:
     def test_full_identity(self):
         basis = tuple(basis_state(4, k) for k in range(4))

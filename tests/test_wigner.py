@@ -14,7 +14,8 @@ class TestTensorOperators:
     @pytest.mark.parametrize("dim", [2, 3, 7, 8])
     def test_orthonormal(self, dim):
         tens = spherical_tensor_operators(dim)
-        flat = [tens[k][k + q] for k in range(dim) for q in range(-k, k + 1)]
+        assert tens.shape == (dim * dim, dim, dim)
+        flat = [tens[k * k + k + q] for k in range(dim) for q in range(-k, k + 1)]
         assert len(flat) == dim * dim
         gram = np.array([[np.trace(a.conj().T @ b) for b in flat] for a in flat])
         assert np.abs(gram - np.eye(dim * dim)).max() < 1e-12
@@ -23,13 +24,13 @@ class TestTensorOperators:
         tens = spherical_tensor_operators(7)
         for k in range(7):
             for q in range(-k, k + 1):
-                want = (-1) ** q * tens[k][k + q].conj().T
-                assert np.abs(tens[k][k - q] - want).max() < 1e-12
+                want = (-1) ** q * tens[k * k + k + q].conj().T
+                assert np.abs(tens[k * k + k - q] - want).max() < 1e-12
 
     def test_rank1_proportional_to_spin(self):
         tens = spherical_tensor_operators(7)
         fz = spin_operators(3).fz
-        t10 = tens[1][1]
+        t10 = tens[2]  # k=1, q=0
         ratio = t10[0, 0] / fz[0, 0]
         assert np.abs(t10 - ratio * fz).max() < 1e-12
         assert ratio.real > 0  # positive on the stretched m=+F state
@@ -112,7 +113,7 @@ class TestWignerGrid:
         want = np.zeros((n_theta, n_phi), dtype=complex)
         for k in range(dim):
             for q in range(-k, k + 1):
-                want += comps[k][k + q] * sph_harm_y(k, q, tt, pp)
+                want += comps[k * k + k + q] * sph_harm_y(k, q, tt, pp)
         assert np.abs(got.values - want.real).max() <= 1e-12
 
 
@@ -122,12 +123,21 @@ class TestMultipoles:
         for k in range(3):
             for q in range(-k, k + 1):
                 if q != 0:
-                    assert abs(comps[k][k + q]) < 1e-14
+                    assert abs(comps[k * k + k + q]) < 1e-14
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_matches_trace_per_tensor(self, dim):
+        # reference: rho_kq = Tr(rho T_kq†) one tensor at a time
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = a @ a.conj().T
+        want = [np.trace(rho @ t.conj().T) for t in spherical_tensor_operators(dim)]
+        assert np.abs(multipole_components(rho) - want).max() <= 1e-12 * np.abs(rho).max()
 
     def test_monopole_is_trace(self):
         rho = np.diag([0.7, 0.3]).astype(complex)
         comps = multipole_components(rho)
-        assert comps[0][0] == pytest.approx(1 / np.sqrt(2), abs=1e-14)
+        assert comps[0] == pytest.approx(1 / np.sqrt(2), abs=1e-14)
 
 
 class TestExtractBlock:
