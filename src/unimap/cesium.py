@@ -85,6 +85,10 @@ class CesiumParams:
             # bool is an int subclass, but true/false is never a rate
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"cesium parameter {name} must be a number, got {value!r}")
+            try:
+                float(value)  # JSON integers are unbounded
+            except OverflowError:
+                raise ValueError(f"cesium parameter {name} is an integer that overflows a float") from None
         return CesiumParams(**data)
 
 

@@ -7,9 +7,10 @@ segments, each a duration in seconds plus one amplitude per control.
 
 Segment generators are diagonalized in one batched ``eigh``.  When the
 couplings of drift and controls form a single chain (a path graph, as in
-the cesium model), a diagonal phase gauge makes every segment generator
-real symmetric, so the real ``eigh`` is used; any other coupling pattern
-takes the complex ``eigh``.
+the cesium model), the generators are diagonalized in chain order, where a
+diagonal phase gauge makes each one real symmetric tridiagonal, so the
+real ``eigh`` is used; any other coupling pattern takes the complex
+``eigh`` in the natural basis order.
 
 The builder in ``subspace`` needs no matrix for the fiducial phase imprint
 P(theta): its factor V† P(theta) V depends on V only through
@@ -183,23 +184,38 @@ def segment_hamiltonians(sys: ControlSystem, w: Waveform) -> np.ndarray:
     return sys.drift + ctrl.reshape(w.n_segments, d, d)
 
 
+def _chain_gauged(h: np.ndarray, walk: np.ndarray):
+    """The (M, d, d) generators ``h`` in chain order, gauged to real tridiagonal form.
+
+    Returns (t, g): t_ab = conj(g_a) H_{walk_a, walk_b} g_b, real up to
+    rounding, with the phases g = e^{i theta} (M, d), where theta is the
+    negated running sum of the coupling phases along the chain.
+    """
+    h = h[:, walk[:, None], walk]
+    theta = np.zeros(h.shape[:2])
+    theta[:, 1:] = -np.cumsum(np.angle(np.diagonal(h, 1, axis1=1, axis2=2)), axis=1)
+    g = np.exp(1j * theta)
+    return g.conj()[:, :, None] * h * g[:, None, :], g
+
+
 def segment_eigs(sys: ControlSystem, w: Waveform):
     """Batched eigendecomposition (lam, V) of all segment generators, H_m = V_m diag(lam_m) V_m†.
 
-    On a chain-coupled system the gauge g = e^{i theta}, with theta the
-    negated running sum of the coupling phases along the chain, makes
-    conj(g_a) H_ab g_b real symmetric (Golub & Van Loan, Matrix
-    Computations, section 8.3): its real eigenvectors Q give V = diag(g) Q.
+    A chain-coupled system is diagonalized in chain order, where the gauge
+    of ``_chain_gauged`` makes every generator real symmetric tridiagonal,
+    the textbook case of the real ``eigh`` (Golub & Van Loan, Matrix
+    Computations, section 8.3).  Its eigenvector rows, times the phases g,
+    are scattered back to the natural basis: V[walk] = diag(g) Q.
     """
     h = segment_hamiltonians(sys, w)
     walk = sys.chain_walk
     if walk is None:
         return np.linalg.eigh(h)
-    theta = np.zeros(h.shape[:2])
-    theta[:, walk[1:]] = -np.cumsum(np.angle(h[:, walk[:-1], walk[1:]]), axis=1)
-    g = np.exp(1j * theta)
-    lam, q = np.linalg.eigh((g.conj()[:, :, None] * h * g[:, None, :]).real)
-    return lam, g[:, :, None] * q
+    t, g = _chain_gauged(h, walk)
+    lam, q = np.linalg.eigh(t.real)
+    v = np.empty(h.shape, dtype=complex)
+    v[:, walk] = g[:, :, None] * q
+    return lam, v
 
 
 def _eig_propagators(lam: np.ndarray, v: np.ndarray, durations: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 The objective is J = |<psi_f| U(T) |psi_i>|^2 over the segment amplitudes
 of a piecewise-constant waveform.  Each trial point diagonalizes its M
-segment generators once (``control.segment_eigs``: a real ``eigh`` after a
-diagonal phase gauge when the system couples its levels in a single chain,
-as the cesium model does, and the complex ``eigh`` otherwise) and builds
+segment generators once (``control.segment_eigs``: when the system couples
+its levels in a single chain, as the cesium model does, a real ``eigh`` in
+chain order, where a diagonal phase gauge makes each generator real
+tridiagonal; otherwise the complex ``eigh``) and builds
 the stacked segment propagators U_m = V_m e^{-i lam_m tau_m} V_m† in one
 batched product.  The forward sweep applies that stack to the initial
 state, and the backward sweep for the gradient applies the same stack to
@@ -171,20 +172,22 @@ def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Gener
 def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
     """Two-loop recursion: the inverse-Hessian estimate applied to g.
 
-    With no stored pairs the result is g scaled to unit norm.
+    ``memory`` holds (s, y, s @ y, y @ y) per pair, oldest first, with the
+    products the curvature check already took.  With no stored pairs the
+    result is g scaled to unit norm.
     """
     if not memory:
         return g / np.linalg.norm(g)
     q = g.copy()
     alphas = []
-    for s, y in reversed(memory):
-        a = (s @ q) / (y @ s)
+    for s, y, sy, _ in reversed(memory):
+        a = (s @ q) / sy
         q -= a * y
         alphas.append(a)
-    s, y = memory[-1]
-    r = ((s @ y) / (y @ y)) * q
-    for (s, y), a in zip(memory, reversed(alphas)):
-        r += s * (a - (y @ r) / (y @ s))
+    _, _, sy, yy = memory[-1]
+    r = (sy / yy) * q
+    for (s, y, sy, _), a in zip(memory, reversed(alphas)):
+        r += s * (a - (y @ r) / sy)
     return r
 
 
@@ -247,10 +250,11 @@ def search_state_map(
             continue
         grad_new = _gradient(sys, trial_wave, psi_f, *fwd)
         s, y = trial - x, grad - grad_new
+        sy, yy = s @ y, y @ y
         # keep only pairs with positive curvature, so the two-loop estimate
         # stays positive definite and its direction stays an ascent one
-        if s @ y > 1e-10 * (y @ y):
-            memory.append((s, y))
+        if sy > 1e-10 * yy:
+            memory.append((s, y, sy, yy))
         x, wave, j_val, grad = trial, trial_wave, j_trial, grad_new
         iterations += 1
         history.append(j_val)

@@ -638,6 +638,21 @@ class TestOverflowRates:
         assert searches == []
         assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["model", "info"],
+        ["optimize-state", "--initial", "fiducial", "--target", "basis:3",
+         "--out-waveform", "{out}/w.csv", "--out-report", "{out}/r.json"],
+    ])
+    def test_huge_json_integer_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, argv):
+        searches = []
+        monkeypatch.setattr(unimap.cli, "multi_start", lambda *a: searches.append(a))
+        params = _write(tmp_path / "p.json", {"rf_rabi_max": 10**400})
+        assert run([*(a.format(out=tmp_path) for a in argv), "--params", params]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: cesium parameter rf_rabi_max is an integer that overflows a float\n"
+        assert searches == []
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
 
 class TestUnreadFlags:
     @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from unimap.control import (
     AMPLITUDE_TOL,
     ControlSystem,
     Waveform,
+    _chain_gauged,
     check_amplitudes,
     lie_algebra_dimension,
     propagate,
@@ -184,6 +185,25 @@ class TestChainGauge:
         lam, v = segment_eigs(sys_m, w)
         assert np.abs(h @ v - v * lam[:, None, :]).max() <= 1e-12 * np.abs(h).max()
         assert np.abs(segment_propagators(sys_m, w) - complex_propagators(sys_m, w)).max() <= 1e-12
+
+    @pytest.mark.parametrize("make_system", [
+        lambda: build_restricted_system(aux=+4),
+        lambda: build_restricted_system(aux=-4),
+        lambda: build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 2e3), aux=+4),
+        lambda: build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 2e3), aux=-4),
+        lambda: coupling_system([(0, 1), (1, 2), (2, 3), (3, 4)], 5, np.random.default_rng(8)),
+        lambda: coupling_system([(3, 0), (0, 4), (4, 1), (1, 2)], 5, np.random.default_rng(5)),
+    ], ids=["aux+4", "aux-4", "aux+4-detuned", "aux-4-detuned", "path", "non-monotone-walk"])
+    def test_chain_order_gauge_is_real_tridiagonal(self, make_system):
+        sys_m = make_system()
+        walk = sys_m.chain_walk
+        h = segment_hamiltonians(sys_m, gauge_waveform(sys_m, np.random.default_rng(22)))
+        t = _chain_gauged(h, walk)[0]
+        assert np.abs(t.imag).max() <= 1e-12 * np.abs(t).max()
+        assert not np.triu(t, 2).any() and not np.tril(t, -2).any()
+        # the gauge moves every coupling phase off the chain: t's off-diagonal is |H| along the walk
+        coupling = np.abs(h[:, walk[:-1], walk[1:]])
+        assert np.abs(np.diagonal(t, 1, axis1=1, axis2=2) - coupling).max() <= 1e-12 * coupling.max()
 
     @pytest.mark.parametrize(
         "edges, d",

@@ -1,5 +1,7 @@
 """Objective, exact gradients, and projected L-BFGS convergence."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from unimap.cesium import CesiumParams, build_restricted_system
 from unimap.control import Waveform, check_amplitudes, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
 from unimap.search import (
+    LBFGS_MEMORY,
     SearchConfig,
+    _lbfgs_direction,
     default_search_config,
     gradient_state_prep,
     multi_start,
@@ -225,6 +229,36 @@ class TestStackedKernel:
         cfg = default_search_config(cesium, seed=37, max_iterations=20, fidelity_goal=1.0)
         res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(38)), cfg)
         assert calls["check"] == calls["eigs"] >= res.iterations + 1
+
+
+def reference_lbfgs_direction(g, pairs):
+    """The two-loop recursion over bare (s, y) pairs, taking every dot product itself."""
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = (s @ q) / (y @ s)
+        q -= a * y
+        alphas.append(a)
+    s, y = pairs[-1]
+    r = ((s @ y) / (y @ y)) * q
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        r += s * (a - (y @ r) / (y @ s))
+    return r
+
+
+@pytest.mark.parametrize("n_pairs", [1, 3, LBFGS_MEMORY])
+def test_lbfgs_direction_matches_reference_bit_for_bit(n_pairs):
+    rng = np.random.default_rng(40 + n_pairs)
+    n = 130  # the cesium search's 26 segments x 5 controls
+    g = rng.normal(size=n)
+    pairs = []
+    while len(pairs) < n_pairs:
+        s = rng.normal(size=n)
+        y = s * rng.uniform(0.1, 10, n) + rng.normal(scale=0.3, size=n)
+        if s @ y > 1e-10 * (y @ y):
+            pairs.append((s, y))
+    memory = deque(((s, y, s @ y, y @ y) for s, y in pairs), maxlen=LBFGS_MEMORY)
+    assert np.array_equal(_lbfgs_direction(g, memory), reference_lbfgs_direction(g, pairs))
 
 
 class TestSearch:
