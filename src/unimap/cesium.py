@@ -67,6 +67,11 @@ class CesiumParams:
     rf_detuning: float = 0.0
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            try:
+                float(getattr(self, name))  # Python and JSON integers are unbounded
+            except OverflowError:
+                raise ValueError(f"cesium parameter {name} is an integer that overflows a float") from None
         for name in ("rf_rabi_max", "uw_rabi_max", "lightshift_max"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
@@ -85,10 +90,6 @@ class CesiumParams:
             # bool is an int subclass, but true/false is never a rate
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"cesium parameter {name} must be a number, got {value!r}")
-            try:
-                float(value)  # JSON integers are unbounded
-            except OverflowError:
-                raise ValueError(f"cesium parameter {name} is an integer that overflows a float") from None
         return CesiumParams(**data)
 
 

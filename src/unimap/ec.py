@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cesium import CesiumParams, build_restricted_system, x_basis_state
-from .core import STATE_NORM_TOL, haar_random_state
+from .core import STATE_NORM_TOL
 from .search import SearchConfig
 from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
@@ -89,16 +89,20 @@ def error_channel(epsilon: float) -> np.ndarray:
     return np.diag(np.exp(-2j * epsilon * np.diag(FZ_SIM)))
 
 
-def run_ec_trials(qubits, epsilon: float, maps):
+def run_ec_trials(qubits, epsilon, maps):
     """One protocol round on n qubit states at once, summed over both QND outcomes.
 
-    Row i of ``qubits`` (n, 2) is encoded, dephased by ``epsilon`` and
-    error-extracted.  The QND measurement of F splits the state into its
-    F=3 part, decoded as it stands, and its F=4 part, recovered and then
-    decoded; the expected corrected fidelity is the sum of the two
-    branches' |<psi|K_o|psi>|^2, with no renormalization.  Returns the (n,)
-    arrays (expected corrected fidelity, uncorrected fidelity, P(F=4)).
-    The uncorrected curve keeps the qubit in the physical stretched pair,
+    Row i of ``qubits`` (n, 2) is encoded, dephased by each error angle of
+    ``epsilon`` and error-extracted.  ``epsilon`` is one angle or a sequence
+    of E angles; the angle axis comes from broadcasting the dephasing
+    phases (E, 1, 9) against the encoded states (n, 9), so one angle is the
+    same arithmetic as a grid of them.  The QND measurement of F splits the
+    state into its F=3 part, decoded as it stands, and its F=4 part,
+    recovered and then decoded; the expected corrected fidelity is the sum
+    of the two branches' |<psi|K_o|psi>|^2, with no renormalization.
+    Returns the arrays (expected corrected fidelity, uncorrected fidelity,
+    P(F=4)), of shape (n,) for one angle and (E, n) for a sequence.  The
+    uncorrected curve keeps the qubit in the physical stretched pair,
     where it only dephases.
     """
     q = np.asarray(qubits, dtype=complex)
@@ -107,23 +111,27 @@ def run_ec_trials(qubits, epsilon: float, maps):
     # written as "not <=" so that a NaN norm fails the check too
     if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= STATE_NORM_TOL):
         raise ValueError("qubit states must be finite with unit norm")
-    phases = np.diag(error_channel(epsilon))
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim > 1 or not np.all(np.isfinite(eps)):
+        raise ValueError("epsilon must be one finite angle or a sequence of them")
+    # the diagonal of error_channel, one row per angle
+    phases = np.exp(-2j * eps[..., None] * np.diag(FZ_SIM))[..., None, :]
     psi0 = q @ np.array([sim_z_state(4), sim_z_state(3)])
     uncorrected = _overlap_fidelity(psi0, psi0 * phases)
 
     encode, extract, recover = maps
     psi = ((psi0 @ encode.T) * phases) @ extract.T
-    if not np.all(np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= STATE_NORM_TOL):
+    if not np.all(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= STATE_NORM_TOL):
         raise ValueError("protocol maps do not preserve the state norm")
     in_f4 = np.arange(SIM_DIM) >= IDX_44Z
     f3, f4 = np.where(in_f4, 0.0, psi), np.where(in_f4, psi, 0.0)
     corrected = _overlap_fidelity(psi0, f3 @ encode.conj(), f4 @ recover.T @ encode.conj())
-    return corrected, uncorrected, np.sum(np.abs(f4) ** 2, axis=1)
+    return corrected, uncorrected, np.sum(np.abs(f4) ** 2, axis=-1)
 
 
 def _overlap_fidelity(psi0: np.ndarray, *finals: np.ndarray) -> np.ndarray:
     """Row-wise sum of |<psi0|final>|^2 over the finals, clipped at 1 against rounding."""
-    return np.minimum(sum(np.abs(np.sum(psi0.conj() * f, axis=1)) ** 2 for f in finals), 1.0)
+    return np.minimum(sum(np.abs(np.sum(psi0.conj() * f, axis=-1)) ** 2 for f in finals), 1.0)
 
 
 #: the six Bloch-axis qubit states, a 2-design for exact averaging
@@ -178,17 +186,23 @@ def ec_sweep(cfg: ECConfig, maps) -> ECResult:
     Each trial sums over both measurement outcomes, so only the qubit
     states are sampled, and only once per sweep: haar mode draws
     ``cfg.samples`` states from one generator seeded with ``cfg.seed``, and
-    axes mode takes the six Bloch-axis states and builds no rng.  Every
-    error angle averages those same states in one ``run_ec_trials`` batch;
-    the trigger rate is the mean P(F=4).
+    axes mode takes the six Bloch-axis states and builds no rng.  One
+    ``run_ec_trials`` call takes the whole grid as its angle axis, so every
+    error angle averages those same states; row i of each (E, n) result is
+    bit-identical to a call with the i-th angle alone.  The trigger rate is
+    the mean P(F=4).
     """
     if cfg.average == "axes":
         qubits = np.array(BLOCH_AXIS_STATES)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        qubits = np.array([haar_random_state(2, rng) for _ in range(cfg.samples)])
-    means = np.array([[row.mean() for row in run_ec_trials(qubits, eps, maps)] for eps in cfg.epsilon_grid])
-    corrected, uncorrected, trigger = (tuple(col) for col in means.T.tolist())
+        # one draw of the stream that cfg.samples calls of haar_random_state(2, rng) read:
+        # per state, the two real parts and then the two imaginary parts; each row is
+        # normalized by its own norm call, as there, since norm(axis=1) sums in another order
+        z = np.random.default_rng(cfg.seed).normal(size=(cfg.samples, 2, 2))
+        qubits = z[:, 0] + 1j * z[:, 1]
+        qubits /= np.array([np.linalg.norm(v) for v in qubits])[:, None]
+    corrected, uncorrected, trigger = (
+        tuple(rows.mean(axis=1).tolist()) for rows in run_ec_trials(qubits, cfg.epsilon_grid, maps))
     return ECResult(cfg.epsilon_grid, corrected, uncorrected, trigger)
 
 

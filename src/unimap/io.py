@@ -1,8 +1,11 @@
-"""Persistence: waveform CSV, state/spec JSON, reports, and schemas.
+"""Persistence: waveform, EC and Wigner CSV, state/spec JSON, reports, and schemas.
 
 All writes are atomic (temp file + rename) and deterministic: floats are
 serialized with 17 significant digits so round-trips are value-exact, and
-JSON keys are sorted.
+JSON keys are sorted.  ``FLOAT_FORMAT`` is that format; ``fmt`` applies it
+to one value, and each CSV writer builds a ``%`` template for one row (a
+Wigner grid's theta row, an EC error angle, a waveform segment) and fills
+it from the row's values in one call, instead of formatting value by value.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ from .subspace import SubspaceMapSpec
 from .wigner import WignerGrid
 
 
+#: printf form of every float written to CSV: 17 significant digits, exact for binary64
+FLOAT_FORMAT = "%.17g"
+
+
 def fmt(x: float) -> str:
     """Decimal form with 17 significant digits; exact for binary64."""
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -48,10 +55,10 @@ def save_json(path: str, doc: dict) -> None:
 def save_waveform(path: str, w: Waveform) -> None:
     """CSV with header segment,duration_s,u1..uK, one row per segment."""
     header = "segment,duration_s," + ",".join(f"u{k+1}" for k in range(w.n_controls))
+    row = ",".join(["%d"] + [FLOAT_FORMAT] * (w.n_controls + 1))
     lines = [header]
-    for m in range(w.n_segments):
-        amps = ",".join(fmt(a) for a in w.amplitudes[m])
-        lines.append(f"{m},{fmt(w.durations[m])},{amps}")
+    for m, (duration, amps) in enumerate(zip(w.durations.tolist(), w.amplitudes.tolist())):
+        lines.append(row % (m, duration, *amps))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -139,19 +146,26 @@ def load_subspace_spec(path: str) -> SubspaceMapSpec:
 
 
 def save_ec_csv(path: str, result: ECResult) -> None:
+    """CSV with header epsilon,corrected,uncorrected,trigger_rate, one row per error angle."""
+    row = ",".join([FLOAT_FORMAT] * 4)
     lines = ["epsilon,corrected,uncorrected,trigger_rate"]
-    for e, c, u, t in zip(result.epsilon, result.corrected, result.uncorrected, result.trigger_rate):
-        lines.append(f"{fmt(e)},{fmt(c)},{fmt(u)},{fmt(t)}")
+    for values in zip(result.epsilon, result.corrected, result.uncorrected, result.trigger_rate):
+        lines.append(row % values)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def save_wigner_csv(path: str, grid: WignerGrid) -> None:
-    lines = ["theta,phi,w"]
-    phis = [fmt(phi) for phi in grid.phis.tolist()]
-    for theta, row in zip(grid.thetas.tolist(), grid.values.tolist()):
-        prefix = fmt(theta) + ","
-        lines.extend(f"{prefix}{phi},{fmt(w)}" for phi, w in zip(phis, row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV with header theta,phi,w, one line per grid point, theta-major.
+
+    The phi strings are formatted once; each theta row is one ``%``
+    template of ``theta,phi_j,%.17g`` lines, filled from that row's values.
+    """
+    # joining with the theta string puts it in front of every cell
+    cells = ["", *(f",{fmt(phi)},{FLOAT_FORMAT}\n" for phi in grid.phis.tolist())]
+    parts = ["theta,phi,w\n"]
+    for theta, values in zip(grid.thetas.tolist(), grid.values.tolist()):
+        parts.append(fmt(theta).join(cells) % tuple(values))
+    atomic_write_text(path, "".join(parts))
 
 
 def load_schema(name: str) -> dict:

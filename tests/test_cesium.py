@@ -138,6 +138,15 @@ class TestParams:
         with pytest.raises(ValueError, match=name):
             CesiumParams(**{name: bad})
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "name", ["rf_rabi_max", "uw_rabi_max", "lightshift_max", "rf_detuning"]
+    )
+    def test_rejects_integers_beyond_float(self, name, sign):
+        # built directly, as from_dict does, so both paths give the same error
+        with pytest.raises(ValueError, match=f"^cesium parameter {name} is an integer that overflows a float$"):
+            CesiumParams(**{name: sign * 10**400})
+
     def test_round_trip(self):
         p = CesiumParams(rf_rabi_max=1e5, rf_detuning=0.0)
         q = CesiumParams.from_dict(dataclasses.asdict(p))

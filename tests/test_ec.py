@@ -378,6 +378,30 @@ class TestBatchedTrials:
             assert fu[i] == pytest.approx(want_u, abs=1e-12)
             assert p4[i] == pytest.approx(want_p4, abs=1e-12)
 
+    @pytest.mark.parametrize("average, seed", [("haar", 1), ("haar", 8), ("axes", 0)])
+    def test_sweep_equals_single_angle_calls_bit_for_bit(self, ideal_maps, average, seed):
+        # one batched call over the grid reproduces a loop of one-angle calls on
+        # qubits drawn one haar_random_state at a time from the same seed
+        cfg = ECConfig(epsilon_grid=(-0.1, 0.0, 0.02, 0.2278, 0.3), samples=200, seed=seed, average=average)
+        res = ec_sweep(cfg, ideal_maps)
+        if average == "axes":
+            qubits = np.array(BLOCH_AXIS_STATES)
+        else:
+            rng = np.random.default_rng(seed)
+            qubits = np.array([haar_random_state(2, rng) for _ in range(cfg.samples)])
+        rows = [[float(r.mean()) for r in run_ec_trials(qubits, eps, ideal_maps)] for eps in cfg.epsilon_grid]
+        assert (res.corrected, res.uncorrected, res.trigger_rate) == tuple(zip(*rows))
+
+    def test_angle_axis_shapes(self, ideal_maps):
+        qubits = np.array(BLOCH_AXIS_STATES)
+        assert [r.shape for r in run_ec_trials(qubits, 0.1, ideal_maps)] == [(6,)] * 3
+        assert [r.shape for r in run_ec_trials(qubits, np.float64(0.1), ideal_maps)] == [(6,)] * 3
+        batch = run_ec_trials(qubits, (0.1, 0.2, 0.3), ideal_maps)
+        assert [r.shape for r in batch] == [(3, 6)] * 3
+        for i, eps in enumerate((0.1, 0.2, 0.3)):
+            for rows, one in zip(batch, run_ec_trials(qubits, eps, ideal_maps)):
+                assert np.array_equal(rows[i], one)
+
     def test_rejects_bad_input(self, ideal_maps):
         good = np.array([BLOCH_AXIS_STATES[0]])
         with pytest.raises(ValueError, match="shape"):
@@ -390,6 +414,10 @@ class TestBatchedTrials:
             run_ec_trials(np.array([[np.nan, 1.0]]), 0.1, ideal_maps)
         with pytest.raises(ValueError, match="finite"):
             run_ec_trials(good, float("nan"), ideal_maps)
+        with pytest.raises(ValueError, match="finite"):
+            run_ec_trials(good, (0.1, float("inf")), ideal_maps)
+        with pytest.raises(ValueError, match="sequence"):
+            run_ec_trials(good, [[0.1, 0.2]], ideal_maps)
         with pytest.raises(ValueError, match="norm"):
             run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from unimap.control import Waveform, propagate
+from unimap.ec import ECResult
 from unimap.io import (
     complex_to_pairs,
     fmt,
@@ -19,17 +20,31 @@ from unimap.io import (
     save_json,
     save_manifest,
     save_state_json,
+    save_ec_csv,
     save_waveform,
     save_wigner_csv,
     validate_report,
 )
-from unimap.wigner import wigner_grid
+from unimap.wigner import WignerGrid, wigner_grid
+
+
+#: floats whose text is easy to get wrong: a signed zero, the smallest subnormal, a huge value, a repeating fraction
+AWKWARD_FLOATS = (-0.0, 5e-324, 1e300, -1 / 3)
+
+
+def _per_point(x) -> str:
+    """One value at a time, in the format() spelling of the CSV float format."""
+    return format(float(x), ".17g")
 
 
 class TestFloatFormat:
     @pytest.mark.parametrize("x", [0.1, 1 / 3, 1e-300, 7.25, np.pi, -1.0000000000000002])
     def test_round_trip_exact(self, x):
         assert float(fmt(x)) == x
+
+    @pytest.mark.parametrize("x", AWKWARD_FLOATS + (0.1, np.pi, np.float64(1e-310)))
+    def test_is_the_printf_float_format(self, x):
+        assert fmt(x) == "%.17g" % x == _per_point(x)
 
 
 class TestWaveformCSV:
@@ -187,18 +202,58 @@ class TestSchemas:
         assert not path.exists()
 
 
-def test_wigner_csv_matches_per_point_writer(tmp_path):
+def _wigner_grids():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=5) + 1j * rng.normal(size=5)
-    grid = wigner_grid(psi / np.linalg.norm(psi), 9, 14)
-    lines = ["theta,phi,w"]
-    for i, theta in enumerate(grid.thetas):
-        for j, phi in enumerate(grid.phis):
-            lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}")
-    want = ("\n".join(lines) + "\n").encode()
-    path = tmp_path / "grid.csv"
-    save_wigner_csv(str(path), grid)
-    assert path.read_bytes() == want
+    yield wigner_grid(psi / np.linalg.norm(psi), 9, 14)
+    psi = rng.normal(size=7) + 1j * rng.normal(size=7)
+    yield wigner_grid(psi / np.linalg.norm(psi))  # the CLI's default 61 x 120 grid
+    yield WignerGrid(
+        thetas=np.array([0.0, *AWKWARD_FLOATS]),
+        phis=np.array([*AWKWARD_FLOATS, 1.0]),
+        values=np.outer([1.0, -1.0, 1e-8, 2.0, 1.0], [*AWKWARD_FLOATS, 0.1]),
+    )
+
+
+def test_wigner_csv_matches_per_point_writer(tmp_path):
+    for grid in _wigner_grids():
+        lines = ["theta,phi,w"]
+        for i, theta in enumerate(grid.thetas):
+            for j, phi in enumerate(grid.phis):
+                lines.append(f"{_per_point(theta)},{_per_point(phi)},{_per_point(grid.values[i, j])}")
+        want = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / "grid.csv"
+        save_wigner_csv(str(path), grid)
+        assert path.read_bytes() == want
+
+
+def test_ec_csv_matches_per_point_writer(tmp_path):
+    result = ECResult(
+        epsilon=(0.0, 0.02, 1 / 3, 5e-324),
+        corrected=(1.0, 0.9999976032079638, -0.0, 1e300),
+        uncorrected=(0.9997302925701078, -1 / 3, 0.5, 1.0),
+        trigger_rate=(4.226309518751471e-31, 0.0, 0.3319348133604869, 1e-310),
+    )
+    lines = ["epsilon,corrected,uncorrected,trigger_rate"]
+    for row in zip(result.epsilon, result.corrected, result.uncorrected, result.trigger_rate):
+        lines.append(",".join(_per_point(x) for x in row))
+    path = tmp_path / "ec.csv"
+    save_ec_csv(str(path), result)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_controls", [1, 5])
+def test_waveform_csv_matches_per_point_writer(tmp_path, n_controls):
+    rng = np.random.default_rng(n_controls)
+    amplitudes = rng.uniform(-1, 1, (12, n_controls))
+    amplitudes[:4, 0] = AWKWARD_FLOATS
+    w = Waveform(rng.uniform(1e-7, 1e-4, 12), amplitudes)
+    lines = ["segment,duration_s," + ",".join(f"u{k + 1}" for k in range(n_controls))]
+    for m in range(w.n_segments):
+        lines.append(",".join([str(m), _per_point(w.durations[m]), *(_per_point(a) for a in w.amplitudes[m])]))
+    path = tmp_path / "w.csv"
+    save_waveform(str(path), w)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_save_json_deterministic(tmp_path):
