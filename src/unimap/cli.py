@@ -3,7 +3,10 @@
 Every stochastic command takes --seed and is deterministic given its
 configuration; result files (CSV, report JSON) are byte-stable across
 reruns.  Exit codes: 0 success, 2 configuration/validation error, 1
-internal error.
+internal error.  One table, ``OPTIONAL_FLAGS``, says which optional flags
+a run reads: a flag given to a run that does not read it exits 2 before
+anything is written, and one a run reads but was not given takes the
+table's default.
 """
 
 from __future__ import annotations
@@ -46,15 +49,37 @@ class CliError(ValueError):
     """Configuration problem that should exit with status 2."""
 
 
-#: values a run that searches takes for the search flags it is not given (haar EC sweeps read seed too)
-SEARCH_DEFAULTS = {"preset": "cs133-f3-aux4", "goal": 0.99, "max_iterations": 5000, "restarts": 3, "seed": 0}
-#: geomspace(eps_min, eps_max, eps_count) is the EC error-angle grid when --epsilons is not given
-EPS_DEFAULTS = {"eps_min": 0.02, "eps_max": 0.3, "eps_count": 9}
 #: the search flags that set a SearchConfig field, each with its field
 CONFIG_FLAGS = {"segments": "segment_count", "segment_duration": "segment_duration", "goal": "fidelity_goal",
                 "max_iterations": "max_iterations", "restarts": "restarts"}
-#: flags that only a search reads (exact builds write no waveforms)
-SEARCH_FLAGS = ("preset", "params", "waveform_dir", *CONFIG_FLAGS)
+
+
+def _searches(args) -> bool:
+    """False for the runs that never search: the exact builds and the ideal EC sweeps."""
+    return not (getattr(args, "exact_mappers", False) or getattr(args, "exact", False)
+                or getattr(args, "maps", None) == "ideal")
+
+
+_SEARCH = ("runs that search", _searches)
+_GRID = ("the default grid; --epsilons lists every angle", lambda args: args.epsilons is None)
+#: every optional flag that some runs never read, as flag -> (the value a run that reads it takes when
+#: not given, or None to leave that to the code reading it; the runs an error names; whether a run reads it)
+OPTIONAL_FLAGS = {
+    "preset": ("cs133-f3-aux4", *_SEARCH),
+    **dict.fromkeys(("params", "waveform_dir", "segments", "segment_duration"), (None, *_SEARCH)),
+    "goal": (0.99, *_SEARCH),
+    "max_iterations": (5000, *_SEARCH),
+    "restarts": (3, *_SEARCH),
+    "seed": (0, "runs that search or draw Haar states",
+             lambda args: _searches(args) or getattr(args, "average", None) == "haar"),
+    "samples": (ECConfig.samples, "--average haar; axes mode averages the six Bloch-axis states",
+                lambda args: args.average == "haar"),
+    "eps_min": (0.02, *_GRID),
+    "eps_max": (0.3, *_GRID),
+    "eps_count": (9, *_GRID),
+    "d": (7, "--gate builds; a --matrix-file sets its own dimension",
+          lambda args: getattr(args, "matrix_file", None) is None),
+}
 
 
 def _load_params(path: str | None) -> CesiumParams:
@@ -62,25 +87,6 @@ def _load_params(path: str | None) -> CesiumParams:
         return CesiumParams()
     with open(path, "r", encoding="utf-8") as fh:
         return CesiumParams.from_dict(json.load(fh))
-
-
-def _flag(args, name: str, defaults=SEARCH_DEFAULTS):
-    """The flag's value as given, else its default (None if it has none)."""
-    value = getattr(args, name, None)
-    return defaults.get(name) if value is None else value
-
-
-def _reject_flags(args, names, scope: str = "runs that search") -> None:
-    """Exit 2 on a flag given to a run that never reads it."""
-    for name in names:
-        if getattr(args, name, None) is not None:
-            raise CliError(f"--{name.replace('_', '-')} applies only to {scope}")
-
-
-def _seed(args) -> int:
-    """The seed of a run that draws random numbers, kept on ``args`` so the manifest records it."""
-    args.seed = _flag(args, "seed")
-    return args.seed
 
 
 def _searched_params(args) -> CesiumParams:
@@ -92,10 +98,9 @@ def _searched_params(args) -> CesiumParams:
 
 
 def _resolve_system(args, params: CesiumParams | None = None):
-    preset = _flag(args, "preset")
-    if preset not in PRESETS:
-        raise CliError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[preset](params or _load_params(getattr(args, "params", None)))
+    if args.preset not in PRESETS:
+        raise CliError(f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}")
+    return PRESETS[args.preset](params or _load_params(args.params))
 
 
 def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
@@ -109,9 +114,9 @@ def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
 
 
 def _search_config(args, sys_model) -> SearchConfig:
-    """Search settings from the flags given, else SEARCH_DEFAULTS, else the system's default sizing."""
-    given = {field: _flag(args, flag) for flag, field in CONFIG_FLAGS.items()}
-    return default_search_config(sys_model, seed=_seed(args), **{k: v for k, v in given.items() if v is not None})
+    """Search settings from the flags, where a flag left None takes the system's default sizing."""
+    given = {field: getattr(args, flag, None) for flag, field in CONFIG_FLAGS.items()}
+    return default_search_config(sys_model, seed=args.seed, **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -171,11 +176,8 @@ def _load_target(args) -> tuple[np.ndarray, str]:
     if args.gate and args.matrix_file:
         raise CliError("give either --gate or --matrix-file, not both")
     if args.gate:
-        d = 7 if args.d is None else args.d
-        return gate_from_name(args.gate, d), f"{args.gate}:d{d}"
+        return gate_from_name(args.gate, args.d), f"{args.gate}:d{args.d}"
     if args.matrix_file:
-        if args.d is not None:
-            raise CliError("--d goes only with --gate; a --matrix-file sets its own dimension")
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         entries = np.asarray(data["entries"] if isinstance(data, dict) else data, dtype=float)
@@ -187,10 +189,9 @@ def _load_target(args) -> tuple[np.ndarray, str]:
     raise CliError("one of --gate or --matrix-file is required")
 
 
-def _pick_mapper(args, exact: bool, dim: int):
-    """The exact mapper on ``dim`` levels, or the searched mapper on the preset, plus its config."""
-    if exact:
-        _reject_flags(args, (*SEARCH_FLAGS, "seed"))
+def _pick_mapper(args, dim: int):
+    """The searched mapper on the preset if this run searches, else the exact one on ``dim`` levels; plus its config."""
+    if not _searches(args):
         return ExactMapper(dim), {}
     sys_model = _resolve_system(args, _searched_params(args))
     cfg = _search_config(args, sys_model)
@@ -223,7 +224,7 @@ def _step_fields(args, rep) -> dict:
 def cmd_build_unitary(args):
     target, label = _load_target(args)
     d_block = target.shape[0]
-    mapper, cfg = _pick_mapper(args, args.exact_mappers, d_block)
+    mapper, cfg = _pick_mapper(args, d_block)
     if d_block > mapper.dim:
         raise CliError(f"gate dimension {d_block} exceeds system dimension {mapper.dim}")
     if d_block < mapper.dim:
@@ -254,7 +255,7 @@ def cmd_build_unitary(args):
 
 def cmd_build_subspace_map(args):
     spec = load_subspace_spec(args.spec)
-    mapper, cfg = _pick_mapper(args, args.exact, spec.dim)
+    mapper, cfg = _pick_mapper(args, spec.dim)
     rep = synthesize_subspace_map(spec, mapper)
     report = validate_report(
         "subspace_report",
@@ -277,27 +278,20 @@ def cmd_build_subspace_map(args):
 
 
 def cmd_ec_sweep(args):
-    if args.average == "axes":
-        _reject_flags(args, ("samples",), "--average haar; axes mode averages the six Bloch-axis states")
-        if args.maps == "ideal":
-            _reject_flags(args, ("seed",), "searched maps and --average haar")
     if args.epsilons is None:
-        grid = tuple(np.geomspace(*(_flag(args, k, EPS_DEFAULTS) for k in EPS_DEFAULTS)))
+        grid = tuple(np.geomspace(args.eps_min, args.eps_max, args.eps_count))
     else:
-        _reject_flags(args, EPS_DEFAULTS, "the default grid; --epsilons lists every angle")
         try:
             grid = tuple(float(x) for x in args.epsilons.split(","))
         except ValueError:
             raise CliError(f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
-    samples = ECConfig.samples if args.samples is None else args.samples
-    # haar mode draws from the seed; axes mode reads it only through the searches of synthesized maps
-    seed = _seed(args) if args.average == "haar" else _flag(args, "seed")
-    cfg = ECConfig(epsilon_grid=grid, samples=samples, seed=seed, average=args.average)
+    # a flag this sweep does not read is None here and keeps ECConfig's default
+    read = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
+    cfg = ECConfig(epsilon_grid=grid, average=args.average, **read)
     stem = Path(args.out).with_suffix("")
     step_fidelities: list[list[float]] = []
     waveform_files: list[str] = []
     if args.maps == "ideal":
-        _reject_flags(args, SEARCH_FLAGS)
         maps = ec_maps()
     else:
         params = _searched_params(args)
@@ -385,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="inspect control-system presets")
     model_sub = p_model.add_subparsers(dest="model_command", required=True)
     p_info = model_sub.add_parser("info", help="print a preset summary as JSON")
-    p_info.add_argument("preset", nargs="?", default="cs133-f3-aux4")
+    p_info.add_argument("preset", nargs="?", help="default cs133-f3-aux4")
     p_info.add_argument("--params", help="JSON parameter file")
     p_info.set_defaults(func=cmd_model_info)
 
@@ -449,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--waveform", required=True)
     p_pr.add_argument("--initial-state")
     p_pr.add_argument("--target-state")
-    p_pr.add_argument("--preset", default="cs133-f3-aux4")
+    p_pr.add_argument("--preset", help="default cs133-f3-aux4")
     p_pr.add_argument("--params")
     p_pr.set_defaults(func=cmd_propagate)
 
@@ -470,9 +464,15 @@ def main(argv=None) -> int:
     # tracer) is the one that runs
     handler = globals()[args.func.__name__]
     t0 = time.monotonic()
-    # the flags as given, before a handler fills in the seed it reads
+    # the flags as given, before the table fills in the defaults this run reads
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     try:
+        for name, (default, scope, reads) in OPTIONAL_FLAGS.items():
+            if name in vars(args) and reads(args):
+                if getattr(args, name) is None:
+                    setattr(args, name, default)
+            elif getattr(args, name, None) is not None:
+                raise CliError(f"--{name.replace('_', '-')} applies only to {scope}")
         written = handler(args)
         if written is not None:
             inputs, outputs = written

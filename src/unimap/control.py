@@ -144,23 +144,6 @@ class Waveform:
     def total_duration(self) -> float:
         return float(self.durations.sum())
 
-    @staticmethod
-    def empty(n_controls: int) -> "Waveform":
-        return Waveform(np.zeros(0), np.zeros((0, n_controls)))
-
-    @staticmethod
-    def constant(duration: float, amplitudes) -> "Waveform":
-        amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-        return Waveform(np.array([duration]), amps.reshape(1, -1))
-
-    def concatenate(self, other: "Waveform") -> "Waveform":
-        if other.n_controls != self.n_controls:
-            raise ValueError("control counts differ")
-        return Waveform(
-            np.concatenate([self.durations, other.durations]),
-            np.vstack([self.amplitudes, other.amplitudes]),
-        )
-
 
 def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
     """Reject waveforms whose amplitudes are non-finite or violate the system's bounds."""
@@ -224,64 +207,11 @@ def _eig_propagators(lam: np.ndarray, v: np.ndarray, durations: np.ndarray) -> n
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def segment_propagators(sys: ControlSystem, w: Waveform) -> np.ndarray:
-    """(M, d, d) stack of per-segment propagators exp(-i H_m tau_m)."""
-    lam, v = segment_eigs(sys, w)
-    return _eig_propagators(lam, v, w.durations)
-
-
 def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
-    """Total propagator U = U_M ... U_1 (last segment applied leftmost)."""
+    """Total propagator U = U_M ... U_1 of the segments U_m = exp(-i H_m tau_m), the last applied leftmost."""
     check_amplitudes(sys, w)
     u = np.eye(sys.dim, dtype=complex)
-    for step in segment_propagators(sys, w):
+    for step in _eig_propagators(*segment_eigs(sys, w), w.durations):
         u = step @ u
     return u
 
-
-def lie_algebra_dimension(generators) -> int:
-    """Real dimension of the Lie algebra generated by i*(Hermitian generators).
-
-    Nested-commutator scan: maintain an orthonormal real basis of the span
-    (Hermitian matrices as real vectors) and close it under commutators.
-    Used as a numerical controllability witness.
-    """
-    mats = [np.asarray(g, dtype=complex) for g in generators]
-    cap = mats[0].shape[0] ** 2  # the dimension of u(d)
-
-    def to_vec(h):
-        return np.concatenate([h.real.ravel(), h.imag.ravel()])
-
-    basis_vecs: list[np.ndarray] = []
-    basis_mats: list[np.ndarray] = []
-
-    def try_add(h) -> bool:
-        v = to_vec(h)
-        for b in basis_vecs:
-            v = v - np.dot(b, v) * b
-        norm = np.linalg.norm(v)
-        if norm < 1e-9 * max(1.0, np.abs(h).max()):
-            return False
-        basis_vecs.append(v / norm)
-        basis_mats.append(h)
-        return True
-
-    scale = max(np.abs(m).max() for m in mats) or 1.0
-    for m in mats:
-        try_add(m / scale)
-    frontier = list(range(len(basis_mats)))
-    while frontier and len(basis_mats) < cap:
-        new_frontier = []
-        for i in frontier:
-            for j in range(len(basis_mats)):
-                if len(basis_mats) >= cap:
-                    break
-                # i[A, B] is Hermitian for Hermitian A, B
-                comm = 1j * (basis_mats[i] @ basis_mats[j] - basis_mats[j] @ basis_mats[i])
-                top = np.abs(comm).max()
-                if top < 1e-12:
-                    continue
-                if try_add(comm / top):
-                    new_frontier.append(len(basis_mats) - 1)
-        frontier = new_frontier
-    return len(basis_mats)

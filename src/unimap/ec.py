@@ -82,13 +82,6 @@ def ec_maps():
     return tuple(synthesize_subspace_map(spec, mapper).assembled for spec in ec_map_specs())
 
 
-def error_channel(epsilon: float) -> np.ndarray:
-    """Dephasing unitary exp(-2 i epsilon Fz) on the simulation space."""
-    if not np.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
-    return np.diag(np.exp(-2j * epsilon * np.diag(FZ_SIM)))
-
-
 def run_ec_trials(qubits, epsilon, maps):
     """One protocol round on n qubit states at once, summed over both QND outcomes.
 
@@ -114,7 +107,7 @@ def run_ec_trials(qubits, epsilon, maps):
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim > 1 or not np.all(np.isfinite(eps)):
         raise ValueError("epsilon must be one finite angle or a sequence of them")
-    # the diagonal of error_channel, one row per angle
+    # the diagonal of the dephasing unitary exp(-2 i eps Fz), one row per angle
     phases = np.exp(-2j * eps[..., None] * np.diag(FZ_SIM))[..., None, :]
     psi0 = q @ np.array([sim_z_state(4), sim_z_state(3)])
     uncorrected = _overlap_fidelity(psi0, psi0 * phases)

@@ -1,6 +1,6 @@
 """Shared fixtures and helpers: the cesium presets, small generic test
-systems, the exact adjoint of a waveform's propagator, and diagonal phase
-targets."""
+systems, the exact adjoint of a waveform's propagator, diagonal phase
+targets, and the Lie-algebra rank used as a controllability witness."""
 
 import numpy as np
 import pytest
@@ -34,6 +34,54 @@ def diag_phase(d: int, index: int, angle: float) -> np.ndarray:
     diag = np.ones(d, dtype=complex)
     diag[index] = np.exp(-1j * angle)
     return np.diag(diag)
+
+
+def lie_algebra_dimension(generators) -> int:
+    """Real dimension of the Lie algebra generated by i*(Hermitian generators).
+
+    Nested-commutator scan: maintain an orthonormal real basis of the span
+    (Hermitian matrices as real vectors) and close it under commutators.
+    Used as a numerical controllability witness.
+    """
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    cap = mats[0].shape[0] ** 2  # the dimension of u(d)
+
+    def to_vec(h):
+        return np.concatenate([h.real.ravel(), h.imag.ravel()])
+
+    basis_vecs: list[np.ndarray] = []
+    basis_mats: list[np.ndarray] = []
+
+    def try_add(h) -> bool:
+        v = to_vec(h)
+        for b in basis_vecs:
+            v = v - np.dot(b, v) * b
+        norm = np.linalg.norm(v)
+        if norm < 1e-9 * max(1.0, np.abs(h).max()):
+            return False
+        basis_vecs.append(v / norm)
+        basis_mats.append(h)
+        return True
+
+    scale = max(np.abs(m).max() for m in mats) or 1.0
+    for m in mats:
+        try_add(m / scale)
+    frontier = list(range(len(basis_mats)))
+    while frontier and len(basis_mats) < cap:
+        new_frontier = []
+        for i in frontier:
+            for j in range(len(basis_mats)):
+                if len(basis_mats) >= cap:
+                    break
+                # i[A, B] is Hermitian for Hermitian A, B
+                comm = 1j * (basis_mats[i] @ basis_mats[j] - basis_mats[j] @ basis_mats[i])
+                top = np.abs(comm).max()
+                if top < 1e-12:
+                    continue
+                if try_add(comm / top):
+                    new_frontier.append(len(basis_mats) - 1)
+        frontier = new_frontier
+    return len(basis_mats)
 
 
 def make_spin_system(two_f: int, rate: float = 2 * np.pi * 25e3) -> ControlSystem:

@@ -13,8 +13,8 @@ from unimap.cesium import (
     spin_operators,
     x_basis_state,
 )
-from conftest import diag_phase
-from unimap.control import Waveform, lie_algebra_dimension, propagate
+from conftest import diag_phase, lie_algebra_dimension
+from unimap.control import Waveform, propagate
 from unimap.core import basis_state
 
 
@@ -72,7 +72,7 @@ class TestRestrictedSystem:
         # the imprint as played: one light-shift segment of lam / lightshift_max at amplitude 1
         lam = 1.234
         light = np.eye(len(CONTROL_NAMES))[CONTROL_NAMES.index("light_shift")]
-        w = Waveform.constant(lam / CesiumParams().lightshift_max, light)
+        w = Waveform([lam / CesiumParams().lightshift_max], [light])
         target = diag_phase(8, 7, lam)
         assert np.abs(propagate(cesium, w) - target).max() < 1e-10
 

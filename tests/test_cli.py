@@ -14,7 +14,7 @@ import pytest
 import unimap
 import unimap.cli
 import unimap.subspace
-from unimap.cli import _resolve_state, build_parser, main
+from unimap.cli import OPTIONAL_FLAGS, _resolve_state, build_parser, main
 from unimap.core import basis_state
 from unimap.io import complex_to_pairs, load_schema, load_waveform
 
@@ -652,6 +652,66 @@ class TestOverflowRates:
         assert out == "" and err == "error: cesium parameter rf_rabi_max is an integer that overflows a float\n"
         assert searches == []
         assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+
+_EXACT_X = ["build-unitary", "--gate", "X", "--d", "3", "--exact-mappers", "--out-report", "{out}/r.json"]
+_SEARCH_X = ["optimize-state", "--initial", "fiducial", "--target", "basis:0",
+             "--out-waveform", "{out}/w.csv", "--out-report", "{out}/r.json"]
+_HAAR_SWEEP = ["ec-sweep", "--out", "{out}/ec.csv"]
+
+#: for each table flag, a run that does not read it
+UNREAD_BY = {
+    **dict.fromkeys(("preset", "params", "waveform_dir", "segments", "segment_duration", "goal",
+                     "max_iterations", "restarts", "seed"), _EXACT_X),
+    "samples": ["ec-sweep", "--average", "axes", "--out", "{out}/ec.csv"],
+    **dict.fromkeys(("eps_min", "eps_max", "eps_count"), ["ec-sweep", "--epsilons", "0.1", "--out", "{out}/ec.csv"]),
+    "d": ["build-unitary", "--matrix-file", "{out}/m.json", "--exact-mappers", "--out-report", "{out}/r.json"],
+}
+
+#: for each table flag with a default, a run that reads it without being
+#: given it, the file that run writes, and where that file records the value
+RECORDED_BY = {
+    "preset": (_SEARCH_X, "r.json", lambda doc: doc["system"]),
+    "goal": (_SEARCH_X, "r.json", lambda doc: doc["config"]["fidelity_goal"]),
+    "max_iterations": (_SEARCH_X, "r.json", lambda doc: doc["config"]["max_iterations"]),
+    "restarts": (_SEARCH_X, "r.json", lambda doc: doc["config"]["restarts"]),
+    "seed": (_HAAR_SWEEP, "ec.meta.json", lambda doc: doc["seed"]),
+    "samples": (_HAAR_SWEEP, "ec.meta.json", lambda doc: doc["samples"]),
+    "eps_min": (_HAAR_SWEEP, "ec.meta.json", lambda doc: doc["epsilon_grid"][0]),
+    "eps_max": (_HAAR_SWEEP, "ec.meta.json", lambda doc: doc["epsilon_grid"][-1]),
+    "eps_count": (_HAAR_SWEEP, "ec.meta.json", lambda doc: len(doc["epsilon_grid"])),
+    "d": (["build-unitary", "--gate", "X", "--exact-mappers", "--out-report", "{out}/r.json"], "r.json",
+          lambda doc: doc["dimension"]),
+}
+
+
+def _parser_dests(parser) -> set[str]:
+    """The destination of every argument of ``parser`` and of its subparsers."""
+    dests = set()
+    for action in parser._actions:
+        dests.add(action.dest)
+        if isinstance(action.choices, dict):
+            for sub in action.choices.values():
+                dests |= _parser_dests(sub)
+    return dests
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("name", OPTIONAL_FLAGS)
+    def test_run_that_does_not_read_a_flag_exits_2_without_outputs(self, tmp_path, capsys, name):
+        assert name in _parser_dests(build_parser())
+        flag = f"--{name.replace('_', '-')}"
+        argv = [a.format(out=tmp_path) for a in UNREAD_BY[name]]
+        assert run([*argv, flag, "1"]) == 2
+        assert f"error: {flag} applies only to {OPTIONAL_FLAGS[name][1]}\n" == capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", [name for name, entry in OPTIONAL_FLAGS.items() if entry[0] is not None])
+    def test_run_that_reads_a_flag_not_given_records_its_default(self, tmp_path, fixed_search, name):
+        fixed_search(unimap.cli)
+        argv, written, recorded = RECORDED_BY[name]
+        assert run([a.format(out=tmp_path) for a in argv]) == 0
+        assert recorded(json.loads((tmp_path / written).read_text())) == OPTIONAL_FLAGS[name][0]
 
 
 class TestUnreadFlags:

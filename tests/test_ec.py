@@ -12,7 +12,6 @@ from unimap.ec import (
     ec_map_specs,
     ec_maps,
     ec_sweep,
-    error_channel,
     run_ec_trials,
     sim_x_state,
     sim_z_state,
@@ -51,6 +50,11 @@ def qnd_measure_F(state, rng: np.random.Generator, force_outcome: int | None = N
     else:
         collapsed[:7] = 0.0
     return outcome, collapsed / np.linalg.norm(collapsed), prob
+
+
+def error_channel(epsilon: float) -> np.ndarray:
+    """Reference dephasing unitary exp(-2 i epsilon Fz) on the simulation space."""
+    return np.diag(np.exp(-2j * epsilon * np.diag(FZ_SIM)))
 
 
 def physical_qubit_state(psi_qubit) -> np.ndarray:

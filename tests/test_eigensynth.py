@@ -261,9 +261,10 @@ class TestSynthesizeWaveform:
         phases = [s.phase for s in plan_unitary(target) if not s.skippable]
         assert len(phases) == len(report.waveforms) == 2
         light = np.eye(cesium.n_controls)[CONTROL_NAMES.index("light_shift")]
-        played = Waveform.empty(cesium.n_controls)
+        segments = []
         for theta, v in zip(phases, report.waveforms):
-            imprint = Waveform.constant(theta / CesiumParams().lightshift_max, light)
-            reversed_v = Waveform(v.durations[::-1], -v.amplitudes[::-1])
-            played = played.concatenate(v).concatenate(imprint).concatenate(reversed_v)
+            imprint = ([theta / CesiumParams().lightshift_max], [light])
+            segments += [(v.durations, v.amplitudes), imprint, (v.durations[::-1], -v.amplitudes[::-1])]
+        durations, amplitudes = zip(*segments)
+        played = Waveform(np.concatenate(durations), np.concatenate(amplitudes))
         assert np.abs(propagate(cesium, played) - report.assembled).max() < 1e-10

@@ -123,10 +123,10 @@ def assert_gradient_close(analytic, fd, rel=1e-5, floor=1e-8):
 class TestObjective:
     def test_same_state_empty_waveform(self, cesium):
         psi = haar_random_state(8, np.random.default_rng(0))
-        assert objective_state_prep(cesium, Waveform.empty(5), psi, psi) == pytest.approx(1.0)
+        assert objective_state_prep(cesium, Waveform(np.zeros(0), np.zeros((0, 5))), psi, psi) == pytest.approx(1.0)
 
     def test_orthogonal_target(self, cesium):
-        w = Waveform.empty(5)
+        w = Waveform(np.zeros(0), np.zeros((0, 5)))
         assert objective_state_prep(cesium, w, basis_state(8, 0), basis_state(8, 3)) == 0.0
 
     def test_matches_direct_computation(self, cesium):
@@ -138,7 +138,7 @@ class TestObjective:
 
     def test_dimension_mismatch(self, cesium):
         with pytest.raises(ValueError):
-            objective_state_prep(cesium, Waveform.empty(5), basis_state(4, 0), basis_state(4, 1))
+            objective_state_prep(cesium, Waveform(np.zeros(0), np.zeros((0, 5))), basis_state(4, 0), basis_state(4, 1))
 
 
 class TestGradient:
@@ -154,7 +154,7 @@ class TestGradient:
         # one segment, one sigma_x/2 control: J(u) = sin^2(u tau / 2) for
         # |0> -> |1>, so dJ/du = (tau / 2) sin(u tau)
         tau, u = 0.9, 0.7
-        w = Waveform.constant(tau, [u])
+        w = Waveform([tau], [[u]])
         grad = gradient_state_prep(two_level, w, basis_state(2, 0), basis_state(2, 1))
         expected = (tau / 2) * np.sin(u * tau)
         assert abs(grad[0] - expected) < 1e-8
