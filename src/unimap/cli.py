@@ -2,11 +2,12 @@
 
 Every stochastic command takes --seed and is deterministic given its
 configuration; result files (CSV, report JSON) are byte-stable across
-reruns.  Exit codes: 0 success, 2 configuration/validation error, 1
-internal error.  One table, ``OPTIONAL_FLAGS``, says which optional flags
-a run reads: a flag given to a run that does not read it exits 2 before
-anything is written, and one a run reads but was not given takes the
-table's default.
+reruns.  Exit codes: 0 success; 2 when a command raises ValueError or
+OSError (bad input, configuration or file); 1, with a traceback, for
+anything else, which is an internal error.  One table,
+``OPTIONAL_FLAGS``, says which optional flags a run reads: a flag given
+to a run that does not read it exits 2 before anything is written, and
+one a run reads but was not given takes the table's default.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ from .io import (
 from .search import SearchConfig, default_search_config, multi_start
 from .subspace import ExactMapper, SearchedMapper, synthesize_subspace_map
 from .wigner import extract_block, wigner_grid
-
-
-class CliError(ValueError):
-    """Configuration problem that should exit with status 2."""
 
 
 #: the search flags that set a SearchConfig field, each with its field
@@ -89,17 +86,9 @@ def _load_params(path: str | None) -> CesiumParams:
         return CesiumParams.from_dict(json.load(fh))
 
 
-def _searched_params(args) -> CesiumParams:
-    """Cesium parameters for a searched build: on a detuned frame no played sequence gives its factors."""
-    params = _load_params(args.params)
-    if params.rf_detuning != 0:
-        raise CliError(f"searched builds need rf_detuning = 0, got {params.rf_detuning:g} rad/s")
-    return params
-
-
 def _resolve_system(args, params: CesiumParams | None = None):
     if args.preset not in PRESETS:
-        raise CliError(f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}")
+        raise ValueError(f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}")
     return PRESETS[args.preset](params or _load_params(args.params))
 
 
@@ -119,15 +108,20 @@ def _search_config(args, sys_model) -> SearchConfig:
     return default_search_config(sys_model, seed=args.seed, **{k: v for k, v in given.items() if v is not None})
 
 
+def _default(flag: str) -> str:
+    """'default <value>' for a help string, from the flag's OPTIONAL_FLAGS entry."""
+    return f"default {OPTIONAL_FLAGS[flag][0]}"
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help="control-system preset (default cs133-f3-aux4)")
+    p.add_argument("--preset", help=f"control-system preset ({_default('preset')})")
     p.add_argument("--params", help="JSON file overriding the cesium parameters")
     p.add_argument("--segments", type=int, help="segment count (default: 2 d^2 variables)")
     p.add_argument("--segment-duration", type=float, help="segment duration in seconds (default 1e-5)")
-    p.add_argument("--goal", type=float, help="fidelity goal (default 0.99)")
-    p.add_argument("--max-iterations", type=int, help="default 5000")
-    p.add_argument("--seed", type=int, help="default 0")
-    p.add_argument("--restarts", type=int, help="default 3")
+    p.add_argument("--goal", type=float, help=f"fidelity goal ({_default('goal')})")
+    p.add_argument("--max-iterations", type=int, help=_default("max_iterations"))
+    p.add_argument("--seed", type=int, help=_default("seed"))
+    p.add_argument("--restarts", type=int, help=_default("restarts"))
 
 
 def cmd_model_info(args) -> None:
@@ -174,26 +168,33 @@ def cmd_optimize_state(args):
 def _load_target(args) -> tuple[np.ndarray, str]:
     """The requested gate or matrix at its natural dimension, plus a label."""
     if args.gate and args.matrix_file:
-        raise CliError("give either --gate or --matrix-file, not both")
+        raise ValueError("give either --gate or --matrix-file, not both")
     if args.gate:
         return gate_from_name(args.gate, args.d), f"{args.gate}:d{args.d}"
     if args.matrix_file:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        entries = np.asarray(data["entries"] if isinstance(data, dict) else data, dtype=float)
+        if isinstance(data, dict):
+            if "entries" not in data:
+                raise ValueError(f"{args.matrix_file}: missing field 'entries'")
+            data = data["entries"]
+        try:
+            entries = np.asarray(data, dtype=float)
+        except TypeError:  # an object or null where a number belongs: no matrix of pairs
+            entries = np.empty(0)
         if entries.ndim != 3 or entries.shape[2] != 2 or entries.shape[0] != entries.shape[1]:
-            raise CliError(f"{args.matrix_file}: entries must be a d x d matrix of [re, im] pairs")
+            raise ValueError(f"{args.matrix_file}: entries must be a d x d matrix of [re, im] pairs")
         if entries.shape[0] < 2:
-            raise CliError(f"{args.matrix_file}: dimension must be >= 2, got {entries.shape[0]}")
+            raise ValueError(f"{args.matrix_file}: dimension must be >= 2, got {entries.shape[0]}")
         return entries[..., 0] + 1j * entries[..., 1], Path(args.matrix_file).stem
-    raise CliError("one of --gate or --matrix-file is required")
+    raise ValueError("one of --gate or --matrix-file is required")
 
 
 def _pick_mapper(args, dim: int):
     """The searched mapper on the preset if this run searches, else the exact one on ``dim`` levels; plus its config."""
     if not _searches(args):
         return ExactMapper(dim), {}
-    sys_model = _resolve_system(args, _searched_params(args))
+    sys_model = _resolve_system(args)
     cfg = _search_config(args, sys_model)
     return SearchedMapper(sys_model, cfg), dataclasses.asdict(cfg)
 
@@ -225,8 +226,6 @@ def cmd_build_unitary(args):
     target, label = _load_target(args)
     d_block = target.shape[0]
     mapper, cfg = _pick_mapper(args, d_block)
-    if d_block > mapper.dim:
-        raise CliError(f"gate dimension {d_block} exceeds system dimension {mapper.dim}")
     if d_block < mapper.dim:
         full = np.eye(mapper.dim, dtype=complex)
         full[:d_block, :d_block] = target
@@ -284,7 +283,7 @@ def cmd_ec_sweep(args):
         try:
             grid = tuple(float(x) for x in args.epsilons.split(","))
         except ValueError:
-            raise CliError(f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
+            raise ValueError(f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
     # a flag this sweep does not read is None here and keeps ECConfig's default
     read = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
     cfg = ECConfig(epsilon_grid=grid, average=args.average, **read)
@@ -294,7 +293,7 @@ def cmd_ec_sweep(args):
     if args.maps == "ideal":
         maps = ec_maps()
     else:
-        params = _searched_params(args)
+        params = _load_params(args.params)
         maps, reports = synthesize_ec_maps(params, _search_config(args, build_restricted_system(params)))
         step_fidelities = [list(r.step_fidelities) for r in reports]
         for i, rep in enumerate(reports, 1):
@@ -326,7 +325,7 @@ def cmd_wigner(args):
         try:
             start, size = (int(x) for x in args.block.split(":"))
         except ValueError:
-            raise CliError("--block must be START:SIZE") from None
+            raise ValueError("--block must be START:SIZE") from None
         state = extract_block(state, start, size)
     # as_state admits a norm off by up to its tolerance; W scales with the norm squared
     state = as_state(state)
@@ -338,13 +337,7 @@ def cmd_wigner(args):
 
 def cmd_verify_clifford(args):
     report = verify_clifford_relations(args.d, a=args.a)
-    doc = {
-        "d": report.d,
-        "a": report.a,
-        "deviations": {k: float(v) for k, v in report.deviations.items()},
-        "s_discrepancy": report.s_discrepancy,
-    }
-    validate_report("clifford_report", doc)
+    doc = validate_report("clifford_report", dataclasses.asdict(report))
     for name, dev in report.deviations.items():
         marker = "  <-- DISCREPANCY (reported, not patched)" if (
             name == "SXS* = XZ" and report.s_discrepancy
@@ -358,7 +351,7 @@ def cmd_verify_clifford(args):
 def cmd_propagate(args) -> None:
     """Utility: propagate a stored waveform and report the fidelity to a target."""
     if (args.initial_state is None) != (args.target_state is None):
-        raise CliError("give --initial-state and --target-state together, or neither")
+        raise ValueError("give --initial-state and --target-state together, or neither")
     sys_model = _resolve_system(args)
     w = load_waveform(args.waveform)
     u = propagate(sys_model, w)
@@ -379,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="inspect control-system presets")
     model_sub = p_model.add_subparsers(dest="model_command", required=True)
     p_info = model_sub.add_parser("info", help="print a preset summary as JSON")
-    p_info.add_argument("preset", nargs="?", help="default cs133-f3-aux4")
+    p_info.add_argument("preset", nargs="?", help=_default("preset"))
     p_info.add_argument("--params", help="JSON parameter file")
     p_info.set_defaults(func=cmd_model_info)
 
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bu = sub.add_parser("build-unitary", help="synthesize a full unitary map")
     p_bu.add_argument("--gate", help="gate name: X, Z, H, S, or G:<a>")
     p_bu.add_argument("--matrix-file", help="JSON matrix of [re, im] pairs")
-    p_bu.add_argument("--d", type=int, help="gate dimension (default 7)")
+    p_bu.add_argument("--d", type=int, help=f"gate dimension ({_default('d')})")
     p_bu.add_argument("--exact-mappers", action="store_true", help="algebraic mappers, no searches")
     p_bu.add_argument("--out-report", required=True)
     p_bu.add_argument("--waveform-dir")
@@ -412,17 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ec = sub.add_parser("ec-sweep", help="error-correction fidelity sweep")
     p_ec.add_argument("--maps", choices=("ideal", "synthesized"), default="ideal")
     p_ec.add_argument("--epsilons", help="comma-separated error half-angles")
-    p_ec.add_argument("--eps-min", type=float, help="default 0.02")
-    p_ec.add_argument("--eps-max", type=float, help="default 0.3")
-    p_ec.add_argument("--eps-count", type=int, help="default 9")
-    p_ec.add_argument("--samples", type=int, help="Haar states averaged (haar mode only; default 200)")
-    p_ec.add_argument("--seed", type=int, help="default 0")
+    p_ec.add_argument("--eps-min", type=float, help=_default("eps_min"))
+    p_ec.add_argument("--eps-max", type=float, help=_default("eps_max"))
+    p_ec.add_argument("--eps-count", type=int, help=_default("eps_count"))
+    p_ec.add_argument("--samples", type=int, help=f"Haar states averaged (haar mode only; {_default('samples')})")
+    p_ec.add_argument("--seed", type=int, help=_default("seed"))
     p_ec.add_argument("--average", choices=("haar", "axes"), default="haar")
     p_ec.add_argument("--out", required=True, help="result CSV path")
     p_ec.add_argument("--params", help="cesium parameter JSON (synthesized maps)")
-    p_ec.add_argument("--goal", type=float, help="fidelity goal (default 0.99)")
-    p_ec.add_argument("--max-iterations", type=int, help="default 5000")
-    p_ec.add_argument("--restarts", type=int, help="default 3")
+    p_ec.add_argument("--goal", type=float, help=f"fidelity goal ({_default('goal')})")
+    p_ec.add_argument("--max-iterations", type=int, help=_default("max_iterations"))
+    p_ec.add_argument("--restarts", type=int, help=_default("restarts"))
     p_ec.set_defaults(func=cmd_ec_sweep)
 
     p_w = sub.add_parser("wigner", help="emit a Wigner sphere grid as CSV")
@@ -443,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--waveform", required=True)
     p_pr.add_argument("--initial-state")
     p_pr.add_argument("--target-state")
-    p_pr.add_argument("--preset", help="default cs133-f3-aux4")
+    p_pr.add_argument("--preset", help=_default("preset"))
     p_pr.add_argument("--params")
     p_pr.set_defaults(func=cmd_propagate)
 
@@ -472,7 +465,7 @@ def main(argv=None) -> int:
                 if getattr(args, name) is None:
                     setattr(args, name, default)
             elif getattr(args, name, None) is not None:
-                raise CliError(f"--{name.replace('_', '-')} applies only to {scope}")
+                raise ValueError(f"--{name.replace('_', '-')} applies only to {scope}")
         written = handler(args)
         if written is not None:
             inputs, outputs = written
@@ -486,7 +479,7 @@ def main(argv=None) -> int:
                 "duration_s": time.monotonic() - t0,
             })
         return 0
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -26,6 +26,9 @@ import numpy as np
 from .core import assert_hermitian
 
 AMPLITUDE_TOL = 1e-12
+#: largest |lambda tau| (rad) a segment may reach: e^{-i lambda tau} is good to about
+#: |lambda tau| 2^-52, so this keeps every segment phase within about 1e-10 rad
+PHASE_LIMIT = 4.5e5
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -72,6 +75,9 @@ class ControlSystem:
     #: basis indices in chain order from one end when the drift and controls
     #: couple the levels along a single path, else None
     chain_walk: np.ndarray | None = field(init=False, repr=False, compare=False)
+    #: ||H0|| + sum_k ||H_k|| max(|lo_k|, |hi_k|) (rad/s, spectral norms), a bound on
+    #: every segment generator within the amplitude bounds
+    generator_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         drift = _readonly(assert_hermitian(self.drift))
@@ -96,6 +102,11 @@ class ControlSystem:
         object.__setattr__(self, "bound_array", _readonly(np.array(bounds, dtype=float).reshape(-1, 2).T))
         coupled = np.abs(drift) + np.abs(stack).sum(axis=0)
         object.__setattr__(self, "chain_walk", _path_walk(coupled != 0))
+        # summed in Python floats, which overflow to inf without a numpy warning
+        bound = float(np.linalg.norm(drift, 2)) + sum(
+            float(np.linalg.norm(h, 2)) * max(abs(lo), abs(hi)) for h, (lo, hi) in zip(controls, bounds)
+        )
+        object.__setattr__(self, "generator_bound", bound)
 
     @property
     def dim(self) -> int:
@@ -160,6 +171,17 @@ def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
         )
 
 
+def check_segment_phase(sys: ControlSystem, duration: float) -> None:
+    """Reject a segment duration over which the system's generators may turn more than PHASE_LIMIT rad."""
+    phase = sys.generator_bound * duration
+    if not phase <= PHASE_LIMIT:
+        raise ValueError(
+            f"system {sys.name!r}: generator bound {sys.generator_bound:.6g} rad/s times segment duration "
+            f"{duration:g} s reaches {phase:.3g} rad, above the {PHASE_LIMIT:g} rad that keeps segment phases "
+            f"accurate to 1e-10"
+        )
+
+
 def segment_hamiltonians(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """(M, d, d) stack of per-segment generators H0 + sum_k u_k H_k."""
     d = sys.dim
@@ -210,6 +232,7 @@ def _eig_propagators(lam: np.ndarray, v: np.ndarray, durations: np.ndarray) -> n
 def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """Total propagator U = U_M ... U_1 of the segments U_m = exp(-i H_m tau_m), the last applied leftmost."""
     check_amplitudes(sys, w)
+    check_segment_phase(sys, float(w.durations.max(initial=0.0)))
     u = np.eye(sys.dim, dtype=complex)
     for step in _eig_propagators(*segment_eigs(sys, w), w.durations):
         u = step @ u

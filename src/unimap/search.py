@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSystem, Waveform, _eig_propagators, check_amplitudes, segment_eigs
+from .control import ControlSystem, Waveform, _eig_propagators, check_amplitudes, check_segment_phase, segment_eigs
 from .core import as_state
 
 ARMIJO_C = 1e-4
@@ -208,7 +208,10 @@ def search_state_map(
     ``max_iterations``, at a vanishing projected gradient, or when a
     gradient step fails too.  Deterministic given (sys, psi_i, psi_f,
     cfg); non-convergence is reported through ``converged``, never raised.
+    A segment duration whose phases would lose their digits
+    (``control.check_segment_phase``) is refused before the first step.
     """
+    check_segment_phase(sys, cfg.segment_duration)
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
     durations = np.full(cfg.segment_count, cfg.segment_duration)
@@ -298,8 +301,10 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
 
     Restart r runs with the rng stream (cfg.seed, r), so adding restarts
     never changes earlier ones; the first restart achieving the maximum
-    fidelity wins.
+    fidelity wins.  The segment duration is checked as in
+    ``search_state_map`` before the zero-amplitude shortcut is tried.
     """
+    check_segment_phase(sys, cfg.segment_duration)
     zero = _zero_seed_result(sys, psi_i, psi_f, cfg)
     if zero is not None:
         return zero

@@ -137,11 +137,20 @@ class SearchedMapper:
 
     chi is the conjugated fiducial row of that one propagator, never a
     second search or propagation.  The closed-form factor assumes that
-    nothing acts between V and V† except the imprint, which rules out drift.
+    nothing acts between V and V† except the imprint, so a system with a
+    nonzero drift is refused here, before any search.
     """
 
     sys: ControlSystem
     cfg: SearchConfig
+
+    def __post_init__(self):
+        if np.any(self.sys.drift):
+            raise ValueError(
+                f"searched builds need a drift-free system, but {self.sys.name!r} has drift norm "
+                f"{np.linalg.norm(self.sys.drift, 2):.6g} rad/s: playing V, the imprint, then V reversed "
+                f"gives V† P(theta) V only when no drift acts"
+            )
 
     @property
     def dim(self) -> int:

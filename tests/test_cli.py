@@ -13,10 +13,12 @@ import pytest
 
 import unimap
 import unimap.cli
+import unimap.search
 import unimap.subspace
 from unimap.cli import OPTIONAL_FLAGS, _resolve_state, build_parser, main
+from unimap.control import Waveform
 from unimap.core import basis_state
-from unimap.io import complex_to_pairs, load_schema, load_waveform
+from unimap.io import complex_to_pairs, load_schema, load_waveform, save_waveform
 
 import jsonschema
 
@@ -231,6 +233,31 @@ class TestBuildUnitary:
         assert run(["build-unitary", "--gate", "X", "--d", "3", "--exact-mappers",
                     "--waveform-dir", str(tmp_path / "wd" / "x"), "--out-report", str(tmp_path / "r.json")]) == 2
         assert "--waveform-dir applies only to runs that search" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_entries_exits_2_without_report(self, tmp_path, capsys):
+        mfile = _write(tmp_path / "m.json", {"matrix": [[[1.0, 0.0]]]})
+        assert run(["build-unitary", "--matrix-file", mfile, "--exact-mappers",
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {mfile}: missing field 'entries'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    def test_searched_gate_pads_into_the_system(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert run(["build-unitary", "--gate", "X", "--d", "3", "--max-iterations", "0", "--restarts", "1",
+                    "--out-report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["dimension"] == 8
+        assert 0 <= doc["block_trace_fidelity"] <= 1
+        # X at d=3 has one zero eigenphase; the five padded levels add only zero phases
+        assert doc["searches_performed"] == 2 and len(doc["skipped_steps"]) == 6
+
+    def test_searched_gate_wider_than_system_exits_2_before_search(self, tmp_path, capsys, monkeypatch):
+        searches = []
+        monkeypatch.setattr(unimap.subspace, "multi_start", lambda *a: searches.append(a))
+        assert run(["build-unitary", "--gate", "X", "--d", "9", "--out-report", str(tmp_path / "r.json")]) == 2
+        assert "target dimension 9 != mapper dimension 8" in capsys.readouterr().err
+        assert searches == []
         assert list(tmp_path.iterdir()) == []
 
     def test_matrix_file_input(self, tmp_path):
@@ -592,7 +619,9 @@ class TestDetunedFrame:
         params, spec = _detuned(tmp_path), _spec(tmp_path)
         argv = [a.format(out=tmp_path, spec=spec) for a in argv]
         assert run([*argv, "--params", params]) == 2
-        assert "rf_detuning" in capsys.readouterr().err
+        # the drift is rf_detuning * Fz, whose norm is 3 |rf_detuning|
+        err = capsys.readouterr().err
+        assert f"drift-free system, but 'cs133-f3-aux4' has drift norm {3 * 2 * np.pi * 2e3:.6g} rad/s" in err
         assert searches == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "spec.json"]
 
@@ -685,15 +714,18 @@ RECORDED_BY = {
 }
 
 
-def _parser_dests(parser) -> set[str]:
-    """The destination of every argument of ``parser`` and of its subparsers."""
-    dests = set()
+def _parsers(parser):
+    """``parser`` and every subparser below it."""
+    yield parser
     for action in parser._actions:
-        dests.add(action.dest)
         if isinstance(action.choices, dict):
             for sub in action.choices.values():
-                dests |= _parser_dests(sub)
-    return dests
+                yield from _parsers(sub)
+
+
+def _parser_dests(parser) -> set[str]:
+    """The destination of every argument of ``parser`` and of its subparsers."""
+    return {action.dest for p in _parsers(parser) for action in p._actions}
 
 
 class TestFlagTable:
@@ -712,6 +744,13 @@ class TestFlagTable:
         argv, written, recorded = RECORDED_BY[name]
         assert run([a.format(out=tmp_path) for a in argv]) == 0
         assert recorded(json.loads((tmp_path / written).read_text())) == OPTIONAL_FLAGS[name][0]
+
+    @pytest.mark.parametrize("name", [name for name, entry in OPTIONAL_FLAGS.items() if entry[0] is not None])
+    def test_every_help_for_a_flag_states_its_default(self, name):
+        # a required flag (verify-clifford --d) is always given, so no default applies to it
+        helps = [action.help for p in _parsers(build_parser()) for action in p._actions
+                 if action.dest == name and not action.required]
+        assert helps and all(f"default {OPTIONAL_FLAGS[name][0]}" in text for text in helps)
 
 
 class TestUnreadFlags:
@@ -759,3 +798,62 @@ class TestUnreadFlags:
     def test_default_grid(self, tmp_path, flags, grid):
         assert run(["ec-sweep", "--average", "axes", *flags, "--out", str(tmp_path / "ec.csv")]) == 0
         assert json.loads((tmp_path / "ec.meta.json").read_text())["epsilon_grid"] == grid.tolist()
+
+
+class TestBadPairData:
+    """An object where [re, im] pairs belong is bad input: exit 2, naming the file and the field."""
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({"amplitudes": {"x": 1}}, ["wigner", "--state", "{file}", "--out", "{out}/g.csv"],
+         "{file}: amplitudes must be a list of [re, im] pairs"),
+        ({"source": [{"x": 1}], "target": [[[1, 0], [0, 0]]]},
+         ["build-subspace-map", "--spec", "{file}", "--exact", "--out-report", "{out}/r.json"],
+         "{file}: source[0] must be a list of [re, im] pairs"),
+        ({"entries": {"x": 1}}, ["build-unitary", "--matrix-file", "{file}", "--exact-mappers",
+                                 "--out-report", "{out}/r.json"],
+         "{file}: entries must be a d x d matrix of [re, im] pairs"),
+    ])
+    def test_exits_2_without_outputs(self, tmp_path, capsys, doc, argv, message):
+        file = _write(tmp_path / "in.json", doc)
+        assert run([a.format(file=file, out=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(file=file)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
+class TestPhaseRefusal:
+    """Segment phases that carry no digits are refused before any search, propagation or write."""
+
+    @pytest.mark.parametrize("rates, flags, duration", [
+        ({"rf_rabi_max": 1e160}, [], "1e-05"),
+        ({}, ["--segment-duration", "1e200"], "1e+200"),
+    ])
+    def test_optimize_state_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, rates, flags, duration):
+        forward = []
+        monkeypatch.setattr(unimap.search, "segment_eigs", lambda *a: forward.append(a))
+        params = _write(tmp_path / "p.json", rates)
+        assert run(["optimize-state", "--initial", "fiducial", "--target", "basis:3", "--params", params, *flags,
+                    "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "system 'cs133-f3-aux4': generator bound" in err and f"segment duration {duration} s" in err
+        assert forward == []
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+    def test_propagate_exits_2(self, tmp_path, capsys):
+        wave = tmp_path / "w.csv"
+        save_waveform(str(wave), Waveform([1e-5, 2e-5], np.full((2, 5), 0.5)))
+        assert run(["propagate", "--waveform", str(wave)]) == 0
+        params = _write(tmp_path / "p.json", {"rf_rabi_max": 1e160})
+        capsys.readouterr()
+        assert run(["propagate", "--waveform", str(wave), "--params", params]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "segment duration 2e-05 s" in err
+
+
+def test_internal_key_error_exits_1_with_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("entries")
+
+    monkeypatch.setattr(unimap.cli, "cmd_model_info", broken)
+    assert run(["model", "info"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "KeyError: 'entries'" in err

@@ -7,6 +7,7 @@ from conftest import apply_adjoint, lie_algebra_dimension
 from unimap.cesium import CesiumParams, build_restricted_system
 from unimap.control import (
     AMPLITUDE_TOL,
+    PHASE_LIMIT,
     ControlSystem,
     Waveform,
     _chain_gauged,
@@ -80,6 +81,19 @@ class TestPropagate:
         w = Waveform([1e-6], [[1.5, 0, 0, 0, 0]])
         with pytest.raises(ValueError, match="bounds"):
             propagate(cesium, w)
+
+    def test_cesium_generator_bound(self, cesium):
+        # rf 2 x ||F_x|| = 6, microwave 2 x 0.5, light shift 1, each times 2 pi 25 kHz
+        assert cesium.generator_bound == pytest.approx(8 * 2 * np.pi * 25e3, rel=1e-12)
+
+    def test_refuses_a_segment_whose_phase_carries_no_digits(self, cesium):
+        # the longest segment decides: 0.35 s reaches 4.4e5 rad, 0.36 s 4.52e5 rad
+        assert cesium.generator_bound * 0.35 < PHASE_LIMIT < cesium.generator_bound * 0.36
+        amps = np.full((2, cesium.n_controls), 0.5)
+        propagate(cesium, Waveform([1e-5, 0.35], amps))
+        with pytest.raises(ValueError, match=r"'cs133-f3-aux4': generator bound 1\.25664e\+06 rad/s times "
+                                             r"segment duration 0\.36 s reaches 4\.52e\+05 rad"):
+            propagate(cesium, Waveform([1e-5, 0.36], amps))
 
     def test_rejects_wrong_control_count(self, cesium):
         with pytest.raises(ValueError, match="controls"):

@@ -10,6 +10,7 @@ import pytest
 from unimap.control import Waveform, propagate
 from unimap.ec import ECResult
 from unimap.io import (
+    atomic_write_text,
     complex_to_pairs,
     fmt,
     load_schema,
@@ -270,4 +271,11 @@ def test_save_json_refuses_non_finite(tmp_path, bad):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError, match="JSON compliant"):
         save_json(str(path), {"fidelity": 0.5, "steps": [1.0, bad]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_leaves_no_temp_file_on_failure(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails after the temp file exists
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(tmp_path / "out.txt"), "a\ud800b")
     assert list(tmp_path.iterdir()) == []

@@ -7,10 +7,11 @@ import pytest
 
 import unimap.search
 from unimap.cesium import CesiumParams, build_restricted_system
-from unimap.control import Waveform, check_amplitudes, propagate, segment_eigs
+from unimap.control import ControlSystem, Waveform, check_amplitudes, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
 from unimap.search import (
     LBFGS_MEMORY,
+    MIN_STEP,
     SearchConfig,
     _lbfgs_direction,
     default_search_config,
@@ -321,6 +322,46 @@ class TestSearch:
         recomputed = objective_state_prep(cesium, res.waveform, psi_i, psi_f)
         assert abs(recomputed - res.fidelity) < 1e-12
 
+    def test_stops_on_a_vanishing_gradient(self):
+        # a sigma_z control never moves |0> toward |1>: J and its gradient are exactly 0
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        sys = ControlSystem(np.zeros((2, 2)), (sz / 2,), ((-1.0, 1.0),), fiducial_index=0)
+        cfg = SearchConfig(segment_count=4, segment_duration=0.5, max_iterations=50)
+        res = search_state_map(sys, basis_state(2, 0), basis_state(2, 1), cfg)
+        assert (res.fidelity, res.iterations, res.converged) == (0.0, 0, False)
+        assert res.objective_history.tolist() == [0.0]
+
+    def test_failed_line_search_clears_memory_once_then_stops(self, cesium, monkeypatch):
+        # after one accepted step every trial point reads J = 0: the backtracking fails along
+        # the quasi-Newton direction, then once more along the gradient, and the search stops
+        forward, gradient = unimap.search._forward, unimap.search._gradient
+        gradients, failed = [], []
+
+        def counted_gradient(*args):
+            gradients.append(1)
+            return gradient(*args)
+
+        def flat_after_first_step(*args):
+            fwd = forward(*args)
+            if len(gradients) < 2:
+                return fwd
+            failed.append(1)
+            return (0j, *fwd[1:])
+
+        monkeypatch.setattr(unimap.search, "_gradient", counted_gradient)
+        monkeypatch.setattr(unimap.search, "_forward", flat_after_first_step)
+        cfg = default_search_config(cesium, seed=3, max_iterations=100, fidelity_goal=1.0)
+        res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(4)), cfg)
+        halvings = sum(1 for k in range(64) if 2.0 ** -k > MIN_STEP)
+        assert res.iterations == 1 and len(gradients) == 2
+        assert len(failed) == 2 * halvings
+
+    def test_refuses_a_duration_whose_phases_carry_no_digits(self, two_level):
+        # generator bound 0.5 rad/s times 1e6 s is 5e5 rad, above the 4.5e5 rad limit
+        cfg = SearchConfig(segment_count=2, segment_duration=1e6, max_iterations=5)
+        with pytest.raises(ValueError, match=r"'two-level': generator bound 0\.5 rad/s times segment duration 1e\+06"):
+            search_state_map(two_level, basis_state(2, 0), basis_state(2, 1), cfg)
+
 
 class TestMultiStart:
     def test_single_restart_matches_search(self, cesium):
@@ -358,6 +399,14 @@ class TestMultiStart:
         res = multi_start(cesium, basis_state(8, 7), basis_state(8, 7), cfg)
         assert res.converged and res.iterations == 0
         assert np.abs(res.waveform.amplitudes).max() == 0.0
+
+    def test_bounds_excluding_zero_skip_the_zero_seed(self, two_level):
+        # the all-zero waveform lies outside [0.5, 1]: it must not be built or scored
+        sys = ControlSystem(two_level.drift, two_level.controls, ((0.5, 1.0),), fiducial_index=0)
+        cfg = SearchConfig(segment_count=8, segment_duration=0.5, max_iterations=20, restarts=2)
+        res = multi_start(sys, basis_state(2, 0), basis_state(2, 0), cfg)
+        check_amplitudes(sys, res.waveform)
+        assert res.restart_index in (0, 1) and res.objective_history.size == res.iterations + 1
 
 
 def dense_system(d, n_controls=3, seed=0, rate=2 * np.pi * 25e3):

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import apply_adjoint, diag_phase
 import unimap.subspace
-from unimap.cesium import x_basis_state
+from unimap.cesium import CesiumParams, build_restricted_system, x_basis_state
 from unimap.control import propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
+from unimap.ec import synthesize_ec_maps
+from unimap.eigensynth import synthesize_unitary
 from unimap.search import default_search_config
 from unimap.subspace import (
     ExactMapper,
@@ -344,6 +346,19 @@ class TestSearchedMapper:
         want = apply_adjoint(cesium, wave) @ diag_phase(8, cesium.fiducial_index, 1.3) @ propagate(cesium, wave)
         assert np.abs(rep.assembled - want).max() < 1e-12
         assert rep.step_fidelities == (0.5,) and rep.converged == (False,) and rep.waveforms == (wave,)
+
+    @pytest.mark.parametrize("build", [
+        lambda sys, cfg: synthesize_unitary(diag_phase(8, 0, 1.0), SearchedMapper(sys, cfg)),
+        lambda sys, cfg: synthesize_ec_maps(CesiumParams(rf_detuning=1.0), cfg),
+    ], ids=["unitary", "ec-maps"])
+    def test_drifted_system_is_refused_before_any_search(self, monkeypatch, build):
+        # on a detuned frame V, the imprint and V reversed do not play V† P(theta) V
+        searches = []
+        monkeypatch.setattr(unimap.subspace, "multi_start", lambda *a: searches.append(a))
+        detuned = build_restricted_system(CesiumParams(rf_detuning=1.0))
+        with pytest.raises(ValueError, match="drift-free system, but 'cs133-f3-aux4' has drift norm 3 rad/s"):
+            build(detuned, default_search_config(detuned))
+        assert searches == []
 
 
 def test_subspace_fidelity_phase_sensitivity():
