@@ -180,7 +180,7 @@ def _load_target(args) -> tuple[np.ndarray, str]:
             data = data["entries"]
         try:
             entries = np.asarray(data, dtype=float)
-        except TypeError:  # an object or null where a number belongs: no matrix of pairs
+        except (TypeError, ValueError):  # an object, null, string or ragged row: no matrix of pairs
             entries = np.empty(0)
         if entries.ndim != 3 or entries.shape[2] != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"{args.matrix_file}: entries must be a d x d matrix of [re, im] pairs")

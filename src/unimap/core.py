@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 TWO_PI = 2.0 * np.pi
 
@@ -114,20 +113,31 @@ class SpectralDecomposition:
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a unitary with orthonormal eigenvectors.
 
-    Uses the complex Schur form Q†UQ = T, whose Q is unitary for any
-    square matrix and whose T is diagonal for a normal one (Golub & Van
-    Loan, Matrix Computations, section 7.1): the Schur vectors are the
-    eigenvectors, orthonormal even when eigenphases are degenerate or
-    clustered.  They are returned in stable order of ascending phase.
+    The unitary is first turned, W = e^{ia} U, so that -1 sits midway across
+    the widest gap of its spectrum: no eigenvalue of W is then closer to -1
+    than half that gap, which is at least pi/d, so I + W is well
+    conditioned.  Its Cayley transform C = i (I + W)^{-1} (I - W) is
+    Hermitian with eigenvalue tan(alpha/2) for each eigenvalue e^{i alpha}
+    of W, alpha in (-pi, pi); the map is strictly increasing, so distinct
+    phases stay distinct, and the Hermitian ``eigh`` of C returns
+    orthonormal eigenvectors even when phases are degenerate or clustered.
+    Each phase is then read from the Rayleigh quotient v†Uv of its vector,
+    on U itself, so neither the turn nor the tan map costs digits.  Phases
+    are returned in stable order of ascending phase.
     """
     u = assert_unitary(u)
-    t, z = scipy.linalg.schur(u, output="complex")
-    eigvals = np.diag(t)
-    phases = np.mod(-np.angle(eigvals), TWO_PI)
+    angles = sorted(np.angle(np.linalg.eigvals(u)).tolist())
+    gap, below = max((b - a, a) for a, b in zip(angles, angles[1:] + [angles[0] + TWO_PI]))
+    w = u * np.exp(1j * (np.pi - below - gap / 2))
+    eye = np.eye(u.shape[0])
+    c = 1j * np.linalg.solve(eye + w, eye - w)
+    # C is Hermitian only up to rounding, and eigh would read just one triangle
+    _, vectors = np.linalg.eigh((c + c.conj().T) / 2)
+    phases = np.mod(-np.angle(np.einsum("ij,ij->j", vectors.conj(), u @ vectors)), TWO_PI)
     # 2pi-within-tolerance wraps back to phase 0
     phases[phases >= TWO_PI - 1e-15] = 0.0
     order = np.argsort(phases, kind="stable")
-    return SpectralDecomposition(phases=phases[order], vectors=z[:, order])
+    return SpectralDecomposition(phases=phases[order], vectors=vectors[:, order])
 
 
 def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:

@@ -94,7 +94,7 @@ def complex_to_pairs(values) -> list[list[float]]:
 def pairs_to_complex(data, what: str = "vector") -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except TypeError:  # an object or null where a number belongs: no list of pairs
+    except (TypeError, ValueError):  # an object, null, string or ragged row: no list of pairs
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{what} must be a list of [re, im] pairs")

@@ -11,6 +11,16 @@ P_kq(theta) e^{i q phi} with P_kq the normalized associated Legendre
 function, so a grid is evaluated as L[theta, q] = sum_k rho_kq P_kq(theta)
 on the polar axis followed by one product with the azimuthal phases
 e^{i q phi}.
+
+The P_km for m >= 0 come from the standard three-term recurrence in k for
+spherical-harmonic-normalized Legendre functions,
+P_km = a_km (cos(theta) P_{k-1,m} - b_km P_{k-2,m}) with
+a_km = sqrt((4k^2 - 1) / (k^2 - m^2)) and
+b_km = sqrt(((k-1)^2 - m^2) / (4(k-1)^2 - 1)), started from
+P_00 = 1/sqrt(4 pi) and the diagonal P_mm = -sqrt((2m+1)/(2m)) sin(theta)
+P_{m-1,m-1}, which carries the Condon-Shortley sign (-1)^m.  b_km vanishes
+at m = k - 1, where the recurrence gives P_{m+1,m} = sqrt(2m+3) cos(theta)
+P_mm.  Negative orders follow as P_{k,-m} = (-1)^m P_km.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sph_legendre_p
 
 from .cesium import spin_operators
 
@@ -54,6 +63,21 @@ def spherical_tensor_operators(dim: int) -> np.ndarray:
             tensors[row + q - 1] = (f_minus @ t - t @ f_minus) / denom
     tensors.setflags(write=False)  # the cache hands this one array to every caller
     return tensors
+
+
+def sph_legendre(k: np.ndarray, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """P_{k_i q_i}(theta) as an (n_theta, len(k)) table, for ranks k and orders |q| <= k."""
+    x, y = np.cos(thetas), np.sin(thetas)
+    dim = int(k.max()) + 1
+    p = np.zeros((dim + 1, dim, thetas.size))  # p[k, m] = P_km for m >= 0; row -1 stays zero
+    p[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for n in range(1, dim):
+        p[n, n] = -np.sqrt((2 * n + 1) / (2 * n)) * y * p[n - 1, n - 1]
+        m = np.arange(n)[:, None]
+        a = np.sqrt((4 * n * n - 1) / (n * n - m * m))
+        b = np.sqrt(((n - 1) ** 2 - m * m) / (4 * (n - 1) ** 2 - 1))
+        p[n, :n] = a * (x * p[n - 1, :n] - b * p[n - 2, :n])
+    return p[k, np.abs(q)].T * np.where(q < 0, (-1.0) ** q, 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +115,7 @@ def wigner_grid(state, n_theta: int = 61, n_phi: int = 120) -> WignerGrid:
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     k = np.repeat(np.arange(dim), 2 * np.arange(dim) + 1)  # the rank of each row k^2 + k + q
     q = np.arange(dim * dim) - k * k - k
-    terms = multipole_components(rho) * sph_legendre_p(k, q, thetas[:, None])[0]
+    terms = multipole_components(rho) * sph_legendre(k, q, thetas)
     qs = np.arange(-(dim - 1), dim)
     # summing the terms of each q over k: L[theta, q]
     legendre = terms @ (q[:, None] == qs)

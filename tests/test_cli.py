@@ -522,6 +522,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_runs_exact_build_and_wigner_without_scipy(tmp_path):
+    # the package's numerics are numpy-only; importing scipy costs ~30 MB of resident memory
+    src = str(Path(unimap.__file__).resolve().parents[1])
+    state = _write(tmp_path / "s.json", {"amplitudes": [[0.6, 0], [0, 0.8], [0, 0]]})
+    code = (
+        "import sys, unimap.cli\n"
+        "assert unimap.cli.main(['build-unitary', '--gate', 'G:3', '--d', '7', '--exact-mappers',"
+        " '--out-report', 'r.json']) == 0\n"
+        f"assert unimap.cli.main(['wigner', '--state', {state!r}, '--out', 'g.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "r.json").is_file() and (tmp_path / "g.csv").is_file()
+
+
 def test_argparse_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["optimize-state"])  # missing required arguments
@@ -801,16 +820,27 @@ class TestUnreadFlags:
 
 
 class TestBadPairData:
-    """An object where [re, im] pairs belong is bad input: exit 2, naming the file and the field."""
+    """Bad [re, im] pair data (an object, a ragged row, a string) exits 2, naming the file and the field."""
+
+    WIGNER = ["wigner", "--state", "{file}", "--out", "{out}/g.csv"]
+    SUBSPACE = ["build-subspace-map", "--spec", "{file}", "--exact", "--out-report", "{out}/r.json"]
+    UNITARY = ["build-unitary", "--matrix-file", "{file}", "--exact-mappers", "--out-report", "{out}/r.json"]
 
     @pytest.mark.parametrize("doc, argv, message", [
-        ({"amplitudes": {"x": 1}}, ["wigner", "--state", "{file}", "--out", "{out}/g.csv"],
-         "{file}: amplitudes must be a list of [re, im] pairs"),
-        ({"source": [{"x": 1}], "target": [[[1, 0], [0, 0]]]},
-         ["build-subspace-map", "--spec", "{file}", "--exact", "--out-report", "{out}/r.json"],
+        ({"amplitudes": {"x": 1}}, WIGNER, "{file}: amplitudes must be a list of [re, im] pairs"),
+        ({"source": [{"x": 1}], "target": [[[1, 0], [0, 0]]]}, SUBSPACE,
          "{file}: source[0] must be a list of [re, im] pairs"),
-        ({"entries": {"x": 1}}, ["build-unitary", "--matrix-file", "{file}", "--exact-mappers",
-                                 "--out-report", "{out}/r.json"],
+        ({"entries": {"x": 1}}, UNITARY, "{file}: entries must be a d x d matrix of [re, im] pairs"),
+        # a ragged row, then a string where a number belongs
+        ({"amplitudes": [[1, 0], [0]]}, WIGNER, "{file}: amplitudes must be a list of [re, im] pairs"),
+        ({"amplitudes": [["a", 0], [0, 0]]}, WIGNER, "{file}: amplitudes must be a list of [re, im] pairs"),
+        ({"source": [[[1, 0], [0]]], "target": [[[1, 0], [0, 0]]]}, SUBSPACE,
+         "{file}: source[0] must be a list of [re, im] pairs"),
+        ({"source": [[["a", 0], [0, 0]]], "target": [[[1, 0], [0, 0]]]}, SUBSPACE,
+         "{file}: source[0] must be a list of [re, im] pairs"),
+        ({"entries": [[[1, 0], [0, 0]], [[0, 0]]]}, UNITARY,
+         "{file}: entries must be a d x d matrix of [re, im] pairs"),
+        ({"entries": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}, UNITARY,
          "{file}: entries must be a d x d matrix of [re, im] pairs"),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, doc, argv, message):

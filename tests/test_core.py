@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unimap.core import (
+    UNITARY_TOL,
     as_state,
     assert_hermitian,
     assert_unitary,
@@ -15,7 +16,7 @@ from unimap.core import (
     trace_fidelity,
     unitarity_defect,
 )
-from unimap.gates import gate_from_name
+from unimap.gates import gate_from_name, pauli_Z
 
 
 def random_hermitian(d, rng):
@@ -103,7 +104,7 @@ class TestEigUnitary:
         gram = dec.vectors.conj().T @ dec.vectors
         assert np.abs(gram - np.eye(d)).max() < 1e-10
 
-    @pytest.mark.parametrize("case", [4, 9, 16, "H", "S", "G:2"])
+    @pytest.mark.parametrize("case", [4, 9, 16, "H", "S", "G:2", "Z:2", "Z:8", "Z:16", "Z:32", "-I"])
     def test_degenerate_spectra(self, case):
         if isinstance(case, int):
             d = case
@@ -112,6 +113,13 @@ class TestEigUnitary:
             # half the phases coincide exactly
             phases = np.concatenate([np.full(d // 2, 1.234), rng.uniform(0, 2 * np.pi, d - d // 2)])
             u = (v * np.exp(-1j * phases)) @ v.conj().T
+        elif case == "-I":
+            d = 5
+            u = -np.eye(d, dtype=complex)
+        elif case.startswith("Z:"):
+            # every gap of the clock spectrum is 2 pi / d, the narrowest a widest gap can be
+            d = int(case[2:])
+            u = pauli_Z(d)
         else:
             # a d=7 gate padded to the 8-level model as build-unitary pads it;
             # eigenvalue 1 then occurs three or four times
@@ -122,6 +130,26 @@ class TestEigUnitary:
         assert np.abs(dec.reassemble() - u).max() < 1e-10
         gram = dec.vectors.conj().T @ dec.vectors
         assert np.abs(gram - np.eye(d)).max() < 1e-10
+
+    def test_clustered_phases(self):
+        rng = np.random.default_rng(23)
+        d = 6
+        v = haar_random_unitary(d, rng)
+        phases = np.array([0.7, 0.7 + 1e-9, 0.7 + 2e-9, 2.5, 2.5 + 1e-9, 4.0])
+        u = (v * np.exp(-1j * phases)) @ v.conj().T
+        dec = eig_unitary(u)
+        assert np.abs(dec.reassemble() - u).max() < 1e-10
+        assert np.abs(dec.vectors.conj().T @ dec.vectors - np.eye(d)).max() < 1e-12
+
+    def test_slightly_non_unitary_input(self):
+        # a defect just inside assert_unitary's tolerance: U is close to, not exactly, normal
+        rng = np.random.default_rng(29)
+        d = 7
+        u = haar_random_unitary(d, rng)
+        u = u + 2e-11 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        assert 0.5 * UNITARY_TOL < unitarity_defect(u) <= UNITARY_TOL
+        dec = eig_unitary(u)
+        assert np.abs(dec.reassemble() - u).max() < 1e-9
 
     def test_phases_in_range(self):
         rng = np.random.default_rng(17)

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.special import sph_harm_y
+from scipy.special import sph_harm_y, sph_legendre_p
 
 from unimap.cesium import spin_operators
 from unimap.core import basis_state, mat_exp
 from unimap.gates import dft_H
-from unimap.wigner import extract_block, multipole_components, spherical_tensor_operators, wigner_grid
+from unimap.wigner import extract_block, multipole_components, sph_legendre, spherical_tensor_operators, wigner_grid
 
 
 class TestTensorOperators:
@@ -98,7 +98,7 @@ class TestWignerGrid:
         with pytest.raises(ValueError, match="residue nan"):
             wigner_grid(state, 5, 6)
 
-    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("dim", range(1, 22))
     def test_matches_full_grid_harmonic_sum(self, dim):
         # reference: the double sum of full-grid Y_kq evaluations that the
         # separable theta/phi product replaced
@@ -115,6 +115,16 @@ class TestWignerGrid:
             for q in range(-k, k + 1):
                 want += comps[k * k + k + q] * sph_harm_y(k, q, tt, pp)
         assert np.abs(got.values - want.real).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 22))
+def test_legendre_recurrence_matches_scipy(dim):
+    # scipy is the reference only; the package computes the table with its own recurrence
+    thetas = np.linspace(0.0, np.pi, 61)
+    k = np.repeat(np.arange(dim), 2 * np.arange(dim) + 1)
+    q = np.arange(dim * dim) - k * k - k
+    want = sph_legendre_p(k, q, thetas[:, None])[0]
+    assert np.abs(sph_legendre(k, q, thetas) - want).max() <= 1e-13
 
 
 class TestMultipoles:
