@@ -1,4 +1,4 @@
-"""Command-line interface: model inspection, searches, synthesis, sweeps.
+"""Command-line interface, argv rules only (``io`` owns the files): model inspection, searches, synthesis, sweeps.
 
 Every stochastic command takes --seed and is deterministic given its
 configuration; result files (CSV, report JSON) are byte-stable across
@@ -30,17 +30,8 @@ from .core import as_state, basis_state, trace_fidelity
 from .ec import ECConfig, ec_maps, ec_sweep, synthesize_ec_maps
 from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
-from .io import (
-    load_state_json,
-    load_subspace_spec,
-    load_waveform,
-    save_ec_csv,
-    save_json,
-    save_manifest,
-    save_waveform,
-    save_wigner_csv,
-    validate_report,
-)
+from .io import (load_matrix_json, load_state_json, load_subspace_spec, load_waveform, read_json, save_ec_csv,
+                 save_json, save_manifest, save_waveform, save_wigner_csv, validate_report, write_report)
 from .search import SearchConfig, default_search_config, multi_start
 from .subspace import ExactMapper, SearchedMapper, synthesize_subspace_map
 from .wigner import extract_block, wigner_grid
@@ -80,10 +71,7 @@ OPTIONAL_FLAGS = {
 
 
 def _load_params(path: str | None) -> CesiumParams:
-    if path is None:
-        return CesiumParams()
-    with open(path, "r", encoding="utf-8") as fh:
-        return CesiumParams.from_dict(json.load(fh))
+    return CesiumParams() if path is None else CesiumParams.from_dict(read_json(path))
 
 
 def _resolve_system(args, params: CesiumParams | None = None):
@@ -92,14 +80,22 @@ def _resolve_system(args, params: CesiumParams | None = None):
     return PRESETS[args.preset](params or _load_params(args.params))
 
 
+def _is_state_file(spec: str) -> bool:
+    """Whether a state argument, which is 'basis:<k>', 'fiducial' or a JSON file path, names a file."""
+    return not spec.startswith("basis:") and spec != "fiducial"
+
+
 def _resolve_state(spec: str, sys_model: ControlSystem) -> np.ndarray:
-    """A state argument: 'basis:<k>', 'fiducial', or a JSON file path."""
-    d = sys_model.dim
-    if spec.startswith("basis:"):
-        return basis_state(d, int(spec.split(":", 1)[1]))
+    """The state a state argument names, at the system's dimension."""
+    if _is_state_file(spec):
+        return as_state(load_state_json(spec), sys_model.dim)
     if spec == "fiducial":
         return sys_model.fiducial_state()
-    return as_state(load_state_json(spec), d)
+    try:
+        k = int(spec.removeprefix("basis:"))
+    except ValueError:
+        raise ValueError(f"state {spec!r} must be basis:<k>, fiducial or a JSON file") from None
+    return basis_state(sys_model.dim, k)
 
 
 def _search_config(args, sys_model) -> SearchConfig:
@@ -145,23 +141,19 @@ def cmd_optimize_state(args):
     cfg = _search_config(args, sys_model)
     result = multi_start(sys_model, psi_i, psi_f, cfg)
     save_waveform(args.out_waveform, result.waveform)
-    report = validate_report(
-        "search_report",
-        {
-            "system": sys_model.name,
-            "fidelity": result.fidelity,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "restart_index": result.restart_index,
-            "waveform_file": str(args.out_waveform),
-            "total_duration_s": result.waveform.total_duration,
-            "objective_history": [float(x) for x in result.objective_history],
-            "config": dataclasses.asdict(cfg),
-        },
-    )
-    save_json(args.out_report, report)
+    write_report(args.out_report, "search_report", {
+        "system": sys_model.name,
+        "fidelity": result.fidelity,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "restart_index": result.restart_index,
+        "waveform_file": str(args.out_waveform),
+        "total_duration_s": result.waveform.total_duration,
+        "objective_history": [float(x) for x in result.objective_history],
+        "config": dataclasses.asdict(cfg),
+    })
     print(f"fidelity {result.fidelity:.6f} converged={result.converged} iterations={result.iterations}")
-    inputs = [s for s in (args.initial, args.target) if not s.startswith("basis:") and s != "fiducial"]
+    inputs = [s for s in (args.initial, args.target) if _is_state_file(s)]
     return inputs, [args.out_report, args.out_waveform]
 
 
@@ -172,21 +164,7 @@ def _load_target(args) -> tuple[np.ndarray, str]:
     if args.gate:
         return gate_from_name(args.gate, args.d), f"{args.gate}:d{args.d}"
     if args.matrix_file:
-        with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict):
-            if "entries" not in data:
-                raise ValueError(f"{args.matrix_file}: missing field 'entries'")
-            data = data["entries"]
-        try:
-            entries = np.asarray(data, dtype=float)
-        except (TypeError, ValueError):  # an object, null, string or ragged row: no matrix of pairs
-            entries = np.empty(0)
-        if entries.ndim != 3 or entries.shape[2] != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"{args.matrix_file}: entries must be a d x d matrix of [re, im] pairs")
-        if entries.shape[0] < 2:
-            raise ValueError(f"{args.matrix_file}: dimension must be >= 2, got {entries.shape[0]}")
-        return entries[..., 0] + 1j * entries[..., 1], Path(args.matrix_file).stem
+        return load_matrix_json(args.matrix_file), Path(args.matrix_file).stem
     raise ValueError("one of --gate or --matrix-file is required")
 
 
@@ -234,19 +212,15 @@ def cmd_build_unitary(args):
     block_fid = None
     if not args.exact_mappers:
         block_fid = trace_fidelity(target[:d_block, :d_block], rep.assembled[:d_block, :d_block])
-    report = validate_report(
-        "synthesis_report",
-        {
-            "target": label,
-            "dimension": mapper.dim,
-            "trace_fidelity": rep.fidelity,
-            "block_trace_fidelity": block_fid,
-            **_step_fields(args, rep),
-            "exact_mappers": bool(args.exact_mappers),
-            "config": cfg,
-        },
-    )
-    save_json(args.out_report, report)
+    report = write_report(args.out_report, "synthesis_report", {
+        "target": label,
+        "dimension": mapper.dim,
+        "trace_fidelity": rep.fidelity,
+        "block_trace_fidelity": block_fid,
+        **_step_fields(args, rep),
+        "exact_mappers": bool(args.exact_mappers),
+        "config": cfg,
+    })
     print(f"trace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
     inputs = [args.matrix_file] if args.matrix_file else []
     return inputs, [args.out_report, *report["waveform_files"]]
@@ -256,22 +230,16 @@ def cmd_build_subspace_map(args):
     spec = load_subspace_spec(args.spec)
     mapper, cfg = _pick_mapper(args, spec.dim)
     rep = synthesize_subspace_map(spec, mapper)
-    report = validate_report(
-        "subspace_report",
-        {
-            "dimension": spec.dim,
-            "subspace_size": spec.n,
-            "subspace_fidelity": rep.fidelity,
-            "basis_errors": [
-                float(np.linalg.norm(rep.assembled @ a - b)) for a, b in zip(spec.source, spec.target)
-            ],
-            **_step_fields(args, rep),
-            "phase_correction": spec.phase_correction,
-            "exact": bool(args.exact),
-            "config": cfg,
-        },
-    )
-    save_json(args.out_report, report)
+    report = write_report(args.out_report, "subspace_report", {
+        "dimension": spec.dim,
+        "subspace_size": spec.n,
+        "subspace_fidelity": rep.fidelity,
+        "basis_errors": [float(np.linalg.norm(rep.assembled @ a - b)) for a, b in zip(spec.source, spec.target)],
+        **_step_fields(args, rep),
+        "phase_correction": spec.phase_correction,
+        "exact": bool(args.exact),
+        "config": cfg,
+    })
     print(f"subspace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
     return [args.spec], [args.out_report, *report["waveform_files"]]
 
@@ -300,21 +268,17 @@ def cmd_ec_sweep(args):
             waveform_files += _save_waveforms(f"{stem}-map{i}-step", rep.waveforms, start=1)
     result = ec_sweep(cfg, maps)
     save_ec_csv(args.out, result)
-    meta = validate_report(
-        "ec_metadata",
-        {
-            "seed": cfg.seed,
-            "samples": cfg.n_states,
-            "maps_mode": args.maps,
-            "average": cfg.average,
-            "epsilon_grid": [float(e) for e in cfg.epsilon_grid],
-            "csv_file": str(args.out),
-            "map_step_fidelities": step_fidelities,
-            "waveform_files": waveform_files,
-        },
-    )
     meta_path = f"{stem}.meta.json"
-    save_json(meta_path, meta)
+    write_report(meta_path, "ec_metadata", {
+        "seed": cfg.seed,
+        "samples": cfg.n_states,
+        "maps_mode": args.maps,
+        "average": cfg.average,
+        "epsilon_grid": [float(e) for e in cfg.epsilon_grid],
+        "csv_file": str(args.out),
+        "map_step_fidelities": step_fidelities,
+        "waveform_files": waveform_files,
+    })
     print(f"swept {len(grid)} error angles x {cfg.n_states} states ({args.maps} maps)")
     return [], [args.out, meta_path, *waveform_files]
 

@@ -1,11 +1,12 @@
-"""Persistence: waveform, EC and Wigner CSV, state/spec JSON, reports, and schemas.
+"""Every file the CLI reads or writes (``cli`` opens none): CSV and JSON formats, reports, schemas.
 
-All writes are atomic (temp file + rename) and deterministic: floats are
-serialized with 17 significant digits so round-trips are value-exact, and
-JSON keys are sorted.  ``FLOAT_FORMAT`` is that format; ``fmt`` applies it
-to one value, and each CSV writer builds a ``%`` template for one row (a
-Wigner grid's theta row, an EC error angle, a waveform segment) and fills
-it from the row's values in one call, instead of formatting value by value.
+All writes are atomic (temp file + rename), follow the umask, and are
+deterministic: floats are serialized with 17 significant digits so
+round-trips are value-exact, and JSON keys are sorted.  ``FLOAT_FORMAT``
+is that format; ``fmt`` applies it to one value, and each CSV writer
+builds a ``%`` template for one row (a Wigner grid's theta row, an EC
+error angle, a waveform segment) and fills it from the row's values in
+one call, instead of formatting value by value.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ def atomic_write_text(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)  # mkstemp creates mode 0600: give the file the mode open() would
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -91,35 +95,47 @@ def complex_to_pairs(values) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex).ravel()]
 
 
-def pairs_to_complex(data, what: str = "vector") -> np.ndarray:
+def pairs_to_complex(data, what: str = "vector", matrix: bool = False) -> np.ndarray:
+    """Complex values from a list of [re, im] pairs or, with ``matrix``, from a d x d matrix of them."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError):  # an object, null, string or ragged row: no list of pairs
         arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"{what} must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    if arr.ndim != (3 if matrix else 2) or arr.shape[-1] != 2 or (matrix and arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"{what} must be a {'d x d matrix' if matrix else 'list'} of [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def read_json(path: str, field: str | None = None):
+    """A JSON file's value, or with ``field`` an object's field or a bare value; bad JSON names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+    if field is None or not isinstance(data, dict):
+        return data
+    if field not in data:
+        raise ValueError(f"{path}: missing field {field!r}")
+    return data[field]
 
 
 def load_state_json(path: str) -> np.ndarray:
     """State vector from JSON: either a bare pair list or {'amplitudes': ...}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        if "amplitudes" not in data:
-            raise ValueError(f"{path}: missing field 'amplitudes'")
-        data = data["amplitudes"]
-    return pairs_to_complex(data, what=f"{path}: amplitudes")
+    return pairs_to_complex(read_json(path, "amplitudes"), what=f"{path}: amplitudes")
 
 
-def save_state_json(path: str, psi) -> None:
-    save_json(path, {"amplitudes": complex_to_pairs(psi)})
+def load_matrix_json(path: str) -> np.ndarray:
+    """A d x d matrix, d >= 2, from JSON: either a bare matrix of pairs or {'entries': ...}."""
+    entries = pairs_to_complex(read_json(path, "entries"), what=f"{path}: entries", matrix=True)
+    if entries.shape[0] < 2:
+        raise ValueError(f"{path}: dimension must be >= 2, got {entries.shape[0]}")
+    return entries
 
 
 def load_subspace_spec(path: str) -> SubspaceMapSpec:
     """Subspace spec from JSON with named (or listed) basis vectors; unknown fields are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: spec must be a JSON object")
     unknown = set(data) - {"source", "target", "phase_correction"}
@@ -197,8 +213,14 @@ def validate_report(name: str, doc: dict) -> dict:
     return doc
 
 
+def write_report(path: str, schema: str, doc: dict) -> dict:
+    """Check doc against the named shipped schema, then write it with ``save_json``; returns doc."""
+    save_json(path, validate_report(schema, doc))
+    return doc
+
+
 def save_manifest(path: str, doc: dict) -> None:
     """Write a command's provenance record after checking it against the run_manifest schema."""
     if len(set(doc["outputs"])) != len(doc["outputs"]):
         raise ValueError("manifest outputs must each be referenced exactly once")
-    save_json(path, validate_report("run_manifest", doc))
+    write_report(path, "run_manifest", doc)

@@ -49,13 +49,13 @@ def spherical_tensor_operators(dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     f = (dim - 1) / 2.0
-    ops = spin_operators(f) if dim > 1 else None
-    f_minus = (ops.fx - 1j * ops.fy) if ops else np.zeros((1, 1), dtype=complex)
-    f_plus = (ops.fx + 1j * ops.fy) if ops else np.zeros((1, 1), dtype=complex)
+    ops = spin_operators(f)
+    f_minus = ops.fx - 1j * ops.fy
+    f_plus = ops.fx + 1j * ops.fy
     tensors = np.empty((dim * dim, dim, dim), dtype=complex)
     for k in range(dim):
         row = k * k + k  # the row of T_k0
-        high = np.linalg.matrix_power(f_plus, k) if k else np.eye(dim, dtype=complex)
+        high = np.linalg.matrix_power(f_plus, k)
         tensors[row + k] = (-1) ** k * high / np.sqrt(np.trace(high.conj().T @ high).real)
         for q in range(k, -k, -1):
             denom = np.sqrt(k * (k + 1) - q * (q - 1))

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import ast
+import inspect
 import json
 import os
 import shlex
@@ -511,6 +513,21 @@ def test_fiducial_state_follows_system_index(two_level):
     assert np.array_equal(_resolve_state("fiducial", two_level), basis_state(2, 0))
 
 
+def test_bad_basis_index_exits_2_naming_the_argument(tmp_path, capsys):
+    assert run(["optimize-state", "--initial", "basis:x", "--target", "fiducial",
+                "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "'basis:x'" in err and "basis:<k>, fiducial or a JSON file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_opens_and_decodes_no_file_itself():
+    # io owns every file the CLI reads or writes
+    tree = ast.parse(inspect.getsource(unimap.cli))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [c for c in calls if c in ("open", "json.load", "json.loads")] == []
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # importing scipy.optimize costs ~17 MB of resident memory
     src = str(Path(unimap.__file__).resolve().parents[1])
@@ -848,6 +865,33 @@ class TestBadPairData:
         assert run([a.format(file=file, out=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message.format(file=file)}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
+class TestMalformedJSON:
+    """A JSON input that does not parse exits 2 naming its file, and nothing is written."""
+
+    OPTIMIZE = ["optimize-state", "--initial", "{dir}/i.json", "--target", "{dir}/t.json", "--params", "{dir}/p.json",
+                "--out-waveform", "{dir}/w.csv", "--out-report", "{dir}/r.json"]
+
+    @pytest.mark.parametrize("bad, argv", [
+        ("s.json", ["wigner", "--state", "{dir}/s.json", "--out", "{dir}/g.csv"]),
+        # three files meet in one run: the message must name the bad one
+        ("i.json", OPTIMIZE),
+        ("t.json", OPTIMIZE),
+        ("p.json", OPTIMIZE),
+        ("m.json", ["build-unitary", "--exact-mappers", "--matrix-file", "{dir}/m.json",
+                    "--out-report", "{dir}/r.json"]),
+        ("spec.json", ["build-subspace-map", "--exact", "--spec", "{dir}/spec.json", "--out-report", "{dir}/r.json"]),
+    ])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, bad, argv):
+        _write(tmp_path / "i.json", {"amplitudes": complex_to_pairs(np.eye(8)[7])})
+        _write(tmp_path / "t.json", {"amplitudes": complex_to_pairs(np.eye(8)[0])})
+        _write(tmp_path / "p.json", {})
+        (tmp_path / bad).write_text('{"amplitudes": [[1,0],')
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        assert run([a.format(dir=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / bad}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 class TestPhaseRefusal:

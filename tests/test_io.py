@@ -1,6 +1,7 @@
 """Waveform CSV, state/spec JSON, schema validation, atomic writes."""
 
 import json
+import os
 from importlib import resources
 
 import jsonschema
@@ -20,7 +21,6 @@ from unimap.io import (
     pairs_to_complex,
     save_json,
     save_manifest,
-    save_state_json,
     save_ec_csv,
     save_waveform,
     save_wigner_csv,
@@ -98,7 +98,7 @@ class TestStateJSON:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         path = tmp_path / "state.json"
-        save_state_json(str(path), psi)
+        save_json(str(path), {"amplitudes": complex_to_pairs(psi)})
         assert np.array_equal(load_state_json(str(path)), psi)
 
     def test_bare_list_accepted(self, tmp_path):
@@ -279,3 +279,14 @@ def test_atomic_write_leaves_no_temp_file_on_failure(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         atomic_write_text(str(tmp_path / "out.txt"), "a\ud800b")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_mode_follows_umask(tmp_path):
+    # mkstemp alone would leave 0600 whatever the umask
+    path = tmp_path / "out.txt"
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(str(path), "x\n")
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o644
