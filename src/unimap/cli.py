@@ -7,7 +7,8 @@ OSError (bad input, configuration or file); 1, with a traceback, for
 anything else, which is an internal error.  One table,
 ``OPTIONAL_FLAGS``, says which optional flags a run reads: a flag given
 to a run that does not read it exits 2 before anything is written, and
-one a run reads but was not given takes the table's default.
+one a run reads but was not given takes the table's default.  ``main``
+derives each manifest from the flags, ``FILE_FLAGS`` and ``OUTPUT_FLAGS``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .wigner import extract_block, wigner_grid
 #: the search flags that set a SearchConfig field, each with its field
 CONFIG_FLAGS = {"segments": "segment_count", "segment_duration": "segment_duration", "goal": "fidelity_goal",
                 "max_iterations": "max_iterations", "restarts": "restarts"}
+#: the flags naming a file a run reads, and those naming a file it writes, in the order its manifest lists them
+FILE_FLAGS = ("params", "spec", "matrix_file", "state", "initial", "target")
+OUTPUT_FLAGS = ("out_report", "out_waveform", "out")
 
 
 def _searches(args) -> bool:
@@ -134,7 +138,7 @@ def cmd_model_info(args) -> None:
     print(json.dumps(info, indent=2, sort_keys=True))
 
 
-def cmd_optimize_state(args):
+def cmd_optimize_state(args) -> None:
     sys_model = _resolve_system(args)
     psi_i = _resolve_state(args.initial, sys_model)
     psi_f = _resolve_state(args.target, sys_model)
@@ -153,8 +157,6 @@ def cmd_optimize_state(args):
         "config": dataclasses.asdict(cfg),
     })
     print(f"fidelity {result.fidelity:.6f} converged={result.converged} iterations={result.iterations}")
-    inputs = [s for s in (args.initial, args.target) if _is_state_file(s)]
-    return inputs, [args.out_report, args.out_waveform]
 
 
 def _load_target(args) -> tuple[np.ndarray, str]:
@@ -200,7 +202,7 @@ def _step_fields(args, rep) -> dict:
     }
 
 
-def cmd_build_unitary(args):
+def cmd_build_unitary(args) -> list[str]:
     target, label = _load_target(args)
     d_block = target.shape[0]
     mapper, cfg = _pick_mapper(args, d_block)
@@ -222,11 +224,10 @@ def cmd_build_unitary(args):
         "config": cfg,
     })
     print(f"trace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
-    inputs = [args.matrix_file] if args.matrix_file else []
-    return inputs, [args.out_report, *report["waveform_files"]]
+    return report["waveform_files"]
 
 
-def cmd_build_subspace_map(args):
+def cmd_build_subspace_map(args) -> list[str]:
     spec = load_subspace_spec(args.spec)
     mapper, cfg = _pick_mapper(args, spec.dim)
     rep = synthesize_subspace_map(spec, mapper)
@@ -241,12 +242,15 @@ def cmd_build_subspace_map(args):
         "config": cfg,
     })
     print(f"subspace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
-    return [args.spec], [args.out_report, *report["waveform_files"]]
+    return report["waveform_files"]
 
 
-def cmd_ec_sweep(args):
+def cmd_ec_sweep(args) -> list[str]:
     if args.epsilons is None:
-        grid = tuple(np.geomspace(args.eps_min, args.eps_max, args.eps_count))
+        ends = (args.eps_min, args.eps_max)
+        if not (np.isfinite(ends).all() and (min(ends) > 0 or max(ends) < 0)):
+            raise ValueError(f"--eps-min and --eps-max must be finite, nonzero and of one sign, got {ends}")
+        grid = tuple(np.geomspace(*ends, args.eps_count))
     else:
         try:
             grid = tuple(float(x) for x in args.epsilons.split(","))
@@ -280,10 +284,10 @@ def cmd_ec_sweep(args):
         "waveform_files": waveform_files,
     })
     print(f"swept {len(grid)} error angles x {cfg.n_states} states ({args.maps} maps)")
-    return [], [args.out, meta_path, *waveform_files]
+    return [meta_path, *waveform_files]
 
 
-def cmd_wigner(args):
+def cmd_wigner(args) -> None:
     state = load_state_json(args.state)
     if args.block:
         try:
@@ -296,10 +300,9 @@ def cmd_wigner(args):
     grid = wigner_grid(state / np.linalg.norm(state), n_theta=args.n_theta, n_phi=args.n_phi)
     save_wigner_csv(args.out, grid)
     print(f"wrote {args.n_theta} x {args.n_phi} grid")
-    return [args.state], [args.out]
 
 
-def cmd_verify_clifford(args):
+def cmd_verify_clifford(args) -> None:
     report = verify_clifford_relations(args.d, a=args.a)
     doc = validate_report("clifford_report", dataclasses.asdict(report))
     for name, dev in report.deviations.items():
@@ -309,7 +312,6 @@ def cmd_verify_clifford(args):
         print(f"{name:24s} max deviation {dev:.3e}{marker}")
     if args.out:
         save_json(args.out, doc)
-        return [], [args.out]
 
 
 def cmd_propagate(args) -> None:
@@ -413,8 +415,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _given_outputs(args) -> list[str]:
+    """The output flags given, in manifest order; two that name one file, or the first's manifest, exit 2."""
+    given = {f"--{flag.replace('_', '-')}": getattr(args, flag) for flag in OUTPUT_FLAGS
+             if getattr(args, flag, None) is not None}
+    if not given:
+        return []
+    first, named = next(iter(given)), {}
+    for label, path in [*given.items(), (f"the manifest of {first}", f"{given[first]}.manifest.json")]:
+        other = named.setdefault(Path(path).resolve(), label)
+        if other != label:
+            raise ValueError(f"{other} and {label} name one file: {path}")
+    return list(given.values())
+
+
 def main(argv=None) -> int:
-    """Run one command; when its handler returns the (inputs, outputs) it wrote, write their manifest."""
+    """Run one command; derive its manifest from the flags: ``inputs`` the FILE_FLAGS given (--initial and
+    --target when they name a file), ``outputs`` the OUTPUT_FLAGS given, then the files the handler returns."""
     args = _parser().parse_args(argv)
     # the cached parser holds the handlers it was built with: call the
     # module's current binding, so a handler rebound since (by a test or a
@@ -430,14 +447,14 @@ def main(argv=None) -> int:
                     setattr(args, name, default)
             elif getattr(args, name, None) is not None:
                 raise ValueError(f"--{name.replace('_', '-')} applies only to {scope}")
-        written = handler(args)
-        if written is not None:
-            inputs, outputs = written
+        outputs = [*_given_outputs(args), *(handler(args) or [])]
+        if outputs:
             save_manifest(f"{outputs[0]}.manifest.json", {
                 "command": args.command,
                 "config": config,
-                "inputs": [str(p) for p in inputs],
-                "outputs": [str(p) for p in outputs],
+                "inputs": [config[flag] for flag in FILE_FLAGS
+                           if flag in config and (flag not in ("initial", "target") or _is_state_file(config[flag]))],
+                "outputs": outputs,
                 "seed": getattr(args, "seed", None),
                 "version": __version__,
                 "duration_s": time.monotonic() - t0,

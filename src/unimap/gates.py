@@ -82,7 +82,12 @@ def gate_from_name(name: str, d: int) -> np.ndarray:
     if key == "S":
         return phase_S(d)
     if key.startswith("G:"):
-        return mult_G(int(key[2:]), d)
+        try:
+            a = int(key[2:])
+        except ValueError:  # G:x or G: names no gate
+            pass
+        else:
+            return mult_G(a, d)
     raise ValueError(f"unknown gate name {name!r}; expected X, Z, H, S, or G:<a>")
 
 

@@ -99,7 +99,7 @@ def pairs_to_complex(data, what: str = "vector", matrix: bool = False) -> np.nda
     """Complex values from a list of [re, im] pairs or, with ``matrix``, from a d x d matrix of them."""
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):  # an object, null, string or ragged row: no list of pairs
+    except (TypeError, ValueError, OverflowError):  # an object, null, string, ragged row or huge integer
         arr = np.empty(0)
     if arr.ndim != (3 if matrix else 2) or arr.shape[-1] != 2 or (matrix and arr.shape[0] != arr.shape[1]):
         raise ValueError(f"{what} must be a {'d x d matrix' if matrix else 'list'} of [re, im] pairs")

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -859,6 +860,12 @@ class TestBadPairData:
          "{file}: entries must be a d x d matrix of [re, im] pairs"),
         ({"entries": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}, UNITARY,
          "{file}: entries must be a d x d matrix of [re, im] pairs"),
+        # an integer too large for a float
+        ({"amplitudes": [[10**400, 0], [0, 0]]}, WIGNER, "{file}: amplitudes must be a list of [re, im] pairs"),
+        ({"source": [[[10**400, 0], [0, 0]]], "target": [[[1, 0], [0, 0]]]}, SUBSPACE,
+         "{file}: source[0] must be a list of [re, im] pairs"),
+        ({"entries": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}, UNITARY,
+         "{file}: entries must be a d x d matrix of [re, im] pairs"),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, doc, argv, message):
         file = _write(tmp_path / "in.json", doc)
@@ -921,6 +928,128 @@ class TestPhaseRefusal:
         assert run(["propagate", "--waveform", str(wave), "--params", params]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "segment duration 2e-05 s" in err
+
+
+_FAST = ["--max-iterations", "0", "--restarts", "1"]
+
+
+class TestManifestRecord:
+    """``main`` derives every manifest: the file flags given, then every file the run wrote."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        _write(tmp_path / "i.json", {"amplitudes": complex_to_pairs(np.eye(8)[7])})
+        _write(tmp_path / "t.json", {"amplitudes": complex_to_pairs(np.eye(8)[0])})
+        _write(tmp_path / "s.json", {"amplitudes": complex_to_pairs(np.eye(7)[2])})
+        _write(tmp_path / "m.json", {"entries": [complex_to_pairs(row) for row in np.eye(3)[[2, 0, 1]]]})
+        _write(tmp_path / "p.json", {})
+        _spec(tmp_path)
+
+    @pytest.mark.parametrize("argv, inputs, outputs", [
+        (["optimize-state", "--initial", "{d}/i.json", "--target", "{d}/t.json", "--params", "{d}/p.json", *_FAST,
+          "--out-waveform", "{d}/w.csv", "--out-report", "{d}/r.json"], ["p.json", "i.json", "t.json"],
+         ["r.json", "w.csv"]),
+        (["optimize-state", "--initial", "basis:0", "--target", "fiducial", *_FAST,
+          "--out-waveform", "{d}/w.csv", "--out-report", "{d}/r.json"], [], ["r.json", "w.csv"]),
+        (["build-unitary", "--exact-mappers", "--matrix-file", "{d}/m.json", "--out-report", "{d}/r.json"],
+         ["m.json"], ["r.json"]),
+        (["build-unitary", "--gate", "Z", "--d", "3", "--params", "{d}/p.json", *_FAST, "--out-report", "{d}/r.json"],
+         ["p.json"], ["r.json"]),
+        (["build-subspace-map", "--exact", "--spec", "{d}/spec.json", "--out-report", "{d}/r.json"],
+         ["spec.json"], ["r.json"]),
+        (["build-subspace-map", "--spec", "{d}/spec.json", "--params", "{d}/p.json", *_FAST,
+          "--out-report", "{d}/r.json"], ["p.json", "spec.json"], ["r.json"]),
+        (["ec-sweep", "--average", "axes", "--epsilons", "0.1", "--out", "{d}/ec.csv"], [], ["ec.csv", "ec.meta.json"]),
+        (["ec-sweep", "--maps", "synthesized", "--average", "axes", "--epsilons", "0.1", "--params", "{d}/p.json",
+          *_FAST, "--out", "{d}/ec.csv"], ["p.json"], ["ec.csv", "ec.meta.json"]),
+        (["wigner", "--state", "{d}/s.json", "--n-theta", "5", "--n-phi", "8", "--out", "{d}/g.csv"],
+         ["s.json"], ["g.csv"]),
+        (["verify-clifford", "--d", "3", "--out", "{d}/c.json"], [], ["c.json"]),
+    ], ids=["optimize-files-params", "optimize-named-states", "unitary-exact-matrix", "unitary-searched-params",
+            "subspace-exact-spec", "subspace-searched-params", "ec-ideal", "ec-synthesized-params", "wigner",
+            "clifford"])
+    def test_lists_the_file_flags_given_and_every_file_written(self, tmp_path, argv, inputs, outputs):
+        self._inputs(tmp_path)
+        before = {p.name for p in tmp_path.iterdir()}
+        assert run([a.format(d=tmp_path) for a in argv]) == 0
+        manifest = json.loads((tmp_path / f"{outputs[0]}.manifest.json").read_text())
+        assert manifest["inputs"] == [str(tmp_path / name) for name in inputs]
+        # a build report or an EC meta names the step waveforms written after the flagged files
+        docs = [json.loads((tmp_path / name).read_text()) for name in outputs if name.endswith(".json")]
+        waveforms = [path for doc in docs for path in doc.get("waveform_files", [])]
+        assert manifest["outputs"] == [*(str(tmp_path / name) for name in outputs), *waveforms]
+        # here the searched builds are the runs given --params, other than optimize-state
+        assert bool(waveforms) == ("--params" in argv and argv[0] != "optimize-state")
+        written = {p.name for p in tmp_path.iterdir()} - before
+        assert written == {Path(path).name for path in manifest["outputs"]} | {f"{outputs[0]}.manifest.json"}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-clifford", "--d", "3"],
+        ["model", "info", "--params", "{d}/p.json"],
+    ])
+    def test_run_that_writes_no_file_writes_no_manifest(self, tmp_path, argv):
+        self._inputs(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert run([a.format(d=tmp_path) for a in argv]) == 0
+        assert sorted(tmp_path.iterdir()) == before
+
+
+class TestOutputClash:
+    """Two output flags naming one file, or one naming the first's manifest, exit 2 before any search or write."""
+
+    @pytest.mark.parametrize("waveform, report, message", [
+        ("{d}/r.json", "{d}/r.json", "--out-report and --out-waveform name one file: {d}/r.json"),
+        ("{d}/sub/../r.json", "{d}/r.json", "--out-report and --out-waveform name one file: {d}/sub/../r.json"),
+        ("r.json", "{d}/r.json", "--out-report and --out-waveform name one file: r.json"),
+        ("{d}/r.json.manifest.json", "{d}/r.json",
+         "--out-waveform and the manifest of --out-report name one file: {d}/r.json.manifest.json"),
+    ], ids=["same-path", "dot-dot", "relative-and-absolute", "manifest-of-first"])
+    def test_exits_2_before_any_search_or_write(self, tmp_path, capsys, monkeypatch, waveform, report, message):
+        searches = []
+        monkeypatch.setattr(unimap.cli, "multi_start", lambda *a: searches.append(a))
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "i.json", {"amplitudes": complex_to_pairs(np.eye(8)[7])})
+        assert run(["optimize-state", "--initial", str(tmp_path / "i.json"), "--target", "basis:3",
+                    "--out-waveform", waveform.format(d=tmp_path), "--out-report", report.format(d=tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(d=tmp_path)}\n")
+        assert searches == []
+        assert [p.name for p in tmp_path.iterdir()] == ["i.json"]
+
+
+class TestEpsilonEnds:
+    """The default grid's ends are checked before ``np.geomspace`` sees them."""
+
+    @pytest.mark.parametrize("flags, shown", [
+        (["--eps-min", "-0.1", "--eps-max", "0.3"], "(-0.1, 0.3)"),
+        (["--eps-min", "0.1", "--eps-max", "-0.3"], "(0.1, -0.3)"),
+        (["--eps-max", "inf"], "(0.02, inf)"),
+        (["--eps-min=-inf", "--eps-max", "-0.1"], "(-inf, -0.1)"),
+        (["--eps-min", "nan"], "(nan, 0.3)"),
+        (["--eps-min", "0"], "(0.0, 0.3)"),
+        (["--eps-max", "-0"], "(0.02, -0.0)"),
+    ])
+    def test_refused_ends_exit_2_without_outputs_or_warnings(self, tmp_path, capsys, flags, shown):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["ec-sweep", "--average", "axes", *flags, "--out", str(tmp_path / "ec.csv")]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"error: --eps-min and --eps-max must be finite, nonzero and of one sign, got {shown}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ends", [(-0.3, -0.02), (0.3, 0.02)])
+    def test_negative_and_descending_grids_still_run(self, tmp_path, ends):
+        flags = ["--eps-min", str(ends[0]), "--eps-max", str(ends[1]), "--eps-count", "3"]
+        assert run(["ec-sweep", "--average", "axes", *flags, "--out", str(tmp_path / "ec.csv")]) == 0
+        assert json.loads((tmp_path / "ec.meta.json").read_text())["epsilon_grid"] == np.geomspace(*ends, 3).tolist()
+
+
+@pytest.mark.parametrize("gate", ["G:x", "G:", "G:1.5"])
+def test_bad_gate_multiplier_exits_2_naming_the_grammar(tmp_path, capsys, gate):
+    assert run(["build-unitary", "--gate", gate, "--d", "5", "--exact-mappers",
+                "--out-report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: unknown gate name {gate!r}; expected X, Z, H, S, or G:<a>\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_internal_key_error_exits_1_with_traceback(monkeypatch, capsys):

@@ -130,3 +130,9 @@ class TestGateNames:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown gate"):
             gate_from_name("Q", 3)
+
+    @pytest.mark.parametrize("name", ["G:x", "G:", "g:1.5"])
+    def test_rejects_a_multiplier_that_is_no_integer(self, name):
+        with pytest.raises(ValueError) as info:
+            gate_from_name(name, 5)
+        assert str(info.value) == f"unknown gate name {name!r}; expected X, Z, H, S, or G:<a>"
