@@ -179,8 +179,9 @@ def _pick_mapper(args, dim: int):
     return SearchedMapper(sys_model, cfg), dataclasses.asdict(cfg)
 
 
-def _save_waveforms(prefix, waveforms, start: int = 0) -> list[str]:
-    """Write waveform k to ``<prefix><k>.csv``, k counting from ``start``; return the paths."""
+def _save_waveforms(prefix, rep, start: int = 0) -> list[str]:
+    """Write the k-th searched step's waveform to ``<prefix><k>.csv``, k counting from ``start``; return the paths."""
+    waveforms = [step.waveform for step in rep.steps if step.waveform is not None]
     paths = [f"{prefix}{k}.csv" for k in range(start, start + len(waveforms))]
     if paths:
         Path(prefix).parent.mkdir(parents=True, exist_ok=True)
@@ -194,11 +195,11 @@ def _step_fields(args, rep) -> dict:
     prefix = Path(args.waveform_dir or Path(args.out_report).parent) / f"{Path(args.out_report).stem}-step"
     return {
         "step_fidelities": list(rep.step_fidelities),
-        "step_converged": list(rep.converged),
+        "step_converged": [step.converged for step in rep.steps if not step.skipped],
         "skipped_steps": list(rep.skipped_steps),
         "searches_performed": rep.searches_performed,
-        "total_duration_s": rep.total_duration,
-        "waveform_files": _save_waveforms(prefix, rep.waveforms),
+        "total_duration_s": float(sum(step.waveform.total_duration for step in rep.steps if step.waveform is not None)),
+        "waveform_files": _save_waveforms(prefix, rep),
     }
 
 
@@ -260,16 +261,13 @@ def cmd_ec_sweep(args) -> list[str]:
     read = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
     cfg = ECConfig(epsilon_grid=grid, average=args.average, **read)
     stem = Path(args.out).with_suffix("")
-    step_fidelities: list[list[float]] = []
-    waveform_files: list[str] = []
     if args.maps == "ideal":
-        maps = ec_maps()
+        maps, reports = ec_maps(), ()
     else:
         params = _load_params(args.params)
         maps, reports = synthesize_ec_maps(params, _search_config(args, build_restricted_system(params)))
-        step_fidelities = [list(r.step_fidelities) for r in reports]
-        for i, rep in enumerate(reports, 1):
-            waveform_files += _save_waveforms(f"{stem}-map{i}-step", rep.waveforms, start=1)
+    waveform_files = [path for i, rep in enumerate(reports, 1)
+                      for path in _save_waveforms(f"{stem}-map{i}-step", rep, start=1)]
     result = ec_sweep(cfg, maps)
     save_ec_csv(args.out, result)
     meta_path = f"{stem}.meta.json"
@@ -280,7 +278,7 @@ def cmd_ec_sweep(args) -> list[str]:
         "average": cfg.average,
         "epsilon_grid": [float(e) for e in cfg.epsilon_grid],
         "csv_file": str(args.out),
-        "map_step_fidelities": step_fidelities,
+        "map_step_fidelities": [list(rep.step_fidelities) for rep in reports],
         "waveform_files": waveform_files,
     })
     print(f"swept {len(grid)} error angles x {cfg.n_states} states ({args.maps} maps)")
@@ -415,13 +413,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _given_outputs(args) -> list[str]:
-    """The output flags given, in manifest order; two that name one file, or the first's manifest, exit 2."""
-    given = {f"--{flag.replace('_', '-')}": getattr(args, flag) for flag in OUTPUT_FLAGS
-             if getattr(args, flag, None) is not None}
+def _flag_files(args, flags) -> dict[str, str]:
+    """'--flag' -> path for each of ``flags`` given, in order; --initial and --target only when they name a file."""
+    return {f"--{flag.replace('_', '-')}": path for flag in flags if (path := getattr(args, flag, None)) is not None
+            and (flag not in ("initial", "target") or _is_state_file(path))}
+
+
+def _given_outputs(args, inputs: dict[str, str]) -> list[str]:
+    """The output flags given, in manifest order; one that names an input, another output or the manifest exits 2."""
+    given = _flag_files(args, OUTPUT_FLAGS)
     if not given:
         return []
-    first, named = next(iter(given)), {}
+    first, named = next(iter(given)), {Path(path).resolve(): label for label, path in inputs.items()}
     for label, path in [*given.items(), (f"the manifest of {first}", f"{given[first]}.manifest.json")]:
         other = named.setdefault(Path(path).resolve(), label)
         if other != label:
@@ -447,13 +450,13 @@ def main(argv=None) -> int:
                     setattr(args, name, default)
             elif getattr(args, name, None) is not None:
                 raise ValueError(f"--{name.replace('_', '-')} applies only to {scope}")
-        outputs = [*_given_outputs(args), *(handler(args) or [])]
+        inputs = _flag_files(args, FILE_FLAGS)
+        outputs = [*_given_outputs(args, inputs), *(handler(args) or [])]
         if outputs:
             save_manifest(f"{outputs[0]}.manifest.json", {
                 "command": args.command,
                 "config": config,
-                "inputs": [config[flag] for flag in FILE_FLAGS
-                           if flag in config and (flag not in ("initial", "target") or _is_state_file(config[flag]))],
+                "inputs": list(inputs.values()),
                 "outputs": outputs,
                 "seed": getattr(args, "seed", None),
                 "version": __version__,

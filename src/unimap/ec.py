@@ -15,19 +15,19 @@ protocol maps come from the phase-about-a-vector builder of ``subspace``:
 ``ec_maps`` uses its exact mapper, and ``synthesize_ec_maps`` a searched
 mapper that switches between the two 8-level cesium systems (aux +4 or
 -4), runs each rotation on the one that holds its reflection vector, and
-writes that search's 8-level chi into the 9 levels.
+returns that search's step record with its chi written into the 9 levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cesium import CesiumParams, build_restricted_system, x_basis_state
 from .core import STATE_NORM_TOL
 from .search import SearchConfig
-from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
+from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
 IDX_44Z = 7
@@ -231,22 +231,22 @@ def _aux_for_reflection(phi: np.ndarray) -> int:
 class _AuxSwitchingMapper:
     """Searched mapper on whichever 8-level system holds the reflection.
 
-    The search runs on the reflection restricted to that system's levels,
-    and its 8-level chi is written into those levels of a zero 9-vector,
-    so the factor acts as the identity on the other aux level.
+    The search runs on the reflection restricted to that system's levels;
+    its record comes back with the 8-level chi written into those levels of
+    a zero 9-vector, so the factor is the identity on the other aux level.
     """
 
     searched: dict[int, SearchedMapper]
     dim = SIM_DIM
 
-    def phase_about(self, phi):
+    def phase_about(self, phi, theta: float) -> PhaseStep:
         aux = _aux_for_reflection(phi)
         levels = _aux_levels(aux)
         phi8 = phi[levels]
-        chi8, fidelity, converged, waveform = self.searched[aux].phase_about(phi8 / np.linalg.norm(phi8))
+        step8 = self.searched[aux].phase_about(phi8 / np.linalg.norm(phi8), theta)
         chi = np.zeros(SIM_DIM, dtype=complex)
-        chi[levels] = chi8
-        return chi, fidelity, converged, waveform
+        chi[levels] = step8.chi
+        return replace(step8, chi=chi)
 
 
 def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):

@@ -48,9 +48,9 @@ def synthesize_unitary(w: np.ndarray, mapper) -> SynthesisReport:
     """Product over active eigenpairs of V_j† e^{-i lambda_j |0><0|} V_j.
 
     One mapper call per active eigenpair; the factors commute in exact
-    arithmetic, and step 1 is applied first (rightmost).  Steps that miss
-    the fidelity goal are reported through the converged flags rather than
-    raised.
+    arithmetic, and step 1 is applied first (rightmost).  The report keeps
+    one record per eigenpair; a step that misses the fidelity goal is
+    reported through its record's converged flag rather than raised.
     """
     w = assert_unitary(w)
     if w.shape[0] != mapper.dim:

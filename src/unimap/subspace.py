@@ -5,10 +5,10 @@ phase theta imprinted on the fiducial state, conjugated by a map V that
 sends phi to that state.  The factor equals I + (e^{-i theta} - 1)|chi><chi|
 with chi = V†|fiducial>, so one vector fixes it.  ``phase_product``
 multiplies these factors over a list of (phi, theta) steps; a *mapper*
-supplies each step's chi and ``phase_product`` alone forms the factor.
-``ExactMapper`` returns phi itself (no search), ``SearchedMapper`` the chi
-of a multi-start state-map search's propagator; ``ec`` adds a third that
-switches between the two 8-level cesium systems.
+returns each step's ``PhaseStep`` record and ``phase_product`` alone forms
+the factor.  ``ExactMapper`` gives chi = phi (no search), ``SearchedMapper``
+the chi of a multi-start state-map search's propagator; ``ec`` adds a
+third that switches between the two 8-level cesium systems.
 
 A subspace map is one such product with theta = pi.  A single reflection
 S = I - 2|phi><phi| with phi proportional to a - b sends a to b (after
@@ -118,6 +118,24 @@ def pair_rotation(a, b) -> tuple[np.ndarray, float]:
 
 
 @dataclass(frozen=True)
+class PhaseStep:
+    """One planned step: theta imprinted about chi = V†|fiducial>, and what the map V reached.
+
+    chi is None for a skipped step, and the waveform None for exact and skipped steps.
+    """
+
+    theta: float
+    chi: np.ndarray | None
+    fidelity: float = 1.0
+    converged: bool = True
+    waveform: Waveform | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.chi is None
+
+
+@dataclass(frozen=True)
 class ExactMapper:
     """chi = phi: no map V, no search.
 
@@ -127,8 +145,8 @@ class ExactMapper:
 
     dim: int
 
-    def phase_about(self, phi):
-        return as_state(phi, self.dim), 1.0, True, None
+    def phase_about(self, phi, theta: float) -> PhaseStep:
+        return PhaseStep(theta, as_state(phi, self.dim))
 
 
 @dataclass(frozen=True)
@@ -156,69 +174,53 @@ class SearchedMapper:
     def dim(self) -> int:
         return self.sys.dim
 
-    def phase_about(self, phi):
+    def phase_about(self, phi, theta: float) -> PhaseStep:
         result = multi_start(self.sys, phi, self.sys.fiducial_state(), self.cfg)
         chi = propagate(self.sys, result.waveform)[self.sys.fiducial_index].conj()
-        return chi, result.fidelity, result.converged, result.waveform
+        return PhaseStep(theta, chi, result.fidelity, result.converged, result.waveform)
 
 
 @dataclass(frozen=True)
 class SynthesisReport:
-    """The builder's product, its fidelity, and what each active step's map reached.
+    """The builder's product, its fidelity, and one ``PhaseStep`` per planned step, in plan order.
 
     ``fidelity`` is the trace fidelity to a target unitary, or the subspace
-    fidelity of a subspace map.  Step fidelities and converged flags hold
-    one entry per active step; only searched steps have waveforms.
+    fidelity of a subspace map.  Skipped steps keep their place in ``steps``.
     """
 
     assembled: np.ndarray
     fidelity: float
-    step_fidelities: tuple[float, ...]
-    converged: tuple[bool, ...]
-    waveforms: tuple[Waveform, ...]
-    skipped_steps: tuple[int, ...]
+    steps: tuple[PhaseStep, ...]
+
+    @property
+    def step_fidelities(self) -> tuple[float, ...]:
+        return tuple(step.fidelity for step in self.steps if not step.skipped)
+
+    @property
+    def skipped_steps(self) -> tuple[int, ...]:
+        return tuple(k for k, step in enumerate(self.steps) if step.skipped)
 
     @property
     def searches_performed(self) -> int:
-        return len(self.waveforms)
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(w.total_duration for w in self.waveforms))
+        return sum(step.waveform is not None for step in self.steps)
 
 
 def phase_product(steps, mapper, score: Callable[[np.ndarray], float], correction=None) -> SynthesisReport:
     """Product of V† P(theta) V over the (phi, theta) steps, first step rightmost.
 
-    A step whose phi is None is skipped.  ``mapper.phase_about(phi)``
-    returns chi = V†|fiducial>, |<fiducial|V|phi>|^2, the converged flag,
-    and the searched waveform (None for an exact mapper); the factor is
-    I + (e^{-i theta} - 1)|chi><chi|.  ``correction``, when given,
-    multiplies the product from the left; ``score`` turns the final matrix
-    into the report's fidelity.
+    A step whose phi is None is skipped, its record's chi None; any other
+    step's record is ``mapper.phase_about(phi, theta)`` and its factor
+    I + (e^{-i theta} - 1)|chi><chi|.  ``correction``, when given, multiplies
+    the product from the left; ``score`` turns it into the report's fidelity.
     """
+    records = tuple(PhaseStep(theta, None) if phi is None else mapper.phase_about(phi, theta) for phi, theta in steps)
     acc = np.eye(mapper.dim, dtype=complex)
-    fidelities, converged, waveforms, skipped = [], [], [], []
-    for k, (phi, theta) in enumerate(steps):
-        if phi is None:
-            skipped.append(k)
-            continue
-        chi, fidelity, ok, waveform = mapper.phase_about(phi)
-        acc = _rank_one(chi, np.exp(-1j * theta) - 1.0) @ acc
-        fidelities.append(fidelity)
-        converged.append(ok)
-        if waveform is not None:
-            waveforms.append(waveform)
+    for step in records:
+        if not step.skipped:
+            acc = _rank_one(step.chi, np.exp(-1j * step.theta) - 1.0) @ acc
     if correction is not None:
         acc = correction @ acc
-    return SynthesisReport(
-        assembled=acc,
-        fidelity=score(acc),
-        step_fidelities=tuple(fidelities),
-        converged=tuple(converged),
-        waveforms=tuple(waveforms),
-        skipped_steps=tuple(skipped),
-    )
+    return SynthesisReport(assembled=acc, fidelity=score(acc), steps=records)
 
 
 def plan_subspace_map(spec: SubspaceMapSpec) -> list[RotationStep]:

@@ -995,7 +995,7 @@ class TestManifestRecord:
 
 
 class TestOutputClash:
-    """Two output flags naming one file, or one naming the first's manifest, exit 2 before any search or write."""
+    """An output flag naming an input file, another output or the first's manifest exits 2 before any work or write."""
 
     @pytest.mark.parametrize("waveform, report, message", [
         ("{d}/r.json", "{d}/r.json", "--out-report and --out-waveform name one file: {d}/r.json"),
@@ -1014,6 +1014,35 @@ class TestOutputClash:
         assert capsys.readouterr() == ("", f"error: {message.format(d=tmp_path)}\n")
         assert searches == []
         assert [p.name for p in tmp_path.iterdir()] == ["i.json"]
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({"source": [complex_to_pairs(np.eye(8)[0])], "target": [complex_to_pairs(np.eye(8)[2])]},
+         ["build-subspace-map", "--exact", "--spec", "{d}/in.json", "--out-report", "{d}/in.json"],
+         "--spec and --out-report name one file: {d}/in.json"),
+        ({"amplitudes": complex_to_pairs(np.eye(7)[2])}, ["wigner", "--state", "{d}/in.json", "--out", "in.json"],
+         "--state and --out name one file: in.json"),
+        ({"amplitudes": complex_to_pairs(np.eye(8)[7])},
+         ["optimize-state", "--initial", "{d}/in.json", "--target", "basis:3", *_FAST, "--out-waveform", "{d}/w.csv",
+          "--out-report", "{d}/in.json"], "--initial and --out-report name one file: {d}/in.json"),
+    ], ids=["spec", "wigner-state", "optimize-initial"])
+    def test_output_naming_an_input_exits_2_and_keeps_it(self, tmp_path, capsys, monkeypatch, doc, argv, message):
+        searches, search = [], unimap.cli.multi_start
+        monkeypatch.setattr(unimap.cli, "multi_start", lambda *a: searches.append(a) or search(*a))
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "in.json", doc)
+        original = (tmp_path / "in.json").read_bytes()
+        assert run([a.format(d=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(d=tmp_path)}\n")
+        assert searches == []
+        assert (tmp_path / "in.json").read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+    def test_two_inputs_naming_one_file_still_run(self, tmp_path):
+        _write(tmp_path / "i.json", {"amplitudes": complex_to_pairs(np.eye(8)[7])})
+        assert run(["optimize-state", "--initial", str(tmp_path / "i.json"), "--target", str(tmp_path / "i.json"),
+                    *_FAST, "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(tmp_path / "r.json")]) == 0
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["inputs"] == [str(tmp_path / "i.json")] * 2
 
 
 class TestEpsilonEnds:

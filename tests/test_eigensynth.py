@@ -11,7 +11,7 @@ from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.eigensynth import plan_unitary, synthesize_unitary
 from unimap.gates import gate_from_name
 from unimap.search import default_search_config
-from unimap.subspace import ExactMapper, SearchedMapper, _rank_one, pair_rotation, phase_product
+from unimap.subspace import ExactMapper, PhaseStep, SearchedMapper, _rank_one, pair_rotation, phase_product
 
 
 class GivenMapper:
@@ -21,10 +21,10 @@ class GivenMapper:
         self.dim = dim
         self.v_of = v_of
 
-    def phase_about(self, phi):
+    def phase_about(self, phi, theta):
         v = self.v_of(phi)
         fid = abs(np.vdot(basis_state(self.dim, 0), v @ phi)) ** 2
-        return v.conj().T @ basis_state(self.dim, 0), fid, True, None
+        return PhaseStep(theta, v.conj().T @ basis_state(self.dim, 0), fid)
 
 
 def plan_pairs(w):
@@ -66,30 +66,30 @@ class TestPlan:
 
 class TestExactMapper:
     def test_fiducial_input(self):
-        chi, fid, converged, waveform = ExactMapper(4).phase_about(basis_state(4, 0))
-        assert np.array_equal(chi, basis_state(4, 0))
-        assert np.abs(product([(chi, 0.9)], ExactMapper(4)) - diag_phase(4, 0, 0.9)).max() < 1e-12
-        assert abs(fid - 1) < 1e-12
-        assert converged and waveform is None
+        step = ExactMapper(4).phase_about(basis_state(4, 0), 0.9)
+        assert np.array_equal(step.chi, basis_state(4, 0)) and step.theta == 0.9
+        assert np.abs(product([(step.chi, 0.9)], ExactMapper(4)) - diag_phase(4, 0, 0.9)).max() < 1e-12
+        assert abs(step.fidelity - 1) < 1e-12
+        assert step.converged and step.waveform is None
 
     def test_swap_case(self):
-        _, fid, _, _ = ExactMapper(2).phase_about(basis_state(2, 1))
-        assert fid == pytest.approx(1.0, abs=1e-12)
+        step = ExactMapper(2).phase_about(basis_state(2, 1), np.pi)
+        assert step.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_contract_d16(self):
         rng = np.random.default_rng(1)
         phi = haar_random_state(16, rng)
-        _, fid, _, _ = ExactMapper(16).phase_about(phi)
+        step = ExactMapper(16).phase_about(phi, 2.5)
         factor = product([(phi, 2.5)], ExactMapper(16))
-        assert fid >= 1 - 1e-12
+        assert step.fidelity >= 1 - 1e-12
         # the factor imprints the phase on phi and nowhere else
         assert np.linalg.norm(factor @ phi - np.exp(-2.5j) * phi) < 1e-12
 
     def test_rejects_vector_of_wrong_dimension_or_norm(self):
         with pytest.raises(ValueError, match="dimension"):
-            ExactMapper(4).phase_about(basis_state(3, 0))
+            ExactMapper(4).phase_about(basis_state(3, 0), 1.0)
         with pytest.raises(ValueError, match="norm"):
-            ExactMapper(4).phase_about(2 * basis_state(4, 0))
+            ExactMapper(4).phase_about(2 * basis_state(4, 0), 1.0)
 
     @pytest.mark.parametrize("fid", [0, 3, 7])
     def test_any_fiducial_index(self, fid):
@@ -99,9 +99,9 @@ class TestExactMapper:
         phi = haar_random_state(8, rng)
         v, _ = pair_rotation(phi, basis_state(8, fid))
         want = v.conj().T @ diag_phase(8, fid, 1.0) @ v
-        _, got, _, _ = ExactMapper(8).phase_about(phi)
+        step = ExactMapper(8).phase_about(phi, 1.0)
         assert np.abs(product([(phi, 1.0)], ExactMapper(8)) - want).max() <= 1e-12
-        assert got == 1.0
+        assert step.fidelity == 1.0
 
 
 class TestAssemble:
@@ -161,8 +161,8 @@ class TestSynthesizeExact:
         phases = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
         w = (v * np.exp(-1j * phases)) @ v.conj().T
         report = synthesize_unitary(w, ExactMapper(5))
-        assert len(report.skipped_steps) == 2
-        assert len(report.step_fidelities) == 3
+        assert sum(step.skipped for step in report.steps) == 2
+        assert sum(not step.skipped for step in report.steps) == 3
         assert report.fidelity >= 1 - 1e-10
 
     def test_one_entry_per_active_step_and_no_searches(self):
@@ -170,16 +170,16 @@ class TestSynthesizeExact:
         v = haar_random_unitary(5, rng)
         w = (v * np.exp(-1j * np.array([0.0, 0.5, 1.0, 2.0, 3.0]))) @ v.conj().T
         report = synthesize_unitary(w, ExactMapper(5))
-        assert report.converged == (True,) * 4
-        assert all(f >= 1 - 1e-12 for f in report.step_fidelities) and len(report.step_fidelities) == 4
-        assert report.searches_performed == 0 and report.waveforms == ()
-        assert report.total_duration == 0.0
+        active = [step for step in report.steps if not step.skipped]
+        assert [step.converged for step in active] == [True] * 4
+        assert all(step.fidelity >= 1 - 1e-12 for step in active) and len(active) == 4
+        assert all(step.waveform is None for step in report.steps)
 
     def test_error_bound_with_exact_mappers(self):
         rng = np.random.default_rng(8)
         w = haar_random_unitary(8, rng)
         report = synthesize_unitary(w, ExactMapper(8))
-        budget = 4 * sum(1 - f for f in report.step_fidelities) + 1e-9
+        budget = 4 * sum(1 - step.fidelity for step in report.steps if not step.skipped) + 1e-9
         assert 1 - report.fidelity <= budget
 
     def test_dimension_mismatch_even_without_active_steps(self):
@@ -191,15 +191,15 @@ class TestSynthesizeWaveform:
     def test_identity_zero_searches(self, cesium):
         cfg = default_search_config(cesium, seed=0, max_iterations=100)
         report = synthesize_unitary(np.eye(8), SearchedMapper(cesium, cfg))
-        assert report.searches_performed == 0
+        assert len(report.steps) == 8 and all(step.skipped and step.waveform is None for step in report.steps)
         assert report.fidelity == pytest.approx(1.0)
 
     def test_fiducial_imprint_trivial_search(self, cesium):
         w = diag_phase(8, 7, np.pi)
         cfg = default_search_config(cesium, seed=1, max_iterations=200)
         report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
-        assert report.searches_performed == 1
-        assert report.converged == (True,)
+        (step,) = [step for step in report.steps if not step.skipped]
+        assert step.waveform is not None and step.converged
         assert report.fidelity >= 1 - 1e-10
 
     def test_dimension_mismatch(self, cesium):
@@ -214,10 +214,10 @@ class TestSynthesizeWaveform:
         w = (v * np.exp(-1j * phases)) @ v.conj().T
         cfg = default_search_config(cesium, seed=2, max_iterations=400, fidelity_goal=0.995)
         report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
-        assert report.searches_performed == 3
-        assert report.searches_performed <= 8
-        assert len(report.waveforms) == 3
-        assert report.total_duration > 0
+        searched = [step for step in report.steps if step.waveform is not None]
+        assert len(searched) == 3 == sum(not step.skipped for step in report.steps)
+        assert len(report.steps) == 8
+        assert sum(step.waveform.total_duration for step in searched) > 0
 
     def test_report_fidelity_recomputable(self, cesium):
         from unimap.core import trace_fidelity
@@ -258,12 +258,13 @@ class TestSynthesizeWaveform:
         target[:3, :3] = gate_from_name("Z", 3)
         cfg = default_search_config(cesium, seed=0, fidelity_goal=0.99, max_iterations=5000, restarts=3)
         report = synthesize_unitary(target, SearchedMapper(cesium, cfg))
-        phases = [s.phase for s in plan_unitary(target) if not s.skippable]
-        assert len(phases) == len(report.waveforms) == 2
+        active = [step for step in report.steps if not step.skipped]
+        assert len(active) == 2
         light = np.eye(cesium.n_controls)[CONTROL_NAMES.index("light_shift")]
         segments = []
-        for theta, v in zip(phases, report.waveforms):
-            imprint = ([theta / CesiumParams().lightshift_max], [light])
+        for step in active:
+            v = step.waveform
+            imprint = ([step.theta / CesiumParams().lightshift_max], [light])
             segments += [(v.durations, v.amplitudes), imprint, (v.durations[::-1], -v.amplitudes[::-1])]
         durations, amplitudes = zip(*segments)
         played = Waveform(np.concatenate(durations), np.concatenate(amplitudes))

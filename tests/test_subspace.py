@@ -9,7 +9,7 @@ from unimap.cesium import CesiumParams, build_restricted_system, x_basis_state
 from unimap.control import propagate
 from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.ec import synthesize_ec_maps
-from unimap.eigensynth import synthesize_unitary
+from unimap.eigensynth import plan_unitary, synthesize_unitary
 from unimap.search import default_search_config
 from unimap.subspace import (
     ExactMapper,
@@ -243,10 +243,11 @@ class TestAssemble:
             target=(keep, basis_state(6, 2), basis_state(6, 3)),
         )
         rep = synthesize_subspace_map(spec, ExactMapper(6))
-        assert rep.skipped_steps == (0,)
-        assert len(rep.step_fidelities) == 2 and all(f >= 1 - 1e-12 for f in rep.step_fidelities)
-        assert rep.converged == (True, True)
-        assert rep.searches_performed == 0 and rep.total_duration == 0.0
+        assert [step.skipped for step in rep.steps] == [True, False, False]
+        active = rep.steps[1:]
+        assert all(step.fidelity >= 1 - 1e-12 for step in active)
+        assert [step.converged for step in active] == [True, True]
+        assert all(step.waveform is None for step in rep.steps)
 
     def test_naive_product_fails_witness(self):
         spec = random_spec(2, 4, seed=11, phase_correction=False)
@@ -330,12 +331,12 @@ class TestSearchedMapper:
     def test_chi_is_adjoint_of_fiducial(self, cesium, fixed_search):
         handed_out = fixed_search(unimap.subspace)
         phi = haar_random_state(8, np.random.default_rng(13))
-        chi, fid, converged, wave = SearchedMapper(cesium, default_search_config(cesium)).phase_about(phi)
+        step = SearchedMapper(cesium, default_search_config(cesium)).phase_about(phi, 1.3)
         ((sys_m, handed),) = handed_out
-        assert sys_m is cesium and wave is handed
+        assert sys_m is cesium and step.waveform is handed and step.theta == 1.3
         # the search's own step fidelity and flag, not recomputed from chi
-        assert (fid, converged) == (0.5, False)
-        assert np.array_equal(chi, apply_adjoint(cesium, wave) @ cesium.fiducial_state())
+        assert (step.fidelity, step.converged) == (0.5, False)
+        assert np.array_equal(step.chi, apply_adjoint(cesium, handed) @ cesium.fiducial_state())
 
     def test_factor_is_conjugated_imprint(self, cesium, fixed_search):
         handed_out = fixed_search(unimap.subspace)
@@ -345,7 +346,8 @@ class TestSearchedMapper:
         ((_, wave),) = handed_out
         want = apply_adjoint(cesium, wave) @ diag_phase(8, cesium.fiducial_index, 1.3) @ propagate(cesium, wave)
         assert np.abs(rep.assembled - want).max() < 1e-12
-        assert rep.step_fidelities == (0.5,) and rep.converged == (False,) and rep.waveforms == (wave,)
+        (step,) = rep.steps
+        assert (step.theta, step.fidelity, step.converged) == (1.3, 0.5, False) and step.waveform is wave
 
     @pytest.mark.parametrize("build", [
         lambda sys, cfg: synthesize_unitary(diag_phase(8, 0, 1.0), SearchedMapper(sys, cfg)),
@@ -359,6 +361,35 @@ class TestSearchedMapper:
         with pytest.raises(ValueError, match="drift-free system, but 'cs133-f3-aux4' has drift norm 3 rad/s"):
             build(detuned, default_search_config(detuned))
         assert searches == []
+
+
+@pytest.mark.parametrize("searched", [False, True], ids=["exact", "searched"])
+@pytest.mark.parametrize("target", ["subspace", "unitary"])
+def test_records_follow_the_plan(cesium, fixed_search, target, searched):
+    # one record per planned step, in plan order, with skipped steps kept in place
+    fixed_search(unimap.subspace)
+    mapper = SearchedMapper(cesium, default_search_config(cesium)) if searched else ExactMapper(8)
+    if target == "subspace":
+        # the middle pair is already in place, so its rotation is skipped
+        e = [basis_state(8, k) for k in range(8)]
+        spec = SubspaceMapSpec(source=(e[0], e[5], e[1]), target=(e[2], e[5], e[3]))
+        rep = synthesize_subspace_map(spec, mapper)
+        plan = [(np.pi, step.skipped) for step in plan_subspace_map(spec)]
+        assert rep.skipped_steps == (1,)
+    else:
+        v = haar_random_unitary(8, np.random.default_rng(15))
+        w = (v * np.exp(-1j * np.array([0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0]))) @ v.conj().T
+        rep = synthesize_unitary(w, mapper)
+        plan = [(step.phase, step.skippable) for step in plan_unitary(w)]
+        assert len(rep.skipped_steps) == 5
+    assert len(rep.steps) == len(plan)
+    assert [step.theta for step in rep.steps] == [theta for theta, _ in plan]
+    assert rep.skipped_steps == tuple(k for k, (_, skipped) in enumerate(plan) if skipped)
+    for k, step in enumerate(rep.steps):
+        if k in rep.skipped_steps:
+            assert step.skipped and step.chi is None and step.waveform is None
+        else:
+            assert step.chi is not None and (step.waveform is not None) == searched
 
 
 def test_subspace_fidelity_phase_sensitivity():
