@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 import time
 import traceback
@@ -190,16 +191,20 @@ def _save_waveforms(prefix, rep, start: int = 0) -> list[str]:
     return paths
 
 
+def _step_prefix(args) -> Path:
+    """A build writes its k-th searched step's waveform to ``<prefix><k>.csv``, under --waveform-dir or by the report."""
+    return Path(args.waveform_dir or Path(args.out_report).parent) / f"{Path(args.out_report).stem}-step"
+
+
 def _step_fields(args, rep) -> dict:
     """Write the report's waveforms next to it; the per-step fields both build reports share."""
-    prefix = Path(args.waveform_dir or Path(args.out_report).parent) / f"{Path(args.out_report).stem}-step"
     return {
         "step_fidelities": list(rep.step_fidelities),
         "step_converged": [step.converged for step in rep.steps if not step.skipped],
         "skipped_steps": list(rep.skipped_steps),
         "searches_performed": rep.searches_performed,
         "total_duration_s": float(sum(step.waveform.total_duration for step in rep.steps if step.waveform is not None)),
-        "waveform_files": _save_waveforms(prefix, rep),
+        "waveform_files": _save_waveforms(_step_prefix(args), rep),
     }
 
 
@@ -246,6 +251,11 @@ def cmd_build_subspace_map(args) -> list[str]:
     return report["waveform_files"]
 
 
+def _sweep_stem(args) -> Path:
+    """A sweep writes its meta to ``<stem>.meta.json`` and map i's step k to ``<stem>-map<i>-step<k>.csv``."""
+    return Path(args.out).with_suffix("")
+
+
 def cmd_ec_sweep(args) -> list[str]:
     if args.epsilons is None:
         ends = (args.eps_min, args.eps_max)
@@ -260,7 +270,7 @@ def cmd_ec_sweep(args) -> list[str]:
     # a flag this sweep does not read is None here and keeps ECConfig's default
     read = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
     cfg = ECConfig(epsilon_grid=grid, average=args.average, **read)
-    stem = Path(args.out).with_suffix("")
+    stem = _sweep_stem(args)
     if args.maps == "ideal":
         maps, reports = ec_maps(), ()
     else:
@@ -419,8 +429,25 @@ def _flag_files(args, flags) -> dict[str, str]:
             and (flag not in ("initial", "target") or _is_state_file(path))}
 
 
+def _derived_outputs(args) -> dict[str, str]:
+    """What each file a run writes under a name no flag gives is -> a regex over its resolved path."""
+    if args.command == "ec-sweep":
+        stem = re.escape(str(_sweep_stem(args).resolve()))
+        return {"the meta of --out": rf"{stem}\.meta\.json",
+                **({"a step waveform of --out": rf"{stem}-map\d+-step\d+\.csv"} if _searches(args) else {})}
+    if args.command.startswith("build-") and _searches(args):
+        return {"a step waveform of --out-report": rf"{re.escape(str(_step_prefix(args).resolve()))}\d+\.csv"}
+    return {}
+
+
 def _given_outputs(args, inputs: dict[str, str]) -> list[str]:
-    """The output flags given, in manifest order; one that names an input, another output or the manifest exits 2."""
+    """The output flags given, in manifest order; one that names an input, another output or the manifest exits 2,
+    as does an input that a file the run derives from them would overwrite."""
+    derived_outputs = _derived_outputs(args)
+    for label, path in inputs.items():
+        for derived, pattern in derived_outputs.items():
+            if re.fullmatch(pattern, str(Path(path).resolve())):
+                raise ValueError(f"{label} and {derived} name one file: {path}")
     given = _flag_files(args, OUTPUT_FLAGS)
     if not given:
         return []

@@ -7,17 +7,24 @@ is that format; ``fmt`` applies it to one value, and each CSV writer
 builds a ``%`` template for one row (a Wigner grid's theta row, an EC
 error angle, a waveform segment) and fills it from the row's values in
 one call, instead of formatting value by value.
+
+Every JSON report, meta and manifest passes ``validate_report`` before it
+is written: a stdlib checker of the keywords the shipped schemas use
+(Draft 2020-12, as jsonschema reads it), which also refuses any NaN or
+infinity.  jsonschema is imported only to word the error of a refused
+document, so a successful run never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 import os
 import tempfile
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .control import Waveform
@@ -187,30 +194,117 @@ def save_wigner_csv(path: str, grid: WignerGrid) -> None:
     atomic_write_text(path, "".join(parts))
 
 
+#: the keywords ``validate_report`` applies, and the annotations it ignores; a schema using any other is refused
+_KEYWORDS = frozenset({"type", "enum", "minimum", "maximum", "properties", "required", "additionalProperties",
+                       "items", "minItems", "uniqueItems", "$schema", "title"})
+
+
+def _unsupported(schema: dict) -> set[str]:
+    """The keywords in schema and its subschemas that ``validate_report`` does not apply."""
+    subschemas = [*schema.get("properties", {}).values(), schema.get("items"), schema.get("additionalProperties")]
+    return set(schema) - _KEYWORDS | set().union(*(_unsupported(s) for s in subschemas if isinstance(s, dict)))
+
+
 def load_schema(name: str) -> dict:
-    """A shipped schema as a dict, read from the package; builds no validator."""
-    return json.loads(resources.files("unimap").joinpath(f"schemas/{name}.schema.json").read_text())
+    """A shipped schema as a dict, read from the package; one using a keyword the checker lacks raises."""
+    schema = json.loads(resources.files("unimap").joinpath(f"schemas/{name}.schema.json").read_text())
+    if unknown := _unsupported(schema):
+        raise NotImplementedError(f"schema {name} uses {sorted(unknown)}, which validate_report does not apply")
+    return schema
 
 
-@functools.cache
-def _validator(name: str) -> jsonschema.protocols.Validator:
-    """The schema's validator, built once after checking the schema against its metaschema."""
-    schema = load_schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+#: each shipped schema, read and checked once per process
+_schema = functools.cache(load_schema)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+#: JSON type -> whether a Python value has it, as Draft 2020-12 reads them: a bool is no number, 2.0 is an integer
+_TYPES = {
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+    "number": _is_number,
+    "string": lambda x: isinstance(x, str),
+    "array": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality: a bool equals only itself, 1 == 1.0, and arrays and objects compare item by item."""
+    if a is b:
+        return True
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+def _unique(items: list) -> bool:
+    if all(isinstance(x, str) for x in items):  # a manifest's outputs: hashing beats comparing every pair
+        return len(set(items)) == len(items)
+    return not any(_same(a, b) for i, a in enumerate(items) for b in items[:i])
+
+
+#: keyword -> whether a value meets it; each applies only to the JSON types it names
+_CHECKS = {
+    "type": lambda t, x: any(_TYPES[name](x) for name in ([t] if isinstance(t, str) else t)),
+    "enum": lambda options, x: any(_same(x, option) for option in options),
+    "minimum": lambda low, x: not _is_number(x) or x >= low,
+    "maximum": lambda high, x: not _is_number(x) or x <= high,
+    "required": lambda keys, x: not isinstance(x, dict) or all(key in x for key in keys),
+    "minItems": lambda n, x: not isinstance(x, list) or len(x) >= n,
+    "uniqueItems": lambda on, x: not (on and isinstance(x, list)) or _unique(x),
+}
+
+
+def _fault(schema: dict, x) -> list | None:
+    """The path to the first value in x that breaks schema or is a non-finite float; None if there is none."""
+    if isinstance(x, float) and not math.isfinite(x) or not all(
+            _CHECKS[k](v, x) for k, v in schema.items() if k in _CHECKS):
+        return []
+    if isinstance(x, dict):
+        known, rest = schema.get("properties", {}), schema.get("additionalProperties", True)
+        for key, value in x.items():
+            sub = known.get(key, rest)
+            path = [] if sub is False else _fault({} if sub is True else sub, value)
+            if path is not None:
+                return [key, *path]
+    elif isinstance(x, list):
+        items = schema.get("items", {})
+        for i, value in enumerate(x):
+            if (path := _fault(items, value)) is not None:
+                return [i, *path]
+    return None
 
 
 def validate_report(name: str, doc: dict) -> dict:
-    """Validate a report document against its shipped schema; returns doc.
+    """Check a report document against its shipped schema and refuse any non-finite number in it; returns doc.
 
-    Raises the same errors as ``jsonschema.validate``, which re-checks the
-    schema on every call; here each schema is checked once.
+    A refused doc raises the error ``jsonschema.validate`` gives, or, when a
+    non-finite number is its only fault (jsonschema lets a NaN through
+    ``minimum`` and ``maximum``), a ``jsonschema.ValidationError`` naming its
+    path.  jsonschema is imported only then, to word the error.
     """
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if error is not None:
-        raise error
-    return doc
+    schema = _schema(name)
+    path = _fault(schema, doc)
+    if path is None:
+        return doc
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
+    if error is None:
+        value = doc
+        for key in path:
+            value = value[key]
+        error = jsonschema.ValidationError(f"{value!r} is not a finite number", path=path, instance=value)
+    raise error
 
 
 def write_report(path: str, schema: str, doc: dict) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -541,7 +542,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_runs_exact_build_and_wigner_without_scipy(tmp_path):
-    # the package's numerics are numpy-only; importing scipy costs ~30 MB of resident memory
+    # the package's numerics are numpy-only; importing scipy costs ~30 MB of resident memory, and
+    # jsonschema, which only words the error of a refused report, ~4 MB
     src = str(Path(unimap.__file__).resolve().parents[1])
     state = _write(tmp_path / "s.json", {"amplitudes": [[0.6, 0], [0, 0.8], [0, 0]]})
     code = (
@@ -549,14 +551,18 @@ def test_cli_runs_exact_build_and_wigner_without_scipy(tmp_path):
         "assert unimap.cli.main(['build-unitary', '--gate', 'G:3', '--d', '7', '--exact-mappers',"
         " '--out-report', 'r.json']) == 0\n"
         f"assert unimap.cli.main(['wigner', '--state', {state!r}, '--out', 'g.csv']) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "assert unimap.cli.main(['verify-clifford', '--d', '3', '--out', 'c.json']) == 0\n"
+        "assert unimap.cli.main(['ec-sweep', '--maps', 'ideal', '--average', 'axes', '--epsilons', '0.1',"
+        " '--out', 'e.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "r.json").is_file() and (tmp_path / "g.csv").is_file()
+    for name in ("r.json", "g.csv", "c.json", "e.csv", "e.meta.json"):
+        assert (tmp_path / name).is_file()
 
 
 def test_argparse_error_exits_2():
@@ -1037,6 +1043,38 @@ class TestOutputClash:
         assert (tmp_path / "in.json").read_bytes() == original
         assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
+    @pytest.mark.parametrize("argv, name, message", [
+        (["ec-sweep", "--maps", "synthesized", "--average", "axes", "--epsilons", "0.1", "--params", "e.meta.json",
+          *_FAST, "--out", "e.csv"], "e.meta.json", "--params and the meta of --out name one file: e.meta.json"),
+        (["ec-sweep", "--maps", "synthesized", "--average", "axes", "--epsilons", "0.1", "--params",
+          "{d}/e-map2-step3.csv", *_FAST, "--out", "e.csv"], "e-map2-step3.csv",
+         "--params and a step waveform of --out name one file: {d}/e-map2-step3.csv"),
+        (["build-unitary", "--gate", "Z", "--d", "3", "--params", "r-step0.csv", *_FAST, "--out-report", "r.json"],
+         "r-step0.csv", "--params and a step waveform of --out-report name one file: r-step0.csv"),
+        (["build-subspace-map", "--spec", "{d}/spec.json", "--params", "w/../r-step12.csv", *_FAST,
+          "--waveform-dir", "{d}", "--out-report", "{d}/out/r.json"], "r-step12.csv",
+         "--params and a step waveform of --out-report name one file: w/../r-step12.csv"),
+    ], ids=["ec-meta", "ec-step-csv", "unitary-step-csv", "subspace-step-csv-in-waveform-dir"])
+    def test_input_a_derived_file_would_overwrite_exits_2_and_keeps_it(self, tmp_path, capsys, monkeypatch,
+                                                                        argv, name, message):
+        searches, search = [], unimap.cli.multi_start
+        monkeypatch.setattr(unimap.cli, "multi_start", lambda *a: searches.append(a) or search(*a))
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / name, {})
+        _spec(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run([a.format(d=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(d=tmp_path)}\n")
+        assert searches == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_input_named_like_a_derived_file_of_a_run_that_derives_none_still_runs(self, tmp_path, monkeypatch):
+        # an exact build writes no step waveform, so its matrix may carry a step waveform's name
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "r-step0.csv", {"entries": [complex_to_pairs(row) for row in np.eye(2)[[1, 0]]]})
+        assert run(["build-unitary", "--exact-mappers", "--matrix-file", "r-step0.csv", "--out-report", "r.json"]) == 0
+        assert json.loads((tmp_path / "r.json.manifest.json").read_text())["inputs"] == ["r-step0.csv"]
+
     def test_two_inputs_naming_one_file_still_run(self, tmp_path):
         _write(tmp_path / "i.json", {"amplitudes": complex_to_pairs(np.eye(8)[7])})
         assert run(["optimize-state", "--initial", str(tmp_path / "i.json"), "--target", str(tmp_path / "i.json"),
@@ -1079,6 +1117,35 @@ def test_bad_gate_multiplier_exits_2_naming_the_grammar(tmp_path, capsys, gate):
                 "--out-report", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == f"error: unknown gate name {gate!r}; expected X, Z, H, S, or G:<a>\n"
     assert list(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteReport:
+    """A report holding a NaN is a program fault: it exits 1 before anything is printed or written."""
+
+    @pytest.mark.parametrize("out", [[], ["--out", "c.json"]], ids=["validate-only", "with-out"])
+    def test_clifford_nan_deviation_exits_1(self, tmp_path, capsys, monkeypatch, out):
+        verify = unimap.cli.verify_clifford_relations
+
+        def nan_deviation(*args, **kwargs):
+            report = verify(*args, **kwargs)
+            return dataclasses.replace(report, deviations={**report.deviations, "HXH* = Z": float("nan")})
+
+        monkeypatch.setattr(unimap.cli, "verify_clifford_relations", nan_deviation)
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify-clifford", "--d", "3", *out]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "ValidationError: nan is not a finite number" in stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_build_report_nan_fidelity_exits_1_before_the_report_exists(self, tmp_path, capsys, monkeypatch):
+        synthesize = unimap.cli.synthesize_unitary
+        monkeypatch.setattr(unimap.cli, "synthesize_unitary",
+                            lambda *a: dataclasses.replace(synthesize(*a), fidelity=float("nan")))
+        assert run(["build-unitary", "--gate", "H", "--d", "3", "--exact-mappers",
+                    "--out-report", str(tmp_path / "r.json")]) == 1
+        assert "ValidationError: nan is not a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_internal_key_error_exits_1_with_traceback(monkeypatch, capsys):

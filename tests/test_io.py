@@ -1,13 +1,19 @@
 """Waveform CSV, state/spec JSON, schema validation, atomic writes."""
 
+import collections
+import copy
 import json
+import math
 import os
+import types
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+import unimap.cli
+import unimap.io
 from unimap.control import Waveform, propagate
 from unimap.ec import ECResult
 from unimap.io import (
@@ -201,6 +207,169 @@ class TestSchemas:
         with pytest.raises(ValueError, match="exactly once"):
             save_manifest(str(path), m)
         assert not path.exists()
+
+
+#: search flags that end every search at once, so the corpus runs take well under a second each
+_FAST = ("--max-iterations", "0", "--restarts", "1")
+#: CLI runs that validate every kind of document: each report exact and searched, EC metas, manifests
+_CORPUS_RUNS = (
+    ("optimize-state", "--initial", "basis:7", "--target", "fiducial", "--max-iterations", "2", "--restarts", "2",
+     "--out-waveform", "w.csv", "--out-report", "o.json"),
+    ("build-unitary", "--gate", "H", "--d", "3", "--exact-mappers", "--out-report", "hx.json"),
+    ("build-unitary", "--gate", "Z", "--d", "3", *_FAST, "--out-report", "zs.json"),
+    ("build-subspace-map", "--exact", "--spec", "spec.json", "--out-report", "sx.json"),
+    ("build-subspace-map", "--spec", "spec.json", *_FAST, "--out-report", "ss.json"),
+    ("ec-sweep", "--average", "axes", "--epsilons", "0.1,0.2", "--out", "ei.csv"),
+    ("ec-sweep", "--maps", "synthesized", "--average", "axes", "--epsilons", "0.1", *_FAST, "--out", "es.csv"),
+    ("verify-clifford", "--d", "3"),
+    ("verify-clifford", "--d", "5", "--a", "2", "--out", "c.json"),
+    ("wigner", "--state", "state.json", "--n-theta", "3", "--n-phi", "4", "--out", "g.csv"),
+)
+_NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+#: what a mutation puts in place of a value: each JSON type, values outside every range, an integral float
+_REPLACEMENTS = ("x", -1, 2, 0.5, 2.0, True, None, [], {}, *_NON_FINITE)
+#: (schema, path into the first doc validated against it, value): the edges of Draft 2020-12's types and equality
+_EDGES = (
+    ("clifford_report", ("d",), True), ("clifford_report", ("d",), 1), ("clifford_report", ("d",), 3.0),
+    ("clifford_report", ("a",), 1.0), ("ec_metadata", ("samples",), True), ("ec_metadata", ("samples",), 6.0),
+    ("ec_metadata", ("maps_mode",), True), ("ec_metadata", ("maps_mode",), 1),
+    ("run_manifest", ("outputs",), [1, 1.0]), ("run_manifest", ("outputs",), [1, True]),
+    ("run_manifest", ("outputs",), ["a", "a"]), ("run_manifest", ("outputs",), ["a", "b"]),
+    ("run_manifest", ("seed",), None), ("run_manifest", ("seed",), True),
+    ("synthesis_report", ("block_trace_fidelity",), None), ("synthesis_report", ("block_trace_fidelity",), True),
+    ("clifford_report", ("deviations", "HXH* = Z"), "big"), ("clifford_report", ("deviations", "new"), None),
+    ("clifford_report", ("deviations", "new"), 0),
+)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the value at path replaced (or, for a new key, added)."""
+    new = copy.deepcopy(doc)
+    _at(new, path[:-1])[path[-1]] = value
+    return new
+
+
+def _paths(doc, path=()):
+    """Every path into doc, the root first; an array gives its first two items only."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc[:2]) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _mutations(doc):
+    """Single-field mutations: each value replaced, each key dropped, a key added, an array's first item repeated."""
+    for path in _paths(doc):
+        value = _at(doc, path)
+        if path:
+            yield from (_replaced(doc, path, r) for r in _REPLACEMENTS)
+        if isinstance(value, dict):
+            for key in value:
+                new = copy.deepcopy(doc)
+                del _at(new, path)[key]
+                yield new
+            yield _replaced(doc, (*path, "extra"), 0)
+        elif isinstance(value, list) and value:
+            yield _replaced(doc, path, [*value, value[0]])
+
+
+def _has_non_finite(x) -> bool:
+    if isinstance(x, float):
+        return not math.isfinite(x)
+    return any(map(_has_non_finite, x.values() if isinstance(x, dict) else x if isinstance(x, list) else ()))
+
+
+@pytest.fixture(scope="module")
+def written_docs(tmp_path_factory):
+    """(schema, doc) for each document the corpus runs validate, in the order they validate them."""
+    docs, validate = [], unimap.io.validate_report
+
+    def record(name, doc):
+        docs.append((name, copy.deepcopy(doc)))
+        return validate(name, doc)
+
+    work = tmp_path_factory.mktemp("corpus")
+    (work / "spec.json").write_text(json.dumps({"source": [complex_to_pairs(np.eye(8)[0])],
+                                                "target": [complex_to_pairs(np.eye(8)[2])]}))
+    (work / "state.json").write_text(json.dumps({"amplitudes": [[0.6, 0], [0, 0.8], [0, 0]]}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        mp.setattr(unimap.io, "validate_report", record)
+        mp.setattr(unimap.cli, "validate_report", record)
+        for argv in _CORPUS_RUNS:
+            assert unimap.cli.main(list(argv)) == 0, argv
+    return docs
+
+
+class TestCheckerAgainstJsonschema:
+    """``validate_report`` decides as jsonschema does, except that it alone refuses non-finite numbers."""
+
+    def test_every_written_doc_and_mutation(self, written_docs):
+        first = {}
+        for name, doc in written_docs:
+            first.setdefault(name, doc)
+        assert sorted(first) == sorted(f.name.removesuffix(".schema.json") for f in
+                                       resources.files("unimap").joinpath("schemas").iterdir())
+        corpus = [(name, mutated) for name, doc in written_docs for mutated in (doc, *_mutations(doc))]
+        corpus += [(name, _replaced(first[name], path, value)) for name, path, value in _EDGES]
+        outcomes = collections.Counter()
+        for name, doc in corpus:
+            schema = load_schema(name)
+            want = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
+            try:
+                validate_report(name, doc)
+                got = None
+            except jsonschema.ValidationError as exc:
+                got = exc
+            if want is not None:
+                outcomes["both refuse"] += 1
+                assert got is not None and (got.message, got.path) == (want.message, want.path), (name, doc)
+            elif _has_non_finite(doc):
+                outcomes["only the checker refuses"] += 1
+                assert got is not None and got.message.endswith("is not a finite number"), (name, doc)
+                assert not math.isfinite(_at(doc, got.path)), (name, doc)
+            else:
+                outcomes["both accept"] += 1
+                assert got is None, (name, doc)
+        assert min(outcomes.values()) > 100 and len(outcomes) == 3, outcomes
+
+    @pytest.mark.parametrize("schema, value", [
+        ({"type": "integer"}, True), ({"type": "integer"}, 2.0), ({"type": "integer"}, 2.5),
+        ({"type": "number"}, False), ({"type": ["number", "null"]}, None), ({"type": ["number", "null"]}, True),
+        ({"enum": [1, "a"]}, True), ({"enum": [1, "a"]}, 1.0), ({"enum": [True]}, 1), ({"enum": [[1], {"k": 1}]}, [1.0]),
+        ({"enum": [[1], {"k": 1}]}, [True]), ({"enum": [[1], {"k": 1}]}, {"k": 1.0}), ({"enum": [[1], {"k": 1}]}, {"k": True}),
+        ({"uniqueItems": True}, [1, 1.0]), ({"uniqueItems": True}, [1, True]), ({"uniqueItems": True}, [0, False]),
+        ({"uniqueItems": True}, [True, True]), ({"uniqueItems": True}, [[1], [1.0]]), ({"uniqueItems": True}, [[1], [True]]),
+        ({"uniqueItems": True}, [{"a": 1}, {"a": 1.0}]), ({"uniqueItems": True}, [{"a": 1}, {"a": True}]),
+        ({"uniqueItems": True}, ["a", "a"]), ({"uniqueItems": True}, ["a", 1, "b"]), ({"uniqueItems": False}, [1, 1]),
+        ({"minimum": 0, "maximum": 1}, "x"), ({"minimum": 0, "maximum": 1}, True), ({"minimum": 0}, -1e-300),
+        ({"maximum": 1}, 10 ** 400), ({"required": ["a"]}, ["a"]), ({"minItems": 1}, {}), ({"minItems": 1}, ""),
+        ({"additionalProperties": False}, [1]), ({"additionalProperties": {"type": "number"}}, {"a": "b"}),
+        ({"properties": {"a": {"type": "string"}}, "additionalProperties": False}, {"a": "s"}),
+        ({"items": {"type": "string"}}, {"a": 1}), ({"items": {"type": "string"}}, ["a", None]),
+    ])
+    def test_keyword_edges(self, schema, value):
+        assert (unimap.io._fault(schema, value) is None) == jsonschema.Draft202012Validator(schema).is_valid(value)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"type": "object", "properties": {"name": {"type": "string", "format": "date"}}},
+    {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+    {"type": "object", "additionalProperties": {"type": "number", "multipleOf": 2}},
+], ids=["top", "property", "items", "additional-properties"])
+def test_schema_with_a_keyword_the_checker_lacks_raises_at_load(tmp_path, monkeypatch, schema):
+    (tmp_path / "schemas").mkdir()
+    (tmp_path / "schemas" / "new.schema.json").write_text(json.dumps(schema))
+    monkeypatch.setattr(unimap.io, "resources", types.SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(NotImplementedError, match=r"schema new uses \['[a-zA-Z]+'\], which validate_report does"):
+        load_schema("new")
 
 
 def _wigner_grids():
