@@ -247,8 +247,6 @@ def _same(a, b) -> bool:
 
 
 def _unique(items: list) -> bool:
-    if all(isinstance(x, str) for x in items):  # a manifest's outputs: hashing beats comparing every pair
-        return len(set(items)) == len(items)
     return not any(_same(a, b) for i, a in enumerate(items) for b in items[:i])
 
 
