@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,7 @@ F_GROUND = 3
 CONTROL_NAMES = ("rf_x", "rf_y", "uw_x", "uw_y", "light_shift")
 
 
-@dataclass(frozen=True)
-class SpinOperators:
+class SpinOperators(NamedTuple):
     """Angular momentum matrices for spin F, with Fz diagonal F..-F."""
 
     F: float

@@ -312,7 +312,7 @@ def cmd_wigner(args) -> None:
 
 def cmd_verify_clifford(args) -> None:
     report = verify_clifford_relations(args.d, a=args.a)
-    doc = validate_report("clifford_report", dataclasses.asdict(report))
+    doc = validate_report("clifford_report", report._asdict())
     for name, dev in report.deviations.items():
         marker = "  <-- DISCREPANCY (reported, not patched)" if (
             name == "SXS* = XZ" and report.s_discrepancy

@@ -59,7 +59,7 @@ def _path_walk(pattern: np.ndarray) -> np.ndarray | None:
     return _readonly(walk)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSystem:
     """Immutable bilinear control model H[u] = drift + sum_k u_k * controls[k]."""
 
@@ -69,15 +69,15 @@ class ControlSystem:
     fiducial_index: int
     name: str = ""
     #: (K, d, d) stack of the control generators, built once per system
-    control_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    control_stack: np.ndarray = field(init=False, repr=False)
     #: (2, K) lower and upper amplitude bounds, one column per control
-    bound_array: np.ndarray = field(init=False, repr=False, compare=False)
+    bound_array: np.ndarray = field(init=False, repr=False)
     #: basis indices in chain order from one end when the drift and controls
     #: couple the levels along a single path, else None
-    chain_walk: np.ndarray | None = field(init=False, repr=False, compare=False)
+    chain_walk: np.ndarray | None = field(init=False, repr=False)
     #: ||H0|| + sum_k ||H_k|| max(|lo_k|, |hi_k|) (rad/s, spectral norms), a bound on
     #: every segment generator within the amplitude bounds
-    generator_bound: float = field(init=False, repr=False, compare=False)
+    generator_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         drift = _readonly(assert_hermitian(self.drift))
@@ -122,7 +122,7 @@ class ControlSystem:
         return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
     """Piecewise-constant control amplitudes: durations (M,) and amplitudes (M, K)."""
 

@@ -8,7 +8,7 @@ reproducible and streams are caller-owned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * lam * t)) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenphases and orthonormal eigenvectors of a unitary.
 
     The source unitary is ``sum_j exp(-i phases[j]) |v_j><v_j|`` with
@@ -104,10 +103,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    def reassemble(self) -> np.ndarray:
-        """Rebuild the unitary from phases and eigenvectors."""
-        return (self.vectors * np.exp(-1j * self.phases)) @ self.vectors.conj().T
 
 
 def eig_unitary(u: np.ndarray) -> SpectralDecomposition:

@@ -20,7 +20,8 @@ returns that search's step record with its chi written into the 9 levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,8 +164,7 @@ class ECConfig:
         return len(BLOCH_AXIS_STATES) if self.average == "axes" else self.samples
 
 
-@dataclass(frozen=True)
-class ECResult:
+class ECResult(NamedTuple):
     """Averaged fidelities and syndrome rates, one row per error angle."""
 
     epsilon: tuple[float, ...]
@@ -204,9 +204,10 @@ def _aux_levels(aux: int) -> list[int]:
     return list(range(7)) + [IDX_44Z if aux == +4 else IDX_4M4Z]
 
 
-@dataclass(frozen=True)
 class ECMapSynthesis(SynthesisReport):
     """A protocol map's synthesis report; its fidelity is the subspace fidelity."""
+
+    __slots__ = ()
 
     @property
     def subspace_fidelity(self) -> float:
@@ -227,8 +228,7 @@ def _aux_for_reflection(phi: np.ndarray) -> int:
     return -4 if on_m4 else +4
 
 
-@dataclass(frozen=True)
-class _AuxSwitchingMapper:
+class _AuxSwitchingMapper(NamedTuple):
     """Searched mapper on whichever 8-level system holds the reflection.
 
     The search runs on the reflection restricted to that system's levels;
@@ -246,7 +246,7 @@ class _AuxSwitchingMapper:
         step8 = self.searched[aux].phase_about(phi8 / np.linalg.norm(phi8), theta)
         chi = np.zeros(SIM_DIM, dtype=complex)
         chi[levels] = step8.chi
-        return replace(step8, chi=chi)
+        return step8._replace(chi=chi)
 
 
 def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
@@ -259,5 +259,5 @@ def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
     mapper = _AuxSwitchingMapper(
         {aux: SearchedMapper(build_restricted_system(params, aux=aux), cfg) for aux in (+4, -4)}
     )
-    reports = tuple(ECMapSynthesis(**vars(synthesize_subspace_map(spec, mapper))) for spec in ec_map_specs())
+    reports = tuple(ECMapSynthesis(*synthesize_subspace_map(spec, mapper)) for spec in ec_map_specs())
     return tuple(rep.assembled for rep in reports), reports

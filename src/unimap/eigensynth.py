@@ -10,7 +10,7 @@ with no V at all; the searched mapper takes chi from a searched V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .subspace import SynthesisReport, phase_product
 SKIP_PHASE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenPlanStep:
+class EigenPlanStep(NamedTuple):
     """One eigenpair of the target; a skippable one contributes the identity."""
 
     phase: float

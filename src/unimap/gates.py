@@ -9,7 +9,7 @@ modulo d for gcd(a, d) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ def gate_from_name(name: str, d: int) -> np.ndarray:
     raise ValueError(f"unknown gate name {name!r}; expected X, Z, H, S, or G:<a>")
 
 
-@dataclass(frozen=True)
-class CliffordRelationReport:
+class CliffordRelationReport(NamedTuple):
     """Max-entry deviation of each conjugation relation at dimension d."""
 
     d: int

@@ -75,7 +75,7 @@ def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:
     return SearchConfig(**defaults)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """Outcome of a search: best waveform found and its trajectory."""
 

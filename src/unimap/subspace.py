@@ -22,7 +22,7 @@ mapped vectors untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ SKIP_TOL = 1e-9
 ZERO_OVERLAP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceMapSpec:
     """Orthonormal source and target bases defining T: span{a_i} -> span{b_i}."""
 
@@ -73,8 +73,7 @@ class SubspaceMapSpec:
         return len(self.source)
 
 
-@dataclass(frozen=True)
-class RotationStep:
+class RotationStep(NamedTuple):
     """One retargeted pi-rotation: maps rotated_source to e^{i theta} target."""
 
     rotated_source: np.ndarray
@@ -117,8 +116,7 @@ def pair_rotation(a, b) -> tuple[np.ndarray, float]:
     return (np.eye(a.size, dtype=complex) if phi is None else _rank_one(phi, -2.0)), theta
 
 
-@dataclass(frozen=True)
-class PhaseStep:
+class PhaseStep(NamedTuple):
     """One planned step: theta imprinted about chi = V†|fiducial>, and what the map V reached.
 
     chi is None for a skipped step, and the waveform None for exact and skipped steps.
@@ -135,8 +133,7 @@ class PhaseStep:
         return self.chi is None
 
 
-@dataclass(frozen=True)
-class ExactMapper:
+class ExactMapper(NamedTuple):
     """chi = phi: no map V, no search.
 
     Any exact V sending phi to a fiducial state has V†|fiducial> = phi up
@@ -149,7 +146,7 @@ class ExactMapper:
         return PhaseStep(theta, as_state(phi, self.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchedMapper:
     """chi = V†|fiducial>, V the propagator of a multi-start search from phi to the fiducial state.
 
@@ -180,8 +177,7 @@ class SearchedMapper:
         return PhaseStep(theta, chi, result.fidelity, result.converged, result.waveform)
 
 
-@dataclass(frozen=True)
-class SynthesisReport:
+class SynthesisReport(NamedTuple):
     """The builder's product, its fidelity, and one ``PhaseStep`` per planned step, in plan order.
 
     ``fidelity`` is the trace fidelity to a target unitary, or the subspace

@@ -25,8 +25,8 @@ P_mm.  Negative orders follow as P_{k,-m} = (-1)^m P_km.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ def sph_legendre(k: np.ndarray, q: np.ndarray, thetas: np.ndarray) -> np.ndarray
     return p[k, np.abs(q)].T * np.where(q < 0, (-1.0) ** q, 1.0)
 
 
-@dataclass(frozen=True)
-class WignerGrid:
+class WignerGrid(NamedTuple):
     """Quasi-probability values over the full sphere."""
 
     thetas: np.ndarray  # polar angles in [0, pi], length n_theta

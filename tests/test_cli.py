@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import ast
-import dataclasses
 import inspect
 import json
 import os
@@ -1128,7 +1127,7 @@ class TestNonFiniteReport:
 
         def nan_deviation(*args, **kwargs):
             report = verify(*args, **kwargs)
-            return dataclasses.replace(report, deviations={**report.deviations, "HXH* = Z": float("nan")})
+            return report._replace(deviations={**report.deviations, "HXH* = Z": float("nan")})
 
         monkeypatch.setattr(unimap.cli, "verify_clifford_relations", nan_deviation)
         monkeypatch.chdir(tmp_path)
@@ -1141,7 +1140,7 @@ class TestNonFiniteReport:
     def test_build_report_nan_fidelity_exits_1_before_the_report_exists(self, tmp_path, capsys, monkeypatch):
         synthesize = unimap.cli.synthesize_unitary
         monkeypatch.setattr(unimap.cli, "synthesize_unitary",
-                            lambda *a: dataclasses.replace(synthesize(*a), fidelity=float("nan")))
+                            lambda *a: synthesize(*a)._replace(fidelity=float("nan")))
         assert run(["build-unitary", "--gate", "H", "--d", "3", "--exact-mappers",
                     "--out-report", str(tmp_path / "r.json")]) == 1
         assert "ValidationError: nan is not a finite number" in capsys.readouterr().err
