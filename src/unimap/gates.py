@@ -113,6 +113,8 @@ def verify_clifford_relations(d: int, a: int | None = None) -> CliffordRelationR
     d = _check_dim(d)
     if a is None:
         a = 2 if d > 2 and math.gcd(2, d) == 1 else (3 if d > 3 and math.gcd(3, d) == 1 else 1)
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
     x, z, h, s, g = pauli_X(d), pauli_Z(d), dft_H(d), phase_S(d), mult_G(a, d)
     a_inv = pow(a, -1, d)
 

@@ -10,9 +10,9 @@ one call, instead of formatting value by value.
 
 Every JSON report, meta and manifest passes ``validate_report`` before it
 is written: a stdlib checker of the keywords the shipped schemas use
-(Draft 2020-12, as jsonschema reads it), which also refuses any NaN or
-infinity.  jsonschema is imported only to word the error of a refused
-document, so a successful run never loads it.
+(Draft 2020-12, as jsonschema 4 reads it), which also refuses any NaN or
+infinity.  A refused document raises ``ReportError``, naming the path to
+the bad value and why it is refused.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ def load_waveform(path: str) -> Waveform:
         parts = row.split(",")
         if len(parts) != n_controls + 2:
             raise ValueError(f"{path}: row {i}: expected {n_controls + 2} fields, got {len(parts)}")
+        if parts[0].strip() != str(i - 2):
+            raise ValueError(f"{path}: row {i}: segment {parts[0]!r} is not the row's position {i - 2}")
         try:
             durations.append(float(parts[1]))
             amplitudes.append([float(p) for p in parts[2:]])
@@ -250,59 +252,62 @@ def _unique(items: list) -> bool:
     return not any(_same(a, b) for i, a in enumerate(items) for b in items[:i])
 
 
-#: keyword -> whether a value meets it; each applies only to the JSON types it names
+#: keyword -> True when a value meets it, else why not; each applies only to the JSON types it names
 _CHECKS = {
-    "type": lambda t, x: any(_TYPES[name](x) for name in ([t] if isinstance(t, str) else t)),
-    "enum": lambda options, x: any(_same(x, option) for option in options),
-    "minimum": lambda low, x: not _is_number(x) or x >= low,
-    "maximum": lambda high, x: not _is_number(x) or x <= high,
-    "required": lambda keys, x: not isinstance(x, dict) or all(key in x for key in keys),
-    "minItems": lambda n, x: not isinstance(x, list) or len(x) >= n,
-    "uniqueItems": lambda on, x: not (on and isinstance(x, list)) or _unique(x),
+    "type": lambda t, x: any(_TYPES[n](x) for n in ([t] if isinstance(t, str) else t)) or f"{x!r} is not of type {t!r}",
+    "enum": lambda options, x: any(_same(x, option) for option in options) or f"{x!r} is not one of enum {options!r}",
+    "minimum": lambda low, x: not _is_number(x) or x >= low or f"{x!r} is less than the minimum of {low!r}",
+    "maximum": lambda high, x: not _is_number(x) or x <= high or f"{x!r} is greater than the maximum of {high!r}",
+    "required": lambda keys, x: not isinstance(x, dict)
+        or next((f"required property {key!r} is missing" for key in keys if key not in x), True),
+    "minItems": lambda n, x: not isinstance(x, list) or len(x) >= n or f"{x!r} has fewer than minItems {n} items",
+    "uniqueItems": lambda on, x: not (on and isinstance(x, list)) or _unique(x) or f"{x!r} breaks uniqueItems",
 }
 
 
-def _fault(schema: dict, x) -> list | None:
-    """The path to the first value in x that breaks schema or is a non-finite float; None if there is none."""
-    if isinstance(x, float) and not math.isfinite(x) or not all(
-            _CHECKS[k](v, x) for k, v in schema.items() if k in _CHECKS):
-        return []
+def _fault(schema: dict, x) -> tuple[list, str] | None:
+    """The path to the first value in x that breaks schema or is a non-finite float, and why; None if there is none.
+
+    A property that ``additionalProperties: false`` forbids is reported at its object, as jsonschema does.
+    """
+    if isinstance(x, float) and not math.isfinite(x):
+        return [], f"{x!r} is not a finite number"
+    for keyword, value in schema.items():
+        if keyword in _CHECKS and (reason := _CHECKS[keyword](value, x)) is not True:
+            return [], reason
     if isinstance(x, dict):
         known, rest = schema.get("properties", {}), schema.get("additionalProperties", True)
         for key, value in x.items():
             sub = known.get(key, rest)
-            path = [] if sub is False else _fault({} if sub is True else sub, value)
-            if path is not None:
-                return [key, *path]
+            if sub is False:
+                return [], f"property {key!r} is unexpected (additionalProperties is false)"
+            if (fault := _fault({} if sub is True else sub, value)) is not None:
+                return [key, *fault[0]], fault[1]
     elif isinstance(x, list):
         items = schema.get("items", {})
         for i, value in enumerate(x):
-            if (path := _fault(items, value)) is not None:
-                return [i, *path]
+            if (fault := _fault(items, value)) is not None:
+                return [i, *fault[0]], fault[1]
     return None
+
+
+class ReportError(Exception):
+    """A document that breaks its schema or holds a non-finite number, at ``path``: a program fault, no ValueError."""
+
+    def __init__(self, name: str, path: list, reason: str):
+        super().__init__(f"{reason} (at {path} in a {name} document)")
+        self.path = path
 
 
 def validate_report(name: str, doc: dict) -> dict:
     """Check a report document against its shipped schema and refuse any non-finite number in it; returns doc.
 
-    A refused doc raises the error ``jsonschema.validate`` gives, or, when a
-    non-finite number is its only fault (jsonschema lets a NaN through
-    ``minimum`` and ``maximum``), a ``jsonschema.ValidationError`` naming its
-    path.  jsonschema is imported only then, to word the error.
+    A refused doc raises ``ReportError`` with the path to its first bad value.
     """
-    schema = _schema(name)
-    path = _fault(schema, doc)
-    if path is None:
-        return doc
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
-    if error is None:
-        value = doc
-        for key in path:
-            value = value[key]
-        error = jsonschema.ValidationError(f"{value!r} is not a finite number", path=path, instance=value)
-    raise error
+    fault = _fault(_schema(name), doc)
+    if fault is not None:
+        raise ReportError(name, *fault)
+    return doc
 
 
 def write_report(path: str, schema: str, doc: dict) -> dict:
@@ -313,6 +318,4 @@ def write_report(path: str, schema: str, doc: dict) -> dict:
 
 def save_manifest(path: str, doc: dict) -> None:
     """Write a command's provenance record after checking it against the run_manifest schema."""
-    if len(set(doc["outputs"])) != len(doc["outputs"]):
-        raise ValueError("manifest outputs must each be referenced exactly once")
     write_report(path, "run_manifest", doc)

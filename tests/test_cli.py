@@ -85,6 +85,14 @@ class TestVerifyClifford:
         jsonschema.validate(doc, load_schema("clifford_report"))
         assert doc["deviations"]["HXH* = Z"] <= 1e-12
 
+    @pytest.mark.parametrize("out", [[], ["--out", "c.json"]], ids=["validate-only", "with-out"])
+    @pytest.mark.parametrize("a", ["-1", "0"])
+    def test_multiplier_below_one_exits_2(self, tmp_path, capsys, monkeypatch, a, out):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify-clifford", "--d", "5", "--a", a, *out]) == 2
+        assert capsys.readouterr() == ("", f"error: a must be >= 1, got {a}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_times_the_whole_command(self, tmp_path, monkeypatch):
         verify = unimap.cli.verify_clifford_relations
 
@@ -529,6 +537,19 @@ def test_cli_opens_and_decodes_no_file_itself():
     assert [c for c in calls if c in ("open", "json.load", "json.loads")] == []
 
 
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = sys.stdlib_module_names | {"numpy", "unimap"}
+    for path in Path(unimap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # a relative import stays in unimap
+                names = [node.module]
+            else:
+                continue
+            assert {name.split(".")[0] for name in names} <= allowed, (path.name, node.lineno, names)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # importing scipy.optimize costs ~17 MB of resident memory
     src = str(Path(unimap.__file__).resolve().parents[1])
@@ -541,8 +562,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_runs_exact_build_and_wigner_without_scipy(tmp_path):
-    # the package's numerics are numpy-only; importing scipy costs ~30 MB of resident memory, and
-    # jsonschema, which only words the error of a refused report, ~4 MB
+    # the package runs on numpy and the standard library alone; importing scipy costs ~30 MB of resident
+    # memory, and jsonschema, which the tests keep as the report checker's reference, ~5 MB
     src = str(Path(unimap.__file__).resolve().parents[1])
     state = _write(tmp_path / "s.json", {"amplitudes": [[0.6, 0], [0, 0.8], [0, 0]]})
     code = (
@@ -1134,7 +1155,7 @@ class TestNonFiniteReport:
         assert run(["verify-clifford", "--d", "3", *out]) == 1
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
-        assert "ValidationError: nan is not a finite number" in stderr
+        assert "ReportError: nan is not a finite number" in stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_build_report_nan_fidelity_exits_1_before_the_report_exists(self, tmp_path, capsys, monkeypatch):
@@ -1143,7 +1164,25 @@ class TestNonFiniteReport:
                             lambda *a: synthesize(*a)._replace(fidelity=float("nan")))
         assert run(["build-unitary", "--gate", "H", "--d", "3", "--exact-mappers",
                     "--out-report", str(tmp_path / "r.json")]) == 1
-        assert "ValidationError: nan is not a finite number" in capsys.readouterr().err
+        assert "ReportError: nan is not a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refusal_needs_no_jsonschema(self, tmp_path):
+        src = str(Path(unimap.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None  # any import of it raises ImportError\n"
+            "import unimap.cli\n"
+            "verify = unimap.cli.verify_clifford_relations\n"
+            "unimap.cli.verify_clifford_relations = lambda *a, **k: verify(*a, **k)._replace(\n"
+            "    deviations={'HXH* = Z': float('nan')})\n"
+            "sys.exit(unimap.cli.main(['verify-clifford', '--d', '3', '--out', 'c.json']))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr.splitlines()[-1] == ("unimap.io.ReportError: nan is not a finite number"
+                                               " (at ['deviations', 'HXH* = Z'] in a clifford_report document)")
         assert list(tmp_path.iterdir()) == []
 
 

@@ -115,6 +115,11 @@ class TestRelationsReport:
             if name != "SXS* = XZ":
                 assert dev <= 1e-12, name
 
+    @pytest.mark.parametrize("a", [-1, 0])
+    def test_multiplier_below_one_refused(self, a):
+        with pytest.raises(ValueError, match=f"a must be >= 1, got {a}"):
+            verify_clifford_relations(5, a=a)
+
     def test_all_gates_unitary(self):
         for d in (2, 3, 5, 7):
             for gate in (pauli_X(d), pauli_Z(d), dft_H(d), phase_S(d), mult_G(d - 1, d)):
