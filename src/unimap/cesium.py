@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import mat_exp
+from .core import basis_state, mat_exp
 
 DIM = 8
 FIDUCIAL_INDEX = 7
@@ -138,15 +138,18 @@ def build_restricted_system(params: CesiumParams | None = None, aux: int = +4) -
     )
 
 
+def _level_state(levels: np.ndarray, m: float, where: str) -> np.ndarray:
+    """Basis vector of the level whose magnetic number in ``levels`` is m to 1e-12; any other m raises ValueError."""
+    hit = np.flatnonzero(np.abs(levels - m) <= 1e-12)
+    if hit.size == 0:
+        raise ValueError(f"invalid magnetic number {where}")
+    return basis_state(len(levels), int(hit[0]))
+
+
 def x_basis_state(F: float, m_x: float) -> np.ndarray:
     """Eigenvector of Fx with eigenvalue m_x: exp(-i pi/2 Fy) |F, m_z = m_x>."""
     ops = spin_operators(F)
-    two_f = round(2 * ops.F)
-    idx = round(ops.F - m_x)
-    if not 0 <= idx <= two_f or abs((ops.F - m_x) - idx) > 1e-12:
-        raise ValueError(f"invalid magnetic number m_x={m_x} for F={F}")
-    z_state = np.zeros(two_f + 1, dtype=complex)
-    z_state[idx] = 1.0
+    z_state = _level_state(ops.fz.diagonal().real, m_x, f"m_x={m_x} for F={F}")
     return mat_exp(ops.fy, np.pi / 2) @ z_state
 
 

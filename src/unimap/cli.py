@@ -33,7 +33,7 @@ from .ec import ECConfig, ec_maps, ec_sweep, synthesize_ec_maps
 from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
 from .io import (load_matrix_json, load_state_json, load_subspace_spec, load_waveform, read_json, save_ec_csv,
-                 save_json, save_manifest, save_waveform, save_wigner_csv, validate_report, write_report)
+                 save_json, save_waveform, save_wigner_csv, validate_report, write_report)
 from .search import SearchConfig, default_search_config, multi_start
 from .subspace import ExactMapper, SearchedMapper, synthesize_subspace_map
 from .wigner import extract_block, wigner_grid
@@ -114,15 +114,24 @@ def _default(flag: str) -> str:
     return f"default {OPTIONAL_FLAGS[flag][0]}"
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help=f"control-system preset ({_default('preset')})")
-    p.add_argument("--params", help="JSON file overriding the cesium parameters")
-    p.add_argument("--segments", type=int, help="segment count (default: 2 d^2 variables)")
-    p.add_argument("--segment-duration", type=float, help="segment duration in seconds (default 1e-5)")
-    p.add_argument("--goal", type=float, help=f"fidelity goal ({_default('goal')})")
-    p.add_argument("--max-iterations", type=int, help=_default("max_iterations"))
-    p.add_argument("--seed", type=int, help=_default("seed"))
-    p.add_argument("--restarts", type=int, help=_default("restarts"))
+#: type and help of each flag that sets up a system or a search, in the order a subcommand declares them
+SEARCH_FLAGS = {
+    "preset": (str, f"control-system preset ({_default('preset')})"),
+    "params": (str, "JSON file overriding the cesium parameters"),
+    "segments": (int, "segment count (default: 2 d^2 variables)"),
+    "segment_duration": (float, "segment duration in seconds (default 1e-5)"),
+    "goal": (float, f"fidelity goal ({_default('goal')})"),
+    "max_iterations": (int, _default("max_iterations")),
+    "seed": (int, _default("seed")),
+    "restarts": (int, _default("restarts")),
+}
+
+
+def _add_search_flags(p: argparse.ArgumentParser, names) -> None:
+    """Declare the ``SEARCH_FLAGS`` named, the subset of them that the subcommand reads."""
+    for name in names:
+        kind, help_text = SEARCH_FLAGS[name]
+        p.add_argument(f"--{name.replace('_', '-')}", type=kind, help=help_text)
 
 
 def cmd_model_info(args) -> None:
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_sub = p_model.add_subparsers(dest="model_command", required=True)
     p_info = model_sub.add_parser("info", help="print a preset summary as JSON")
     p_info.add_argument("preset", nargs="?", help=_default("preset"))
-    p_info.add_argument("--params", help="JSON parameter file")
+    _add_search_flags(p_info, ("params",))
     p_info.set_defaults(func=cmd_model_info)
 
     p_opt = sub.add_parser("optimize-state", help="search a waveform for a state map")
@@ -355,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--target", required=True, help="state JSON file, basis:<k>, or fiducial")
     p_opt.add_argument("--out-waveform", required=True)
     p_opt.add_argument("--out-report", required=True)
-    _add_search_flags(p_opt)
+    _add_search_flags(p_opt, SEARCH_FLAGS)
     p_opt.set_defaults(func=cmd_optimize_state)
 
     p_bu = sub.add_parser("build-unitary", help="synthesize a full unitary map")
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bu.add_argument("--exact-mappers", action="store_true", help="algebraic mappers, no searches")
     p_bu.add_argument("--out-report", required=True)
     p_bu.add_argument("--waveform-dir")
-    _add_search_flags(p_bu)
+    _add_search_flags(p_bu, SEARCH_FLAGS)
     p_bu.set_defaults(func=cmd_build_unitary)
 
     p_bs = sub.add_parser("build-subspace-map", help="synthesize a subspace map")
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bs.add_argument("--exact", action="store_true", help="ideal pi-rotations, no searches")
     p_bs.add_argument("--out-report", required=True)
     p_bs.add_argument("--waveform-dir")
-    _add_search_flags(p_bs)
+    _add_search_flags(p_bs, SEARCH_FLAGS)
     p_bs.set_defaults(func=cmd_build_subspace_map)
 
     p_ec = sub.add_parser("ec-sweep", help="error-correction fidelity sweep")
@@ -383,13 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ec.add_argument("--eps-max", type=float, help=_default("eps_max"))
     p_ec.add_argument("--eps-count", type=int, help=_default("eps_count"))
     p_ec.add_argument("--samples", type=int, help=f"Haar states averaged (haar mode only; {_default('samples')})")
-    p_ec.add_argument("--seed", type=int, help=_default("seed"))
     p_ec.add_argument("--average", choices=("haar", "axes"), default="haar")
     p_ec.add_argument("--out", required=True, help="result CSV path")
-    p_ec.add_argument("--params", help="cesium parameter JSON (synthesized maps)")
-    p_ec.add_argument("--goal", type=float, help=f"fidelity goal ({_default('goal')})")
-    p_ec.add_argument("--max-iterations", type=int, help=_default("max_iterations"))
-    p_ec.add_argument("--restarts", type=int, help=_default("restarts"))
+    _add_search_flags(p_ec, ("params", "goal", "max_iterations", "seed", "restarts"))
     p_ec.set_defaults(func=cmd_ec_sweep)
 
     p_w = sub.add_parser("wigner", help="emit a Wigner sphere grid as CSV")
@@ -410,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--waveform", required=True)
     p_pr.add_argument("--initial-state")
     p_pr.add_argument("--target-state")
-    p_pr.add_argument("--preset", help=_default("preset"))
-    p_pr.add_argument("--params")
+    _add_search_flags(p_pr, ("preset", "params"))
     p_pr.set_defaults(func=cmd_propagate)
 
     return parser
@@ -480,7 +484,7 @@ def main(argv=None) -> int:
         inputs = _flag_files(args, FILE_FLAGS)
         outputs = [*_given_outputs(args, inputs), *(handler(args) or [])]
         if outputs:
-            save_manifest(f"{outputs[0]}.manifest.json", {
+            write_report(f"{outputs[0]}.manifest.json", "run_manifest", {
                 "command": args.command,
                 "config": config,
                 "inputs": list(inputs.values()),

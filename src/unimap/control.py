@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import assert_hermitian
+from .core import _eig_exp, assert_hermitian, basis_state
 
 AMPLITUDE_TOL = 1e-12
 #: largest |lambda tau| (rad) a segment may reach: e^{-i lambda tau} is good to about
@@ -117,9 +117,7 @@ class ControlSystem:
         return len(self.controls)
 
     def fiducial_state(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.fiducial_index] = 1.0
-        return v
+        return basis_state(self.dim, self.fiducial_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,18 +221,12 @@ def segment_eigs(sys: ControlSystem, w: Waveform):
     return lam, v
 
 
-def _eig_propagators(lam: np.ndarray, v: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """(M, d, d) stack V_m e^{-i lam_m tau_m} V_m† from the segment eigensystems."""
-    phases = np.exp(-1j * lam * durations[:, None])
-    return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
 def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """Total propagator U = U_M ... U_1 of the segments U_m = exp(-i H_m tau_m), the last applied leftmost."""
     check_amplitudes(sys, w)
     check_segment_phase(sys, float(w.durations.max(initial=0.0)))
     u = np.eye(sys.dim, dtype=complex)
-    for step in _eig_propagators(*segment_eigs(sys, w), w.durations):
+    for step in _eig_exp(*segment_eigs(sys, w), w.durations):
         u = step @ u
     return u
 

@@ -86,8 +86,13 @@ def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
     h = assert_hermitian(h)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    lam, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * lam * t)) @ v.conj().T
+    return _eig_exp(*np.linalg.eigh(h), t)
+
+
+def _eig_exp(lam: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) = V e^{-i lam t} V† for H = V diag(lam) V†; stacks (M, d), (M, d, d), (M,) give (M, d, d)."""
+    phases = np.exp(-1j * lam * np.asarray(t)[..., None])
+    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 class SpectralDecomposition(NamedTuple):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesium import CesiumParams, build_restricted_system, x_basis_state
+from .cesium import CesiumParams, _level_state, build_restricted_system, x_basis_state
 from .core import STATE_NORM_TOL
 from .search import SearchConfig
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
@@ -41,23 +41,12 @@ FZ_SIM = np.diag(np.array([3, 2, 1, 0, -1, -2, -3, 4, -4], dtype=float))
 
 def sim_z_state(m: float) -> np.ndarray:
     """|3, m_z> (|m|<=3) or |4, +-4_z> on the 9-level simulation space."""
-    v = np.zeros(SIM_DIM, dtype=complex)
-    if abs(m) <= 3:
-        v[round(3 - m)] = 1.0
-    elif m == 4:
-        v[IDX_44Z] = 1.0
-    elif m == -4:
-        v[IDX_4M4Z] = 1.0
-    else:
-        raise ValueError(f"no simulation level with m_z={m}")
-    return v
+    return _level_state(np.diag(FZ_SIM), m, f"m_z={m}: no simulation level has it")
 
 
 def sim_x_state(m_x: float) -> np.ndarray:
     """|3, m_x> embedded in the 9-level simulation space."""
-    v = np.zeros(SIM_DIM, dtype=complex)
-    v[:7] = x_basis_state(3, m_x)
-    return v
+    return np.pad(x_basis_state(3, m_x), (0, SIM_DIM - 7))
 
 
 def ec_map_specs() -> tuple[SubspaceMapSpec, SubspaceMapSpec, SubspaceMapSpec]:

@@ -62,11 +62,11 @@ def phase_S(d: int) -> np.ndarray:
 def mult_G(a: int, d: int) -> np.ndarray:
     """Modular multiplication G_a|j> = |a j mod d>, defined for gcd(a,d)=1."""
     d = _check_dim(d)
-    a = int(a) % d
+    a = int(a)
     if math.gcd(a, d) != 1:
         raise ValueError(f"a={a} is not invertible modulo d={d}")
     g = np.zeros((d, d), dtype=complex)
-    g[(a * np.arange(d)) % d, np.arange(d)] = 1.0
+    g[((a % d) * np.arange(d)) % d, np.arange(d)] = 1.0
     return g
 
 

@@ -63,14 +63,17 @@ def save_json(path: str, doc: dict) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _save_rows(path: str, header: str, row: str, rows) -> None:
+    """Write a CSV: the header line, then one line per tuple of ``rows``, filled into the ``%`` template ``row``."""
+    atomic_write_text(path, "\n".join([header, *(row % values for values in rows)]) + "\n")
+
+
 def save_waveform(path: str, w: Waveform) -> None:
     """CSV with header segment,duration_s,u1..uK, one row per segment."""
     header = "segment,duration_s," + ",".join(f"u{k+1}" for k in range(w.n_controls))
     row = ",".join(["%d"] + [FLOAT_FORMAT] * (w.n_controls + 1))
-    lines = [header]
-    for m, (duration, amps) in enumerate(zip(w.durations.tolist(), w.amplitudes.tolist())):
-        lines.append(row % (m, duration, *amps))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = enumerate(zip(w.durations.tolist(), w.amplitudes.tolist()))
+    _save_rows(path, header, row, ((m, duration, *amps) for m, (duration, amps) in rows))
 
 
 def load_waveform(path: str) -> Waveform:
@@ -175,11 +178,8 @@ def load_subspace_spec(path: str) -> SubspaceMapSpec:
 
 def save_ec_csv(path: str, result: ECResult) -> None:
     """CSV with header epsilon,corrected,uncorrected,trigger_rate, one row per error angle."""
-    row = ",".join([FLOAT_FORMAT] * 4)
-    lines = ["epsilon,corrected,uncorrected,trigger_rate"]
-    for values in zip(result.epsilon, result.corrected, result.uncorrected, result.trigger_rate):
-        lines.append(row % values)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(result.epsilon, result.corrected, result.uncorrected, result.trigger_rate)
+    _save_rows(path, "epsilon,corrected,uncorrected,trigger_rate", ",".join([FLOAT_FORMAT] * 4), rows)
 
 
 def save_wigner_csv(path: str, grid: WignerGrid) -> None:
@@ -314,8 +314,3 @@ def write_report(path: str, schema: str, doc: dict) -> dict:
     """Check doc against the named shipped schema, then write it with ``save_json``; returns doc."""
     save_json(path, validate_report(schema, doc))
     return doc
-
-
-def save_manifest(path: str, doc: dict) -> None:
-    """Write a command's provenance record after checking it against the run_manifest schema."""
-    write_report(path, "run_manifest", doc)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSystem, Waveform, _eig_propagators, check_amplitudes, check_segment_phase, segment_eigs
-from .core import as_state
+from .control import ControlSystem, Waveform, check_amplitudes, check_segment_phase, segment_eigs
+from .core import _eig_exp, as_state
 
 ARMIJO_C = 1e-4
 GRAD_NORM_STOP = 1e-9
@@ -119,7 +119,7 @@ def _forward(sys: ControlSystem, w: Waveform, psi_i, psi_f):
     """Overlap <psi_f|U|psi_i>, the segment eigensystems and propagators, and the kets."""
     check_amplitudes(sys, w)
     lam, v = segment_eigs(sys, w)
-    u = _eig_propagators(lam, v, w.durations)
+    u = _eig_exp(lam, v, w.durations)
     m = w.n_segments
     kets = np.empty((m + 1, sys.dim), dtype=complex)
     kets[0] = psi_i

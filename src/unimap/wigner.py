@@ -129,9 +129,14 @@ def wigner_grid(state, n_theta: int = 61, n_phi: int = 120) -> WignerGrid:
 def extract_block(state, start: int, size: int) -> np.ndarray:
     """Slice a spin block out of a larger state, rejecting outside support."""
     v = np.asarray(state, dtype=complex).reshape(-1)
-    if not (0 <= start and start + size <= v.size):
+    if start < 0 or size < 0:
+        raise ValueError(f"block {start}:{size} has a negative start or size")
+    if start + size > v.size:
         raise ValueError(f"block [{start}, {start + size}) exceeds state dimension {v.size}")
     outside = np.linalg.norm(np.delete(v, np.arange(start, start + size)))
-    if outside > SUPPORT_TOL:
+    # written as "not <=" so that a NaN norm fails the check too
+    if not outside <= SUPPORT_TOL:
+        if not np.isfinite(outside):
+            raise ValueError("state has non-finite entries outside the requested block")
         raise ValueError(f"state has support {outside:.3e} outside the requested block")
     return v[start : start + size]

@@ -93,6 +93,13 @@ class TestVerifyClifford:
         assert capsys.readouterr() == ("", f"error: a must be >= 1, got {a}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("a", ["10", "15"])
+    def test_non_invertible_multiplier_is_named_as_given(self, tmp_path, capsys, monkeypatch, a):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify-clifford", "--d", "5", "--a", a]) == 2
+        assert capsys.readouterr() == ("", f"error: a={a} is not invertible modulo d=5\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_times_the_whole_command(self, tmp_path, monkeypatch):
         verify = unimap.cli.verify_clifford_relations
 
@@ -484,6 +491,18 @@ class TestWignerCLI:
         assert run(["wigner", "--state", str(state), "--block", "0:7",
                     "--out", str(tmp_path / "g.csv")]) == 2
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, last, message", [
+        pytest.param("0:3", "NaN", "state has non-finite entries outside the requested block", id="nan-outside"),
+        pytest.param("0:-3", "0", "block 0:-3 has a negative start or size", id="negative-size"),
+        pytest.param("-1:2", "0", "block -1:2 has a negative start or size", id="negative-start"),
+    ])
+    def test_bad_block_exits_2_without_files(self, tmp_path, capsys, monkeypatch, block, last, message):
+        monkeypatch.chdir(tmp_path)
+        Path("psi.json").write_text(f'{{"amplitudes": [[1, 0], [0, 0], [0, 0], [{last}, 0]]}}')
+        assert run(["wigner", "--state", "psi.json", f"--block={block}", "--out", "g.csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.json"]
 
     @pytest.mark.parametrize("amplitude, message", [(np.nan, "non-finite"), (2.0, "norm deviates")])
     def test_invalid_state_exits_2_without_grid(self, tmp_path, capsys, amplitude, message):

@@ -11,13 +11,12 @@ from unimap.control import (
     ControlSystem,
     Waveform,
     _chain_gauged,
-    _eig_propagators,
     check_amplitudes,
     propagate,
     segment_eigs,
     segment_hamiltonians,
 )
-from unimap.core import basis_state, mat_exp, unitarity_defect
+from unimap.core import _eig_exp, basis_state, mat_exp, unitarity_defect
 from unimap.subspace import ExactMapper, phase_product
 
 
@@ -104,7 +103,7 @@ class TestPropagate:
 def test_segment_propagators_match_mat_exp(detuning):
     sys_m = build_restricted_system(CesiumParams(rf_detuning=detuning))
     w = random_waveform(sys_m, 7, np.random.default_rng(9))
-    stack = _eig_propagators(*segment_eigs(sys_m, w), w.durations)
+    stack = _eig_exp(*segment_eigs(sys_m, w), w.durations)
     assert stack.shape == (7, 8, 8)
     for amps, tau, u in zip(w.amplitudes, w.durations, stack):
         h = sys_m.drift + sum(a * hk for a, hk in zip(amps, sys_m.controls))
@@ -182,7 +181,7 @@ class TestChainGauge:
         assert residual.max() <= 1e-12 * np.linalg.norm(h, axis=(1, 2)).max()
         lam_ref = complex_eigs(sys_m, w)[0]
         assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
-        assert np.abs(_eig_propagators(lam, v, w.durations) - complex_propagators(sys_m, w)).max() <= 1e-12
+        assert np.abs(_eig_exp(lam, v, w.durations) - complex_propagators(sys_m, w)).max() <= 1e-12
 
     @pytest.mark.parametrize("aux", [+4, -4])
     def test_cesium_presets_are_chains(self, aux):
@@ -198,7 +197,7 @@ class TestChainGauge:
         h = segment_hamiltonians(sys_m, w)
         lam, v = segment_eigs(sys_m, w)
         assert np.abs(h @ v - v * lam[:, None, :]).max() <= 1e-12 * np.abs(h).max()
-        assert np.abs(_eig_propagators(lam, v, w.durations) - complex_propagators(sys_m, w)).max() <= 1e-12
+        assert np.abs(_eig_exp(lam, v, w.durations) - complex_propagators(sys_m, w)).max() <= 1e-12
 
     @pytest.mark.parametrize("make_system", [
         lambda: build_restricted_system(aux=+4),

@@ -73,6 +73,12 @@ class TestStatesAndError:
         with pytest.raises(ValueError):
             sim_z_state(5)
 
+    @pytest.mark.parametrize("m", [2.5, -0.4, 3.5, float("nan")])
+    def test_rejects_non_integer_level(self, m):
+        # a magnetic number names a level only when it is one, as x_basis_state requires
+        with pytest.raises(ValueError, match="m_z"):
+            sim_z_state(m)
+
     def test_error_channel_at_zero(self):
         assert np.array_equal(error_channel(0.0), np.eye(9))
 

@@ -99,6 +99,13 @@ class TestMultiplication:
         with pytest.raises(ValueError, match="invertible"):
             mult_G(2, 4)
 
+    def test_refusal_names_the_multiplier_given(self):
+        with pytest.raises(ValueError, match=r"^a=10 is not invertible modulo d=5$"):
+            mult_G(10, 5)
+
+    def test_multiplier_acts_modulo_d(self):
+        assert np.array_equal(mult_G(8, 5), mult_G(3, 5))
+
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_d5_relations_all_coprime(self, a):
         report = verify_clifford_relations(5, a=a)

@@ -27,11 +27,11 @@ from unimap.io import (
     load_waveform,
     pairs_to_complex,
     save_json,
-    save_manifest,
     save_ec_csv,
     save_waveform,
     save_wigner_csv,
     validate_report,
+    write_report,
 )
 from unimap.wigner import WignerGrid, wigner_grid
 
@@ -216,7 +216,7 @@ class TestSchemas:
         }
         path = tmp_path / "m.json"
         with pytest.raises(ReportError, match="uniqueItems"):
-            save_manifest(str(path), m)
+            write_report(str(path), "run_manifest", m)
         assert not path.exists()
 
 
