@@ -27,7 +27,7 @@ import numpy as np
 
 from .cesium import CesiumParams, _level_state, build_restricted_system, x_basis_state
 from .core import STATE_NORM_TOL
-from .search import SearchConfig
+from .search import SearchConfig, _check_counts
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
@@ -141,8 +141,7 @@ class ECConfig:
         grid = tuple(float(e) for e in self.epsilon_grid)
         if not grid or not all(np.isfinite(grid)):
             raise ValueError("epsilon_grid must be non-empty and finite")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        _check_counts(self, samples=1, seed=0)
         if self.average not in ("haar", "axes"):
             raise ValueError(f"average must be 'haar' or 'axes', got {self.average!r}")
         object.__setattr__(self, "epsilon_grid", grid)

@@ -21,8 +21,10 @@ projected Armijo backtracking step.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -48,16 +50,19 @@ class SearchConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.segment_count < math.inf:
-            raise ValueError("segment_count must be finite and >= 1")
+        _check_counts(self, segment_count=1, max_iterations=0, seed=0, restarts=1)
         if not 0 < self.segment_duration < math.inf:
             raise ValueError("segment_duration must be finite and > 0")
         if not 0 < self.fidelity_goal <= 1:
             raise ValueError("fidelity_goal must lie in (0, 1]")
-        if not 0 <= self.max_iterations < math.inf:
-            raise ValueError("max_iterations must be finite and >= 0")
-        if not 1 <= self.restarts < math.inf:
-            raise ValueError("restarts must be finite and >= 1")
+
+
+def _check_counts(record, **lows: int) -> None:
+    """Refuse a field of ``record`` that is not an integer at or above its lower bound, naming the field."""
+    for name, low in lows.items():
+        value = getattr(record, name)
+        if not (isinstance(value, Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:
@@ -251,6 +256,12 @@ def search_state_map(
                 break
             memory.clear()
             continue
+        iterations += 1
+        history.append(j_trial)
+        if j_trial >= cfg.fidelity_goal or iterations >= cfg.max_iterations:
+            # the search stops at this point, so its gradient would go unused
+            wave, j_val = trial_wave, j_trial
+            break
         grad_new = _gradient(sys, trial_wave, psi_f, *fwd)
         s, y = trial - x, grad - grad_new
         sy, yy = s @ y, y @ y
@@ -259,8 +270,6 @@ def search_state_map(
         if sy > 1e-10 * yy:
             memory.append((s, y, sy, yy))
         x, wave, j_val, grad = trial, trial_wave, j_trial, grad_new
-        iterations += 1
-        history.append(j_val)
     return SearchResult(
         waveform=wave,
         fidelity=j_val,
@@ -296,21 +305,36 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
     )
 
 
+#: finished multi-start results per system, keyed on (psi_i bytes, psi_f bytes, cfg); a
+#: system hashes by identity, so its entries go when it does
+_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchResult:
     """Best result over cfg.restarts independent seeds, run one after another.
 
     Restart r runs with the rng stream (cfg.seed, r), so adding restarts
     never changes earlier ones; the first restart achieving the maximum
-    fidelity wins.  The segment duration is checked as in
+    fidelity wins.  The segment duration and both states are checked as in
     ``search_state_map`` before the zero-amplitude shortcut is tried.
+
+    The search is deterministic, so a repeated call (the same system
+    object, bit-equal states and an equal config) returns the same result
+    object for as long as the system lives, without searching again.  A
+    separately built system, even an equal one, shares no result.
     """
     check_segment_phase(sys, cfg.segment_duration)
-    zero = _zero_seed_result(sys, psi_i, psi_f, cfg)
-    if zero is not None:
-        return zero
-    best = None
-    for r in range(cfg.restarts):
-        res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)
-        if best is None or res.fidelity > best.fidelity:
-            best = res
+    psi_i = as_state(psi_i, sys.dim)
+    psi_f = as_state(psi_f, sys.dim)
+    done = _RESULTS.setdefault(sys, {})
+    key = (psi_i.tobytes(), psi_f.tobytes(), cfg)
+    if key in done:
+        return done[key]
+    best = _zero_seed_result(sys, psi_i, psi_f, cfg)
+    if best is None:
+        for r in range(cfg.restarts):
+            res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)
+            if best is None or res.fidelity > best.fidelity:
+                best = res
+    done[key] = best
     return best

@@ -153,7 +153,10 @@ class SearchedMapper:
     chi is the conjugated fiducial row of that one propagator, never a
     second search or propagation.  The closed-form factor assumes that
     nothing acts between V and V† except the imprint, so a system with a
-    nonzero drift is refused here, before any search.
+    nonzero drift is refused here, before any search.  A phi this mapper
+    was already given (bit-equal) shares that step's search, because
+    ``multi_start`` keeps its results per system; the step still gets its
+    own record and waveform.
     """
 
     sys: ControlSystem

@@ -120,6 +120,22 @@ def two_level():
 
 
 @pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.<name>`` for the test.
+
+    Each call still runs, and appends its positional arguments to the list
+    returned.
+    """
+
+    def install(module, name):
+        calls, inner = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def fixed_search(monkeypatch):
     """Replace ``multi_start`` in a module by a seeded stand-in search.
 

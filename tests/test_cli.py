@@ -461,6 +461,32 @@ class TestECSweep:
         assert "--samples applies only to --average haar" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_synthesized_sweep_twice_in_one_process_repeats_every_search(self, tmp_path, monkeypatch, count_calls):
+        # each run builds its own systems, so no search result carries over to the next run
+        calls = count_calls(unimap.search, "search_state_map")
+        written = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            before = len(calls)
+            assert run(["ec-sweep", "--maps", "synthesized", "--average", "axes", "--epsilons", "0.1",
+                        "--max-iterations", "2", "--restarts", "2", "--out", "ec.csv"]) == 0
+            assert len(calls) - before == 5 * 2
+            written.append({p.name: p.read_bytes() for p in Path().iterdir() if not p.name.endswith(".manifest.json")})
+        assert len(written[0]) == 2 + 6  # the CSV, its meta and one waveform per searched step
+        assert written[0] == written[1]
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("argv", [
+        ["build-unitary", "--gate", "Z", "--d", "3", "--seed", "-1", "--out-report", "{out}/r.json"],
+        ["ec-sweep", "--maps", "ideal", "--average", "haar", "--seed", "-1", "--out", "{out}/e.csv"],
+    ], ids=["build-unitary", "ec-sweep"])
+    def test_negative_seed_exits_2_naming_it_without_outputs(self, tmp_path, capsys, argv):
+        assert run([a.format(out=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be an integer >= 0, got -1\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWignerCLI:
     def test_grid_csv(self, tmp_path):

@@ -229,7 +229,7 @@ class TestSynthesizedMaps:
         # the extraction map touches |4,4_z> then |4,-4_z>: aux must switch
         extract = ec_map_specs()[1]
         assert tuple(_aux_for_reflection(step.reflection) for step in plan_subspace_map(extract)) == (4, -4)
-        # every map uses exactly two searches (n = 2, nothing skipped)
+        # every map has exactly two searched steps (n = 2, nothing skipped)
         for rep in reports:
             assert len(rep.step_fidelities) == 2
 
@@ -285,6 +285,11 @@ class TestSweep:
             ECConfig(epsilon_grid=(0.1,), samples=0)
         with pytest.raises(ValueError, match="average"):
             ECConfig(epsilon_grid=(0.1,), samples=1, average="other")
+
+    @pytest.mark.parametrize("name, bad", [("seed", -1), ("seed", 1.5), ("samples", 2.5)])
+    def test_config_refuses_negative_seed_and_non_integer_counts(self, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {bad}$"):
+            ECConfig(**{"epsilon_grid": (0.1,), name: bad})
 
     def test_trigger_rate_matches_projector_oracle(self, ideal_maps):
         # at eps = 0.2 the syndrome fires; the rate is the exact branch
@@ -430,6 +435,28 @@ class TestBatchedTrials:
             run_ec_trials(good, [[0.1, 0.2]], ideal_maps)
         with pytest.raises(ValueError, match="norm"):
             run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps))
+
+
+def test_repeated_state_map_shares_one_search(count_calls):
+    # step 1 of encode and step 1 of recover both send |4,4_z> to |3,3_x> on the
+    # aux +4 system, so the six searched steps run five searches
+    import unimap.search
+    from unimap.cesium import CesiumParams, build_restricted_system
+    from unimap.ec import _aux_levels, synthesize_ec_maps
+    from unimap.search import default_search_config, multi_start
+    from unimap.subspace import plan_subspace_map
+
+    calls = count_calls(unimap.search, "search_state_map")
+    params = CesiumParams()
+    cfg = default_search_config(build_restricted_system(params), max_iterations=3, seed=5, restarts=2)
+    _, (encode, _, recover) = synthesize_ec_maps(params, cfg)
+    assert len(calls) == 5 * cfg.restarts
+    assert encode.steps[0].waveform is recover.steps[0].waveform
+    phi = plan_subspace_map(ec_map_specs()[0])[0].reflection[_aux_levels(+4)]
+    aux4 = build_restricted_system(params, aux=+4)
+    fresh = multi_start(aux4, phi / np.linalg.norm(phi), aux4.fiducial_state(), cfg)
+    assert np.array_equal(fresh.waveform.amplitudes, encode.steps[0].waveform.amplitudes)
+    assert np.array_equal(fresh.waveform.durations, encode.steps[0].waveform.durations)
 
 
 def test_synthesized_maps_equal_two_propagation_form(fixed_search):

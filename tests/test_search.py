@@ -1,5 +1,8 @@
 """Objective, exact gradients, and projected L-BFGS convergence."""
 
+import dataclasses
+import gc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -356,6 +359,16 @@ class TestSearch:
         assert res.iterations == 1 and len(gradients) == 2
         assert len(failed) == 2 * halvings
 
+    @pytest.mark.parametrize("goal, max_iterations", [(0.99, 2000), (1.0, 7)], ids=["goal", "max-iterations"])
+    def test_one_gradient_per_iteration(self, cesium, count_calls, goal, max_iterations):
+        # the start point's gradient, then one per accepted step but the last:
+        # the search stops there, so that point's gradient would go unused
+        gradients = count_calls(unimap.search, "_gradient")
+        cfg = default_search_config(cesium, seed=9, fidelity_goal=goal, max_iterations=max_iterations)
+        res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(10)), cfg)
+        assert res.converged if goal < 1 else res.iterations == max_iterations
+        assert res.iterations >= 1 and len(gradients) == res.iterations
+
     def test_refuses_a_duration_whose_phases_carry_no_digits(self, two_level):
         # generator bound 0.5 rad/s times 1e6 s is 5e5 rad, above the 4.5e5 rad limit
         cfg = SearchConfig(segment_count=2, segment_duration=1e6, max_iterations=5)
@@ -448,14 +461,30 @@ def test_landscape_iterations_insensitive_to_dimension():
     assert ratio < 3.0, medians
 
 
-def test_multi_start_determinism(cesium):
-    cfg = default_search_config(cesium, seed=81, max_iterations=40, restarts=3, fidelity_goal=1.0)
+def test_multi_start_determinism(count_calls):
+    # two equal systems built apart share no stored result: both search, and agree
+    searches = count_calls(unimap.search, "search_state_map")
+    systems = [build_restricted_system(CesiumParams()) for _ in range(2)]
+    cfg = default_search_config(systems[0], seed=81, max_iterations=40, restarts=3, fidelity_goal=1.0)
     psi_f = haar_random_state(8, np.random.default_rng(82))
-    first = multi_start(cesium, basis_state(8, 7), psi_f, cfg)
-    second = multi_start(cesium, basis_state(8, 7), psi_f, cfg)
+    first, second = (multi_start(sys, basis_state(8, 7), psi_f, cfg) for sys in systems)
+    assert len(searches) == 2 * cfg.restarts and first is not second
     assert first.fidelity == second.fidelity
     assert first.restart_index == second.restart_index
     assert np.array_equal(first.waveform.amplitudes, second.waveform.amplitudes)
+    # a repeated call, with equal states and an equal config built anew, searches no more
+    assert multi_start(systems[0], basis_state(8, 7), psi_f.copy(), dataclasses.replace(cfg)) is first
+    assert len(searches) == 2 * cfg.restarts
+
+
+def test_stored_results_go_with_their_system():
+    sys = build_restricted_system(CesiumParams())
+    multi_start(sys, basis_state(8, 7), basis_state(8, 0), default_search_config(sys, max_iterations=0))
+    assert sys in unimap.search._RESULTS
+    stored, alive = len(unimap.search._RESULTS), weakref.ref(sys)
+    del sys
+    gc.collect()
+    assert alive() is None and len(unimap.search._RESULTS) == stored - 1
 
 
 def test_config_validation():
@@ -473,6 +502,14 @@ def test_config_validation():
 )
 def test_config_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match=name):
+        SearchConfig(**{"segment_count": 4, "segment_duration": 1e-5, name: bad})
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("segment_count", 2.5), ("max_iterations", 2.5), ("restarts", 1.5), ("seed", -1), ("seed", 1.5),
+])
+def test_config_refuses_non_integer_counts_and_negative_seed(name, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {bad}$"):
         SearchConfig(**{"segment_count": 4, "segment_duration": 1e-5, name: bad})
 
 
