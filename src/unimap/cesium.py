@@ -138,6 +138,21 @@ def build_restricted_system(params: CesiumParams | None = None, aux: int = +4) -
     )
 
 
+def _aux_mirror(sign: int) -> np.ndarray:
+    """S_s = D R on the 8-level basis: R swaps |3,m> with |3,-m>, D puts (-1)^i on F=3 level i and s on the aux."""
+    s = np.zeros((DIM, DIM))
+    s[np.arange(7), np.arange(6, -1, -1)] = (-1.0) ** np.arange(7)
+    s[FIDUCIAL_INDEX, FIDUCIAL_INDEX] = sign
+    s.setflags(write=False)
+    return s
+
+
+#: the two signed level reversals S_+ and S_- (a pi rotation about y on F=3, the aux level
+#: kept or negated), by sign s; at zero rf detuning each maps the aux +4 system onto the
+#: aux -4 system with every control going to plus or minus itself
+AUX_MIRRORS = {s: _aux_mirror(s) for s in (+1, -1)}
+
+
 def _level_state(levels: np.ndarray, m: float, where: str) -> np.ndarray:
     """Basis vector of the level whose magnetic number in ``levels`` is m to 1e-12; any other m raises ValueError."""
     hit = np.flatnonzero(np.abs(levels - m) <= 1e-12)

@@ -154,6 +154,34 @@ class Waveform:
         return float(self.durations.sum())
 
 
+def _mirror_signs(src: ControlSystem, dst: ControlSystem, mirror: np.ndarray) -> np.ndarray | None:
+    """Signs sigma with S H_k(src) Sᵀ = sigma_k H_k(dst) for every control, when ``mirror`` S is an exact map.
+
+    S must be a signed permutation matrix.  Every check is exact: S must
+    carry the drift onto the drift, each control onto plus or minus its
+    counterpart, each bounds pair onto its counterpart's (reflected for
+    sigma_k = -1), and the fiducial state onto plus or minus the other.
+    Then the src waveform with amplitudes u plays S U Sᵀ on dst with
+    amplitudes sigma u, inside dst's bounds.  Returns None when any check fails.
+    """
+    if src.dim != dst.dim or src.n_controls != dst.n_controls:
+        return None
+    if abs(mirror[dst.fiducial_index, src.fiducial_index]) != 1:
+        return None
+    if not np.array_equal(mirror @ src.drift @ mirror.T, dst.drift):
+        return None
+    signs = []
+    for h, h_dst, (lo, hi), bounds_dst in zip(src.controls, dst.controls, src.amplitude_bounds, dst.amplitude_bounds):
+        image = mirror @ h @ mirror.T
+        if np.array_equal(image, h_dst) and bounds_dst == (lo, hi):
+            signs.append(1.0)
+        elif np.array_equal(image, -h_dst) and bounds_dst == (-hi, -lo):
+            signs.append(-1.0)
+        else:
+            return None
+    return _readonly(signs)
+
+
 def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
     """Reject waveforms whose amplitudes are non-finite or violate the system's bounds."""
     if w.n_controls != sys.n_controls:

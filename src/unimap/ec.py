@@ -16,6 +16,12 @@ protocol maps come from the phase-about-a-vector builder of ``subspace``:
 mapper that switches between the two 8-level cesium systems (aux +4 or
 -4), runs each rotation on the one that holds its reflection vector, and
 returns that search's step record with its chi written into the 9 levels.
+At zero rf detuning a signed reversal of the F=3 levels (a pi rotation
+about y, ``cesium.AUX_MIRRORS``) maps the +4 system exactly onto the -4
+one, so an aux -4 rotation that is the image of a +4 rotation already
+run is not searched: its result is that waveform with each control's
+amplitudes times the control's sign, derived by the symmetry and its
+fidelity evaluated on the -4 system.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesium import CesiumParams, _level_state, build_restricted_system, x_basis_state
+from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_state
+from .control import ControlSystem, Waveform, _mirror_signs
 from .core import STATE_NORM_TOL
-from .search import SearchConfig, _check_counts
+from .search import SearchConfig, SearchResult, _check_counts, _store_result, objective_state_prep
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
@@ -37,6 +44,9 @@ IDX_4M4Z = 8
 #: z-rotation generator on the simulation space; the fiducial levels keep
 #: their physical magnetic numbers +-4
 FZ_SIM = np.diag(np.array([3, 2, 1, 0, -1, -2, -3, 4, -4], dtype=float))
+#: an aux -4 reflection vector is the mirror image of an aux +4 one when
+#: |<S phi_+4|phi_-4>| >= 1 - MIRROR_MATCH_TOL
+MIRROR_MATCH_TOL = 1e-12
 
 
 def sim_z_state(m: float) -> np.ndarray:
@@ -222,19 +232,57 @@ class _AuxSwitchingMapper(NamedTuple):
     The search runs on the reflection restricted to that system's levels;
     its record comes back with the 8-level chi written into those levels of
     a zero 9-vector, so the factor is the identity on the other aux level.
+
+    An aux -4 rotation whose reflection vector is the image, under one of
+    ``mirrors``, of a +4 rotation already run (``plus_steps``) is not
+    searched.  Before its ``SearchedMapper`` is called, the -4 search's
+    result is stored (``search._store_result``) as the +4 waveform with
+    each control's amplitudes times that mirror's sign, its fidelity
+    evaluated on the -4 system.  chi still comes from propagating that
+    waveform on the -4 system, and the step gets its own record.
     """
 
     searched: dict[int, SearchedMapper]
+    #: control signs of each aux mirror S_s that maps the +4 system exactly onto the -4 one, by s
+    mirrors: dict[int, np.ndarray]
+    #: (8-level reflection vector, step record) of each +4 rotation run so far, in order
+    plus_steps: list
     dim = SIM_DIM
 
     def phase_about(self, phi, theta: float) -> PhaseStep:
         aux = _aux_for_reflection(phi)
         levels = _aux_levels(aux)
-        phi8 = phi[levels]
-        step8 = self.searched[aux].phase_about(phi8 / np.linalg.norm(phi8), theta)
+        phi8 = phi[levels] / np.linalg.norm(phi[levels])
+        if aux == -4:
+            self._store_mirror_image(phi8)
+        step8 = self.searched[aux].phase_about(phi8, theta)
+        if aux == +4:
+            self.plus_steps.append((phi8, step8))
         chi = np.zeros(SIM_DIM, dtype=complex)
         chi[levels] = step8.chi
         return step8._replace(chi=chi)
+
+    def _store_mirror_image(self, phi8: np.ndarray) -> None:
+        """Store the first recorded +4 step that a mirror maps onto phi8 as the -4 search's result."""
+        minus = self.searched[-4]
+        for s, signs in self.mirrors.items():
+            for source_phi, source in self.plus_steps:
+                if abs(np.vdot(AUX_MIRRORS[s] @ source_phi, phi8)) >= 1 - MIRROR_MATCH_TOL:
+                    image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
+                    fiducial = minus.sys.fiducial_state()
+                    j = objective_state_prep(minus.sys, image, phi8, fiducial)
+                    result = SearchResult(image, j, 0, j >= minus.cfg.fidelity_goal, np.array([j]))
+                    _store_result(minus.sys, phi8, fiducial, minus.cfg, result)
+                    return
+
+
+def _aux_switching_mapper(plus: ControlSystem, minus: ControlSystem, cfg: SearchConfig) -> _AuxSwitchingMapper:
+    """Searched mappers on the aux +4 and -4 systems, with every aux mirror that maps one exactly onto the other."""
+    searched = {+4: SearchedMapper(plus, cfg), -4: SearchedMapper(minus, cfg)}
+    mirrors = {
+        s: signs for s, mirror in AUX_MIRRORS.items() if (signs := _mirror_signs(plus, minus, mirror)) is not None
+    }
+    return _AuxSwitchingMapper(searched, mirrors, [])
 
 
 def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
@@ -242,10 +290,14 @@ def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
 
     Rotations are planned on the 9-level space; each one is realized on
     whichever 8-level control system (aux = +4 or -4) contains its
-    reflection vector.  Phase corrections are analytic.
+    reflection vector.  Phase corrections are analytic.  The six rotations
+    run three searches: step 1 of ``recover`` repeats step 1 of ``encode``
+    (``multi_start`` returns its result again), and step 2 of ``extract``
+    and of ``recover`` are the mirror images S_- of step 1 of ``extract``
+    and S_+ of step 1 of ``encode``, derived with no search.
     """
-    mapper = _AuxSwitchingMapper(
-        {aux: SearchedMapper(build_restricted_system(params, aux=aux), cfg) for aux in (+4, -4)}
+    mapper = _aux_switching_mapper(
+        build_restricted_system(params, aux=+4), build_restricted_system(params, aux=-4), cfg
     )
     reports = tuple(ECMapSynthesis(*synthesize_subspace_map(spec, mapper)) for spec in ec_map_specs())
     return tuple(rep.assembled for rep in reports), reports

@@ -310,6 +310,21 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
 _RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _result_key(psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig) -> tuple:
+    """Key of a stored result within its system's entry, from states already through ``as_state``."""
+    return (psi_i.tobytes(), psi_f.tobytes(), cfg)
+
+
+def _store_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig, result: SearchResult) -> None:
+    """Keep ``result`` as what ``multi_start(sys, psi_i, psi_f, cfg)`` returns, unless a result is already kept.
+
+    For a result found without searching, such as the image of another
+    system's result under an exact symmetry, with its fidelity evaluated on ``sys``.
+    """
+    key = _result_key(as_state(psi_i, sys.dim), as_state(psi_f, sys.dim), cfg)
+    _RESULTS.setdefault(sys, {}).setdefault(key, result)
+
+
 def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchResult:
     """Best result over cfg.restarts independent seeds, run one after another.
 
@@ -321,13 +336,16 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     The search is deterministic, so a repeated call (the same system
     object, bit-equal states and an equal config) returns the same result
     object for as long as the system lives, without searching again.  A
-    separately built system, even an equal one, shares no result.
+    separately built system, even an equal one, shares no result.  A kept
+    result may also have been stored before any call (``_store_result``):
+    one derived from another system's result by an exact symmetry, whose
+    fidelity was evaluated on this system, with zero iterations.
     """
     check_segment_phase(sys, cfg.segment_duration)
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
     done = _RESULTS.setdefault(sys, {})
-    key = (psi_i.tobytes(), psi_f.tobytes(), cfg)
+    key = _result_key(psi_i, psi_f, cfg)
     if key in done:
         return done[key]
     best = _zero_seed_result(sys, psi_i, psi_f, cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unimap.cesium import (
+    AUX_MIRRORS,
     CONTROL_NAMES,
     CesiumParams,
     PRESETS,
@@ -14,7 +15,7 @@ from unimap.cesium import (
     x_basis_state,
 )
 from conftest import diag_phase, lie_algebra_dimension
-from unimap.control import Waveform, propagate
+from unimap.control import ControlSystem, Waveform, _mirror_signs, propagate
 from unimap.core import basis_state
 
 
@@ -95,6 +96,41 @@ class TestRestrictedSystem:
     def test_presets(self):
         assert set(PRESETS) == {"cs133-f3-aux4", "cs133-f3-aux-4"}
         assert PRESETS["cs133-f3-aux4"]().name == "cs133-f3-aux4"
+
+
+class TestAuxMirrors:
+    # control signs of S_+ and S_-, in CONTROL_NAMES order (rf_x, rf_y, uw_x, uw_y, light_shift)
+    SIGNS = {+1: (-1.0, 1.0, 1.0, 1.0, 1.0), -1: (-1.0, 1.0, -1.0, -1.0, 1.0)}
+
+    @pytest.mark.parametrize("s", [+1, -1])
+    def test_presets_mirror_exactly_with_the_listed_signs(self, s):
+        plus, minus = PRESETS["cs133-f3-aux4"](), PRESETS["cs133-f3-aux-4"]()
+        mirror = AUX_MIRRORS[s]
+        for h_plus, h_minus, sign in zip(plus.controls, minus.controls, self.SIGNS[s], strict=True):
+            assert np.array_equal(mirror @ h_plus @ mirror.T, sign * h_minus)
+        assert np.array_equal(mirror @ plus.drift @ mirror.T, minus.drift)
+        assert tuple(_mirror_signs(plus, minus, mirror)) == self.SIGNS[s]
+
+    @pytest.mark.parametrize("s", [+1, -1])
+    def test_mirror_reverses_f3_with_alternating_signs(self, s):
+        mirror = AUX_MIRRORS[s]
+        assert np.array_equal(mirror @ mirror.T, np.eye(8))
+        for i in range(7):
+            assert np.array_equal(mirror @ basis_state(8, i), (-1) ** (6 - i) * basis_state(8, 6 - i))
+        assert np.array_equal(mirror @ basis_state(8, 7), s * basis_state(8, 7))
+
+    def test_bounds_must_map_onto_bounds(self, cesium, cesium_minus):
+        # rf_x changes sign under both mirrors, so its bounds must be reflected
+        def with_rf_x_bounds(sys, bounds):
+            return dataclasses.replace(sys, amplitude_bounds=(bounds,) + sys.amplitude_bounds[1:])
+
+        mirror, plus = AUX_MIRRORS[+1], with_rf_x_bounds(cesium, (0.0, 1.0))
+        assert _mirror_signs(plus, cesium_minus, mirror) is None
+        assert tuple(_mirror_signs(plus, with_rf_x_bounds(cesium_minus, (-1.0, 0.0)), mirror)) == self.SIGNS[+1]
+
+    def test_fiducial_must_map_onto_fiducial(self, cesium, cesium_minus):
+        moved = ControlSystem(cesium_minus.drift, cesium_minus.controls, cesium_minus.amplitude_bounds, 0)
+        assert _mirror_signs(cesium, moved, AUX_MIRRORS[+1]) is None
 
 
 class TestXBasisStates:

@@ -462,7 +462,8 @@ class TestECSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_synthesized_sweep_twice_in_one_process_repeats_every_search(self, tmp_path, monkeypatch, count_calls):
-        # each run builds its own systems, so no search result carries over to the next run
+        # each run builds its own systems, so no search result carries over to the next run;
+        # each run searches 3 of its 6 steps (one repeats a state map, two are mirror images)
         calls = count_calls(unimap.search, "search_state_map")
         written = []
         for name in ("first", "second"):
@@ -471,7 +472,7 @@ class TestECSweep:
             before = len(calls)
             assert run(["ec-sweep", "--maps", "synthesized", "--average", "axes", "--epsilons", "0.1",
                         "--max-iterations", "2", "--restarts", "2", "--out", "ec.csv"]) == 0
-            assert len(calls) - before == 5 * 2
+            assert len(calls) - before == 3 * 2
             written.append({p.name: p.read_bytes() for p in Path().iterdir() if not p.name.endswith(".manifest.json")})
         assert len(written[0]) == 2 + 6  # the CSV, its meta and one waveform per searched step
         assert written[0] == written[1]

@@ -439,7 +439,8 @@ class TestBatchedTrials:
 
 def test_repeated_state_map_shares_one_search(count_calls):
     # step 1 of encode and step 1 of recover both send |4,4_z> to |3,3_x> on the
-    # aux +4 system, so the six searched steps run five searches
+    # aux +4 system, and the two aux -4 steps are mirror images of +4 steps, so
+    # the six searched steps run three searches
     import unimap.search
     from unimap.cesium import CesiumParams, build_restricted_system
     from unimap.ec import _aux_levels, synthesize_ec_maps
@@ -450,13 +451,122 @@ def test_repeated_state_map_shares_one_search(count_calls):
     params = CesiumParams()
     cfg = default_search_config(build_restricted_system(params), max_iterations=3, seed=5, restarts=2)
     _, (encode, _, recover) = synthesize_ec_maps(params, cfg)
-    assert len(calls) == 5 * cfg.restarts
+    assert len(calls) == 3 * cfg.restarts
     assert encode.steps[0].waveform is recover.steps[0].waveform
     phi = plan_subspace_map(ec_map_specs()[0])[0].reflection[_aux_levels(+4)]
     aux4 = build_restricted_system(params, aux=+4)
     fresh = multi_start(aux4, phi / np.linalg.norm(phi), aux4.fiducial_state(), cfg)
     assert np.array_equal(fresh.waveform.amplitudes, encode.steps[0].waveform.amplitudes)
     assert np.array_equal(fresh.waveform.durations, encode.steps[0].waveform.durations)
+
+
+def _planned_reflection(spec_index: int, step_index: int) -> np.ndarray:
+    """The 9-level reflection vector of one planned EC step."""
+    from unimap.subspace import plan_subspace_map
+
+    return plan_subspace_map(ec_map_specs()[spec_index])[step_index].reflection
+
+
+def test_mirror_image_steps_play_the_signed_source_waveform(count_calls):
+    # step 2 of extract is the S_- image of step 1 of extract, and step 2 of
+    # recover the S_+ image of step 1 of encode: each plays its source's
+    # waveform with every control's amplitudes times that control's sign
+    import unimap.search
+    from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
+    from unimap.control import _mirror_signs, propagate
+    from unimap.ec import _aux_levels, synthesize_ec_maps
+    from unimap.search import default_search_config
+
+    calls = count_calls(unimap.search, "search_state_map")
+    params = CesiumParams()
+    plus, minus = build_restricted_system(params, aux=+4), build_restricted_system(params, aux=-4)
+    cfg = default_search_config(plus, max_iterations=20, seed=5, restarts=2)
+    _, (encode, extract, recover) = synthesize_ec_maps(params, cfg)
+    assert len(calls) == 3 * cfg.restarts
+    for s, source, derived, spec_index in ((-1, extract.steps[0], extract.steps[1], 1),
+                                           (+1, encode.steps[0], recover.steps[1], 2)):
+        signs = _mirror_signs(plus, minus, AUX_MIRRORS[s])
+        assert np.array_equal(derived.waveform.durations, source.waveform.durations)
+        assert derived.waveform.amplitudes.tobytes() == (source.waveform.amplitudes * signs).tobytes()
+        phi8 = _planned_reflection(spec_index, 1)[_aux_levels(-4)]
+        u = propagate(minus, derived.waveform)
+        fresh = abs(np.vdot(minus.fiducial_state(), u @ phi8)) ** 2 / np.vdot(phi8, phi8).real
+        assert abs(derived.fidelity - fresh) <= 1e-12
+        assert abs(derived.fidelity - source.fidelity) <= 1e-12
+
+
+@pytest.fixture
+def ec_systems():
+    """Fresh aux +4 and -4 systems, so no search result is kept from another test, and a short config."""
+    from unimap.cesium import CesiumParams, build_restricted_system
+    from unimap.search import default_search_config
+
+    plus, minus = (build_restricted_system(CesiumParams(), aux=aux) for aux in (+4, -4))
+    return plus, minus, default_search_config(plus, max_iterations=3, seed=5, restarts=2)
+
+
+def _searches_per_step(mapper, count_calls, *planned) -> list[int]:
+    """Searches the mapper runs for each planned (spec index, step index), in turn."""
+    import unimap.search
+
+    calls = count_calls(unimap.search, "search_state_map")
+    counts = []
+    for spec_index, step_index in planned:
+        before = len(calls)
+        mapper.phase_about(_planned_reflection(spec_index, step_index), np.pi)
+        counts.append(len(calls) - before)
+    return counts
+
+
+EXTRACT = ((1, 0), (1, 1))  # step 1 of extract on aux +4, then its mirror image step 2 on aux -4
+
+
+def test_mirror_image_of_a_recorded_plus_step_is_not_searched(ec_systems, count_calls):
+    from unimap.ec import _aux_switching_mapper
+
+    plus, minus, cfg = ec_systems
+    mapper = _aux_switching_mapper(plus, minus, cfg)
+    assert set(mapper.mirrors) == {+1, -1}
+    assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, 0]
+
+
+def test_minus_step_with_no_recorded_plus_image_is_searched(ec_systems, count_calls):
+    from unimap.ec import _aux_switching_mapper
+
+    plus, minus, cfg = ec_systems
+    mapper = _aux_switching_mapper(plus, minus, cfg)
+    assert mapper.plus_steps == []
+    assert _searches_per_step(mapper, count_calls, EXTRACT[1]) == [cfg.restarts]
+
+
+def test_detuned_pair_derives_nothing(ec_systems, count_calls):
+    # the drift check fails at any rf_detuning, so no mirror is kept and the -4
+    # step searches; a searched build refuses the detuned systems themselves
+    from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
+    from unimap.control import _mirror_signs
+    from unimap.ec import _AuxSwitchingMapper, _aux_switching_mapper
+
+    plus, minus, cfg = ec_systems
+    detuned = [build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 100), aux=aux) for aux in (+4, -4)]
+    assert all(_mirror_signs(*detuned, mirror) is None for mirror in AUX_MIRRORS.values())
+    with pytest.raises(ValueError, match="drift-free"):
+        _aux_switching_mapper(*detuned, cfg)
+    mapper = _AuxSwitchingMapper(_aux_switching_mapper(plus, minus, cfg).searched, {}, [])
+    assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, cfg.restarts]
+
+
+def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls):
+    import dataclasses
+
+    from unimap.ec import _aux_switching_mapper
+
+    plus, minus, cfg = ec_systems
+    light = minus.controls[4].copy()
+    light[6, 6] = light[7, 7]  # the light shift now moves |3,-3> as well
+    unmirrored = dataclasses.replace(minus, controls=minus.controls[:4] + (light,))
+    mapper = _aux_switching_mapper(plus, unmirrored, cfg)
+    assert mapper.mirrors == {}
+    assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, cfg.restarts]
 
 
 def test_synthesized_maps_equal_two_propagation_form(fixed_search):
