@@ -154,28 +154,38 @@ class Waveform:
         return float(self.durations.sum())
 
 
-def _mirror_signs(src: ControlSystem, dst: ControlSystem, mirror: np.ndarray) -> np.ndarray | None:
-    """Signs sigma with S H_k(src) Sᵀ = sigma_k H_k(dst) for every control, when ``mirror`` S is an exact map.
+def _mirror_signs(
+    src: ControlSystem, dst: ControlSystem, mirror: np.ndarray, conjugate: bool = False
+) -> np.ndarray | None:
+    """Signs sigma with image(H_k(src)) = sigma_k H_k(dst) for every control, when ``mirror`` S gives an exact map.
 
-    S must be a signed permutation matrix.  Every check is exact: S must
-    carry the drift onto the drift, each control onto plus or minus its
-    counterpart, each bounds pair onto its counterpart's (reflected for
-    sigma_k = -1), and the fiducial state onto plus or minus the other.
-    Then the src waveform with amplitudes u plays S U Sᵀ on dst with
-    amplitudes sigma u, inside dst's bounds.  Returns None when any check fails.
+    The image of a generator H is S H Sᵀ, or -S H* Sᵀ when ``conjugate``
+    (the antiunitary map psi -> S conj(psi)).  S must be a signed
+    permutation matrix.  Every check is exact: the image must carry the
+    drift onto the drift, each control onto plus or minus its counterpart,
+    each bounds pair onto its counterpart's (reflected for sigma_k = -1),
+    and the fiducial state onto plus or minus the other.  Then the src
+    waveform with amplitudes u plays S U Sᵀ (S conj(U) Sᵀ when
+    ``conjugate``) on dst with amplitudes sigma u, inside dst's bounds.
+    With S = I and dst = src, ``conjugate`` gives the signs with
+    conj(U(u)) = U(sigma u).  Returns None when any check fails.
     """
     if src.dim != dst.dim or src.n_controls != dst.n_controls:
         return None
     if abs(mirror[dst.fiducial_index, src.fiducial_index]) != 1:
         return None
-    if not np.array_equal(mirror @ src.drift @ mirror.T, dst.drift):
+
+    def image(h):
+        return -(mirror @ h.conj() @ mirror.T) if conjugate else mirror @ h @ mirror.T
+
+    if not np.array_equal(image(src.drift), dst.drift):
         return None
     signs = []
     for h, h_dst, (lo, hi), bounds_dst in zip(src.controls, dst.controls, src.amplitude_bounds, dst.amplitude_bounds):
-        image = mirror @ h @ mirror.T
-        if np.array_equal(image, h_dst) and bounds_dst == (lo, hi):
+        h_image = image(h)
+        if np.array_equal(h_image, h_dst) and bounds_dst == (lo, hi):
             signs.append(1.0)
-        elif np.array_equal(image, -h_dst) and bounds_dst == (-hi, -lo):
+        elif np.array_equal(h_image, -h_dst) and bounds_dst == (-hi, -lo):
             signs.append(-1.0)
         else:
             return None

@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_state
-from .control import ControlSystem, Waveform, _mirror_signs
+from .control import ControlSystem, _mirror_signs
 from .core import STATE_NORM_TOL
-from .search import SearchConfig, SearchResult, _check_counts, _store_result, objective_state_prep
+from .search import SearchConfig, _check_counts, _image_result, _same_ray, _store_result
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
@@ -44,9 +44,6 @@ IDX_4M4Z = 8
 #: z-rotation generator on the simulation space; the fiducial levels keep
 #: their physical magnetic numbers +-4
 FZ_SIM = np.diag(np.array([3, 2, 1, 0, -1, -2, -3, 4, -4], dtype=float))
-#: an aux -4 reflection vector is the mirror image of an aux +4 one when
-#: |<S phi_+4|phi_-4>| >= 1 - MIRROR_MATCH_TOL
-MIRROR_MATCH_TOL = 1e-12
 
 
 def sim_z_state(m: float) -> np.ndarray:
@@ -238,8 +235,11 @@ class _AuxSwitchingMapper(NamedTuple):
     searched.  Before its ``SearchedMapper`` is called, the -4 search's
     result is stored (``search._store_result``) as the +4 waveform with
     each control's amplitudes times that mirror's sign, its fidelity
-    evaluated on the -4 system.  chi still comes from propagating that
-    waveform on the -4 system, and the step gets its own record.
+    evaluated on the -4 system (``search._image_result``, which also builds
+    the complex-conjugate images of ``multi_start``); an image that misses
+    a goal its source met is not stored, and the step is searched.  chi
+    still comes from propagating the waveform on the -4 system, and the
+    step gets its own record.
     """
 
     searched: dict[int, SearchedMapper]
@@ -263,16 +263,18 @@ class _AuxSwitchingMapper(NamedTuple):
         return step8._replace(chi=chi)
 
     def _store_mirror_image(self, phi8: np.ndarray) -> None:
-        """Store the first recorded +4 step that a mirror maps onto phi8 as the -4 search's result."""
+        """Store the image of the first recorded +4 step that a mirror maps onto phi8 as the -4 search's result.
+
+        Nothing is stored when that image misses a goal its source met, so the -4 step is searched.
+        """
         minus = self.searched[-4]
         for s, signs in self.mirrors.items():
             for source_phi, source in self.plus_steps:
-                if abs(np.vdot(AUX_MIRRORS[s] @ source_phi, phi8)) >= 1 - MIRROR_MATCH_TOL:
-                    image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
+                if _same_ray(AUX_MIRRORS[s] @ source_phi, phi8):
                     fiducial = minus.sys.fiducial_state()
-                    j = objective_state_prep(minus.sys, image, phi8, fiducial)
-                    result = SearchResult(image, j, 0, j >= minus.cfg.fidelity_goal, np.array([j]))
-                    _store_result(minus.sys, phi8, fiducial, minus.cfg, result)
+                    result = _image_result(minus.sys, source, signs, phi8, fiducial, minus.cfg)
+                    if result is not None:
+                        _store_result(minus.sys, phi8, fiducial, minus.cfg, result)
                     return
 
 

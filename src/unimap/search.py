@@ -16,6 +16,13 @@ then against the system's cached stack of control generators, so one
 gradient costs about as much as one propagation.  The search is a box-projected
 L-BFGS ascent (GRAPE with exact gradients in its quasi-Newton form) with a
 projected Armijo backtracking step.
+
+``multi_start`` keeps its results per system.  On a miss it tries the
+all-zero waveform, then the image of a result it kept for the
+complex-conjugate states: where conj(U(u)) = U(sigma u) for fixed control
+signs sigma (the cesium model at zero rf detuning), a waveform that maps a
+to b maps conj(a) to conj(b) once each control's amplitudes are multiplied
+by its sign.  Only then does it search.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .control import ControlSystem, Waveform, check_amplitudes, check_segment_phase, segment_eigs
+from .control import ControlSystem, Waveform, _mirror_signs, check_amplitudes, check_segment_phase, segment_eigs
 from .core import _eig_exp, as_state
 
 ARMIJO_C = 1e-4
@@ -36,6 +43,8 @@ GRAD_NORM_STOP = 1e-9
 MIN_STEP = 1e-14
 #: (s, y) pairs kept by the L-BFGS two-loop recursion
 LBFGS_MEMORY = 10
+#: two unit states are one state up to a phase when |<a|b>| >= 1 - MATCH_TOL
+MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -325,6 +334,52 @@ def _store_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig, result: S
     _RESULTS.setdefault(sys, {}).setdefault(key, result)
 
 
+def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether unit states a and b are equal up to a phase, to ``MATCH_TOL``."""
+    return abs(np.vdot(a, b)) >= 1 - MATCH_TOL
+
+
+def _image_result(
+    sys: ControlSystem, source, signs: np.ndarray, psi_i, psi_f, cfg: SearchConfig
+) -> SearchResult | None:
+    """The image of ``source``'s waveform under an exact symmetry, as a zero-iteration result on ``sys``.
+
+    ``source`` is a ``SearchResult`` or a step record: anything with a
+    waveform and its fidelity.  The image keeps the durations and multiplies
+    each control's amplitudes by its sign.  Its J for (psi_i, psi_f) is evaluated on ``sys``,
+    never copied from ``source``.  None when the image misses the fidelity
+    goal that ``source`` met, so that the caller searches instead.
+    """
+    image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
+    j = objective_state_prep(sys, image, psi_i, psi_f)
+    if source.fidelity >= cfg.fidelity_goal > j:
+        return None
+    return SearchResult(image, j, 0, j >= cfg.fidelity_goal, np.array([j]))
+
+
+def _conjugate_image(
+    sys: ControlSystem, done: dict, psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig
+) -> SearchResult | None:
+    """The image of a kept result for the complex-conjugate states, when ``sys`` has conjugation signs.
+
+    With the signs sigma of the antiunitary case of ``control._mirror_signs``
+    (S = I), conj(U(u)) = U(sigma u), so a waveform u that maps a to b maps
+    conj(a) to conj(b) as sigma u, with the same J.  The first kept result
+    of an equal config whose states are the conjugates of (psi_i, psi_f) up
+    to a phase is the source.  None when there is none, when ``sys`` has no
+    such signs, or when the image misses a goal that its source met.
+    """
+    for (kept_i, kept_f, kept_cfg), source in done.items():
+        if (
+            kept_cfg == cfg
+            and _same_ray(np.frombuffer(kept_i, dtype=complex).conj(), psi_i)
+            and _same_ray(np.frombuffer(kept_f, dtype=complex).conj(), psi_f)
+        ):
+            signs = _mirror_signs(sys, sys, np.eye(sys.dim), conjugate=True)
+            return None if signs is None else _image_result(sys, source, signs, psi_i, psi_f, cfg)
+    return None
+
+
 def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchResult:
     """Best result over cfg.restarts independent seeds, run one after another.
 
@@ -340,6 +395,16 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     result may also have been stored before any call (``_store_result``):
     one derived from another system's result by an exact symmetry, whose
     fidelity was evaluated on this system, with zero iterations.
+
+    When nothing is kept for these states and the zero-amplitude shortcut
+    misses the goal, a result kept on this system for the complex-conjugate
+    states (up to a phase) under an equal config is tried next
+    (``_conjugate_image``): on a system whose propagators obey
+    conj(U(u)) = U(sigma u), as the cesium model does at zero rf detuning,
+    its waveform with amplitudes times sigma maps these states with the
+    same J.  That image, its J evaluated here, is kept and returned as a
+    zero-iteration result; only when it misses a goal its source met are
+    the restarts searched.
     """
     check_segment_phase(sys, cfg.segment_duration)
     psi_i = as_state(psi_i, sys.dim)
@@ -348,7 +413,7 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     key = _result_key(psi_i, psi_f, cfg)
     if key in done:
         return done[key]
-    best = _zero_seed_result(sys, psi_i, psi_f, cfg)
+    best = _zero_seed_result(sys, psi_i, psi_f, cfg) or _conjugate_image(sys, done, psi_i, psi_f, cfg)
     if best is None:
         for r in range(cfg.restarts):
             res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)

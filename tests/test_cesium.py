@@ -133,6 +133,46 @@ class TestAuxMirrors:
         assert _mirror_signs(cesium, moved, AUX_MIRRORS[+1]) is None
 
 
+def conjugation_signs(sys):
+    """Signs sigma with conj(U(u)) = U(sigma u) on ``sys``: the antiunitary case of ``_mirror_signs`` with S = I."""
+    return _mirror_signs(sys, sys, np.eye(sys.dim), conjugate=True)
+
+
+class TestConjugationSigns:
+    # rf_x, uw_x and the light shift are real generators, rf_y and uw_y imaginary
+    SIGNS = (-1.0, 1.0, -1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_conjugate_exactly_with_the_listed_signs(self, name):
+        sys = PRESETS[name]()
+        assert tuple(conjugation_signs(sys)) == self.SIGNS
+        for h, sign in zip(sys.controls, self.SIGNS, strict=True):
+            assert np.array_equal(-h.conj(), sign * h)
+
+    def test_signed_waveform_plays_the_conjugate_propagator(self, cesium):
+        amps = np.random.default_rng(5).uniform(-1, 1, size=(6, 5))
+        u = propagate(cesium, Waveform(np.full(6, 10e-6), amps))
+        image = propagate(cesium, Waveform(np.full(6, 10e-6), amps * np.array(self.SIGNS)))
+        assert np.abs(image - u.conj()).max() < 1e-12
+
+    @pytest.mark.parametrize("aux", [+4, -4])
+    def test_detuned_preset_has_none(self, aux):
+        # the drift delta Fz is real, so its image -delta Fz is not the drift
+        assert conjugation_signs(build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 100), aux=aux)) is None
+
+    def test_asymmetric_bound_on_a_real_control_has_none(self):
+        # sigma_x is real (sign -1), so its bounds must be symmetric; sigma_y is
+        # imaginary (sign +1) and keeps any bounds
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, -1j], [1j, 0]])
+
+        def two_level(bounds):
+            return ControlSystem(np.zeros((2, 2), dtype=complex), (sx, sy), bounds, fiducial_index=0)
+
+        assert tuple(conjugation_signs(two_level(((-1.0, 1.0), (0.0, 1.0))))) == (-1.0, 1.0)
+        assert conjugation_signs(two_level(((0.0, 1.0), (-1.0, 1.0)))) is None
+
+
 class TestXBasisStates:
     def test_spin_half(self):
         got = x_basis_state(0.5, 0.5)

@@ -306,6 +306,21 @@ class TestBuildUnitary:
         w = load_waveform(doc["waveform_files"][0])
         assert w.n_segments == 26
 
+    # searches at d=7: a step whose eigenvector is the complex conjugate of an earlier
+    # one's is derived from it, so X, G:2 and G:3 run half or fewer; Z, H and S have
+    # no conjugate pair of eigenvectors and search every active step
+    @pytest.mark.parametrize("gate, searches", [("G:3", 3), ("X", 3), ("G:2", 2), ("Z", 6), ("H", 5)])
+    def test_conjugate_steps_are_derived(self, tmp_path, count_calls, gate, searches):
+        calls = count_calls(unimap.search, "search_state_map")
+        report = tmp_path / "r.json"
+        assert run(["build-unitary", "--gate", gate, "--d", "7", "--restarts", "1", "--goal", "0.999",
+                    "--out-report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert len(calls) == searches
+        assert min(doc["step_fidelities"]) >= 0.999 and all(doc["step_converged"])
+        # a derived step still reports its own waveform file
+        assert len(doc["waveform_files"]) == doc["searches_performed"] == 8 - len(doc["skipped_steps"])
+
 
 class TestSubspaceMapCLI:
     def test_exact_mode(self, tmp_path):
@@ -476,6 +491,25 @@ class TestECSweep:
             written.append({p.name: p.read_bytes() for p in Path().iterdir() if not p.name.endswith(".manifest.json")})
         assert len(written[0]) == 2 + 6  # the CSV, its meta and one waveform per searched step
         assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("workload, searches", [("unitary_d7", [3]), ("subspace_maps", [6, 9])])
+def test_benchmark_searched_workloads_search_counts(tmp_path, monkeypatch, count_calls, workload, searches):
+    # the exact commands of the benchmark's searched workloads: a lost stored result or
+    # derivation shows here as more searches, not only as a slower benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    calls = count_calls(unimap.search, "search_state_map")
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    counts = []
+    for command in getattr(workloads, workload)(1, tmp_path / "inputs"):
+        before = len(calls)
+        assert main(list(command.argv)) == 0
+        counts.append(len(calls) - before)
+    assert counts == searches
 
 
 class TestSeedRange:

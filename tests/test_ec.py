@@ -539,6 +539,27 @@ def test_minus_step_with_no_recorded_plus_image_is_searched(ec_systems, count_ca
     assert _searches_per_step(mapper, count_calls, EXTRACT[1]) == [cfg.restarts]
 
 
+def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, count_calls):
+    # a recorded +4 step that claims the goal, but whose waveform (and so its image) misses it
+    from unimap.control import Waveform
+    from unimap.ec import _AuxSwitchingMapper, _aux_levels, _aux_switching_mapper
+    from unimap.search import objective_state_prep
+    from unimap.subspace import PhaseStep
+
+    plus, minus, cfg = ec_systems
+    mapper = _aux_switching_mapper(plus, minus, cfg)
+    amps = np.random.default_rng(7).uniform(-1, 1, size=(cfg.segment_count, plus.n_controls))
+    wave = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
+    phi_plus = _planned_reflection(*EXTRACT[0])[_aux_levels(+4)]
+    recorded = [(phi_plus / np.linalg.norm(phi_plus), PhaseStep(np.pi, np.zeros(8), 1.0, True, wave))]
+    phi_minus = _planned_reflection(*EXTRACT[1])[_aux_levels(-4)]
+    image = Waveform(wave.durations, amps * mapper.mirrors[-1])
+    j = objective_state_prep(minus, image, phi_minus / np.linalg.norm(phi_minus), minus.fiducial_state())
+    assert j < cfg.fidelity_goal
+    faked = _AuxSwitchingMapper(mapper.searched, mapper.mirrors, recorded)
+    assert _searches_per_step(faked, count_calls, EXTRACT[1]) == [cfg.restarts]
+
+
 def test_detuned_pair_derives_nothing(ec_systems, count_calls):
     # the drift check fails at any rf_detuning, so no mirror is kept and the -4
     # step searches; a searched build refuses the detuned systems themselves

@@ -269,3 +269,37 @@ class TestSynthesizeWaveform:
         durations, amplitudes = zip(*segments)
         played = Waveform(np.concatenate(durations), np.concatenate(amplitudes))
         assert np.abs(propagate(cesium, played) - report.assembled).max() < 1e-10
+
+
+@pytest.mark.parametrize("gate, pairs", [("G:3", 2), ("X", 3)])
+def test_conjugate_eigenvectors_play_the_signed_partner_waveform(gate, pairs, count_calls):
+    # a real gate's eigenvectors with phases lambda and 2 pi - lambda are complex
+    # conjugates; at zero detuning conj(U(u)) = U(sigma u), so the later one of each
+    # pair plays its partner's waveform with every control's amplitudes times sigma
+    import unimap.search
+    from unimap.cesium import build_restricted_system
+    from unimap.search import objective_state_prep
+
+    sigma = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
+    searches = count_calls(unimap.search, "search_state_map")
+    sys = build_restricted_system(CesiumParams())
+    target = np.eye(8, dtype=complex)
+    target[:7, :7] = gate_from_name(gate, 7)
+    cfg = default_search_config(sys, fidelity_goal=0.999, restarts=1)
+    report = synthesize_unitary(target, SearchedMapper(sys, cfg))
+    plan = plan_unitary(target)
+    active = [k for k, step in enumerate(plan) if not step.skippable]
+    partner = {
+        j: i for j in active for i in active
+        if i < j and abs(np.vdot(plan[i].eigenvector.conj(), plan[j].eigenvector)) >= 1 - 1e-12
+    }
+    assert len(partner) == pairs and len(searches) == len(active) - pairs
+    for j, i in partner.items():
+        assert abs(plan[i].phase + plan[j].phase - 2 * np.pi) < 1e-9
+        derived, source = report.steps[j], report.steps[i]
+        assert np.array_equal(derived.waveform.durations, source.waveform.durations)
+        assert derived.waveform.amplitudes.tobytes() == (source.waveform.amplitudes * sigma).tobytes()
+        fresh = objective_state_prep(sys, derived.waveform, plan[j].eigenvector, sys.fiducial_state())
+        assert derived.fidelity == fresh
+        assert abs(derived.fidelity - source.fidelity) <= 1e-12
+        assert derived.converged and source.converged

@@ -487,6 +487,66 @@ def test_stored_results_go_with_their_system():
     assert alive() is None and len(unimap.search._RESULTS) == stored - 1
 
 
+#: (rf_x, rf_y, uw_x, uw_y, light_shift) signs with conj(U(u)) = U(sigma u) on the cesium model at zero detuning
+CONJUGATION_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+class TestConjugateImages:
+    @staticmethod
+    def searched_pair(sys, count_calls):
+        """A searched state map a -> fiducial on ``sys``, the call counter, and a rephased conj(a)."""
+        searches = count_calls(unimap.search, "search_state_map")
+        cfg = default_search_config(sys, seed=91, max_iterations=30, restarts=2)
+        a = haar_random_state(8, np.random.default_rng(92))
+        source = multi_start(sys, a, sys.fiducial_state(), cfg)
+        assert len(searches) == cfg.restarts
+        return source, searches, cfg, np.exp(0.7j) * a.conj()
+
+    def test_conjugate_states_derive_the_signed_waveform(self, count_calls):
+        sys = build_restricted_system(CesiumParams())
+        source, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
+        derived = multi_start(sys, a_conj, sys.fiducial_state(), cfg)
+        assert len(searches) == cfg.restarts
+        assert derived.iterations == 0 and derived.restart_index == 0
+        assert np.array_equal(derived.waveform.durations, source.waveform.durations)
+        assert derived.waveform.amplitudes.tobytes() == (source.waveform.amplitudes * CONJUGATION_SIGNS).tobytes()
+        assert derived.fidelity == objective_state_prep(sys, derived.waveform, a_conj, sys.fiducial_state())
+        assert abs(derived.fidelity - source.fidelity) <= 1e-12
+        assert derived.converged == (derived.fidelity >= cfg.fidelity_goal)
+        # kept under its own key: a repeated call returns it without a search
+        assert multi_start(sys, a_conj.copy(), sys.fiducial_state(), cfg) is derived
+        assert len(searches) == cfg.restarts
+
+    def test_a_different_config_derives_nothing(self, count_calls):
+        sys = build_restricted_system(CesiumParams())
+        _, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
+        multi_start(sys, a_conj, sys.fiducial_state(), dataclasses.replace(cfg, seed=cfg.seed + 1))
+        assert len(searches) == 2 * cfg.restarts
+
+    def test_detuned_system_derives_nothing(self, count_calls):
+        sys = build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 100))
+        _, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
+        res = multi_start(sys, a_conj, sys.fiducial_state(), cfg)
+        assert len(searches) == 2 * cfg.restarts and res.iterations > 0
+
+    def test_image_that_misses_a_goal_its_source_met_is_searched(self, count_calls):
+        # a kept result that claims the goal, but whose waveform (and so its image) misses it
+        from unimap.search import SearchResult, _store_result
+
+        searches = count_calls(unimap.search, "search_state_map")
+        sys = build_restricted_system(CesiumParams())
+        cfg = default_search_config(sys, seed=93, max_iterations=5, restarts=2)
+        a, fiducial = haar_random_state(8, np.random.default_rng(94)), sys.fiducial_state()
+        amps = np.random.default_rng(95).uniform(-1, 1, size=(cfg.segment_count, sys.n_controls))
+        wave = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
+        _store_result(sys, a, fiducial, cfg, SearchResult(wave, 1.0, 0, True, np.array([1.0])))
+        image = Waveform(wave.durations, amps * CONJUGATION_SIGNS)
+        assert objective_state_prep(sys, image, a.conj(), fiducial) < cfg.fidelity_goal
+        res = multi_start(sys, a.conj(), fiducial, cfg)
+        assert len(searches) == cfg.restarts
+        assert res.waveform.amplitudes.tobytes() != image.amplitudes.tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(segment_count=0, segment_duration=1e-5)
