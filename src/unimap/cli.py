@@ -238,7 +238,7 @@ def cmd_build_unitary(args) -> list[str]:
         "exact_mappers": bool(args.exact_mappers),
         "config": cfg,
     })
-    print(f"trace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
+    print(f"trace fidelity {rep.fidelity:.8f} searched_steps={rep.searches_performed}")
     return report["waveform_files"]
 
 
@@ -256,7 +256,7 @@ def cmd_build_subspace_map(args) -> list[str]:
         "exact": bool(args.exact),
         "config": cfg,
     })
-    print(f"subspace fidelity {rep.fidelity:.8f} searches={rep.searches_performed}")
+    print(f"subspace fidelity {rep.fidelity:.8f} searched_steps={rep.searches_performed}")
     return report["waveform_files"]
 
 

@@ -18,10 +18,10 @@ mapper that switches between the two 8-level cesium systems (aux +4 or
 returns that search's step record with its chi written into the 9 levels.
 At zero rf detuning a signed reversal of the F=3 levels (a pi rotation
 about y, ``cesium.AUX_MIRRORS``) maps the +4 system exactly onto the -4
-one, so an aux -4 rotation that is the image of a +4 rotation already
-run is not searched: its result is that waveform with each control's
-amplitudes times the control's sign, derived by the symmetry and its
-fidelity evaluated on the -4 system.
+one.  Each such mirror is added as a symmetry of the two systems
+(``search.add_symmetry``), so ``multi_start`` serves an aux -4 rotation
+that is the image of a +4 rotation already run as that waveform with each
+control's amplitudes times the control's sign, with no search.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_state
-from .control import ControlSystem, _mirror_signs
+from .control import ControlSystem
 from .core import STATE_NORM_TOL
-from .search import SearchConfig, _check_counts, _image_result, _same_ray, _store_result
+from .search import SearchConfig, _check_counts, add_symmetry
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
@@ -229,62 +229,30 @@ class _AuxSwitchingMapper(NamedTuple):
     The search runs on the reflection restricted to that system's levels;
     its record comes back with the 8-level chi written into those levels of
     a zero 9-vector, so the factor is the identity on the other aux level.
-
-    An aux -4 rotation whose reflection vector is the image, under one of
-    ``mirrors``, of a +4 rotation already run (``plus_steps``) is not
-    searched.  Before its ``SearchedMapper`` is called, the -4 search's
-    result is stored (``search._store_result``) as the +4 waveform with
-    each control's amplitudes times that mirror's sign, its fidelity
-    evaluated on the -4 system (``search._image_result``, which also builds
-    the complex-conjugate images of ``multi_start``); an image that misses
-    a goal its source met is not stored, and the step is searched.  chi
-    still comes from propagating the waveform on the -4 system, and the
-    step gets its own record.
+    An aux -4 rotation that is the image of a +4 rotation already run is
+    served by ``multi_start`` through the aux mirrors added as symmetries
+    (``_aux_switching_mapper``); chi still comes from propagating the
+    waveform on the -4 system, and the step gets its own record.
     """
 
     searched: dict[int, SearchedMapper]
-    #: control signs of each aux mirror S_s that maps the +4 system exactly onto the -4 one, by s
-    mirrors: dict[int, np.ndarray]
-    #: (8-level reflection vector, step record) of each +4 rotation run so far, in order
-    plus_steps: list
     dim = SIM_DIM
 
     def phase_about(self, phi, theta: float) -> PhaseStep:
         aux = _aux_for_reflection(phi)
         levels = _aux_levels(aux)
-        phi8 = phi[levels] / np.linalg.norm(phi[levels])
-        if aux == -4:
-            self._store_mirror_image(phi8)
-        step8 = self.searched[aux].phase_about(phi8, theta)
-        if aux == +4:
-            self.plus_steps.append((phi8, step8))
+        step8 = self.searched[aux].phase_about(phi[levels] / np.linalg.norm(phi[levels]), theta)
         chi = np.zeros(SIM_DIM, dtype=complex)
         chi[levels] = step8.chi
         return step8._replace(chi=chi)
 
-    def _store_mirror_image(self, phi8: np.ndarray) -> None:
-        """Store the image of the first recorded +4 step that a mirror maps onto phi8 as the -4 search's result.
-
-        Nothing is stored when that image misses a goal its source met, so the -4 step is searched.
-        """
-        minus = self.searched[-4]
-        for s, signs in self.mirrors.items():
-            for source_phi, source in self.plus_steps:
-                if _same_ray(AUX_MIRRORS[s] @ source_phi, phi8):
-                    fiducial = minus.sys.fiducial_state()
-                    result = _image_result(minus.sys, source, signs, phi8, fiducial, minus.cfg)
-                    if result is not None:
-                        _store_result(minus.sys, phi8, fiducial, minus.cfg, result)
-                    return
-
 
 def _aux_switching_mapper(plus: ControlSystem, minus: ControlSystem, cfg: SearchConfig) -> _AuxSwitchingMapper:
-    """Searched mappers on the aux +4 and -4 systems, with every aux mirror that maps one exactly onto the other."""
-    searched = {+4: SearchedMapper(plus, cfg), -4: SearchedMapper(minus, cfg)}
-    mirrors = {
-        s: signs for s, mirror in AUX_MIRRORS.items() if (signs := _mirror_signs(plus, minus, mirror)) is not None
-    }
-    return _AuxSwitchingMapper(searched, mirrors, [])
+    """Searched mappers on the aux +4 and -4 systems, each aux mirror from one onto the other added as a symmetry."""
+    mapper = _AuxSwitchingMapper({+4: SearchedMapper(plus, cfg), -4: SearchedMapper(minus, cfg)})
+    for mirror in AUX_MIRRORS.values():
+        add_symmetry(plus, minus, mirror)
+    return mapper
 
 
 def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):

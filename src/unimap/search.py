@@ -18,11 +18,14 @@ L-BFGS ascent (GRAPE with exact gradients in its quasi-Newton form) with a
 projected Armijo backtracking step.
 
 ``multi_start`` keeps its results per system.  On a miss it tries the
-all-zero waveform, then the image of a result it kept for the
-complex-conjugate states: where conj(U(u)) = U(sigma u) for fixed control
-signs sigma (the cesium model at zero rf detuning), a waveform that maps a
-to b maps conj(a) to conj(b) once each control's amplitudes are multiplied
-by its sign.  Only then does it search.
+all-zero waveform, then the image of a kept result under an exact symmetry
+onto the system, and only then searches.  The symmetries are those a
+caller added with ``add_symmetry`` (a signed permutation S from one system
+onto another that carries every control onto plus or minus a control),
+then the system's own complex conjugation where conj(U(u)) = U(sigma u)
+(the cesium model at zero rf detuning).  Either way a waveform that maps
+a to b maps the image of a to the image of b once each control's
+amplitudes are multiplied by its sign sigma.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -317,6 +321,10 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
 #: finished multi-start results per system, keyed on (psi_i bytes, psi_f bytes, cfg); a
 #: system hashes by identity, so its entries go when it does
 _RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: exact symmetries onto each system, in the order added, as (the source system's kept results,
+#: the map a -> S a of its states, control signs); an entry holds no system, so it keeps neither
+#: its key nor its source alive
+_SYMMETRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _result_key(psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig) -> tuple:
@@ -324,14 +332,21 @@ def _result_key(psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig) -> tupl
     return (psi_i.tobytes(), psi_f.tobytes(), cfg)
 
 
-def _store_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig, result: SearchResult) -> None:
-    """Keep ``result`` as what ``multi_start(sys, psi_i, psi_f, cfg)`` returns, unless a result is already kept.
+def add_symmetry(src: ControlSystem, dst: ControlSystem, mirror) -> bool:
+    """Let ``multi_start`` on ``dst`` serve images of the results kept on ``src`` under S = ``mirror``.
 
-    For a result found without searching, such as the image of another
-    system's result under an exact symmetry, with its fidelity evaluated on ``sys``.
+    S is kept only when ``control._mirror_signs`` finds control signs sigma
+    that make it exact: then a src waveform u that maps a to b maps S a to
+    S b on dst as sigma u.  Returns whether S was kept; a detuned pair, or
+    one whose controls S does not carry onto plus or minus each other,
+    adds nothing.
     """
-    key = _result_key(as_state(psi_i, sys.dim), as_state(psi_f, sys.dim), cfg)
-    _RESULTS.setdefault(sys, {}).setdefault(key, result)
+    signs = _mirror_signs(src, dst, mirror)
+    if signs is None:
+        return False
+    image_of = partial(np.matmul, np.array(mirror))
+    _SYMMETRIES.setdefault(dst, []).append((_RESULTS.setdefault(src, {}), image_of, signs))
+    return True
 
 
 def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
@@ -339,44 +354,38 @@ def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     return abs(np.vdot(a, b)) >= 1 - MATCH_TOL
 
 
-def _image_result(
-    sys: ControlSystem, source, signs: np.ndarray, psi_i, psi_f, cfg: SearchConfig
-) -> SearchResult | None:
-    """The image of ``source``'s waveform under an exact symmetry, as a zero-iteration result on ``sys``.
-
-    ``source`` is a ``SearchResult`` or a step record: anything with a
-    waveform and its fidelity.  The image keeps the durations and multiplies
-    each control's amplitudes by its sign.  Its J for (psi_i, psi_f) is evaluated on ``sys``,
-    never copied from ``source``.  None when the image misses the fidelity
-    goal that ``source`` met, so that the caller searches instead.
-    """
-    image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
-    j = objective_state_prep(sys, image, psi_i, psi_f)
-    if source.fidelity >= cfg.fidelity_goal > j:
-        return None
-    return SearchResult(image, j, 0, j >= cfg.fidelity_goal, np.array([j]))
-
-
-def _conjugate_image(
+def _symmetric_image(
     sys: ControlSystem, done: dict, psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig
 ) -> SearchResult | None:
-    """The image of a kept result for the complex-conjugate states, when ``sys`` has conjugation signs.
+    """The image of a kept result under an exact symmetry onto ``sys``, as a zero-iteration result.
 
-    With the signs sigma of the antiunitary case of ``control._mirror_signs``
-    (S = I), conj(U(u)) = U(sigma u), so a waveform u that maps a to b maps
-    conj(a) to conj(b) as sigma u, with the same J.  The first kept result
-    of an equal config whose states are the conjugates of (psi_i, psi_f) up
-    to a phase is the source.  None when there is none, when ``sys`` has no
-    such signs, or when the image misses a goal that its source met.
+    The symmetries are those added with ``add_symmetry``, in order, then
+    the system's own conjugation psi -> conj(psi) (S = I, antiunitary),
+    whose signs ``control._mirror_signs`` gives where conj(U(u)) = U(sigma u),
+    as for the cesium model at zero rf detuning.  A result kept under an
+    equal config whose states S carries onto (psi_i, psi_f), up to a phase,
+    is a source.  Its image keeps the durations and multiplies each
+    control's amplitudes by its sign; its J is evaluated on ``sys``, never
+    copied.  An image that misses a goal its source met is refused, and
+    the next source is tried.  None when no source gives an image.
     """
-    for (kept_i, kept_f, kept_cfg), source in done.items():
-        if (
-            kept_cfg == cfg
-            and _same_ray(np.frombuffer(kept_i, dtype=complex).conj(), psi_i)
-            and _same_ray(np.frombuffer(kept_f, dtype=complex).conj(), psi_f)
-        ):
-            signs = _mirror_signs(sys, sys, np.eye(sys.dim), conjugate=True)
-            return None if signs is None else _image_result(sys, source, signs, psi_i, psi_f, cfg)
+    # the conjugation's signs are worked out on its first state match
+    for results, image_of, signs in (*_SYMMETRIES.get(sys, ()), (done, np.conj, None)):
+        for (kept_i, kept_f, kept_cfg), source in results.items():
+            if not (
+                kept_cfg == cfg
+                and _same_ray(image_of(np.frombuffer(kept_i, dtype=complex)), psi_i)
+                and _same_ray(image_of(np.frombuffer(kept_f, dtype=complex)), psi_f)
+            ):
+                continue
+            if signs is None:
+                signs = _mirror_signs(sys, sys, np.eye(sys.dim), conjugate=True)
+                if signs is None:
+                    return None
+            image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
+            j = objective_state_prep(sys, image, psi_i, psi_f)
+            if not source.fidelity >= cfg.fidelity_goal > j:
+                return SearchResult(image, j, 0, j >= cfg.fidelity_goal, np.array([j]))
     return None
 
 
@@ -391,20 +400,12 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     The search is deterministic, so a repeated call (the same system
     object, bit-equal states and an equal config) returns the same result
     object for as long as the system lives, without searching again.  A
-    separately built system, even an equal one, shares no result.  A kept
-    result may also have been stored before any call (``_store_result``):
-    one derived from another system's result by an exact symmetry, whose
-    fidelity was evaluated on this system, with zero iterations.
+    separately built system, even an equal one, shares no result.
 
     When nothing is kept for these states and the zero-amplitude shortcut
-    misses the goal, a result kept on this system for the complex-conjugate
-    states (up to a phase) under an equal config is tried next
-    (``_conjugate_image``): on a system whose propagators obey
-    conj(U(u)) = U(sigma u), as the cesium model does at zero rf detuning,
-    its waveform with amplitudes times sigma maps these states with the
-    same J.  That image, its J evaluated here, is kept and returned as a
-    zero-iteration result; only when it misses a goal its source met are
-    the restarts searched.
+    misses the goal, the image of a kept result under an exact symmetry
+    onto this system (``_symmetric_image``) is kept and returned; only
+    without one are the restarts searched.
     """
     check_segment_phase(sys, cfg.segment_duration)
     psi_i = as_state(psi_i, sys.dim)
@@ -413,7 +414,7 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     key = _result_key(psi_i, psi_f, cfg)
     if key in done:
         return done[key]
-    best = _zero_seed_result(sys, psi_i, psi_f, cfg) or _conjugate_image(sys, done, psi_i, psi_f, cfg)
+    best = _zero_seed_result(sys, psi_i, psi_f, cfg) or _symmetric_image(sys, done, psi_i, psi_f, cfg)
     if best is None:
         for r in range(cfg.restarts):
             res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)

@@ -153,10 +153,12 @@ class SearchedMapper:
     chi is the conjugated fiducial row of that one propagator, never a
     second search or propagation.  The closed-form factor assumes that
     nothing acts between V and V† except the imprint, so a system with a
-    nonzero drift is refused here, before any search.  A phi this mapper
-    was already given (bit-equal) shares that step's search, because
-    ``multi_start`` keeps its results per system; the step still gets its
-    own record and waveform.
+    nonzero drift is refused here, before any search.  ``multi_start``
+    keeps its results per system, so a phi this mapper was already given
+    (bit-equal) shares that step's search, and a phi that an exact symmetry
+    onto the system (``search.add_symmetry``, or the system's complex
+    conjugation) maps from a kept one plays that result's signed waveform
+    with no search.  Either way the step gets its own record and waveform.
     """
 
     sys: ControlSystem

@@ -136,6 +136,24 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def keep_result():
+    """``keep_result(sys, psi_i, psi_f, cfg, result)`` makes ``multi_start`` keep ``result`` for those arguments.
+
+    It calls ``multi_start`` with each restart's search standing in as
+    ``result``, so a result whose waveform misses the fidelity it claims
+    can be kept; the real search is put back afterwards.
+    """
+    import unimap.search
+
+    def keep(sys, psi_i, psi_f, cfg, result):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(unimap.search, "search_state_map", lambda *args, **kwargs: result)
+            assert unimap.search.multi_start(sys, psi_i, psi_f, cfg) is result
+
+    return keep
+
+
+@pytest.fixture
 def fixed_search(monkeypatch):
     """Replace ``multi_start`` in a module by a seeded stand-in search.
 

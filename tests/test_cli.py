@@ -310,7 +310,7 @@ class TestBuildUnitary:
     # one's is derived from it, so X, G:2 and G:3 run half or fewer; Z, H and S have
     # no conjugate pair of eigenvectors and search every active step
     @pytest.mark.parametrize("gate, searches", [("G:3", 3), ("X", 3), ("G:2", 2), ("Z", 6), ("H", 5)])
-    def test_conjugate_steps_are_derived(self, tmp_path, count_calls, gate, searches):
+    def test_conjugate_steps_are_derived(self, tmp_path, capsys, count_calls, gate, searches):
         calls = count_calls(unimap.search, "search_state_map")
         report = tmp_path / "r.json"
         assert run(["build-unitary", "--gate", gate, "--d", "7", "--restarts", "1", "--goal", "0.999",
@@ -320,10 +320,15 @@ class TestBuildUnitary:
         assert min(doc["step_fidelities"]) >= 0.999 and all(doc["step_converged"])
         # a derived step still reports its own waveform file
         assert len(doc["waveform_files"]) == doc["searches_performed"] == 8 - len(doc["skipped_steps"])
+        # stdout counts searched steps, not searches: G:3 has 5 searched steps and runs 3 searches
+        line = f"trace fidelity {doc['trace_fidelity']:.8f} searched_steps={doc['searches_performed']}\n"
+        assert capsys.readouterr().out == line
+        if gate == "G:3":
+            assert line.endswith(" searched_steps=5\n")
 
 
 class TestSubspaceMapCLI:
-    def test_exact_mode(self, tmp_path):
+    def test_exact_mode(self, tmp_path, capsys):
         spec = {
             "source": {"a1": complex_to_pairs(np.eye(8)[0])},
             "target": {"b1": complex_to_pairs(np.eye(8)[2])},
@@ -337,6 +342,8 @@ class TestSubspaceMapCLI:
         jsonschema.validate(doc, load_schema("subspace_report"))
         assert doc["subspace_fidelity"] >= 1 - 1e-12
         assert max(doc["basis_errors"]) < 1e-9
+        # an exact build searches no step
+        assert capsys.readouterr().out == f"subspace fidelity {doc['subspace_fidelity']:.8f} searched_steps=0\n"
 
     def test_exact_mode_lists_active_steps(self, tmp_path):
         # e0 -> e2 needs one rotation; e5 -> e5 is skipped

@@ -526,7 +526,6 @@ def test_mirror_image_of_a_recorded_plus_step_is_not_searched(ec_systems, count_
 
     plus, minus, cfg = ec_systems
     mapper = _aux_switching_mapper(plus, minus, cfg)
-    assert set(mapper.mirrors) == {+1, -1}
     assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, 0]
 
 
@@ -535,58 +534,65 @@ def test_minus_step_with_no_recorded_plus_image_is_searched(ec_systems, count_ca
 
     plus, minus, cfg = ec_systems
     mapper = _aux_switching_mapper(plus, minus, cfg)
-    assert mapper.plus_steps == []
     assert _searches_per_step(mapper, count_calls, EXTRACT[1]) == [cfg.restarts]
 
 
-def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, count_calls):
-    # a recorded +4 step that claims the goal, but whose waveform (and so its image) misses it
-    from unimap.control import Waveform
-    from unimap.ec import _AuxSwitchingMapper, _aux_levels, _aux_switching_mapper
-    from unimap.search import objective_state_prep
-    from unimap.subspace import PhaseStep
+def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, count_calls, keep_result):
+    # a kept +4 result that claims the goal, but whose waveform (and so its image) misses it
+    from unimap.cesium import AUX_MIRRORS
+    from unimap.control import Waveform, _mirror_signs
+    from unimap.ec import _aux_levels, _aux_switching_mapper
+    from unimap.search import SearchResult, objective_state_prep
 
     plus, minus, cfg = ec_systems
     mapper = _aux_switching_mapper(plus, minus, cfg)
     amps = np.random.default_rng(7).uniform(-1, 1, size=(cfg.segment_count, plus.n_controls))
     wave = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
     phi_plus = _planned_reflection(*EXTRACT[0])[_aux_levels(+4)]
-    recorded = [(phi_plus / np.linalg.norm(phi_plus), PhaseStep(np.pi, np.zeros(8), 1.0, True, wave))]
+    keep_result(plus, phi_plus / np.linalg.norm(phi_plus), plus.fiducial_state(), cfg,
+                SearchResult(wave, 1.0, 0, True, np.array([1.0])))
     phi_minus = _planned_reflection(*EXTRACT[1])[_aux_levels(-4)]
-    image = Waveform(wave.durations, amps * mapper.mirrors[-1])
+    image = Waveform(wave.durations, amps * _mirror_signs(plus, minus, AUX_MIRRORS[-1]))
     j = objective_state_prep(minus, image, phi_minus / np.linalg.norm(phi_minus), minus.fiducial_state())
     assert j < cfg.fidelity_goal
-    faked = _AuxSwitchingMapper(mapper.searched, mapper.mirrors, recorded)
-    assert _searches_per_step(faked, count_calls, EXTRACT[1]) == [cfg.restarts]
+    assert _searches_per_step(mapper, count_calls, EXTRACT[1]) == [cfg.restarts]
 
 
 def test_detuned_pair_derives_nothing(ec_systems, count_calls):
-    # the drift check fails at any rf_detuning, so no mirror is kept and the -4
+    # the drift check fails at any rf_detuning, so no mirror is added and the -4
     # step searches; a searched build refuses the detuned systems themselves
+    import unimap.search
     from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
-    from unimap.control import _mirror_signs
     from unimap.ec import _AuxSwitchingMapper, _aux_switching_mapper
+    from unimap.search import add_symmetry
+    from unimap.subspace import SearchedMapper
 
     plus, minus, cfg = ec_systems
     detuned = [build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 100), aux=aux) for aux in (+4, -4)]
-    assert all(_mirror_signs(*detuned, mirror) is None for mirror in AUX_MIRRORS.values())
+    assert [add_symmetry(*detuned, mirror) for mirror in AUX_MIRRORS.values()] == [False, False]
+    assert detuned[1] not in unimap.search._SYMMETRIES
     with pytest.raises(ValueError, match="drift-free"):
         _aux_switching_mapper(*detuned, cfg)
-    mapper = _AuxSwitchingMapper(_aux_switching_mapper(plus, minus, cfg).searched, {}, [])
+    # no mirror added on the undetuned pair either: its -4 step searches
+    mapper = _AuxSwitchingMapper({+4: SearchedMapper(plus, cfg), -4: SearchedMapper(minus, cfg)})
     assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, cfg.restarts]
 
 
 def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls):
     import dataclasses
 
+    import unimap.search
+    from unimap.cesium import AUX_MIRRORS
     from unimap.ec import _aux_switching_mapper
+    from unimap.search import add_symmetry
 
     plus, minus, cfg = ec_systems
     light = minus.controls[4].copy()
     light[6, 6] = light[7, 7]  # the light shift now moves |3,-3> as well
     unmirrored = dataclasses.replace(minus, controls=minus.controls[:4] + (light,))
+    assert [add_symmetry(plus, unmirrored, mirror) for mirror in AUX_MIRRORS.values()] == [False, False]
     mapper = _aux_switching_mapper(plus, unmirrored, cfg)
-    assert mapper.mirrors == {}
+    assert unmirrored not in unimap.search._SYMMETRIES
     assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, cfg.restarts]
 
 

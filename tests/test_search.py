@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 import unimap.search
-from unimap.cesium import CesiumParams, build_restricted_system
+from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
 from unimap.control import ControlSystem, Waveform, check_amplitudes, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
 from unimap.search import (
     LBFGS_MEMORY,
     MIN_STEP,
     SearchConfig,
+    SearchResult,
     _lbfgs_direction,
+    add_symmetry,
     default_search_config,
     gradient_state_prep,
     multi_start,
@@ -485,10 +487,22 @@ def test_stored_results_go_with_their_system():
     del sys
     gc.collect()
     assert alive() is None and len(unimap.search._RESULTS) == stored - 1
+    # a symmetry's entry goes with the system it maps onto, and never holds its source
+    plus, minus = (build_restricted_system(CesiumParams(), aux=aux) for aux in (+4, -4))
+    assert add_symmetry(plus, minus, AUX_MIRRORS[+1]) and minus in unimap.search._SYMMETRIES
+    entries, source_alive, alive = len(unimap.search._SYMMETRIES), weakref.ref(plus), weakref.ref(minus)
+    del minus
+    gc.collect()
+    assert alive() is None and len(unimap.search._SYMMETRIES) == entries - 1
+    del plus
+    gc.collect()
+    assert source_alive() is None
 
 
 #: (rf_x, rf_y, uw_x, uw_y, light_shift) signs with conj(U(u)) = U(sigma u) on the cesium model at zero detuning
 CONJUGATION_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
+#: the same controls' signs of the aux mirrors S_+ and S_- from the aux +4 onto the aux -4 system
+AUX_MIRROR_SIGNS = {+1: (-1.0, 1.0, 1.0, 1.0, 1.0), -1: (-1.0, 1.0, -1.0, -1.0, 1.0)}
 
 
 class TestConjugateImages:
@@ -529,22 +543,40 @@ class TestConjugateImages:
         res = multi_start(sys, a_conj, sys.fiducial_state(), cfg)
         assert len(searches) == 2 * cfg.restarts and res.iterations > 0
 
-    def test_image_that_misses_a_goal_its_source_met_is_searched(self, count_calls):
+    def test_image_that_misses_a_goal_its_source_met_is_searched(self, count_calls, keep_result):
         # a kept result that claims the goal, but whose waveform (and so its image) misses it
-        from unimap.search import SearchResult, _store_result
-
-        searches = count_calls(unimap.search, "search_state_map")
         sys = build_restricted_system(CesiumParams())
         cfg = default_search_config(sys, seed=93, max_iterations=5, restarts=2)
         a, fiducial = haar_random_state(8, np.random.default_rng(94)), sys.fiducial_state()
         amps = np.random.default_rng(95).uniform(-1, 1, size=(cfg.segment_count, sys.n_controls))
         wave = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
-        _store_result(sys, a, fiducial, cfg, SearchResult(wave, 1.0, 0, True, np.array([1.0])))
+        keep_result(sys, a, fiducial, cfg, SearchResult(wave, 1.0, 0, True, np.array([1.0])))
         image = Waveform(wave.durations, amps * CONJUGATION_SIGNS)
         assert objective_state_prep(sys, image, a.conj(), fiducial) < cfg.fidelity_goal
+        searches = count_calls(unimap.search, "search_state_map")
         res = multi_start(sys, a.conj(), fiducial, cfg)
         assert len(searches) == cfg.restarts
         assert res.waveform.amplitudes.tobytes() != image.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("s", [+1, -1])
+def test_added_mirror_derives_the_signed_waveform(count_calls, s):
+    # a result kept on the aux +4 system for a serves S_s a on the aux -4 system
+    plus, minus = (build_restricted_system(CesiumParams(), aux=aux) for aux in (+4, -4))
+    assert add_symmetry(plus, minus, AUX_MIRRORS[s])
+    searches = count_calls(unimap.search, "search_state_map")
+    cfg = default_search_config(plus, seed=96, max_iterations=30, restarts=2)
+    a = haar_random_state(8, np.random.default_rng(97))
+    source = multi_start(plus, a, plus.fiducial_state(), cfg)
+    assert len(searches) == cfg.restarts
+    derived = multi_start(minus, AUX_MIRRORS[s] @ a, minus.fiducial_state(), cfg)
+    assert len(searches) == cfg.restarts
+    assert derived.iterations == 0 and derived.restart_index == 0
+    signs = np.array(AUX_MIRROR_SIGNS[s])
+    assert np.array_equal(derived.waveform.durations, source.waveform.durations)
+    assert derived.waveform.amplitudes.tobytes() == (source.waveform.amplitudes * signs).tobytes()
+    assert derived.fidelity == objective_state_prep(minus, derived.waveform, AUX_MIRRORS[s] @ a, minus.fiducial_state())
+    assert abs(derived.fidelity - source.fidelity) <= 1e-12
 
 
 def test_config_validation():
