@@ -10,6 +10,7 @@ alone.  Basis order is |3,3>, |3,2>, ..., |3,-3>, then the auxiliary
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -103,6 +104,23 @@ def build_restricted_system(params: CesiumParams | None = None, aux: int = +4) -
     params = params or CesiumParams()
     if aux not in (+4, -4):
         raise ValueError(f"aux must be +4 or -4, got {aux}")
+    drift, controls = _generators(params, aux)
+    return ControlSystem(
+        drift=drift,
+        controls=controls,
+        amplitude_bounds=((-1.0, 1.0),) * len(controls),
+        fiducial_index=FIDUCIAL_INDEX,
+        name=f"cs133-f3-aux{aux:+d}".replace("+", ""),
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _generators(params: CesiumParams, aux: int) -> tuple[np.ndarray, np.ndarray]:
+    """The drift and the (5, 8, 8) control stack for one parameter set, read-only.
+
+    Built once per parameter set and shared by every system built from
+    equal parameters, which then stores no generator of its own.
+    """
     ops = spin_operators(F_GROUND)
 
     def embed_f3(block: np.ndarray) -> np.ndarray:
@@ -128,14 +146,11 @@ def build_restricted_system(params: CesiumParams | None = None, aux: int = +4) -
     bound = sum(abs(rate) * float(np.linalg.norm(h, 2)) for rate, h in zip(rates, unit))
     if not math.isfinite(bound):
         raise ValueError(f"cesium rates {asdict(params)} (rad/s) overflow the bound ||H0|| + sum_k ||H_k||")
-    controls = tuple(rate * h for rate, h in zip(rates[1:], unit[1:]))
-    return ControlSystem(
-        drift=params.rf_detuning * unit[0],
-        controls=controls,
-        amplitude_bounds=((-1.0, 1.0),) * len(controls),
-        fiducial_index=FIDUCIAL_INDEX,
-        name=f"cs133-f3-aux{aux:+d}".replace("+", ""),
-    )
+    drift = params.rf_detuning * unit[0]
+    controls = np.stack([rate * h for rate, h in zip(rates[1:], unit[1:])])
+    drift.setflags(write=False)
+    controls.setflags(write=False)
+    return drift, controls
 
 
 def _aux_mirror(sign: int) -> np.ndarray:

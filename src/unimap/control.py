@@ -31,7 +31,10 @@ AMPLITUDE_TOL = 1e-12
 PHASE_LIMIT = 4.5e5
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """``a`` itself when it is a read-only array that owns its memory, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable:
+        return a
     a = np.array(a)
     a.setflags(write=False)
     return a
@@ -61,7 +64,13 @@ def _path_walk(pattern: np.ndarray) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class ControlSystem:
-    """Immutable bilinear control model H[u] = drift + sum_k u_k * controls[k]."""
+    """Immutable bilinear control model H[u] = drift + sum_k u_k * controls[k].
+
+    ``controls`` is a sequence of (d, d) generators or one (K, d, d) array;
+    ``controls`` then holds read-only views into ``control_stack``.  A
+    drift or stack given as a read-only array that owns its memory is
+    shared, not copied.
+    """
 
     drift: np.ndarray
     controls: tuple[np.ndarray, ...]
@@ -81,11 +90,15 @@ class ControlSystem:
 
     def __post_init__(self):
         drift = _readonly(assert_hermitian(self.drift))
-        controls = tuple(_readonly(assert_hermitian(h)) for h in self.controls)
         d = drift.shape[0]
-        for k, h in enumerate(controls):
+        checked = [assert_hermitian(h) for h in self.controls]
+        for k, h in enumerate(checked):
             if h.shape != (d, d):
                 raise ValueError(f"control {k} has shape {h.shape}, expected {(d, d)}")
+        # one copy of the generators, each control a read-only view into it; a read-only
+        # (K, d, d) array given as ``controls`` is that copy already, and is shared
+        stack = _readonly(np.asarray(self.controls, dtype=complex) if checked else np.zeros((0, d, d), dtype=complex))
+        controls = tuple(stack)
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.amplitude_bounds)
         if len(bounds) != len(controls):
             raise ValueError("one bounds pair per control is required")
@@ -97,8 +110,7 @@ class ControlSystem:
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "amplitude_bounds", bounds)
-        stack = np.stack(controls) if controls else np.zeros((0, d, d), dtype=complex)
-        object.__setattr__(self, "control_stack", _readonly(stack))
+        object.__setattr__(self, "control_stack", stack)
         object.__setattr__(self, "bound_array", _readonly(np.array(bounds, dtype=float).reshape(-1, 2).T))
         coupled = np.abs(drift) + np.abs(stack).sum(axis=0)
         object.__setattr__(self, "chain_walk", _path_walk(coupled != 0))

@@ -1,21 +1,22 @@
-"""Projected quasi-Newton search for state-to-state control waveforms.
+"""Projected Levenberg–Marquardt search for state-to-state control waveforms.
 
 The objective is J = |<psi_f| U(T) |psi_i>|^2 over the segment amplitudes
-of a piecewise-constant waveform.  Each trial point diagonalizes its M
-segment generators once (``control.segment_eigs``: when the system couples
-its levels in a single chain, as the cesium model does, a real ``eigh`` in
-chain order, where a diagonal phase gauge makes each generator real
-tridiagonal; otherwise the complex ``eigh``) and builds
-the stacked segment propagators U_m = V_m e^{-i lam_m tau_m} V_m† in one
-batched product.  The forward sweep applies that stack to the initial
-state, and the backward sweep for the gradient applies the same stack to
-the target bra, so no propagator is rebuilt.  Gradients are exact: the
-spectral divided-difference kernel of the matrix exponential is contracted
-for all segments at once against the forward kets and backward bras, and
-then against the system's cached stack of control generators, so one
-gradient costs about as much as one propagation.  The search is a box-projected
-L-BFGS ascent (GRAPE with exact gradients in its quasi-Newton form) with a
-projected Armijo backtracking step.
+of a piecewise-constant waveform.  The search minimizes the phase-free
+residual r = (I - |psi_f><psi_f|) U(T)|psi_i>, whose squared norm is
+exactly 1 - J, so a state map is a zero-residual least-squares problem.
+Each trial point diagonalizes its M segment generators once
+(``control.segment_eigs``: when the system couples its levels in a single
+chain, as the cesium model does, a real ``eigh`` in chain order, where a
+diagonal phase gauge makes each generator real tridiagonal; otherwise the
+complex ``eigh``) and builds the stacked segment propagators
+U_m = V_m e^{-i lam_m tau_m} V_m† in one batched product.  The forward
+sweep applies that stack to the initial state.  One kernel differentiates
+a block of n bras against those forward kets: its backward sweep applies
+the same stack to all n bras at once, and the spectral divided-difference
+kernel of the matrix exponential is contracted for all segments against
+the system's cached stack of control generators.  The bra <psi_f| gives
+the exact gradient of J; the d rows of the projector give the d x MK
+Jacobian of r.
 
 ``multi_start`` keeps its results per system.  On a miss it tries the
 all-zero waveform, then the image of a kept result under an exact symmetry
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -42,11 +42,12 @@ import numpy as np
 from .control import ControlSystem, Waveform, _mirror_signs, check_amplitudes, check_segment_phase, segment_eigs
 from .core import _eig_exp, as_state
 
-ARMIJO_C = 1e-4
 GRAD_NORM_STOP = 1e-9
-MIN_STEP = 1e-14
-#: (s, y) pairs kept by the L-BFGS two-loop recursion
-LBFGS_MEMORY = 10
+#: the Levenberg–Marquardt damping mu starts at MU_START times the largest diagonal entry of
+#: the Gram matrix J Jᵀ, and the search stops once a rejected step lifts it above MU_CAP times
+#: that entry, where a step no longer moves the amplitudes past their rounding
+MU_START = 1e-3
+MU_CAP = 1e16
 #: two unit states are one state up to a phase when |<a|b>| >= 1 - MATCH_TOL
 MATCH_TOL = 1e-12
 
@@ -111,9 +112,8 @@ class SearchResult:
 
 
 def objective_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> float:
-    """J = |<psi_f| U(T) |psi_i>|^2 for the waveform's propagator."""
-    overlap = _forward(sys, w, as_state(psi_i, sys.dim), as_state(psi_f, sys.dim))[0]
-    return _fidelity(overlap)
+    """J = |<psi_f| U(T) |psi_i>|^2 for the waveform's propagator, at unit final-state norm (``_fidelity``)."""
+    return _fidelity(*_forward(sys, w, as_state(psi_i, sys.dim), as_state(psi_f, sys.dim))[:2])
 
 
 def gradient_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> np.ndarray:
@@ -122,19 +122,25 @@ def gradient_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> np.nda
     Entry m*K + k is the derivative with respect to amplitude k of
     segment m, matching ``Waveform.amplitudes.ravel()`` order.
     """
-    psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
-    _, grad = _objective_and_gradient(sys, w, psi_i, psi_f)
-    return grad
+    overlap, _, *fwd = _forward(sys, w, as_state(psi_i, sys.dim), psi_f)
+    return 2 * np.real(np.conj(overlap) * _bra_derivatives(sys, w, psi_f.conj()[None], *fwd)[0])
 
 
-def _fidelity(overlap) -> float:
-    """|overlap|^2, clamped to 1: rounding can push an exact map a few ulps above."""
-    return min(float(abs(overlap) ** 2), 1.0)
+def _fidelity(overlap, residual) -> float:
+    """J = |overlap|^2 / (|overlap|^2 + |residual|^2), the final state's J at unit norm.
+
+    Rounding leaves the final state's norm a few ulps off 1, so |overlap|^2
+    alone can rise above 1, or stall below it at an exact map.  The quotient
+    lies in [0, 1], is exactly 0 at a zero overlap, and reaches 1 once
+    |residual|^2 falls below the resolution of J.
+    """
+    a = float(abs(overlap) ** 2)
+    return a / (a + float(np.vdot(residual, residual).real))
 
 
 def _forward(sys: ControlSystem, w: Waveform, psi_i, psi_f):
-    """Overlap <psi_f|U|psi_i>, the segment eigensystems and propagators, and the kets."""
+    """Overlap <psi_f|U|psi_i>, residual U|psi_i> - overlap |psi_f>, eigensystems, propagators and kets."""
     check_amplitudes(sys, w)
     lam, v = segment_eigs(sys, w)
     u = _eig_exp(lam, v, w.durations)
@@ -144,39 +150,41 @@ def _forward(sys: ControlSystem, w: Waveform, psi_i, psi_f):
     for j in range(m):
         kets[j + 1] = u[j] @ kets[j]
     overlap = np.vdot(psi_f, kets[m])
-    return overlap, lam, v, u, kets
+    return overlap, kets[m] - overlap * psi_f, lam, v, u, kets
 
 
-def _gradient(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, u, kets) -> np.ndarray:
-    """dJ/du from a forward pass's overlap, eigensystems, propagators and kets."""
-    m, d = w.n_segments, sys.dim
-    if not m:
-        return np.zeros(0)
-    # backward pass: bras[j] = psi_f† U_M ... U_{j+1}
-    bras = np.empty((m + 1, d), dtype=complex)
-    bras[m] = psi_f.conj()
+def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets) -> np.ndarray:
+    """d(b U psi_i)/du for each row b of the (n, d) bra block, as (n, M*K), from a forward pass.
+
+    Column m*K + k is the derivative with respect to amplitude k of
+    segment m, matching ``Waveform.amplitudes.ravel()`` order.
+    """
+    m, d, k = w.n_segments, sys.dim, sys.n_controls
+    # backward pass: bras[j] = out_bras U_M ... U_{j+1}
+    bras = np.empty((m + 1, len(out_bras), d), dtype=complex)
+    bras[m] = out_bras
     for j in range(m - 1, -1, -1):
         bras[j] = bras[j + 1] @ u[j]
-    left = (bras[1:, None, :] @ v)[:, 0]
+    left = bras[1:] @ v
     right = (kets[:-1, None, :] @ v.conj())[:, 0]
-    # dC_mk = left_m · (K_m ⊙ V_m† H_k V_m) · right_m = Σ_ab H_k,ab C_m,ab with
-    # C_m = conj(V_m) A_m V_mᵀ and A_m = left_m ⊙ K_m ⊙ right_m, where K_m is
-    # the divided-difference kernel of exp(-i lam tau) in its sinc form,
+    # d(b U_m ket)/du_k = left · (K ⊙ V† H_k V) · right, where K is the divided-difference kernel
+    # of exp(-i lam tau) in its sinc form,
     # K_ab = -i tau e^{-i lam_a tau / 2} e^{-i lam_b tau / 2} sinc((lam_a - lam_b) tau / 2),
-    # which stays finite at coincident eigenvalues
+    # which stays finite at coincident eigenvalues.  Summed over the right index first, that is
+    # Σ_i left_i D_ki with D_ki = (V† H_k V (K diag(right))ᵀ)_ii, which no bra enters
     tau = w.durations[:, None]
     half = np.exp(-0.5j * lam * tau)
     x = (lam[:, :, None] - lam[:, None, :]) * (tau[:, :, None] / 2)
     x[x == 0] = 1e-20  # so that sin(x) / x = 1 there
-    a = (-1j * tau * half * left)[:, :, None] * (half * right)[:, None, :] * (np.sin(x) / x)
-    c = v.conj() @ a @ v.transpose(0, 2, 1)
-    dc = c.reshape(m, d * d) @ sys.control_stack.reshape(sys.n_controls, d * d).T
-    return (2 * np.real(np.conj(overlap) * dc)).ravel()
+    kernel_t = (half * right)[:, :, None] * (-1j * tau * half)[:, None, :] * (np.sin(x) / x)
+    hv = sys.control_stack.reshape(k * d, d) @ (v @ kernel_t)
+    diag = np.einsum("mai,mkai->mki", v.conj(), hv.reshape(m, k, d, d))
+    return (left @ diag.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, m * k)
 
 
-def _objective_and_gradient(sys: ControlSystem, w: Waveform, psi_i, psi_f):
-    fwd = _forward(sys, w, psi_i, psi_f)
-    return _fidelity(fwd[0]), _gradient(sys, w, psi_f, *fwd)
+def _real_rows(z: np.ndarray) -> np.ndarray:
+    """A complex array's real parts stacked on its imaginary parts along the first axis."""
+    return np.concatenate((z.real, z.imag))
 
 
 def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
@@ -187,28 +195,6 @@ def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Gener
     return mid + half * u
 
 
-def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
-    """Two-loop recursion: the inverse-Hessian estimate applied to g.
-
-    ``memory`` holds (s, y, s @ y, y @ y) per pair, oldest first, with the
-    products the curvature check already took.  With no stored pairs the
-    result is g scaled to unit norm.
-    """
-    if not memory:
-        return g / np.linalg.norm(g)
-    q = g.copy()
-    alphas = []
-    for s, y, sy, _ in reversed(memory):
-        a = (s @ q) / sy
-        q -= a * y
-        alphas.append(a)
-    _, _, sy, yy = memory[-1]
-    r = (sy / yy) * q
-    for (s, y, sy, _), a in zip(memory, reversed(alphas)):
-        r += s * (a - (y @ r) / sy)
-    return r
-
-
 def search_state_map(
     sys: ControlSystem,
     psi_i,
@@ -216,17 +202,22 @@ def search_state_map(
     cfg: SearchConfig,
     restart_index: int = 0,
 ) -> SearchResult:
-    """Projected L-BFGS ascent of J from one random seed.
+    """Projected Levenberg–Marquardt descent of 1 - J = |r|^2 from one random seed.
 
-    A variable at a bound whose gradient points outward is held fixed and
-    the quasi-Newton direction is taken on the rest.  Each step backtracks
-    from the full direction (alpha = 1) until the projected point meets
-    the Armijo condition; a failure clears the curvature memory once and
-    retries along the gradient.  Stops at the fidelity goal, at
-    ``max_iterations``, at a vanishing projected gradient, or when a
-    gradient step fails too.  Deterministic given (sys, psi_i, psi_f,
-    cfg); non-convergence is reported through ``converged``, never raised.
-    A segment duration whose phases would lose their digits
+    The complex residual r and its Jacobian are split into real and
+    imaginary rows, 2d of each.  A variable at a bound whose descent
+    points outward is held fixed; on the rest the step solves the small
+    dual system (J Jᵀ + mu I) y = r through the eigensystem of J Jᵀ and
+    takes -Jᵀ y, clipped to the box.
+    A step is accepted when it raises J, and its gain ratio against the
+    linear model sets the next mu (Madsen, Nielsen and Tingleff, Methods
+    for Non-Linear Least Squares Problems, 2004, section 3.2); a rejected
+    step raises mu and is retried.  Stops at the fidelity goal, at
+    ``max_iterations``, at a vanishing projected gradient, when mu passes
+    its cap, or at a non-finite J, residual or Jacobian, keeping the last
+    finite accepted point.  Deterministic given (sys, psi_i, psi_f, cfg);
+    non-convergence is reported through ``converged``, never raised.  A
+    segment duration whose phases would lose their digits
     (``control.check_segment_phase``) is refused before the first step.
     """
     check_segment_phase(sys, cfg.segment_duration)
@@ -237,52 +228,52 @@ def search_state_map(
     shape = amps.shape
     lo = np.broadcast_to(sys.bound_array[0], shape).ravel()
     hi = np.broadcast_to(sys.bound_array[1], shape).ravel()
+    projector = np.eye(sys.dim) - np.outer(psi_f, psi_f.conj())
 
-    def make_wave(x):
-        return Waveform(durations, x.reshape(shape))
+    def evaluate(x):
+        """The waveform at x, its forward pass, J and the real residual."""
+        wave = Waveform(durations, x.reshape(shape))
+        fwd = _forward(sys, wave, psi_i, psi_f)
+        return wave, fwd, _fidelity(*fwd[:2]), _real_rows(fwd[1])
 
     x = amps.ravel()
-    wave = make_wave(x)
-    j_val, grad = _objective_and_gradient(sys, wave, psi_i, psi_f)
+    wave, fwd, j_val, res = evaluate(x)
     history = [j_val]
-    memory: deque = deque(maxlen=LBFGS_MEMORY)
-    iterations = 0
+    iterations, mu, nu, jac = 0, None, 2.0, None
     while j_val < cfg.fidelity_goal and iterations < cfg.max_iterations:
-        free = ~(((x >= hi) & (grad > 0)) | ((x <= lo) & (grad < 0)))
-        g = np.where(free, grad, 0.0)
-        if np.linalg.norm(g) < GRAD_NORM_STOP:
+        if jac is None:
+            jac = _real_rows(_bra_derivatives(sys, wave, projector, *fwd[2:]))
+            if not np.isfinite(jac).all():
+                break
+            grad = -2 * (res @ jac)
+            free = ~(((x >= hi) & (grad > 0)) | ((x <= lo) & (grad < 0)))
+            if np.linalg.norm(grad[free]) < GRAD_NORM_STOP:
+                break
+            jac_free = jac[:, free]
+            gram = jac_free @ jac_free.T
+            scale = gram.diagonal().max()
+            mu = MU_START * scale if mu is None else mu
+            # (J Jᵀ + mu I)^-1 = Q (Lambda + mu)^-1 Qᵀ, so one eigensystem serves every retried mu
+            gram_eigs, q = np.linalg.eigh(gram)
+            gram_eigs, res_q, jac_q = np.maximum(gram_eigs, 0.0), q.T @ res, jac_free.T @ q
+        if mu > MU_CAP * scale:
             break
-        p = np.where(free, _lbfgs_direction(g, memory), 0.0)
-        alpha = 1.0
-        while alpha > MIN_STEP:
-            trial = np.clip(x + alpha * p, lo, hi)
-            rise = float(grad @ (trial - x))
-            trial_wave = make_wave(trial)
-            fwd = _forward(sys, trial_wave, psi_i, psi_f)
-            j_trial = _fidelity(fwd[0])
-            if rise > 0 and j_trial >= j_val + ARMIJO_C * rise:
-                break
-            alpha /= 2
-        else:
-            # no acceptable step: retry once along the gradient, then stop
-            if not memory:
-                break
-            memory.clear()
+        step = np.zeros_like(x)
+        step[free] = -(jac_q @ (res_q / (gram_eigs + mu)))
+        trial = np.clip(x + step, lo, hi)
+        trial_wave, trial_fwd, j_trial, trial_res = evaluate(trial)
+        if not (math.isfinite(j_trial) and np.isfinite(trial_res).all()):
+            break
+        if j_trial <= j_val:
+            mu, nu = mu * nu, 2 * nu
             continue
+        model = res + jac @ (trial - x)
+        predicted = res @ res - model @ model
+        rho = min(j_trial - j_val, predicted) / predicted if predicted > 0 else 0.0
+        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
         iterations += 1
         history.append(j_trial)
-        if j_trial >= cfg.fidelity_goal or iterations >= cfg.max_iterations:
-            # the search stops at this point, so its gradient would go unused
-            wave, j_val = trial_wave, j_trial
-            break
-        grad_new = _gradient(sys, trial_wave, psi_f, *fwd)
-        s, y = trial - x, grad - grad_new
-        sy, yy = s @ y, y @ y
-        # keep only pairs with positive curvature, so the two-loop estimate
-        # stays positive definite and its direction stays an ascent one
-        if sy > 1e-10 * yy:
-            memory.append((s, y, sy, yy))
-        x, wave, j_val, grad = trial, trial_wave, j_trial, grad_new
+        x, wave, fwd, j_val, res, jac = trial, trial_wave, trial_fwd, j_trial, trial_res, None
     return SearchResult(
         waveform=wave,
         fidelity=j_val,

@@ -21,7 +21,7 @@ mapped vectors untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -163,6 +163,8 @@ class SearchedMapper:
 
     sys: ControlSystem
     cfg: SearchConfig
+    #: the system's fiducial state, built once and shared by every step's search
+    fiducial: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(self.sys.drift):
@@ -171,13 +173,16 @@ class SearchedMapper:
                 f"{np.linalg.norm(self.sys.drift, 2):.6g} rad/s: playing V, the imprint, then V reversed "
                 f"gives V† P(theta) V only when no drift acts"
             )
+        fiducial = self.sys.fiducial_state()
+        fiducial.setflags(write=False)
+        object.__setattr__(self, "fiducial", fiducial)
 
     @property
     def dim(self) -> int:
         return self.sys.dim
 
     def phase_about(self, phi, theta: float) -> PhaseStep:
-        result = multi_start(self.sys, phi, self.sys.fiducial_state(), self.cfg)
+        result = multi_start(self.sys, phi, self.fiducial, self.cfg)
         chi = propagate(self.sys, result.waveform)[self.sys.fiducial_index].conj()
         return PhaseStep(theta, chi, result.fidelity, result.converged, result.waveform)
 

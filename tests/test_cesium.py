@@ -98,6 +98,17 @@ class TestRestrictedSystem:
         assert PRESETS["cs133-f3-aux4"]().name == "cs133-f3-aux4"
 
 
+def test_equal_parameters_share_generators_not_systems():
+    # each generator is stored once per parameter set: equal systems share it read-only,
+    # yet stay distinct systems, so no stored search result passes between them
+    a, b = build_restricted_system(CesiumParams()), build_restricted_system(CesiumParams(), aux=+4)
+    assert a is not b and a.drift is b.drift and a.control_stack is b.control_stack
+    assert not a.control_stack.flags.writeable and all(np.shares_memory(h, a.control_stack) for h in b.controls)
+    minus, detuned = build_restricted_system(aux=-4), build_restricted_system(CesiumParams(rf_detuning=1.0))
+    assert not np.shares_memory(minus.control_stack, a.control_stack)
+    assert not np.shares_memory(detuned.drift, a.drift) and np.array_equal(detuned.control_stack, a.control_stack)
+
+
 class TestAuxMirrors:
     # control signs of S_+ and S_-, in CONTROL_NAMES order (rf_x, rf_y, uw_x, uw_y, light_shift)
     SIGNS = {+1: (-1.0, 1.0, 1.0, 1.0, 1.0), -1: (-1.0, 1.0, -1.0, -1.0, 1.0)}

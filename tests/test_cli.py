@@ -519,6 +519,22 @@ def test_benchmark_searched_workloads_search_counts(tmp_path, monkeypatch, count
     assert counts == searches
 
 
+@pytest.mark.parametrize("workload, bound", [("unitary_d7", 92), ("subspace_maps", 205)])
+def test_benchmark_searched_workloads_forward_passes(tmp_path, monkeypatch, count_calls, workload, bound):
+    # each forward pass of the search module diagonalizes its segments once; the bounds are half
+    # the 184 and 409 passes that the projected L-BFGS search took on these commands
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    passes = count_calls(unimap.search, "segment_eigs")
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    for command in getattr(workloads, workload)(1, tmp_path / "inputs"):
+        assert main(list(command.argv)) == 0
+    assert len(passes) < bound
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("argv", [
         ["build-unitary", "--gate", "Z", "--d", "3", "--seed", "-1", "--out-report", "{out}/r.json"],

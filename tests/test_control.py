@@ -99,6 +99,27 @@ class TestPropagate:
             propagate(cesium, Waveform([1e-6], [[0.1]]))
 
 
+def test_controls_are_read_only_views_of_the_one_stack(cesium):
+    # each generator is stored once, in control_stack, and no caller array is aliased
+    assert not cesium.control_stack.flags.writeable
+    assert len(cesium.controls) == len(cesium.control_stack) == 5
+    for k, h in enumerate(cesium.controls):
+        assert np.shares_memory(h, cesium.control_stack) and not h.flags.writeable
+        assert np.array_equal(h, cesium.control_stack[k])
+    mine = np.array(cesium.controls[0])
+    sys_m = ControlSystem(cesium.drift, (mine,), ((-1.0, 1.0),), fiducial_index=0)
+    mine[0, 0] = 7.0
+    assert not np.shares_memory(sys_m.controls[0], mine) and sys_m.controls[0][0, 0] == cesium.controls[0][0, 0]
+    # a (K, d, d) stack is shared when read-only and owning its memory, copied when writable
+    stack = np.array(cesium.control_stack)
+    bounds = cesium.amplitude_bounds
+    copied = ControlSystem(cesium.drift, stack, bounds, fiducial_index=0)
+    stack.setflags(write=False)
+    shared = ControlSystem(cesium.drift, stack, bounds, fiducial_index=0)
+    assert shared.control_stack is stack and not np.shares_memory(copied.control_stack, stack)
+    assert np.array_equal(copied.control_stack, stack) and copied.controls[4].flags.writeable is False
+
+
 @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 2e3])
 def test_segment_propagators_match_mat_exp(detuning):
     sys_m = build_restricted_system(CesiumParams(rf_detuning=detuning))

@@ -1,9 +1,8 @@
-"""Objective, exact gradients, and projected L-BFGS convergence."""
+"""Objective, exact gradients and residual Jacobians, and projected Levenberg–Marquardt convergence."""
 
 import dataclasses
 import gc
 import weakref
-from collections import deque
 
 import numpy as np
 import pytest
@@ -13,11 +12,8 @@ from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
 from unimap.control import ControlSystem, Waveform, check_amplitudes, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
 from unimap.search import (
-    LBFGS_MEMORY,
-    MIN_STEP,
     SearchConfig,
     SearchResult,
-    _lbfgs_direction,
     add_symmetry,
     default_search_config,
     gradient_state_prep,
@@ -237,34 +233,70 @@ class TestStackedKernel:
         assert calls["check"] == calls["eigs"] >= res.iterations + 1
 
 
-def reference_lbfgs_direction(g, pairs):
-    """The two-loop recursion over bare (s, y) pairs, taking every dot product itself."""
-    q = g.copy()
-    alphas = []
-    for s, y in reversed(pairs):
-        a = (s @ q) / (y @ s)
-        q -= a * y
-        alphas.append(a)
-    s, y = pairs[-1]
-    r = ((s @ y) / (y @ y)) * q
-    for (s, y), a in zip(pairs, reversed(alphas)):
-        r += s * (a - (y @ r) / (y @ s))
-    return r
+def kernel_jacobian(sys, w, psi_i, psi_f):
+    """The kernel's d x MK Jacobian of r = (I - |psi_f><psi_f|) U |psi_i>, its bras the projector's rows."""
+    fwd = unimap.search._forward(sys, w, psi_i, psi_f)
+    return unimap.search._bra_derivatives(sys, w, np.eye(sys.dim) - np.outer(psi_f, psi_f.conj()), *fwd[2:])
 
 
-@pytest.mark.parametrize("n_pairs", [1, 3, LBFGS_MEMORY])
-def test_lbfgs_direction_matches_reference_bit_for_bit(n_pairs):
-    rng = np.random.default_rng(40 + n_pairs)
-    n = 130  # the cesium search's 26 segments x 5 controls
-    g = rng.normal(size=n)
-    pairs = []
-    while len(pairs) < n_pairs:
-        s = rng.normal(size=n)
-        y = s * rng.uniform(0.1, 10, n) + rng.normal(scale=0.3, size=n)
-        if s @ y > 1e-10 * (y @ y):
-            pairs.append((s, y))
-    memory = deque(((s, y, s @ y, y @ y) for s, y in pairs), maxlen=LBFGS_MEMORY)
-    assert np.array_equal(_lbfgs_direction(g, memory), reference_lbfgs_direction(g, pairs))
+def residual(sys, w, psi_i, psi_f):
+    ket = propagate(sys, w) @ psi_i
+    return ket - np.vdot(psi_f, ket) * psi_f
+
+
+def per_segment_jacobian(sys, w, psi_i, psi_f):
+    """Reference Jacobian of r: each segment's propagator derivative written out as a matrix, one at a time."""
+    lam, v = segment_eigs(sys, w)
+    m, d = w.n_segments, sys.dim
+    steps = [v[j] @ np.diag(np.exp(-1j * lam[j] * w.durations[j])) @ v[j].conj().T for j in range(m)]
+    jac = np.zeros((d, m, sys.n_controls), dtype=complex)
+    for j in range(m):
+        before, after = psi_i, np.eye(d) - np.outer(psi_f, psi_f.conj())
+        for step in steps[:j]:
+            before = step @ before
+        for step in reversed(steps[j + 1:]):
+            after = after @ step
+        tau = w.durations[j]
+        delta = lam[j][:, None] - lam[j][None, :]
+        mean = (lam[j][:, None] + lam[j][None, :]) / 2
+        kernel = -1j * tau * np.exp(-1j * mean * tau) * np.sinc(delta * tau / (2 * np.pi))
+        for k, h in enumerate(sys.controls):
+            d_step = v[j] @ (kernel * (v[j].conj().T @ h @ v[j])) @ v[j].conj().T
+            jac[:, j, k] = after @ d_step @ before
+    return jac.reshape(d, -1)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("model", ["cesium", "two_level", "dense_d4"])
+    def test_matches_central_differences(self, cesium, two_level, model):
+        rng = np.random.default_rng(90)
+        models = {"cesium": (cesium, 1e-5), "two_level": (two_level, 0.8), "dense_d4": (dense_system(4), 1e-5)}
+        sys_m, tau = models[model]
+        assert (sys_m.chain_walk is None) == (model == "dense_d4")
+        w = Waveform(np.full(4, tau), 0.6 * rng.uniform(-1, 1, (4, sys_m.n_controls)))
+        psi_i, psi_f = haar_random_state(sys_m.dim, rng), haar_random_state(sys_m.dim, rng)
+        flat, step = w.amplitudes.ravel(), 1e-6
+        fd = np.empty((sys_m.dim, flat.size), dtype=complex)
+        for idx in range(flat.size):
+            shift = np.zeros(flat.size)
+            shift[idx] = step
+            up, down = (Waveform(w.durations, (flat + s).reshape(w.amplitudes.shape)) for s in (shift, -shift))
+            fd[:, idx] = (residual(sys_m, up, psi_i, psi_f) - residual(sys_m, down, psi_i, psi_f)) / (2 * step)
+        jac = kernel_jacobian(sys_m, w, psi_i, psi_f)
+        assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_matches_per_segment_loop(self, cesium, case):
+        sys_m, w, psi_i, psi_f = kernel_case(cesium, case)
+        reference = per_segment_jacobian(sys_m, w, psi_i, psi_f)
+        assert np.linalg.norm(kernel_jacobian(sys_m, w, psi_i, psi_f) - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_gradient_is_the_jacobian_against_the_residual(self, cesium):
+        # J = 1 - |r|^2, so dJ/du = -2 Re(r† dr/du)
+        sys_m, w, psi_i, psi_f = kernel_case(cesium, "cesium_m26")
+        from_jacobian = -2 * np.real(residual(sys_m, w, psi_i, psi_f).conj() @ kernel_jacobian(sys_m, w, psi_i, psi_f))
+        grad = gradient_state_prep(sys_m, w, psi_i, psi_f)
+        assert np.linalg.norm(from_jacobian - grad) <= 1e-12 * np.linalg.norm(grad)
 
 
 class TestSearch:
@@ -336,40 +368,90 @@ class TestSearch:
         assert (res.fidelity, res.iterations, res.converged) == (0.0, 0, False)
         assert res.objective_history.tolist() == [0.0]
 
-    def test_failed_line_search_clears_memory_once_then_stops(self, cesium, monkeypatch):
-        # after one accepted step every trial point reads J = 0: the backtracking fails along
-        # the quasi-Newton direction, then once more along the gradient, and the search stops
-        forward, gradient = unimap.search._forward, unimap.search._gradient
-        gradients, failed = [], []
-
-        def counted_gradient(*args):
-            gradients.append(1)
-            return gradient(*args)
-
-        def flat_after_first_step(*args):
-            fwd = forward(*args)
-            if len(gradients) < 2:
-                return fwd
-            failed.append(1)
-            return (0j, *fwd[1:])
-
-        monkeypatch.setattr(unimap.search, "_gradient", counted_gradient)
-        monkeypatch.setattr(unimap.search, "_forward", flat_after_first_step)
-        cfg = default_search_config(cesium, seed=3, max_iterations=100, fidelity_goal=1.0)
-        res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(4)), cfg)
-        halvings = sum(1 for k in range(64) if 2.0 ** -k > MIN_STEP)
-        assert res.iterations == 1 and len(gradients) == 2
-        assert len(failed) == 2 * halvings
-
-    @pytest.mark.parametrize("goal, max_iterations", [(0.99, 2000), (1.0, 7)], ids=["goal", "max-iterations"])
-    def test_one_gradient_per_iteration(self, cesium, count_calls, goal, max_iterations):
-        # the start point's gradient, then one per accepted step but the last:
-        # the search stops there, so that point's gradient would go unused
-        gradients = count_calls(unimap.search, "_gradient")
+    @pytest.mark.parametrize("goal, max_iterations", [(0.99, 2000), (1.0, 3)], ids=["goal", "max-iterations"])
+    def test_one_jacobian_per_accepted_step(self, cesium, count_calls, goal, max_iterations):
+        # the start point's Jacobian, then one per accepted step but the last: the search
+        # stops there, so that point's Jacobian would go unused; a rejected step takes none
+        jacobians = count_calls(unimap.search, "_bra_derivatives")
         cfg = default_search_config(cesium, seed=9, fidelity_goal=goal, max_iterations=max_iterations)
         res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(10)), cfg)
         assert res.converged if goal < 1 else res.iterations == max_iterations
-        assert res.iterations >= 1 and len(gradients) == res.iterations
+        assert res.iterations >= 1 and len(jacobians) == res.iterations
+
+    def test_stops_at_the_damping_cap(self, cesium, count_calls, monkeypatch):
+        # after one accepted step every trial point reads J = 0: each rejection raises mu, so
+        # the trial steps shrink, until mu passes its cap and the search stops where it was
+        jacobians = count_calls(unimap.search, "_bra_derivatives")
+        forward, trials = unimap.search._forward, []
+
+        def flat_after_first_step(sys, w, *states):
+            fwd = forward(sys, w, *states)
+            if len(jacobians) < 2:
+                return fwd
+            trials.append(w.amplitudes)
+            assert len(trials) < 100, "the search does not stop"
+            return (0j, *fwd[1:])
+
+        monkeypatch.setattr(unimap.search, "_forward", flat_after_first_step)
+        cfg = default_search_config(cesium, seed=3, max_iterations=100, fidelity_goal=1.0)
+        res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(4)), cfg)
+        assert res.iterations == 1 and len(jacobians) == 2 and len(trials) > 1
+        assert res.waveform is jacobians[1][1] and res.fidelity == res.objective_history[-1] > 0
+        lengths = [np.linalg.norm(t - res.waveform.amplitudes) for t in trials]
+        assert all(a > b for a, b in zip(lengths, lengths[1:]))
+
+    @pytest.mark.parametrize("where", ["forward", "jacobian"])
+    def test_stops_at_the_last_finite_point(self, cesium, monkeypatch, where):
+        # after one accepted step a forward pass (J and r) or the Jacobian reads NaN: the search
+        # stops there and keeps the accepted point, instead of solving for a step on NaN
+        forward, kernel = unimap.search._forward, unimap.search._bra_derivatives
+        jacobians, passes_after = [], []
+
+        def poisoned_kernel(sys, w, *args):
+            jacobians.append(w)
+            jac = kernel(sys, w, *args)
+            return jac * np.nan if where == "jacobian" and len(jacobians) == 2 else jac
+
+        def poisoned_forward(*args):
+            fwd = forward(*args)
+            if len(jacobians) < 2:
+                return fwd
+            passes_after.append(1)
+            return (np.nan * fwd[0], np.full_like(fwd[1], np.nan), *fwd[2:]) if where == "forward" else fwd
+
+        monkeypatch.setattr(unimap.search, "_bra_derivatives", poisoned_kernel)
+        monkeypatch.setattr(unimap.search, "_forward", poisoned_forward)
+        cfg = default_search_config(cesium, seed=3, max_iterations=100, fidelity_goal=1.0)
+        res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(4)), cfg)
+        assert res.iterations == 1 and len(jacobians) == 2 and len(passes_after) == (where == "forward")
+        assert res.waveform is jacobians[1]
+        assert np.isfinite(res.objective_history).all() and res.fidelity == res.objective_history[-1]
+
+    def test_bound_variable_whose_descent_points_outward_stays_put(self, cesium, monkeypatch):
+        # the seed puts 40 variables on a bound, on the side their gradient points to;
+        # every trial point of the first step must leave those that still point outward there
+        psi_i, psi_f = basis_state(8, 7), haar_random_state(8, np.random.default_rng(44))
+        cfg = default_search_config(cesium, seed=43, max_iterations=1, fidelity_goal=1.0)
+        seed = unimap.search._seed_amplitudes(cesium, cfg, np.random.default_rng([cfg.seed, 0]))
+        lo, hi = (np.broadcast_to(b, seed.shape).ravel() for b in cesium.bound_array)
+        flat = seed.ravel()
+        grad = gradient_state_prep(cesium, Waveform(np.full(len(seed), 1e-5), seed), psi_i, psi_f)
+        flat[:40] = np.where(grad[:40] > 0, hi[:40], lo[:40])
+        grad = gradient_state_prep(cesium, Waveform(np.full(len(seed), 1e-5), seed), psi_i, psi_f)
+        held = ((flat >= hi) & (grad > 0)) | ((flat <= lo) & (grad < 0))
+        assert held.sum() >= 10
+        forward, points = unimap.search._forward, []
+
+        def recorded(sys, w, *states):
+            points.append(w.amplitudes.ravel())
+            return forward(sys, w, *states)
+
+        monkeypatch.setattr(unimap.search, "_seed_amplitudes", lambda *args: seed)
+        monkeypatch.setattr(unimap.search, "_forward", recorded)
+        res = search_state_map(cesium, psi_i, psi_f, cfg)
+        assert res.iterations == 1 and len(points) >= 2
+        for point in points:
+            assert np.array_equal(point[held], flat[held])
 
     def test_refuses_a_duration_whose_phases_carry_no_digits(self, two_level):
         # generator bound 0.5 rad/s times 1e6 s is 5e5 rad, above the 4.5e5 rad limit
