@@ -14,7 +14,8 @@ real ``eigh`` is used; any other coupling pattern takes the complex
 
 The builder in ``subspace`` needs no matrix for the fiducial phase imprint
 P(theta): its factor V† P(theta) V depends on V only through
-chi = V†|fiducial>, the conjugated fiducial row of ``propagate``.
+chi = V†|fiducial>, the conjugated fiducial row of the propagator that
+``propagate`` returns and that a search result carries.
 """
 
 from __future__ import annotations
@@ -271,12 +272,17 @@ def segment_eigs(sys: ControlSystem, w: Waveform):
     return lam, v
 
 
+def _product(stack: np.ndarray) -> np.ndarray:
+    """U = U_M ... U_1 of an (M, d, d) stack of segment propagators, the last applied leftmost."""
+    u = np.eye(stack.shape[-1], dtype=complex)
+    for step in stack:
+        u = step.dot(u)
+    return u
+
+
 def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """Total propagator U = U_M ... U_1 of the segments U_m = exp(-i H_m tau_m), the last applied leftmost."""
     check_amplitudes(sys, w)
     check_segment_phase(sys, float(w.durations.max(initial=0.0)))
-    u = np.eye(sys.dim, dtype=complex)
-    for step in _eig_exp(*segment_eigs(sys, w), w.durations):
-        u = step @ u
-    return u
+    return _product(_eig_exp(*segment_eigs(sys, w), w.durations))
 

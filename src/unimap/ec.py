@@ -231,8 +231,9 @@ class _AuxSwitchingMapper(NamedTuple):
     a zero 9-vector, so the factor is the identity on the other aux level.
     An aux -4 rotation that is the image of a +4 rotation already run is
     served by ``multi_start`` through the aux mirrors added as symmetries
-    (``_aux_switching_mapper``); chi still comes from propagating the
-    waveform on the -4 system, and the step gets its own record.
+    (``_aux_switching_mapper``); chi then comes from the propagator that
+    the image's own forward pass on the -4 system built, and the step gets
+    its own record.
     """
 
     searched: dict[int, SearchedMapper]

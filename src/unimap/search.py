@@ -10,13 +10,15 @@ chain, as the cesium model does, a real ``eigh`` in chain order, where a
 diagonal phase gauge makes each generator real tridiagonal; otherwise the
 complex ``eigh``) and builds the stacked segment propagators
 U_m = V_m e^{-i lam_m tau_m} V_m† in one batched product.  The forward
-sweep applies that stack to the initial state.  One kernel differentiates
-a block of n bras against those forward kets: its backward sweep applies
-the same stack to all n bras at once, and the spectral divided-difference
-kernel of the matrix exponential is contracted for all segments against
-the system's cached stack of control generators.  The bra <psi_f| gives
-the exact gradient of J; the d rows of the projector give the d x MK
-Jacobian of r.
+sweep (``_sweep``) applies that stack to the initial state.  A result
+carries the stack's product U = U_M ... U_1 as its propagator, formed as
+``control.propagate`` forms it, so no waveform a search scored is
+diagonalized again.  One kernel differentiates a block of n bras against
+those forward kets: its backward sweep applies the same stack to all n
+bras at once, and the spectral divided-difference kernel of the matrix
+exponential is contracted for all segments against the system's cached
+stack of control generators.  The bra <psi_f| gives the exact gradient of
+J; the d rows of the projector give the d x MK Jacobian of r.
 
 ``multi_start`` keeps its results per system.  On a miss it tries the
 all-zero waveform, then the image of a kept result under an exact symmetry
@@ -39,7 +41,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .control import ControlSystem, Waveform, _mirror_signs, check_amplitudes, check_segment_phase, segment_eigs
+from .control import (
+    ControlSystem,
+    Waveform,
+    _mirror_signs,
+    _product,
+    check_amplitudes,
+    check_segment_phase,
+    segment_eigs,
+)
 from .core import _eig_exp, as_state
 
 GRAD_NORM_STOP = 1e-9
@@ -96,19 +106,27 @@ def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Outcome of a search: best waveform found and its trajectory."""
+    """Outcome of a search: best waveform found, its propagator and its trajectory.
+
+    ``propagator`` is U = U_M ... U_1 of ``waveform``.  The search builds it
+    from the segment stack of the forward pass that scored the waveform, in
+    the order of ``control.propagate``, so the two are bit-identical.
+    """
 
     waveform: Waveform
     fidelity: float
     iterations: int
     converged: bool
     objective_history: np.ndarray
+    propagator: np.ndarray
     restart_index: int = 0
 
     def __post_init__(self):
         hist = np.asarray(self.objective_history, dtype=float)
-        hist.setflags(write=False)
-        object.__setattr__(self, "objective_history", hist)
+        prop = np.asarray(self.propagator, dtype=complex)
+        for name, a in (("objective_history", hist), ("propagator", prop)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def objective_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> float:
@@ -144,13 +162,19 @@ def _forward(sys: ControlSystem, w: Waveform, psi_i, psi_f):
     check_amplitudes(sys, w)
     lam, v = segment_eigs(sys, w)
     u = _eig_exp(lam, v, w.durations)
-    m = w.n_segments
-    kets = np.empty((m + 1, sys.dim), dtype=complex)
+    overlap, residual, kets = _sweep(u, psi_i, psi_f)
+    return overlap, residual, lam, v, u, kets
+
+
+def _sweep(u: np.ndarray, psi_i, psi_f):
+    """Overlap, residual and the kets U_j ... U_1|psi_i>, j = 0..M, of an (M, d, d) propagator stack."""
+    m = len(u)
+    kets = np.empty((m + 1, psi_i.size), dtype=complex)
     kets[0] = psi_i
     for j in range(m):
-        kets[j + 1] = u[j] @ kets[j]
+        u[j].dot(kets[j], out=kets[j + 1])
     overlap = np.vdot(psi_f, kets[m])
-    return overlap, kets[m] - overlap * psi_f, lam, v, u, kets
+    return overlap, kets[m] - overlap * psi_f, kets
 
 
 def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets) -> np.ndarray:
@@ -164,7 +188,7 @@ def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets)
     bras = np.empty((m + 1, len(out_bras), d), dtype=complex)
     bras[m] = out_bras
     for j in range(m - 1, -1, -1):
-        bras[j] = bras[j + 1] @ u[j]
+        bras[j + 1].dot(u[j], out=bras[j])
     left = bras[1:] @ v
     right = (kets[:-1, None, :] @ v.conj())[:, 0]
     # d(b U_m ket)/du_k = left · (K ⊙ V† H_k V) · right, where K is the divided-difference kernel
@@ -280,6 +304,7 @@ def search_state_map(
         iterations=iterations,
         converged=j_val >= cfg.fidelity_goal,
         objective_history=np.array(history),
+        propagator=_product(fwd[4]),
         restart_index=restart_index,
     )
 
@@ -289,23 +314,29 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
 
     Catches targets the bare drift reaches (in particular an eigenvector
     that is the fiducial state itself), where the search would only add
-    noise to an exact solution.
+    noise to an exact solution.  Every segment plays the drift alone, so
+    one segment is checked and diagonalized and its propagator stands for
+    all M in the sweep and the product.
     """
     if not all(lo <= 0.0 <= hi for lo, hi in sys.amplitude_bounds):
+        return None
+    one = Waveform([cfg.segment_duration], np.zeros((1, sys.n_controls)))
+    check_amplitudes(sys, one)
+    u = np.broadcast_to(_eig_exp(*segment_eigs(sys, one), one.durations), (cfg.segment_count, sys.dim, sys.dim))
+    j0 = _fidelity(*_sweep(u, psi_i, psi_f)[:2])
+    if j0 < cfg.fidelity_goal:
         return None
     w0 = Waveform(
         np.full(cfg.segment_count, cfg.segment_duration),
         np.zeros((cfg.segment_count, sys.n_controls)),
     )
-    j0 = objective_state_prep(sys, w0, psi_i, psi_f)
-    if j0 < cfg.fidelity_goal:
-        return None
     return SearchResult(
         waveform=w0,
         fidelity=j0,
         iterations=0,
         converged=True,
         objective_history=np.array([j0]),
+        propagator=_product(u),
     )
 
 
@@ -356,9 +387,10 @@ def _symmetric_image(
     as for the cesium model at zero rf detuning.  A result kept under an
     equal config whose states S carries onto (psi_i, psi_f), up to a phase,
     is a source.  Its image keeps the durations and multiplies each
-    control's amplitudes by its sign; its J is evaluated on ``sys``, never
-    copied.  An image that misses a goal its source met is refused, and
-    the next source is tried.  None when no source gives an image.
+    control's amplitudes by its sign; its J and propagator come from its
+    own forward pass on ``sys``, never copied.  An image that misses a
+    goal its source met is refused, and the next source is tried.  None
+    when no source gives an image.
     """
     # the conjugation's signs are worked out on its first state match
     for results, image_of, signs in (*_SYMMETRIES.get(sys, ()), (done, np.conj, None)):
@@ -374,9 +406,10 @@ def _symmetric_image(
                 if signs is None:
                     return None
             image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
-            j = objective_state_prep(sys, image, psi_i, psi_f)
+            fwd = _forward(sys, image, psi_i, psi_f)
+            j = _fidelity(*fwd[:2])
             if not source.fidelity >= cfg.fidelity_goal > j:
-                return SearchResult(image, j, 0, j >= cfg.fidelity_goal, np.array([j]))
+                return SearchResult(image, j, 0, j >= cfg.fidelity_goal, np.array([j]), _product(fwd[4]))
     return None
 
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .control import ControlSystem, Waveform, propagate
+from .control import ControlSystem, Waveform
 from .core import as_state
 from .search import SearchConfig, multi_start
 
@@ -150,8 +150,9 @@ class ExactMapper(NamedTuple):
 class SearchedMapper:
     """chi = V†|fiducial>, V the propagator of a multi-start search from phi to the fiducial state.
 
-    chi is the conjugated fiducial row of that one propagator, never a
-    second search or propagation.  The closed-form factor assumes that
+    chi is the conjugated fiducial row of the propagator the result carries,
+    built by the forward pass that scored the waveform: never a second
+    search or propagation.  The closed-form factor assumes that
     nothing acts between V and V† except the imprint, so a system with a
     nonzero drift is refused here, before any search.  ``multi_start``
     keeps its results per system, so a phi this mapper was already given
@@ -183,7 +184,7 @@ class SearchedMapper:
 
     def phase_about(self, phi, theta: float) -> PhaseStep:
         result = multi_start(self.sys, phi, self.fiducial, self.cfg)
-        chi = propagate(self.sys, result.waveform)[self.sys.fiducial_index].conj()
+        chi = result.propagator[self.sys.fiducial_index].conj()
         return PhaseStep(theta, chi, result.fidelity, result.converged, result.waveform)
 
 

@@ -29,6 +29,12 @@ def apply_adjoint(sys, w) -> np.ndarray:
     return propagate(sys, w).conj().T
 
 
+def assert_carries_its_propagator(sys, result) -> None:
+    """The result's propagator is ``propagate`` of its waveform, bit for bit, and read-only."""
+    assert result.propagator.tobytes() == propagate(sys, result.waveform).tobytes()
+    assert not result.propagator.flags.writeable
+
+
 def diag_phase(d: int, index: int, angle: float) -> np.ndarray:
     """Diagonal unitary with e^{-i angle} on basis level ``index`` and 1 elsewhere."""
     diag = np.ones(d, dtype=complex)
@@ -136,6 +142,28 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def returned_results(monkeypatch):
+    """``returned_results(module)`` wraps ``module.multi_start`` for the test.
+
+    Each call still runs, and appends its (system, result) pair to the list
+    returned.
+    """
+
+    def install(module):
+        returned, inner = [], module.multi_start
+
+        def wrapper(sys, *args):
+            result = inner(sys, *args)
+            returned.append((sys, result))
+            return result
+
+        monkeypatch.setattr(module, "multi_start", wrapper)
+        return returned
+
+    return install
+
+
+@pytest.fixture
 def keep_result():
     """``keep_result(sys, psi_i, psi_f, cfg, result)`` makes ``multi_start`` keep ``result`` for those arguments.
 
@@ -162,7 +190,7 @@ def fixed_search(monkeypatch):
     waveform is a fixed random draw inside the bounds, so a synthesis built
     on it is deterministic without running any search.
     """
-    from unimap.control import Waveform
+    from unimap.control import Waveform, propagate
     from unimap.search import SearchResult
 
     def install(module):
@@ -173,7 +201,7 @@ def fixed_search(monkeypatch):
             amps = 0.8 * rng.uniform(-1, 1, size=(cfg.segment_count, sys.n_controls))
             w = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
             handed_out.append((sys, w))
-            return SearchResult(w, 0.5, 0, False, np.array([0.5]))
+            return SearchResult(w, 0.5, 0, False, np.array([0.5]), propagate(sys, w))
 
         monkeypatch.setattr(module, "multi_start", stand_in)
         return handed_out

@@ -535,6 +535,28 @@ def test_benchmark_searched_workloads_forward_passes(tmp_path, monkeypatch, coun
     assert len(passes) < bound
 
 
+@pytest.mark.parametrize("workload", ["unitary_d7", "subspace_maps"])
+def test_benchmark_searched_workloads_diagonalize_only_in_search(tmp_path, monkeypatch, workload):
+    # every waveform a step plays is diagonalized once, by the forward pass that scored it: chi
+    # comes from the propagator the search result carries, so every segment_eigs call, read
+    # through each module's globals, goes through unimap.search (44 calls on the G:3 build)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    from unimap.control import segment_eigs
+
+    callers = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "unimap" and getattr(module, "segment_eigs", None) is segment_eigs:
+            monkeypatch.setattr(module, "segment_eigs",
+                                lambda *a, _name=name: callers.append(_name) or segment_eigs(*a))
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    for command in getattr(workloads, workload)(1, tmp_path / "inputs"):
+        assert main(list(command.argv)) == 0
+    assert callers and set(callers) == {"unimap.search"}
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("argv", [
         ["build-unitary", "--gate", "Z", "--d", "3", "--seed", "-1", "--out-report", "{out}/r.json"],

@@ -529,6 +529,23 @@ def test_mirror_image_of_a_recorded_plus_step_is_not_searched(ec_systems, count_
     assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, 0]
 
 
+def test_searched_steps_and_mirror_images_carry_their_propagators(ec_systems, returned_results):
+    # the EC maps run 3 searches; 2 of the 6 rotations play aux mirror images on the -4 system
+    import unimap.subspace
+    from conftest import assert_carries_its_propagator
+    from unimap.ec import _aux_switching_mapper
+    from unimap.subspace import synthesize_subspace_map
+
+    plus, minus, cfg = ec_systems
+    results = returned_results(unimap.subspace)
+    mapper = _aux_switching_mapper(plus, minus, cfg)
+    for spec in ec_map_specs():
+        synthesize_subspace_map(spec, mapper)
+    assert sum(system is minus and res.iterations == 0 for system, res in results) == 2
+    for system, res in results:
+        assert_carries_its_propagator(system, res)
+
+
 def test_minus_step_with_no_recorded_plus_image_is_searched(ec_systems, count_calls):
     from unimap.ec import _aux_switching_mapper
 
@@ -540,7 +557,7 @@ def test_minus_step_with_no_recorded_plus_image_is_searched(ec_systems, count_ca
 def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, count_calls, keep_result):
     # a kept +4 result that claims the goal, but whose waveform (and so its image) misses it
     from unimap.cesium import AUX_MIRRORS
-    from unimap.control import Waveform, _mirror_signs
+    from unimap.control import Waveform, _mirror_signs, propagate
     from unimap.ec import _aux_levels, _aux_switching_mapper
     from unimap.search import SearchResult, objective_state_prep
 
@@ -550,7 +567,7 @@ def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, 
     wave = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
     phi_plus = _planned_reflection(*EXTRACT[0])[_aux_levels(+4)]
     keep_result(plus, phi_plus / np.linalg.norm(phi_plus), plus.fiducial_state(), cfg,
-                SearchResult(wave, 1.0, 0, True, np.array([1.0])))
+                SearchResult(wave, 1.0, 0, True, np.array([1.0]), propagate(plus, wave)))
     phi_minus = _planned_reflection(*EXTRACT[1])[_aux_levels(-4)]
     image = Waveform(wave.durations, amps * _mirror_signs(plus, minus, AUX_MIRRORS[-1]))
     j = objective_state_prep(minus, image, phi_minus / np.linalg.norm(phi_minus), minus.fiducial_state())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import apply_adjoint, diag_phase
+from conftest import apply_adjoint, assert_carries_its_propagator, diag_phase
 import unimap.subspace
 from unimap.cesium import CONTROL_NAMES, CesiumParams
 from unimap.control import Waveform, propagate
@@ -303,3 +303,17 @@ def test_conjugate_eigenvectors_play_the_signed_partner_waveform(gate, pairs, co
         assert derived.fidelity == fresh
         assert abs(derived.fidelity - source.fidelity) <= 1e-12
         assert derived.converged and source.converged
+
+
+def test_searched_steps_and_conjugate_images_carry_their_propagators(returned_results):
+    # G:3 at d=7 runs 3 searches for 5 active steps; the other 2 play conjugate images
+    from unimap.cesium import build_restricted_system
+
+    sys = build_restricted_system(CesiumParams())
+    target = np.eye(8, dtype=complex)
+    target[:7, :7] = gate_from_name("G:3", 7)
+    results = returned_results(unimap.subspace)
+    synthesize_unitary(target, SearchedMapper(sys, default_search_config(sys, max_iterations=5, restarts=1)))
+    assert sorted(res.iterations == 0 for _, res in results) == [False] * 3 + [True] * 2
+    for system, res in results:
+        assert_carries_its_propagator(system, res)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimap.control import ControlSystem, Waveform
+from unimap.control import ControlSystem, Waveform, propagate
 from unimap.core import basis_state
 from unimap.search import SearchConfig, SearchResult
 from unimap.subspace import SearchedMapper, SubspaceMapSpec
@@ -55,7 +55,7 @@ def _waveform() -> Waveform:
 ARRAY_RECORDS = {
     "ControlSystem": _system,
     "Waveform": _waveform,
-    "SearchResult": lambda: SearchResult(_waveform(), 0.5, 3, False, [0.25, 0.5]),
+    "SearchResult": lambda: SearchResult(_waveform(), 0.5, 3, False, [0.25, 0.5], propagate(_system(), _waveform())),
     "SubspaceMapSpec": lambda: SubspaceMapSpec((basis_state(2, 0),), (basis_state(2, 1),)),
     "SearchedMapper": lambda: SearchedMapper(_system(), SearchConfig(3, 1e-6)),
 }

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import unimap.search
+from conftest import assert_carries_its_propagator
 from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
 from unimap.control import ControlSystem, Waveform, check_amplitudes, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
@@ -264,6 +265,92 @@ def per_segment_jacobian(sys, w, psi_i, psi_f):
             d_step = v[j] @ (kernel * (v[j].conj().T @ h @ v[j])) @ v[j].conj().T
             jac[:, j, k] = after @ d_step @ before
     return jac.reshape(d, -1)
+
+
+def matmul_kets(u, psi_i):
+    """The ket sweep over the propagator stack u, written with ``@``."""
+    kets = np.empty((len(u) + 1, psi_i.size), dtype=complex)
+    kets[0] = psi_i
+    for j in range(len(u)):
+        kets[j + 1] = u[j] @ kets[j]
+    return kets
+
+
+def matmul_bra_derivatives(sys, w, out_bras, lam, v, u, kets):
+    """``search._bra_derivatives`` with its backward sweep written with ``@``."""
+    m, d, k = w.n_segments, sys.dim, sys.n_controls
+    bras = np.empty((m + 1, len(out_bras), d), dtype=complex)
+    bras[m] = out_bras
+    for j in range(m - 1, -1, -1):
+        bras[j] = bras[j + 1] @ u[j]
+    left = bras[1:] @ v
+    right = (kets[:-1, None, :] @ v.conj())[:, 0]
+    tau = w.durations[:, None]
+    half = np.exp(-0.5j * lam * tau)
+    x = (lam[:, :, None] - lam[:, None, :]) * (tau[:, :, None] / 2)
+    x[x == 0] = 1e-20
+    kernel_t = (half * right)[:, :, None] * (-1j * tau * half)[:, None, :] * (np.sin(x) / x)
+    hv = sys.control_stack.reshape(k * d, d) @ (v @ kernel_t)
+    diag = np.einsum("mai,mkai->mki", v.conj(), hv.reshape(m, k, d, d))
+    return (left @ diag.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, m * k)
+
+
+@pytest.mark.parametrize("model", ["cesium", "two_level", "dense_d4"])
+def test_dot_sweeps_equal_matmul_loops(cesium, two_level, model):
+    # the ket, bra and propagator sweeps multiply with ndarray.dot, bit for bit the @ loops
+    rng = np.random.default_rng(120)
+    sys_m, tau = {"cesium": (cesium, 1e-5), "two_level": (two_level, 0.8), "dense_d4": (dense_system(4), 1e-5)}[model]
+    w = Waveform(np.full(26, tau), rng.uniform(-1, 1, (26, sys_m.n_controls)))
+    psi_i, psi_f = haar_random_state(sys_m.dim, rng), haar_random_state(sys_m.dim, rng)
+    overlap, _, *fwd = unimap.search._forward(sys_m, w, psi_i, psi_f)
+    kets = matmul_kets(fwd[2], psi_i)
+    assert fwd[3].tobytes() == kets.tobytes()
+    assert overlap == np.vdot(psi_f, kets[-1])
+    for out_bras in (psi_f.conj()[None], np.eye(sys_m.dim) - np.outer(psi_f, psi_f.conj())):
+        derivatives = unimap.search._bra_derivatives(sys_m, w, out_bras, *fwd)
+        assert derivatives.tobytes() == matmul_bra_derivatives(sys_m, w, out_bras, *fwd).tobytes()
+    product = np.eye(sys_m.dim, dtype=complex)
+    for step in fwd[2]:
+        product = step @ product
+    assert propagate(sys_m, w).tobytes() == product.tobytes()
+
+
+class TestResultPropagator:
+    """A result carries U of its waveform, from the forward pass that scored the waveform."""
+
+    def test_searched_result(self, cesium):
+        cfg = default_search_config(cesium, seed=121, max_iterations=5, restarts=2)
+        res = multi_start(cesium, haar_random_state(8, np.random.default_rng(122)), cesium.fiducial_state(), cfg)
+        assert res.iterations > 0
+        assert_carries_its_propagator(cesium, res)
+
+    def test_conjugate_image(self, count_calls):
+        sys = build_restricted_system(CesiumParams())
+        source, _, cfg, a_conj = TestConjugateImages.searched_pair(sys, count_calls)
+        derived = multi_start(sys, a_conj, sys.fiducial_state(), cfg)
+        assert derived.iterations == 0 and np.any(derived.waveform.amplitudes)
+        for res in (source, derived):
+            assert_carries_its_propagator(sys, res)
+
+    @pytest.mark.parametrize("model", ["cesium_detuned", "dense_drift"])
+    def test_zero_shortcut_diagonalizes_one_segment(self, count_calls, model):
+        # every segment of the zero waveform plays the drift alone, so one segment is
+        # diagonalized; J is that of the whole waveform's forward pass, bit for bit
+        if model == "dense_drift":
+            dense = dense_system(4, seed=3)
+            sys = ControlSystem(dense.controls[0] + 0.3 * dense.controls[1], dense.controls, dense.amplitude_bounds, 0)
+        else:
+            sys = build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 2e3))
+        assert np.any(sys.drift)
+        cfg = default_search_config(sys, fidelity_goal=1e-3)
+        psi_i, psi_f = haar_random_state(sys.dim, np.random.default_rng(123)), sys.fiducial_state()
+        eigs = count_calls(unimap.search, "segment_eigs")
+        res = multi_start(sys, psi_i, psi_f, cfg)
+        assert [w.n_segments for _, w in eigs] == [1]
+        assert res.iterations == 0 and res.waveform.n_segments == cfg.segment_count
+        assert not np.any(res.waveform.amplitudes)
+        assert res.fidelity == objective_state_prep(sys, res.waveform, psi_i, psi_f) < 1
+        assert_carries_its_propagator(sys, res)
 
 
 class TestJacobian:
@@ -632,7 +719,7 @@ class TestConjugateImages:
         a, fiducial = haar_random_state(8, np.random.default_rng(94)), sys.fiducial_state()
         amps = np.random.default_rng(95).uniform(-1, 1, size=(cfg.segment_count, sys.n_controls))
         wave = Waveform(np.full(cfg.segment_count, cfg.segment_duration), amps)
-        keep_result(sys, a, fiducial, cfg, SearchResult(wave, 1.0, 0, True, np.array([1.0])))
+        keep_result(sys, a, fiducial, cfg, SearchResult(wave, 1.0, 0, True, np.array([1.0]), propagate(sys, wave)))
         image = Waveform(wave.durations, amps * CONJUGATION_SIGNS)
         assert objective_state_prep(sys, image, a.conj(), fiducial) < cfg.fidelity_goal
         searches = count_calls(unimap.search, "search_state_map")
