@@ -3,7 +3,7 @@
 The library couples a projected Levenberg–Marquardt search for
 state-to-state control waveforms with deterministic constructions that
 assemble arbitrary unitaries (one fiducial-phase imprint per eigenvector)
-and subspace maps (one pi-rotation per basis vector).  It ships an 8-level cesium hyperfine
+and subspace maps (one exact phase step per basis vector).  It ships an 8-level cesium hyperfine
 control instance, qudit Pauli/Clifford gate targets, and an embedded-qubit
 error-correction simulation.
 """

@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bs = sub.add_parser("build-subspace-map", help="synthesize a subspace map")
     p_bs.add_argument("--spec", required=True, help="subspace spec JSON")
-    p_bs.add_argument("--exact", action="store_true", help="ideal pi-rotations, no searches")
+    p_bs.add_argument("--exact", action="store_true", help="exact phase steps, no searches")
     p_bs.add_argument("--out-report", required=True)
     p_bs.add_argument("--waveform-dir")
     _add_search_flags(p_bs, SEARCH_FLAGS)

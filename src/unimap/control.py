@@ -141,7 +141,9 @@ class Waveform:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        durations = _readonly(np.asarray(self.durations, dtype=float).reshape(-1))
+        durations = np.asarray(self.durations, dtype=float)
+        # a reshaped view would make ``_readonly`` copy an array it could share
+        durations = _readonly(durations if durations.ndim == 1 else durations.reshape(-1))
         amplitudes = np.asarray(self.amplitudes, dtype=float)
         if amplitudes.ndim != 2:
             raise ValueError(f"amplitudes must be 2-d (segments x controls), got {amplitudes.ndim}-d")

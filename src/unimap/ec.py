@@ -74,7 +74,7 @@ def ec_map_specs() -> tuple[SubspaceMapSpec, SubspaceMapSpec, SubspaceMapSpec]:
 
 
 def ec_maps():
-    """The three protocol maps as ideal 9x9 unitaries, from exact pi-rotations."""
+    """The three protocol maps as ideal 9x9 unitaries, from the exact mapper."""
     mapper = ExactMapper(SIM_DIM)
     return tuple(synthesize_subspace_map(spec, mapper).assembled for spec in ec_map_specs())
 
@@ -261,11 +261,11 @@ def synthesize_ec_maps(params: CesiumParams, cfg: SearchConfig):
 
     Rotations are planned on the 9-level space; each one is realized on
     whichever 8-level control system (aux = +4 or -4) contains its
-    reflection vector.  Phase corrections are analytic.  The six rotations
-    run three searches: step 1 of ``recover`` repeats step 1 of ``encode``
-    (``multi_start`` returns its result again), and step 2 of ``extract``
-    and of ``recover`` are the mirror images S_- of step 1 of ``extract``
-    and S_+ of step 1 of ``encode``, derived with no search.
+    reflection vector.  The six rotations run three searches: step 1 of
+    ``recover`` repeats step 1 of ``encode`` (``multi_start`` returns its
+    result again), and step 2 of ``extract`` and of ``recover`` are the
+    mirror images S_- of step 1 of ``extract`` and S_+ of step 1 of
+    ``encode``, derived with no search.
     """
     mapper = _aux_switching_mapper(
         build_restricted_system(params, aux=+4), build_restricted_system(params, aux=-4), cfg

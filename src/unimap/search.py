@@ -248,6 +248,7 @@ def search_state_map(
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
     durations = np.full(cfg.segment_count, cfg.segment_duration)
+    durations.setflags(write=False)  # shared by every trial waveform, the result and its signed images
     amps = _seed_amplitudes(sys, cfg, np.random.default_rng([cfg.seed, restart_index]))
     shape = amps.shape
     lo = np.broadcast_to(sys.bound_array[0], shape).ravel()

@@ -1,4 +1,4 @@
-"""The phase-about-a-vector builder, and subspace maps built from pi-rotations.
+"""The phase-about-a-vector builder, and subspace maps built from exact phase steps.
 
 Both constructions of the paper are products of factors V† P(theta) V: a
 phase theta imprinted on the fiducial state, conjugated by a map V that
@@ -10,13 +10,13 @@ the factor.  ``ExactMapper`` gives chi = phi (no search), ``SearchedMapper``
 the chi of a multi-start state-map search's propagator; ``ec`` adds a
 third that switches between the two 8-level cesium systems.
 
-A subspace map is one such product with theta = pi.  A single reflection
-S = I - 2|phi><phi| with phi proportional to a - b sends a to b (after
-rephasing b so <b|a> is real positive) while acting as the identity on the
-orthogonal complement of span{a, b}.  Chaining one such rotation per basis
-vector, each retargeted through the rotations before it, yields a map that
-is exact on the whole source basis: every rotation leaves the previously
-mapped vectors untouched.
+A subspace map is one such product, one step per basis vector: step k
+lands a_k exactly on t_k, which is b_k, or b_k rephased so that <t_k|a_k>
+is real and positive when the spec's ``phase_correction`` is off (there
+theta_k = pi and the factor is a reflection).  Chaining the steps, each
+retargeted through the steps before it, yields a map that is exact on the
+whole source basis, since every step leaves the previously mapped vectors
+untouched; the map is the product of the played factors and nothing else.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .control import ControlSystem, Waveform
-from .core import as_state
+from .core import TWO_PI, as_state
 from .search import SearchConfig, multi_start
 
 ORTHONORMAL_TOL = 1e-10
@@ -74,25 +74,16 @@ class SubspaceMapSpec:
 
 
 class RotationStep(NamedTuple):
-    """One retargeted pi-rotation: maps rotated_source to e^{i theta} target."""
+    """One retargeted step: the phase theta about ``reflection`` lands rotated_source on target."""
 
     rotated_source: np.ndarray
     target: np.ndarray
-    reflection: np.ndarray | None  # unit vector, or None when the step is skipped
-    residual_phase: float
+    reflection: np.ndarray | None  # unit vector phi, or None when the step is skipped
+    theta: float
 
     @property
     def skipped(self) -> bool:
         return self.reflection is None
-
-
-def _reflection_vector(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Unit phi with (I - 2|phi><phi|) a = e^{i theta} b, or None when a is already there."""
-    overlap = np.vdot(b, a)
-    theta = 0.0 if abs(overlap) <= ZERO_OVERLAP_TOL else float(np.angle(overlap))
-    diff = a - np.exp(1j * theta) * b
-    norm = np.linalg.norm(diff)
-    return (None if norm <= SKIP_TOL else diff / norm), theta
 
 
 def _rank_one(phi: np.ndarray, c: complex) -> np.ndarray:
@@ -100,20 +91,38 @@ def _rank_one(phi: np.ndarray, c: complex) -> np.ndarray:
     return np.eye(phi.size, dtype=complex) + c * np.outer(phi, phi.conj())
 
 
+def _landing(a: np.ndarray, b: np.ndarray, rephase: bool) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(phi, t, theta) with (I + (e^{-i theta} - 1)|phi><phi|) a = t; phi None when a is already at t.
+
+    t is b, or with ``rephase`` b times e^{i arg<b|a>} (1 when the overlap
+    vanishes) and theta = pi.  Otherwise the factor moves a by c <phi|a> phi
+    with c = -|a - t| / <phi|a>, a form that keeps its digits as a nears b.
+    """
+    t = b
+    if rephase:
+        overlap = np.vdot(b, a)
+        t = np.exp(1j * (0.0 if abs(overlap) <= ZERO_OVERLAP_TOL else float(np.angle(overlap)))) * b
+    diff = a - t
+    norm = np.linalg.norm(diff)
+    if norm <= SKIP_TOL:
+        return None, t, 0.0
+    phi = diff / norm
+    return phi, t, np.pi if rephase else float(-np.angle(1.0 - norm / np.vdot(phi, a))) % TWO_PI
+
+
 def pair_rotation(a, b) -> tuple[np.ndarray, float]:
     """Hermitian involution S with S a = e^{i theta} b, identity elsewhere.
 
-    theta = arg<b|a> (zero when the overlap vanishes) rephases the target
-    so the reflection vector (a - e^{i theta} b) is well defined; when a
-    already equals the rephased target the identity is returned, since the
-    normalization diverges there.
+    theta = arg<b|a> (zero when the overlap vanishes) rephases the target;
+    S is the identity when a already equals the rephased target.
     """
     a = as_state(a)
     b = as_state(b)
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    phi, theta = _reflection_vector(a, b)
-    return (np.eye(a.size, dtype=complex) if phi is None else _rank_one(phi, -2.0)), theta
+    phi, t, _ = _landing(a, b, rephase=True)
+    s = np.eye(a.size, dtype=complex) if phi is None else _rank_one(phi, -2.0)
+    return s, float(np.angle(np.vdot(b, t)))
 
 
 class PhaseStep(NamedTuple):
@@ -212,49 +221,39 @@ class SynthesisReport(NamedTuple):
         return sum(step.waveform is not None for step in self.steps)
 
 
-def phase_product(steps, mapper, score: Callable[[np.ndarray], float], correction=None) -> SynthesisReport:
+def phase_product(steps, mapper, score: Callable[[np.ndarray], float]) -> SynthesisReport:
     """Product of V† P(theta) V over the (phi, theta) steps, first step rightmost.
 
     A step whose phi is None is skipped, its record's chi None; any other
     step's record is ``mapper.phase_about(phi, theta)`` and its factor
-    I + (e^{-i theta} - 1)|chi><chi|.  ``correction``, when given, multiplies
-    the product from the left; ``score`` turns it into the report's fidelity.
+    I + (e^{-i theta} - 1)|chi><chi|.  ``score`` turns the product into the
+    report's fidelity.
     """
     records = tuple(PhaseStep(theta, None) if phi is None else mapper.phase_about(phi, theta) for phi, theta in steps)
     acc = np.eye(mapper.dim, dtype=complex)
     for step in records:
         if not step.skipped:
             acc = _rank_one(step.chi, np.exp(-1j * step.theta) - 1.0) @ acc
-    if correction is not None:
-        acc = correction @ acc
     return SynthesisReport(assembled=acc, fidelity=score(acc), steps=records)
 
 
 def plan_subspace_map(spec: SubspaceMapSpec) -> list[RotationStep]:
-    """Retargeted rotation sequence, one step per basis vector.
+    """Retargeted step sequence, one step per basis vector.
 
-    Step k rotates a_k as already moved by steps 1..k-1; the orthogonality
-    lemma <rotated a_j | b_k> = 0 for j > k guarantees later steps leave
-    earlier targets alone.
+    Step k lands a_k, as already moved by steps 1..k-1 (a rephased step
+    moves it by the reflection I - 2|phi><phi|), on its target; the lemma
+    <rotated a_j | t_k> = 0 for j > k keeps earlier targets in place.
     """
     steps: list[RotationStep] = []
     accumulated = np.eye(spec.dim, dtype=complex)
     for a, b in zip(spec.source, spec.target):
         a_rot = accumulated @ a
-        phi, theta = _reflection_vector(a_rot, b)
-        steps.append(RotationStep(a_rot, np.exp(1j * theta) * b, phi, theta))
+        phi, t, theta = _landing(a_rot, b, rephase=not spec.phase_correction)
+        steps.append(RotationStep(a_rot, t, phi, theta))
         if phi is not None:
-            accumulated = _rank_one(phi, -2.0) @ accumulated
+            c = np.exp(-1j * theta) - 1.0 if spec.phase_correction else -2.0
+            accumulated = _rank_one(phi, c) @ accumulated
     return steps
-
-
-def phase_correction_factor(steps: list[RotationStep], spec: SubspaceMapSpec) -> np.ndarray:
-    """Product of e^{-i theta_i |b_i><b_i|} undoing the recorded phases."""
-    corr = np.eye(spec.dim, dtype=complex)
-    for step, b in zip(steps, spec.target):
-        if step.residual_phase != 0.0:
-            corr = _rank_one(b, np.exp(-1j * step.residual_phase) - 1.0) @ corr
-    return corr
 
 
 def subspace_fidelity(t: np.ndarray, spec: SubspaceMapSpec) -> float:
@@ -268,22 +267,19 @@ def subspace_fidelity(t: np.ndarray, spec: SubspaceMapSpec) -> float:
 
 
 def synthesize_subspace_map(spec: SubspaceMapSpec, mapper) -> SynthesisReport:
-    """T = s_n ... s_1 with each pi-rotation s_k realized as V† P(pi) V.
+    """T = s_n ... s_1 with each planned step s_k realized as V† P(theta_k) V.
 
-    The mapper sends the reflection vector phi_k to its fiducial state, so
-    the pi imprint there acts as I - 2|phi_k><phi_k|.  Phase corrections,
-    when enabled, are applied analytically and cost no searches: with them
-    T a_i = b_i, without them T a_i = e^{i theta_i} b_i for the phases
-    recorded in the plan.
+    The mapper sends phi_k to its fiducial state, so the theta_k imprint
+    there acts as I + (e^{-i theta_k} - 1)|phi_k><phi_k|.  ``assembled`` is
+    the product of these played factors: T a_i = b_i with ``phase_correction``,
+    else T a_i is the rephased target of step i and every theta_k is pi.
     """
     if spec.dim != mapper.dim:
         raise ValueError(f"spec dimension {spec.dim} != mapper dimension {mapper.dim}")
-    steps = plan_subspace_map(spec)
     return phase_product(
-        [(step.reflection, np.pi) for step in steps],
+        [(step.reflection, step.theta) for step in plan_subspace_map(spec)],
         mapper,
         score=lambda t: subspace_fidelity(t, spec),
-        correction=phase_correction_factor(steps, spec) if spec.phase_correction else None,
     )
 
 

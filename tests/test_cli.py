@@ -18,10 +18,12 @@ import unimap
 import unimap.cli
 import unimap.search
 import unimap.subspace
+from unimap.cesium import CesiumParams, build_restricted_system
 from unimap.cli import OPTIONAL_FLAGS, _resolve_state, build_parser, main
-from unimap.control import Waveform
-from unimap.core import basis_state
-from unimap.io import complex_to_pairs, load_schema, load_waveform, save_waveform
+from unimap.control import Waveform, propagate
+from unimap.core import basis_state, haar_random_unitary
+from unimap.io import complex_to_pairs, load_schema, load_subspace_spec, load_waveform, save_waveform
+from unimap.subspace import plan_subspace_map, subspace_fidelity
 
 import jsonschema
 
@@ -361,6 +363,29 @@ class TestSubspaceMapCLI:
         assert len(doc["step_fidelities"]) == 1 and doc["step_fidelities"][0] >= 1 - 1e-12
         assert doc["step_converged"] == [True]
         assert doc["searches_performed"] == 0 and doc["waveform_files"] == []
+
+    def test_searched_fidelity_is_that_of_the_written_waveforms(self, tmp_path):
+        # each factor rebuilt from its waveform file, with the planned theta, must score what the report says
+        rng = np.random.default_rng(41)
+        u, v = haar_random_unitary(8, rng), haar_random_unitary(8, rng)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "source": [complex_to_pairs(u[:, k]) for k in range(2)],
+            "target": [complex_to_pairs(v[:, k]) for k in range(2)],
+        }))
+        report = tmp_path / "r.json"
+        assert run(["build-subspace-map", "--spec", str(spec_file), "--max-iterations", "3", "--restarts", "1",
+                    "--out-report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        spec = load_subspace_spec(str(spec_file))
+        thetas = [step.theta for step in plan_subspace_map(spec) if not step.skipped]
+        assert len(doc["waveform_files"]) == len(thetas) == 2 and np.pi not in thetas
+        sys_m = build_restricted_system(CesiumParams())
+        played = np.eye(8, dtype=complex)
+        for path, theta in zip(doc["waveform_files"], thetas):
+            chi = propagate(sys_m, load_waveform(path))[sys_m.fiducial_index].conj()
+            played = (np.eye(8) + (np.exp(-1j * theta) - 1.0) * np.outer(chi, chi.conj())) @ played
+        assert abs(subspace_fidelity(played, spec) - doc["subspace_fidelity"]) <= 1e-12
 
     def test_spec_dimension_mismatch_exits_2_without_report(self, tmp_path, capsys):
         spec = {

@@ -395,6 +395,15 @@ class TestWaveformValidation:
         w = Waveform(np.full(4, 1e-6), np.zeros((4, 5)))
         assert (w.n_segments, w.n_controls) == (4, 5)
 
+    def test_read_only_durations_are_shared(self):
+        durations = np.full(4, 1e-6)
+        durations.setflags(write=False)
+        assert Waveform(durations, np.zeros((4, 5))).durations is durations
+        # a writable or a 2-d array is copied, read-only
+        for given in (np.full(4, 1e-6), np.full((4, 1), 1e-6)):
+            kept = Waveform(given, np.zeros((4, 5))).durations
+            assert kept.shape == (4,) and not kept.flags.writeable and not np.shares_memory(kept, given)
+
 
 def test_lie_algebra_dimension_su2():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -614,17 +614,18 @@ def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls
 
 
 def test_synthesized_maps_equal_two_propagation_form(fixed_search):
-    # each pi-rotation phases about the fiducial row of the one propagator
-    # it computed, written into its aux system's levels; the maps must equal
-    # the rank-one product built from a second propagation of the same
-    # waveforms, and the 8-level V† P V lifted into the 9 levels to rounding
+    # each step phases its planned theta about the fiducial row of the one
+    # propagator it computed, written into its aux system's levels; the maps
+    # must equal the rank-one product built from a second propagation of the
+    # same waveforms, and the 8-level V† P(theta) V lifted into the 9 levels
+    # to rounding, with no factor beyond the played steps
     import unimap.ec
     import unimap.subspace
     from unimap.cesium import CesiumParams, build_restricted_system
     from conftest import apply_adjoint, diag_phase
     from unimap.control import propagate
     from unimap.search import default_search_config
-    from unimap.subspace import _rank_one, phase_correction_factor, plan_subspace_map
+    from unimap.subspace import _rank_one, plan_subspace_map
 
     params = CesiumParams()
     handed_out = fixed_search(unimap.subspace)
@@ -644,13 +645,10 @@ def test_synthesized_maps_equal_two_propagation_form(fixed_search):
             v8 = propagate(sys8, wave)
             chi = np.zeros(9, dtype=complex)
             chi[levels] = v8[sys8.fiducial_index].conj()
-            expected = _rank_one(chi, np.exp(-1j * np.pi) - 1.0) @ expected
+            expected = _rank_one(chi, np.exp(-1j * step.theta) - 1.0) @ expected
             s9 = np.eye(9, dtype=complex)
-            s9[np.ix_(levels, levels)] = apply_adjoint(sys8, wave) @ diag_phase(8, sys8.fiducial_index, np.pi) @ v8
+            s9[np.ix_(levels, levels)] = apply_adjoint(sys8, wave) @ diag_phase(8, sys8.fiducial_index, step.theta) @ v8
             conjugated = s9 @ conjugated
-        if spec.phase_correction:
-            expected = phase_correction_factor(steps, spec) @ expected
-            conjugated = phase_correction_factor(steps, spec) @ conjugated
         assert np.array_equal(got, expected)
         assert np.abs(got - conjugated).max() < 1e-12
     assert len(handed_out) == 6 and next(calls, None) is None

@@ -700,6 +700,12 @@ class TestConjugateImages:
         assert multi_start(sys, a_conj.copy(), sys.fiducial_state(), cfg) is derived
         assert len(searches) == cfg.restarts
 
+    def test_image_shares_the_source_durations(self, count_calls):
+        sys = build_restricted_system(CesiumParams())
+        source, _, cfg, a_conj = self.searched_pair(sys, count_calls)
+        derived = multi_start(sys, a_conj, sys.fiducial_state(), cfg)
+        assert derived.iterations == 0 and derived.waveform.durations is source.waveform.durations
+
     def test_a_different_config_derives_nothing(self, count_calls):
         sys = build_restricted_system(CesiumParams())
         _, searches, cfg, a_conj = self.searched_pair(sys, count_calls)

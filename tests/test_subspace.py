@@ -1,4 +1,4 @@
-"""Pi-rotation subspace maps: pair rotations, planning, assembly, synthesis."""
+"""Subspace maps from exact phase steps: pair rotations, planning, assembly, synthesis."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from unimap.subspace import (
     _rank_one,
     naive_sequential_map,
     pair_rotation,
-    phase_correction_factor,
     phase_product,
     plan_subspace_map,
     subspace_fidelity,
@@ -26,12 +25,20 @@ from unimap.subspace import (
 )
 
 
-def reflection(step):
-    """The step's pi-rotation I - 2|phi><phi| as a matrix; identity when skipped."""
-    d = step.rotated_source.size
-    if step.skipped:
+def factor(phi, theta, d=8):
+    """I + (e^{-i theta} - 1)|phi><phi| as a d x d matrix; the identity when phi is None (a skipped step)."""
+    if phi is None:
         return np.eye(d, dtype=complex)
-    return np.eye(d, dtype=complex) - 2.0 * np.outer(step.reflection, step.reflection.conj())
+    return np.eye(d, dtype=complex) + (np.exp(-1j * theta) - 1.0) * np.outer(phi, phi.conj())
+
+
+def played_product(rep):
+    """Product of the recorded factors I + (e^{-i theta} - 1)|chi><chi| over the report's steps, first rightmost."""
+    d = rep.assembled.shape[0]
+    acc = np.eye(d, dtype=complex)
+    for step in rep.steps:
+        acc = factor(step.chi, step.theta, d) @ acc
+    return acc
 
 
 def exact_map(spec):
@@ -110,14 +117,16 @@ class TestPlan:
         assert all(s.skipped for s in steps)
 
     def test_single_vector_matches_pair_rotation(self):
+        # without phase correction the one step is the pair rotation, landing on its rephased target
         rng = np.random.default_rng(1)
         a, b = haar_random_state(5, rng), haar_random_state(5, rng)
-        spec = SubspaceMapSpec(source=(a,), target=(b,))
+        spec = SubspaceMapSpec(source=(a,), target=(b,), phase_correction=False)
         steps = plan_subspace_map(spec)
         s_direct, theta = pair_rotation(a, b)
-        assert len(steps) == 1
-        assert steps[0].residual_phase == pytest.approx(theta)
-        assert np.abs(reflection(steps[0]) - s_direct).max() < 1e-12
+        assert len(steps) == 1 and steps[0].theta == np.pi
+        assert np.linalg.norm(steps[0].target - np.exp(1j * theta) * b) < 1e-12
+        assert np.array_equal(np.eye(5) - 2.0 * np.outer(steps[0].reflection, steps[0].reflection.conj()), s_direct)
+        assert np.abs(factor(steps[0].reflection, steps[0].theta, 5) - s_direct).max() < 1e-12
 
     def test_induction_lemma(self):
         spec = random_spec(3, 8, seed=2)
@@ -131,7 +140,7 @@ class TestPlan:
             spec = random_spec(4, 8, seed=100 + seed)
             steps = plan_subspace_map(spec)
             for j, step in enumerate(steps):
-                s = reflection(step)
+                s = factor(step.reflection, step.theta)
                 for k in range(j):
                     b_k = steps[k].target
                     assert np.linalg.norm(s @ b_k - b_k) < 1e-9
@@ -214,8 +223,45 @@ class TestAssemble:
         steps = plan_subspace_map(spec)
         t = exact_map(spec)
         for step, a, b in zip(steps, spec.source, spec.target):
-            want = np.exp(1j * step.residual_phase) * b
-            assert np.linalg.norm(t @ a - want) < 1e-9
+            # the target is b times a unit phase, real and positive against the rotated source
+            overlap = np.vdot(step.target, step.rotated_source)
+            assert abs(abs(np.vdot(b, step.target)) - 1) < 1e-12 and abs(overlap.imag) < 1e-12 and overlap.real > 0
+            assert np.linalg.norm(t @ a - step.target) < 1e-12
+
+    @pytest.mark.parametrize("phase_correction", [True, False])
+    def test_haar_specs_land_exactly(self, phase_correction):
+        # every a_i lands on b_i, or on its rephased b_i without phase correction
+        rng = np.random.default_rng(301)
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            n = int(rng.integers(1, d + 1))
+            u, v = haar_random_unitary(d, rng), haar_random_unitary(d, rng)
+            spec = SubspaceMapSpec(tuple(u[:, :n].T), tuple(v[:, :n].T), phase_correction=phase_correction)
+            t = exact_map(spec)
+            targets = [step.target for step in plan_subspace_map(spec)] if not phase_correction else spec.target
+            for a, b in zip(spec.source, targets):
+                assert np.linalg.norm(t @ a - b) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-8])
+    def test_nearby_pair_with_complex_overlap_lands(self, gap):
+        rng = np.random.default_rng(302)
+        b = haar_random_state(5, rng)
+        a = b + gap * haar_random_state(5, rng)
+        a /= np.linalg.norm(a)
+        assert gap / 2 < np.linalg.norm(a - b) < 2 * gap and abs(np.vdot(b, a).imag) > gap / 10
+        spec = SubspaceMapSpec(source=(a,), target=(b,))
+        (step,) = plan_subspace_map(spec)
+        assert not step.skipped and step.theta != np.pi
+        assert np.linalg.norm(exact_map(spec) @ a - b) <= 1e-12
+
+    def test_phase_correction_off_plays_exact_reflections(self):
+        spec = random_spec(4, 8, seed=303, phase_correction=False)
+        rep = synthesize_subspace_map(spec, ExactMapper(8))
+        for planned, step in zip(plan_subspace_map(spec), rep.steps):
+            assert planned.theta == step.theta == np.pi
+            s = np.eye(8) - 2.0 * np.outer(step.chi, step.chi.conj())
+            assert np.abs(factor(planned.reflection, planned.theta) - s).max() < 1e-15
+            assert np.abs(s @ s - np.eye(8)).max() < 1e-15
 
     def test_ec_protocol_maps(self):
         from unimap.ec import ec_map_specs
@@ -228,13 +274,10 @@ class TestAssemble:
     @pytest.mark.parametrize("phase_correction", [True, False])
     def test_equals_product_of_reflections(self, phase_correction):
         spec = random_spec(4, 8, seed=44, phase_correction=phase_correction)
-        steps = plan_subspace_map(spec)
         want = np.eye(8, dtype=complex)
-        for step in steps:
-            want = reflection(step) @ want
-        if phase_correction:
-            want = phase_correction_factor(steps, spec) @ want
-        assert np.abs(exact_map(spec) - want).max() < 1e-12
+        for step in plan_subspace_map(spec):
+            want = factor(step.reflection, step.theta) @ want
+        assert np.array_equal(exact_map(spec), want)
 
     def test_exact_report_lists_active_steps(self):
         keep = basis_state(6, 5)
@@ -260,6 +303,19 @@ class TestAssemble:
         t_good = exact_map(spec)
         for a, b in zip(spec.source, spec.target):
             assert 1 - abs(np.vdot(b, t_good @ a)) ** 2 < 1e-12
+
+
+@pytest.mark.parametrize("searched", [False, True], ids=["exact", "searched"])
+def test_assembled_is_the_product_of_the_played_factors(cesium, fixed_search, searched):
+    # a spec whose steps carry phases other than pi: no factor enters beyond the recorded steps
+    fixed_search(unimap.subspace)
+    spec = random_spec(3, 8, seed=304)
+    assert all(step.theta != np.pi for step in plan_subspace_map(spec))
+    mapper = SearchedMapper(cesium, default_search_config(cesium)) if searched else ExactMapper(8)
+    rep = synthesize_subspace_map(spec, mapper)
+    assert np.abs(played_product(rep) - rep.assembled).max() < 1e-12
+    if not searched:
+        assert rep.fidelity >= 1 - 1e-12
 
 
 class TestSynthesize:
@@ -307,24 +363,23 @@ class TestSynthesize:
         assert handed_out == []
 
     def test_assembled_equals_two_propagation_form(self, cesium, fixed_search):
-        # each pi-rotation phases about the fiducial row of the one
+        # each step phases theta_k about the fiducial row of the one
         # propagator it computed; the result must equal the rank-one product
-        # built from a second propagation of the same waveforms, and V† P V
-        # to rounding
+        # built from a second propagation of the same waveforms, and
+        # V† P(theta_k) V to rounding, with no factor beyond the played steps
         handed_out = fixed_search(unimap.subspace)
         spec = random_spec(3, 8, seed=12)
         rep = synthesize_subspace_map(spec, SearchedMapper(cesium, default_search_config(cesium)))
-        assert len(handed_out) == 3
-        pi_imprint = diag_phase(8, cesium.fiducial_index, np.pi)
+        thetas = [step.theta for step in plan_subspace_map(spec)]
+        assert len(handed_out) == 3 and all(theta != np.pi for theta in thetas)
         expected = np.eye(8, dtype=complex)
         conjugated = np.eye(8, dtype=complex)
-        for sys_m, wave in handed_out:
+        for (sys_m, wave), theta in zip(handed_out, thetas):
             v = propagate(sys_m, wave)
-            expected = _rank_one(v[sys_m.fiducial_index].conj(), np.exp(-1j * np.pi) - 1.0) @ expected
-            conjugated = apply_adjoint(sys_m, wave) @ pi_imprint @ v @ conjugated
-        correction = phase_correction_factor(plan_subspace_map(spec), spec)
-        assert np.array_equal(rep.assembled, correction @ expected)
-        assert np.abs(rep.assembled - correction @ conjugated).max() < 1e-12
+            expected = _rank_one(v[sys_m.fiducial_index].conj(), np.exp(-1j * theta) - 1.0) @ expected
+            conjugated = apply_adjoint(sys_m, wave) @ diag_phase(8, sys_m.fiducial_index, theta) @ v @ conjugated
+        assert np.array_equal(rep.assembled, expected)
+        assert np.abs(rep.assembled - conjugated).max() < 1e-12
 
 
 class TestSearchedMapper:
@@ -374,7 +429,7 @@ def test_records_follow_the_plan(cesium, fixed_search, target, searched):
         e = [basis_state(8, k) for k in range(8)]
         spec = SubspaceMapSpec(source=(e[0], e[5], e[1]), target=(e[2], e[5], e[3]))
         rep = synthesize_subspace_map(spec, mapper)
-        plan = [(np.pi, step.skipped) for step in plan_subspace_map(spec)]
+        plan = [(step.theta, step.skipped) for step in plan_subspace_map(spec)]
         assert rep.skipped_steps == (1,)
     else:
         v = haar_random_unitary(8, np.random.default_rng(15))
