@@ -88,6 +88,9 @@ class ControlSystem:
     #: ||H0|| + sum_k ||H_k|| max(|lo_k|, |hi_k|) (rad/s, spectral norms), a bound on
     #: every segment generator within the amplitude bounds
     generator_bound: float = field(init=False, repr=False)
+    #: (K,) Fubini–Study speed (lam_max - lam_min) / 2 (rad/s) of each control generator, 1 for one of
+    #: zero spread (zero, or a multiple of I): the units in which the search damps each amplitude
+    control_speeds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         drift = _readonly(assert_hermitian(self.drift))
@@ -120,6 +123,8 @@ class ControlSystem:
             float(np.linalg.norm(h, 2)) * max(abs(lo), abs(hi)) for h, (lo, hi) in zip(controls, bounds)
         )
         object.__setattr__(self, "generator_bound", bound)
+        speeds = np.ptp(np.linalg.eigvalsh(stack), axis=-1) / 2
+        object.__setattr__(self, "control_speeds", _readonly(np.where(speeds > 0, speeds, 1.0)))
 
     @property
     def dim(self) -> int:

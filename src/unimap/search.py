@@ -1,9 +1,10 @@
 """Projected Levenberg–Marquardt search for state-to-state control waveforms.
 
 The objective is J = |<psi_f| U(T) |psi_i>|^2 over the segment amplitudes
-of a piecewise-constant waveform.  The search minimizes the phase-free
-residual r = (I - |psi_f><psi_f|) U(T)|psi_i>, whose squared norm is
-exactly 1 - J, so a state map is a zero-residual least-squares problem.
+of a piecewise-constant waveform.  The search minimizes the chordal
+residual r = U(T)|psi_i> - e^{i alpha}|psi_f>, alpha = arg <psi_f|U(T)|psi_i>,
+whose squared norm is 2(1 - sqrt J) at unit norm, so a state map is a
+zero-residual least-squares problem.
 Each trial point diagonalizes its M segment generators once
 (``control.segment_eigs``: when the system couples its levels in a single
 chain, as the cesium model does, a real ``eigh`` in chain order, where a
@@ -18,7 +19,7 @@ those forward kets: its backward sweep applies the same stack to all n
 bras at once, and the spectral divided-difference kernel of the matrix
 exponential is contracted for all segments against the system's cached
 stack of control generators.  The bra <psi_f| gives the exact gradient of
-J; the d rows of the projector give the d x MK Jacobian of r.
+J; the d identity rows give d(U psi_i)/du, hence the (2d + 1) x MK Jacobian of r.
 
 ``multi_start`` keeps its results per system.  On a miss it tries the
 all-zero waveform, then the image of a kept result under an exact symmetry
@@ -206,9 +207,14 @@ def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets)
     return (left @ diag.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, m * k)
 
 
-def _real_rows(z: np.ndarray) -> np.ndarray:
-    """A complex array's real parts stacked on its imaginary parts along the first axis."""
-    return np.concatenate((z.real, z.imag))
+def _chordal_jacobian(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, u, kets) -> np.ndarray:
+    """The (2d + 1) x MK real Jacobian of the chordal residual: Re and Im of D - psi_f (psi_f† D), then
+    Re(e^{-i alpha} psi_f† D), e^{-i alpha} = conj(overlap) / |overlap| or 1, from D = d(U psi_i)/du."""
+    d_ket = _bra_derivatives(sys, w, np.eye(sys.dim), lam, v, u, kets)
+    along = psi_f.conj() @ d_ket
+    phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
+    off = d_ket - np.outer(psi_f, along)
+    return np.concatenate((off.real, off.imag, (phase * along).real[None]))
 
 
 def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
@@ -226,15 +232,17 @@ def search_state_map(
     cfg: SearchConfig,
     restart_index: int = 0,
 ) -> SearchResult:
-    """Projected Levenberg–Marquardt descent of 1 - J = |r|^2 from one random seed.
+    """Projected Levenberg–Marquardt descent of the chordal residual from one random seed.
 
-    The complex residual r and its Jacobian are split into real and
-    imaginary rows, 2d of each.  A variable at a bound whose descent
-    points outward is held fixed; on the rest the step solves the small
-    dual system (J Jᵀ + mu I) y = r through the eigensystem of J Jᵀ and
-    takes -Jᵀ y, clipped to the box.
+    r is U psi_i - <psi_f|U psi_i> psi_f in real and imaginary rows, then
+    |<psi_f|U psi_i>| - 1, so |r|^2 = 2(1 - sqrt J).  A variable at a bound
+    whose descent points outward is held fixed; on the rest the step solves
+    the small dual system (J_s J_sᵀ + mu I) y = r, with J_s = J S^-1 in units
+    of the controls' Fubini–Study speeds (``ControlSystem.control_speeds``),
+    through the eigensystem of J_s J_sᵀ and takes -S^-1 J_sᵀ y, clipped to the
+    box: (JᵀJ + mu S²) delta = -Jᵀ r (Moré, LNM 630, 1978).
     A step is accepted when it raises J, and its gain ratio against the
-    linear model sets the next mu (Madsen, Nielsen and Tingleff, Methods
+    linear model of |r|^2 sets the next mu (Madsen, Nielsen and Tingleff, Methods
     for Non-Linear Least Squares Problems, 2004, section 3.2); a rejected
     step raises mu and is retried.  Stops at the fidelity goal, at
     ``max_iterations``, at a vanishing projected gradient, when mu passes
@@ -253,13 +261,13 @@ def search_state_map(
     shape = amps.shape
     lo = np.broadcast_to(sys.bound_array[0], shape).ravel()
     hi = np.broadcast_to(sys.bound_array[1], shape).ravel()
-    projector = np.eye(sys.dim) - np.outer(psi_f, psi_f.conj())
+    speeds = np.tile(sys.control_speeds, cfg.segment_count)
 
     def evaluate(x):
-        """The waveform at x, its forward pass, J and the real residual."""
+        """The waveform at x, its forward pass, J and the real chordal residual."""
         wave = Waveform(durations, x.reshape(shape))
         fwd = _forward(sys, wave, psi_i, psi_f)
-        return wave, fwd, _fidelity(*fwd[:2]), _real_rows(fwd[1])
+        return wave, fwd, _fidelity(*fwd[:2]), np.concatenate((fwd[1].real, fwd[1].imag, [abs(fwd[0]) - 1]))
 
     x = amps.ravel()
     wave, fwd, j_val, res = evaluate(x)
@@ -267,14 +275,14 @@ def search_state_map(
     iterations, mu, nu, jac = 0, None, 2.0, None
     while j_val < cfg.fidelity_goal and iterations < cfg.max_iterations:
         if jac is None:
-            jac = _real_rows(_bra_derivatives(sys, wave, projector, *fwd[2:]))
+            jac = _chordal_jacobian(sys, wave, psi_f, fwd[0], *fwd[2:])
             if not np.isfinite(jac).all():
                 break
             grad = -2 * (res @ jac)
             free = ~(((x >= hi) & (grad > 0)) | ((x <= lo) & (grad < 0)))
             if np.linalg.norm(grad[free]) < GRAD_NORM_STOP:
                 break
-            jac_free = jac[:, free]
+            jac_free = jac[:, free] / speeds[free]
             gram = jac_free @ jac_free.T
             scale = gram.diagonal().max()
             mu = MU_START * scale if mu is None else mu
@@ -284,7 +292,7 @@ def search_state_map(
         if mu > MU_CAP * scale:
             break
         step = np.zeros_like(x)
-        step[free] = -(jac_q @ (res_q / (gram_eigs + mu)))
+        step[free] = -(jac_q @ (res_q / (gram_eigs + mu))) / speeds[free]
         trial = np.clip(x + step, lo, hi)
         trial_wave, trial_fwd, j_trial, trial_res = evaluate(trial)
         if not (math.isfinite(j_trial) and np.isfinite(trial_res).all()):
@@ -294,7 +302,7 @@ def search_state_map(
             continue
         model = res + jac @ (trial - x)
         predicted = res @ res - model @ model
-        rho = min(j_trial - j_val, predicted) / predicted if predicted > 0 else 0.0
+        rho = min(res @ res - trial_res @ trial_res, predicted) / predicted if predicted > 0 else 0.0
         mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
         iterations += 1
         history.append(j_trial)

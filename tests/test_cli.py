@@ -544,10 +544,11 @@ def test_benchmark_searched_workloads_search_counts(tmp_path, monkeypatch, count
     assert counts == searches
 
 
-@pytest.mark.parametrize("workload, bound", [("unitary_d7", 92), ("subspace_maps", 205)])
+@pytest.mark.parametrize("workload, bound", [("unitary_d7", 46), ("subspace_maps", 120)])
 def test_benchmark_searched_workloads_forward_passes(tmp_path, monkeypatch, count_calls, workload, bound):
-    # each forward pass of the search module diagonalizes its segments once; the bounds are half
-    # the 184 and 409 passes that the projected L-BFGS search took on these commands
+    # each forward pass of the search module diagonalizes its segments once; on the chordal
+    # residual with speed-scaled damping these commands take 42 and 108 passes, where the
+    # phase-free residual with plain damping took 44 and 147
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 

@@ -235,24 +235,27 @@ class TestStackedKernel:
 
 
 def kernel_jacobian(sys, w, psi_i, psi_f):
-    """The kernel's d x MK Jacobian of r = (I - |psi_f><psi_f|) U |psi_i>, its bras the projector's rows."""
-    fwd = unimap.search._forward(sys, w, psi_i, psi_f)
-    return unimap.search._bra_derivatives(sys, w, np.eye(sys.dim) - np.outer(psi_f, psi_f.conj()), *fwd[2:])
+    """The search's (2d + 1) x MK Jacobian of the chordal residual, from one forward pass."""
+    overlap, _, *fwd = unimap.search._forward(sys, w, psi_i, psi_f)
+    return unimap.search._chordal_jacobian(sys, w, psi_f, overlap, *fwd)
 
 
 def residual(sys, w, psi_i, psi_f):
+    """Chordal residual U psi_i - <psi_f|U psi_i> psi_f in real and imaginary rows, then |<psi_f|U psi_i>| - 1."""
     ket = propagate(sys, w) @ psi_i
-    return ket - np.vdot(psi_f, ket) * psi_f
+    overlap = np.vdot(psi_f, ket)
+    off = ket - overlap * psi_f
+    return np.concatenate((off.real, off.imag, [abs(overlap) - 1]))
 
 
-def per_segment_jacobian(sys, w, psi_i, psi_f):
-    """Reference Jacobian of r: each segment's propagator derivative written out as a matrix, one at a time."""
+def per_segment_jacobian(sys, w, psi_i):
+    """Reference d(U psi_i)/du: each segment's propagator derivative written out as a matrix, one at a time."""
     lam, v = segment_eigs(sys, w)
     m, d = w.n_segments, sys.dim
     steps = [v[j] @ np.diag(np.exp(-1j * lam[j] * w.durations[j])) @ v[j].conj().T for j in range(m)]
     jac = np.zeros((d, m, sys.n_controls), dtype=complex)
     for j in range(m):
-        before, after = psi_i, np.eye(d) - np.outer(psi_f, psi_f.conj())
+        before, after = psi_i, np.eye(d)
         for step in steps[:j]:
             before = step @ before
         for step in reversed(steps[j + 1:]):
@@ -306,7 +309,7 @@ def test_dot_sweeps_equal_matmul_loops(cesium, two_level, model):
     kets = matmul_kets(fwd[2], psi_i)
     assert fwd[3].tobytes() == kets.tobytes()
     assert overlap == np.vdot(psi_f, kets[-1])
-    for out_bras in (psi_f.conj()[None], np.eye(sys_m.dim) - np.outer(psi_f, psi_f.conj())):
+    for out_bras in (psi_f.conj()[None], np.eye(sys_m.dim)):
         derivatives = unimap.search._bra_derivatives(sys_m, w, out_bras, *fwd)
         assert derivatives.tobytes() == matmul_bra_derivatives(sys_m, w, out_bras, *fwd).tobytes()
     product = np.eye(sys_m.dim, dtype=complex)
@@ -353,37 +356,59 @@ class TestResultPropagator:
         assert_carries_its_propagator(sys, res)
 
 
+def near_target(sys, w, psi_i, rng, offset=0.02):
+    """A unit target a small random offset away from U psi_i, so that J > 0.999."""
+    ket = propagate(sys, w) @ psi_i + offset * haar_random_state(sys.dim, rng)
+    return ket / np.linalg.norm(ket)
+
+
 class TestJacobian:
     @pytest.mark.parametrize("model", ["cesium", "two_level", "dense_d4"])
     def test_matches_central_differences(self, cesium, two_level, model):
+        # at a generic point and at one with J > 0.999, radial row included
         rng = np.random.default_rng(90)
         models = {"cesium": (cesium, 1e-5), "two_level": (two_level, 0.8), "dense_d4": (dense_system(4), 1e-5)}
         sys_m, tau = models[model]
         assert (sys_m.chain_walk is None) == (model == "dense_d4")
         w = Waveform(np.full(4, tau), 0.6 * rng.uniform(-1, 1, (4, sys_m.n_controls)))
-        psi_i, psi_f = haar_random_state(sys_m.dim, rng), haar_random_state(sys_m.dim, rng)
-        flat, step = w.amplitudes.ravel(), 1e-6
-        fd = np.empty((sys_m.dim, flat.size), dtype=complex)
-        for idx in range(flat.size):
-            shift = np.zeros(flat.size)
-            shift[idx] = step
-            up, down = (Waveform(w.durations, (flat + s).reshape(w.amplitudes.shape)) for s in (shift, -shift))
-            fd[:, idx] = (residual(sys_m, up, psi_i, psi_f) - residual(sys_m, down, psi_i, psi_f)) / (2 * step)
-        jac = kernel_jacobian(sys_m, w, psi_i, psi_f)
-        assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+        psi_i = haar_random_state(sys_m.dim, rng)
+        targets = (haar_random_state(sys_m.dim, rng), near_target(sys_m, w, psi_i, rng))
+        assert objective_state_prep(sys_m, w, psi_i, targets[1]) > 0.999
+        for psi_f in targets:
+            flat, step = w.amplitudes.ravel(), 1e-6
+            fd = np.empty((2 * sys_m.dim + 1, flat.size))
+            for idx in range(flat.size):
+                shift = np.zeros(flat.size)
+                shift[idx] = step
+                up, down = (Waveform(w.durations, (flat + s).reshape(w.amplitudes.shape)) for s in (shift, -shift))
+                fd[:, idx] = (residual(sys_m, up, psi_i, psi_f) - residual(sys_m, down, psi_i, psi_f)) / (2 * step)
+            jac = kernel_jacobian(sys_m, w, psi_i, psi_f)
+            assert jac.shape == fd.shape
+            assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_matches_per_segment_loop(self, cesium, case):
+        # the search's bras are the d identity rows, which give d(U psi_i)/du
         sys_m, w, psi_i, psi_f = kernel_case(cesium, case)
-        reference = per_segment_jacobian(sys_m, w, psi_i, psi_f)
-        assert np.linalg.norm(kernel_jacobian(sys_m, w, psi_i, psi_f) - reference) <= 1e-12 * np.linalg.norm(reference)
+        fwd = unimap.search._forward(sys_m, w, psi_i, psi_f)[2:]
+        kernel = unimap.search._bra_derivatives(sys_m, w, np.eye(sys_m.dim), *fwd)
+        reference = per_segment_jacobian(sys_m, w, psi_i)
+        assert np.linalg.norm(kernel - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_squared_residual_is_chordal(self, cesium):
+        # |r|^2 = 2 (1 - sqrt J) at unit norm, at a generic point and at one with J > 0.999
+        sys_m, w, psi_i, psi_f = kernel_case(cesium, "cesium_m26")
+        for target in (psi_f, near_target(sys_m, w, psi_i, np.random.default_rng(91))):
+            r, j = residual(sys_m, w, psi_i, target), objective_state_prep(sys_m, w, psi_i, target)
+            assert r @ r == pytest.approx(2 * (1 - np.sqrt(j)), rel=1e-12, abs=1e-15)
 
     def test_gradient_is_the_jacobian_against_the_residual(self, cesium):
-        # J = 1 - |r|^2, so dJ/du = -2 Re(r† dr/du)
+        # |r|^2 = 2 (1 - sqrt J), so -2 r·dr/du = (dJ/du) / sqrt J
         sys_m, w, psi_i, psi_f = kernel_case(cesium, "cesium_m26")
-        from_jacobian = -2 * np.real(residual(sys_m, w, psi_i, psi_f).conj() @ kernel_jacobian(sys_m, w, psi_i, psi_f))
-        grad = gradient_state_prep(sys_m, w, psi_i, psi_f)
-        assert np.linalg.norm(from_jacobian - grad) <= 1e-12 * np.linalg.norm(grad)
+        for target in (psi_f, near_target(sys_m, w, psi_i, np.random.default_rng(91))):
+            from_jacobian = -2 * residual(sys_m, w, psi_i, target) @ kernel_jacobian(sys_m, w, psi_i, target)
+            grad = gradient_state_prep(sys_m, w, psi_i, target) / np.sqrt(objective_state_prep(sys_m, w, psi_i, target))
+            assert np.linalg.norm(from_jacobian - grad) <= 1e-12 * np.linalg.norm(grad)
 
 
 class TestSearch:
@@ -545,6 +570,66 @@ class TestSearch:
         cfg = SearchConfig(segment_count=2, segment_duration=1e6, max_iterations=5)
         with pytest.raises(ValueError, match=r"'two-level': generator bound 0\.5 rad/s times segment duration 1e\+06"):
             search_state_map(two_level, basis_state(2, 0), basis_state(2, 1), cfg)
+
+
+def scaled_control(sys, k, factor):
+    """``sys`` with control k's generator times ``factor`` and its bounds divided by it."""
+    stack = np.array(sys.control_stack)
+    stack[k] *= factor
+    bounds = list(sys.amplitude_bounds)
+    bounds[k] = tuple(b / factor for b in bounds[k])
+    return ControlSystem(sys.drift, stack, bounds, sys.fiducial_index)
+
+
+class TestDampingUnits:
+    """The search damps each amplitude in units of its control's Fubini–Study speed."""
+
+    def test_speeds_are_half_spectral_widths(self, cesium):
+        for h, speed in zip(cesium.controls, cesium.control_speeds):
+            lam = np.linalg.eigvalsh(h)
+            assert speed == (lam[-1] - lam[0]) / 2 > 0
+        assert not cesium.control_speeds.flags.writeable
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_search_is_invariant_under_rescaling_a_control(self, cesium, k):
+        # a generator times 4 with its bounds divided by 4 spans the same waveforms, and one
+        # speed unit of it is the same step: the search takes the same path, amplitudes / 4
+        scaled = scaled_control(cesium, k, 4.0)
+        assert scaled.control_speeds[k] == 4 * cesium.control_speeds[k]
+        cfg = default_search_config(cesium, seed=130, fidelity_goal=0.999)
+        factor = np.ones(cesium.n_controls)
+        factor[k] = 4.0
+        rng = np.random.default_rng(131)
+        for _ in range(6):
+            psi_f = haar_random_state(8, rng)
+            a = search_state_map(cesium, cesium.fiducial_state(), psi_f, cfg)
+            b = search_state_map(scaled, cesium.fiducial_state(), psi_f, cfg)
+            assert a.converged and a.iterations == b.iterations
+            assert a.objective_history.tobytes() == b.objective_history.tobytes()
+            assert np.array_equal(b.waveform.amplitudes * factor, a.waveform.amplitudes)
+
+    @pytest.mark.filterwarnings("error")
+    def test_speedless_controls_take_unit_one(self, two_level):
+        # a zero control and one proportional to I drive no state anywhere
+        sx = two_level.controls[0]
+        sys = ControlSystem(two_level.drift, (sx, np.zeros((2, 2)), 0.3 * np.eye(2)), ((-1.0, 1.0),) * 3, 0)
+        assert sys.control_speeds.tolist() == [0.5, 1.0, 1.0]
+        cfg = SearchConfig(segment_count=8, segment_duration=0.5, fidelity_goal=0.999, max_iterations=200)
+        res = search_state_map(sys, basis_state(2, 0), basis_state(2, 1), cfg)
+        assert res.converged and res.fidelity >= 0.999
+
+    @pytest.mark.filterwarnings("error")
+    def test_unreachable_target_reads_zero(self):
+        # controls coupling only levels 0 and 1 never put amplitude on level 2: the overlap is
+        # exactly 0, where the radial row's phase e^{-i alpha} is taken as 1
+        coupling = np.zeros((3, 3), dtype=complex)
+        coupling[0, 1] = coupling[1, 0] = 0.5
+        sys = ControlSystem(np.zeros((3, 3)), (coupling, 1j * np.triu(coupling) - 1j * np.tril(coupling)),
+                            ((-1.0, 1.0),) * 2, 0)
+        cfg = SearchConfig(segment_count=4, segment_duration=0.5, max_iterations=50)
+        res = search_state_map(sys, basis_state(3, 0), basis_state(3, 2), cfg)
+        assert (res.fidelity, res.converged) == (0.0, False)
+        assert res.objective_history.tolist() == [0.0]
 
 
 class TestMultiStart:
