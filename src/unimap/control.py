@@ -21,6 +21,7 @@ chi = V†|fiducial>, the conjugated fiducial row of the propagator that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,17 +92,23 @@ class ControlSystem:
     #: (K,) Fubini–Study speed (lam_max - lam_min) / 2 (rad/s) of each control generator, 1 for one of
     #: zero spread (zero, or a multiple of I): the units in which the search damps each amplitude
     control_speeds: np.ndarray = field(init=False, repr=False)
+    #: state maps ``search.multi_start`` served on this system, keyed and stored as ``search`` does
+    kept_results: dict = field(init=False, repr=False, default_factory=dict)
+    #: exact symmetries onto this system, in the order ``search.add_symmetry`` added them
+    symmetries: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         drift = _readonly(assert_hermitian(self.drift))
         d = drift.shape[0]
         checked = [assert_hermitian(h) for h in self.controls]
+        if not checked:
+            raise ValueError(f"system {self.name!r} has no controls: at least one control generator is required")
         for k, h in enumerate(checked):
             if h.shape != (d, d):
                 raise ValueError(f"control {k} has shape {h.shape}, expected {(d, d)}")
         # one copy of the generators, each control a read-only view into it; a read-only
         # (K, d, d) array given as ``controls`` is that copy already, and is shared
-        stack = _readonly(np.asarray(self.controls, dtype=complex) if checked else np.zeros((0, d, d), dtype=complex))
+        stack = _readonly(np.asarray(self.controls, dtype=complex))
         controls = tuple(stack)
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.amplitude_bounds)
         if len(bounds) != len(controls):
@@ -136,6 +143,11 @@ class ControlSystem:
 
     def fiducial_state(self) -> np.ndarray:
         return basis_state(self.dim, self.fiducial_index)
+
+    @cached_property
+    def conjugation_signs(self) -> np.ndarray | None:
+        """Signs sigma with conj(U(u)) = U(sigma u), or None (``_mirror_signs`` with S = I), worked out on first use."""
+        return _mirror_signs(self, self, np.eye(self.dim), conjugate=True)
 
 
 @dataclass(frozen=True, eq=False)

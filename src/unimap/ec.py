@@ -18,10 +18,11 @@ mapper that switches between the two 8-level cesium systems (aux +4 or
 returns that search's step record with its chi written into the 9 levels.
 At zero rf detuning a signed reversal of the F=3 levels (a pi rotation
 about y, ``cesium.AUX_MIRRORS``) maps the +4 system exactly onto the -4
-one.  Each such mirror is added as a symmetry of the two systems
-(``search.add_symmetry``), so ``multi_start`` serves an aux -4 rotation
-that is the image of a +4 rotation already run as that waveform with each
-control's amplitudes times the control's sign, with no search.
+one.  Each such mirror is added to the -4 system's symmetries
+(``search.add_symmetry``) with the +4 system's kept results as source, so
+``multi_start`` serves an aux -4 rotation that is the image of a +4
+rotation already run as that waveform with each control's amplitudes
+times the control's sign, with no search.
 """
 
 from __future__ import annotations

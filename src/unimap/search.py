@@ -21,21 +21,21 @@ exponential is contracted for all segments against the system's cached
 stack of control generators.  The bra <psi_f| gives the exact gradient of
 J; the d identity rows give d(U psi_i)/du, hence the (2d + 1) x MK Jacobian of r.
 
-``multi_start`` keeps its results per system.  On a miss it tries the
-all-zero waveform, then the image of a kept result under an exact symmetry
-onto the system, and only then searches.  The symmetries are those a
-caller added with ``add_symmetry`` (a signed permutation S from one system
-onto another that carries every control onto plus or minus a control),
-then the system's own complex conjugation where conj(U(u)) = U(sigma u)
-(the cesium model at zero rf detuning).  Either way a waveform that maps
-a to b maps the image of a to the image of b once each control's
-amplitudes are multiplied by its sign sigma.
+``multi_start`` keeps its results on the system (``kept_results``), so
+they go when the system goes.  On a miss it tries the all-zero waveform,
+then the image of a kept result under an exact symmetry onto the system,
+and only then searches.  The symmetries are those a caller added to the
+system's ``symmetries`` with ``add_symmetry`` (a signed permutation S from
+one system onto another that carries every control onto plus or minus a
+control), then the system's own complex conjugation where
+conj(U(u)) = U(sigma u) (the cesium model at zero rf detuning).  Either
+way a waveform that maps a to b maps the image of a to the image of b once
+each control's amplitudes are multiplied by its sign sigma.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -349,34 +349,20 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
     )
 
 
-#: finished multi-start results per system, keyed on (psi_i bytes, psi_f bytes, cfg); a
-#: system hashes by identity, so its entries go when it does
-_RESULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-#: exact symmetries onto each system, in the order added, as (the source system's kept results,
-#: the map a -> S a of its states, control signs); an entry holds no system, so it keeps neither
-#: its key nor its source alive
-_SYMMETRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _result_key(psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig) -> tuple:
-    """Key of a stored result within its system's entry, from states already through ``as_state``."""
-    return (psi_i.tobytes(), psi_f.tobytes(), cfg)
-
-
 def add_symmetry(src: ControlSystem, dst: ControlSystem, mirror) -> bool:
     """Let ``multi_start`` on ``dst`` serve images of the results kept on ``src`` under S = ``mirror``.
 
     S is kept only when ``control._mirror_signs`` finds control signs sigma
     that make it exact: then a src waveform u that maps a to b maps S a to
-    S b on dst as sigma u.  Returns whether S was kept; a detuned pair, or
-    one whose controls S does not carry onto plus or minus each other,
-    adds nothing.
+    S b on dst as sigma u.  It is appended to ``dst.symmetries`` as (src's
+    kept results, the map a -> S a, sigma): the entry holds src's results,
+    not src.  Returns whether S was kept; a detuned pair, or one whose
+    controls S does not carry onto plus or minus each other, adds nothing.
     """
     signs = _mirror_signs(src, dst, mirror)
     if signs is None:
         return False
-    image_of = partial(np.matmul, np.array(mirror))
-    _SYMMETRIES.setdefault(dst, []).append((_RESULTS.setdefault(src, {}), image_of, signs))
+    dst.symmetries.append((src.kept_results, partial(np.matmul, np.array(mirror)), signs))
     return True
 
 
@@ -385,24 +371,22 @@ def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     return abs(np.vdot(a, b)) >= 1 - MATCH_TOL
 
 
-def _symmetric_image(
-    sys: ControlSystem, done: dict, psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig
-) -> SearchResult | None:
+def _symmetric_image(sys: ControlSystem, psi_i: np.ndarray, psi_f: np.ndarray, cfg: SearchConfig) -> SearchResult | None:
     """The image of a kept result under an exact symmetry onto ``sys``, as a zero-iteration result.
 
     The symmetries are those added with ``add_symmetry``, in order, then
     the system's own conjugation psi -> conj(psi) (S = I, antiunitary),
-    whose signs ``control._mirror_signs`` gives where conj(U(u)) = U(sigma u),
-    as for the cesium model at zero rf detuning.  A result kept under an
-    equal config whose states S carries onto (psi_i, psi_f), up to a phase,
-    is a source.  Its image keeps the durations and multiplies each
-    control's amplitudes by its sign; its J and propagator come from its
-    own forward pass on ``sys``, never copied.  An image that misses a
-    goal its source met is refused, and the next source is tried.  None
-    when no source gives an image.
+    with the signs ``ControlSystem.conjugation_signs`` where
+    conj(U(u)) = U(sigma u), as for the cesium model at zero rf detuning.
+    A result kept under an equal config whose states S carries onto
+    (psi_i, psi_f), up to a phase, is a source.  Its image keeps the
+    durations and multiplies each control's amplitudes by its sign; its J
+    and propagator come from its own forward pass on ``sys``, never copied.
+    An image that misses a goal its source met is refused, and the next
+    source is tried.  None when no source gives an image.
     """
-    # the conjugation's signs are worked out on its first state match
-    for results, image_of, signs in (*_SYMMETRIES.get(sys, ()), (done, np.conj, None)):
+    # the conjugation's signs are read on its first state match, and worked out once per system
+    for results, image_of, signs in (*sys.symmetries, (sys.kept_results, np.conj, None)):
         for (kept_i, kept_f, kept_cfg), source in results.items():
             if not (
                 kept_cfg == cfg
@@ -410,10 +394,9 @@ def _symmetric_image(
                 and _same_ray(image_of(np.frombuffer(kept_f, dtype=complex)), psi_f)
             ):
                 continue
+            signs = sys.conjugation_signs if signs is None else signs
             if signs is None:
-                signs = _mirror_signs(sys, sys, np.eye(sys.dim), conjugate=True)
-                if signs is None:
-                    return None
+                return None
             image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
             fwd = _forward(sys, image, psi_i, psi_f)
             j = _fidelity(*fwd[:2])
@@ -430,10 +413,11 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     fidelity wins.  The segment duration and both states are checked as in
     ``search_state_map`` before the zero-amplitude shortcut is tried.
 
-    The search is deterministic, so a repeated call (the same system
-    object, bit-equal states and an equal config) returns the same result
-    object for as long as the system lives, without searching again.  A
-    separately built system, even an equal one, shares no result.
+    The search is deterministic, so the result is kept on the system
+    (``sys.kept_results``) and a repeated call (the same system object,
+    bit-equal states and an equal config) returns the same result object
+    without searching again.  A separately built or ``dataclasses.replace``d
+    system, even an equal one, starts with no kept result.
 
     When nothing is kept for these states and the zero-amplitude shortcut
     misses the goal, the image of a kept result under an exact symmetry
@@ -443,11 +427,10 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
     check_segment_phase(sys, cfg.segment_duration)
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
-    done = _RESULTS.setdefault(sys, {})
-    key = _result_key(psi_i, psi_f, cfg)
+    done, key = sys.kept_results, (psi_i.tobytes(), psi_f.tobytes(), cfg)
     if key in done:
         return done[key]
-    best = _zero_seed_result(sys, psi_i, psi_f, cfg) or _symmetric_image(sys, done, psi_i, psi_f, cfg)
+    best = _zero_seed_result(sys, psi_i, psi_f, cfg) or _symmetric_image(sys, psi_i, psi_f, cfg)
     if best is None:
         for r in range(cfg.restarts):
             res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)

@@ -164,9 +164,9 @@ class SearchedMapper:
     search or propagation.  The closed-form factor assumes that
     nothing acts between V and V† except the imprint, so a system with a
     nonzero drift is refused here, before any search.  ``multi_start``
-    keeps its results per system, so a phi this mapper was already given
-    (bit-equal) shares that step's search, and a phi that an exact symmetry
-    onto the system (``search.add_symmetry``, or the system's complex
+    keeps its results on the system, so a phi already given to a mapper on
+    it (bit-equal) shares that step's search, and a phi that an exact
+    symmetry onto the system (``sys.symmetries``, or its complex
     conjugation) maps from a kept one plays that result's signed waveform
     with no search.  Either way the step gets its own record and waveform.
     """

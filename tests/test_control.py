@@ -120,6 +120,13 @@ def test_controls_are_read_only_views_of_the_one_stack(cesium):
     assert np.array_equal(copied.control_stack, stack) and copied.controls[4].flags.writeable is False
 
 
+@pytest.mark.parametrize("controls", [(), np.zeros((0, 8, 8))])
+def test_refuses_a_system_without_controls(cesium, controls):
+    # nothing to search over: refused when built, not inside the first config or search
+    with pytest.raises(ValueError, match="system 'bare' has no controls"):
+        ControlSystem(cesium.drift, controls, (), 0, name="bare")
+
+
 @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 2e3])
 def test_segment_propagators_match_mat_exp(detuning):
     sys_m = build_restricted_system(CesiumParams(rf_detuning=detuning))

@@ -578,7 +578,6 @@ def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, 
 def test_detuned_pair_derives_nothing(ec_systems, count_calls):
     # the drift check fails at any rf_detuning, so no mirror is added and the -4
     # step searches; a searched build refuses the detuned systems themselves
-    import unimap.search
     from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
     from unimap.ec import _AuxSwitchingMapper, _aux_switching_mapper
     from unimap.search import add_symmetry
@@ -587,7 +586,7 @@ def test_detuned_pair_derives_nothing(ec_systems, count_calls):
     plus, minus, cfg = ec_systems
     detuned = [build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 100), aux=aux) for aux in (+4, -4)]
     assert [add_symmetry(*detuned, mirror) for mirror in AUX_MIRRORS.values()] == [False, False]
-    assert detuned[1] not in unimap.search._SYMMETRIES
+    assert detuned[1].symmetries == []
     with pytest.raises(ValueError, match="drift-free"):
         _aux_switching_mapper(*detuned, cfg)
     # no mirror added on the undetuned pair either: its -4 step searches
@@ -598,7 +597,6 @@ def test_detuned_pair_derives_nothing(ec_systems, count_calls):
 def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls):
     import dataclasses
 
-    import unimap.search
     from unimap.cesium import AUX_MIRRORS
     from unimap.ec import _aux_switching_mapper
     from unimap.search import add_symmetry
@@ -609,8 +607,35 @@ def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls
     unmirrored = dataclasses.replace(minus, controls=minus.controls[:4] + (light,))
     assert [add_symmetry(plus, unmirrored, mirror) for mirror in AUX_MIRRORS.values()] == [False, False]
     mapper = _aux_switching_mapper(plus, unmirrored, cfg)
-    assert unmirrored not in unimap.search._SYMMETRIES
+    assert unmirrored.symmetries == []
     assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, cfg.restarts]
+
+
+def test_searched_maps_leave_module_state_alone():
+    # kept results and symmetries live on the systems they serve: a searched synthesis
+    # grows no dict, list, set or weak container that a unimap module holds
+    import weakref
+    from sys import modules
+
+    from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
+    from unimap.ec import synthesize_ec_maps
+    from unimap.search import add_symmetry, default_search_config
+
+    containers = (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary, weakref.WeakSet)
+
+    def sizes():
+        return {
+            (key, name): len(value)
+            for key, module in list(modules.items()) if key.split(".")[0] == "unimap"
+            for name, value in vars(module).items() if not name.startswith("__") and isinstance(value, containers)
+        }
+
+    before = sizes()
+    plus, minus = (build_restricted_system(CesiumParams(), aux=aux) for aux in (+4, -4))
+    synthesize_ec_maps(CesiumParams(), default_search_config(plus, max_iterations=0, restarts=1))
+    assert add_symmetry(plus, minus, AUX_MIRRORS[+1])
+    assert sizes() == before
+    assert len(minus.symmetries) == 1
 
 
 def test_synthesized_maps_equal_two_propagation_form(fixed_search):

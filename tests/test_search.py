@@ -735,22 +735,26 @@ def test_multi_start_determinism(count_calls):
 
 def test_stored_results_go_with_their_system():
     sys = build_restricted_system(CesiumParams())
-    multi_start(sys, basis_state(8, 7), basis_state(8, 0), default_search_config(sys, max_iterations=0))
-    assert sys in unimap.search._RESULTS
-    stored, alive = len(unimap.search._RESULTS), weakref.ref(sys)
+    res = multi_start(sys, basis_state(8, 7), basis_state(8, 0), default_search_config(sys, max_iterations=0))
+    assert list(sys.kept_results.values()) == [res]
+    assert not dataclasses.replace(sys).kept_results
+    alive = weakref.ref(sys)
     del sys
     gc.collect()
-    assert alive() is None and len(unimap.search._RESULTS) == stored - 1
-    # a symmetry's entry goes with the system it maps onto, and never holds its source
+    assert alive() is None
+    # a symmetry is kept on the system it maps onto, and holds its source's results, not the source
     plus, minus = (build_restricted_system(CesiumParams(), aux=aux) for aux in (+4, -4))
-    assert add_symmetry(plus, minus, AUX_MIRRORS[+1]) and minus in unimap.search._SYMMETRIES
-    entries, source_alive, alive = len(unimap.search._SYMMETRIES), weakref.ref(plus), weakref.ref(minus)
-    del minus
-    gc.collect()
-    assert alive() is None and len(unimap.search._SYMMETRIES) == entries - 1
+    assert add_symmetry(plus, minus, AUX_MIRRORS[+1])
+    [(results, _, signs)] = minus.symmetries
+    assert results is plus.kept_results and tuple(signs) == AUX_MIRROR_SIGNS[+1]
+    assert not plus.symmetries
+    source_alive, alive = weakref.ref(plus), weakref.ref(minus)
     del plus
     gc.collect()
-    assert source_alive() is None
+    assert source_alive() is None and minus.symmetries[0][0] is results
+    del minus
+    gc.collect()
+    assert alive() is None
 
 
 #: (rf_x, rf_y, uw_x, uw_y, light_shift) signs with conj(U(u)) = U(sigma u) on the cesium model at zero detuning
@@ -784,6 +788,21 @@ class TestConjugateImages:
         # kept under its own key: a repeated call returns it without a search
         assert multi_start(sys, a_conj.copy(), sys.fiducial_state(), cfg) is derived
         assert len(searches) == cfg.restarts
+
+    def test_conjugation_signs_are_worked_out_once_per_system(self, count_calls):
+        import unimap.control
+
+        sys = build_restricted_system(CesiumParams())
+        cfg = default_search_config(sys, seed=98, max_iterations=0)
+        states = [haar_random_state(8, np.random.default_rng([99, k])) for k in range(2)]
+        for a in states:
+            multi_start(sys, a, sys.fiducial_state(), cfg)
+        searches = count_calls(unimap.search, "search_state_map")
+        calls = [count_calls(module, "_mirror_signs") for module in (unimap.control, unimap.search)]
+        for a in states:
+            multi_start(sys, a.conj(), sys.fiducial_state(), cfg)
+        assert not searches and sum(map(len, calls)) == 1
+        assert tuple(sys.conjugation_signs) == tuple(CONJUGATION_SIGNS) and len(sys.kept_results) == 4
 
     def test_image_shares_the_source_durations(self, count_calls):
         sys = build_restricted_system(CesiumParams())
