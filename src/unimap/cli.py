@@ -191,7 +191,7 @@ def _pick_mapper(args, dim: int):
 
 def _save_waveforms(prefix, rep, start: int = 0) -> list[str]:
     """Write the k-th searched step's waveform to ``<prefix><k>.csv``, k counting from ``start``; return the paths."""
-    waveforms = [step.waveform for step in rep.steps if step.waveform is not None]
+    waveforms = [step.result.waveform for step in rep.steps if step.result is not None]
     paths = [f"{prefix}{k}.csv" for k in range(start, start + len(waveforms))]
     if paths:
         Path(prefix).parent.mkdir(parents=True, exist_ok=True)
@@ -209,10 +209,10 @@ def _step_fields(args, rep) -> dict:
     """Write the report's waveforms next to it; the per-step fields both build reports share."""
     return {
         "step_fidelities": list(rep.step_fidelities),
-        "step_converged": [step.converged for step in rep.steps if not step.skipped],
+        "step_converged": [step.result is None or step.result.converged for step in rep.steps if not step.skipped],
         "skipped_steps": list(rep.skipped_steps),
         "searches_performed": rep.searches_performed,
-        "total_duration_s": float(sum(step.waveform.total_duration for step in rep.steps if step.waveform is not None)),
+        "total_duration_s": float(sum(step.result.waveform.total_duration for step in rep.steps if step.result is not None)),
         "waveform_files": _save_waveforms(_step_prefix(args), rep),
     }
 

@@ -13,15 +13,15 @@ The simulation lives on 9 levels: the seven F=3 sublevels (indices 0..6,
 m = 3..-3) plus |4,4_z> at index 7 and |4,-4_z> at index 8.  The three
 protocol maps come from the phase-about-a-vector builder of ``subspace``:
 ``ec_maps`` uses its exact mapper, and ``synthesize_ec_maps`` a searched
-mapper that switches between the two 8-level cesium systems (aux +4 or
--4), runs each rotation on the one that holds its reflection vector, and
-returns that search's step record with its chi written into the 9 levels.
-At zero rf detuning a signed reversal of the F=3 levels (a pi rotation
-about y, ``cesium.AUX_MIRRORS``) maps the +4 system exactly onto the -4
-one.  Each such mirror is added to the -4 system's symmetries
-(``search.add_symmetry``) with the +4 system's kept results as source, so
-``multi_start`` serves an aux -4 rotation that is the image of a +4
-rotation already run as that waveform with each control's amplitudes
+mapper that switches between the two 8-level cesium systems (aux +4 or -4)
+and runs each rotation on the one that holds its reflection vector.  Its
+step record carries the chi written into the 9 levels, and the ``result``
+of the 8-level search.  At zero rf detuning a signed reversal of the F=3
+levels (a pi rotation about y, ``cesium.AUX_MIRRORS``) maps the +4 system
+exactly onto the -4 one.  Each such mirror is added to the -4 system's
+symmetries (``search.add_symmetry``) with the +4 system's kept results as
+source, so ``multi_start`` serves an aux -4 rotation that is the image of
+a +4 rotation already run as that waveform with each control's amplitudes
 times the control's sign, with no search.
 """
 
@@ -227,14 +227,14 @@ def _aux_for_reflection(phi: np.ndarray) -> int:
 class _AuxSwitchingMapper(NamedTuple):
     """Searched mapper on whichever 8-level system holds the reflection.
 
-    The search runs on the reflection restricted to that system's levels;
-    its record comes back with the 8-level chi written into those levels of
-    a zero 9-vector, so the factor is the identity on the other aux level.
-    An aux -4 rotation that is the image of a +4 rotation already run is
-    served by ``multi_start`` through the aux mirrors added as symmetries
-    (``_aux_switching_mapper``); chi then comes from the propagator that
-    the image's own forward pass on the -4 system built, and the step gets
-    its own record.
+    The search runs on the reflection restricted to that system's levels; its
+    record comes back with the 8-level chi written into those levels of a zero
+    9-vector, so the factor is the identity on the other aux level, while the
+    record's ``result`` stays the 8-level search's.  An aux -4 rotation that
+    is the image of a +4 rotation already run is served by ``multi_start``
+    through the aux mirrors added as symmetries (``_aux_switching_mapper``);
+    chi then comes from the propagator that the image's own forward pass on
+    the -4 system built, and the step gets its own record.
     """
 
     searched: dict[int, SearchedMapper]

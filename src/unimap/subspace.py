@@ -1,14 +1,14 @@
 """The phase-about-a-vector builder, and subspace maps built from exact phase steps.
 
 Both constructions of the paper are products of factors V† P(theta) V: a
-phase theta imprinted on the fiducial state, conjugated by a map V that
-sends phi to that state.  The factor equals I + (e^{-i theta} - 1)|chi><chi|
-with chi = V†|fiducial>, so one vector fixes it.  ``phase_product``
-multiplies these factors over a list of (phi, theta) steps; a *mapper*
-returns each step's ``PhaseStep`` record and ``phase_product`` alone forms
-the factor.  ``ExactMapper`` gives chi = phi (no search), ``SearchedMapper``
-the chi of a multi-start state-map search's propagator; ``ec`` adds a
-third that switches between the two 8-level cesium systems.
+phase theta imprinted on the fiducial state, conjugated by a map V that sends
+phi to that state.  The factor equals I + (e^{-i theta} - 1)|chi><chi| with
+chi = V†|fiducial>, so one vector fixes it.  ``phase_product`` multiplies
+these factors over a list of (phi, theta) steps; a *mapper* returns each
+step's ``PhaseStep`` record and ``phase_product`` alone forms the factor.
+``ExactMapper`` gives chi = phi (no search), ``SearchedMapper`` the chi of a
+multi-start search's propagator, its record holding that ``SearchResult``;
+``ec`` adds a third that switches between the two 8-level cesium systems.
 
 A subspace map is one such product, one step per basis vector: step k
 lands a_k exactly on t_k, which is b_k, or b_k rephased so that <t_k|a_k>
@@ -26,9 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .control import ControlSystem, Waveform
+from .control import ControlSystem
 from .core import TWO_PI, as_state
-from .search import SearchConfig, multi_start
+from .search import SearchConfig, SearchResult, multi_start
 
 ORTHONORMAL_TOL = 1e-10
 SKIP_TOL = 1e-9
@@ -126,16 +126,14 @@ def pair_rotation(a, b) -> tuple[np.ndarray, float]:
 
 
 class PhaseStep(NamedTuple):
-    """One planned step: theta imprinted about chi = V†|fiducial>, and what the map V reached.
+    """One planned step: theta imprinted about chi = V†|fiducial>, and the search that gave V.
 
-    chi is None for a skipped step, and the waveform None for exact and skipped steps.
+    chi is None for a skipped step; ``result`` is the kept ``SearchResult``, None for exact and skipped steps.
     """
 
     theta: float
     chi: np.ndarray | None
-    fidelity: float = 1.0
-    converged: bool = True
-    waveform: Waveform | None = None
+    result: SearchResult | None = None
 
     @property
     def skipped(self) -> bool:
@@ -160,15 +158,15 @@ class SearchedMapper:
     """chi = V†|fiducial>, V the propagator of a multi-start search from phi to the fiducial state.
 
     chi is the conjugated fiducial row of the propagator the result carries,
-    built by the forward pass that scored the waveform: never a second
-    search or propagation.  The closed-form factor assumes that
-    nothing acts between V and V† except the imprint, so a system with a
-    nonzero drift is refused here, before any search.  ``multi_start``
-    keeps its results on the system, so a phi already given to a mapper on
-    it (bit-equal) shares that step's search, and a phi that an exact
-    symmetry onto the system (``sys.symmetries``, or its complex
-    conjugation) maps from a kept one plays that result's signed waveform
-    with no search.  Either way the step gets its own record and waveform.
+    built by the forward pass that scored the waveform: never a second search
+    or propagation.  The closed-form factor assumes that nothing acts between
+    V and V† except the imprint, so a system with a nonzero drift is refused
+    here, before any search.  ``multi_start`` keeps its results on the system,
+    so a phi already given to a mapper on it (bit-equal) shares that step's
+    search, and a phi that an exact symmetry onto the system
+    (``sys.symmetries``, or its complex conjugation) maps from a kept one
+    plays that result's signed waveform with no search.  Either way the step
+    gets its own record, sharing the kept result.
     """
 
     sys: ControlSystem
@@ -194,14 +192,15 @@ class SearchedMapper:
     def phase_about(self, phi, theta: float) -> PhaseStep:
         result = multi_start(self.sys, phi, self.fiducial, self.cfg)
         chi = result.propagator[self.sys.fiducial_index].conj()
-        return PhaseStep(theta, chi, result.fidelity, result.converged, result.waveform)
+        return PhaseStep(theta, chi, result)
 
 
 class SynthesisReport(NamedTuple):
     """The builder's product, its fidelity, and one ``PhaseStep`` per planned step, in plan order.
 
     ``fidelity`` is the trace fidelity to a target unitary, or the subspace
-    fidelity of a subspace map.  Skipped steps keep their place in ``steps``.
+    fidelity of a subspace map.  Skipped steps keep their place in ``steps``,
+    and a step without a search result is exact, at fidelity 1.
     """
 
     assembled: np.ndarray
@@ -210,7 +209,7 @@ class SynthesisReport(NamedTuple):
 
     @property
     def step_fidelities(self) -> tuple[float, ...]:
-        return tuple(step.fidelity for step in self.steps if not step.skipped)
+        return tuple(1.0 if step.result is None else step.result.fidelity for step in self.steps if not step.skipped)
 
     @property
     def skipped_steps(self) -> tuple[int, ...]:
@@ -218,7 +217,7 @@ class SynthesisReport(NamedTuple):
 
     @property
     def searches_performed(self) -> int:
-        return sum(step.waveform is not None for step in self.steps)
+        return sum(step.result is not None for step in self.steps)
 
 
 def phase_product(steps, mapper, score: Callable[[np.ndarray], float]) -> SynthesisReport:

@@ -212,8 +212,8 @@ class TestSynthesizedMaps:
     def test_step_searches_succeed(self, synthesized):
         _, reports = synthesized
         for rep in reports:
-            assert all(step.converged for step in rep.steps if not step.skipped)
-            assert all(step.fidelity >= 0.99 for step in rep.steps if not step.skipped)
+            assert all(step.result.converged for step in rep.steps if not step.skipped)
+            assert all(step.result.fidelity >= 0.99 for step in rep.steps if not step.skipped)
 
     def test_subspace_fidelities_comparable(self, synthesized):
         # state maps at >= 0.99 must yield subspace maps of similar quality
@@ -452,12 +452,16 @@ def test_repeated_state_map_shares_one_search(count_calls):
     cfg = default_search_config(build_restricted_system(params), max_iterations=3, seed=5, restarts=2)
     _, (encode, _, recover) = synthesize_ec_maps(params, cfg)
     assert len(calls) == 3 * cfg.restarts
-    assert encode.steps[0].waveform is recover.steps[0].waveform
+    # both steps hold the one result that the aux +4 system keeps
+    shared = encode.steps[0].result
+    assert shared is recover.steps[0].result
     phi = plan_subspace_map(ec_map_specs()[0])[0].reflection[_aux_levels(+4)]
     aux4 = build_restricted_system(params, aux=+4)
+    searched_on = calls[0][0]
+    assert searched_on.name == aux4.name and any(kept is shared for kept in searched_on.kept_results.values())
     fresh = multi_start(aux4, phi / np.linalg.norm(phi), aux4.fiducial_state(), cfg)
-    assert np.array_equal(fresh.waveform.amplitudes, encode.steps[0].waveform.amplitudes)
-    assert np.array_equal(fresh.waveform.durations, encode.steps[0].waveform.durations)
+    assert np.array_equal(fresh.waveform.amplitudes, shared.waveform.amplitudes)
+    assert np.array_equal(fresh.waveform.durations, shared.waveform.durations)
 
 
 def _planned_reflection(spec_index: int, step_index: int) -> np.ndarray:
@@ -483,8 +487,9 @@ def test_mirror_image_steps_play_the_signed_source_waveform(count_calls):
     cfg = default_search_config(plus, max_iterations=20, seed=5, restarts=2)
     _, (encode, extract, recover) = synthesize_ec_maps(params, cfg)
     assert len(calls) == 3 * cfg.restarts
-    for s, source, derived, spec_index in ((-1, extract.steps[0], extract.steps[1], 1),
-                                           (+1, encode.steps[0], recover.steps[1], 2)):
+    for s, source, derived, spec_index in ((-1, extract.steps[0].result, extract.steps[1].result, 1),
+                                           (+1, encode.steps[0].result, recover.steps[1].result, 2)):
+        assert derived.iterations == 0
         signs = _mirror_signs(plus, minus, AUX_MIRRORS[s])
         assert np.array_equal(derived.waveform.durations, source.waveform.durations)
         assert derived.waveform.amplitudes.tobytes() == (source.waveform.amplitudes * signs).tobytes()

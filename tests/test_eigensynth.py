@@ -22,9 +22,7 @@ class GivenMapper:
         self.v_of = v_of
 
     def phase_about(self, phi, theta):
-        v = self.v_of(phi)
-        fid = abs(np.vdot(basis_state(self.dim, 0), v @ phi)) ** 2
-        return PhaseStep(theta, v.conj().T @ basis_state(self.dim, 0), fid)
+        return PhaseStep(theta, self.v_of(phi).conj().T @ basis_state(self.dim, 0))
 
 
 def plan_pairs(w):
@@ -69,19 +67,19 @@ class TestExactMapper:
         step = ExactMapper(4).phase_about(basis_state(4, 0), 0.9)
         assert np.array_equal(step.chi, basis_state(4, 0)) and step.theta == 0.9
         assert np.abs(product([(step.chi, 0.9)], ExactMapper(4)) - diag_phase(4, 0, 0.9)).max() < 1e-12
-        assert abs(step.fidelity - 1) < 1e-12
-        assert step.converged and step.waveform is None
+        assert step.result is None
+        assert phase_product([(step.chi, 0.9)], ExactMapper(4), score=lambda u: 0.0).step_fidelities == (1.0,)
 
     def test_swap_case(self):
         step = ExactMapper(2).phase_about(basis_state(2, 1), np.pi)
-        assert step.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert step.result is None and np.array_equal(step.chi, basis_state(2, 1))
 
     def test_haar_contract_d16(self):
         rng = np.random.default_rng(1)
         phi = haar_random_state(16, rng)
         step = ExactMapper(16).phase_about(phi, 2.5)
         factor = product([(phi, 2.5)], ExactMapper(16))
-        assert step.fidelity >= 1 - 1e-12
+        assert step.result is None
         # the factor imprints the phase on phi and nowhere else
         assert np.linalg.norm(factor @ phi - np.exp(-2.5j) * phi) < 1e-12
 
@@ -101,7 +99,7 @@ class TestExactMapper:
         want = v.conj().T @ diag_phase(8, fid, 1.0) @ v
         step = ExactMapper(8).phase_about(phi, 1.0)
         assert np.abs(product([(phi, 1.0)], ExactMapper(8)) - want).max() <= 1e-12
-        assert step.fidelity == 1.0
+        assert step.result is None
 
 
 class TestAssemble:
@@ -171,15 +169,14 @@ class TestSynthesizeExact:
         w = (v * np.exp(-1j * np.array([0.0, 0.5, 1.0, 2.0, 3.0]))) @ v.conj().T
         report = synthesize_unitary(w, ExactMapper(5))
         active = [step for step in report.steps if not step.skipped]
-        assert [step.converged for step in active] == [True] * 4
-        assert all(step.fidelity >= 1 - 1e-12 for step in active) and len(active) == 4
-        assert all(step.waveform is None for step in report.steps)
+        assert len(active) == 4 and all(step.result is None for step in report.steps)
+        assert report.step_fidelities == (1.0,) * 4 and report.searches_performed == 0
 
     def test_error_bound_with_exact_mappers(self):
         rng = np.random.default_rng(8)
         w = haar_random_unitary(8, rng)
         report = synthesize_unitary(w, ExactMapper(8))
-        budget = 4 * sum(1 - step.fidelity for step in report.steps if not step.skipped) + 1e-9
+        budget = 4 * sum(1 - fid for fid in report.step_fidelities) + 1e-9
         assert 1 - report.fidelity <= budget
 
     def test_dimension_mismatch_even_without_active_steps(self):
@@ -191,7 +188,7 @@ class TestSynthesizeWaveform:
     def test_identity_zero_searches(self, cesium):
         cfg = default_search_config(cesium, seed=0, max_iterations=100)
         report = synthesize_unitary(np.eye(8), SearchedMapper(cesium, cfg))
-        assert len(report.steps) == 8 and all(step.skipped and step.waveform is None for step in report.steps)
+        assert len(report.steps) == 8 and all(step.skipped and step.result is None for step in report.steps)
         assert report.fidelity == pytest.approx(1.0)
 
     def test_fiducial_imprint_trivial_search(self, cesium):
@@ -199,7 +196,7 @@ class TestSynthesizeWaveform:
         cfg = default_search_config(cesium, seed=1, max_iterations=200)
         report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
         (step,) = [step for step in report.steps if not step.skipped]
-        assert step.waveform is not None and step.converged
+        assert step.result is not None and step.result.converged
         assert report.fidelity >= 1 - 1e-10
 
     def test_dimension_mismatch(self, cesium):
@@ -214,10 +211,10 @@ class TestSynthesizeWaveform:
         w = (v * np.exp(-1j * phases)) @ v.conj().T
         cfg = default_search_config(cesium, seed=2, max_iterations=400, fidelity_goal=0.995)
         report = synthesize_unitary(w, SearchedMapper(cesium, cfg))
-        searched = [step for step in report.steps if step.waveform is not None]
+        searched = [step.result for step in report.steps if step.result is not None]
         assert len(searched) == 3 == sum(not step.skipped for step in report.steps)
         assert len(report.steps) == 8
-        assert sum(step.waveform.total_duration for step in searched) > 0
+        assert sum(result.waveform.total_duration for result in searched) > 0
 
     def test_report_fidelity_recomputable(self, cesium):
         from unimap.core import trace_fidelity
@@ -263,7 +260,7 @@ class TestSynthesizeWaveform:
         light = np.eye(cesium.n_controls)[CONTROL_NAMES.index("light_shift")]
         segments = []
         for step in active:
-            v = step.waveform
+            v = step.result.waveform
             imprint = ([step.theta / CesiumParams().lightshift_max], [light])
             segments += [(v.durations, v.amplitudes), imprint, (v.durations[::-1], -v.amplitudes[::-1])]
         durations, amplitudes = zip(*segments)
@@ -296,13 +293,13 @@ def test_conjugate_eigenvectors_play_the_signed_partner_waveform(gate, pairs, co
     assert len(partner) == pairs and len(searches) == len(active) - pairs
     for j, i in partner.items():
         assert abs(plan[i].phase + plan[j].phase - 2 * np.pi) < 1e-9
-        derived, source = report.steps[j], report.steps[i]
+        derived, source = report.steps[j].result, report.steps[i].result
         assert np.array_equal(derived.waveform.durations, source.waveform.durations)
         assert derived.waveform.amplitudes.tobytes() == (source.waveform.amplitudes * sigma).tobytes()
         fresh = objective_state_prep(sys, derived.waveform, plan[j].eigenvector, sys.fiducial_state())
         assert derived.fidelity == fresh
         assert abs(derived.fidelity - source.fidelity) <= 1e-12
-        assert derived.converged and source.converged
+        assert derived.converged and source.converged and derived.iterations == 0
 
 
 def test_searched_steps_and_conjugate_images_carry_their_propagators(returned_results):

@@ -287,10 +287,8 @@ class TestAssemble:
         )
         rep = synthesize_subspace_map(spec, ExactMapper(6))
         assert [step.skipped for step in rep.steps] == [True, False, False]
-        active = rep.steps[1:]
-        assert all(step.fidelity >= 1 - 1e-12 for step in active)
-        assert [step.converged for step in active] == [True, True]
-        assert all(step.waveform is None for step in rep.steps)
+        assert all(step.result is None for step in rep.steps)
+        assert rep.step_fidelities == (1.0, 1.0) and rep.searches_performed == 0
 
     def test_naive_product_fails_witness(self):
         spec = random_spec(2, 4, seed=11, phase_correction=False)
@@ -388,9 +386,9 @@ class TestSearchedMapper:
         phi = haar_random_state(8, np.random.default_rng(13))
         step = SearchedMapper(cesium, default_search_config(cesium)).phase_about(phi, 1.3)
         ((sys_m, handed),) = handed_out
-        assert sys_m is cesium and step.waveform is handed and step.theta == 1.3
+        assert sys_m is cesium and step.result.waveform is handed and step.theta == 1.3
         # the search's own step fidelity and flag, not recomputed from chi
-        assert (step.fidelity, step.converged) == (0.5, False)
+        assert (step.result.fidelity, step.result.converged) == (0.5, False)
         assert np.array_equal(step.chi, apply_adjoint(cesium, handed) @ cesium.fiducial_state())
 
     def test_factor_is_conjugated_imprint(self, cesium, fixed_search):
@@ -402,7 +400,8 @@ class TestSearchedMapper:
         want = apply_adjoint(cesium, wave) @ diag_phase(8, cesium.fiducial_index, 1.3) @ propagate(cesium, wave)
         assert np.abs(rep.assembled - want).max() < 1e-12
         (step,) = rep.steps
-        assert (step.theta, step.fidelity, step.converged) == (1.3, 0.5, False) and step.waveform is wave
+        assert (step.theta, step.result.fidelity, step.result.converged) == (1.3, 0.5, False)
+        assert step.result.waveform is wave and rep.step_fidelities == (0.5,)
 
     @pytest.mark.parametrize("build", [
         lambda sys, cfg: synthesize_unitary(diag_phase(8, 0, 1.0), SearchedMapper(sys, cfg)),
@@ -442,9 +441,9 @@ def test_records_follow_the_plan(cesium, fixed_search, target, searched):
     assert rep.skipped_steps == tuple(k for k, (_, skipped) in enumerate(plan) if skipped)
     for k, step in enumerate(rep.steps):
         if k in rep.skipped_steps:
-            assert step.skipped and step.chi is None and step.waveform is None
+            assert step.skipped and step.chi is None and step.result is None
         else:
-            assert step.chi is not None and (step.waveform is not None) == searched
+            assert step.chi is not None and (step.result is not None) == searched
 
 
 def test_subspace_fidelity_phase_sensitivity():
