@@ -34,7 +34,7 @@ from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
 from .io import (load_matrix_json, load_state_json, load_subspace_spec, load_waveform, read_json, save_ec_csv,
                  save_json, save_waveform, save_wigner_csv, validate_report, write_report)
-from .search import SearchConfig, default_search_config, multi_start
+from .search import SEGMENT_DURATION, SearchConfig, default_search_config, multi_start
 from .subspace import ExactMapper, SearchedMapper, synthesize_subspace_map
 from .wigner import extract_block, wigner_grid
 
@@ -119,7 +119,7 @@ SEARCH_FLAGS = {
     "preset": (str, f"control-system preset ({_default('preset')})"),
     "params": (str, "JSON file overriding the cesium parameters"),
     "segments": (int, "segment count (default: 2 d^2 variables)"),
-    "segment_duration": (float, "segment duration in seconds (default 1e-5)"),
+    "segment_duration": (float, f"segment duration in seconds (default {SEGMENT_DURATION:g})"),
     "goal": (float, f"fidelity goal ({_default('goal')})"),
     "max_iterations": (int, _default("max_iterations")),
     "seed": (int, _default("seed")),
@@ -142,7 +142,7 @@ def cmd_model_info(args) -> None:
         "dimension": sys_model.dim,
         "fiducial_index": sys_model.fiducial_index,
         "controls": list(CONTROL_NAMES),
-        "amplitude_bounds": [list(b) for b in sys_model.amplitude_bounds],
+        "amplitude_bounds": sys_model.amplitude_bounds.tolist(),
         "rates_rad_per_s": dataclasses.asdict(params),
     }
     print(json.dumps(info, indent=2, sort_keys=True))

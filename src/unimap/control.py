@@ -68,21 +68,18 @@ def _path_walk(pattern: np.ndarray) -> np.ndarray | None:
 class ControlSystem:
     """Immutable bilinear control model H[u] = drift + sum_k u_k * controls[k].
 
-    ``controls`` is a sequence of (d, d) generators or one (K, d, d) array;
-    ``controls`` then holds read-only views into ``control_stack``.  A
-    drift or stack given as a read-only array that owns its memory is
-    shared, not copied.
+    ``controls``, given as a sequence of (d, d) generators or one (K, d, d)
+    array, is kept as one read-only (K, d, d) array, and
+    ``amplitude_bounds``, one (lower, upper) pair per control, as one
+    read-only (K, 2) float array.  An array given as a read-only array that
+    owns its memory is shared, not copied.
     """
 
     drift: np.ndarray
-    controls: tuple[np.ndarray, ...]
-    amplitude_bounds: tuple[tuple[float, float], ...]
+    controls: np.ndarray
+    amplitude_bounds: np.ndarray
     fiducial_index: int
     name: str = ""
-    #: (K, d, d) stack of the control generators, built once per system
-    control_stack: np.ndarray = field(init=False, repr=False)
-    #: (2, K) lower and upper amplitude bounds, one column per control
-    bound_array: np.ndarray = field(init=False, repr=False)
     #: basis indices in chain order from one end when the drift and controls
     #: couple the levels along a single path, else None
     chain_walk: np.ndarray | None = field(init=False, repr=False)
@@ -106,14 +103,15 @@ class ControlSystem:
         for k, h in enumerate(checked):
             if h.shape != (d, d):
                 raise ValueError(f"control {k} has shape {h.shape}, expected {(d, d)}")
-        # one copy of the generators, each control a read-only view into it; a read-only
-        # (K, d, d) array given as ``controls`` is that copy already, and is shared
-        stack = _readonly(np.asarray(self.controls, dtype=complex))
-        controls = tuple(stack)
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.amplitude_bounds)
-        if len(bounds) != len(controls):
-            raise ValueError("one bounds pair per control is required")
-        for k, (lo, hi) in enumerate(bounds):
+        controls = _readonly(np.asarray(self.controls, dtype=complex))
+        bounds = _readonly(np.asarray(self.amplitude_bounds, dtype=float))
+        if bounds.shape != (len(controls), 2):
+            raise ValueError(
+                f"one (lower, upper) bounds pair per control is required: got shape {bounds.shape} "
+                f"for {len(controls)} controls"
+            )
+        pairs = bounds.tolist()
+        for k, (lo, hi) in enumerate(pairs):
             if not lo < hi:
                 raise ValueError(f"bounds for control {k} are empty: [{lo}, {hi}]")
         if not 0 <= self.fiducial_index < d:
@@ -121,16 +119,14 @@ class ControlSystem:
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "amplitude_bounds", bounds)
-        object.__setattr__(self, "control_stack", stack)
-        object.__setattr__(self, "bound_array", _readonly(np.array(bounds, dtype=float).reshape(-1, 2).T))
-        coupled = np.abs(drift) + np.abs(stack).sum(axis=0)
+        coupled = np.abs(drift) + np.abs(controls).sum(axis=0)
         object.__setattr__(self, "chain_walk", _path_walk(coupled != 0))
         # summed in Python floats, which overflow to inf without a numpy warning
         bound = float(np.linalg.norm(drift, 2)) + sum(
-            float(np.linalg.norm(h, 2)) * max(abs(lo), abs(hi)) for h, (lo, hi) in zip(controls, bounds)
+            float(np.linalg.norm(h, 2)) * max(abs(lo), abs(hi)) for h, (lo, hi) in zip(controls, pairs)
         )
         object.__setattr__(self, "generator_bound", bound)
-        speeds = np.ptp(np.linalg.eigvalsh(stack), axis=-1) / 2
+        speeds = np.ptp(np.linalg.eigvalsh(controls), axis=-1) / 2
         object.__setattr__(self, "control_speeds", _readonly(np.where(speeds > 0, speeds, 1.0)))
 
     @property
@@ -158,9 +154,9 @@ class Waveform:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        durations = np.asarray(self.durations, dtype=float)
-        # a reshaped view would make ``_readonly`` copy an array it could share
-        durations = _readonly(durations if durations.ndim == 1 else durations.reshape(-1))
+        durations = _readonly(np.asarray(self.durations, dtype=float))
+        if durations.ndim != 1:
+            raise ValueError(f"durations must be 1-d (one per segment), got {durations.ndim}-d")
         amplitudes = np.asarray(self.amplitudes, dtype=float)
         if amplitudes.ndim != 2:
             raise ValueError(f"amplitudes must be 2-d (segments x controls), got {amplitudes.ndim}-d")
@@ -213,11 +209,11 @@ def _mirror_signs(
     if not np.array_equal(image(src.drift), dst.drift):
         return None
     signs = []
-    for h, h_dst, (lo, hi), bounds_dst in zip(src.controls, dst.controls, src.amplitude_bounds, dst.amplitude_bounds):
+    for h, h_dst, bounds, bounds_dst in zip(src.controls, dst.controls, src.amplitude_bounds, dst.amplitude_bounds):
         h_image = image(h)
-        if np.array_equal(h_image, h_dst) and bounds_dst == (lo, hi):
+        if np.array_equal(h_image, h_dst) and np.array_equal(bounds_dst, bounds):
             signs.append(1.0)
-        elif np.array_equal(h_image, -h_dst) and bounds_dst == (-hi, -lo):
+        elif np.array_equal(h_image, -h_dst) and np.array_equal(bounds_dst, -bounds[::-1]):
             signs.append(-1.0)
         else:
             return None
@@ -229,7 +225,7 @@ def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
     if w.n_controls != sys.n_controls:
         raise ValueError(f"waveform has {w.n_controls} controls, system has {sys.n_controls}")
     amps = w.amplitudes
-    low, high = sys.bound_array
+    low, high = sys.amplitude_bounds.T
     ok = np.isfinite(amps) & (amps >= low - AMPLITUDE_TOL) & (amps <= high + AMPLITUDE_TOL)
     if not ok.all():
         k, m = np.argwhere(~ok.T)[0]  # control by control: the first bad segment of the lowest control
@@ -253,7 +249,7 @@ def check_segment_phase(sys: ControlSystem, duration: float) -> None:
 def segment_hamiltonians(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """(M, d, d) stack of per-segment generators H0 + sum_k u_k H_k."""
     d = sys.dim
-    ctrl = w.amplitudes @ sys.control_stack.reshape(sys.n_controls, d * d)
+    ctrl = w.amplitudes @ sys.controls.reshape(sys.n_controls, d * d)
     return sys.drift + ctrl.reshape(w.n_segments, d, d)
 
 

@@ -34,7 +34,7 @@ def plan_unitary(w: np.ndarray) -> list[EigenPlanStep]:
     Steps whose phase vanishes (mod 2pi, within 1e-12) contribute identity
     factors and are marked skippable so no search is wasted on them.
     """
-    decomp = eig_unitary(assert_unitary(w))
+    decomp = eig_unitary(w)
     steps = []
     for j in range(decomp.dim):
         lam = float(decomp.phases[j])
@@ -48,8 +48,8 @@ def synthesize_unitary(w: np.ndarray, mapper) -> SynthesisReport:
 
     One mapper call per active eigenpair; the factors commute in exact
     arithmetic, and step 1 is applied first (rightmost).  The report keeps
-    one record per eigenpair; a step that misses the fidelity goal is
-    reported through its record's converged flag rather than raised.
+    one record per eigenpair; a step that misses the fidelity goal has
+    ``step.result.converged`` False rather than raising.
     """
     w = assert_unitary(w)
     if w.shape[0] != mapper.dim:

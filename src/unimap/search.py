@@ -61,6 +61,8 @@ MU_START = 1e-3
 MU_CAP = 1e16
 #: two unit states are one state up to a phase when |<a|b>| >= 1 - MATCH_TOL
 MATCH_TOL = 1e-12
+#: segment duration (s) of ``default_search_config``
+SEGMENT_DURATION = 10e-6
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:
     n_vars = 2 * sys.dim * sys.dim
     defaults = dict(
         segment_count=math.ceil(n_vars / sys.n_controls),
-        segment_duration=10e-6,
+        segment_duration=SEGMENT_DURATION,
     )
     defaults.update(overrides)
     return SearchConfig(**defaults)
@@ -202,7 +204,7 @@ def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets)
     x = (lam[:, :, None] - lam[:, None, :]) * (tau[:, :, None] / 2)
     x[x == 0] = 1e-20  # so that sin(x) / x = 1 there
     kernel_t = (half * right)[:, :, None] * (-1j * tau * half)[:, None, :] * (np.sin(x) / x)
-    hv = sys.control_stack.reshape(k * d, d) @ (v @ kernel_t)
+    hv = sys.controls.reshape(k * d, d) @ (v @ kernel_t)
     diag = np.einsum("mai,mkai->mki", v.conj(), hv.reshape(m, k, d, d))
     return (left @ diag.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, m * k)
 
@@ -219,7 +221,7 @@ def _chordal_jacobian(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, u
 
 def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the middle 50% of each control's bounds."""
-    lo, hi = sys.bound_array
+    lo, hi = sys.amplitude_bounds.T
     mid, half = (lo + hi) / 2, (hi - lo) / 4
     u = rng.uniform(-1.0, 1.0, size=(cfg.segment_count, sys.n_controls))
     return mid + half * u
@@ -259,8 +261,7 @@ def search_state_map(
     durations.setflags(write=False)  # shared by every trial waveform, the result and its signed images
     amps = _seed_amplitudes(sys, cfg, np.random.default_rng([cfg.seed, restart_index]))
     shape = amps.shape
-    lo = np.broadcast_to(sys.bound_array[0], shape).ravel()
-    hi = np.broadcast_to(sys.bound_array[1], shape).ravel()
+    lo, hi = (np.broadcast_to(b, shape).ravel() for b in sys.amplitude_bounds.T)
     speeds = np.tile(sys.control_speeds, cfg.segment_count)
 
     def evaluate(x):

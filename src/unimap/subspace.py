@@ -21,7 +21,7 @@ untouched; the map is the product of the played factors and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -171,8 +171,6 @@ class SearchedMapper:
 
     sys: ControlSystem
     cfg: SearchConfig
-    #: the system's fiducial state, built once and shared by every step's search
-    fiducial: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(self.sys.drift):
@@ -181,16 +179,13 @@ class SearchedMapper:
                 f"{np.linalg.norm(self.sys.drift, 2):.6g} rad/s: playing V, the imprint, then V reversed "
                 f"gives V† P(theta) V only when no drift acts"
             )
-        fiducial = self.sys.fiducial_state()
-        fiducial.setflags(write=False)
-        object.__setattr__(self, "fiducial", fiducial)
 
     @property
     def dim(self) -> int:
         return self.sys.dim
 
     def phase_about(self, phi, theta: float) -> PhaseStep:
-        result = multi_start(self.sys, phi, self.fiducial, self.cfg)
+        result = multi_start(self.sys, phi, self.sys.fiducial_state(), self.cfg)
         chi = result.propagator[self.sys.fiducial_index].conj()
         return PhaseStep(theta, chi, result)
 

@@ -102,11 +102,11 @@ def test_equal_parameters_share_generators_not_systems():
     # each generator is stored once per parameter set: equal systems share it read-only,
     # yet stay distinct systems, so no stored search result passes between them
     a, b = build_restricted_system(CesiumParams()), build_restricted_system(CesiumParams(), aux=+4)
-    assert a is not b and a.drift is b.drift and a.control_stack is b.control_stack
-    assert not a.control_stack.flags.writeable and all(np.shares_memory(h, a.control_stack) for h in b.controls)
+    assert a is not b and a.drift is b.drift and a.controls is b.controls
+    assert not a.controls.flags.writeable and a.controls.shape == (5, 8, 8)
     minus, detuned = build_restricted_system(aux=-4), build_restricted_system(CesiumParams(rf_detuning=1.0))
-    assert not np.shares_memory(minus.control_stack, a.control_stack)
-    assert not np.shares_memory(detuned.drift, a.drift) and np.array_equal(detuned.control_stack, a.control_stack)
+    assert not np.shares_memory(minus.controls, a.controls)
+    assert not np.shares_memory(detuned.drift, a.drift) and np.array_equal(detuned.controls, a.controls)
 
 
 class TestAuxMirrors:
@@ -133,7 +133,7 @@ class TestAuxMirrors:
     def test_bounds_must_map_onto_bounds(self, cesium, cesium_minus):
         # rf_x changes sign under both mirrors, so its bounds must be reflected
         def with_rf_x_bounds(sys, bounds):
-            return dataclasses.replace(sys, amplitude_bounds=(bounds,) + sys.amplitude_bounds[1:])
+            return dataclasses.replace(sys, amplitude_bounds=[bounds, *sys.amplitude_bounds[1:]])
 
         mirror, plus = AUX_MIRRORS[+1], with_rf_x_bounds(cesium, (0.0, 1.0))
         assert _mirror_signs(plus, cesium_minus, mirror) is None

@@ -40,6 +40,12 @@ class TestModelInfo:
         assert info["fiducial_index"] == 7
         assert len(info["controls"]) == 5
 
+    @pytest.mark.parametrize("preset", ["cs133-f3-aux4", "cs133-f3-aux-4"])
+    def test_prints_one_float_bounds_pair_per_control(self, capsys, preset):
+        assert run(["model", "info", preset]) == 0
+        bounds = json.loads(capsys.readouterr().out)["amplitude_bounds"]
+        assert bounds == [[-1.0, 1.0]] * 5 and all(type(b) is float for pair in bounds for b in pair)
+
     def test_unknown_preset_exits_2(self, capsys):
         assert run(["model", "info", "nope"]) == 2
         assert "preset" in capsys.readouterr().err

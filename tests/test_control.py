@@ -1,5 +1,7 @@
 """Propagation, bounds checks, and the fiducial phase imprint as the builder forms it."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -100,24 +102,25 @@ class TestPropagate:
 
 
 def test_controls_are_read_only_views_of_the_one_stack(cesium):
-    # each generator is stored once, in control_stack, and no caller array is aliased
-    assert not cesium.control_stack.flags.writeable
-    assert len(cesium.controls) == len(cesium.control_stack) == 5
-    for k, h in enumerate(cesium.controls):
-        assert np.shares_memory(h, cesium.control_stack) and not h.flags.writeable
-        assert np.array_equal(h, cesium.control_stack[k])
+    # each generator is stored once, in the read-only (K, d, d) stack ``controls``, and no caller array is aliased
+    assert isinstance(cesium.controls, np.ndarray) and cesium.controls.shape == (5, 8, 8)
+    assert not cesium.controls.flags.writeable
+    for h in cesium.controls:
+        assert np.shares_memory(h, cesium.controls) and not h.flags.writeable
     mine = np.array(cesium.controls[0])
     sys_m = ControlSystem(cesium.drift, (mine,), ((-1.0, 1.0),), fiducial_index=0)
     mine[0, 0] = 7.0
-    assert not np.shares_memory(sys_m.controls[0], mine) and sys_m.controls[0][0, 0] == cesium.controls[0][0, 0]
-    # a (K, d, d) stack is shared when read-only and owning its memory, copied when writable
-    stack = np.array(cesium.control_stack)
-    bounds = cesium.amplitude_bounds
+    assert not np.shares_memory(sys_m.controls, mine) and sys_m.controls[0, 0, 0] == cesium.controls[0, 0, 0]
+    # a (K, d, d) stack or (K, 2) bounds array is shared when read-only and owning its memory, copied when writable
+    stack, bounds = np.array(cesium.controls), np.array(cesium.amplitude_bounds)
     copied = ControlSystem(cesium.drift, stack, bounds, fiducial_index=0)
     stack.setflags(write=False)
+    bounds.setflags(write=False)
     shared = ControlSystem(cesium.drift, stack, bounds, fiducial_index=0)
-    assert shared.control_stack is stack and not np.shares_memory(copied.control_stack, stack)
-    assert np.array_equal(copied.control_stack, stack) and copied.controls[4].flags.writeable is False
+    assert shared.controls is stack and not np.shares_memory(copied.controls, stack)
+    assert shared.amplitude_bounds is bounds and not np.shares_memory(copied.amplitude_bounds, bounds)
+    assert np.array_equal(copied.controls, stack) and not copied.controls.flags.writeable
+    assert np.array_equal(copied.amplitude_bounds, bounds) and not copied.amplitude_bounds.flags.writeable
 
 
 @pytest.mark.parametrize("controls", [(), np.zeros((0, 8, 8))])
@@ -125,6 +128,32 @@ def test_refuses_a_system_without_controls(cesium, controls):
     # nothing to search over: refused when built, not inside the first config or search
     with pytest.raises(ValueError, match="system 'bare' has no controls"):
         ControlSystem(cesium.drift, controls, (), 0, name="bare")
+
+
+@pytest.mark.parametrize(
+    "bounds, shape",
+    [(((-1.0, 1.0),) * 4, (4, 2)), ((-1.0, 1.0) * 5, (10,)), (((-1.0, 0.0, 1.0),) * 5, (5, 3))],
+    ids=["four-pairs", "flat", "triples"],
+)
+def test_refuses_bounds_that_are_not_one_pair_per_control(cesium, bounds, shape):
+    message = f"one (lower, upper) bounds pair per control is required: got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ControlSystem(cesium.drift, cesium.controls, bounds, 0)
+
+
+@pytest.mark.parametrize(
+    "pair", [(0.5, 0.5), (1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan)], ids=["empty", "reversed", "nan-lo", "nan-hi"]
+)
+def test_refuses_an_empty_bounds_pair(cesium, pair):
+    bounds = [(-1.0, 1.0)] * 3 + [pair, (-1.0, 1.0)]
+    with pytest.raises(ValueError, match="bounds for control 3 are empty"):
+        ControlSystem(cesium.drift, cesium.controls, bounds, 0)
+
+
+@pytest.mark.parametrize("index", [-1, 8])
+def test_refuses_a_fiducial_index_out_of_range(cesium, index):
+    with pytest.raises(ValueError, match=f"fiducial index {index} out of range for d=8"):
+        ControlSystem(cesium.drift, cesium.controls, cesium.amplitude_bounds, index)
 
 
 @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 2e3])
@@ -406,10 +435,13 @@ class TestWaveformValidation:
         durations = np.full(4, 1e-6)
         durations.setflags(write=False)
         assert Waveform(durations, np.zeros((4, 5))).durations is durations
-        # a writable or a 2-d array is copied, read-only
-        for given in (np.full(4, 1e-6), np.full((4, 1), 1e-6)):
-            kept = Waveform(given, np.zeros((4, 5))).durations
-            assert kept.shape == (4,) and not kept.flags.writeable and not np.shares_memory(kept, given)
+        # a writable array is copied, read-only
+        given = np.full(4, 1e-6)
+        kept = Waveform(given, np.zeros((4, 5))).durations
+        assert kept.shape == (4,) and not kept.flags.writeable and not np.shares_memory(kept, given)
+        # durations that are not 1-d are refused, not flattened into segments
+        with pytest.raises(ValueError, match="durations must be 1-d"):
+            Waveform(np.full((4, 1), 1e-6), np.zeros((4, 5)))
 
 
 def test_lie_algebra_dimension_su2():

@@ -609,7 +609,7 @@ def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls
     plus, minus, cfg = ec_systems
     light = minus.controls[4].copy()
     light[6, 6] = light[7, 7]  # the light shift now moves |3,-3> as well
-    unmirrored = dataclasses.replace(minus, controls=minus.controls[:4] + (light,))
+    unmirrored = dataclasses.replace(minus, controls=[*minus.controls[:4], light])
     assert [add_symmetry(plus, unmirrored, mirror) for mirror in AUX_MIRRORS.values()] == [False, False]
     mapper = _aux_switching_mapper(plus, unmirrored, cfg)
     assert unmirrored.symmetries == []

@@ -293,7 +293,7 @@ def matmul_bra_derivatives(sys, w, out_bras, lam, v, u, kets):
     x = (lam[:, :, None] - lam[:, None, :]) * (tau[:, :, None] / 2)
     x[x == 0] = 1e-20
     kernel_t = (half * right)[:, :, None] * (-1j * tau * half)[:, None, :] * (np.sin(x) / x)
-    hv = sys.control_stack.reshape(k * d, d) @ (v @ kernel_t)
+    hv = sys.controls.reshape(k * d, d) @ (v @ kernel_t)
     diag = np.einsum("mai,mkai->mki", v.conj(), hv.reshape(m, k, d, d))
     return (left @ diag.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, m * k)
 
@@ -545,7 +545,7 @@ class TestSearch:
         psi_i, psi_f = basis_state(8, 7), haar_random_state(8, np.random.default_rng(44))
         cfg = default_search_config(cesium, seed=43, max_iterations=1, fidelity_goal=1.0)
         seed = unimap.search._seed_amplitudes(cesium, cfg, np.random.default_rng([cfg.seed, 0]))
-        lo, hi = (np.broadcast_to(b, seed.shape).ravel() for b in cesium.bound_array)
+        lo, hi = (np.broadcast_to(b, seed.shape).ravel() for b in cesium.amplitude_bounds.T)
         flat = seed.ravel()
         grad = gradient_state_prep(cesium, Waveform(np.full(len(seed), 1e-5), seed), psi_i, psi_f)
         flat[:40] = np.where(grad[:40] > 0, hi[:40], lo[:40])
@@ -574,10 +574,10 @@ class TestSearch:
 
 def scaled_control(sys, k, factor):
     """``sys`` with control k's generator times ``factor`` and its bounds divided by it."""
-    stack = np.array(sys.control_stack)
+    stack = np.array(sys.controls)
     stack[k] *= factor
-    bounds = list(sys.amplitude_bounds)
-    bounds[k] = tuple(b / factor for b in bounds[k])
+    bounds = np.array(sys.amplitude_bounds)
+    bounds[k] /= factor
     return ControlSystem(sys.drift, stack, bounds, sys.fiducial_index)
 
 
