@@ -123,7 +123,7 @@ SEARCH_FLAGS = {
     "goal": (float, f"fidelity goal ({_default('goal')})"),
     "max_iterations": (int, _default("max_iterations")),
     "seed": (int, _default("seed")),
-    "restarts": (int, _default("restarts")),
+    "restarts": (int, f"tries until one meets --goal ({_default('restarts')})"),
 }
 
 

@@ -104,7 +104,16 @@ class ControlSystem:
             if h.shape != (d, d):
                 raise ValueError(f"control {k} has shape {h.shape}, expected {(d, d)}")
         controls = _readonly(np.asarray(self.controls, dtype=complex))
-        bounds = _readonly(np.asarray(self.amplitude_bounds, dtype=float))
+        try:
+            bounds = _readonly(np.asarray(self.amplitude_bounds, dtype=float))
+        except ValueError:
+            rows = {np.shape(row) for row in self.amplitude_bounds}
+            if len(rows) < 2:
+                raise
+            raise ValueError(
+                "one (lower, upper) bounds pair per control is required: the rows are ragged, "
+                f"with shapes {sorted(rows)} for {len(controls)} controls"
+            ) from None
         if bounds.shape != (len(controls), 2):
             raise ValueError(
                 f"one (lower, upper) bounds pair per control is required: got shape {bounds.shape} "

@@ -24,13 +24,14 @@ J; the d identity rows give d(U psi_i)/du, hence the (2d + 1) x MK Jacobian of r
 ``multi_start`` keeps its results on the system (``kept_results``), so
 they go when the system goes.  On a miss it tries the all-zero waveform,
 then the image of a kept result under an exact symmetry onto the system,
-and only then searches.  The symmetries are those a caller added to the
-system's ``symmetries`` with ``add_symmetry`` (a signed permutation S from
-one system onto another that carries every control onto plus or minus a
-control), then the system's own complex conjugation where
-conj(U(u)) = U(sigma u) (the cesium model at zero rf detuning).  Either
-way a waveform that maps a to b maps the image of a to the image of b once
-each control's amplitudes are multiplied by its sign sigma.
+and only then searches.  Its restarts are retries: the next one runs only
+when every earlier one missed the goal.  The symmetries are those a caller
+added to the system's ``symmetries`` with ``add_symmetry`` (a signed
+permutation S from one system onto another that carries every control
+onto plus or minus a control), then the system's own complex conjugation
+where conj(U(u)) = U(sigma u) (the cesium model at zero rf detuning).
+Either way a waveform that maps a to b maps the image of a to the image of
+b once each control's amplitudes are multiplied by its sign sigma.
 """
 
 from __future__ import annotations
@@ -67,7 +68,11 @@ SEGMENT_DURATION = 10e-6
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for one state-map search."""
+    """Knobs for one state-map search.
+
+    ``restarts`` is the most searches ``multi_start`` tries: restart r + 1
+    runs only when restarts 0..r all missed ``fidelity_goal``.
+    """
 
     segment_count: int
     segment_duration: float
@@ -212,11 +217,14 @@ def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets)
 def _chordal_jacobian(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, u, kets) -> np.ndarray:
     """The (2d + 1) x MK real Jacobian of the chordal residual: Re and Im of D - psi_f (psi_f† D), then
     Re(e^{-i alpha} psi_f† D), e^{-i alpha} = conj(overlap) / |overlap| or 1, from D = d(U psi_i)/du."""
-    d_ket = _bra_derivatives(sys, w, np.eye(sys.dim), lam, v, u, kets)
+    d = sys.dim
+    d_ket = _bra_derivatives(sys, w, np.eye(d), lam, v, u, kets)
     along = psi_f.conj() @ d_ket
     phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
-    off = d_ket - np.outer(psi_f, along)
-    return np.concatenate((off.real, off.imag, (phase * along).real[None]))
+    d_ket -= np.outer(psi_f, along)
+    jac = np.empty((2 * d + 1, d_ket.shape[1]))
+    jac[:d], jac[d:-1], jac[-1] = d_ket.real, d_ket.imag, (phase * along).real
+    return jac
 
 
 def _seed_amplitudes(sys: ControlSystem, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
@@ -407,12 +415,14 @@ def _symmetric_image(sys: ControlSystem, psi_i: np.ndarray, psi_f: np.ndarray, c
 
 
 def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchResult:
-    """Best result over cfg.restarts independent seeds, run one after another.
+    """The first of at most cfg.restarts independent seeds to meet the goal, tried one after another.
 
     Restart r runs with the rng stream (cfg.seed, r), so adding restarts
-    never changes earlier ones; the first restart achieving the maximum
-    fidelity wins.  The segment duration and both states are checked as in
-    ``search_state_map`` before the zero-amplitude shortcut is tried.
+    never changes earlier ones, and restart r + 1 runs only when restarts
+    0..r all missed ``cfg.fidelity_goal``.  When every restart misses, the
+    first restart achieving the maximum fidelity is returned.  The segment
+    duration and both states are checked as in ``search_state_map`` before
+    the zero-amplitude shortcut is tried.
 
     The search is deterministic, so the result is kept on the system
     (``sys.kept_results``) and a repeated call (the same system object,
@@ -437,5 +447,7 @@ def multi_start(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchRe
             res = search_state_map(sys, psi_i, psi_f, cfg, restart_index=r)
             if best is None or res.fidelity > best.fidelity:
                 best = res
+            if best.converged:
+                break
     done[key] = best
     return best

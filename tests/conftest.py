@@ -35,6 +35,11 @@ def assert_carries_its_propagator(sys, result) -> None:
     assert not result.propagator.flags.writeable
 
 
+def searches_run(result, cfg) -> int:
+    """The searches ``multi_start`` ran for a searched ``result``: through the first restart that met the goal, else all."""
+    return result.restart_index + 1 if result.converged else cfg.restarts
+
+
 def diag_phase(d: int, index: int, angle: float) -> np.ndarray:
     """Diagonal unitary with e^{-i angle} on basis level ``index`` and 1 elsewhere."""
     diag = np.ones(d, dtype=complex)

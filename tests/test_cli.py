@@ -531,7 +531,7 @@ class TestECSweep:
         assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("workload, searches", [("unitary_d7", [3]), ("subspace_maps", [6, 9])])
+@pytest.mark.parametrize("workload, searches", [("unitary_d7", [3]), ("subspace_maps", [2, 3])])
 def test_benchmark_searched_workloads_search_counts(tmp_path, monkeypatch, count_calls, workload, searches):
     # the exact commands of the benchmark's searched workloads: a lost stored result or
     # derivation shows here as more searches, not only as a slower benchmark
@@ -550,11 +550,11 @@ def test_benchmark_searched_workloads_search_counts(tmp_path, monkeypatch, count
     assert counts == searches
 
 
-@pytest.mark.parametrize("workload, bound", [("unitary_d7", 46), ("subspace_maps", 120)])
+@pytest.mark.parametrize("workload, bound", [("unitary_d7", 46), ("subspace_maps", 60)])
 def test_benchmark_searched_workloads_forward_passes(tmp_path, monkeypatch, count_calls, workload, bound):
     # each forward pass of the search module diagonalizes its segments once; on the chordal
-    # residual with speed-scaled damping these commands take 42 and 108 passes, where the
-    # phase-free residual with plain damping took 44 and 147
+    # residual with speed-scaled damping, stopping at the first restart that meets the goal,
+    # these commands take 42 and 55 passes; running every restart took 108 on subspace_maps
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 

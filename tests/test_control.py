@@ -141,6 +141,13 @@ def test_refuses_bounds_that_are_not_one_pair_per_control(cesium, bounds, shape)
         ControlSystem(cesium.drift, cesium.controls, bounds, 0)
 
 
+def test_refuses_ragged_bounds_under_the_same_rule(cesium):
+    # ragged rows have no array shape to report, so the refusal names them as ragged
+    message = "one (lower, upper) bounds pair per control is required: the rows are ragged, with shapes [(2,), (3,)]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ControlSystem(cesium.drift, cesium.controls, [(-1.0, 1.0)] * 4 + [(-1.0, 0.0, 1.0)], 0)
+
+
 @pytest.mark.parametrize(
     "pair", [(0.5, 0.5), (1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan)], ids=["empty", "reversed", "nan-lo", "nan-hi"]
 )

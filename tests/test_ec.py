@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import searches_run
 from unimap.core import as_state, haar_random_state, haar_random_unitary
 from unimap.ec import (
     BLOCH_AXIS_STATES,
@@ -450,8 +451,10 @@ def test_repeated_state_map_shares_one_search(count_calls):
     calls = count_calls(unimap.search, "search_state_map")
     params = CesiumParams()
     cfg = default_search_config(build_restricted_system(params), max_iterations=3, seed=5, restarts=2)
-    _, (encode, _, recover) = synthesize_ec_maps(params, cfg)
-    assert len(calls) == 3 * cfg.restarts
+    _, (encode, extract, recover) = synthesize_ec_maps(params, cfg)
+    searched = (encode.steps[0].result, encode.steps[1].result, extract.steps[0].result)
+    assert len({(a[1].tobytes(), a[2].tobytes()) for a in calls}) == 3
+    assert len(calls) == sum(searches_run(res, cfg) for res in searched)
     # both steps hold the one result that the aux +4 system keeps
     shared = encode.steps[0].result
     assert shared is recover.steps[0].result
@@ -486,7 +489,8 @@ def test_mirror_image_steps_play_the_signed_source_waveform(count_calls):
     plus, minus = build_restricted_system(params, aux=+4), build_restricted_system(params, aux=-4)
     cfg = default_search_config(plus, max_iterations=20, seed=5, restarts=2)
     _, (encode, extract, recover) = synthesize_ec_maps(params, cfg)
-    assert len(calls) == 3 * cfg.restarts
+    searched = (encode.steps[0].result, encode.steps[1].result, extract.steps[0].result)
+    assert len(calls) == sum(searches_run(res, cfg) for res in searched)
     for s, source, derived, spec_index in ((-1, extract.steps[0].result, extract.steps[1].result, 1),
                                            (+1, encode.steps[0].result, recover.steps[1].result, 2)):
         assert derived.iterations == 0
@@ -510,17 +514,17 @@ def ec_systems():
     return plus, minus, default_search_config(plus, max_iterations=3, seed=5, restarts=2)
 
 
-def _searches_per_step(mapper, count_calls, *planned) -> list[int]:
-    """Searches the mapper runs for each planned (spec index, step index), in turn."""
+def _searches_per_step(mapper, count_calls, *planned) -> tuple[list[int], list]:
+    """Searches the mapper runs for each planned (spec index, step index), in turn, and each step's result."""
     import unimap.search
 
     calls = count_calls(unimap.search, "search_state_map")
-    counts = []
+    counts, results = [], []
     for spec_index, step_index in planned:
         before = len(calls)
-        mapper.phase_about(_planned_reflection(spec_index, step_index), np.pi)
+        results.append(mapper.phase_about(_planned_reflection(spec_index, step_index), np.pi).result)
         counts.append(len(calls) - before)
-    return counts
+    return counts, results
 
 
 EXTRACT = ((1, 0), (1, 1))  # step 1 of extract on aux +4, then its mirror image step 2 on aux -4
@@ -531,7 +535,8 @@ def test_mirror_image_of_a_recorded_plus_step_is_not_searched(ec_systems, count_
 
     plus, minus, cfg = ec_systems
     mapper = _aux_switching_mapper(plus, minus, cfg)
-    assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, 0]
+    counts, (source, _) = _searches_per_step(mapper, count_calls, *EXTRACT)
+    assert counts == [searches_run(source, cfg), 0]
 
 
 def test_searched_steps_and_mirror_images_carry_their_propagators(ec_systems, returned_results):
@@ -556,7 +561,8 @@ def test_minus_step_with_no_recorded_plus_image_is_searched(ec_systems, count_ca
 
     plus, minus, cfg = ec_systems
     mapper = _aux_switching_mapper(plus, minus, cfg)
-    assert _searches_per_step(mapper, count_calls, EXTRACT[1]) == [cfg.restarts]
+    counts, (res,) = _searches_per_step(mapper, count_calls, EXTRACT[1])
+    assert counts == [searches_run(res, cfg)] and res.iterations > 0
 
 
 def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, count_calls, keep_result):
@@ -577,7 +583,8 @@ def test_mirror_image_that_misses_a_goal_its_source_met_is_searched(ec_systems, 
     image = Waveform(wave.durations, amps * _mirror_signs(plus, minus, AUX_MIRRORS[-1]))
     j = objective_state_prep(minus, image, phi_minus / np.linalg.norm(phi_minus), minus.fiducial_state())
     assert j < cfg.fidelity_goal
-    assert _searches_per_step(mapper, count_calls, EXTRACT[1]) == [cfg.restarts]
+    counts, (res,) = _searches_per_step(mapper, count_calls, EXTRACT[1])
+    assert counts == [searches_run(res, cfg)] and res.iterations > 0
 
 
 def test_detuned_pair_derives_nothing(ec_systems, count_calls):
@@ -596,7 +603,8 @@ def test_detuned_pair_derives_nothing(ec_systems, count_calls):
         _aux_switching_mapper(*detuned, cfg)
     # no mirror added on the undetuned pair either: its -4 step searches
     mapper = _AuxSwitchingMapper({+4: SearchedMapper(plus, cfg), -4: SearchedMapper(minus, cfg)})
-    assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, cfg.restarts]
+    counts, results = _searches_per_step(mapper, count_calls, *EXTRACT)
+    assert counts == [searches_run(res, cfg) for res in results]
 
 
 def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls):
@@ -613,7 +621,8 @@ def test_pair_with_an_unmirrored_control_derives_nothing(ec_systems, count_calls
     assert [add_symmetry(plus, unmirrored, mirror) for mirror in AUX_MIRRORS.values()] == [False, False]
     mapper = _aux_switching_mapper(plus, unmirrored, cfg)
     assert unmirrored.symmetries == []
-    assert _searches_per_step(mapper, count_calls, *EXTRACT) == [cfg.restarts, cfg.restarts]
+    counts, results = _searches_per_step(mapper, count_calls, *EXTRACT)
+    assert counts == [searches_run(res, cfg) for res in results]
 
 
 def test_searched_maps_leave_module_state_alone():

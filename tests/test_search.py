@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import unimap.search
-from conftest import assert_carries_its_propagator
+from conftest import assert_carries_its_propagator, searches_run
 from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
 from unimap.control import ControlSystem, Waveform, check_amplitudes, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
@@ -641,24 +641,26 @@ class TestMultiStart:
         assert a.fidelity == b.fidelity
         assert np.array_equal(a.waveform.amplitudes, b.waveform.amplitudes)
 
-    def test_best_of_restarts(self, cesium):
-        cfg = default_search_config(cesium, seed=51, max_iterations=25, restarts=4, fidelity_goal=1.0)
+    def test_best_of_restarts(self, cesium, count_calls):
+        # in 3 iterations no restart reaches J = 1 (they read 0.92, 0.986, 0.50 and 0.66), so all
+        # four run and the first with the highest fidelity is kept; with more iterations each
+        # reaches J = 1.0 exactly
+        cfg = default_search_config(cesium, seed=51, max_iterations=3, restarts=4, fidelity_goal=1.0)
         psi_f = haar_random_state(8, np.random.default_rng(52))
+        searches = count_calls(unimap.search, "search_state_map")
         best = multi_start(cesium, basis_state(8, 7), psi_f, cfg)
-        singles = [
-            search_state_map(cesium, basis_state(8, 7), psi_f, cfg, restart_index=r)
-            for r in range(4)
-        ]
-        assert best.fidelity == max(s.fidelity for s in singles)
+        assert len(searches) == cfg.restarts and not best.converged
+        fids = [search_state_map(cesium, basis_state(8, 7), psi_f, cfg, restart_index=r).fidelity for r in range(4)]
+        assert best.restart_index == fids.index(max(fids)) and best.fidelity == max(fids)
 
     def test_more_restarts_never_worse(self, cesium):
         # restart seeds depend only on (seed, index), so the set of runs
-        # with 3 restarts contains the single-start run
+        # with 3 restarts contains the single-start run; in 3 iterations none reaches the goal
         psi_f = haar_random_state(8, np.random.default_rng(62))
         fids = {}
         for restarts in (1, 3):
             cfg = default_search_config(
-                cesium, seed=61, max_iterations=30, restarts=restarts, fidelity_goal=1.0
+                cesium, seed=61, max_iterations=3, restarts=restarts, fidelity_goal=1.0
             )
             fids[restarts] = multi_start(cesium, basis_state(8, 7), psi_f, cfg).fidelity
         assert fids[3] >= fids[1]
@@ -668,6 +670,26 @@ class TestMultiStart:
         res = multi_start(cesium, basis_state(8, 7), basis_state(8, 7), cfg)
         assert res.converged and res.iterations == 0
         assert np.abs(res.waveform.amplitudes).max() == 0.0
+
+    def test_a_restart_that_meets_the_goal_ends_the_tries(self, count_calls):
+        sys = build_restricted_system(CesiumParams())
+        searches = count_calls(unimap.search, "search_state_map")
+        cfg = default_search_config(sys, seed=110, restarts=3)
+        res = multi_start(sys, haar_random_state(8, np.random.default_rng(111)), sys.fiducial_state(), cfg)
+        assert len(searches) == 1 and res.restart_index == 0 and res.converged
+
+    def test_a_missed_restart_is_retried_until_one_meets_the_goal(self, count_calls):
+        # seed 109 at 3 iterations, from a scan of seeds 100-111 at 3-5 iterations (state from
+        # rng seed + 1): restart 0 reaches J = 0.934, restart 1 0.9954 and restart 2 0.9998, so
+        # the retries stop at restart 1, where the best of all three would have been restart 2
+        sys = build_restricted_system(CesiumParams())
+        searches = count_calls(unimap.search, "search_state_map")
+        cfg = default_search_config(sys, seed=109, max_iterations=3, restarts=3)
+        a = haar_random_state(8, np.random.default_rng(110))
+        res = multi_start(sys, a, sys.fiducial_state(), cfg)
+        assert len(searches) == 2 and res.restart_index == 1 and res.converged
+        missed, met, later = (search_state_map(sys, a, sys.fiducial_state(), cfg, restart_index=r) for r in range(3))
+        assert not missed.converged and res.fidelity == met.fidelity < later.fidelity
 
     def test_bounds_excluding_zero_skip_the_zero_seed(self, two_level):
         # the all-zero waveform lies outside [0.5, 1]: it must not be built or scored
@@ -724,13 +746,14 @@ def test_multi_start_determinism(count_calls):
     cfg = default_search_config(systems[0], seed=81, max_iterations=40, restarts=3, fidelity_goal=1.0)
     psi_f = haar_random_state(8, np.random.default_rng(82))
     first, second = (multi_start(sys, basis_state(8, 7), psi_f, cfg) for sys in systems)
-    assert len(searches) == 2 * cfg.restarts and first is not second
+    ran = len(searches)
+    assert ran == searches_run(first, cfg) + searches_run(second, cfg) and first is not second
     assert first.fidelity == second.fidelity
     assert first.restart_index == second.restart_index
     assert np.array_equal(first.waveform.amplitudes, second.waveform.amplitudes)
     # a repeated call, with equal states and an equal config built anew, searches no more
     assert multi_start(systems[0], basis_state(8, 7), psi_f.copy(), dataclasses.replace(cfg)) is first
-    assert len(searches) == 2 * cfg.restarts
+    assert len(searches) == ran
 
 
 def test_stored_results_go_with_their_system():
@@ -771,14 +794,14 @@ class TestConjugateImages:
         cfg = default_search_config(sys, seed=91, max_iterations=30, restarts=2)
         a = haar_random_state(8, np.random.default_rng(92))
         source = multi_start(sys, a, sys.fiducial_state(), cfg)
-        assert len(searches) == cfg.restarts
+        assert len(searches) == searches_run(source, cfg)
         return source, searches, cfg, np.exp(0.7j) * a.conj()
 
     def test_conjugate_states_derive_the_signed_waveform(self, count_calls):
         sys = build_restricted_system(CesiumParams())
         source, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
         derived = multi_start(sys, a_conj, sys.fiducial_state(), cfg)
-        assert len(searches) == cfg.restarts
+        assert len(searches) == searches_run(source, cfg)
         assert derived.iterations == 0 and derived.restart_index == 0
         assert np.array_equal(derived.waveform.durations, source.waveform.durations)
         assert derived.waveform.amplitudes.tobytes() == (source.waveform.amplitudes * CONJUGATION_SIGNS).tobytes()
@@ -787,7 +810,7 @@ class TestConjugateImages:
         assert derived.converged == (derived.fidelity >= cfg.fidelity_goal)
         # kept under its own key: a repeated call returns it without a search
         assert multi_start(sys, a_conj.copy(), sys.fiducial_state(), cfg) is derived
-        assert len(searches) == cfg.restarts
+        assert len(searches) == searches_run(source, cfg)
 
     def test_conjugation_signs_are_worked_out_once_per_system(self, count_calls):
         import unimap.control
@@ -812,15 +835,16 @@ class TestConjugateImages:
 
     def test_a_different_config_derives_nothing(self, count_calls):
         sys = build_restricted_system(CesiumParams())
-        _, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
-        multi_start(sys, a_conj, sys.fiducial_state(), dataclasses.replace(cfg, seed=cfg.seed + 1))
-        assert len(searches) == 2 * cfg.restarts
+        source, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
+        other = dataclasses.replace(cfg, seed=cfg.seed + 1)
+        res = multi_start(sys, a_conj, sys.fiducial_state(), other)
+        assert len(searches) == searches_run(source, cfg) + searches_run(res, other) and res.iterations > 0
 
     def test_detuned_system_derives_nothing(self, count_calls):
         sys = build_restricted_system(CesiumParams(rf_detuning=2 * np.pi * 100))
-        _, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
+        source, searches, cfg, a_conj = self.searched_pair(sys, count_calls)
         res = multi_start(sys, a_conj, sys.fiducial_state(), cfg)
-        assert len(searches) == 2 * cfg.restarts and res.iterations > 0
+        assert len(searches) == searches_run(source, cfg) + searches_run(res, cfg) and res.iterations > 0
 
     def test_image_that_misses_a_goal_its_source_met_is_searched(self, count_calls, keep_result):
         # a kept result that claims the goal, but whose waveform (and so its image) misses it
@@ -834,7 +858,7 @@ class TestConjugateImages:
         assert objective_state_prep(sys, image, a.conj(), fiducial) < cfg.fidelity_goal
         searches = count_calls(unimap.search, "search_state_map")
         res = multi_start(sys, a.conj(), fiducial, cfg)
-        assert len(searches) == cfg.restarts
+        assert len(searches) == searches_run(res, cfg) and res.iterations > 0
         assert res.waveform.amplitudes.tobytes() != image.amplitudes.tobytes()
 
 
@@ -847,9 +871,9 @@ def test_added_mirror_derives_the_signed_waveform(count_calls, s):
     cfg = default_search_config(plus, seed=96, max_iterations=30, restarts=2)
     a = haar_random_state(8, np.random.default_rng(97))
     source = multi_start(plus, a, plus.fiducial_state(), cfg)
-    assert len(searches) == cfg.restarts
+    assert len(searches) == searches_run(source, cfg)
     derived = multi_start(minus, AUX_MIRRORS[s] @ a, minus.fiducial_state(), cfg)
-    assert len(searches) == cfg.restarts
+    assert len(searches) == searches_run(source, cfg)
     assert derived.iterations == 0 and derived.restart_index == 0
     signs = np.array(AUX_MIRROR_SIGNS[s])
     assert np.array_equal(derived.waveform.durations, source.waveform.durations)
