@@ -104,25 +104,23 @@ class ControlSystem:
             if h.shape != (d, d):
                 raise ValueError(f"control {k} has shape {h.shape}, expected {(d, d)}")
         controls = _readonly(np.asarray(self.controls, dtype=complex))
+        rule = "one (lower, upper) bounds pair per control is required"
         try:
             bounds = _readonly(np.asarray(self.amplitude_bounds, dtype=float))
-        except ValueError:
-            rows = {np.shape(row) for row in self.amplitude_bounds}
-            if len(rows) < 2:
-                raise
-            raise ValueError(
-                "one (lower, upper) bounds pair per control is required: the rows are ragged, "
-                f"with shapes {sorted(rows)} for {len(controls)} controls"
-            ) from None
+        except (TypeError, ValueError) as err:
+            rows = sorted({np.shape(row) for row in self.amplitude_bounds})
+            if len(rows) > 1:
+                raise ValueError(f"{rule}: the rows are ragged, with shapes {rows} for {len(controls)} controls") from None
+            given = f"got {self.amplitude_bounds!r} for {len(controls)} controls"
+            raise ValueError(f"{rule}: {given}, which are not numbers ({err})") from None
         if bounds.shape != (len(controls), 2):
-            raise ValueError(
-                f"one (lower, upper) bounds pair per control is required: got shape {bounds.shape} "
-                f"for {len(controls)} controls"
-            )
+            raise ValueError(f"{rule}: got shape {bounds.shape} for {len(controls)} controls")
         pairs = bounds.tolist()
         for k, (lo, hi) in enumerate(pairs):
             if not lo < hi:
                 raise ValueError(f"bounds for control {k} are empty: [{lo}, {hi}]")
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"bounds for control {k} are not finite: [{lo}, {hi}]")
         if not 0 <= self.fiducial_index < d:
             raise ValueError(f"fiducial index {self.fiducial_index} out of range for d={d}")
         object.__setattr__(self, "drift", drift)

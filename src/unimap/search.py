@@ -4,7 +4,8 @@ The objective is J = |<psi_f| U(T) |psi_i>|^2 over the segment amplitudes
 of a piecewise-constant waveform.  The search minimizes the chordal
 residual r = U(T)|psi_i> - e^{i alpha}|psi_f>, alpha = arg <psi_f|U(T)|psi_i>,
 whose squared norm is 2(1 - sqrt J) at unit norm, so a state map is a
-zero-residual least-squares problem.
+zero-residual least-squares problem, and each Levenberg–Marquardt trial
+solves one damped (2d + 1) x (2d + 1) linear system for its step.
 Each trial point diagonalizes its M segment generators once
 (``control.segment_eigs``: when the system couples its levels in a single
 chain, as the cesium model does, a real ``eigh`` in chain order, where a
@@ -246,11 +247,11 @@ def search_state_map(
 
     r is U psi_i - <psi_f|U psi_i> psi_f in real and imaginary rows, then
     |<psi_f|U psi_i>| - 1, so |r|^2 = 2(1 - sqrt J).  A variable at a bound
-    whose descent points outward is held fixed; on the rest the step solves
-    the small dual system (J_s J_sᵀ + mu I) y = r, with J_s = J S^-1 in units
-    of the controls' Fubini–Study speeds (``ControlSystem.control_speeds``),
-    through the eigensystem of J_s J_sᵀ and takes -S^-1 J_sᵀ y, clipped to the
-    box: (JᵀJ + mu S²) delta = -Jᵀ r (Moré, LNM 630, 1978).
+    whose descent points outward is held fixed, as a zero column of J_s = J S^-1,
+    the Jacobian in units of the controls' Fubini–Study speeds
+    (``ControlSystem.control_speeds``).  Each trial solves the small dual
+    system (J_s J_sᵀ + mu I) y = r once and takes -S^-1 J_sᵀ y, clipped to
+    the box: (JᵀJ + mu S²) delta = -Jᵀ r (Moré, LNM 630, 1978).
     A step is accepted when it raises J, and its gain ratio against the
     linear model of |r|^2 sets the next mu (Madsen, Nielsen and Tingleff, Methods
     for Non-Linear Least Squares Problems, 2004, section 3.2); a rejected
@@ -271,6 +272,7 @@ def search_state_map(
     shape = amps.shape
     lo, hi = (np.broadcast_to(b, shape).ravel() for b in sys.amplitude_bounds.T)
     speeds = np.tile(sys.control_speeds, cfg.segment_count)
+    eye = np.eye(2 * sys.dim + 1)
 
     def evaluate(x):
         """The waveform at x, its forward pass, J and the real chordal residual."""
@@ -291,18 +293,14 @@ def search_state_map(
             free = ~(((x >= hi) & (grad > 0)) | ((x <= lo) & (grad < 0)))
             if np.linalg.norm(grad[free]) < GRAD_NORM_STOP:
                 break
-            jac_free = jac[:, free] / speeds[free]
-            gram = jac_free @ jac_free.T
+            jac_s = jac * (free / speeds)  # a held column is zero, so its step is too
+            gram = jac_s @ jac_s.T
             scale = gram.diagonal().max()
             mu = MU_START * scale if mu is None else mu
-            # (J Jᵀ + mu I)^-1 = Q (Lambda + mu)^-1 Qᵀ, so one eigensystem serves every retried mu
-            gram_eigs, q = np.linalg.eigh(gram)
-            gram_eigs, res_q, jac_q = np.maximum(gram_eigs, 0.0), q.T @ res, jac_free.T @ q
         if mu > MU_CAP * scale:
             break
-        step = np.zeros_like(x)
-        step[free] = -(jac_q @ (res_q / (gram_eigs + mu))) / speeds[free]
-        trial = np.clip(x + step, lo, hi)
+        step = -(np.linalg.solve(gram + mu * eye, res) @ jac_s) / speeds
+        trial = np.minimum(np.maximum(x + step, lo), hi)
         trial_wave, trial_fwd, j_trial, trial_res = evaluate(trial)
         if not (math.isfinite(j_trial) and np.isfinite(trial_res).all()):
             break

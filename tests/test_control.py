@@ -149,7 +149,28 @@ def test_refuses_ragged_bounds_under_the_same_rule(cesium):
 
 
 @pytest.mark.parametrize(
-    "pair", [(0.5, 0.5), (1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan)], ids=["empty", "reversed", "nan-lo", "nan-hi"]
+    "bounds", [[("a", "b")] * 5, [(-1.0, 1.0)] * 4 + [(-1.0, "1 V")], [(-1j, 1j)] * 5], ids=["letters", "one-unit", "complex"]
+)
+def test_refuses_bounds_that_are_not_numbers_under_the_same_rule(cesium, bounds):
+    # the refusal names the rule and repeats what was given, not only numpy's conversion error
+    message = f"one (lower, upper) bounds pair per control is required: got {bounds!r} for 5 controls, which are not numbers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ControlSystem(cesium.drift, cesium.controls, bounds, 0)
+
+
+@pytest.mark.parametrize("pair", [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf)], ids=["lo", "hi", "both"])
+def test_refuses_an_infinite_bound(cesium, pair):
+    # refused when built: an infinite bound would make every search and propagation refuse the
+    # system's infinite generator bound instead
+    bounds = [(-1.0, 1.0)] * 3 + [pair, (-1.0, 1.0)]
+    with pytest.raises(ValueError, match=re.escape(f"bounds for control 3 are not finite: [{pair[0]}, {pair[1]}]")):
+        ControlSystem(cesium.drift, cesium.controls, bounds, 0)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(0.5, 0.5), (1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan), (np.nan, np.inf), (np.inf, np.inf)],
+    ids=["empty", "reversed", "nan-lo", "nan-hi", "nan-inf", "inf-inf"],
 )
 def test_refuses_an_empty_bounds_pair(cesium, pair):
     bounds = [(-1.0, 1.0)] * 3 + [pair, (-1.0, 1.0)]

@@ -411,6 +411,43 @@ class TestJacobian:
             assert np.linalg.norm(from_jacobian - grad) <= 1e-12 * np.linalg.norm(grad)
 
 
+def seed_with_held_variables(cesium):
+    """(psi_i, psi_f, cfg, seed, held, r, jac): a seed with 40 variables put on the bound their gradient points past.
+
+    ``held`` marks the variables the search holds at its first step (at
+    least 10): those at a bound where the descent -Jᵀ r of the chordal
+    residual r, with Jacobian ``jac``, both at the seed, points outward.
+    """
+    psi_i, psi_f = basis_state(8, 7), haar_random_state(8, np.random.default_rng(44))
+    cfg = default_search_config(cesium, seed=43, max_iterations=1, fidelity_goal=1.0)
+    seed = unimap.search._seed_amplitudes(cesium, cfg, np.random.default_rng([cfg.seed, 0]))
+    durations = np.full(len(seed), cfg.segment_duration)
+    lo, hi = (np.broadcast_to(b, seed.shape).ravel() for b in cesium.amplitude_bounds.T)
+    flat = seed.ravel()
+    grad = gradient_state_prep(cesium, Waveform(durations, seed), psi_i, psi_f)
+    flat[:40] = np.where(grad[:40] > 0, hi[:40], lo[:40])
+    overlap, residual, *_ = unimap.search._forward(cesium, Waveform(durations, seed), psi_i, psi_f)
+    r = np.concatenate((residual.real, residual.imag, [abs(overlap) - 1]))
+    jac = kernel_jacobian(cesium, Waveform(durations, seed), psi_i, psi_f)
+    descent = -(r @ jac)
+    held = ((flat >= hi) & (descent > 0)) | ((flat <= lo) & (descent < 0))
+    assert held.sum() >= 10
+    return psi_i, psi_f, cfg, seed, held, r, jac
+
+
+def record_trial_points(monkeypatch, seed):
+    """Start the search at ``seed`` and record every point it evaluates, flattened, in order."""
+    forward, points = unimap.search._forward, []
+
+    def recorded(sys, w, *states):
+        points.append(w.amplitudes.ravel())
+        return forward(sys, w, *states)
+
+    monkeypatch.setattr(unimap.search, "_seed_amplitudes", lambda *args: seed)
+    monkeypatch.setattr(unimap.search, "_forward", recorded)
+    return points
+
+
 class TestSearch:
     def test_two_level_pi_pulse(self, two_level):
         cfg = SearchConfig(
@@ -435,7 +472,7 @@ class TestSearch:
         assert np.array_equal(a.waveform.amplitudes, b.waveform.amplitudes)
         assert np.array_equal(a.objective_history, b.objective_history)
 
-    def test_monotone_history_with_line_search(self, cesium):
+    def test_accepted_steps_never_lower_the_objective(self, cesium):
         cfg = default_search_config(cesium, seed=21, max_iterations=120, fidelity_goal=1.0)
         psi_f = haar_random_state(8, np.random.default_rng(22))
         res = search_state_map(cesium, basis_state(8, 7), psi_f, cfg)
@@ -540,30 +577,43 @@ class TestSearch:
         assert np.isfinite(res.objective_history).all() and res.fidelity == res.objective_history[-1]
 
     def test_bound_variable_whose_descent_points_outward_stays_put(self, cesium, monkeypatch):
-        # the seed puts 40 variables on a bound, on the side their gradient points to;
-        # every trial point of the first step must leave those that still point outward there
-        psi_i, psi_f = basis_state(8, 7), haar_random_state(8, np.random.default_rng(44))
-        cfg = default_search_config(cesium, seed=43, max_iterations=1, fidelity_goal=1.0)
-        seed = unimap.search._seed_amplitudes(cesium, cfg, np.random.default_rng([cfg.seed, 0]))
-        lo, hi = (np.broadcast_to(b, seed.shape).ravel() for b in cesium.amplitude_bounds.T)
-        flat = seed.ravel()
-        grad = gradient_state_prep(cesium, Waveform(np.full(len(seed), 1e-5), seed), psi_i, psi_f)
-        flat[:40] = np.where(grad[:40] > 0, hi[:40], lo[:40])
-        grad = gradient_state_prep(cesium, Waveform(np.full(len(seed), 1e-5), seed), psi_i, psi_f)
-        held = ((flat >= hi) & (grad > 0)) | ((flat <= lo) & (grad < 0))
-        assert held.sum() >= 10
-        forward, points = unimap.search._forward, []
-
-        def recorded(sys, w, *states):
-            points.append(w.amplitudes.ravel())
-            return forward(sys, w, *states)
-
-        monkeypatch.setattr(unimap.search, "_seed_amplitudes", lambda *args: seed)
-        monkeypatch.setattr(unimap.search, "_forward", recorded)
+        # every trial point of the first step must leave the held variables where the seed put them
+        psi_i, psi_f, cfg, seed, held, *_ = seed_with_held_variables(cesium)
+        points = record_trial_points(monkeypatch, seed)
         res = search_state_map(cesium, psi_i, psi_f, cfg)
         assert res.iterations == 1 and len(points) >= 2
         for point in points:
-            assert np.array_equal(point[held], flat[held])
+            assert np.array_equal(point[held], seed.ravel()[held])
+
+    def test_first_trial_point_is_the_damped_step(self, cesium, monkeypatch):
+        # x1 = clip(x0 - S^-1 J_sᵀ (J_s J_sᵀ + mu0 I)^-1 r0), with J_s the free columns of J S^-1 and
+        # mu0 = MU_START max diag(J_s J_sᵀ); the reference inverts through the Gram eigensystem
+        psi_i, psi_f, cfg, seed, held, r0, jac = seed_with_held_variables(cesium)
+        x0 = seed.ravel().copy()
+        free, speeds = ~held, np.tile(cesium.control_speeds, len(seed))
+        jac_s = jac[:, free] / speeds[free]
+        gram = jac_s @ jac_s.T
+        lam, q = np.linalg.eigh(gram)
+        mu0 = unimap.search.MU_START * gram.diagonal().max()
+        expected = x0.copy()
+        expected[free] -= jac_s.T @ (q @ ((q.T @ r0) / (lam + mu0))) / speeds[free]
+        lo, hi = (np.broadcast_to(b, seed.shape).ravel() for b in cesium.amplitude_bounds.T)
+        expected = np.clip(expected, lo, hi)
+        points = record_trial_points(monkeypatch, seed)
+        search_state_map(cesium, psi_i, psi_f, cfg)
+        assert np.array_equal(points[0], x0)
+        assert np.linalg.norm(points[1] - expected) <= 1e-12 * np.linalg.norm(expected - x0)
+        assert np.array_equal(points[1][held], x0[held])
+
+    def test_step_takes_no_gram_eigensystem(self, cesium, count_calls):
+        # the damped system is solved as it stands: every eigh of a search is one forward pass's
+        # stack of M segment generators, never the (2d + 1) x (2d + 1) Gram matrix J_s J_sᵀ
+        eighs = count_calls(np.linalg, "eigh")
+        passes = count_calls(unimap.search, "segment_eigs")
+        cfg = default_search_config(cesium, seed=9, fidelity_goal=0.99)
+        res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(10)), cfg)
+        assert res.converged and len(passes) >= res.iterations + 1 >= 2
+        assert [np.shape(args[0]) for args in eighs] == [(cfg.segment_count, 8, 8)] * len(passes)
 
     def test_refuses_a_duration_whose_phases_carry_no_digits(self, two_level):
         # generator bound 0.5 rad/s times 1e6 s is 5e5 rad, above the 4.5e5 rad limit
