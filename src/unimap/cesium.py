@@ -31,7 +31,6 @@ CONTROL_NAMES = ("rf_x", "rf_y", "uw_x", "uw_y", "light_shift")
 class SpinOperators(NamedTuple):
     """Angular momentum matrices for spin F, with Fz diagonal F..-F."""
 
-    F: float
     fx: np.ndarray
     fy: np.ndarray
     fz: np.ndarray
@@ -51,7 +50,7 @@ def spin_operators(F: float) -> SpinOperators:
     f_plus[np.arange(two_f), np.arange(1, two_f + 1)] = raise_amp
     fx = (f_plus + f_plus.conj().T) / 2
     fy = (f_plus - f_plus.conj().T) / 2j
-    return SpinOperators(F=F, fx=fx, fy=fy, fz=fz)
+    return SpinOperators(fx=fx, fy=fy, fz=fz)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ configuration; result files (CSV, report JSON) are byte-stable across
 reruns.  Exit codes: 0 success; 2 when a command raises ValueError or
 OSError (bad input, configuration or file); 1, with a traceback, for
 anything else, which is an internal error.  One table,
-``OPTIONAL_FLAGS``, says which optional flags a run reads: a flag given
-to a run that does not read it exits 2 before anything is written, and
-one a run reads but was not given takes the table's default.  ``main``
+``OPTIONAL_FLAGS``, declares each optional flag that some runs never
+read (type, help, default) and says which runs read it: a flag given to
+a run that does not read it exits 2 before anything is written, and one
+a run reads but was not given takes the table's default, which reads
+``SearchConfig``'s or ``ECConfig``'s where the library owns it.  ``main``
 derives each manifest from the flags, ``FILE_FLAGS`` and ``OUTPUT_FLAGS``.
 """
 
@@ -56,23 +58,29 @@ def _searches(args) -> bool:
 _SEARCH = ("runs that search", _searches)
 _GRID = ("the default grid; --epsilons lists every angle", lambda args: args.epsilons is None)
 #: every optional flag that some runs never read, as flag -> (the value a run that reads it takes when
-#: not given, or None to leave that to the code reading it; the runs an error names; whether a run reads it)
+#: not given, or None to leave that to the code reading it; the runs an error names; whether a run reads
+#: it; its type; its help, which ``_help`` ends with the default)
 OPTIONAL_FLAGS = {
-    "preset": ("cs133-f3-aux4", *_SEARCH),
-    **dict.fromkeys(("params", "waveform_dir", "segments", "segment_duration"), (None, *_SEARCH)),
-    "goal": (0.99, *_SEARCH),
-    "max_iterations": (5000, *_SEARCH),
-    "restarts": (3, *_SEARCH),
-    "seed": (0, "runs that search or draw Haar states",
-             lambda args: _searches(args) or getattr(args, "average", None) == "haar"),
+    "preset": ("cs133-f3-aux4", *_SEARCH, str, "control-system preset"),
+    "params": (None, *_SEARCH, str, "JSON file overriding the cesium parameters"),
+    "waveform_dir": (None, *_SEARCH, str, "directory of the step waveforms (default: that of --out-report)"),
+    "segments": (None, *_SEARCH, int, "segment count (default: 2 d^2 variables)"),
+    "segment_duration": (None, *_SEARCH, float, f"segment duration in seconds (default {SEGMENT_DURATION:g})"),
+    "goal": (SearchConfig.fidelity_goal, *_SEARCH, float, "fidelity goal"),
+    "max_iterations": (SearchConfig.max_iterations, *_SEARCH, int, "iteration cap of each search"),
+    "restarts": (SearchConfig.restarts, *_SEARCH, int, "tries until one meets --goal"),
+    "seed": (SearchConfig.seed, "runs that search or draw Haar states",
+             lambda args: _searches(args) or getattr(args, "average", None) == "haar", int, "random seed"),
     "samples": (ECConfig.samples, "--average haar; axes mode averages the six Bloch-axis states",
-                lambda args: args.average == "haar"),
-    "eps_min": (0.02, *_GRID),
-    "eps_max": (0.3, *_GRID),
-    "eps_count": (9, *_GRID),
+                lambda args: args.average == "haar", int, "Haar states averaged with --average haar"),
+    "eps_min": (0.02, *_GRID, float, "smallest error half-angle of the default grid"),
+    "eps_max": (0.3, *_GRID, float, "largest error half-angle of the default grid"),
+    "eps_count": (9, *_GRID, int, "error half-angles in the default grid, spaced geometrically"),
     "d": (7, "--gate builds; a --matrix-file sets its own dimension",
-          lambda args: getattr(args, "matrix_file", None) is None),
+          lambda args: getattr(args, "matrix_file", None) is None, int, "gate dimension"),
 }
+#: the flags that set up a system or a search, in the order a subcommand declares them
+SEARCH_FLAGS = ("preset", "params", "segments", "segment_duration", "goal", "max_iterations", "seed", "restarts")
 
 
 def _load_params(path: str | None) -> CesiumParams:
@@ -109,29 +117,17 @@ def _search_config(args, sys_model) -> SearchConfig:
     return default_search_config(sys_model, seed=args.seed, **{k: v for k, v in given.items() if v is not None})
 
 
-def _default(flag: str) -> str:
-    """'default <value>' for a help string, from the flag's OPTIONAL_FLAGS entry."""
-    return f"default {OPTIONAL_FLAGS[flag][0]}"
+def _help(name: str, required: bool = False) -> str:
+    """A flag's help from its OPTIONAL_FLAGS entry, ending "(default X)" when an optional flag has a default X."""
+    default, *_, text = OPTIONAL_FLAGS[name]
+    return text if default is None or required else f"{text} (default {default})"
 
 
-#: type and help of each flag that sets up a system or a search, in the order a subcommand declares them
-SEARCH_FLAGS = {
-    "preset": (str, f"control-system preset ({_default('preset')})"),
-    "params": (str, "JSON file overriding the cesium parameters"),
-    "segments": (int, "segment count (default: 2 d^2 variables)"),
-    "segment_duration": (float, f"segment duration in seconds (default {SEGMENT_DURATION:g})"),
-    "goal": (float, f"fidelity goal ({_default('goal')})"),
-    "max_iterations": (int, _default("max_iterations")),
-    "seed": (int, _default("seed")),
-    "restarts": (int, f"tries until one meets --goal ({_default('restarts')})"),
-}
-
-
-def _add_search_flags(p: argparse.ArgumentParser, names) -> None:
-    """Declare the ``SEARCH_FLAGS`` named, the subset of them that the subcommand reads."""
+def _add_flags(p: argparse.ArgumentParser, names, required: bool = False) -> None:
+    """Declare the ``OPTIONAL_FLAGS`` named, the subset of them that the subcommand reads."""
     for name in names:
-        kind, help_text = SEARCH_FLAGS[name]
-        p.add_argument(f"--{name.replace('_', '-')}", type=kind, help=help_text)
+        p.add_argument(f"--{name.replace('_', '-')}", type=OPTIONAL_FLAGS[name][3], help=_help(name, required),
+                       required=required)
 
 
 def cmd_model_info(args) -> None:
@@ -355,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="inspect control-system presets")
     model_sub = p_model.add_subparsers(dest="model_command", required=True)
     p_info = model_sub.add_parser("info", help="print a preset summary as JSON")
-    p_info.add_argument("preset", nargs="?", help=_default("preset"))
-    _add_search_flags(p_info, ("params",))
+    p_info.add_argument("preset", nargs="?", help=_help("preset"))
+    _add_flags(p_info, ("params",))
     p_info.set_defaults(func=cmd_model_info)
 
     p_opt = sub.add_parser("optimize-state", help="search a waveform for a state map")
@@ -364,37 +360,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--target", required=True, help="state JSON file, basis:<k>, or fiducial")
     p_opt.add_argument("--out-waveform", required=True)
     p_opt.add_argument("--out-report", required=True)
-    _add_search_flags(p_opt, SEARCH_FLAGS)
+    _add_flags(p_opt, SEARCH_FLAGS)
     p_opt.set_defaults(func=cmd_optimize_state)
 
     p_bu = sub.add_parser("build-unitary", help="synthesize a full unitary map")
     p_bu.add_argument("--gate", help="gate name: X, Z, H, S, or G:<a>")
     p_bu.add_argument("--matrix-file", help="JSON matrix of [re, im] pairs")
-    p_bu.add_argument("--d", type=int, help=f"gate dimension ({_default('d')})")
     p_bu.add_argument("--exact-mappers", action="store_true", help="algebraic mappers, no searches")
     p_bu.add_argument("--out-report", required=True)
-    p_bu.add_argument("--waveform-dir")
-    _add_search_flags(p_bu, SEARCH_FLAGS)
+    _add_flags(p_bu, ("d", "waveform_dir", *SEARCH_FLAGS))
     p_bu.set_defaults(func=cmd_build_unitary)
 
     p_bs = sub.add_parser("build-subspace-map", help="synthesize a subspace map")
     p_bs.add_argument("--spec", required=True, help="subspace spec JSON")
     p_bs.add_argument("--exact", action="store_true", help="exact phase steps, no searches")
     p_bs.add_argument("--out-report", required=True)
-    p_bs.add_argument("--waveform-dir")
-    _add_search_flags(p_bs, SEARCH_FLAGS)
+    _add_flags(p_bs, ("waveform_dir", *SEARCH_FLAGS))
     p_bs.set_defaults(func=cmd_build_subspace_map)
 
     p_ec = sub.add_parser("ec-sweep", help="error-correction fidelity sweep")
     p_ec.add_argument("--maps", choices=("ideal", "synthesized"), default="ideal")
     p_ec.add_argument("--epsilons", help="comma-separated error half-angles")
-    p_ec.add_argument("--eps-min", type=float, help=_default("eps_min"))
-    p_ec.add_argument("--eps-max", type=float, help=_default("eps_max"))
-    p_ec.add_argument("--eps-count", type=int, help=_default("eps_count"))
-    p_ec.add_argument("--samples", type=int, help=f"Haar states averaged (haar mode only; {_default('samples')})")
-    p_ec.add_argument("--average", choices=("haar", "axes"), default="haar")
+    p_ec.add_argument("--average", choices=("haar", "axes"), default=ECConfig.average)
     p_ec.add_argument("--out", required=True, help="result CSV path")
-    _add_search_flags(p_ec, ("params", "goal", "max_iterations", "seed", "restarts"))
+    _add_flags(p_ec, ("eps_min", "eps_max", "eps_count", "samples", "params", "goal", "max_iterations", "seed",
+                      "restarts"))
     p_ec.set_defaults(func=cmd_ec_sweep)
 
     p_w = sub.add_parser("wigner", help="emit a Wigner sphere grid as CSV")
@@ -406,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.set_defaults(func=cmd_wigner)
 
     p_vc = sub.add_parser("verify-clifford", help="check the Clifford-generator relations")
-    p_vc.add_argument("--d", type=int, required=True)
+    _add_flags(p_vc, ("d",), required=True)
     p_vc.add_argument("--a", type=int, default=None, help="multiplier for the G gate")
     p_vc.add_argument("--out", help="optional JSON report path")
     p_vc.set_defaults(func=cmd_verify_clifford)
@@ -415,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--waveform", required=True)
     p_pr.add_argument("--initial-state")
     p_pr.add_argument("--target-state")
-    _add_search_flags(p_pr, ("preset", "params"))
+    _add_flags(p_pr, ("preset", "params"))
     p_pr.set_defaults(func=cmd_propagate)
 
     return parser
@@ -475,7 +465,7 @@ def main(argv=None) -> int:
     # the flags as given, before the table fills in the defaults this run reads
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     try:
-        for name, (default, scope, reads) in OPTIONAL_FLAGS.items():
+        for name, (default, scope, reads, *_) in OPTIONAL_FLAGS.items():
             if name in vars(args) and reads(args):
                 if getattr(args, name) is None:
                     setattr(args, name, default)

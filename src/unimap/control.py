@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class ControlSystem:
         rule = "one (lower, upper) bounds pair per control is required"
         try:
             bounds = _readonly(np.asarray(self.amplitude_bounds, dtype=float))
+            # that conversion reads None as nan, a bool as 0 or 1 and a numeric string as its number
+            odd = [x for x in np.asarray(self.amplitude_bounds, dtype=object).flat
+                   if isinstance(x, bool) or not isinstance(x, Real)]
+            if odd:
+                raise TypeError(f"{odd[0]!r} is not a real number")
         except (TypeError, ValueError) as err:
             rows = sorted({np.shape(row) for row in self.amplitude_bounds})
             if len(rows) > 1:

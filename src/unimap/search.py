@@ -72,15 +72,17 @@ class SearchConfig:
     """Knobs for one state-map search.
 
     ``restarts`` is the most searches ``multi_start`` tries: restart r + 1
-    runs only when restarts 0..r all missed ``fidelity_goal``.
+    runs only when restarts 0..r all missed ``fidelity_goal``.  The
+    defaults are the CLI's: its --goal, --max-iterations, --seed and
+    --restarts read them.
     """
 
     segment_count: int
     segment_duration: float
     fidelity_goal: float = 0.99
-    max_iterations: int = 2000
+    max_iterations: int = 5000
     seed: int = 0
-    restarts: int = 1
+    restarts: int = 3
 
     def __post_init__(self):
         _check_counts(self, segment_count=1, max_iterations=0, seed=0, restarts=1)

@@ -93,7 +93,7 @@ def multipole_components(rho: np.ndarray) -> np.ndarray:
     return np.einsum("nij,ji->n", spherical_tensor_operators(rho.shape[0]).conj(), rho.T)
 
 
-def wigner_grid(state, n_theta: int = 61, n_phi: int = 120) -> WignerGrid:
+def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     """Evaluate W on an n_theta x n_phi grid covering the sphere.
 
     Accepts a pure state vector or a density matrix on a single spin

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -23,6 +24,7 @@ from unimap.cli import OPTIONAL_FLAGS, _resolve_state, build_parser, main
 from unimap.control import Waveform, propagate
 from unimap.core import basis_state, haar_random_unitary
 from unimap.io import complex_to_pairs, load_schema, load_subspace_spec, load_waveform, save_waveform
+from unimap.search import default_search_config
 from unimap.subspace import plan_subspace_map, subspace_fidelity
 
 import jsonschema
@@ -277,6 +279,14 @@ class TestBuildUnitary:
         assert 0 <= doc["block_trace_fidelity"] <= 1
         # X at d=3 has one zero eigenphase; the five padded levels add only zero phases
         assert doc["searches_performed"] == 2 and len(doc["skipped_steps"]) == 6
+
+    def test_searched_build_given_no_search_flag_records_the_library_defaults(self, tmp_path, fixed_search):
+        # the CLI holds no copy of a search default: a run given none searches with SearchConfig's own
+        fixed_search(unimap.subspace)
+        report = tmp_path / "r.json"
+        assert run(["build-unitary", "--gate", "X", "--d", "3", "--out-report", str(report)]) == 0
+        expected = dataclasses.asdict(default_search_config(build_restricted_system(), seed=0))
+        assert json.loads(report.read_text())["config"] == expected
 
     def test_searched_gate_wider_than_system_exits_2_before_search(self, tmp_path, capsys, monkeypatch):
         searches = []
@@ -971,6 +981,18 @@ class TestFlagTable:
         helps = [action.help for p in _parsers(build_parser()) for action in p._actions
                  if action.dest == name and not action.required]
         assert helps and all(f"default {OPTIONAL_FLAGS[name][0]}" in text for text in helps)
+
+    def test_every_declaration_of_a_flag_takes_the_table_type_and_help(self):
+        # each table flag is declared from its one entry; a required flag (verify-clifford --d) is always
+        # given, so its help states no default
+        actions = [(p.prog, action) for p in _parsers(build_parser()) for action in p._actions
+                   if action.dest in OPTIONAL_FLAGS and action.option_strings]
+        assert {action.dest for _, action in actions} == set(OPTIONAL_FLAGS)
+        for prog, action in actions:
+            default, _, _, kind, text = OPTIONAL_FLAGS[action.dest]
+            assert action.type is kind and text and action.help.startswith(text), (prog, action.dest)
+            if default is not None and not action.required:
+                assert action.help.endswith(f"(default {default})"), (prog, action.dest)
 
 
 class TestUnreadFlags:

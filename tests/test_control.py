@@ -149,13 +149,23 @@ def test_refuses_ragged_bounds_under_the_same_rule(cesium):
 
 
 @pytest.mark.parametrize(
-    "bounds", [[("a", "b")] * 5, [(-1.0, 1.0)] * 4 + [(-1.0, "1 V")], [(-1j, 1j)] * 5], ids=["letters", "one-unit", "complex"]
+    "bounds",
+    [[("a", "b")] * 5, [(-1.0, 1.0)] * 4 + [(-1.0, "1 V")], [(-1j, 1j)] * 5,
+     [(None, 1.0)] * 5, [(True, 2)] * 5, [("1", "2")] * 5],
+    ids=["letters", "one-unit", "complex", "none", "bool", "numeric-strings"],
 )
 def test_refuses_bounds_that_are_not_numbers_under_the_same_rule(cesium, bounds):
-    # the refusal names the rule and repeats what was given, not only numpy's conversion error
+    # the refusal names the rule and repeats what was given, not only numpy's conversion error; a float
+    # conversion would read None as nan, True as 1 and "1" as 1.0, so those are refused the same way
     message = f"one (lower, upper) bounds pair per control is required: got {bounds!r} for 5 controls, which are not numbers"
     with pytest.raises(ValueError, match=re.escape(message)):
         ControlSystem(cesium.drift, cesium.controls, bounds, 0)
+
+
+@pytest.mark.parametrize("bounds", [[(-1, 1)] * 5, np.array([(-1, 1)] * 5, dtype=np.int32)], ids=["ints", "int-array"])
+def test_accepts_integer_bounds_as_floats(cesium, bounds):
+    stored = ControlSystem(cesium.drift, cesium.controls, bounds, 0).amplitude_bounds
+    assert stored.dtype == float and stored.tolist() == [[-1.0, 1.0]] * 5
 
 
 @pytest.mark.parametrize("pair", [(-np.inf, 1.0), (-1.0, np.inf), (-np.inf, np.inf)], ids=["lo", "hi", "both"])

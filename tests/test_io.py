@@ -389,7 +389,7 @@ def _wigner_grids():
     psi = rng.normal(size=5) + 1j * rng.normal(size=5)
     yield wigner_grid(psi / np.linalg.norm(psi), 9, 14)
     psi = rng.normal(size=7) + 1j * rng.normal(size=7)
-    yield wigner_grid(psi / np.linalg.norm(psi))  # the CLI's default 61 x 120 grid
+    yield wigner_grid(psi / np.linalg.norm(psi), 61, 120)  # the CLI's default grid
     yield WignerGrid(
         thetas=np.array([0.0, *AWKWARD_FLOATS]),
         phis=np.array([*AWKWARD_FLOATS, 1.0]),

@@ -88,9 +88,9 @@ class TestWignerGrid:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="vector or square"):
-            wigner_grid(np.zeros((2, 3)))
+            wigner_grid(np.zeros((2, 3)), 5, 6)
         with pytest.raises(ValueError, match="grid"):
-            wigner_grid(basis_state(3, 0), n_theta=1)
+            wigner_grid(basis_state(3, 0), n_theta=1, n_phi=6)
 
     def test_rejects_nan_state(self):
         state = basis_state(4, 1)
