@@ -266,6 +266,8 @@ def cmd_ec_sweep(args) -> list[str]:
         ends = (args.eps_min, args.eps_max)
         if not (np.isfinite(ends).all() and (min(ends) > 0 or max(ends) < 0)):
             raise ValueError(f"--eps-min and --eps-max must be finite, nonzero and of one sign, got {ends}")
+        if args.eps_count < 1:
+            raise ValueError(f"--eps-count must be >= 1, got {args.eps_count}")
         grid = tuple(np.geomspace(*ends, args.eps_count))
     else:
         try:

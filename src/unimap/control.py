@@ -134,12 +134,12 @@ class ControlSystem:
         object.__setattr__(self, "amplitude_bounds", bounds)
         coupled = np.abs(drift) + np.abs(controls).sum(axis=0)
         object.__setattr__(self, "chain_walk", _path_walk(coupled != 0))
-        # summed in Python floats, which overflow to inf without a numpy warning
-        bound = float(np.linalg.norm(drift, 2)) + sum(
-            float(np.linalg.norm(h, 2)) * max(abs(lo), abs(hi)) for h, (lo, hi) in zip(controls, pairs)
-        )
+        # spectral norms as largest |eigenvalue|, summed in Python floats, which overflow to inf without a numpy warning
+        spectra = np.linalg.eigvalsh(np.concatenate((drift[None], controls)))
+        norms = np.maximum(-spectra[:, 0], spectra[:, -1]).tolist()
+        bound = norms[0] + sum(n * max(abs(lo), abs(hi)) for n, (lo, hi) in zip(norms[1:], pairs))
         object.__setattr__(self, "generator_bound", bound)
-        speeds = np.ptp(np.linalg.eigvalsh(controls), axis=-1) / 2
+        speeds = np.ptp(spectra[1:], axis=-1) / 2
         object.__setattr__(self, "control_speeds", _readonly(np.where(speeds > 0, speeds, 1.0)))
 
     @property
@@ -259,11 +259,10 @@ def check_segment_phase(sys: ControlSystem, duration: float) -> None:
         )
 
 
-def segment_hamiltonians(sys: ControlSystem, w: Waveform) -> np.ndarray:
-    """(M, d, d) stack of per-segment generators H0 + sum_k u_k H_k."""
+def _generators(sys: ControlSystem, amps: np.ndarray) -> np.ndarray:
+    """(M, d, d) stack of the generators H0 + sum_k u_k H_k of the rows u of an (M, K) amplitude array."""
     d = sys.dim
-    ctrl = w.amplitudes @ sys.controls.reshape(sys.n_controls, d * d)
-    return sys.drift + ctrl.reshape(w.n_segments, d, d)
+    return sys.drift + (amps @ sys.controls.reshape(sys.n_controls, d * d)).reshape(len(amps), d, d)
 
 
 def _chain_gauged(h: np.ndarray, walk: np.ndarray):
@@ -281,7 +280,12 @@ def _chain_gauged(h: np.ndarray, walk: np.ndarray):
 
 
 def segment_eigs(sys: ControlSystem, w: Waveform):
-    """Batched eigendecomposition (lam, V) of all segment generators, H_m = V_m diag(lam_m) V_m†.
+    """Batched eigendecomposition (lam, V) of all segment generators, H_m = V_m diag(lam_m) V_m†."""
+    return _segment_eigs(sys, w.amplitudes)
+
+
+def _segment_eigs(sys: ControlSystem, amps: np.ndarray):
+    """``segment_eigs`` of an (M, K) amplitude array, which is not checked against the bounds.
 
     A chain-coupled system is diagonalized in chain order, where the gauge
     of ``_chain_gauged`` makes every generator real symmetric tridiagonal,
@@ -289,7 +293,7 @@ def segment_eigs(sys: ControlSystem, w: Waveform):
     Computations, section 8.3).  Its eigenvector rows, times the phases g,
     are scattered back to the natural basis: V[walk] = diag(g) Q.
     """
-    h = segment_hamiltonians(sys, w)
+    h = _generators(sys, amps)
     walk = sys.chain_walk
     if walk is None:
         return np.linalg.eigh(h)

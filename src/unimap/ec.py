@@ -45,6 +45,8 @@ IDX_4M4Z = 8
 #: z-rotation generator on the simulation space; the fiducial levels keep
 #: their physical magnetic numbers +-4
 FZ_SIM = np.diag(np.array([3, 2, 1, 0, -1, -2, -3, 4, -4], dtype=float))
+#: the largest |eps| whose dephasing phases 2 eps m are all finite
+EPS_LIMIT = float(np.finfo(float).max / (2 * np.abs(FZ_SIM).max()))
 
 
 def sim_z_state(m: float) -> np.ndarray:
@@ -103,8 +105,8 @@ def run_ec_trials(qubits, epsilon, maps):
     if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= STATE_NORM_TOL):
         raise ValueError("qubit states must be finite with unit norm")
     eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim > 1 or not np.all(np.isfinite(eps)):
-        raise ValueError("epsilon must be one finite angle or a sequence of them")
+    if eps.ndim > 1 or not np.all(np.abs(eps) <= EPS_LIMIT):
+        raise ValueError(f"epsilon must be one finite angle or a sequence of them, none above {EPS_LIMIT:.6g} in size")
     # the diagonal of the dephasing unitary exp(-2 i eps Fz), one row per angle
     phases = np.exp(-2j * eps[..., None] * np.diag(FZ_SIM))[..., None, :]
     psi0 = q @ np.array([sim_z_state(4), sim_z_state(3)])
@@ -149,6 +151,9 @@ class ECConfig:
         grid = tuple(float(e) for e in self.epsilon_grid)
         if not grid or not all(np.isfinite(grid)):
             raise ValueError("epsilon_grid must be non-empty and finite")
+        huge = [e for e in grid if not abs(e) <= EPS_LIMIT]
+        if huge:
+            raise ValueError(f"epsilon {huge[0]!r} overflows the phases 2 eps m: |epsilon| must be <= {EPS_LIMIT:.6g}")
         _check_counts(self, samples=1, seed=0)
         if self.average not in ("haar", "axes"):
             raise ValueError(f"average must be 'haar' or 'axes', got {self.average!r}")

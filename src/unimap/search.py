@@ -6,11 +6,14 @@ residual r = U(T)|psi_i> - e^{i alpha}|psi_f>, alpha = arg <psi_f|U(T)|psi_i>,
 whose squared norm is 2(1 - sqrt J) at unit norm, so a state map is a
 zero-residual least-squares problem, and each Levenberg–Marquardt trial
 solves one damped (2d + 1) x (2d + 1) linear system for its step.
+The loop scores plain (M, K) amplitude arrays, unchecked: the seed is drawn
+inside the bounds, each trial is clipped to them, and a non-finite trial
+stops the search.  One ``Waveform`` is built per result; the public entry
+points (``objective_state_prep``, ``gradient_state_prep``) keep ``check_amplitudes``.
 Each trial point diagonalizes its M segment generators once
-(``control.segment_eigs``: when the system couples its levels in a single
-chain, as the cesium model does, a real ``eigh`` in chain order, where a
-diagonal phase gauge makes each generator real tridiagonal; otherwise the
-complex ``eigh``) and builds the stacked segment propagators
+(``control._segment_eigs``: in chain order with a real ``eigh`` when the
+system couples its levels in a single chain, as the cesium model does;
+otherwise the complex ``eigh``) and builds the stacked segment propagators
 U_m = V_m e^{-i lam_m tau_m} V_m† in one batched product.  The forward
 sweep (``_sweep``) applies that stack to the initial state.  A result
 carries the stack's product U = U_M ... U_1 as its propagator, formed as
@@ -49,9 +52,9 @@ from .control import (
     Waveform,
     _mirror_signs,
     _product,
+    _segment_eigs,
     check_amplitudes,
     check_segment_phase,
-    segment_eigs,
 )
 from .core import _eig_exp, as_state
 
@@ -142,7 +145,8 @@ class SearchResult:
 
 def objective_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> float:
     """J = |<psi_f| U(T) |psi_i>|^2 for the waveform's propagator, at unit final-state norm (``_fidelity``)."""
-    return _fidelity(*_forward(sys, w, as_state(psi_i, sys.dim), as_state(psi_f, sys.dim))[:2])
+    check_amplitudes(sys, w)
+    return _fidelity(*_forward(sys, w.durations, w.amplitudes, as_state(psi_i, sys.dim), as_state(psi_f, sys.dim))[:2])
 
 
 def gradient_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> np.ndarray:
@@ -151,9 +155,10 @@ def gradient_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> np.nda
     Entry m*K + k is the derivative with respect to amplitude k of
     segment m, matching ``Waveform.amplitudes.ravel()`` order.
     """
+    check_amplitudes(sys, w)
     psi_f = as_state(psi_f, sys.dim)
-    overlap, _, *fwd = _forward(sys, w, as_state(psi_i, sys.dim), psi_f)
-    return 2 * np.real(np.conj(overlap) * _bra_derivatives(sys, w, psi_f.conj()[None], *fwd)[0])
+    overlap, _, *fwd = _forward(sys, w.durations, w.amplitudes, as_state(psi_i, sys.dim), psi_f)
+    return 2 * np.real(np.conj(overlap) * _bra_derivatives(sys, w.durations, psi_f.conj()[None], *fwd)[0])
 
 
 def _fidelity(overlap, residual) -> float:
@@ -168,11 +173,10 @@ def _fidelity(overlap, residual) -> float:
     return a / (a + float(np.vdot(residual, residual).real))
 
 
-def _forward(sys: ControlSystem, w: Waveform, psi_i, psi_f):
+def _forward(sys: ControlSystem, durations: np.ndarray, amps: np.ndarray, psi_i, psi_f):
     """Overlap <psi_f|U|psi_i>, residual U|psi_i> - overlap |psi_f>, eigensystems, propagators and kets."""
-    check_amplitudes(sys, w)
-    lam, v = segment_eigs(sys, w)
-    u = _eig_exp(lam, v, w.durations)
+    lam, v = _segment_eigs(sys, amps)
+    u = _eig_exp(lam, v, durations)
     overlap, residual, kets = _sweep(u, psi_i, psi_f)
     return overlap, residual, lam, v, u, kets
 
@@ -188,13 +192,13 @@ def _sweep(u: np.ndarray, psi_i, psi_f):
     return overlap, kets[m] - overlap * psi_f, kets
 
 
-def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets) -> np.ndarray:
-    """d(b U psi_i)/du for each row b of the (n, d) bra block, as (n, M*K), from a forward pass.
+def _bra_derivatives(sys: ControlSystem, durations: np.ndarray, out_bras, lam, v, u, kets) -> np.ndarray:
+    """d(b U psi_i)/du for each row b of the (n, d) bra block, as (n, M*K), from a forward pass over ``durations``.
 
     Column m*K + k is the derivative with respect to amplitude k of
     segment m, matching ``Waveform.amplitudes.ravel()`` order.
     """
-    m, d, k = w.n_segments, sys.dim, sys.n_controls
+    m, d, k = len(durations), sys.dim, sys.n_controls
     # backward pass: bras[j] = out_bras U_M ... U_{j+1}
     bras = np.empty((m + 1, len(out_bras), d), dtype=complex)
     bras[m] = out_bras
@@ -207,7 +211,7 @@ def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets)
     # K_ab = -i tau e^{-i lam_a tau / 2} e^{-i lam_b tau / 2} sinc((lam_a - lam_b) tau / 2),
     # which stays finite at coincident eigenvalues.  Summed over the right index first, that is
     # Σ_i left_i D_ki with D_ki = (V† H_k V (K diag(right))ᵀ)_ii, which no bra enters
-    tau = w.durations[:, None]
+    tau = durations[:, None]
     half = np.exp(-0.5j * lam * tau)
     x = (lam[:, :, None] - lam[:, None, :]) * (tau[:, :, None] / 2)
     x[x == 0] = 1e-20  # so that sin(x) / x = 1 there
@@ -217,11 +221,11 @@ def _bra_derivatives(sys: ControlSystem, w: Waveform, out_bras, lam, v, u, kets)
     return (left @ diag.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, m * k)
 
 
-def _chordal_jacobian(sys: ControlSystem, w: Waveform, psi_f, overlap, lam, v, u, kets) -> np.ndarray:
+def _chordal_jacobian(sys: ControlSystem, durations: np.ndarray, psi_f, overlap, lam, v, u, kets) -> np.ndarray:
     """The (2d + 1) x MK real Jacobian of the chordal residual: Re and Im of D - psi_f (psi_f† D), then
     Re(e^{-i alpha} psi_f† D), e^{-i alpha} = conj(overlap) / |overlap| or 1, from D = d(U psi_i)/du."""
     d = sys.dim
-    d_ket = _bra_derivatives(sys, w, np.eye(d), lam, v, u, kets)
+    d_ket = _bra_derivatives(sys, durations, np.eye(d), lam, v, u, kets)
     along = psi_f.conj() @ d_ket
     phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
     d_ket -= np.outer(psi_f, along)
@@ -259,17 +263,17 @@ def search_state_map(
     for Non-Linear Least Squares Problems, 2004, section 3.2); a rejected
     step raises mu and is retried.  Stops at the fidelity goal, at
     ``max_iterations``, at a vanishing projected gradient, when mu passes
-    its cap, or at a non-finite J, residual or Jacobian, keeping the last
-    finite accepted point.  Deterministic given (sys, psi_i, psi_f, cfg);
-    non-convergence is reported through ``converged``, never raised.  A
-    segment duration whose phases would lose their digits
+    its cap, or at a non-finite trial point, J, residual or Jacobian,
+    keeping the last finite accepted point.  Deterministic given (sys,
+    psi_i, psi_f, cfg); non-convergence is reported through ``converged``,
+    never raised.  A segment duration whose phases would lose their digits
     (``control.check_segment_phase``) is refused before the first step.
     """
     check_segment_phase(sys, cfg.segment_duration)
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
     durations = np.full(cfg.segment_count, cfg.segment_duration)
-    durations.setflags(write=False)  # shared by every trial waveform, the result and its signed images
+    durations.setflags(write=False)  # shared by the result's waveform and its signed images
     amps = _seed_amplitudes(sys, cfg, np.random.default_rng([cfg.seed, restart_index]))
     shape = amps.shape
     lo, hi = (np.broadcast_to(b, shape).ravel() for b in sys.amplitude_bounds.T)
@@ -277,18 +281,17 @@ def search_state_map(
     eye = np.eye(2 * sys.dim + 1)
 
     def evaluate(x):
-        """The waveform at x, its forward pass, J and the real chordal residual."""
-        wave = Waveform(durations, x.reshape(shape))
-        fwd = _forward(sys, wave, psi_i, psi_f)
-        return wave, fwd, _fidelity(*fwd[:2]), np.concatenate((fwd[1].real, fwd[1].imag, [abs(fwd[0]) - 1]))
+        """The forward pass at the in-bounds point x, its J and the real chordal residual."""
+        fwd = _forward(sys, durations, x.reshape(shape), psi_i, psi_f)
+        return fwd, _fidelity(*fwd[:2]), np.concatenate((fwd[1].real, fwd[1].imag, [abs(fwd[0]) - 1]))
 
     x = amps.ravel()
-    wave, fwd, j_val, res = evaluate(x)
+    fwd, j_val, res = evaluate(x)
     history = [j_val]
     iterations, mu, nu, jac = 0, None, 2.0, None
     while j_val < cfg.fidelity_goal and iterations < cfg.max_iterations:
         if jac is None:
-            jac = _chordal_jacobian(sys, wave, psi_f, fwd[0], *fwd[2:])
+            jac = _chordal_jacobian(sys, durations, psi_f, fwd[0], *fwd[2:])
             if not np.isfinite(jac).all():
                 break
             grad = -2 * (res @ jac)
@@ -303,7 +306,9 @@ def search_state_map(
             break
         step = -(np.linalg.solve(gram + mu * eye, res) @ jac_s) / speeds
         trial = np.minimum(np.maximum(x + step, lo), hi)
-        trial_wave, trial_fwd, j_trial, trial_res = evaluate(trial)
+        if not np.isfinite(trial).all():
+            break
+        trial_fwd, j_trial, trial_res = evaluate(trial)
         if not (math.isfinite(j_trial) and np.isfinite(trial_res).all()):
             break
         if j_trial <= j_val:
@@ -315,16 +320,9 @@ def search_state_map(
         mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
         iterations += 1
         history.append(j_trial)
-        x, wave, fwd, j_val, res, jac = trial, trial_wave, trial_fwd, j_trial, trial_res, None
-    return SearchResult(
-        waveform=wave,
-        fidelity=j_val,
-        iterations=iterations,
-        converged=j_val >= cfg.fidelity_goal,
-        objective_history=np.array(history),
-        propagator=_product(fwd[4]),
-        restart_index=restart_index,
-    )
+        x, fwd, j_val, res, jac = trial, trial_fwd, j_trial, trial_res, None
+    return SearchResult(Waveform(durations, x.reshape(shape)), j_val, iterations, j_val >= cfg.fidelity_goal,
+                        np.array(history), _product(fwd[4]), restart_index)
 
 
 def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> SearchResult | None:
@@ -333,29 +331,18 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
     Catches targets the bare drift reaches (in particular an eigenvector
     that is the fiducial state itself), where the search would only add
     noise to an exact solution.  Every segment plays the drift alone, so
-    one segment is checked and diagonalized and its propagator stands for
-    all M in the sweep and the product.
+    the drift is diagonalized once, as one zero-amplitude segment, and its
+    propagator stands for all M in the sweep and the product.
     """
     if not all(lo <= 0.0 <= hi for lo, hi in sys.amplitude_bounds):
         return None
-    one = Waveform([cfg.segment_duration], np.zeros((1, sys.n_controls)))
-    check_amplitudes(sys, one)
-    u = np.broadcast_to(_eig_exp(*segment_eigs(sys, one), one.durations), (cfg.segment_count, sys.dim, sys.dim))
+    one = _eig_exp(*_segment_eigs(sys, np.zeros((1, sys.n_controls))), np.array([cfg.segment_duration]))
+    u = np.broadcast_to(one, (cfg.segment_count, sys.dim, sys.dim))
     j0 = _fidelity(*_sweep(u, psi_i, psi_f)[:2])
     if j0 < cfg.fidelity_goal:
         return None
-    w0 = Waveform(
-        np.full(cfg.segment_count, cfg.segment_duration),
-        np.zeros((cfg.segment_count, sys.n_controls)),
-    )
-    return SearchResult(
-        waveform=w0,
-        fidelity=j0,
-        iterations=0,
-        converged=True,
-        objective_history=np.array([j0]),
-        propagator=_product(u),
-    )
+    w0 = Waveform(np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls)))
+    return SearchResult(w0, j0, 0, True, np.array([j0]), _product(u))
 
 
 def add_symmetry(src: ControlSystem, dst: ControlSystem, mirror) -> bool:
@@ -389,8 +376,9 @@ def _symmetric_image(sys: ControlSystem, psi_i: np.ndarray, psi_f: np.ndarray, c
     conj(U(u)) = U(sigma u), as for the cesium model at zero rf detuning.
     A result kept under an equal config whose states S carries onto
     (psi_i, psi_f), up to a phase, is a source.  Its image keeps the
-    durations and multiplies each control's amplitudes by its sign; its J
-    and propagator come from its own forward pass on ``sys``, never copied.
+    durations and multiplies each control's amplitudes by its sign, which
+    keeps them in bounds (``control._mirror_signs``); its J and propagator
+    come from its own forward pass on ``sys``, never copied.
     An image that misses a goal its source met is refused, and the next
     source is tried.  None when no source gives an image.
     """
@@ -407,7 +395,7 @@ def _symmetric_image(sys: ControlSystem, psi_i: np.ndarray, psi_f: np.ndarray, c
             if signs is None:
                 return None
             image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
-            fwd = _forward(sys, image, psi_i, psi_f)
+            fwd = _forward(sys, image.durations, image.amplitudes, psi_i, psi_f)
             j = _fidelity(*fwd[:2])
             if not source.fidelity >= cfg.fidelity_goal > j:
                 return SearchResult(image, j, 0, j >= cfg.fidelity_goal, np.array([j]), _product(fwd[4]))

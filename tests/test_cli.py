@@ -560,37 +560,40 @@ def test_benchmark_searched_workloads_search_counts(tmp_path, monkeypatch, count
     assert counts == searches
 
 
-@pytest.mark.parametrize("workload, bound", [("unitary_d7", 46), ("subspace_maps", 60)])
-def test_benchmark_searched_workloads_forward_passes(tmp_path, monkeypatch, count_calls, workload, bound):
-    # each forward pass of the search module diagonalizes its segments once; on the chordal
+@pytest.mark.parametrize("workload, forward, jacobian", [("unitary_d7", 42, 27), ("subspace_maps", 55, 32)])
+def test_benchmark_searched_workloads_forward_passes(tmp_path, monkeypatch, count_calls, workload, forward, jacobian):
+    # each forward pass of the search module diagonalizes its amplitude array once; on the chordal
     # residual with speed-scaled damping, stopping at the first restart that meets the goal,
-    # these commands take 42 and 55 passes; running every restart took 108 on subspace_maps
+    # these commands take 42 and 55 passes and 27 and 32 Jacobians; running every restart took
+    # 108 passes on subspace_maps
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
-    passes = count_calls(unimap.search, "segment_eigs")
+    passes = count_calls(unimap.search, "_segment_eigs")
+    jacobians = count_calls(unimap.search, "_bra_derivatives")
     (tmp_path / "inputs").mkdir()
     (tmp_path / "run").mkdir()
     monkeypatch.chdir(tmp_path / "run")
     for command in getattr(workloads, workload)(1, tmp_path / "inputs"):
         assert main(list(command.argv)) == 0
-    assert len(passes) < bound
+    assert (len(passes), len(jacobians)) == (forward, jacobian)
 
 
 @pytest.mark.parametrize("workload", ["unitary_d7", "subspace_maps"])
 def test_benchmark_searched_workloads_diagonalize_only_in_search(tmp_path, monkeypatch, workload):
     # every waveform a step plays is diagonalized once, by the forward pass that scored it: chi
-    # comes from the propagator the search result carries, so every segment_eigs call, read
-    # through each module's globals, goes through unimap.search (44 calls on the G:3 build)
+    # comes from the propagator the search result carries, so every _segment_eigs call, read
+    # through each module's globals, goes through unimap.search (44 calls on the G:3 build);
+    # control's own segment_eigs, which propagate calls, reads it as unimap.control
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
-    from unimap.control import segment_eigs
+    from unimap.control import _segment_eigs
 
     callers = []
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "unimap" and getattr(module, "segment_eigs", None) is segment_eigs:
-            monkeypatch.setattr(module, "segment_eigs",
-                                lambda *a, _name=name: callers.append(_name) or segment_eigs(*a))
+        if name.split(".")[0] == "unimap" and getattr(module, "_segment_eigs", None) is _segment_eigs:
+            monkeypatch.setattr(module, "_segment_eigs",
+                                lambda *a, _name=name: callers.append(_name) or _segment_eigs(*a))
     (tmp_path / "inputs").mkdir()
     (tmp_path / "run").mkdir()
     monkeypatch.chdir(tmp_path / "run")
@@ -1115,7 +1118,7 @@ class TestPhaseRefusal:
     ])
     def test_optimize_state_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, rates, flags, duration):
         forward = []
-        monkeypatch.setattr(unimap.search, "segment_eigs", lambda *a: forward.append(a))
+        monkeypatch.setattr(unimap.search, "_segment_eigs", lambda *a: forward.append(a))
         params = _write(tmp_path / "p.json", rates)
         assert run(["optimize-state", "--initial", "fiducial", "--target", "basis:3", "--params", params, *flags,
                     "--out-waveform", str(tmp_path / "w.csv"), "--out-report", str(tmp_path / "r.json")]) == 2
@@ -1301,6 +1304,28 @@ class TestEpsilonEnds:
         assert caught == []
         assert capsys.readouterr().err == (
             f"error: --eps-min and --eps-max must be finite, nonzero and of one sign, got {shown}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_eps_count_below_1_exits_2_naming_it_without_outputs(self, tmp_path, capsys, count):
+        assert run(["ec-sweep", "--average", "axes", "--eps-count", count, "--out", str(tmp_path / "ec.csv")]) == 2
+        assert capsys.readouterr().err == f"error: --eps-count must be >= 1, got {count}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, angle", [
+        (["--epsilons", "1e308"], "1e+308"),
+        (["--epsilons", "0.1,-5e307"], "-5e+307"),
+        (["--eps-max", "1e308"], "1e+308"),
+    ])
+    def test_angle_whose_phases_overflow_exits_2_naming_it_without_outputs_or_warnings(
+            self, tmp_path, capsys, flags, angle):
+        # 2 eps m for m = 4 is not finite: the angle is refused before any phase is computed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["ec-sweep", "--average", "axes", *flags, "--out", str(tmp_path / "ec.csv")]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == f"error: epsilon {angle} overflows the phases 2 eps m: |epsilon| must be <= 2.24712e+307\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("ends", [(-0.3, -0.02), (0.3, 0.02)])

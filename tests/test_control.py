@@ -13,10 +13,10 @@ from unimap.control import (
     ControlSystem,
     Waveform,
     _chain_gauged,
+    _generators,
     check_amplitudes,
     propagate,
     segment_eigs,
-    segment_hamiltonians,
 )
 from unimap.core import _eig_exp, basis_state, mat_exp, unitarity_defect
 from unimap.subspace import ExactMapper, phase_product
@@ -86,6 +86,15 @@ class TestPropagate:
     def test_cesium_generator_bound(self, cesium):
         # rf 2 x ||F_x|| = 6, microwave 2 x 0.5, light shift 1, each times 2 pi 25 kHz
         assert cesium.generator_bound == pytest.approx(8 * 2 * np.pi * 25e3, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["cesium", "dense"])
+    def test_generator_bound_is_the_spectral_norm_sum(self, cesium, model):
+        # read from one batched eigvalsh, the bound equals the sum of SVD spectral norms
+        sys_m = cesium if model == "cesium" else dense_system()
+        norms = [np.linalg.norm(h, 2) for h in (sys_m.drift, *sys_m.controls)]
+        reach = np.abs(sys_m.amplitude_bounds).max(axis=1)
+        expected = norms[0] + sum(n * r for n, r in zip(norms[1:], reach))
+        assert sys_m.generator_bound == pytest.approx(expected, rel=1e-12)
 
     def test_refuses_a_segment_whose_phase_carries_no_digits(self, cesium):
         # the longest segment decides: 0.35 s reaches 4.4e5 rad, 0.36 s 4.52e5 rad
@@ -208,7 +217,7 @@ def test_segment_propagators_match_mat_exp(detuning):
 
 def complex_eigs(sys, w):
     """The complex batched eigh, which every system used before the chain gauge."""
-    return np.linalg.eigh(segment_hamiltonians(sys, w))
+    return np.linalg.eigh(_generators(sys, w.amplitudes))
 
 
 def complex_propagators(sys, w):
@@ -270,7 +279,7 @@ class TestChainGauge:
         sys_m = build_restricted_system(CesiumParams(rf_detuning=detuning), aux=aux)
         assert sys_m.chain_walk is not None
         w = gauge_waveform(sys_m, np.random.default_rng(21))
-        h = segment_hamiltonians(sys_m, w)
+        h = _generators(sys_m, w.amplitudes)
         lam, v = segment_eigs(sys_m, w)
         residual = np.linalg.norm(h @ v - v * lam[:, None, :], axis=(1, 2))
         assert residual.max() <= 1e-12 * np.linalg.norm(h, axis=(1, 2)).max()
@@ -289,7 +298,7 @@ class TestChainGauge:
         sys_m = coupling_system([(3, 0), (0, 4), (4, 1), (1, 2)], 5, rng)
         assert_walks_couplings(sys_m)
         w = gauge_waveform(sys_m, rng)
-        h = segment_hamiltonians(sys_m, w)
+        h = _generators(sys_m, w.amplitudes)
         lam, v = segment_eigs(sys_m, w)
         assert np.abs(h @ v - v * lam[:, None, :]).max() <= 1e-12 * np.abs(h).max()
         assert np.abs(_eig_exp(lam, v, w.durations) - complex_propagators(sys_m, w)).max() <= 1e-12
@@ -305,7 +314,7 @@ class TestChainGauge:
     def test_chain_order_gauge_is_real_tridiagonal(self, make_system):
         sys_m = make_system()
         walk = sys_m.chain_walk
-        h = segment_hamiltonians(sys_m, gauge_waveform(sys_m, np.random.default_rng(22)))
+        h = _generators(sys_m, gauge_waveform(sys_m, np.random.default_rng(22)).amplitudes)
         t = _chain_gauged(h, walk)[0]
         assert np.abs(t.imag).max() <= 1e-12 * np.abs(t).max()
         assert not np.triu(t, 2).any() and not np.tril(t, -2).any()
@@ -342,8 +351,9 @@ class TestChainGauge:
         res = search_state_map(sys_m, psi_i, psi_f, cfg)
         lam_ref, v_ref = complex_eigs(sys_m, w)
         assert np.array_equal(lam, lam_ref) and np.array_equal(v, v_ref)
-        monkeypatch.setattr(unimap.control, "segment_eigs", complex_eigs)
-        monkeypatch.setattr(unimap.search, "segment_eigs", complex_eigs)
+        # the seam both modules diagonalize through, patched with the complex eigh of its generators
+        for module in (unimap.control, unimap.search):
+            monkeypatch.setattr(module, "_segment_eigs", lambda s, amps: np.linalg.eigh(_generators(s, amps)))
         assert np.array_equal(u, propagate(sys_m, w))
         ref = search_state_map(sys_m, psi_i, psi_f, cfg)
         assert res.iterations == ref.iterations > 0

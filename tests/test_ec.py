@@ -1,5 +1,7 @@
 """The embedded-qubit error-correction protocol and its sweep."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import searches_run
 from unimap.core import as_state, haar_random_state, haar_random_unitary
 from unimap.ec import (
     BLOCH_AXIS_STATES,
+    EPS_LIMIT,
     ECConfig,
     FZ_SIM,
     SIM_DIM,
@@ -257,6 +260,14 @@ class TestSweep:
         b = ec_sweep(cfg, ideal_maps)
         assert a == b
 
+    def test_largest_angle_sweeps_and_the_next_is_refused(self, ideal_maps):
+        # 2 eps m at m = 4 is the largest finite float at EPS_LIMIT, and inf one ulp above it
+        res = ec_sweep(ECConfig(epsilon_grid=(EPS_LIMIT, -EPS_LIMIT), average="axes"), ideal_maps)
+        assert np.isfinite([res.corrected, res.uncorrected, res.trigger_rate]).all()
+        above = float(np.nextafter(EPS_LIMIT, np.inf))
+        with pytest.raises(ValueError, match=rf"^epsilon {re.escape(repr(above))} overflows the phases 2 eps m"):
+            ECConfig(epsilon_grid=(0.1, above))
+
     def test_zero_epsilon_single_sample(self, ideal_maps):
         cfg = ECConfig(epsilon_grid=(0.0,), samples=1, seed=0)
         res = ec_sweep(cfg, ideal_maps)
@@ -434,6 +445,8 @@ class TestBatchedTrials:
             run_ec_trials(good, (0.1, float("inf")), ideal_maps)
         with pytest.raises(ValueError, match="sequence"):
             run_ec_trials(good, [[0.1, 0.2]], ideal_maps)
+        with pytest.raises(ValueError, match="none above 2.24712e\\+307 in size"):
+            run_ec_trials(good, (0.1, -1e308), ideal_maps)
         with pytest.raises(ValueError, match="norm"):
             run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps))
 

@@ -216,28 +216,24 @@ class TestStackedKernel:
         g = gradient_state_prep(sys_m, w, psi_i, psi_f)
         assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
 
-    def test_every_trial_point_is_checked_and_diagonalized(self, cesium, monkeypatch):
-        # each forward pass goes through the module's check_amplitudes and
-        # segment_eigs, so wrapping them sees every evaluated point
-        calls = {"check": 0, "eigs": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(unimap.search, "check_amplitudes", counted("check", check_amplitudes))
-        monkeypatch.setattr(unimap.search, "segment_eigs", counted("eigs", segment_eigs))
+    def test_every_evaluated_point_is_finite_in_bounds_and_diagonalized_once(self, cesium, count_calls):
+        # each forward pass diagonalizes its amplitude array through the module's _segment_eigs,
+        # so wrapping it sees every evaluated point: none is checked, so each must be in the box
+        eigs = count_calls(unimap.search, "_segment_eigs")
         cfg = default_search_config(cesium, seed=37, max_iterations=20, fidelity_goal=1.0)
         res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(38)), cfg)
-        assert calls["check"] == calls["eigs"] >= res.iterations + 1
+        points = [amps for _, amps in eigs]
+        lo, hi = cesium.amplitude_bounds.T
+        assert len(points) >= res.iterations + 1 and res.iterations > 0
+        assert all(np.isfinite(a).all() and (lo <= a).all() and (a <= hi).all() for a in points)
+        assert len({a.tobytes() for a in points}) == len(points)
+        assert res.waveform.amplitudes.tobytes() in {a.tobytes() for a in points}
 
 
 def kernel_jacobian(sys, w, psi_i, psi_f):
     """The search's (2d + 1) x MK Jacobian of the chordal residual, from one forward pass."""
-    overlap, _, *fwd = unimap.search._forward(sys, w, psi_i, psi_f)
-    return unimap.search._chordal_jacobian(sys, w, psi_f, overlap, *fwd)
+    overlap, _, *fwd = unimap.search._forward(sys, w.durations, w.amplitudes, psi_i, psi_f)
+    return unimap.search._chordal_jacobian(sys, w.durations, psi_f, overlap, *fwd)
 
 
 def residual(sys, w, psi_i, psi_f):
@@ -279,16 +275,16 @@ def matmul_kets(u, psi_i):
     return kets
 
 
-def matmul_bra_derivatives(sys, w, out_bras, lam, v, u, kets):
+def matmul_bra_derivatives(sys, durations, out_bras, lam, v, u, kets):
     """``search._bra_derivatives`` with its backward sweep written with ``@``."""
-    m, d, k = w.n_segments, sys.dim, sys.n_controls
+    m, d, k = len(durations), sys.dim, sys.n_controls
     bras = np.empty((m + 1, len(out_bras), d), dtype=complex)
     bras[m] = out_bras
     for j in range(m - 1, -1, -1):
         bras[j] = bras[j + 1] @ u[j]
     left = bras[1:] @ v
     right = (kets[:-1, None, :] @ v.conj())[:, 0]
-    tau = w.durations[:, None]
+    tau = durations[:, None]
     half = np.exp(-0.5j * lam * tau)
     x = (lam[:, :, None] - lam[:, None, :]) * (tau[:, :, None] / 2)
     x[x == 0] = 1e-20
@@ -305,13 +301,13 @@ def test_dot_sweeps_equal_matmul_loops(cesium, two_level, model):
     sys_m, tau = {"cesium": (cesium, 1e-5), "two_level": (two_level, 0.8), "dense_d4": (dense_system(4), 1e-5)}[model]
     w = Waveform(np.full(26, tau), rng.uniform(-1, 1, (26, sys_m.n_controls)))
     psi_i, psi_f = haar_random_state(sys_m.dim, rng), haar_random_state(sys_m.dim, rng)
-    overlap, _, *fwd = unimap.search._forward(sys_m, w, psi_i, psi_f)
+    overlap, _, *fwd = unimap.search._forward(sys_m, w.durations, w.amplitudes, psi_i, psi_f)
     kets = matmul_kets(fwd[2], psi_i)
     assert fwd[3].tobytes() == kets.tobytes()
     assert overlap == np.vdot(psi_f, kets[-1])
     for out_bras in (psi_f.conj()[None], np.eye(sys_m.dim)):
-        derivatives = unimap.search._bra_derivatives(sys_m, w, out_bras, *fwd)
-        assert derivatives.tobytes() == matmul_bra_derivatives(sys_m, w, out_bras, *fwd).tobytes()
+        derivatives = unimap.search._bra_derivatives(sys_m, w.durations, out_bras, *fwd)
+        assert derivatives.tobytes() == matmul_bra_derivatives(sys_m, w.durations, out_bras, *fwd).tobytes()
     product = np.eye(sys_m.dim, dtype=complex)
     for step in fwd[2]:
         product = step @ product
@@ -347,9 +343,9 @@ class TestResultPropagator:
         assert np.any(sys.drift)
         cfg = default_search_config(sys, fidelity_goal=1e-3)
         psi_i, psi_f = haar_random_state(sys.dim, np.random.default_rng(123)), sys.fiducial_state()
-        eigs = count_calls(unimap.search, "segment_eigs")
+        eigs = count_calls(unimap.search, "_segment_eigs")
         res = multi_start(sys, psi_i, psi_f, cfg)
-        assert [w.n_segments for _, w in eigs] == [1]
+        assert [amps.tolist() for _, amps in eigs] == [[[0.0] * sys.n_controls]]
         assert res.iterations == 0 and res.waveform.n_segments == cfg.segment_count
         assert not np.any(res.waveform.amplitudes)
         assert res.fidelity == objective_state_prep(sys, res.waveform, psi_i, psi_f) < 1
@@ -390,8 +386,8 @@ class TestJacobian:
     def test_matches_per_segment_loop(self, cesium, case):
         # the search's bras are the d identity rows, which give d(U psi_i)/du
         sys_m, w, psi_i, psi_f = kernel_case(cesium, case)
-        fwd = unimap.search._forward(sys_m, w, psi_i, psi_f)[2:]
-        kernel = unimap.search._bra_derivatives(sys_m, w, np.eye(sys_m.dim), *fwd)
+        fwd = unimap.search._forward(sys_m, w.durations, w.amplitudes, psi_i, psi_f)[2:]
+        kernel = unimap.search._bra_derivatives(sys_m, w.durations, np.eye(sys_m.dim), *fwd)
         reference = per_segment_jacobian(sys_m, w, psi_i)
         assert np.linalg.norm(kernel - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -426,7 +422,7 @@ def seed_with_held_variables(cesium):
     flat = seed.ravel()
     grad = gradient_state_prep(cesium, Waveform(durations, seed), psi_i, psi_f)
     flat[:40] = np.where(grad[:40] > 0, hi[:40], lo[:40])
-    overlap, residual, *_ = unimap.search._forward(cesium, Waveform(durations, seed), psi_i, psi_f)
+    overlap, residual, *_ = unimap.search._forward(cesium, durations, seed, psi_i, psi_f)
     r = np.concatenate((residual.real, residual.imag, [abs(overlap) - 1]))
     jac = kernel_jacobian(cesium, Waveform(durations, seed), psi_i, psi_f)
     descent = -(r @ jac)
@@ -439,9 +435,9 @@ def record_trial_points(monkeypatch, seed):
     """Start the search at ``seed`` and record every point it evaluates, flattened, in order."""
     forward, points = unimap.search._forward, []
 
-    def recorded(sys, w, *states):
-        points.append(w.amplitudes.ravel())
-        return forward(sys, w, *states)
+    def recorded(sys, durations, amps, *states):
+        points.append(amps.ravel())
+        return forward(sys, durations, amps, *states)
 
     monkeypatch.setattr(unimap.search, "_seed_amplitudes", lambda *args: seed)
     monkeypatch.setattr(unimap.search, "_forward", recorded)
@@ -531,13 +527,14 @@ class TestSearch:
         # after one accepted step every trial point reads J = 0: each rejection raises mu, so
         # the trial steps shrink, until mu passes its cap and the search stops where it was
         jacobians = count_calls(unimap.search, "_bra_derivatives")
-        forward, trials = unimap.search._forward, []
+        forward, before, trials = unimap.search._forward, [], []
 
-        def flat_after_first_step(sys, w, *states):
-            fwd = forward(sys, w, *states)
+        def flat_after_first_step(sys, durations, amps, *states):
+            fwd = forward(sys, durations, amps, *states)
             if len(jacobians) < 2:
+                before.append(amps)
                 return fwd
-            trials.append(w.amplitudes)
+            trials.append(amps)
             assert len(trials) < 100, "the search does not stop"
             return (0j, *fwd[1:])
 
@@ -545,7 +542,8 @@ class TestSearch:
         cfg = default_search_config(cesium, seed=3, max_iterations=100, fidelity_goal=1.0)
         res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(4)), cfg)
         assert res.iterations == 1 and len(jacobians) == 2 and len(trials) > 1
-        assert res.waveform is jacobians[1][1] and res.fidelity == res.objective_history[-1] > 0
+        # the accepted point is the last one scored before the second Jacobian
+        assert np.array_equal(res.waveform.amplitudes, before[-1]) and res.fidelity == res.objective_history[-1] > 0
         lengths = [np.linalg.norm(t - res.waveform.amplitudes) for t in trials]
         assert all(a > b for a, b in zip(lengths, lengths[1:]))
 
@@ -554,16 +552,17 @@ class TestSearch:
         # after one accepted step a forward pass (J and r) or the Jacobian reads NaN: the search
         # stops there and keeps the accepted point, instead of solving for a step on NaN
         forward, kernel = unimap.search._forward, unimap.search._bra_derivatives
-        jacobians, passes_after = [], []
+        jacobians, before, passes_after = [], [], []
 
-        def poisoned_kernel(sys, w, *args):
-            jacobians.append(w)
-            jac = kernel(sys, w, *args)
+        def poisoned_kernel(*args):
+            jacobians.append(1)
+            jac = kernel(*args)
             return jac * np.nan if where == "jacobian" and len(jacobians) == 2 else jac
 
-        def poisoned_forward(*args):
-            fwd = forward(*args)
+        def poisoned_forward(sys, durations, amps, *states):
+            fwd = forward(sys, durations, amps, *states)
             if len(jacobians) < 2:
+                before.append(amps)
                 return fwd
             passes_after.append(1)
             return (np.nan * fwd[0], np.full_like(fwd[1], np.nan), *fwd[2:]) if where == "forward" else fwd
@@ -573,8 +572,26 @@ class TestSearch:
         cfg = default_search_config(cesium, seed=3, max_iterations=100, fidelity_goal=1.0)
         res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(4)), cfg)
         assert res.iterations == 1 and len(jacobians) == 2 and len(passes_after) == (where == "forward")
-        assert res.waveform is jacobians[1]
+        assert np.array_equal(res.waveform.amplitudes, before[-1])
         assert np.isfinite(res.objective_history).all() and res.fidelity == res.objective_history[-1]
+
+    def test_a_non_finite_step_stops_at_the_last_accepted_point(self, cesium, count_calls, monkeypatch):
+        # after one accepted step the damped solve returns NaN: the trial point is not finite, so
+        # the search keeps the accepted point and reports a miss, without scoring or refusing the trial
+        jacobians = count_calls(unimap.search, "_bra_derivatives")
+        passes = count_calls(unimap.search, "_forward")
+        solve = np.linalg.solve
+        monkeypatch.setattr(unimap.search.np.linalg, "solve",
+                            lambda *args: solve(*args) * (np.nan if len(jacobians) >= 2 else 1.0))
+        cfg = default_search_config(cesium, seed=3, max_iterations=100, fidelity_goal=1.0)
+        psi_i, psi_f = basis_state(8, 7), haar_random_state(8, np.random.default_rng(4))
+        res = search_state_map(cesium, psi_i, psi_f, cfg)
+        assert res.iterations == 1 and len(jacobians) == 2 and not res.converged
+        # the last forward pass scored the accepted point: the NaN trial was never scored
+        assert np.array_equal(res.waveform.amplitudes, passes[-1][2])
+        assert np.isfinite(res.objective_history).all()
+        assert res.fidelity == res.objective_history[-1] == objective_state_prep(cesium, res.waveform, psi_i, psi_f)
+        assert_carries_its_propagator(cesium, res)
 
     def test_bound_variable_whose_descent_points_outward_stays_put(self, cesium, monkeypatch):
         # every trial point of the first step must leave the held variables where the seed put them
@@ -609,7 +626,7 @@ class TestSearch:
         # the damped system is solved as it stands: every eigh of a search is one forward pass's
         # stack of M segment generators, never the (2d + 1) x (2d + 1) Gram matrix J_s J_sᵀ
         eighs = count_calls(np.linalg, "eigh")
-        passes = count_calls(unimap.search, "segment_eigs")
+        passes = count_calls(unimap.search, "_segment_eigs")
         cfg = default_search_config(cesium, seed=9, fidelity_goal=0.99)
         res = search_state_map(cesium, basis_state(8, 7), haar_random_state(8, np.random.default_rng(10)), cfg)
         assert res.converged and len(passes) >= res.iterations + 1 >= 2
