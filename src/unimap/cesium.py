@@ -177,9 +177,14 @@ def _level_state(levels: np.ndarray, m: float, where: str) -> np.ndarray:
 
 def x_basis_state(F: float, m_x: float) -> np.ndarray:
     """Eigenvector of Fx with eigenvalue m_x: exp(-i pi/2 Fy) |F, m_z = m_x>."""
+    return x_basis_states(F, m_x)[0]
+
+
+def x_basis_states(F: float, *m_x: float) -> list[np.ndarray]:
+    """``x_basis_state`` of each m_x, with the rotation exp(-i pi/2 Fy) computed once."""
     ops = spin_operators(F)
-    z_state = _level_state(ops.fz.diagonal().real, m_x, f"m_x={m_x} for F={F}")
-    return mat_exp(ops.fy, np.pi / 2) @ z_state
+    rotation = mat_exp(ops.fy, np.pi / 2)
+    return [rotation @ _level_state(ops.fz.diagonal().real, m, f"m_x={m} for F={F}") for m in m_x]
 
 
 PRESETS = {

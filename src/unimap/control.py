@@ -7,10 +7,10 @@ segments, each a duration in seconds plus one amplitude per control.
 
 Segment generators are diagonalized in one batched ``eigh``.  When the
 couplings of drift and controls form a single chain (a path graph, as in
-the cesium model), the generators are diagonalized in chain order, where a
-diagonal phase gauge makes each one real symmetric tridiagonal, so the
-real ``eigh`` is used; any other coupling pattern takes the complex
-``eigh`` in the natural basis order.
+the cesium model), the generators are built and diagonalized in chain
+order, where a diagonal phase gauge makes each one real symmetric
+tridiagonal, so the real ``eigh`` is used; any other coupling pattern
+takes the complex ``eigh`` in the natural basis order.
 
 The builder in ``subspace`` needs no matrix for the fiducial phase imprint
 P(theta): its factor V† P(theta) V depends on V only through
@@ -259,20 +259,24 @@ def check_segment_phase(sys: ControlSystem, duration: float) -> None:
         )
 
 
-def _generators(sys: ControlSystem, amps: np.ndarray) -> np.ndarray:
-    """(M, d, d) stack of the generators H0 + sum_k u_k H_k of the rows u of an (M, K) amplitude array."""
-    d = sys.dim
-    return sys.drift + (amps @ sys.controls.reshape(sys.n_controls, d * d)).reshape(len(amps), d, d)
+def _generators(sys: ControlSystem, amps: np.ndarray, walk: np.ndarray | None = None) -> np.ndarray:
+    """(M, d, d) stack of the generators H0 + sum_k u_k H_k of the rows u of an (M, K) amplitude array.
 
-
-def _chain_gauged(h: np.ndarray, walk: np.ndarray):
-    """The (M, d, d) generators ``h`` in chain order, gauged to real tridiagonal form.
-
-    Returns (t, g): t_ab = conj(g_a) H_{walk_a, walk_b} g_b, real up to
-    rounding, with the phases g = e^{i theta} (M, d), where theta is the
-    negated running sum of the coupling phases along the chain.
+    With ``walk``, in that basis order, from the drift and controls gathered into it.
     """
-    h = h[:, walk[:, None], walk]
+    drift, controls, d = sys.drift, sys.controls, sys.dim
+    if walk is not None:
+        drift, controls = drift[walk[:, None], walk], controls[:, walk[:, None], walk]
+    return drift + (amps @ controls.reshape(sys.n_controls, d * d)).reshape(len(amps), d, d)
+
+
+def _chain_gauged(h: np.ndarray):
+    """The (M, d, d) generators ``h``, given in chain order, gauged to real tridiagonal form.
+
+    Returns (t, g): t_ab = conj(g_a) h_ab g_b, real up to rounding, with
+    the phases g = e^{i theta} (M, d), where theta is the negated running
+    sum of the coupling phases h_{a, a+1} along the chain.
+    """
     theta = np.zeros(h.shape[:2])
     theta[:, 1:] = -np.cumsum(np.angle(np.diagonal(h, 1, axis1=1, axis2=2)), axis=1)
     g = np.exp(1j * theta)
@@ -287,17 +291,18 @@ def segment_eigs(sys: ControlSystem, w: Waveform):
 def _segment_eigs(sys: ControlSystem, amps: np.ndarray):
     """``segment_eigs`` of an (M, K) amplitude array, which is not checked against the bounds.
 
-    A chain-coupled system is diagonalized in chain order, where the gauge
-    of ``_chain_gauged`` makes every generator real symmetric tridiagonal,
-    the textbook case of the real ``eigh`` (Golub & Van Loan, Matrix
+    A chain-coupled system's generators are built in chain order, from the
+    drift and controls gathered into it (``_generators``), and the gauge of
+    ``_chain_gauged`` makes every one real symmetric tridiagonal, the
+    textbook case of the real ``eigh`` (Golub & Van Loan, Matrix
     Computations, section 8.3).  Its eigenvector rows, times the phases g,
     are scattered back to the natural basis: V[walk] = diag(g) Q.
     """
-    h = _generators(sys, amps)
     walk = sys.chain_walk
+    h = _generators(sys, amps, walk)
     if walk is None:
         return np.linalg.eigh(h)
-    t, g = _chain_gauged(h, walk)
+    t, g = _chain_gauged(h)
     lam, q = np.linalg.eigh(t.real)
     v = np.empty(h.shape, dtype=complex)
     v[:, walk] = g[:, :, None] * q

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_state
+from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_state, x_basis_states
 from .control import ControlSystem
 from .core import STATE_NORM_TOL
 from .search import SearchConfig, _check_counts, add_symmetry
@@ -60,19 +60,15 @@ def sim_x_state(m_x: float) -> np.ndarray:
 
 
 def ec_map_specs() -> tuple[SubspaceMapSpec, SubspaceMapSpec, SubspaceMapSpec]:
-    """The three protocol maps: encode, error extraction, and recovery."""
-    encode = SubspaceMapSpec(
-        source=(sim_z_state(4), sim_z_state(3)),
-        target=(sim_x_state(3), sim_x_state(-3)),
-    )
-    extract = SubspaceMapSpec(
-        source=(sim_x_state(2), sim_x_state(-2)),
-        target=(sim_z_state(4), sim_z_state(-4)),
-    )
-    recover = SubspaceMapSpec(
-        source=(sim_z_state(4), sim_z_state(-4)),
-        target=(sim_x_state(3), sim_x_state(-3)),
-    )
+    """The three protocol maps: encode, error extraction, and recovery.
+
+    Their four x-states (``sim_x_state`` of 3, -3, 2 and -2) share one
+    F=3 rotation exp(-i pi/2 Fy), computed once per call.
+    """
+    plus3, minus3, plus2, minus2 = (np.pad(x, (0, SIM_DIM - 7)) for x in x_basis_states(3, 3, -3, 2, -2))
+    encode = SubspaceMapSpec(source=(sim_z_state(4), sim_z_state(3)), target=(plus3, minus3))
+    extract = SubspaceMapSpec(source=(plus2, minus2), target=(sim_z_state(4), sim_z_state(-4)))
+    recover = SubspaceMapSpec(source=(sim_z_state(4), sim_z_state(-4)), target=(plus3, minus3))
     return encode, extract, recover
 
 

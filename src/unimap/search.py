@@ -11,31 +11,34 @@ inside the bounds, each trial is clipped to them, and a non-finite trial
 stops the search.  One ``Waveform`` is built per result; the public entry
 points (``objective_state_prep``, ``gradient_state_prep``) keep ``check_amplitudes``.
 Each trial point diagonalizes its M segment generators once
-(``control._segment_eigs``: in chain order with a real ``eigh`` when the
-system couples its levels in a single chain, as the cesium model does;
-otherwise the complex ``eigh``) and builds the stacked segment propagators
-U_m = V_m e^{-i lam_m tau_m} V_m† in one batched product.  The forward
-sweep (``_sweep``) applies that stack to the initial state.  A result
-carries the stack's product U = U_M ... U_1 as its propagator, formed as
-``control.propagate`` forms it, so no waveform a search scored is
-diagonalized again.  One kernel differentiates a block of n bras against
-those forward kets: its backward sweep applies the same stack to all n
-bras at once, and the spectral divided-difference kernel of the matrix
-exponential is contracted for all segments against the system's cached
-stack of control generators.  The bra <psi_f| gives the exact gradient of
-J; the d identity rows give d(U psi_i)/du, hence the (2d + 1) x MK Jacobian of r.
+(``control._segment_eigs``: built in chain order and diagonalized with a
+real ``eigh`` when the system couples its levels in a single chain, as the
+cesium model does; otherwise the complex ``eigh``) and builds the stacked
+segment propagators U_m = V_m e^{-i lam_m tau_m} V_m† in one batched
+product.  The forward sweep (``_sweep``) applies that stack to the initial
+state.  A result carries the stack's product U = U_M ... U_1 as its
+propagator, formed as ``control.propagate`` forms it, so no waveform a
+search scored is diagonalized again.  One kernel differentiates a block of
+n bras against those forward kets: its backward sweep applies the same
+stack to all n bras at once, and the spectral divided-difference kernel of
+the matrix exponential is contracted for all segments against the system's
+cached stack of control generators.  The bra <psi_f| gives the exact
+gradient of J; the d identity rows give d(U psi_i)/du, hence the
+(2d + 1) x MK Jacobian of r.
 
 ``multi_start`` keeps its results on the system (``kept_results``), so
-they go when the system goes.  On a miss it tries the all-zero waveform,
-then the image of a kept result under an exact symmetry onto the system,
-and only then searches.  Its restarts are retries: the next one runs only
-when every earlier one missed the goal.  The symmetries are those a caller
-added to the system's ``symmetries`` with ``add_symmetry`` (a signed
-permutation S from one system onto another that carries every control
-onto plus or minus a control), then the system's own complex conjugation
-where conj(U(u)) = U(sigma u) (the cesium model at zero rf detuning).
-Either way a waveform that maps a to b maps the image of a to the image of
-b once each control's amplitudes are multiplied by its sign sigma.
+they go when the system goes.  On a miss it tries the all-zero waveform
+(the identity on a drift-free system, as every searched build is, so
+scored with no eigendecomposition), then the image of a kept result under
+an exact symmetry onto the system, and only then searches.  Its restarts
+are retries: the next one runs only when every earlier one missed the
+goal.  The symmetries are those a caller added to the system's
+``symmetries`` with ``add_symmetry`` (a signed permutation S from one
+system onto another that carries every control onto plus or minus a
+control), then the system's own complex conjugation where
+conj(U(u)) = U(sigma u) (the cesium model at zero rf detuning).  Either
+way a waveform that maps a to b maps the image of a to the image of b once
+each control's amplitudes are multiplied by its sign sigma.
 """
 
 from __future__ import annotations
@@ -330,19 +333,26 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
 
     Catches targets the bare drift reaches (in particular an eigenvector
     that is the fiducial state itself), where the search would only add
-    noise to an exact solution.  Every segment plays the drift alone, so
-    the drift is diagonalized once, as one zero-amplitude segment, and its
-    propagator stands for all M in the sweep and the product.
+    noise to an exact solution.  Every segment plays the drift alone: on a
+    drift-free system (every searched build) the identity, so J0 comes from
+    <psi_f|psi_i> with no eigendecomposition; otherwise the drift is
+    diagonalized once, as one zero-amplitude segment, and its propagator
+    stands for all M in the sweep and the product.
     """
     if not all(lo <= 0.0 <= hi for lo, hi in sys.amplitude_bounds):
         return None
-    one = _eig_exp(*_segment_eigs(sys, np.zeros((1, sys.n_controls))), np.array([cfg.segment_duration]))
-    u = np.broadcast_to(one, (cfg.segment_count, sys.dim, sys.dim))
-    j0 = _fidelity(*_sweep(u, psi_i, psi_f)[:2])
+    if sys.drift.any():
+        one = _eig_exp(*_segment_eigs(sys, np.zeros((1, sys.n_controls))), np.array([cfg.segment_duration]))
+        u = np.broadcast_to(one, (cfg.segment_count, sys.dim, sys.dim))
+        overlap, residual, _ = _sweep(u, psi_i, psi_f)
+    else:
+        u, overlap = None, np.vdot(psi_f, psi_i)
+        residual = psi_i - overlap * psi_f
+    j0 = _fidelity(overlap, residual)
     if j0 < cfg.fidelity_goal:
         return None
     w0 = Waveform(np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls)))
-    return SearchResult(w0, j0, 0, True, np.array([j0]), _product(u))
+    return SearchResult(w0, j0, 0, True, np.array([j0]), np.eye(sys.dim, dtype=complex) if u is None else _product(u))
 
 
 def add_symmetry(src: ControlSystem, dst: ControlSystem, mirror) -> bool:

@@ -314,13 +314,41 @@ class TestChainGauge:
     def test_chain_order_gauge_is_real_tridiagonal(self, make_system):
         sys_m = make_system()
         walk = sys_m.chain_walk
-        h = _generators(sys_m, gauge_waveform(sys_m, np.random.default_rng(22)).amplitudes)
-        t = _chain_gauged(h, walk)[0]
+        amps = gauge_waveform(sys_m, np.random.default_rng(22)).amplitudes
+        h = _generators(sys_m, amps)
+        t = _chain_gauged(_generators(sys_m, amps, walk))[0]
         assert np.abs(t.imag).max() <= 1e-12 * np.abs(t).max()
         assert not np.triu(t, 2).any() and not np.tril(t, -2).any()
         # the gauge moves every coupling phase off the chain: t's off-diagonal is |H| along the walk
         coupling = np.abs(h[:, walk[:-1], walk[1:]])
         assert np.abs(np.diagonal(t, 1, axis1=1, axis2=2) - coupling).max() <= 1e-12 * coupling.max()
+
+    @pytest.mark.parametrize("make_system", [
+        lambda: build_restricted_system(aux=+4),
+        lambda: build_restricted_system(aux=-4),
+        lambda: coupling_system([(3, 0), (0, 4), (4, 1), (1, 2)], 5, np.random.default_rng(5)),
+    ], ids=["aux+4", "aux-4", "non-monotone-walk"])
+    def test_chain_order_build_is_the_gathered_stack(self, make_system):
+        # gathering the drift and the control stack into chain order builds, bit for bit, the
+        # natural-order generator stack gathered into chain order
+        sys_m = make_system()
+        walk, shape = sys_m.chain_walk, (26, sys_m.n_controls)
+        rng = np.random.default_rng(24)
+        lo, hi = sys_m.amplitude_bounds.T
+        for amps in (rng.uniform(lo, hi, shape), rng.choice([-1.0, 1.0], shape), np.ones(shape), -np.ones(shape)):
+            gathered = _generators(sys_m, amps)[:, walk[:, None], walk]
+            assert _generators(sys_m, amps, walk).tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("make_system, dtype", [
+        (dense_system, complex), (build_restricted_system, float),
+    ], ids=["dense", "chain"])
+    def test_one_eigh_complex_on_a_dense_system_real_on_a_chain(self, monkeypatch, make_system, dtype):
+        sys_m = make_system()
+        w = random_waveform(sys_m, 5, np.random.default_rng(25))
+        calls, inner = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.dtype) or inner(a))
+        segment_eigs(sys_m, w)
+        assert calls == [np.dtype(dtype)]
 
     @pytest.mark.parametrize(
         "edges, d",

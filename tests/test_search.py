@@ -331,6 +331,34 @@ class TestResultPropagator:
         for res in (source, derived):
             assert_carries_its_propagator(sys, res)
 
+    def test_drift_free_zero_shortcut_is_the_identity(self, count_calls):
+        # with no drift the all-zero waveform plays I: scored with no eigendecomposition
+        cesium = build_restricted_system(CesiumParams())
+        eigs = count_calls(unimap.search, "_segment_eigs")
+        cfg = default_search_config(cesium, seed=71)
+        res = multi_start(cesium, cesium.fiducial_state(), cesium.fiducial_state(), cfg)
+        assert not eigs and res.converged and res.iterations == 0 and not np.any(res.waveform.amplitudes)
+        assert res.propagator.tobytes() == np.eye(8, dtype=complex).tobytes()
+        assert_carries_its_propagator(cesium, res)
+
+    def test_zero_shortcut_with_a_drift_plays_the_drift(self, count_calls):
+        sys = build_restricted_system(CesiumParams(rf_detuning=1.0))
+        eigs = count_calls(unimap.search, "_segment_eigs")
+        cfg = default_search_config(sys, seed=71)
+        res = multi_start(sys, basis_state(8, 3), basis_state(8, 3), cfg)
+        assert len(eigs) == 1 and res.converged and res.iterations == 0 and not np.any(res.waveform.amplitudes)
+        assert not np.array_equal(res.propagator, np.eye(8))
+        assert_carries_its_propagator(sys, res)
+
+    def test_a_drift_free_miss_diagonalizes_nothing_before_the_search(self, monkeypatch, count_calls):
+        cesium = build_restricted_system(CesiumParams())
+        eigs = count_calls(unimap.search, "_segment_eigs")
+        seen, inner = [], unimap.search.search_state_map
+        monkeypatch.setattr(unimap.search, "search_state_map", lambda *a, **k: seen.append(len(eigs)) or inner(*a, **k))
+        cfg = default_search_config(cesium, seed=72, max_iterations=2, restarts=1)
+        multi_start(cesium, haar_random_state(8, np.random.default_rng(73)), cesium.fiducial_state(), cfg)
+        assert seen == [0] and eigs
+
     @pytest.mark.parametrize("model", ["cesium_detuned", "dense_drift"])
     def test_zero_shortcut_diagonalizes_one_segment(self, count_calls, model):
         # every segment of the zero waveform plays the drift alone, so one segment is
