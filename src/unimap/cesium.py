@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import basis_state, mat_exp
+from .core import _is_real, basis_state, mat_exp
 
 DIM = 8
 FIDUCIAL_INDEX = 7
@@ -68,8 +68,10 @@ class CesiumParams:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
+            if not _is_real(value := getattr(self, name)):
+                raise ValueError(f"cesium parameter {name} must be a number, got {value!r}")
             try:
-                float(getattr(self, name))  # Python and JSON integers are unbounded
+                float(value)  # Python and JSON integers are unbounded
             except OverflowError:
                 raise ValueError(f"cesium parameter {name} is an integer that overflows a float") from None
         for name in ("rf_rabi_max", "uw_rabi_max", "lightshift_max"):
@@ -86,10 +88,6 @@ class CesiumParams:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown cesium parameter field: {sorted(unknown)[0]}")
-        for name, value in data.items():
-            # bool is an int subclass, but true/false is never a rate
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"cesium parameter {name} must be a number, got {value!r}")
         return CesiumParams(**data)
 
 

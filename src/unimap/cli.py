@@ -36,7 +36,7 @@ from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
 from .io import (load_matrix_json, load_state_json, load_subspace_spec, load_waveform, read_json, save_ec_csv,
                  save_json, save_waveform, save_wigner_csv, validate_report, write_report)
-from .search import SEGMENT_DURATION, SearchConfig, default_search_config, multi_start
+from .search import SearchConfig, default_search_config, multi_start
 from .subspace import ExactMapper, SearchedMapper, synthesize_subspace_map
 from .wigner import extract_block, wigner_grid
 
@@ -65,7 +65,7 @@ OPTIONAL_FLAGS = {
     "params": (None, *_SEARCH, str, "JSON file overriding the cesium parameters"),
     "waveform_dir": (None, *_SEARCH, str, "directory of the step waveforms (default: that of --out-report)"),
     "segments": (None, *_SEARCH, int, "segment count (default: 2 d^2 variables)"),
-    "segment_duration": (None, *_SEARCH, float, f"segment duration in seconds (default {SEGMENT_DURATION:g})"),
+    "segment_duration": (SearchConfig.segment_duration, *_SEARCH, float, "segment duration in seconds"),
     "goal": (SearchConfig.fidelity_goal, *_SEARCH, float, "fidelity goal"),
     "max_iterations": (SearchConfig.max_iterations, *_SEARCH, int, "iteration cap of each search"),
     "restarts": (SearchConfig.restarts, *_SEARCH, int, "tries until one meets --goal"),

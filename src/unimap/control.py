@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
-from .core import _eig_exp, assert_hermitian, basis_state
+from .core import _eig_exp, _real_array, assert_hermitian, basis_state
 
 AMPLITUDE_TOL = 1e-12
 #: largest |lambda tau| (rad) a segment may reach: e^{-i lambda tau} is good to about
@@ -107,12 +106,7 @@ class ControlSystem:
         controls = _readonly(np.asarray(self.controls, dtype=complex))
         rule = "one (lower, upper) bounds pair per control is required"
         try:
-            bounds = _readonly(np.asarray(self.amplitude_bounds, dtype=float))
-            # that conversion reads None as nan, a bool as 0 or 1 and a numeric string as its number
-            odd = [x for x in np.asarray(self.amplitude_bounds, dtype=object).flat
-                   if isinstance(x, bool) or not isinstance(x, Real)]
-            if odd:
-                raise TypeError(f"{odd[0]!r} is not a real number")
+            bounds = _readonly(_real_array(self.amplitude_bounds))
         except (TypeError, ValueError) as err:
             rows = sorted({np.shape(row) for row in self.amplitude_bounds})
             if len(rows) > 1:

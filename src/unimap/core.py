@@ -8,6 +8,7 @@ reproducible and streams are caller-owned.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +21,36 @@ UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 
 
+def _refuse_deviation(value: float, tol: float, non_finite: str, deviation: str) -> None:
+    """Raise ValueError unless value <= tol: ``non_finite`` for a non-finite value, else ``deviation`` filled in."""
+    # written as "not <=" so that a NaN fails the check too
+    if not value <= tol:
+        raise ValueError(non_finite if not np.isfinite(value) else deviation.format(value))
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real number: a bool is not, nor is a numeric string, though numpy reads them as numbers."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _real_array(values) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, whose own errors propagate, refusing as TypeError an entry that is not
+    ``_is_real`` but that the conversion reads as a number: None as nan, a bool as 0 or 1, a numeric string."""
+    arr = np.asarray(values, dtype=float)
+    entries = np.asarray(values, dtype=object).ravel().tolist()
+    # _is_real depends on the type alone, and costs about 0.5 µs a call: check one entry per type
+    if not all(map(_is_real, {type(x): x for x in entries}.values())):
+        raise TypeError(f"{next(x for x in entries if not _is_real(x))!r} is not a real number")
+    return arr
+
+
+def _check_dim(d: int) -> int:
+    """d as an int, refusing a dimension below 2."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return int(d)
+
+
 def as_state(psi, d: int | None = None) -> np.ndarray:
     """Validate and return a unit-norm complex state vector."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -27,12 +58,8 @@ def as_state(psi, d: int | None = None) -> np.ndarray:
         raise ValueError(f"state dimension must be >= 2, got {v.size}")
     if d is not None and v.size != d:
         raise ValueError(f"state has dimension {v.size}, expected {d}")
-    norm = np.linalg.norm(v)
-    # written as "not <=" so that a NaN norm fails the check too
-    if not abs(norm - 1.0) <= STATE_NORM_TOL:
-        if not np.isfinite(norm):
-            raise ValueError("state has non-finite entries")
-        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    deviation = abs(np.linalg.norm(v) - 1.0)
+    _refuse_deviation(deviation, STATE_NORM_TOL, "state has non-finite entries", "state norm deviates from 1 by {:.3e}")
     return v
 
 
@@ -51,30 +78,24 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
+def _square(m, defect, tol: float, deviation: str) -> np.ndarray:
+    """``m`` as a complex square matrix whose ``defect(m)`` is within ``tol``; a larger one raises ``deviation``."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _refuse_deviation(defect(m), tol, "matrix has non-finite entries", deviation)
+    return m
+
+
 def assert_unitary(u) -> np.ndarray:
     """Validate and return a unitary matrix."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if not defect <= UNITARY_TOL:
-        if not np.isfinite(defect):
-            raise ValueError("matrix has non-finite entries")
-        raise ValueError(f"matrix is not unitary: U†U deviates from I by {defect:.3e}")
-    return u
+    return _square(u, unitarity_defect, UNITARY_TOL, "matrix is not unitary: U†U deviates from I by {:.3e}")
 
 
 def assert_hermitian(h) -> np.ndarray:
     """Validate and return a Hermitian matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    defect = float(np.abs(h - h.conj().T).max())
-    if not defect <= HERMITIAN_TOL:
-        if not np.isfinite(defect):
-            raise ValueError("matrix has non-finite entries")
-        raise ValueError(f"matrix is not Hermitian: H - H† deviates by {defect:.3e}")
-    return h
+    return _square(h, lambda h: float(np.abs(h - h.conj().T).max()), HERMITIAN_TOL,
+                   "matrix is not Hermitian: H - H† deviates by {:.3e}")
 
 
 def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
@@ -152,8 +173,7 @@ def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:
 
 def haar_random_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed pure state: normalized vector of complex Gaussians."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_state, x_basis_states
 from .control import ControlSystem
-from .core import STATE_NORM_TOL
+from .core import STATE_NORM_TOL, _is_real
 from .search import SearchConfig, _check_counts, add_symmetry
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
@@ -144,6 +144,9 @@ class ECConfig:
     average: str = "haar"  # "haar" (Monte Carlo) or "axes" (exact 2-design)
 
     def __post_init__(self):
+        odd = [e for e in self.epsilon_grid if not _is_real(e)]
+        if odd:
+            raise ValueError(f"epsilon_grid must hold numbers, got {odd[0]!r}")
         grid = tuple(float(e) for e in self.epsilon_grid)
         if not grid or not all(np.isfinite(grid)):
             raise ValueError("epsilon_grid must be non-empty and finite")

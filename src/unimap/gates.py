@@ -13,11 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-def _check_dim(d: int) -> int:
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return int(d)
+from .core import _check_dim
 
 
 def omega(d: int) -> complex:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 import tempfile
 from importlib import resources
@@ -28,6 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .control import Waveform
+from .core import _is_real, _real_array
 from .ec import ECResult
 from .subspace import SubspaceMapSpec
 from .wigner import WignerGrid
@@ -110,8 +110,8 @@ def complex_to_pairs(values) -> list[list[float]]:
 def pairs_to_complex(data, what: str = "vector", matrix: bool = False) -> np.ndarray:
     """Complex values from a list of [re, im] pairs or, with ``matrix``, from a d x d matrix of them."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # an object, null, string, ragged row or huge integer
+        arr = _real_array(data)
+    except (TypeError, ValueError, OverflowError):  # an object, null, bool, string, ragged row or huge integer
         arr = np.empty(0)
     if arr.ndim != (3 if matrix else 2) or arr.shape[-1] != 2 or (matrix and arr.shape[0] != arr.shape[1]):
         raise ValueError(f"{what} must be a {'d x d matrix' if matrix else 'list'} of [re, im] pairs")
@@ -219,16 +219,12 @@ def load_schema(name: str) -> dict:
 _schema = functools.cache(load_schema)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Number) and not isinstance(x, bool)
-
-
 #: JSON type -> whether a Python value has it, as Draft 2020-12 reads them: a bool is no number, 2.0 is an integer
 _TYPES = {
     "null": lambda x: x is None,
     "boolean": lambda x: isinstance(x, bool),
     "integer": lambda x: not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
-    "number": _is_number,
+    "number": _is_real,
     "string": lambda x: isinstance(x, str),
     "array": lambda x: isinstance(x, list),
     "object": lambda x: isinstance(x, dict),
@@ -256,8 +252,8 @@ def _unique(items: list) -> bool:
 _CHECKS = {
     "type": lambda t, x: any(_TYPES[n](x) for n in ([t] if isinstance(t, str) else t)) or f"{x!r} is not of type {t!r}",
     "enum": lambda options, x: any(_same(x, option) for option in options) or f"{x!r} is not one of enum {options!r}",
-    "minimum": lambda low, x: not _is_number(x) or x >= low or f"{x!r} is less than the minimum of {low!r}",
-    "maximum": lambda high, x: not _is_number(x) or x <= high or f"{x!r} is greater than the maximum of {high!r}",
+    "minimum": lambda low, x: not _is_real(x) or x >= low or f"{x!r} is less than the minimum of {low!r}",
+    "maximum": lambda high, x: not _is_real(x) or x <= high or f"{x!r} is greater than the maximum of {high!r}",
     "required": lambda keys, x: not isinstance(x, dict)
         or next((f"required property {key!r} is missing" for key in keys if key not in x), True),
     "minItems": lambda n, x: not isinstance(x, list) or len(x) >= n or f"{x!r} has fewer than minItems {n} items",

@@ -15,7 +15,7 @@ Each trial point diagonalizes its M segment generators once
 real ``eigh`` when the system couples its levels in a single chain, as the
 cesium model does; otherwise the complex ``eigh``) and builds the stacked
 segment propagators U_m = V_m e^{-i lam_m tau_m} V_m† in one batched
-product.  The forward sweep (``_sweep``) applies that stack to the initial
+product.  The forward pass (``_forward``) applies that stack to the initial
 state.  A result carries the stack's product U = U_M ... U_1 as its
 propagator, formed as ``control.propagate`` forms it, so no waveform a
 search scored is diagonalized again.  One kernel differentiates a block of
@@ -29,16 +29,17 @@ gradient of J; the d identity rows give d(U psi_i)/du, hence the
 ``multi_start`` keeps its results on the system (``kept_results``), so
 they go when the system goes.  On a miss it tries the all-zero waveform
 (the identity on a drift-free system, as every searched build is, so
-scored with no eigendecomposition), then the image of a kept result under
-an exact symmetry onto the system, and only then searches.  Its restarts
-are retries: the next one runs only when every earlier one missed the
-goal.  The symmetries are those a caller added to the system's
-``symmetries`` with ``add_symmetry`` (a signed permutation S from one
-system onto another that carries every control onto plus or minus a
-control), then the system's own complex conjugation where
-conj(U(u)) = U(sigma u) (the cesium model at zero rf detuning).  Either
-way a waveform that maps a to b maps the image of a to the image of b once
-each control's amplitudes are multiplied by its sign sigma.
+scored with no eigendecomposition; otherwise by one forward pass), then
+the image of a kept result under an exact symmetry onto the system, and
+only then searches.  Its restarts are retries: the next one runs only
+when every earlier one missed the goal.  The symmetries are those a
+caller added to the system's ``symmetries`` with ``add_symmetry`` (a
+signed permutation S from one system onto another that carries every
+control onto plus or minus a control), then the system's own complex
+conjugation where conj(U(u)) = U(sigma u) (the cesium model at zero rf
+detuning).  Either way a waveform that maps a to b maps the image of a
+to the image of b once each control's amplitudes are multiplied by its
+sign sigma.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .control import (
     check_amplitudes,
     check_segment_phase,
 )
-from .core import _eig_exp, as_state
+from .core import _eig_exp, _is_real, as_state
 
 GRAD_NORM_STOP = 1e-9
 #: the Levenberg–Marquardt damping mu starts at MU_START times the largest diagonal entry of
@@ -69,8 +70,6 @@ MU_START = 1e-3
 MU_CAP = 1e16
 #: two unit states are one state up to a phase when |<a|b>| >= 1 - MATCH_TOL
 MATCH_TOL = 1e-12
-#: segment duration (s) of ``default_search_config``
-SEGMENT_DURATION = 10e-6
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,12 @@ class SearchConfig:
 
     ``restarts`` is the most searches ``multi_start`` tries: restart r + 1
     runs only when restarts 0..r all missed ``fidelity_goal``.  The
-    defaults are the CLI's: its --goal, --max-iterations, --seed and
-    --restarts read them.
+    defaults are the CLI's: its --segment-duration, --goal,
+    --max-iterations, --seed and --restarts read them.
     """
 
     segment_count: int
-    segment_duration: float
+    segment_duration: float = 10e-6
     fidelity_goal: float = 0.99
     max_iterations: int = 5000
     seed: int = 0
@@ -92,6 +91,9 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_counts(self, segment_count=1, max_iterations=0, seed=0, restarts=1)
+        for name in ("segment_duration", "fidelity_goal"):
+            if not _is_real(value := getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.segment_duration < math.inf:
             raise ValueError("segment_duration must be finite and > 0")
         if not 0 < self.fidelity_goal <= 1:
@@ -102,7 +104,7 @@ def _check_counts(record, **lows: int) -> None:
     """Refuse a field of ``record`` that is not an integer at or above its lower bound, naming the field."""
     for name, low in lows.items():
         value = getattr(record, name)
-        if not (isinstance(value, Integral) and value >= low):
+        if not (_is_real(value) and isinstance(value, Integral) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -113,12 +115,7 @@ def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:
     full-rank landscapes regardless of the control count.
     """
     n_vars = 2 * sys.dim * sys.dim
-    defaults = dict(
-        segment_count=math.ceil(n_vars / sys.n_controls),
-        segment_duration=SEGMENT_DURATION,
-    )
-    defaults.update(overrides)
-    return SearchConfig(**defaults)
+    return SearchConfig(**{"segment_count": math.ceil(n_vars / sys.n_controls), **overrides})
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,22 +174,17 @@ def _fidelity(overlap, residual) -> float:
 
 
 def _forward(sys: ControlSystem, durations: np.ndarray, amps: np.ndarray, psi_i, psi_f):
-    """Overlap <psi_f|U|psi_i>, residual U|psi_i> - overlap |psi_f>, eigensystems, propagators and kets."""
+    """Overlap <psi_f|U|psi_i>, residual U|psi_i> - overlap |psi_f>, eigensystems, the (M, d, d) propagator
+    stack and the kets U_j ... U_1|psi_i>, j = 0..M."""
     lam, v = _segment_eigs(sys, amps)
     u = _eig_exp(lam, v, durations)
-    overlap, residual, kets = _sweep(u, psi_i, psi_f)
-    return overlap, residual, lam, v, u, kets
-
-
-def _sweep(u: np.ndarray, psi_i, psi_f):
-    """Overlap, residual and the kets U_j ... U_1|psi_i>, j = 0..M, of an (M, d, d) propagator stack."""
     m = len(u)
     kets = np.empty((m + 1, psi_i.size), dtype=complex)
     kets[0] = psi_i
     for j in range(m):
         u[j].dot(kets[j], out=kets[j + 1])
     overlap = np.vdot(psi_f, kets[m])
-    return overlap, kets[m] - overlap * psi_f, kets
+    return overlap, kets[m] - overlap * psi_f, lam, v, u, kets
 
 
 def _bra_derivatives(sys: ControlSystem, durations: np.ndarray, out_bras, lam, v, u, kets) -> np.ndarray:
@@ -335,24 +327,22 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
     that is the fiducial state itself), where the search would only add
     noise to an exact solution.  Every segment plays the drift alone: on a
     drift-free system (every searched build) the identity, so J0 comes from
-    <psi_f|psi_i> with no eigendecomposition; otherwise the drift is
-    diagonalized once, as one zero-amplitude segment, and its propagator
-    stands for all M in the sweep and the product.
+    <psi_f|psi_i> with no eigendecomposition; otherwise from the forward
+    pass over the M zero rows, as any other waveform is scored.
     """
     if not all(lo <= 0.0 <= hi for lo, hi in sys.amplitude_bounds):
         return None
+    durations, amps = np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls))
     if sys.drift.any():
-        one = _eig_exp(*_segment_eigs(sys, np.zeros((1, sys.n_controls))), np.array([cfg.segment_duration]))
-        u = np.broadcast_to(one, (cfg.segment_count, sys.dim, sys.dim))
-        overlap, residual, _ = _sweep(u, psi_i, psi_f)
+        overlap, residual, *_, u, _ = _forward(sys, durations, amps, psi_i, psi_f)
     else:
         u, overlap = None, np.vdot(psi_f, psi_i)
         residual = psi_i - overlap * psi_f
     j0 = _fidelity(overlap, residual)
     if j0 < cfg.fidelity_goal:
         return None
-    w0 = Waveform(np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls)))
-    return SearchResult(w0, j0, 0, True, np.array([j0]), np.eye(sys.dim, dtype=complex) if u is None else _product(u))
+    u = np.eye(sys.dim, dtype=complex) if u is None else _product(u)
+    return SearchResult(Waveform(durations, amps), j0, 0, True, np.array([j0]), u)
 
 
 def add_symmetry(src: ControlSystem, dst: ControlSystem, mirror) -> bool:

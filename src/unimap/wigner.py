@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import spin_operators
+from .core import _refuse_deviation
 
 REALITY_TOL = 1e-10
 #: norm a state may have outside the spin block extract_block slices out
@@ -134,9 +135,6 @@ def extract_block(state, start: int, size: int) -> np.ndarray:
     if start + size > v.size:
         raise ValueError(f"block [{start}, {start + size}) exceeds state dimension {v.size}")
     outside = np.linalg.norm(np.delete(v, np.arange(start, start + size)))
-    # written as "not <=" so that a NaN norm fails the check too
-    if not outside <= SUPPORT_TOL:
-        if not np.isfinite(outside):
-            raise ValueError("state has non-finite entries outside the requested block")
-        raise ValueError(f"state has support {outside:.3e} outside the requested block")
+    _refuse_deviation(outside, SUPPORT_TOL, "state has non-finite entries outside the requested block",
+                      "state has support {:.3e} outside the requested block")
     return v[start : start + size]

@@ -248,6 +248,12 @@ class TestParams:
         with pytest.raises(ValueError, match="rf_rabi_max must be a number"):
             CesiumParams.from_dict({"rf_rabi_max": value})
 
+    @pytest.mark.parametrize("value", ["5", True, None, [1.0]])
+    @pytest.mark.parametrize("name", ["rf_rabi_max", "rf_detuning"])
+    def test_built_directly_refuses_non_numbers_as_from_dict_does(self, name, value):
+        with pytest.raises(ValueError, match=rf"^cesium parameter {name} must be a number, got "):
+            CesiumParams(**{name: value})
+
     @pytest.mark.parametrize("data", [5, [["rf_detuning", 1.0]], "rf_detuning"])
     def test_rejects_non_objects(self, data):
         with pytest.raises(ValueError, match="JSON object"):

@@ -935,6 +935,7 @@ UNREAD_BY = {
 #: given it, the file that run writes, and where that file records the value
 RECORDED_BY = {
     "preset": (_SEARCH_X, "r.json", lambda doc: doc["system"]),
+    "segment_duration": (_SEARCH_X, "r.json", lambda doc: doc["config"]["segment_duration"]),
     "goal": (_SEARCH_X, "r.json", lambda doc: doc["config"]["fidelity_goal"]),
     "max_iterations": (_SEARCH_X, "r.json", lambda doc: doc["config"]["max_iterations"]),
     "restarts": (_SEARCH_X, "r.json", lambda doc: doc["config"]["restarts"]),
@@ -1047,7 +1048,7 @@ class TestUnreadFlags:
 
 
 class TestBadPairData:
-    """Bad [re, im] pair data (an object, a ragged row, a string) exits 2, naming the file and the field."""
+    """Bad [re, im] pair data (an object, a ragged row, a string, a bool) exits 2, naming the file and the field."""
 
     WIGNER = ["wigner", "--state", "{file}", "--out", "{out}/g.csv"]
     SUBSPACE = ["build-subspace-map", "--spec", "{file}", "--exact", "--out-report", "{out}/r.json"]
@@ -1074,6 +1075,18 @@ class TestBadPairData:
         ({"source": [[[10**400, 0], [0, 0]]], "target": [[[1, 0], [0, 0]]]}, SUBSPACE,
          "{file}: source[0] must be a list of [re, im] pairs"),
         ({"entries": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}, UNITARY,
+         "{file}: entries must be a d x d matrix of [re, im] pairs"),
+        # a numeric string or a bool, which a float conversion would read as a number
+        ({"amplitudes": [["0.6", "0"], ["0.8", "0"]]}, WIGNER, "{file}: amplitudes must be a list of [re, im] pairs"),
+        ({"amplitudes": [[True, False], [False, False]]}, WIGNER,
+         "{file}: amplitudes must be a list of [re, im] pairs"),
+        ({"source": [[["1", 0], [0, 0]]], "target": [[[1, 0], [0, 0]]]}, SUBSPACE,
+         "{file}: source[0] must be a list of [re, im] pairs"),
+        ({"source": [[[1, 0], [0, 0]]], "target": [[[True, 0], [0, 0]]]}, SUBSPACE,
+         "{file}: target[0] must be a list of [re, im] pairs"),
+        ({"entries": [[["1", 0], [0, 0]], [[0, 0], ["1", 0]]]}, UNITARY,
+         "{file}: entries must be a d x d matrix of [re, im] pairs"),
+        ({"entries": [[[True, 0], [0, 0]], [[0, 0], [1, False]]]}, UNITARY,
          "{file}: entries must be a d x d matrix of [re, im] pairs"),
     ])
     def test_exits_2_without_outputs(self, tmp_path, capsys, doc, argv, message):

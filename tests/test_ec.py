@@ -298,10 +298,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="average"):
             ECConfig(epsilon_grid=(0.1,), samples=1, average="other")
 
-    @pytest.mark.parametrize("name, bad", [("seed", -1), ("seed", 1.5), ("samples", 2.5)])
+    @pytest.mark.parametrize("name, bad", [("seed", -1), ("seed", 1.5), ("samples", 2.5), ("samples", True)])
     def test_config_refuses_negative_seed_and_non_integer_counts(self, name, bad):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {bad}$"):
             ECConfig(**{"epsilon_grid": (0.1,), name: bad})
+
+    @pytest.mark.parametrize("bad", ["0.1", True, None])
+    def test_config_refuses_an_angle_that_is_not_a_number(self, bad):
+        with pytest.raises(ValueError, match=rf"^epsilon_grid must hold numbers, got {bad!r}$"):
+            ECConfig(epsilon_grid=(0.1, bad))
 
     def test_trigger_rate_matches_projector_oracle(self, ideal_maps):
         # at eps = 0.2 the syndrome fires; the rate is the exact branch

@@ -1,15 +1,16 @@
-"""Every public module-level function and every module-level name of the package is used: a merge that leaves an
-orphan fails here.
+"""Every module-level function and every module-level name of the package is used, and every name a package module
+imports is used there: a merge that leaves an orphan fails here.
 
-A function counts as used when its name appears, as a whole word, in some
-Python file under ``src``, ``tests`` or ``bench`` outside the lines of its
-own definition (decorators, signature and body).  A name assigned at a
-module's top level (a constant or a table), public or not, counts as used
-the same way, outside the lines of its own assignment.
+Use is read from the code, not the text: a function counts as used when
+some Python file under ``src``, ``tests`` or ``bench`` reads its name, as
+a name or as an attribute, outside the lines of its own definition
+(decorators, signature and body).  A name assigned at a module's top level
+(a constant or a table), public or not, counts as used the same way,
+outside the lines of its own assignment.  A name that only a docstring,
+a comment or a string mentions is not used.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,10 +24,10 @@ def _top_level_nodes():
             yield path, node
 
 
-def public_functions():
-    """(defining file, name, first line, last line) of each public function at a package module's top level."""
+def functions(public: bool):
+    """(defining file, name, first line, last line) of each public, or private, function at a module's top level."""
     for path, node in _top_level_nodes():
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_") != public:
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
             yield path, node.name, first, node.end_lineno
 
@@ -41,23 +42,46 @@ def assigned_names():
                         yield path, name.id, node.lineno, node.end_lineno
 
 
-def orphans(found) -> list[str]:
-    """'module.name' of each of ``found`` that no source names outside its own lines."""
-    sources = {path: path.read_text(encoding="utf-8")
-               for folder in ("src", "tests", "bench") for path in sorted((ROOT / folder).rglob("*.py"))}
+def _reads(tree: ast.AST):
+    """(name, line) of each name and attribute that the code of ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def orphans(found, root: Path = ROOT) -> list[str]:
+    """'module.name' of each of ``found`` that no source under ``root`` reads outside its own lines."""
+    reads = {path: list(_reads(ast.parse(path.read_text(encoding="utf-8"))))
+             for folder in ("src", "tests", "bench") for path in sorted((root / folder).rglob("*.py"))}
     unused = []
     for defined_in, name, first, last in found:
-        lines = sources[defined_in].splitlines()
-        rest = "\n".join(lines[:first - 1] + lines[last:])
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(rest if path == defined_in else text) for path, text in sources.items()):
+        if not any(read == name and (path != defined_in or not first <= line <= last)
+                   for path, seen in reads.items() for read, line in seen):
             unused.append(f"{defined_in.stem}.{name}")
     return unused
 
 
+def unused_imports(path: Path) -> list[str]:
+    """'module.name' of each name that an import in the module at ``path`` binds and its code never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {name for name, _ in _reads(tree)}
+    return [f"{path.stem}.{name}" for name in bound if name not in read]
+
+
 def test_every_public_function_is_referenced_outside_its_definition():
-    found = list(public_functions())
+    found = list(functions(public=True))
     assert {"mat_exp", "main", "write_report"} <= {name for _, name, _, _ in found}
+    assert orphans(found) == []
+
+
+def test_every_private_function_is_read_outside_its_definition():
+    found = list(functions(public=False))
+    assert {"_forward", "_segment_eigs", "_refuse_deviation"} <= {name for _, name, _, _ in found}
     assert orphans(found) == []
 
 
@@ -65,3 +89,24 @@ def test_every_module_level_name_is_referenced_outside_its_assignment():
     found = list(assigned_names())
     assert {"CONFIG_FLAGS", "OPTIONAL_FLAGS", "SEARCH_FLAGS", "_GRID", "MU_CAP"} <= {name for _, name, _, _ in found}
     assert orphans(found) == []
+
+
+def test_a_name_only_prose_mentions_is_an_orphan(tmp_path):
+    module = tmp_path / "src" / "unimap" / "m.py"
+    module.parent.mkdir(parents=True)
+    module.write_text('LIMIT = 1\n\n\ndef used():\n    return LIMIT\n\n\n'
+                      'def f():\n    """Calls g, then reads LIMIT."""\n')
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text("from unimap.m import used\n\n# f is covered elsewhere\nused()\n")
+    assert orphans([(module, "f", 8, 9), (module, "used", 4, 5), (module, "LIMIT", 1, 1)], tmp_path) == ["m.f"]
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) for found in unused_imports(path)] == []
+
+
+def test_an_import_that_only_prose_reads_is_unused(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text('from __future__ import annotations\n\nimport numpy as np\nfrom numbers import Real\n\n\n'
+                      'def f(x):\n    """Whether x is a Real."""\n    return np.isscalar(x)\n')
+    assert unused_imports(module) == ["m.Real"]

@@ -360,9 +360,9 @@ class TestResultPropagator:
         assert seen == [0] and eigs
 
     @pytest.mark.parametrize("model", ["cesium_detuned", "dense_drift"])
-    def test_zero_shortcut_diagonalizes_one_segment(self, count_calls, model):
-        # every segment of the zero waveform plays the drift alone, so one segment is
-        # diagonalized; J is that of the whole waveform's forward pass, bit for bit
+    def test_zero_shortcut_diagonalizes_the_zero_rows_once(self, count_calls, model):
+        # with a drift the zero waveform is scored as any other: one diagonalization of its M zero
+        # rows; J is that of the whole waveform's forward pass, bit for bit
         if model == "dense_drift":
             dense = dense_system(4, seed=3)
             sys = ControlSystem(dense.controls[0] + 0.3 * dense.controls[1], dense.controls, dense.amplitude_bounds, 0)
@@ -373,7 +373,7 @@ class TestResultPropagator:
         psi_i, psi_f = haar_random_state(sys.dim, np.random.default_rng(123)), sys.fiducial_state()
         eigs = count_calls(unimap.search, "_segment_eigs")
         res = multi_start(sys, psi_i, psi_f, cfg)
-        assert [amps.tolist() for _, amps in eigs] == [[[0.0] * sys.n_controls]]
+        assert [amps.tolist() for _, amps in eigs] == [[[0.0] * sys.n_controls] * cfg.segment_count]
         assert res.iterations == 0 and res.waveform.n_segments == cfg.segment_count
         assert not np.any(res.waveform.amplitudes)
         assert res.fidelity == objective_state_prep(sys, res.waveform, psi_i, psi_f) < 1
@@ -997,10 +997,24 @@ def test_config_rejects_non_finite(name, bad):
 
 @pytest.mark.parametrize("name, bad", [
     ("segment_count", 2.5), ("max_iterations", 2.5), ("restarts", 1.5), ("seed", -1), ("seed", 1.5),
+    # a bool is an integer to Python, yet never a count
+    ("segment_count", True), ("restarts", True), ("seed", False),
 ])
 def test_config_refuses_non_integer_counts_and_negative_seed(name, bad):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {bad}$"):
         SearchConfig(**{"segment_count": 4, "segment_duration": 1e-5, name: bad})
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("segment_duration", True), ("fidelity_goal", True), ("fidelity_goal", "0.9"), ("fidelity_goal", None),
+])
+def test_config_refuses_a_duration_or_goal_that_is_not_a_number(name, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got {bad!r}$"):
+        SearchConfig(**{"segment_count": 4, name: bad})
+
+
+def test_config_segment_duration_defaults_to_10_us():
+    assert SearchConfig(segment_count=4).segment_duration == 1e-5
 
 
 def test_default_config_variable_count(cesium):
