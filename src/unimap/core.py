@@ -8,7 +8,7 @@ reproducible and streams are caller-owned.
 
 from __future__ import annotations
 
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +42,14 @@ def _real_array(values) -> np.ndarray:
     if not all(map(_is_real, {type(x): x for x in entries}.values())):
         raise TypeError(f"{next(x for x in entries if not _is_real(x))!r} is not a real number")
     return arr
+
+
+def _check_counts(record, **lows: int) -> None:
+    """Refuse a field of ``record`` that is not an integer at or above its lower bound, naming the field."""
+    for name, low in lows.items():
+        value = getattr(record, name)
+        if not (_is_real(value) and isinstance(value, Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_dim(d: int) -> int:

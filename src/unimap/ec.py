@@ -32,10 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_state, x_basis_states
+from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_states
 from .control import ControlSystem
-from .core import STATE_NORM_TOL, _is_real
-from .search import SearchConfig, _check_counts, add_symmetry
+from .core import STATE_NORM_TOL, _check_counts, _is_real, _refuse_deviation
+from .search import SearchConfig, add_symmetry
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
@@ -54,16 +54,11 @@ def sim_z_state(m: float) -> np.ndarray:
     return _level_state(np.diag(FZ_SIM), m, f"m_z={m}: no simulation level has it")
 
 
-def sim_x_state(m_x: float) -> np.ndarray:
-    """|3, m_x> embedded in the 9-level simulation space."""
-    return np.pad(x_basis_state(3, m_x), (0, SIM_DIM - 7))
-
-
 def ec_map_specs() -> tuple[SubspaceMapSpec, SubspaceMapSpec, SubspaceMapSpec]:
     """The three protocol maps: encode, error extraction, and recovery.
 
-    Their four x-states (``sim_x_state`` of 3, -3, 2 and -2) share one
-    F=3 rotation exp(-i pi/2 Fy), computed once per call.
+    Their four x-states |3, m_x> (m_x = 3, -3, 2, -2), padded to 9 levels,
+    share one F=3 rotation exp(-i pi/2 Fy), computed once per call.
     """
     plus3, minus3, plus2, minus2 = (np.pad(x, (0, SIM_DIM - 7)) for x in x_basis_states(3, 3, -3, 2, -2))
     encode = SubspaceMapSpec(source=(sim_z_state(4), sim_z_state(3)), target=(plus3, minus3))
@@ -97,9 +92,7 @@ def run_ec_trials(qubits, epsilon, maps):
     q = np.asarray(qubits, dtype=complex)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError(f"need qubits of shape (n, 2), got {q.shape}")
-    # written as "not <=" so that a NaN norm fails the check too
-    if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= STATE_NORM_TOL):
-        raise ValueError("qubit states must be finite with unit norm")
+    _refuse_norms(q, "qubit states must be finite with unit norm")
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim > 1 or not np.all(np.abs(eps) <= EPS_LIMIT):
         raise ValueError(f"epsilon must be one finite angle or a sequence of them, none above {EPS_LIMIT:.6g} in size")
@@ -110,12 +103,16 @@ def run_ec_trials(qubits, epsilon, maps):
 
     encode, extract, recover = maps
     psi = ((psi0 @ encode.T) * phases) @ extract.T
-    if not np.all(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= STATE_NORM_TOL):
-        raise ValueError("protocol maps do not preserve the state norm")
+    _refuse_norms(psi, "protocol maps do not preserve the state norm")
     in_f4 = np.arange(SIM_DIM) >= IDX_44Z
     f3, f4 = np.where(in_f4, 0.0, psi), np.where(in_f4, psi, 0.0)
     corrected = _overlap_fidelity(psi0, f3 @ encode.conj(), f4 @ recover.T @ encode.conj())
     return corrected, uncorrected, np.sum(np.abs(f4) ** 2, axis=-1)
+
+
+def _refuse_norms(states: np.ndarray, message: str) -> None:
+    """Refuse with ``message`` unless every row of ``states`` has unit norm; zero rows pass."""
+    _refuse_deviation(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, message, message)
 
 
 def _overlap_fidelity(psi0: np.ndarray, *finals: np.ndarray) -> np.ndarray:
@@ -144,6 +141,8 @@ class ECConfig:
     average: str = "haar"  # "haar" (Monte Carlo) or "axes" (exact 2-design)
 
     def __post_init__(self):
+        if np.asarray(self.epsilon_grid, dtype=object).ndim != 1:
+            raise ValueError(f"epsilon_grid must be one sequence of angles, got {self.epsilon_grid!r}")
         odd = [e for e in self.epsilon_grid if not _is_real(e)]
         if odd:
             raise ValueError(f"epsilon_grid must hold numbers, got {odd[0]!r}")

@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
@@ -60,7 +59,7 @@ from .control import (
     check_amplitudes,
     check_segment_phase,
 )
-from .core import _eig_exp, _is_real, as_state
+from .core import _check_counts, _eig_exp, _is_real, as_state
 
 GRAD_NORM_STOP = 1e-9
 #: the Levenberg–Marquardt damping mu starts at MU_START times the largest diagonal entry of
@@ -98,14 +97,6 @@ class SearchConfig:
             raise ValueError("segment_duration must be finite and > 0")
         if not 0 < self.fidelity_goal <= 1:
             raise ValueError("fidelity_goal must lie in (0, 1]")
-
-
-def _check_counts(record, **lows: int) -> None:
-    """Refuse a field of ``record`` that is not an integer at or above its lower bound, naming the field."""
-    for name, low in lows.items():
-        value = getattr(record, name)
-        if not (_is_real(value) and isinstance(value, Integral) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def default_search_config(sys: ControlSystem, **overrides) -> SearchConfig:

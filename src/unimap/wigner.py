@@ -99,7 +99,8 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
 
     Accepts a pure state vector or a density matrix on a single spin
     block; the block dimension sets F.  Rejects grids too coarse to cover
-    the sphere and results with imaginary residue beyond tolerance.
+    the sphere, results with imaginary residue beyond tolerance, and a state
+    with a NaN or infinite entry, as non-finite rather than non-Hermitian.
     """
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
@@ -120,10 +121,8 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     # summing the terms of each q over k: L[theta, q]
     legendre = terms @ (q[:, None] == qs)
     w = legendre @ np.exp(1j * np.outer(qs, phis))
-    residue = float(np.abs(w.imag).max())
-    # written as "not <=" so that a NaN residue fails the check too
-    if not residue <= REALITY_TOL:
-        raise ValueError(f"Wigner values have imaginary residue {residue:.3e}; state not Hermitian?")
+    _refuse_deviation(float(np.abs(w.imag).max()), REALITY_TOL, "Wigner values are not finite: state has non-finite entries",
+                      "Wigner values have imaginary residue {:.3e}; state not Hermitian?")
     return WignerGrid(thetas=thetas, phis=phis, values=w.real)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import searches_run
+from unimap.cesium import x_basis_state
 from unimap.core import as_state, haar_random_state, haar_random_unitary
 from unimap.ec import (
     BLOCH_AXIS_STATES,
@@ -17,7 +18,6 @@ from unimap.ec import (
     ec_maps,
     ec_sweep,
     run_ec_trials,
-    sim_x_state,
     sim_z_state,
 )
 
@@ -54,6 +54,11 @@ def qnd_measure_F(state, rng: np.random.Generator, force_outcome: int | None = N
     else:
         collapsed[:7] = 0.0
     return outcome, collapsed / np.linalg.norm(collapsed), prob
+
+
+def sim_x_state(m_x: float) -> np.ndarray:
+    """|3, m_x> padded to the 9-level simulation space."""
+    return np.pad(x_basis_state(3, m_x), (0, 2))
 
 
 def error_channel(epsilon: float) -> np.ndarray:
@@ -308,6 +313,12 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^epsilon_grid must hold numbers, got {bad!r}$"):
             ECConfig(epsilon_grid=(0.1, bad))
 
+    @pytest.mark.parametrize("bad", [0.1, "0.1", ((0.1, 0.2),)])
+    def test_config_refuses_a_grid_that_is_not_one_sequence(self, bad):
+        # a scalar, a string and a nested grid are none of them one sequence of angles
+        with pytest.raises(ValueError, match=rf"^epsilon_grid must be one sequence of angles, got {re.escape(repr(bad))}$"):
+            ECConfig(epsilon_grid=bad)
+
     def test_trigger_rate_matches_projector_oracle(self, ideal_maps):
         # at eps = 0.2 the syndrome fires; the rate is the exact branch
         # probability averaged over the same sampled states
@@ -440,9 +451,9 @@ class TestBatchedTrials:
             run_ec_trials(good[0], 0.1, ideal_maps)
         with pytest.raises(ValueError, match="shape"):
             run_ec_trials(np.zeros((1, 3)), 0.1, ideal_maps)
-        with pytest.raises(ValueError, match="unit norm"):
+        with pytest.raises(ValueError, match="^qubit states must be finite with unit norm$"):
             run_ec_trials(2 * good, 0.1, ideal_maps)
-        with pytest.raises(ValueError, match="unit norm"):
+        with pytest.raises(ValueError, match="^qubit states must be finite with unit norm$"):
             run_ec_trials(np.array([[np.nan, 1.0]]), 0.1, ideal_maps)
         with pytest.raises(ValueError, match="finite"):
             run_ec_trials(good, float("nan"), ideal_maps)
@@ -452,8 +463,15 @@ class TestBatchedTrials:
             run_ec_trials(good, [[0.1, 0.2]], ideal_maps)
         with pytest.raises(ValueError, match="none above 2.24712e\\+307 in size"):
             run_ec_trials(good, (0.1, -1e308), ideal_maps)
-        with pytest.raises(ValueError, match="norm"):
+        with pytest.raises(ValueError, match="^protocol maps do not preserve the state norm$"):
             run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps))
+        with pytest.raises(ValueError, match="^protocol maps do not preserve the state norm$"):
+            run_ec_trials(good, 0.1, tuple(np.full_like(m, np.nan) for m in ideal_maps))
+
+    def test_zero_qubit_rows_pass(self, ideal_maps):
+        # no row to check is no row out of norm, for the qubits and for the protocol's output
+        for epsilon, shape in ((0.1, (0,)), ((0.1, 0.2), (2, 0)), ((), (0, 0))):
+            assert [r.shape for r in run_ec_trials(np.zeros((0, 2)), epsilon, ideal_maps)] == [shape] * 3
 
 
 def test_repeated_state_map_shares_one_search(count_calls):

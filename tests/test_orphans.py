@@ -8,6 +8,10 @@ a name or as an attribute, outside the lines of its own definition
 (a constant or a table), public or not, counts as used the same way,
 outside the lines of its own assignment.  A name that only a docstring,
 a comment or a string mentions is not used.
+
+The same AST reading keeps each rule with one home: no module but ``core``
+refuses by hand against a ``*_TOL`` tolerance, as ``core._refuse_deviation``
+is that refusal, with its non-finite branch.
 """
 
 import ast
@@ -110,3 +114,32 @@ def test_an_import_that_only_prose_reads_is_unused(tmp_path):
     module.write_text('from __future__ import annotations\n\nimport numpy as np\nfrom numbers import Real\n\n\n'
                       'def f(x):\n    """Whether x is a Real."""\n    return np.isscalar(x)\n')
     assert unused_imports(module) == ["m.Real"]
+
+
+def _is_tolerance(node: ast.AST) -> bool:
+    """Whether ``node`` reads a name, or an attribute, that ends in ``_TOL``."""
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")).endswith("_TOL")
+
+
+def hand_tolerance_refusals(path: Path) -> list[str]:
+    """'module:line' of each ``not`` in the module at ``path`` whose operand compares ``<=`` against a ``*_TOL`` name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted({f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+                   for compare in ast.walk(node.operand) if isinstance(compare, ast.Compare)
+                   if any(isinstance(op, ast.LtE) and _is_tolerance(right)
+                          for op, right in zip(compare.ops, compare.comparators))})
+
+
+def test_only_core_refuses_against_a_tolerance_by_hand():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"
+            for found in hand_tolerance_refusals(path)] == []
+
+
+def test_a_negated_tolerance_comparison_is_a_hand_refusal(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\nfrom core import STATE_NORM_TOL\nimport core\n\n\n"
+                      "def f(x):\n    if not np.all(x <= STATE_NORM_TOL):\n        raise ValueError\n"
+                      "    if not x <= core.SKIP_TOL:\n        raise ValueError\n"
+                      "    if x <= STATE_NORM_TOL or not x <= 1:\n        return x\n")
+    assert hand_tolerance_refusals(module) == ["m:7", "m:9"]

@@ -93,10 +93,16 @@ class TestWignerGrid:
             wigner_grid(basis_state(3, 0), n_theta=1, n_phi=6)
 
     def test_rejects_nan_state(self):
+        # a NaN entry makes every value non-finite, which says nothing about Hermiticity
         state = basis_state(4, 1)
         state[2] = np.nan
-        with pytest.raises(ValueError, match="residue nan"):
+        with pytest.raises(ValueError, match="^Wigner values are not finite: state has non-finite entries$"):
             wigner_grid(state, 5, 6)
+
+    def test_rejects_non_hermitian_density_matrix(self):
+        residue = r"^Wigner values have imaginary residue \d\.\d{3}e[+-]\d{2}; state not Hermitian\?$"
+        with pytest.raises(ValueError, match=residue):
+            wigner_grid(np.array([[0.5, 1.0], [0.0, 0.5]]), 5, 6)
 
     @pytest.mark.parametrize("dim", range(1, 22))
     def test_matches_full_grid_harmonic_sum(self, dim):
