@@ -28,6 +28,12 @@ def _refuse_deviation(value: float, tol: float, non_finite: str, deviation: str)
         raise ValueError(non_finite if not np.isfinite(value) else deviation.format(value))
 
 
+def _refuse_non_finite(values, message: str) -> None:
+    """Raise ValueError(message) if values has a NaN or infinite entry, before any arithmetic can warn on it."""
+    if not np.isfinite(values).all():
+        raise ValueError(message)
+
+
 def _is_real(x) -> bool:
     """Whether x is a real number: a bool is not, nor is a numeric string, though numpy reads them as numbers."""
     return isinstance(x, Real) and not isinstance(x, bool)
@@ -91,6 +97,7 @@ def _square(m, defect, tol: float, deviation: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _refuse_non_finite(m, "matrix has non-finite entries")
     _refuse_deviation(defect(m), tol, "matrix has non-finite entries", deviation)
     return m
 
@@ -175,6 +182,7 @@ def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     if w.shape != u.shape:
         raise ValueError(f"dimension mismatch: {w.shape} vs {u.shape}")
+    _refuse_non_finite([w, u], "matrix has non-finite entries")
     d = w.shape[0]
     return min(float(abs(np.trace(w.conj().T @ u)) / d), 1.0)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_states
 from .control import ControlSystem
-from .core import STATE_NORM_TOL, _check_counts, _is_real, _refuse_deviation
+from .core import STATE_NORM_TOL, _check_counts, _is_real, _refuse_deviation, _refuse_non_finite
 from .search import SearchConfig, add_symmetry
 from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
@@ -112,6 +112,7 @@ def run_ec_trials(qubits, epsilon, maps):
 
 def _refuse_norms(states: np.ndarray, message: str) -> None:
     """Refuse with ``message`` unless every row of ``states`` has unit norm; zero rows pass."""
+    _refuse_non_finite(states, message)
     _refuse_deviation(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, message, message)
 
 
@@ -187,12 +188,10 @@ def ec_sweep(cfg: ECConfig, maps) -> ECResult:
     if cfg.average == "axes":
         qubits = np.array(BLOCH_AXIS_STATES)
     else:
-        # one draw of the stream that cfg.samples calls of haar_random_state(2, rng) read:
-        # per state, the two real parts and then the two imaginary parts; each row is
-        # normalized by its own norm call, as there, since norm(axis=1) sums in another order
-        z = np.random.default_rng(cfg.seed).normal(size=(cfg.samples, 2, 2))
-        qubits = z[:, 0] + 1j * z[:, 1]
-        qubits /= np.array([np.linalg.norm(v) for v in qubits])[:, None]
+        # the draws of cfg.samples haar_random_state(2, rng) calls; each 1x2 @ 2x1 sums as that call's norm does
+        re, im = np.random.default_rng(cfg.seed).normal(size=(cfg.samples, 2, 2)).transpose(1, 0, 2)
+        norms = np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0] + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
+        qubits = (re + 1j * im) / norms[:, None]
     corrected, uncorrected, trigger = (
         tuple(rows.mean(axis=1).tolist()) for rows in run_ec_trials(qubits, cfg.epsilon_grid, maps))
     return ECResult(cfg.epsilon_grid, corrected, uncorrected, trigger)

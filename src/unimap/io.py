@@ -9,15 +9,15 @@ error angle, a waveform segment) and fills it from the row's values in
 one call, instead of formatting value by value.
 
 Every JSON report, meta and manifest passes ``validate_report`` before it
-is written: a stdlib checker of the keywords the shipped schemas use
-(Draft 2020-12, as jsonschema 4 reads it), which also refuses any NaN or
-infinity.  A refused document raises ``ReportError``, naming the path to
-the bad value and why it is refused.
+is written, which refuses any NaN or infinity in it: a refused document
+raises ``ReportError``, naming the path to the first non-finite number.
+That is the one check made at run time.  The shipped schemas
+(``load_schema``) describe each kind of document; the tests check every
+kind the CLI writes against its schema with jsonschema.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .control import Waveform
-from .core import _is_real, _real_array
+from .core import _real_array
 from .ec import ECResult
 from .subspace import SubspaceMapSpec
 from .wigner import WignerGrid
@@ -196,117 +196,42 @@ def save_wigner_csv(path: str, grid: WignerGrid) -> None:
     atomic_write_text(path, "".join(parts))
 
 
-#: the keywords ``validate_report`` applies, and the annotations it ignores; a schema using any other is refused
-_KEYWORDS = frozenset({"type", "enum", "minimum", "maximum", "properties", "required", "additionalProperties",
-                       "items", "minItems", "uniqueItems", "$schema", "title"})
-
-
-def _unsupported(schema: dict) -> set[str]:
-    """The keywords in schema and its subschemas that ``validate_report`` does not apply."""
-    subschemas = [*schema.get("properties", {}).values(), schema.get("items"), schema.get("additionalProperties")]
-    return set(schema) - _KEYWORDS | set().union(*(_unsupported(s) for s in subschemas if isinstance(s, dict)))
-
-
 def load_schema(name: str) -> dict:
-    """A shipped schema as a dict, read from the package; one using a keyword the checker lacks raises."""
-    schema = json.loads(resources.files("unimap").joinpath(f"schemas/{name}.schema.json").read_text())
-    if unknown := _unsupported(schema):
-        raise NotImplementedError(f"schema {name} uses {sorted(unknown)}, which validate_report does not apply")
-    return schema
-
-
-#: each shipped schema, read and checked once per process
-_schema = functools.cache(load_schema)
-
-
-#: JSON type -> whether a Python value has it, as Draft 2020-12 reads them: a bool is no number, 2.0 is an integer
-_TYPES = {
-    "null": lambda x: x is None,
-    "boolean": lambda x: isinstance(x, bool),
-    "integer": lambda x: not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
-    "number": _is_real,
-    "string": lambda x: isinstance(x, str),
-    "array": lambda x: isinstance(x, list),
-    "object": lambda x: isinstance(x, dict),
-}
-
-
-def _same(a, b) -> bool:
-    """JSON equality: a bool equals only itself, 1 == 1.0, and arrays and objects compare item by item."""
-    if a is b:
-        return True
-    if isinstance(a, bool) or isinstance(b, bool):
-        return False
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
-    return a == b
-
-
-def _unique(items: list) -> bool:
-    return not any(_same(a, b) for i, a in enumerate(items) for b in items[:i])
-
-
-#: keyword -> True when a value meets it, else why not; each applies only to the JSON types it names
-_CHECKS = {
-    "type": lambda t, x: any(_TYPES[n](x) for n in ([t] if isinstance(t, str) else t)) or f"{x!r} is not of type {t!r}",
-    "enum": lambda options, x: any(_same(x, option) for option in options) or f"{x!r} is not one of enum {options!r}",
-    "minimum": lambda low, x: not _is_real(x) or x >= low or f"{x!r} is less than the minimum of {low!r}",
-    "maximum": lambda high, x: not _is_real(x) or x <= high or f"{x!r} is greater than the maximum of {high!r}",
-    "required": lambda keys, x: not isinstance(x, dict)
-        or next((f"required property {key!r} is missing" for key in keys if key not in x), True),
-    "minItems": lambda n, x: not isinstance(x, list) or len(x) >= n or f"{x!r} has fewer than minItems {n} items",
-    "uniqueItems": lambda on, x: not (on and isinstance(x, list)) or _unique(x) or f"{x!r} breaks uniqueItems",
-}
-
-
-def _fault(schema: dict, x) -> tuple[list, str] | None:
-    """The path to the first value in x that breaks schema or is a non-finite float, and why; None if there is none.
-
-    A property that ``additionalProperties: false`` forbids is reported at its object, as jsonschema does.
-    """
-    if isinstance(x, float) and not math.isfinite(x):
-        return [], f"{x!r} is not a finite number"
-    for keyword, value in schema.items():
-        if keyword in _CHECKS and (reason := _CHECKS[keyword](value, x)) is not True:
-            return [], reason
-    if isinstance(x, dict):
-        known, rest = schema.get("properties", {}), schema.get("additionalProperties", True)
-        for key, value in x.items():
-            sub = known.get(key, rest)
-            if sub is False:
-                return [], f"property {key!r} is unexpected (additionalProperties is false)"
-            if (fault := _fault({} if sub is True else sub, value)) is not None:
-                return [key, *fault[0]], fault[1]
-    elif isinstance(x, list):
-        items = schema.get("items", {})
-        for i, value in enumerate(x):
-            if (fault := _fault(items, value)) is not None:
-                return [i, *fault[0]], fault[1]
-    return None
+    """A shipped schema as a dict, read from the package."""
+    return json.loads(resources.files("unimap").joinpath(f"schemas/{name}.schema.json").read_text())
 
 
 class ReportError(Exception):
-    """A document that breaks its schema or holds a non-finite number, at ``path``: a program fault, no ValueError."""
+    """A document that holds a NaN or infinity, at ``path``: a program fault, no ValueError."""
 
-    def __init__(self, name: str, path: list, reason: str):
-        super().__init__(f"{reason} (at {path} in a {name} document)")
+    def __init__(self, name: str, path: list, value: float):
+        super().__init__(f"{value!r} is not a finite number (at {path} in a {name} document)")
         self.path = path
 
 
-def validate_report(name: str, doc: dict) -> dict:
-    """Check a report document against its shipped schema and refuse any non-finite number in it; returns doc.
+def _non_finite(x, path: list) -> tuple[list, float] | None:
+    """The path to the first NaN or infinity in x, a JSON value, and that float; None if there is none."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return path, x
+    for key, value in x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ():
+        if (found := _non_finite(value, [*path, key])) is not None:
+            return found
+    return None
 
-    A refused doc raises ``ReportError`` with the path to its first bad value.
+
+def validate_report(name: str, doc: dict) -> dict:
+    """Refuse a ``name`` document that holds a NaN or infinity; returns doc.
+
+    A refused doc raises ``ReportError`` with the path to its first non-finite
+    number.  Conformance to the shipped schema is the tests' job: every
+    document the CLI builds comes from typed records.
     """
-    fault = _fault(_schema(name), doc)
-    if fault is not None:
-        raise ReportError(name, *fault)
+    if (found := _non_finite(doc, [])) is not None:
+        raise ReportError(name, *found)
     return doc
 
 
 def write_report(path: str, schema: str, doc: dict) -> dict:
-    """Check doc against the named shipped schema, then write it with ``save_json``; returns doc."""
+    """Refuse a non-finite number in doc, a ``schema`` document, then write it with ``save_json``; returns doc."""
     save_json(path, validate_report(schema, doc))
     return doc

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import TWO_PI, as_state
+from .core import TWO_PI, _refuse_non_finite, as_state
 from .search import SearchConfig, SearchResult, multi_start
 
 ORTHONORMAL_TOL = 1e-10
@@ -256,6 +256,7 @@ def subspace_fidelity(t: np.ndarray, spec: SubspaceMapSpec) -> float:
     Insensitive to one global phase but penalizes relative phase errors
     between the mapped basis vectors, which logical encodings care about.
     """
+    _refuse_non_finite(t, "matrix has non-finite entries")
     total = sum(np.vdot(b, t @ a) for a, b in zip(spec.source, spec.target))
     return min(float(abs(total) / spec.n), 1.0)
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import spin_operators
-from .core import _refuse_deviation
+from .core import _refuse_deviation, _refuse_non_finite
 
 REALITY_TOL = 1e-10
 #: norm a state may have outside the spin block extract_block slices out
@@ -91,6 +91,7 @@ class WignerGrid(NamedTuple):
 
 def multipole_components(rho: np.ndarray) -> np.ndarray:
     """rho_kq = Tr(rho T_kq†) at row k^2 + k + q, the layout of the tensor operators."""
+    _refuse_non_finite(rho, "matrix has non-finite entries")
     return np.einsum("nij,ji->n", spherical_tensor_operators(rho.shape[0]).conj(), rho.T)
 
 
@@ -103,14 +104,14 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     with a NaN or infinite entry, as non-finite rather than non-Hermitian.
     """
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        rho = np.outer(arr, arr.conj())
-    elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        rho = arr
-    else:
+    if arr.ndim not in (1, 2) or arr.shape[0] != arr.shape[-1]:
         raise ValueError(f"state must be a vector or square matrix, got shape {arr.shape}")
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid must have at least 2 points per axis")
+    non_finite = "Wigner values are not finite: state has non-finite entries"
+    _refuse_non_finite(arr, non_finite)
+    rho = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
+    _refuse_non_finite(rho, non_finite)  # a finite state whose outer product overflows
     dim = rho.shape[0]
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
@@ -121,7 +122,7 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     # summing the terms of each q over k: L[theta, q]
     legendre = terms @ (q[:, None] == qs)
     w = legendre @ np.exp(1j * np.outer(qs, phis))
-    _refuse_deviation(float(np.abs(w.imag).max()), REALITY_TOL, "Wigner values are not finite: state has non-finite entries",
+    _refuse_deviation(float(np.abs(w.imag).max()), REALITY_TOL, non_finite,
                       "Wigner values have imaginary residue {:.3e}; state not Hermitian?")
     return WignerGrid(thetas=thetas, phis=phis, values=w.real)
 
@@ -136,4 +137,6 @@ def extract_block(state, start: int, size: int) -> np.ndarray:
     outside = np.linalg.norm(np.delete(v, np.arange(start, start + size)))
     _refuse_deviation(outside, SUPPORT_TOL, "state has non-finite entries outside the requested block",
                       "state has support {:.3e} outside the requested block")
-    return v[start : start + size]
+    block = v[start : start + size]
+    _refuse_non_finite(block, "state has non-finite entries")
+    return block

@@ -1,4 +1,6 @@
-"""Linear-algebra primitives: matrix exponential, unitary spectra, fidelities."""
+"""Linear-algebra primitives: matrix exponential, unitary spectra, fidelities, and the non-finite refusals."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,11 @@ from unimap.core import (
     trace_fidelity,
     unitarity_defect,
 )
+from unimap.ec import ec_maps, run_ec_trials
+from unimap.eigensynth import plan_unitary
 from unimap.gates import gate_from_name, pauli_Z
+from unimap.subspace import SubspaceMapSpec, subspace_fidelity
+from unimap.wigner import extract_block, multipole_components, wigner_grid
 
 
 def reassemble(dec):
@@ -255,7 +261,6 @@ class TestValidation:
             as_state(np.array([bad, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_assert_unitary_rejects_non_finite(self, bad):
         u = np.eye(3, dtype=complex)
         u[0, 1] = bad
@@ -263,7 +268,48 @@ class TestValidation:
             assert_unitary(u)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_assert_hermitian_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             assert_hermitian(np.diag([1.0, bad]))
+
+
+def _with_entry(a, index, bad):
+    a = np.array(a, dtype=complex)
+    a[index] = bad
+    return a
+
+
+_U8 = haar_random_unitary(8, np.random.default_rng(3))
+_PSI3 = np.array([0.6, 0.8j, 0.0])
+#: entry point -> (call with one bad entry put in its input, the message it refuses with)
+_NON_FINITE_CASES = {
+    "assert_unitary": (lambda bad: assert_unitary(_with_entry(_U8, (2, 5), bad)), "matrix has non-finite entries"),
+    "assert_hermitian": (lambda bad: assert_hermitian(_with_entry(np.eye(8), (3, 3), bad)),
+                         "matrix has non-finite entries"),
+    "mat_exp": (lambda bad: mat_exp(_with_entry(np.eye(8), (3, 3), bad), 1.0), "matrix has non-finite entries"),
+    "eig_unitary": (lambda bad: eig_unitary(_with_entry(_U8, (2, 5), bad)), "matrix has non-finite entries"),
+    "plan_unitary": (lambda bad: plan_unitary(_with_entry(_U8, (2, 5), bad)), "matrix has non-finite entries"),
+    "trace_fidelity": (lambda bad: trace_fidelity(_U8, _with_entry(_U8, (2, 5), bad)), "matrix has non-finite entries"),
+    "subspace_fidelity": (lambda bad: subspace_fidelity(
+        _with_entry(_U8, (2, 5), bad), SubspaceMapSpec(source=(basis_state(8, 5),), target=(basis_state(8, 2),))),
+        "matrix has non-finite entries"),
+    "multipole_components": (lambda bad: multipole_components(_with_entry(np.outer(_PSI3, _PSI3.conj()), (1, 0), bad)),
+                             "matrix has non-finite entries"),
+    "wigner_grid": (lambda bad: wigner_grid(_with_entry(_PSI3, 0, bad), 5, 5),
+                    "Wigner values are not finite: state has non-finite entries"),
+    "extract_block": (lambda bad: extract_block(_with_entry([*_PSI3, 0.0], 1, bad), 0, 3),
+                      "state has non-finite entries"),
+    "run_ec_trials": (lambda bad: run_ec_trials(np.array([[bad, 0.0]]), 0.1, ec_maps()),
+                      "qubit states must be finite with unit norm"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)], ids=["nan", "inf", "-inf", "inf-j"])
+@pytest.mark.parametrize("entry_point", sorted(_NON_FINITE_CASES))
+def test_non_finite_entry_is_refused_before_any_arithmetic(entry_point, bad):
+    # a numpy warning raised in place of the refusal, or a returned nan, fails here
+    call, message = _NON_FINITE_CASES[entry_point]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(bad)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import unimap.ec
 from conftest import searches_run
 from unimap.cesium import x_basis_state
 from unimap.core import as_state, haar_random_state, haar_random_unitary
@@ -434,6 +435,21 @@ class TestBatchedTrials:
             qubits = np.array([haar_random_state(2, rng) for _ in range(cfg.samples)])
         rows = [[float(r.mean()) for r in run_ec_trials(qubits, eps, ideal_maps)] for eps in cfg.epsilon_grid]
         assert (res.corrected, res.uncorrected, res.trigger_rate) == tuple(zip(*rows))
+
+    @pytest.mark.parametrize("samples", [1, 7, 200, 1000])
+    def test_haar_qubits_are_normalized_in_one_batch_bit_for_bit(self, monkeypatch, samples):
+        # the batched norms give the bits of one haar_random_state(2, rng) call per qubit, with no norm call per qubit
+        drawn, norm_calls, norm = [], [], np.linalg.norm
+        monkeypatch.setattr(unimap.ec, "run_ec_trials",
+                            lambda qubits, eps, maps: drawn.append(qubits) or (np.zeros((len(eps), len(qubits))),) * 3)
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norm_calls.append(a) or norm(*a, **k))
+        for seed in range(100):
+            ec_sweep(ECConfig(epsilon_grid=(0.1,), samples=samples, seed=seed), maps=None)
+        monkeypatch.undo()
+        assert norm_calls == []
+        for seed, qubits in enumerate(drawn):
+            rng = np.random.default_rng(seed)
+            assert qubits.tobytes() == np.array([haar_random_state(2, rng) for _ in range(samples)]).tobytes(), seed
 
     def test_angle_axis_shapes(self, ideal_maps):
         qubits = np.array(BLOCH_AXIS_STATES)

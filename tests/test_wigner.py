@@ -99,6 +99,11 @@ class TestWignerGrid:
         with pytest.raises(ValueError, match="^Wigner values are not finite: state has non-finite entries$"):
             wigner_grid(state, 5, 6)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_a_finite_state_whose_outer_product_overflows(self):
+        with pytest.raises(ValueError, match="^Wigner values are not finite: state has non-finite entries$"):
+            wigner_grid(np.array([1e200, 0.0, 0.0]), 5, 6)
+
     def test_rejects_non_hermitian_density_matrix(self):
         residue = r"^Wigner values have imaginary residue \d\.\d{3}e[+-]\d{2}; state not Hermitian\?$"
         with pytest.raises(ValueError, match=residue):
