@@ -36,7 +36,7 @@ from .eigensynth import synthesize_unitary
 from .gates import gate_from_name, verify_clifford_relations
 from .io import (load_matrix_json, load_state_json, load_subspace_spec, load_waveform, read_json, save_ec_csv,
                  save_json, save_waveform, save_wigner_csv, validate_report, write_report)
-from .search import SearchConfig, default_search_config, multi_start
+from .search import SearchConfig, default_search_config, multi_start, objective_state_prep
 from .subspace import ExactMapper, SearchedMapper, synthesize_subspace_map
 from .wigner import extract_block, wigner_grid
 
@@ -330,19 +330,18 @@ def cmd_verify_clifford(args) -> None:
 
 
 def cmd_propagate(args) -> None:
-    """Utility: propagate a stored waveform and report the fidelity to a target."""
+    """Utility: propagate a stored waveform and report its fidelity to a target, as ``optimize-state`` scores it."""
     if (args.initial_state is None) != (args.target_state is None):
         raise ValueError("give --initial-state and --target-state together, or neither")
     sys_model = _resolve_system(args)
     w = load_waveform(args.waveform)
-    u = propagate(sys_model, w)
+    propagate(sys_model, w)  # its refusals: amplitudes out of bounds, segments too long for accurate phases
     print(f"propagator unitary on d={sys_model.dim}, {w.n_segments} segments, "
           f"{w.total_duration:.6g} s total")
     if args.target_state is not None:
         psi_i = _resolve_state(args.initial_state, sys_model)
         psi_f = _resolve_state(args.target_state, sys_model)
-        fid = float(abs(np.vdot(psi_f, u @ psi_i)) ** 2)
-        print(f"state-map fidelity {fid:.8f}")
+        print(f"state-map fidelity {objective_state_prep(sys_model, w, psi_i, psi_f):.8f}")
 
 
 def build_parser() -> argparse.ArgumentParser:

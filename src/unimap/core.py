@@ -19,6 +19,8 @@ TWO_PI = 2.0 * np.pi
 STATE_NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
+#: entries up to this modulus square to at most 1e300, so the norms and matrix products here stay within float64
+SQUARE_LIMIT = 1e150
 
 
 def _refuse_deviation(value: float, tol: float, non_finite: str, deviation: str) -> None:
@@ -32,6 +34,26 @@ def _refuse_non_finite(values, message: str) -> None:
     """Raise ValueError(message) if values has a NaN or infinite entry, before any arithmetic can warn on it."""
     if not np.isfinite(values).all():
         raise ValueError(message)
+
+
+def _peak(values) -> float:
+    """The largest modulus of the real and imaginary parts of ``values``: NaN or inf for a non-finite entry."""
+    values = np.asarray(values)
+    return max(np.abs(values.real).max(initial=0.0), np.abs(values.imag).max(initial=0.0))
+
+
+def _norm(values, axis=None):
+    """``np.linalg.norm(values, axis=axis)`` of finite values, with no overflow warning.
+
+    Where an entry above ``SQUARE_LIMIT`` could overflow the sum of squares,
+    the norm is taken of the values divided by their ``_peak`` and scaled
+    back: inf only when a norm itself overflows.
+    """
+    peak = _peak(values)
+    if not peak > SQUARE_LIMIT:
+        return np.linalg.norm(values, axis=axis)
+    with np.errstate(over="ignore"):
+        return peak * np.linalg.norm(np.asarray(values) / peak, axis=axis)
 
 
 def _is_real(x) -> bool:
@@ -72,8 +94,9 @@ def as_state(psi, d: int | None = None) -> np.ndarray:
         raise ValueError(f"state dimension must be >= 2, got {v.size}")
     if d is not None and v.size != d:
         raise ValueError(f"state has dimension {v.size}, expected {d}")
-    deviation = abs(np.linalg.norm(v) - 1.0)
-    _refuse_deviation(deviation, STATE_NORM_TOL, "state has non-finite entries", "state norm deviates from 1 by {:.3e}")
+    _refuse_non_finite(v, "state has non-finite entries")
+    deviation = "state norm deviates from 1 by {:.3e}"
+    _refuse_deviation(abs(_norm(v) - 1.0), STATE_NORM_TOL, deviation.format(np.inf), deviation)
     return v
 
 
@@ -87,18 +110,23 @@ def basis_state(d: int, index: int) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-entry deviation of U†U from the identity."""
+    """Max-entry deviation of U†U from the identity: inf where an entry above ``SQUARE_LIMIT`` could overflow it."""
     u = np.asarray(u, dtype=complex)
+    if _peak(u) > SQUARE_LIMIT:
+        return np.inf
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
 def _square(m, defect, tol: float, deviation: str) -> np.ndarray:
-    """``m`` as a complex square matrix whose ``defect(m)`` is within ``tol``; a larger one raises ``deviation``."""
+    """``m`` as a complex square matrix whose ``defect(m)`` is within ``tol``; a larger one raises ``deviation``.
+
+    The entries are finite by then, so an infinite defect is one that overflows float64.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _refuse_non_finite(m, "matrix has non-finite entries")
-    _refuse_deviation(defect(m), tol, "matrix has non-finite entries", deviation)
+    _refuse_deviation(defect(m), tol, deviation.format(np.inf), deviation)
     return m
 
 
@@ -196,8 +224,7 @@ def haar_random_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diag(r)

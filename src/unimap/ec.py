@@ -14,15 +14,14 @@ m = 3..-3) plus |4,4_z> at index 7 and |4,-4_z> at index 8.  The three
 protocol maps come from the phase-about-a-vector builder of ``subspace``:
 ``ec_maps`` uses its exact mapper, and ``synthesize_ec_maps`` a searched
 mapper that switches between the two 8-level cesium systems (aux +4 or -4)
-and runs each rotation on the one that holds its reflection vector.  Its
-step record carries the chi written into the 9 levels, and the ``result``
-of the 8-level search.  At zero rf detuning a signed reversal of the F=3
-levels (a pi rotation about y, ``cesium.AUX_MIRRORS``) maps the +4 system
-exactly onto the -4 one.  Each such mirror is added to the -4 system's
-symmetries (``search.add_symmetry``) with the +4 system's kept results as
-source, so ``multi_start`` serves an aux -4 rotation that is the image of
-a +4 rotation already run as that waveform with each control's amplitudes
-times the control's sign, with no search.
+and runs each rotation on the one that holds its reflection vector, its
+chi written into the 9 levels.  At zero rf detuning a signed reversal of
+the F=3 levels (a pi rotation about y, ``cesium.AUX_MIRRORS``) maps the +4
+system exactly onto the -4 one.  Each such mirror is added to the -4
+system's symmetries (``search.add_symmetry``) with the +4 system's kept
+results as source, so ``multi_start`` serves an aux -4 rotation that is
+the image of a +4 rotation already run as that waveform with each
+control's amplitudes times the control's sign, with no search.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_states
 from .control import ControlSystem
-from .core import STATE_NORM_TOL, _check_counts, _is_real, _refuse_deviation, _refuse_non_finite
-from .search import SearchConfig, add_symmetry
-from .subspace import ExactMapper, PhaseStep, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
+from .core import STATE_NORM_TOL, _check_counts, _is_real, _norm, _refuse_deviation, _refuse_non_finite
+from .search import SearchConfig, SearchResult, add_symmetry
+from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
 SIM_DIM = 9
 IDX_44Z = 7
@@ -113,7 +112,7 @@ def run_ec_trials(qubits, epsilon, maps):
 def _refuse_norms(states: np.ndarray, message: str) -> None:
     """Refuse with ``message`` unless every row of ``states`` has unit norm; zero rows pass."""
     _refuse_non_finite(states, message)
-    _refuse_deviation(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, message, message)
+    _refuse_deviation(np.abs(_norm(states, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, message, message)
 
 
 def _overlap_fidelity(psi0: np.ndarray, *finals: np.ndarray) -> np.ndarray:
@@ -229,26 +228,24 @@ def _aux_for_reflection(phi: np.ndarray) -> int:
 class _AuxSwitchingMapper(NamedTuple):
     """Searched mapper on whichever 8-level system holds the reflection.
 
-    The search runs on the reflection restricted to that system's levels; its
-    record comes back with the 8-level chi written into those levels of a zero
-    9-vector, so the factor is the identity on the other aux level, while the
-    record's ``result`` stays the 8-level search's.  An aux -4 rotation that
-    is the image of a +4 rotation already run is served by ``multi_start``
-    through the aux mirrors added as symmetries (``_aux_switching_mapper``);
-    chi then comes from the propagator that the image's own forward pass on
-    the -4 system built, and the step gets its own record.
+    The search runs on the reflection restricted to that system's levels,
+    and its 8-level chi is written into those levels of a zero 9-vector, so
+    the factor is the identity on the other aux level.  An aux -4 rotation
+    that is the image of a +4 rotation already run is served by
+    ``multi_start`` through the aux mirrors added as symmetries
+    (``_aux_switching_mapper``), its chi from the image's own propagator.
     """
 
     searched: dict[int, SearchedMapper]
     dim = SIM_DIM
 
-    def phase_about(self, phi, theta: float) -> PhaseStep:
+    def map(self, phi) -> tuple[np.ndarray, SearchResult]:
         aux = _aux_for_reflection(phi)
         levels = _aux_levels(aux)
-        step8 = self.searched[aux].phase_about(phi[levels] / np.linalg.norm(phi[levels]), theta)
+        chi8, result = self.searched[aux].map(phi[levels] / np.linalg.norm(phi[levels]))
         chi = np.zeros(SIM_DIM, dtype=complex)
-        chi[levels] = step8.chi
-        return step8._replace(chi=chi)
+        chi[levels] = chi8
+        return chi, result
 
 
 def _aux_switching_mapper(plus: ControlSystem, minus: ControlSystem, cfg: SearchConfig) -> _AuxSwitchingMapper:

@@ -52,9 +52,8 @@ def synthesize_unitary(w: np.ndarray, mapper) -> SynthesisReport:
     ``step.result.converged`` False rather than raising.
     """
     w = assert_unitary(w)
-    if w.shape[0] != mapper.dim:
-        raise ValueError(f"target dimension {w.shape[0]} != mapper dimension {mapper.dim}")
     return phase_product(
+        w.shape[0],
         [(None if step.skippable else step.eigenvector, step.phase) for step in plan_unitary(w)],
         mapper,
         score=lambda u: trace_fidelity(w, u),

@@ -29,17 +29,17 @@ gradient of J; the d identity rows give d(U psi_i)/du, hence the
 ``multi_start`` keeps its results on the system (``kept_results``), so
 they go when the system goes.  On a miss it tries the all-zero waveform
 (the identity on a drift-free system, as every searched build is, so
-scored with no eigendecomposition; otherwise by one forward pass), then
-the image of a kept result under an exact symmetry onto the system, and
-only then searches.  Its restarts are retries: the next one runs only
-when every earlier one missed the goal.  The symmetries are those a
-caller added to the system's ``symmetries`` with ``add_symmetry`` (a
-signed permutation S from one system onto another that carries every
-control onto plus or minus a control), then the system's own complex
-conjugation where conj(U(u)) = U(sigma u) (the cesium model at zero rf
-detuning).  Either way a waveform that maps a to b maps the image of a
-to the image of b once each control's amplitudes are multiplied by its
-sign sigma.
+scored with no eigendecomposition; otherwise by ``_replayed``, which scores
+every waveform no search ran), then the image of a kept result under an
+exact symmetry onto the system, and only then searches.  Its restarts are
+retries: the next one runs only when every earlier one missed the goal.
+The symmetries are those a caller added to the system's ``symmetries``
+with ``add_symmetry`` (a signed permutation S from one system onto another
+that carries every control onto plus or minus a control), then the
+system's own complex conjugation where conj(U(u)) = U(sigma u) (the cesium
+model at zero rf detuning).  Either way a waveform that maps a to b maps
+the image of a to the image of b once each control's amplitudes are
+multiplied by its sign sigma.
 """
 
 from __future__ import annotations
@@ -318,22 +318,25 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
     that is the fiducial state itself), where the search would only add
     noise to an exact solution.  Every segment plays the drift alone: on a
     drift-free system (every searched build) the identity, so J0 comes from
-    <psi_f|psi_i> with no eigendecomposition; otherwise from the forward
-    pass over the M zero rows, as any other waveform is scored.
+    <psi_f|psi_i> with no eigendecomposition; otherwise from ``_replayed``.
     """
     if not all(lo <= 0.0 <= hi for lo, hi in sys.amplitude_bounds):
         return None
-    durations, amps = np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls))
+    zero = Waveform(np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls)))
     if sys.drift.any():
-        overlap, residual, *_, u, _ = _forward(sys, durations, amps, psi_i, psi_f)
+        result = _replayed(sys, zero, psi_i, psi_f, cfg)
     else:
-        u, overlap = None, np.vdot(psi_f, psi_i)
-        residual = psi_i - overlap * psi_f
-    j0 = _fidelity(overlap, residual)
-    if j0 < cfg.fidelity_goal:
-        return None
-    u = np.eye(sys.dim, dtype=complex) if u is None else _product(u)
-    return SearchResult(Waveform(durations, amps), j0, 0, True, np.array([j0]), u)
+        overlap = np.vdot(psi_f, psi_i)
+        j0 = _fidelity(overlap, psi_i - overlap * psi_f)
+        result = SearchResult(zero, j0, 0, j0 >= cfg.fidelity_goal, np.array([j0]), np.eye(sys.dim, dtype=complex))
+    return result if result.converged else None
+
+
+def _replayed(sys: ControlSystem, w: Waveform, psi_i, psi_f, cfg: SearchConfig) -> SearchResult:
+    """A waveform the search did not run as a zero-iteration result: J and propagator from one forward pass."""
+    fwd = _forward(sys, w.durations, w.amplitudes, psi_i, psi_f)
+    j = _fidelity(*fwd[:2])
+    return SearchResult(w, j, 0, j >= cfg.fidelity_goal, np.array([j]), _product(fwd[4]))
 
 
 def add_symmetry(src: ControlSystem, dst: ControlSystem, mirror) -> bool:
@@ -368,8 +371,8 @@ def _symmetric_image(sys: ControlSystem, psi_i: np.ndarray, psi_f: np.ndarray, c
     A result kept under an equal config whose states S carries onto
     (psi_i, psi_f), up to a phase, is a source.  Its image keeps the
     durations and multiplies each control's amplitudes by its sign, which
-    keeps them in bounds (``control._mirror_signs``); its J and propagator
-    come from its own forward pass on ``sys``, never copied.
+    keeps them in bounds (``control._mirror_signs``); it is scored by
+    ``_replayed`` on ``sys``, its J and propagator never copied.
     An image that misses a goal its source met is refused, and the next
     source is tried.  None when no source gives an image.
     """
@@ -385,11 +388,10 @@ def _symmetric_image(sys: ControlSystem, psi_i: np.ndarray, psi_f: np.ndarray, c
             signs = sys.conjugation_signs if signs is None else signs
             if signs is None:
                 return None
-            image = Waveform(source.waveform.durations, source.waveform.amplitudes * signs)
-            fwd = _forward(sys, image.durations, image.amplitudes, psi_i, psi_f)
-            j = _fidelity(*fwd[:2])
-            if not source.fidelity >= cfg.fidelity_goal > j:
-                return SearchResult(image, j, 0, j >= cfg.fidelity_goal, np.array([j]), _product(fwd[4]))
+            image = _replayed(sys, Waveform(source.waveform.durations, source.waveform.amplitudes * signs),
+                              psi_i, psi_f, cfg)
+            if not source.fidelity >= cfg.fidelity_goal > image.fidelity:
+                return image
     return None
 
 

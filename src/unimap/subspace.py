@@ -4,11 +4,11 @@ Both constructions of the paper are products of factors V† P(theta) V: a
 phase theta imprinted on the fiducial state, conjugated by a map V that sends
 phi to that state.  The factor equals I + (e^{-i theta} - 1)|chi><chi| with
 chi = V†|fiducial>, so one vector fixes it.  ``phase_product`` multiplies
-these factors over a list of (phi, theta) steps; a *mapper* returns each
-step's ``PhaseStep`` record and ``phase_product`` alone forms the factor.
+these factors over (phi, theta) steps, building every ``PhaseStep`` record;
+a *mapper* only maps phi to (chi, the ``SearchResult`` behind V or None).
 ``ExactMapper`` gives chi = phi (no search), ``SearchedMapper`` the chi of a
-multi-start search's propagator, its record holding that ``SearchResult``;
-``ec`` adds a third that switches between the two 8-level cesium systems.
+multi-start search's propagator; ``ec`` adds a third that switches between
+the two 8-level cesium systems.
 
 A subspace map is one such product, one step per basis vector: step k
 lands a_k exactly on t_k, which is b_k, or b_k rephased so that <t_k|a_k>
@@ -149,8 +149,8 @@ class ExactMapper(NamedTuple):
 
     dim: int
 
-    def phase_about(self, phi, theta: float) -> PhaseStep:
-        return PhaseStep(theta, as_state(phi, self.dim))
+    def map(self, phi) -> tuple[np.ndarray, None]:
+        return as_state(phi, self.dim), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +165,7 @@ class SearchedMapper:
     so a phi already given to a mapper on it (bit-equal) shares that step's
     search, and a phi that an exact symmetry onto the system
     (``sys.symmetries``, or its complex conjugation) maps from a kept one
-    plays that result's signed waveform with no search.  Either way the step
-    gets its own record, sharing the kept result.
+    plays that result's signed waveform with no search.
     """
 
     sys: ControlSystem
@@ -184,10 +183,9 @@ class SearchedMapper:
     def dim(self) -> int:
         return self.sys.dim
 
-    def phase_about(self, phi, theta: float) -> PhaseStep:
+    def map(self, phi) -> tuple[np.ndarray, SearchResult]:
         result = multi_start(self.sys, phi, self.sys.fiducial_state(), self.cfg)
-        chi = result.propagator[self.sys.fiducial_index].conj()
-        return PhaseStep(theta, chi, result)
+        return result.propagator[self.sys.fiducial_index].conj(), result
 
 
 class SynthesisReport(NamedTuple):
@@ -215,16 +213,19 @@ class SynthesisReport(NamedTuple):
         return sum(step.result is not None for step in self.steps)
 
 
-def phase_product(steps, mapper, score: Callable[[np.ndarray], float]) -> SynthesisReport:
-    """Product of V† P(theta) V over the (phi, theta) steps, first step rightmost.
+def phase_product(dim: int, steps, mapper, score: Callable[[np.ndarray], float]) -> SynthesisReport:
+    """Product of V† P(theta) V over the (phi, theta) steps of a dim-level target, first step rightmost.
 
-    A step whose phi is None is skipped, its record's chi None; any other
-    step's record is ``mapper.phase_about(phi, theta)`` and its factor
-    I + (e^{-i theta} - 1)|chi><chi|.  ``score`` turns the product into the
-    report's fidelity.
+    A mapper of another dimension is refused.  A step whose phi is None is
+    skipped, its record's chi None; any other step's record is
+    ``PhaseStep(theta, *mapper.map(phi))`` and its factor
+    I + (e^{-i theta} - 1)|chi><chi|.  ``score`` gives the report's fidelity.
     """
-    records = tuple(PhaseStep(theta, None) if phi is None else mapper.phase_about(phi, theta) for phi, theta in steps)
-    acc = np.eye(mapper.dim, dtype=complex)
+    if dim != mapper.dim:
+        raise ValueError(f"target dimension {dim} != mapper dimension {mapper.dim}")
+    records = tuple(PhaseStep(theta, None) if phi is None else PhaseStep(theta, *mapper.map(phi))
+                    for phi, theta in steps)
+    acc = np.eye(dim, dtype=complex)
     for step in records:
         if not step.skipped:
             acc = _rank_one(step.chi, np.exp(-1j * step.theta) - 1.0) @ acc
@@ -269,9 +270,8 @@ def synthesize_subspace_map(spec: SubspaceMapSpec, mapper) -> SynthesisReport:
     the product of these played factors: T a_i = b_i with ``phase_correction``,
     else T a_i is the rephased target of step i and every theta_k is pi.
     """
-    if spec.dim != mapper.dim:
-        raise ValueError(f"spec dimension {spec.dim} != mapper dimension {mapper.dim}")
     return phase_product(
+        spec.dim,
         [(step.reflection, step.theta) for step in plan_subspace_map(spec)],
         mapper,
         score=lambda t: subspace_fidelity(t, spec),

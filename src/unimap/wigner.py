@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import spin_operators
-from .core import _refuse_deviation, _refuse_non_finite
+from .core import SQUARE_LIMIT, _norm, _peak, _refuse_deviation, _refuse_non_finite
 
 REALITY_TOL = 1e-10
 #: norm a state may have outside the spin block extract_block slices out
@@ -100,8 +100,9 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
 
     Accepts a pure state vector or a density matrix on a single spin
     block; the block dimension sets F.  Rejects grids too coarse to cover
-    the sphere, results with imaginary residue beyond tolerance, and a state
-    with a NaN or infinite entry, as non-finite rather than non-Hermitian.
+    the sphere, results with imaginary residue beyond tolerance, a state
+    with a NaN or infinite entry, as non-finite rather than non-Hermitian,
+    and a state vector with an entry whose outer product could overflow.
     """
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2) or arr.shape[0] != arr.shape[-1]:
@@ -110,8 +111,9 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
         raise ValueError("grid must have at least 2 points per axis")
     non_finite = "Wigner values are not finite: state has non-finite entries"
     _refuse_non_finite(arr, non_finite)
+    if arr.ndim == 1 and _peak(arr) > SQUARE_LIMIT:
+        raise ValueError(f"Wigner values would overflow: state has an entry above {SQUARE_LIMIT:g} in modulus")
     rho = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
-    _refuse_non_finite(rho, non_finite)  # a finite state whose outer product overflows
     dim = rho.shape[0]
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
@@ -134,9 +136,10 @@ def extract_block(state, start: int, size: int) -> np.ndarray:
         raise ValueError(f"block {start}:{size} has a negative start or size")
     if start + size > v.size:
         raise ValueError(f"block [{start}, {start + size}) exceeds state dimension {v.size}")
-    outside = np.linalg.norm(np.delete(v, np.arange(start, start + size)))
-    _refuse_deviation(outside, SUPPORT_TOL, "state has non-finite entries outside the requested block",
-                      "state has support {:.3e} outside the requested block")
+    outside = np.delete(v, np.arange(start, start + size))
+    _refuse_non_finite(outside, "state has non-finite entries outside the requested block")
+    support = "state has support {:.3e} outside the requested block"
+    _refuse_deviation(_norm(outside), SUPPORT_TOL, support.format(np.inf), support)
     block = v[start : start + size]
     _refuse_non_finite(block, "state has non-finite entries")
     return block

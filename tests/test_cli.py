@@ -226,6 +226,11 @@ class TestBuildUnitary:
                     "--exact-mappers", "--out-report", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_neither_gate_nor_matrix_exits_2_without_report(self, tmp_path, capsys):
+        assert run(["build-unitary", "--exact-mappers", "--out-report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "error: one of --gate or --matrix-file is required\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_gate_dimension_zero_exits_2_without_report(self, tmp_path, capsys):
         # an explicit --d 0 is rejected, not replaced by the default d=7
         assert run(["build-unitary", "--gate", "X", "--d", "0", "--exact-mappers",
@@ -648,6 +653,7 @@ class TestWignerCLI:
         pytest.param("0:3", "NaN", "state has non-finite entries outside the requested block", id="nan-outside"),
         pytest.param("0:-3", "0", "block 0:-3 has a negative start or size", id="negative-size"),
         pytest.param("-1:2", "0", "block -1:2 has a negative start or size", id="negative-start"),
+        pytest.param("3", "0", "--block must be START:SIZE", id="no-size"),
     ])
     def test_bad_block_exits_2_without_files(self, tmp_path, capsys, monkeypatch, block, last, message):
         monkeypatch.chdir(tmp_path)
@@ -677,6 +683,19 @@ class TestPropagateCLI:
                     "--seed", "3", "--max-iterations", "1500"]) == 0
         assert run(["propagate", "--waveform", str(wave),
                     "--initial-state", "fiducial", "--target-state", "basis:0"]) == 0
+
+    def test_replay_prints_the_fidelity_the_search_report_holds(self, tmp_path, capsys):
+        # propagate scores a waveform as the search did, so a cut-short search reads the same to 8 digits
+        wave, report = tmp_path / "w.csv", tmp_path / "r.json"
+        states = ["basis:2", "fiducial"]
+        assert run(["optimize-state", "--initial", states[0], "--target", states[1], "--max-iterations", "4",
+                    "--restarts", "1", "--out-waveform", str(wave), "--out-report", str(report)]) == 0
+        fidelity = json.loads(report.read_text())["fidelity"]
+        assert fidelity < 0.99
+        capsys.readouterr()
+        assert run(["propagate", "--waveform", str(wave),
+                    "--initial-state", states[0], "--target-state", states[1]]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"state-map fidelity {fidelity:.8f}"
 
     def test_missing_file_exits_2(self):
         assert run(["propagate", "--waveform", "/nonexistent/w.csv"]) == 2

@@ -14,6 +14,7 @@ from unimap.control import (
     Waveform,
     _chain_gauged,
     _generators,
+    _mirror_signs,
     check_amplitudes,
     propagate,
     segment_eigs,
@@ -195,6 +196,21 @@ def test_refuses_an_empty_bounds_pair(cesium, pair):
     bounds = [(-1.0, 1.0)] * 3 + [pair, (-1.0, 1.0)]
     with pytest.raises(ValueError, match="bounds for control 3 are empty"):
         ControlSystem(cesium.drift, cesium.controls, bounds, 0)
+
+
+def test_refuses_a_control_whose_shape_is_not_the_drift_s(cesium):
+    controls = [*cesium.controls[:2], np.eye(3), *cesium.controls[3:]]
+    with pytest.raises(ValueError, match=re.escape("control 2 has shape (3, 3), expected (8, 8)")):
+        ControlSystem(cesium.drift, controls, cesium.amplitude_bounds, 0)
+
+
+def test_a_mirror_between_systems_of_other_sizes_has_no_signs(cesium, two_level):
+    # a system of another dimension, or with another control count, is no image of this one under any S
+    fewer = ControlSystem(cesium.drift, cesium.controls[:4], cesium.amplitude_bounds[:4], cesium.fiducial_index)
+    assert _mirror_signs(cesium, fewer, np.eye(8)) is None and _mirror_signs(fewer, cesium, np.eye(8)) is None
+    assert _mirror_signs(cesium, two_level, np.eye(8)) is None and _mirror_signs(two_level, cesium, np.eye(2)) is None
+    # the same system with every control kept is its own image under S = I
+    assert _mirror_signs(cesium, cesium, np.eye(8)).tolist() == [1.0] * 5
 
 
 @pytest.mark.parametrize("index", [-1, 8])
@@ -390,7 +406,7 @@ class TestChainGauge:
 
 def imprint(d, angle, index):
     """The builder's factor about basis level ``index``: the phase imprint on that level."""
-    return phase_product([(basis_state(d, index), angle)], ExactMapper(d), score=lambda u: 0.0).assembled
+    return phase_product(d, [(basis_state(d, index), angle)], ExactMapper(d), score=lambda u: 0.0).assembled
 
 
 class TestPhaseFactor:
@@ -411,7 +427,7 @@ class TestPhaseFactor:
     def test_rejects_bad_index(self):
         # level 3 exists only from 4 levels up: a 3-level mapper rejects its vector
         with pytest.raises(ValueError, match="dimension"):
-            phase_product([(basis_state(4, 3), 0.5)], ExactMapper(3), score=lambda u: 0.0)
+            phase_product(3, [(basis_state(4, 3), 0.5)], ExactMapper(3), score=lambda u: 0.0)
 
     def test_angle_wrapped(self):
         assert np.abs(imprint(4, 2 * np.pi + 0.5, 1) - imprint(4, 0.5, 1)).max() < 1e-14
@@ -502,6 +518,10 @@ class TestWaveformValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="durations"):
             Waveform(np.array([1e-6]), np.zeros((2, 3)))
+
+    def test_rejects_amplitudes_that_are_not_2d(self):
+        with pytest.raises(ValueError, match=re.escape("amplitudes must be 2-d (segments x controls), got 1-d")):
+            Waveform(np.full(4, 1e-6), np.zeros(4))
 
     def test_variable_count(self):
         w = Waveform(np.full(4, 1e-6), np.zeros((4, 5)))

@@ -1,5 +1,7 @@
-"""Linear-algebra primitives: matrix exponential, unitary spectra, fidelities, and the non-finite refusals."""
+"""Linear-algebra primitives: matrix exponential, unitary spectra, fidelities, and the non-finite and overflow
+refusals."""
 
+import re
 import warnings
 
 import numpy as np
@@ -313,3 +315,53 @@ def test_non_finite_entry_is_refused_before_any_arithmetic(entry_point, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(bad)
+
+
+#: entry point -> (call with one finite entry of the given size put in its input, the message it refuses with,
+#: ``{}`` standing for that size)
+_NOT_UNITARY = "matrix is not unitary: U†U deviates from I by inf"
+_OVERFLOW_CASES = {
+    "as_state": (lambda big: as_state(np.array([big, 0.0])), "state norm deviates from 1 by {:.3e}"),
+    "assert_unitary": (lambda big: assert_unitary(np.eye(3) * big), _NOT_UNITARY),
+    "eig_unitary": (lambda big: eig_unitary(np.eye(3) * big), _NOT_UNITARY),
+    "plan_unitary": (lambda big: plan_unitary(np.eye(3) * big), _NOT_UNITARY),
+    "wigner_grid": (lambda big: wigner_grid(np.array([big, 0.0, 0.0]), 5, 5),
+                    "Wigner values would overflow: state has an entry above 1e+150 in modulus"),
+    "extract_block": (lambda big: extract_block(np.array([0.6, 0.8, big]), 0, 2),
+                      "state has support {:.3e} outside the requested block"),
+    "run_ec_trials": (lambda big: run_ec_trials(np.array([[big, 0.0]]), 0.1, ec_maps()),
+                      "qubit states must be finite with unit norm"),
+}
+
+
+@pytest.mark.parametrize("big", [1e155, 1e200])
+@pytest.mark.parametrize("entry_point", sorted(_OVERFLOW_CASES))
+def test_finite_entry_whose_square_overflows_is_refused_before_any_warning(entry_point, big):
+    # an overflow warning raised in place of the refusal, or a refusal that blames non-finite entries, fails here
+    call, message = _OVERFLOW_CASES[entry_point]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(big))}$"):
+            call(big)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("draw", [haar_random_state, haar_random_unitary], ids=["state", "unitary"])
+def test_haar_draws_refuse_a_dimension_below_2(draw, d):
+    with pytest.raises(ValueError, match=f"^dimension must be >= 2, got {d}$"):
+        draw(d, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_state(np.array([1.0])), "state dimension must be >= 2, got 1"),
+    (lambda: basis_state(3, 3), "basis index 3 out of range for dimension 3"),
+    (lambda: basis_state(3, -1), "basis index -1 out of range for dimension 3"),
+    (lambda: assert_unitary(np.eye(3)[:2]), "expected a square matrix, got shape (2, 3)"),
+    (lambda: assert_hermitian(np.zeros(4)), "expected a square matrix, got shape (4,)"),
+    (lambda: mat_exp(np.eye(2), np.nan), "time must be finite"),
+    (lambda: mat_exp(np.eye(2), np.inf), "time must be finite"),
+], ids=["state-size-1", "basis-index-past-end", "basis-index-negative", "unitary-not-square", "hermitian-1d",
+        "time-nan", "time-inf"])
+def test_shape_and_range_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

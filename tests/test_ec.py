@@ -574,12 +574,24 @@ def _searches_per_step(mapper, count_calls, *planned) -> tuple[list[int], list]:
     counts, results = [], []
     for spec_index, step_index in planned:
         before = len(calls)
-        results.append(mapper.phase_about(_planned_reflection(spec_index, step_index), np.pi).result)
+        results.append(mapper.map(_planned_reflection(spec_index, step_index))[1])
         counts.append(len(calls) - before)
     return counts, results
 
 
 EXTRACT = ((1, 0), (1, 1))  # step 1 of extract on aux +4, then its mirror image step 2 on aux -4
+
+
+def test_reflection_on_both_stretched_states_is_refused_before_any_search(ec_systems, count_calls):
+    # each 8-level system holds one F=4 level, so no aux system can play this rotation
+    import unimap.search
+
+    calls = count_calls(unimap.search, "search_state_map")
+    phi = np.zeros(SIM_DIM, dtype=complex)
+    phi[[unimap.ec.IDX_44Z, unimap.ec.IDX_4M4Z]] = np.sqrt(0.5)
+    with pytest.raises(ValueError, match="^rotation touches both F=4 stretched states; no single aux system fits$"):
+        unimap.ec._aux_switching_mapper(*ec_systems).map(phi)
+    assert calls == []
 
 
 def test_mirror_image_of_a_recorded_plus_step_is_not_searched(ec_systems, count_calls):

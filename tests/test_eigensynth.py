@@ -11,7 +11,7 @@ from unimap.core import basis_state, haar_random_state, haar_random_unitary
 from unimap.eigensynth import plan_unitary, synthesize_unitary
 from unimap.gates import gate_from_name
 from unimap.search import default_search_config
-from unimap.subspace import ExactMapper, PhaseStep, SearchedMapper, _rank_one, pair_rotation, phase_product
+from unimap.subspace import ExactMapper, SearchedMapper, _rank_one, pair_rotation, phase_product
 
 
 class GivenMapper:
@@ -21,8 +21,8 @@ class GivenMapper:
         self.dim = dim
         self.v_of = v_of
 
-    def phase_about(self, phi, theta):
-        return PhaseStep(theta, self.v_of(phi).conj().T @ basis_state(self.dim, 0))
+    def map(self, phi):
+        return self.v_of(phi).conj().T @ basis_state(self.dim, 0), None
 
 
 def plan_pairs(w):
@@ -31,7 +31,7 @@ def plan_pairs(w):
 
 
 def product(pairs, mapper):
-    return phase_product(pairs, mapper, score=lambda u: 0.0).assembled
+    return phase_product(mapper.dim, pairs, mapper, score=lambda u: 0.0).assembled
 
 
 class TestPlan:
@@ -64,30 +64,30 @@ class TestPlan:
 
 class TestExactMapper:
     def test_fiducial_input(self):
-        step = ExactMapper(4).phase_about(basis_state(4, 0), 0.9)
-        assert np.array_equal(step.chi, basis_state(4, 0)) and step.theta == 0.9
-        assert np.abs(product([(step.chi, 0.9)], ExactMapper(4)) - diag_phase(4, 0, 0.9)).max() < 1e-12
-        assert step.result is None
-        assert phase_product([(step.chi, 0.9)], ExactMapper(4), score=lambda u: 0.0).step_fidelities == (1.0,)
+        chi, result = ExactMapper(4).map(basis_state(4, 0))
+        assert np.array_equal(chi, basis_state(4, 0)) and result is None
+        assert np.abs(product([(chi, 0.9)], ExactMapper(4)) - diag_phase(4, 0, 0.9)).max() < 1e-12
+        rep = phase_product(4, [(chi, 0.9)], ExactMapper(4), score=lambda u: 0.0)
+        assert rep.steps[0].theta == 0.9 and rep.step_fidelities == (1.0,)
 
     def test_swap_case(self):
-        step = ExactMapper(2).phase_about(basis_state(2, 1), np.pi)
-        assert step.result is None and np.array_equal(step.chi, basis_state(2, 1))
+        chi, result = ExactMapper(2).map(basis_state(2, 1))
+        assert result is None and np.array_equal(chi, basis_state(2, 1))
 
     def test_haar_contract_d16(self):
         rng = np.random.default_rng(1)
         phi = haar_random_state(16, rng)
-        step = ExactMapper(16).phase_about(phi, 2.5)
+        _, result = ExactMapper(16).map(phi)
         factor = product([(phi, 2.5)], ExactMapper(16))
-        assert step.result is None
+        assert result is None
         # the factor imprints the phase on phi and nowhere else
         assert np.linalg.norm(factor @ phi - np.exp(-2.5j) * phi) < 1e-12
 
     def test_rejects_vector_of_wrong_dimension_or_norm(self):
         with pytest.raises(ValueError, match="dimension"):
-            ExactMapper(4).phase_about(basis_state(3, 0), 1.0)
+            ExactMapper(4).map(basis_state(3, 0))
         with pytest.raises(ValueError, match="norm"):
-            ExactMapper(4).phase_about(2 * basis_state(4, 0), 1.0)
+            ExactMapper(4).map(2 * basis_state(4, 0))
 
     @pytest.mark.parametrize("fid", [0, 3, 7])
     def test_any_fiducial_index(self, fid):
@@ -97,9 +97,9 @@ class TestExactMapper:
         phi = haar_random_state(8, rng)
         v, _ = pair_rotation(phi, basis_state(8, fid))
         want = v.conj().T @ diag_phase(8, fid, 1.0) @ v
-        step = ExactMapper(8).phase_about(phi, 1.0)
+        _, result = ExactMapper(8).map(phi)
         assert np.abs(product([(phi, 1.0)], ExactMapper(8)) - want).max() <= 1e-12
-        assert step.result is None
+        assert result is None
 
 
 class TestAssemble:

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import os
+import re
 from importlib import resources
 
 import jsonschema
@@ -96,6 +97,13 @@ class TestWaveformCSV:
         with pytest.raises(ValueError, match=rf"seg\.csv: row {row}: segment '{segments[row - 2]}' is not"):
             load_waveform(str(path))
 
+    @pytest.mark.parametrize("header", ["seg,duration_s,u1", "segment,duration_s", "duration_s,segment,u1"])
+    def test_bad_header_named(self, tmp_path, header):
+        path = tmp_path / "hdr.csv"
+        path.write_text(f"{header}\n0,1e-6,0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 1: bad header {header!r}')}$"):
+            load_waveform(str(path))
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("segment,duration_s,u1\n")
@@ -162,6 +170,17 @@ class TestSubspaceSpecJSON:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="phase_correction"):
+            load_subspace_spec(str(path))
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "spec must be a JSON object"),
+        ({"source": [complex_to_pairs([1, 0])], "target": "b1"}, "field 'target' must be an object or array"),
+        ({"source": 3, "target": [complex_to_pairs([0, 1])]}, "field 'source' must be an object or array"),
+    ], ids=["array-spec", "string-target", "number-source"])
+    def test_spec_of_the_wrong_json_type_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_subspace_spec(str(path))
 
     def test_missing_target_rejected(self, tmp_path):

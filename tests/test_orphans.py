@@ -11,7 +11,9 @@ a comment or a string mentions is not used.
 
 The same AST reading keeps each rule with one home: no module but ``core``
 refuses by hand against a ``*_TOL`` tolerance, as ``core._refuse_deviation``
-is that refusal, with its non-finite branch.
+is that refusal, with its non-finite branch.  It keeps each record with one
+builder too: only ``subspace.phase_product`` builds a ``PhaseStep``, and
+only ``search`` builds a ``SearchResult``.
 """
 
 import ast
@@ -143,3 +145,35 @@ def test_a_negated_tolerance_comparison_is_a_hand_refusal(tmp_path):
                       "    if not x <= core.SKIP_TOL:\n        raise ValueError\n"
                       "    if x <= STATE_NORM_TOL or not x <= 1:\n        return x\n")
     assert hand_tolerance_refusals(module) == ["m:7", "m:9"]
+
+
+def constructions(path: Path, record: str) -> list[str]:
+    """'module.scope' of each call of ``record``, by name or attribute, in the module at ``path``; the scope is the
+    top-level function or class that holds the call, or ``<module>``."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            callee = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and record in (getattr(callee, "id", None), getattr(callee, "attr", None)):
+                found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_phase_product_builds_a_step_record():
+    assert {found for path in sorted(PACKAGE.glob("*.py")) for found in constructions(path, "PhaseStep")} == {
+        "subspace.phase_product"}
+
+
+def test_only_search_builds_a_search_result():
+    assert {found.split(".")[0] for path in sorted(PACKAGE.glob("*.py"))
+            for found in constructions(path, "SearchResult")} == {"search"}
+
+
+def test_a_record_built_by_name_or_attribute_is_a_construction(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from unimap import subspace\nfrom unimap.subspace import PhaseStep\n\n"
+                      "FIRST = PhaseStep(0.0, None)\n\n\n"
+                      "class Mapper:\n    def map(self, phi):\n        return subspace.PhaseStep(1.0, phi)\n\n\n"
+                      "def f(step: PhaseStep):\n    \"\"\"Builds no PhaseStep(theta, chi).\"\"\"\n"
+                      "    return step.PhaseStep, PhaseStep\n")
+    assert constructions(module, "PhaseStep") == ["m.<module>", "m.Mapper"]

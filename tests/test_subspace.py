@@ -56,6 +56,10 @@ def random_spec(n, d, seed, phase_correction=True):
 
 
 class TestPairRotation:
+    def test_refuses_vectors_of_different_dimensions(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+            pair_rotation(basis_state(3, 0), basis_state(4, 1))
+
     def test_same_vector_identity(self):
         a = basis_state(4, 1)
         s, theta = pair_rotation(a, a)
@@ -384,18 +388,18 @@ class TestSearchedMapper:
     def test_chi_is_adjoint_of_fiducial(self, cesium, fixed_search):
         handed_out = fixed_search(unimap.subspace)
         phi = haar_random_state(8, np.random.default_rng(13))
-        step = SearchedMapper(cesium, default_search_config(cesium)).phase_about(phi, 1.3)
+        chi, result = SearchedMapper(cesium, default_search_config(cesium)).map(phi)
         ((sys_m, handed),) = handed_out
-        assert sys_m is cesium and step.result.waveform is handed and step.theta == 1.3
+        assert sys_m is cesium and result.waveform is handed
         # the search's own step fidelity and flag, not recomputed from chi
-        assert (step.result.fidelity, step.result.converged) == (0.5, False)
-        assert np.array_equal(step.chi, apply_adjoint(cesium, handed) @ cesium.fiducial_state())
+        assert (result.fidelity, result.converged) == (0.5, False)
+        assert np.array_equal(chi, apply_adjoint(cesium, handed) @ cesium.fiducial_state())
 
     def test_factor_is_conjugated_imprint(self, cesium, fixed_search):
         handed_out = fixed_search(unimap.subspace)
         phi = haar_random_state(8, np.random.default_rng(14))
         mapper = SearchedMapper(cesium, default_search_config(cesium))
-        rep = phase_product([(phi, 1.3)], mapper, score=lambda u: 0.0)
+        rep = phase_product(8, [(phi, 1.3)], mapper, score=lambda u: 0.0)
         ((_, wave),) = handed_out
         want = apply_adjoint(cesium, wave) @ diag_phase(8, cesium.fiducial_index, 1.3) @ propagate(cesium, wave)
         assert np.abs(rep.assembled - want).max() < 1e-12

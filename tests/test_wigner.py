@@ -20,6 +20,11 @@ class TestTensorOperators:
         gram = np.array([[np.trace(a.conj().T @ b) for b in flat] for a in flat])
         assert np.abs(gram - np.eye(dim * dim)).max() < 1e-12
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_refuses_a_dimension_below_1(self, dim):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            spherical_tensor_operators(dim)
+
     def test_hermiticity_relation(self):
         tens = spherical_tensor_operators(7)
         for k in range(7):
@@ -99,9 +104,9 @@ class TestWignerGrid:
         with pytest.raises(ValueError, match="^Wigner values are not finite: state has non-finite entries$"):
             wigner_grid(state, 5, 6)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rejects_a_finite_state_whose_outer_product_overflows(self):
-        with pytest.raises(ValueError, match="^Wigner values are not finite: state has non-finite entries$"):
+        message = r"^Wigner values would overflow: state has an entry above 1e\+150 in modulus$"
+        with pytest.raises(ValueError, match=message):
             wigner_grid(np.array([1e200, 0.0, 0.0]), 5, 6)
 
     def test_rejects_non_hermitian_density_matrix(self):
