@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .cesium import CONTROL_NAMES, CesiumParams, PRESETS, build_restricted_system
-from .control import ControlSystem, propagate
+from .control import ControlSystem, check_waveform
 from .core import as_state, basis_state, trace_fidelity
 from .ec import ECConfig, ec_maps, ec_sweep, synthesize_ec_maps
 from .eigensynth import synthesize_unitary
@@ -201,16 +201,23 @@ def _step_prefix(args) -> Path:
     return Path(args.waveform_dir or Path(args.out_report).parent) / f"{Path(args.out_report).stem}-step"
 
 
-def _step_fields(args, rep) -> dict:
-    """Write the report's waveforms next to it; the per-step fields both build reports share."""
-    return {
+def _write_build(args, kind: str, score: str, rep, cfg: dict, fields: dict) -> list[str]:
+    """Write a build's step waveforms, then its ``kind`` report: ``fields``, its fidelity as ``score``, the per-step
+    fields and ``config``; print the fidelity and return the waveform paths."""
+    paths = _save_waveforms(_step_prefix(args), rep)
+    write_report(args.out_report, kind, {
+        **fields,
+        score: rep.fidelity,
         "step_fidelities": list(rep.step_fidelities),
         "step_converged": [step.result is None or step.result.converged for step in rep.steps if not step.skipped],
         "skipped_steps": list(rep.skipped_steps),
         "searches_performed": rep.searches_performed,
         "total_duration_s": float(sum(step.result.waveform.total_duration for step in rep.steps if step.result is not None)),
-        "waveform_files": _save_waveforms(_step_prefix(args), rep),
-    }
+        "waveform_files": paths,
+        "config": cfg,
+    })
+    print(f"{score.replace('_', ' ')} {rep.fidelity:.8f} searched_steps={rep.searches_performed}")
+    return paths
 
 
 def cmd_build_unitary(args) -> list[str]:
@@ -225,35 +232,19 @@ def cmd_build_unitary(args) -> list[str]:
     block_fid = None
     if not args.exact_mappers:
         block_fid = trace_fidelity(target[:d_block, :d_block], rep.assembled[:d_block, :d_block])
-    report = write_report(args.out_report, "synthesis_report", {
-        "target": label,
-        "dimension": mapper.dim,
-        "trace_fidelity": rep.fidelity,
-        "block_trace_fidelity": block_fid,
-        **_step_fields(args, rep),
-        "exact_mappers": bool(args.exact_mappers),
-        "config": cfg,
-    })
-    print(f"trace fidelity {rep.fidelity:.8f} searched_steps={rep.searches_performed}")
-    return report["waveform_files"]
+    return _write_build(args, "synthesis_report", "trace_fidelity", rep, cfg, {
+        "target": label, "dimension": mapper.dim, "block_trace_fidelity": block_fid,
+        "exact_mappers": bool(args.exact_mappers)})
 
 
 def cmd_build_subspace_map(args) -> list[str]:
     spec = load_subspace_spec(args.spec)
     mapper, cfg = _pick_mapper(args, spec.dim)
     rep = synthesize_subspace_map(spec, mapper)
-    report = write_report(args.out_report, "subspace_report", {
-        "dimension": spec.dim,
-        "subspace_size": spec.n,
-        "subspace_fidelity": rep.fidelity,
+    return _write_build(args, "subspace_report", "subspace_fidelity", rep, cfg, {
+        "dimension": spec.dim, "subspace_size": spec.n,
         "basis_errors": [float(np.linalg.norm(rep.assembled @ a - b)) for a, b in zip(spec.source, spec.target)],
-        **_step_fields(args, rep),
-        "phase_correction": spec.phase_correction,
-        "exact": bool(args.exact),
-        "config": cfg,
-    })
-    print(f"subspace fidelity {rep.fidelity:.8f} searched_steps={rep.searches_performed}")
-    return report["waveform_files"]
+        "phase_correction": spec.phase_correction, "exact": bool(args.exact)})
 
 
 def _sweep_stem(args) -> Path:
@@ -335,7 +326,7 @@ def cmd_propagate(args) -> None:
         raise ValueError("give --initial-state and --target-state together, or neither")
     sys_model = _resolve_system(args)
     w = load_waveform(args.waveform)
-    propagate(sys_model, w)  # its refusals: amplitudes out of bounds, segments too long for accurate phases
+    check_waveform(sys_model, w)
     print(f"propagator unitary on d={sys_model.dim}, {w.n_segments} segments, "
           f"{w.total_duration:.6g} s total")
     if args.target_state is not None:

@@ -4,6 +4,10 @@ A ``ControlSystem`` bundles the drift generator, the control generators
 (rad/s), per-control bounds on the dimensionless amplitudes, and the index
 of the fiducial basis state.  A ``Waveform`` is an ordered list of
 segments, each a duration in seconds plus one amplitude per control.
+``check_waveform`` is the one rule for a waveform a system plays: finite
+amplitudes inside the bounds, then segment phases within ``PHASE_LIMIT``.
+``segment_eigs``, ``propagate`` and the scorers in ``search`` call it;
+``_segment_eigs`` checks nothing, for the search loop's own trial points.
 
 Segment generators are diagonalized in one batched ``eigh``.  When the
 couplings of drift and controls form a single chain (a path graph, as in
@@ -25,12 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _eig_exp, _real_array, assert_hermitian, basis_state
+from .core import PHASE_LIMIT, _eig_exp, _real_array, assert_hermitian, basis_state
 
 AMPLITUDE_TOL = 1e-12
-#: largest |lambda tau| (rad) a segment may reach: e^{-i lambda tau} is good to about
-#: |lambda tau| 2^-52, so this keeps every segment phase within about 1e-10 rad
-PHASE_LIMIT = 4.5e5
 
 
 def _readonly(a) -> np.ndarray:
@@ -227,8 +228,9 @@ def _mirror_signs(
     return _readonly(signs)
 
 
-def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
-    """Reject waveforms whose amplitudes are non-finite or violate the system's bounds."""
+def check_waveform(sys: ControlSystem, w: Waveform) -> None:
+    """The rule for a waveform played on a system: finite amplitudes inside its bounds, then ``check_segment_phase``
+    on the longest segment."""
     if w.n_controls != sys.n_controls:
         raise ValueError(f"waveform has {w.n_controls} controls, system has {sys.n_controls}")
     amps = w.amplitudes
@@ -240,6 +242,7 @@ def check_amplitudes(sys: ControlSystem, w: Waveform) -> None:
         raise ValueError(
             f"amplitude {amps[m, k]:g} of control {k} in segment {m} violates bounds [{lo:g}, {hi:g}]"
         )
+    check_segment_phase(sys, float(w.durations.max(initial=0.0)))
 
 
 def check_segment_phase(sys: ControlSystem, duration: float) -> None:
@@ -279,11 +282,12 @@ def _chain_gauged(h: np.ndarray):
 
 def segment_eigs(sys: ControlSystem, w: Waveform):
     """Batched eigendecomposition (lam, V) of all segment generators, H_m = V_m diag(lam_m) V_m†."""
+    check_waveform(sys, w)
     return _segment_eigs(sys, w.amplitudes)
 
 
 def _segment_eigs(sys: ControlSystem, amps: np.ndarray):
-    """``segment_eigs`` of an (M, K) amplitude array, which is not checked against the bounds.
+    """``segment_eigs`` of an (M, K) amplitude array, with no ``check_waveform``.
 
     A chain-coupled system's generators are built in chain order, from the
     drift and controls gathered into it (``_generators``), and the gauge of
@@ -313,7 +317,6 @@ def _product(stack: np.ndarray) -> np.ndarray:
 
 def propagate(sys: ControlSystem, w: Waveform) -> np.ndarray:
     """Total propagator U = U_M ... U_1 of the segments U_m = exp(-i H_m tau_m), the last applied leftmost."""
-    check_amplitudes(sys, w)
-    check_segment_phase(sys, float(w.durations.max(initial=0.0)))
-    return _product(_eig_exp(*segment_eigs(sys, w), w.durations))
+    check_waveform(sys, w)
+    return _product(_eig_exp(*_segment_eigs(sys, w.amplitudes), w.durations))
 

@@ -21,6 +21,9 @@ UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 #: entries up to this modulus square to at most 1e300, so the norms and matrix products here stay within float64
 SQUARE_LIMIT = 1e150
+#: largest |lambda t| (rad) a phase e^{-i lambda t} may reach: it is good to about |lambda t| 2^-52,
+#: so this keeps every phase within about 1e-10 rad
+PHASE_LIMIT = 4.5e5
 
 
 def _refuse_deviation(value: float, tol: float, non_finite: str, deviation: str) -> None:
@@ -135,22 +138,37 @@ def assert_unitary(u) -> np.ndarray:
     return _square(u, unitarity_defect, UNITARY_TOL, "matrix is not unitary: U†U deviates from I by {:.3e}")
 
 
+def _hermitian_defect(h: np.ndarray) -> float:
+    """Max-entry modulus of H - H†: 0, with no subtraction, for an exactly Hermitian H; inf where it overflows."""
+    ht = h.conj().T
+    if (h == ht).all():
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.abs(h - ht).max())
+
+
 def assert_hermitian(h) -> np.ndarray:
     """Validate and return a Hermitian matrix."""
-    return _square(h, lambda h: float(np.abs(h - h.conj().T).max()), HERMITIAN_TOL,
-                   "matrix is not Hermitian: H - H† deviates by {:.3e}")
+    return _square(h, _hermitian_defect, HERMITIAN_TOL, "matrix is not Hermitian: H - H† deviates by {:.3e}")
 
 
 def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H, via eigendecomposition.
 
     Diagonalizing keeps the result exactly unitary up to roundoff, with no
-    step-size or squaring heuristics to tune at these dimensions.
+    step-size or squaring heuristics to tune at these dimensions.  A phase
+    max|lambda| |t| above ``PHASE_LIMIT`` would carry no digits and is refused.
     """
     h = assert_hermitian(h)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    return _eig_exp(*np.linalg.eigh(h), t)
+    lam, v = np.linalg.eigh(h)
+    # a product of Python floats overflows to inf without a numpy warning
+    phase = float(np.abs(lam).max(initial=0.0)) * abs(float(t))
+    deviation = ("phase max|lambda| |t| reaches {:.3g} rad, "
+                 f"above the {PHASE_LIMIT:g} rad that keeps it accurate to 1e-10")
+    _refuse_deviation(phase, PHASE_LIMIT, deviation.format(np.inf), deviation)
+    return _eig_exp(lam, v, t)
 
 
 def _eig_exp(lam: np.ndarray, v: np.ndarray, t) -> np.ndarray:
@@ -204,6 +222,14 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(phases=phases[order], vectors=vectors[:, order])
 
 
+def _fidelity_ceiling(fidelity: float) -> float:
+    """A fidelity of unit-norm maps, clipped to 1 for rounding; an excess above 1 beyond ``UNITARY_TOL``, which
+    rounding cannot explain, and a non-finite fidelity are refused."""
+    deviation = "fidelity exceeds 1 by {:.3e}: a map is not unitary"
+    _refuse_deviation(fidelity - 1.0, UNITARY_TOL, deviation.format(np.inf), deviation)
+    return min(fidelity, 1.0)
+
+
 def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:
     """|Tr(W†U)| / d, a global-phase-insensitive overlap of unitaries."""
     w = np.asarray(w, dtype=complex)
@@ -212,7 +238,8 @@ def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {w.shape} vs {u.shape}")
     _refuse_non_finite([w, u], "matrix has non-finite entries")
     d = w.shape[0]
-    return min(float(abs(np.trace(w.conj().T @ u)) / d), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an excess that the ceiling refuses
+        return _fidelity_ceiling(float(abs(np.trace(w.conj().T @ u)) / d))
 
 
 def haar_random_state(d: int, rng: np.random.Generator) -> np.ndarray:

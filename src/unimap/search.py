@@ -9,7 +9,8 @@ solves one damped (2d + 1) x (2d + 1) linear system for its step.
 The loop scores plain (M, K) amplitude arrays, unchecked: the seed is drawn
 inside the bounds, each trial is clipped to them, and a non-finite trial
 stops the search.  One ``Waveform`` is built per result; the public entry
-points (``objective_state_prep``, ``gradient_state_prep``) keep ``check_amplitudes``.
+points (``objective_state_prep``, ``gradient_state_prep``) refuse what
+``control.check_waveform`` refuses, segment phases included.
 Each trial point diagonalizes its M segment generators once
 (``control._segment_eigs``: built in chain order and diagonalized with a
 real ``eigh`` when the system couples its levels in a single chain, as the
@@ -56,8 +57,8 @@ from .control import (
     _mirror_signs,
     _product,
     _segment_eigs,
-    check_amplitudes,
     check_segment_phase,
+    check_waveform,
 )
 from .core import _check_counts, _eig_exp, _is_real, as_state
 
@@ -136,7 +137,7 @@ class SearchResult:
 
 def objective_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> float:
     """J = |<psi_f| U(T) |psi_i>|^2 for the waveform's propagator, at unit final-state norm (``_fidelity``)."""
-    check_amplitudes(sys, w)
+    check_waveform(sys, w)
     return _fidelity(*_forward(sys, w.durations, w.amplitudes, as_state(psi_i, sys.dim), as_state(psi_f, sys.dim))[:2])
 
 
@@ -146,7 +147,7 @@ def gradient_state_prep(sys: ControlSystem, w: Waveform, psi_i, psi_f) -> np.nda
     Entry m*K + k is the derivative with respect to amplitude k of
     segment m, matching ``Waveform.amplitudes.ravel()`` order.
     """
-    check_amplitudes(sys, w)
+    check_waveform(sys, w)
     psi_f = as_state(psi_f, sys.dim)
     overlap, _, *fwd = _forward(sys, w.durations, w.amplitudes, as_state(psi_i, sys.dim), psi_f)
     return 2 * np.real(np.conj(overlap) * _bra_derivatives(sys, w.durations, psi_f.conj()[None], *fwd)[0])

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import TWO_PI, _refuse_non_finite, as_state
+from .core import TWO_PI, _fidelity_ceiling, _refuse_non_finite, as_state
 from .search import SearchConfig, SearchResult, multi_start
 
 ORTHONORMAL_TOL = 1e-10
@@ -258,8 +258,8 @@ def subspace_fidelity(t: np.ndarray, spec: SubspaceMapSpec) -> float:
     between the mapped basis vectors, which logical encodings care about.
     """
     _refuse_non_finite(t, "matrix has non-finite entries")
-    total = sum(np.vdot(b, t @ a) for a, b in zip(spec.source, spec.target))
-    return min(float(abs(total) / spec.n), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an excess that the ceiling refuses
+        return _fidelity_ceiling(float(abs(sum(np.vdot(b, t @ a) for a, b in zip(spec.source, spec.target))) / spec.n))
 
 
 def synthesize_subspace_map(spec: SubspaceMapSpec, mapper) -> SynthesisReport:

@@ -590,7 +590,7 @@ def test_benchmark_searched_workloads_diagonalize_only_in_search(tmp_path, monke
     # every waveform a step plays is diagonalized once, by the forward pass that scored it: chi
     # comes from the propagator the search result carries, so every _segment_eigs call, read
     # through each module's globals, goes through unimap.search (37 calls on the G:3 build);
-    # control's own segment_eigs, which propagate calls, reads it as unimap.control
+    # control's own segment_eigs and propagate read it as unimap.control
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
     from unimap.control import _segment_eigs
@@ -706,6 +706,22 @@ class TestPropagateCLI:
         assert run(["propagate", "--waveform", "/nonexistent/w.csv", flag, "fiducial"]) == 2
         assert "--initial-state and --target-state together" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("states, stacks", [([], 0), (["--initial-state", "fiducial", "--target-state", "basis:0"], 1)])
+def test_propagate_diagonalizes_only_to_score(tmp_path, monkeypatch, states, stacks):
+    # the command checks the waveform by the rule alone, with no propagator: it diagonalizes the waveform only in
+    # the forward pass that scores it against the states
+    from unimap.control import _segment_eigs
+
+    built = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "unimap" and getattr(module, "_segment_eigs", None) is _segment_eigs:
+            monkeypatch.setattr(module, "_segment_eigs", lambda *a: built.append(a) or _segment_eigs(*a))
+    wave = tmp_path / "w.csv"
+    save_waveform(str(wave), Waveform(np.full(3, 1e-5), np.full((3, 5), 0.5)))
+    assert run(["propagate", "--waveform", str(wave), *states]) == 0
+    assert len(built) == stacks
 
 def test_fiducial_state_follows_system_index(two_level):
     # the two-level system's fiducial level is 0, not the last index

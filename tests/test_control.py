@@ -1,12 +1,14 @@
-"""Propagation, bounds checks, and the fiducial phase imprint as the builder forms it."""
+"""Propagation, the waveform rule, and the fiducial phase imprint as the builder forms it."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import apply_adjoint, lie_algebra_dimension
 from unimap.cesium import CesiumParams, build_restricted_system
+from unimap.cli import main
 from unimap.control import (
     AMPLITUDE_TOL,
     PHASE_LIMIT,
@@ -15,16 +17,18 @@ from unimap.control import (
     _chain_gauged,
     _generators,
     _mirror_signs,
-    check_amplitudes,
+    check_waveform,
     propagate,
     segment_eigs,
 )
 from unimap.core import _eig_exp, basis_state, mat_exp, unitarity_defect
+from unimap.io import save_waveform
+from unimap.search import gradient_state_prep, objective_state_prep
 from unimap.subspace import ExactMapper, phase_product
 
 
 def scan_message(sys, w):
-    """The per-control scan check_amplitudes used before it was vectorized."""
+    """The per-control scan the amplitude check used before it was vectorized."""
     for k, (lo, hi) in enumerate(sys.amplitude_bounds):
         col = w.amplitudes[:, k]
         bad = np.where(~np.isfinite(col) | (col < lo - AMPLITUDE_TOL) | (col > hi + AMPLITUDE_TOL))[0]
@@ -464,7 +468,7 @@ class TestWaveformValidation:
         amps = np.zeros((3, cesium.n_controls))
         amps[1, 2] = bad
         with pytest.raises(ValueError, match="control 2 in segment 1"):
-            check_amplitudes(cesium, Waveform(np.full(3, 1e-5), amps))
+            check_waveform(cesium, Waveform(np.full(3, 1e-5), amps))
 
     @pytest.mark.parametrize(
         "bad",
@@ -490,7 +494,7 @@ class TestWaveformValidation:
         w = Waveform(np.full(6, 1e-5), amps)
         expected = scan_message(cesium, w)
         with pytest.raises(ValueError) as err:
-            check_amplitudes(cesium, w)
+            check_waveform(cesium, w)
         assert str(err.value) == expected
 
     def test_both_checks_name_the_first_bad_entry_by_control(self):
@@ -506,14 +510,14 @@ class TestWaveformValidation:
         over = np.full((3, 4), 0.1)
         over[0, 3] = over[2, 1] = 1.5
         with pytest.raises(ValueError) as err:
-            check_amplitudes(sys, Waveform(durations, over))
+            check_waveform(sys, Waveform(durations, over))
         assert str(err.value) == "amplitude 1.5 of control 1 in segment 2 violates bounds [-0.2, 1]"
 
     def test_check_amplitudes_admits_tolerance(self, cesium):
         amps = np.ones((2, cesium.n_controls))
         amps[0] += 0.5 * AMPLITUDE_TOL
         amps[1] = -1 - 0.5 * AMPLITUDE_TOL
-        check_amplitudes(cesium, Waveform(np.full(2, 1e-5), amps))
+        check_waveform(cesium, Waveform(np.full(2, 1e-5), amps))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="durations"):
@@ -539,6 +543,57 @@ class TestWaveformValidation:
         with pytest.raises(ValueError, match="durations must be 1-d"):
             Waveform(np.full((4, 1), 1e-6), np.zeros((4, 5)))
 
+
+def _played_on_the_cli(sys_m, w, tmp_path, capsys):
+    """Run ``unimap propagate`` on ``w`` (the default preset, ``sys_m``), raising its error output on exit 2."""
+    path = tmp_path / "w.csv"
+    save_waveform(str(path), w)
+    code = main(["propagate", "--waveform", str(path), "--initial-state", "fiducial", "--target-state", "basis:0"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.endswith("\n")
+    raise ValueError(err[len("error: "):-1])
+
+
+#: every entry point that plays a waveform on a system, called on (system, waveform, tmp_path, capsys)
+_PLAYERS = {
+    "segment_eigs": lambda sys_m, w, *_: segment_eigs(sys_m, w),
+    "propagate": lambda sys_m, w, *_: propagate(sys_m, w),
+    "objective_state_prep": lambda sys_m, w, *_: objective_state_prep(sys_m, w, sys_m.fiducial_state(), np.eye(8)[0]),
+    "gradient_state_prep": lambda sys_m, w, *_: gradient_state_prep(sys_m, w, sys_m.fiducial_state(), np.eye(8)[0]),
+    "unimap propagate": _played_on_the_cli,
+}
+
+
+def _amplitudes(entry=None):
+    """Three segments of 0.5 on every control, with ``entry`` = (segment, control, value) put in."""
+    amps = np.full((3, 5), 0.5)
+    if entry is not None:
+        amps[entry[:2]] = entry[2]
+    return amps
+
+
+#: a waveform the default cesium system may not play -> the message ``propagate`` refuses it with
+_UNPLAYABLE = {
+    "nan amplitude": (Waveform(np.full(3, 1e-5), _amplitudes((1, 2, np.nan))),
+                      "amplitude nan of control 2 in segment 1 violates bounds [-1, 1]"),
+    "amplitude 50": (Waveform(np.full(3, 1e-5), _amplitudes((2, 4, 50.0))),
+                     "amplitude 50 of control 4 in segment 2 violates bounds [-1, 1]"),
+    "10 s segment": (Waveform([1e-5, 10.0, 1e-5], _amplitudes()),
+                     "system 'cs133-f3-aux4': generator bound 1.25664e+06 rad/s times segment duration 10 s reaches "
+                     "1.26e+07 rad, above the 450000 rad that keeps segment phases accurate to 1e-10"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNPLAYABLE))
+@pytest.mark.parametrize("player", sorted(_PLAYERS))
+def test_every_entry_point_that_plays_a_waveform_refuses_by_one_rule(cesium, tmp_path, capsys, player, case):
+    # a numpy error, an eigendecomposition or a score returned in place of the refusal fails here
+    wave, message = _UNPLAYABLE[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            _PLAYERS[player](cesium, wave, tmp_path, capsys)
+    assert str(err.value) == message
 
 def test_lie_algebra_dimension_su2():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

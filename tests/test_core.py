@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from unimap.core import (
+    PHASE_LIMIT,
     UNITARY_TOL,
     as_state,
     assert_hermitian,
@@ -344,6 +345,56 @@ def test_finite_entry_whose_square_overflows_is_refused_before_any_warning(entry
         with pytest.raises(ValueError, match=f"^{re.escape(message.format(big))}$"):
             call(big)
 
+
+_E3 = SubspaceMapSpec(source=(basis_state(3, 0),), target=(basis_state(3, 0),))
+_PHASE = "phase max|lambda| |t| reaches {} rad, above the 450000 rad that keeps it accurate to 1e-10"
+#: a finite input no rounding explains -> the message it is refused with
+_CEILING_AND_PHASE_CASES = {
+    "trace_fidelity-2I": (lambda: trace_fidelity(np.eye(3), 2 * np.eye(3)),
+                          "fidelity exceeds 1 by 1.000e+00: a map is not unitary"),
+    "trace_fidelity-1e155I": (lambda: trace_fidelity(np.eye(3), 1e155 * np.eye(3)),
+                              "fidelity exceeds 1 by 1.000e+155: a map is not unitary"),
+    "trace_fidelity-overflow": (lambda: trace_fidelity(1e200 * np.eye(3), 1e200 * np.eye(3)),
+                                "fidelity exceeds 1 by inf: a map is not unitary"),
+    "subspace_fidelity-2I": (lambda: subspace_fidelity(2 * np.eye(3), _E3),
+                             "fidelity exceeds 1 by 1.000e+00: a map is not unitary"),
+    "subspace_fidelity-overflow": (lambda: subspace_fidelity(np.full((3, 3), 1.5e308), SubspaceMapSpec(
+        source=(np.ones(3) / np.sqrt(3),), target=(basis_state(3, 0),))),
+                                   "fidelity exceeds 1 by inf: a map is not unitary"),
+    "mat_exp-1e200": (lambda: mat_exp(np.eye(2) * 1e200, 1.0), _PHASE.format("1e+200")),
+    "mat_exp-overflow": (lambda: mat_exp(np.eye(2) * 1e200, -1e200), _PHASE.format("inf")),
+    "mat_exp-past-limit": (lambda: mat_exp(np.diag([0.0, -2.0]), PHASE_LIMIT), _PHASE.format("9e+05")),
+    "assert_hermitian-overflow": (lambda: assert_hermitian(np.array([[0, 1e308], [-1e308, 0]])),
+                                  "matrix is not Hermitian: H - H† deviates by inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CEILING_AND_PHASE_CASES))
+def test_a_fidelity_above_1_a_phase_without_digits_and_an_overflowing_defect_are_refused(case):
+    call, message = _CEILING_AND_PHASE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_rounding_above_1_is_clipped_and_the_limits_admit_what_they_bound():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trace_fidelity(np.eye(3), (1 + 1e-12) * np.eye(3)) == 1.0
+        assert subspace_fidelity((1 + 1e-12) * np.eye(3), _E3) == 1.0
+        h = np.array([[0, 1e308], [1e308, 0]])
+        assert np.array_equal(assert_hermitian(h), h)
+        # at the limit the phase is kept, and is the eigendecomposition's, bit for bit
+        lam, v = np.linalg.eigh(np.diag([0.0, -1.0]))
+        assert np.array_equal(mat_exp(np.diag([0.0, -1.0]), PHASE_LIMIT),
+                              (v * np.exp(-1j * lam * PHASE_LIMIT)) @ v.conj().T)
+
+
+def test_control_reads_the_phase_limit_of_core():
+    from unimap import control
+
+    assert control.PHASE_LIMIT is PHASE_LIMIT
 
 @pytest.mark.parametrize("d", [0, 1])
 @pytest.mark.parametrize("draw", [haar_random_state, haar_random_unitary], ids=["state", "unitary"])

@@ -13,7 +13,8 @@ The same AST reading keeps each rule with one home: no module but ``core``
 refuses by hand against a ``*_TOL`` tolerance, as ``core._refuse_deviation``
 is that refusal, with its non-finite branch.  It keeps each record with one
 builder too: only ``subspace.phase_product`` builds a ``PhaseStep``, and
-only ``search`` builds a ``SearchResult``.
+only ``search`` builds a ``SearchResult``.  And it keeps one rule for a played waveform: every public function
+that takes a ``ControlSystem`` and a ``Waveform`` calls ``control.check_waveform``.
 """
 
 import ast
@@ -177,3 +178,34 @@ def test_a_record_built_by_name_or_attribute_is_a_construction(tmp_path):
                       "def f(step: PhaseStep):\n    \"\"\"Builds no PhaseStep(theta, chi).\"\"\"\n"
                       "    return step.PhaseStep, PhaseStep\n")
     assert constructions(module, "PhaseStep") == ["m.<module>", "m.Mapper"]
+
+
+def unchecked_players(path: Path) -> list[str]:
+    """'module.name' of each public top-level function in the module at ``path`` whose annotated parameters include
+    a ``ControlSystem`` and a ``Waveform`` and whose body never calls ``check_waveform``, itself excepted."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name == "check_waveform":
+            continue
+        args = node.args
+        annotated = {ast.unparse(a.annotation) for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                     if a.annotation is not None}
+        calls = {getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+                 for c in ast.walk(node) if isinstance(c, ast.Call)}
+        if {"ControlSystem", "Waveform"} <= annotated and "check_waveform" not in calls:
+            found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_public_function_that_plays_a_waveform_checks_it():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) for found in unchecked_players(path)] == []
+
+
+def test_a_player_that_skips_the_rule_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from unimap import control\nfrom unimap.control import ControlSystem, Waveform, check_waveform\n"
+                      "\n\ndef checked(sys: ControlSystem, w: Waveform):\n    control.check_waveform(sys, w)\n\n\n"
+                      "def unchecked(sys: ControlSystem, *, w: Waveform):\n    \"\"\"Skips check_waveform.\"\"\"\n\n\n"
+                      "def _private(sys: ControlSystem, w: Waveform):\n    pass\n\n\n"
+                      "def system_only(sys: ControlSystem, w):\n    pass\n")
+    assert unchecked_players(module) == ["m.unchecked"]

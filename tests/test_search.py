@@ -10,7 +10,7 @@ import pytest
 import unimap.search
 from conftest import assert_carries_its_propagator, searches_run
 from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
-from unimap.control import ControlSystem, Waveform, check_amplitudes, propagate, segment_eigs
+from unimap.control import ControlSystem, Waveform, check_waveform, propagate, segment_eigs
 from unimap.core import basis_state, haar_random_state
 from unimap.search import (
     SearchConfig,
@@ -69,7 +69,6 @@ def per_segment_gradient(sys, w, psi_i, psi_f):
 
 def reference_forward(sys, w, psi_i, psi_f):
     """The per-segment forward sweep the stacked propagators replaced."""
-    check_amplitudes(sys, w)
     lam, v = segment_eigs(sys, w)
     m = w.n_segments
     kets = np.empty((m + 1, sys.dim), dtype=complex)
@@ -791,7 +790,7 @@ class TestMultiStart:
         sys = ControlSystem(two_level.drift, two_level.controls, ((0.5, 1.0),), fiducial_index=0)
         cfg = SearchConfig(segment_count=8, segment_duration=0.5, max_iterations=20, restarts=2)
         res = multi_start(sys, basis_state(2, 0), basis_state(2, 0), cfg)
-        check_amplitudes(sys, res.waveform)
+        check_waveform(sys, res.waveform)
         assert res.restart_index in (0, 1) and res.objective_history.size == res.iterations + 1
 
 
