@@ -321,7 +321,11 @@ def cmd_verify_clifford(args) -> None:
 
 
 def cmd_propagate(args) -> None:
-    """Utility: propagate a stored waveform and report its fidelity to a target, as ``optimize-state`` scores it."""
+    """Utility: check a stored waveform on a system and, given two states, print its state-map fidelity as ``optimize-state`` scores it.
+
+    Without the states nothing is diagonalized; the first line keeps its earlier
+    wording and reports the checked waveform's dimension, segments and duration.
+    """
     if (args.initial_state is None) != (args.target_state is None):
         raise ValueError("give --initial-state and --target-state together, or neither")
     sys_model = _resolve_system(args)
