@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import _is_real, basis_state, mat_exp
+from .core import _real_number, basis_state, mat_exp
 
 DIM = 8
 FIDUCIAL_INDEX = 7
@@ -68,12 +68,7 @@ class CesiumParams:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if not _is_real(value := getattr(self, name)):
-                raise ValueError(f"cesium parameter {name} must be a number, got {value!r}")
-            try:
-                float(value)  # Python and JSON integers are unbounded
-            except OverflowError:
-                raise ValueError(f"cesium parameter {name} is an integer that overflows a float") from None
+            _real_number(getattr(self, name), f"cesium parameter {name}")
         for name in ("rf_rabi_max", "uw_rabi_max", "lightshift_max"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")

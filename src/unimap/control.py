@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import PHASE_LIMIT, _eig_exp, _real_array, assert_hermitian, basis_state
+from .core import PHASE_LIMIT, _eig_exp, _is_integer, _real_array, assert_hermitian, basis_state
 
 AMPLITUDE_TOL = 1e-12
 
@@ -122,17 +122,20 @@ class ControlSystem:
                 raise ValueError(f"bounds for control {k} are empty: [{lo}, {hi}]")
             if not -np.inf < lo < hi < np.inf:
                 raise ValueError(f"bounds for control {k} are not finite: [{lo}, {hi}]")
+        if not _is_integer(self.fiducial_index):
+            raise ValueError(f"fiducial index must be an integer, got {self.fiducial_index!r}")
         if not 0 <= self.fiducial_index < d:
             raise ValueError(f"fiducial index {self.fiducial_index} out of range for d={d}")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "amplitude_bounds", bounds)
-        coupled = np.abs(drift) + np.abs(controls).sum(axis=0)
-        object.__setattr__(self, "chain_walk", _path_walk(coupled != 0))
+        object.__setattr__(self, "chain_walk", _path_walk((drift != 0) | (controls != 0).any(axis=0)))
         # spectral norms as largest |eigenvalue|, summed in Python floats, which overflow to inf without a numpy warning
         spectra = np.linalg.eigvalsh(np.concatenate((drift[None], controls)))
         norms = np.maximum(-spectra[:, 0], spectra[:, -1]).tolist()
         bound = norms[0] + sum(n * max(abs(lo), abs(hi)) for n, (lo, hi) in zip(norms[1:], pairs))
+        if not np.isfinite(bound):
+            raise ValueError(f"system {self.name!r}: generator bound ||H0|| + sum_k ||H_k|| max|u_k| overflows float64")
         object.__setattr__(self, "generator_bound", bound)
         speeds = np.ptp(spectra[1:], axis=-1) / 2
         object.__setattr__(self, "control_speeds", _readonly(np.where(speeds > 0, speeds, 1.0)))
@@ -162,10 +165,10 @@ class Waveform:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        durations = _readonly(np.asarray(self.durations, dtype=float))
+        durations = _readonly(_real_array(self.durations))
         if durations.ndim != 1:
             raise ValueError(f"durations must be 1-d (one per segment), got {durations.ndim}-d")
-        amplitudes = np.asarray(self.amplitudes, dtype=float)
+        amplitudes = _real_array(self.amplitudes)
         if amplitudes.ndim != 2:
             raise ValueError(f"amplitudes must be 2-d (segments x controls), got {amplitudes.ndim}-d")
         if amplitudes.shape[0] != durations.size:

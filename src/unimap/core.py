@@ -3,7 +3,10 @@
 States are unit-norm complex vectors, unitaries and Hermitian generators
 are square complex ndarrays.  Everything here is a pure function; random
 sampling takes an explicit ``numpy.random.Generator`` so results are
-reproducible and streams are caller-owned.
+reproducible and streams are caller-owned.  The shared refusal rules live
+here, and so does the package's overflow handling (``np.errstate``): a
+fidelity scores only maps that no vector grows under (``_contraction``),
+so its score is 1 only for maps that agree.
 """
 
 from __future__ import annotations
@@ -64,10 +67,30 @@ def _is_real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer: ``_is_real`` and ``Integral``, so neither a bool nor a float of integral value."""
+    return _is_real(x) and isinstance(x, Integral)
+
+
+def _real_number(value, name: str) -> float:
+    """``value`` as a float, refusing one that is not ``_is_real``, or an integer too large for a float (Python and
+    JSON integers are unbounded), with a message that starts with ``name``."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer that overflows a float") from None
+
+
 def _real_array(values) -> np.ndarray:
     """``np.asarray(values, dtype=float)``, whose own errors propagate, refusing as TypeError an entry that is not
-    ``_is_real`` but that the conversion reads as a number: None as nan, a bool as 0 or 1, a numeric string."""
-    arr = np.asarray(values, dtype=float)
+    ``_is_real`` but that the conversion reads as a number: None as nan, a bool as 0 or 1, a numeric string; and as
+    ValueError an integer too large for a float."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError("an entry is an integer that overflows a float") from None
     entries = np.asarray(values, dtype=object).ravel().tolist()
     # _is_real depends on the type alone, and costs about 0.5 µs a call: check one entry per type
     if not all(map(_is_real, {type(x): x for x in entries}.values())):
@@ -79,7 +102,7 @@ def _check_counts(record, **lows: int) -> None:
     """Refuse a field of ``record`` that is not an integer at or above its lower bound, naming the field."""
     for name, low in lows.items():
         value = getattr(record, name)
-        if not (_is_real(value) and isinstance(value, Integral) and value >= low):
+        if not (_is_integer(value) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -104,7 +127,9 @@ def as_state(psi, d: int | None = None) -> np.ndarray:
 
 
 def basis_state(d: int, index: int) -> np.ndarray:
-    """Standard basis vector |index> in dimension d."""
+    """Standard basis vector |index> in dimension d; a bool index, which numpy reads as a mask, is refused."""
+    if not _is_integer(index):
+        raise ValueError(f"basis index must be an integer, got {index!r}")
     if not 0 <= index < d:
         raise ValueError(f"basis index {index} out of range for dimension {d}")
     v = np.zeros(d, dtype=complex)
@@ -219,24 +244,22 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(phases=phases[order], vectors=vectors[:, order])
 
 
-def _fidelity_ceiling(fidelity: float) -> float:
-    """A fidelity of unit-norm maps, clipped to 1 for rounding; an excess above 1 beyond ``UNITARY_TOL``, which
-    rounding cannot explain, and a non-finite fidelity are refused."""
-    deviation = "fidelity exceeds 1 by {:.3e}: a map is not unitary"
-    _refuse_deviation(fidelity - 1.0, UNITARY_TOL, deviation.format(np.inf), deviation)
-    return min(fidelity, 1.0)
+def _contraction(m) -> np.ndarray:
+    """``m`` as a complex matrix under which no vector grows: finite, with its largest singular value (inf where
+    it overflows, with no numpy warning) within 1 + ``UNITARY_TOL``.  A unitary passes, and any block of one."""
+    m = np.asarray(m, dtype=complex)
+    _refuse_non_finite(m, "matrix has non-finite entries")
+    deviation = "matrix is not a contraction: its largest singular value exceeds 1 by {:.3e}"
+    _refuse_deviation(np.linalg.svd(m, compute_uv=False).max() - 1, UNITARY_TOL, deviation.format(np.inf), deviation)
+    return m
 
 
 def trace_fidelity(w: np.ndarray, u: np.ndarray) -> float:
-    """|Tr(W†U)| / d, a global-phase-insensitive overlap of unitaries."""
-    w = np.asarray(w, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if w.shape != u.shape:
-        raise ValueError(f"dimension mismatch: {w.shape} vs {u.shape}")
-    _refuse_non_finite([w, u], "matrix has non-finite entries")
-    d = w.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an excess that the ceiling refuses
-        return _fidelity_ceiling(float(abs(np.trace(w.conj().T @ u)) / d))
+    """|Tr(W†U)| / d of two ``_contraction``s, clipped at 1 for rounding: a global-phase-insensitive overlap."""
+    if np.shape(w) != np.shape(u):
+        raise ValueError(f"dimension mismatch: {np.shape(w)} vs {np.shape(u)}")
+    w, u = _contraction(w), _contraction(u)
+    return min(float(abs(np.trace(w.conj().T @ u)) / w.shape[0]), 1.0)
 
 
 def haar_random_state(d: int, rng: np.random.Generator) -> np.ndarray:

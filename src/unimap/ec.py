@@ -33,7 +33,8 @@ import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_states
 from .control import ControlSystem
-from .core import STATE_NORM_TOL, _check_counts, _is_real, _norm, _refuse_deviation, _refuse_non_finite
+from .core import (STATE_NORM_TOL, _check_counts, _norm, _real_array, _real_number, _refuse_deviation,
+                   _refuse_non_finite, assert_unitary)
 from .search import SearchConfig, SearchResult, add_symmetry
 from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
@@ -82,7 +83,8 @@ def run_ec_trials(qubits, epsilon, maps):
     same arithmetic as a grid of them.  The QND measurement of F splits the
     state into its F=3 part, decoded as it stands, and its F=4 part,
     recovered and then decoded; the expected corrected fidelity is the sum
-    of the two branches' |<psi|K_o|psi>|^2, with no renormalization.
+    of the two branches' |<psi|K_o|psi>|^2, with no renormalization, so the
+    three ``maps`` (encode, extract, recover) must pass ``assert_unitary``.
     Returns the arrays (expected corrected fidelity, uncorrected fidelity,
     P(F=4)), of shape (n,) for one angle and (E, n) for a sequence.  The
     uncorrected curve keeps the qubit in the physical stretched pair,
@@ -91,8 +93,10 @@ def run_ec_trials(qubits, epsilon, maps):
     q = np.asarray(qubits, dtype=complex)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError(f"need qubits of shape (n, 2), got {q.shape}")
-    _refuse_norms(q, "qubit states must be finite with unit norm")
-    eps = np.asarray(epsilon, dtype=float)
+    refusal = "qubit states must be finite with unit norm"
+    _refuse_non_finite(q, refusal)
+    _refuse_deviation(np.abs(_norm(q, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, refusal, refusal)
+    eps = _real_array(epsilon)
     if eps.ndim > 1 or not np.all(np.abs(eps) <= EPS_LIMIT):
         raise ValueError(f"epsilon must be one finite angle or a sequence of them, none above {EPS_LIMIT:.6g} in size")
     # the diagonal of the dephasing unitary exp(-2 i eps Fz), one row per angle
@@ -100,19 +104,12 @@ def run_ec_trials(qubits, epsilon, maps):
     psi0 = q @ np.array([sim_z_state(4), sim_z_state(3)])
     uncorrected = _overlap_fidelity(psi0, psi0 * phases)
 
-    encode, extract, recover = maps
+    encode, extract, recover = (assert_unitary(m) for m in maps)
     psi = ((psi0 @ encode.T) * phases) @ extract.T
-    _refuse_norms(psi, "protocol maps do not preserve the state norm")
     in_f4 = np.arange(SIM_DIM) >= IDX_44Z
     f3, f4 = np.where(in_f4, 0.0, psi), np.where(in_f4, psi, 0.0)
     corrected = _overlap_fidelity(psi0, f3 @ encode.conj(), f4 @ recover.T @ encode.conj())
     return corrected, uncorrected, np.sum(np.abs(f4) ** 2, axis=-1)
-
-
-def _refuse_norms(states: np.ndarray, message: str) -> None:
-    """Refuse with ``message`` unless every row of ``states`` has unit norm; zero rows pass."""
-    _refuse_non_finite(states, message)
-    _refuse_deviation(np.abs(_norm(states, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, message, message)
 
 
 def _overlap_fidelity(psi0: np.ndarray, *finals: np.ndarray) -> np.ndarray:
@@ -143,10 +140,7 @@ class ECConfig:
     def __post_init__(self):
         if np.asarray(self.epsilon_grid, dtype=object).ndim != 1:
             raise ValueError(f"epsilon_grid must be one sequence of angles, got {self.epsilon_grid!r}")
-        odd = [e for e in self.epsilon_grid if not _is_real(e)]
-        if odd:
-            raise ValueError(f"epsilon_grid must hold numbers, got {odd[0]!r}")
-        grid = tuple(float(e) for e in self.epsilon_grid)
+        grid = tuple(_real_number(e, "epsilon_grid angle") for e in self.epsilon_grid)
         if not grid or not all(np.isfinite(grid)):
             raise ValueError("epsilon_grid must be non-empty and finite")
         huge = [e for e in grid if not abs(e) <= EPS_LIMIT]

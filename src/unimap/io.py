@@ -111,7 +111,7 @@ def pairs_to_complex(data, what: str = "vector", matrix: bool = False) -> np.nda
     """Complex values from a list of [re, im] pairs or, with ``matrix``, from a d x d matrix of them."""
     try:
         arr = _real_array(data)
-    except (TypeError, ValueError, OverflowError):  # an object, null, bool, string, ragged row or huge integer
+    except (TypeError, ValueError):  # an object, null, bool, string, ragged row or huge integer
         arr = np.empty(0)
     if arr.ndim != (3 if matrix else 2) or arr.shape[-1] != 2 or (matrix and arr.shape[0] != arr.shape[1]):
         raise ValueError(f"{what} must be a {'d x d matrix' if matrix else 'list'} of [re, im] pairs")

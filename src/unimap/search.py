@@ -60,7 +60,7 @@ from .control import (
     check_segment_phase,
     check_waveform,
 )
-from .core import _check_counts, _eig_exp, _is_real, as_state
+from .core import _check_counts, _eig_exp, _real_number, as_state
 
 GRAD_NORM_STOP = 1e-9
 #: the Levenberg–Marquardt damping mu starts at MU_START times the largest diagonal entry of
@@ -92,8 +92,7 @@ class SearchConfig:
     def __post_init__(self):
         _check_counts(self, segment_count=1, max_iterations=0, seed=0, restarts=1)
         for name in ("segment_duration", "fidelity_goal"):
-            if not _is_real(value := getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            _real_number(getattr(self, name), name)
         if not 0 < self.segment_duration < math.inf:
             raise ValueError("segment_duration must be finite and > 0")
         if not 0 < self.fidelity_goal <= 1:

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import TWO_PI, _fidelity_ceiling, _refuse_non_finite, as_state
+from .core import TWO_PI, _contraction, as_state
 from .search import SearchConfig, SearchResult, multi_start
 
 ORTHONORMAL_TOL = 1e-10
@@ -256,10 +256,11 @@ def subspace_fidelity(t: np.ndarray, spec: SubspaceMapSpec) -> float:
 
     Insensitive to one global phase but penalizes relative phase errors
     between the mapped basis vectors, which logical encodings care about.
+    T must be a ``core._contraction``, so the fidelity is 1 only where T maps
+    each a_i to b_i under one phase; an excess above 1 is rounding, clipped.
     """
-    _refuse_non_finite(t, "matrix has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an excess that the ceiling refuses
-        return _fidelity_ceiling(float(abs(sum(np.vdot(b, t @ a) for a, b in zip(spec.source, spec.target))) / spec.n))
+    t = _contraction(t)
+    return min(float(abs(sum(np.vdot(b, t @ a) for a, b in zip(spec.source, spec.target))) / spec.n), 1.0)
 
 
 def synthesize_subspace_map(spec: SubspaceMapSpec, mapper) -> SynthesisReport:

@@ -223,6 +223,23 @@ def test_refuses_a_fiducial_index_out_of_range(cesium, index):
         ControlSystem(cesium.drift, cesium.controls, cesium.amplitude_bounds, index)
 
 
+@pytest.mark.parametrize("controls, bound", [
+    # |Fx| + |Fy| at 6e307 rad/s overflows float64, so the coupled levels must be found with no sum of moduli
+    (lambda ops: [6e307 * ops.fx, 6e307 * ops.fy], 1.0),
+    # finite generators whose norm times the amplitude bound overflows
+    (lambda ops: [5e307 * ops.fz], 2.0),
+], ids=["two-rf-controls", "amplitude-bound"])
+def test_refuses_a_generator_bound_that_overflows(controls, bound):
+    from unimap.cesium import spin_operators
+
+    gens = controls(spin_operators(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "system 'huge': generator bound ||H0|| + sum_k ||H_k|| max|u_k| overflows float64")):
+            ControlSystem(np.zeros((7, 7)), gens, [(-bound, bound)] * len(gens), 0, name="huge")
+
+
 @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 2e3])
 def test_segment_propagators_match_mat_exp(detuning):
     sys_m = build_restricted_system(CesiumParams(rf_detuning=detuning))

@@ -21,9 +21,11 @@ from unimap.core import (
     trace_fidelity,
     unitarity_defect,
 )
-from unimap.ec import ec_maps, run_ec_trials
+from unimap.control import ControlSystem, Waveform
+from unimap.ec import ECConfig, ec_maps, run_ec_trials
 from unimap.eigensynth import plan_unitary
 from unimap.gates import gate_from_name, pauli_Z
+from unimap.search import SearchConfig
 from unimap.subspace import SubspaceMapSpec, subspace_fidelity
 from unimap.wigner import extract_block, multipole_components, wigner_grid
 
@@ -348,19 +350,25 @@ def test_finite_entry_whose_square_overflows_is_refused_before_any_warning(entry
 
 _E3 = SubspaceMapSpec(source=(basis_state(3, 0),), target=(basis_state(3, 0),))
 _PHASE = "phase max|lambda| |t| reaches {} rad, above the 450000 rad that keeps it accurate to 1e-10"
-#: a finite input no rounding explains -> the message it is refused with
+_E3_PAIR = SubspaceMapSpec(source=(basis_state(3, 0), basis_state(3, 1)), target=(basis_state(3, 0), basis_state(3, 1)))
+_GROWS = "matrix is not a contraction: its largest singular value exceeds 1 by {}"
+#: a finite input no rounding explains -> the message it is refused with; a fidelity's maps are refused before
+#: they are scored, so a map that would score above 1, overflow the score, or score 1 by an excess and a deficit
+#: that cancel, names its largest singular value
 _CEILING_AND_PHASE_CASES = {
-    "trace_fidelity-2I": (lambda: trace_fidelity(np.eye(3), 2 * np.eye(3)),
-                          "fidelity exceeds 1 by 1.000e+00: a map is not unitary"),
-    "trace_fidelity-1e155I": (lambda: trace_fidelity(np.eye(3), 1e155 * np.eye(3)),
-                              "fidelity exceeds 1 by 1.000e+155: a map is not unitary"),
+    "trace_fidelity-cancelling-W": (lambda: trace_fidelity(np.diag([2.0, 0.0, 1.0]), np.eye(3)),
+                                    _GROWS.format("1.000e+00")),
+    "trace_fidelity-cancelling-U": (lambda: trace_fidelity(np.eye(3), np.diag([2.0, 0.0, 1.0])),
+                                    _GROWS.format("1.000e+00")),
+    "subspace_fidelity-cancelling": (lambda: subspace_fidelity(np.diag([1.5, 0.5, 1.0]), _E3_PAIR),
+                                     _GROWS.format("5.000e-01")),
+    "trace_fidelity-2I": (lambda: trace_fidelity(np.eye(3), 2 * np.eye(3)), _GROWS.format("1.000e+00")),
+    "trace_fidelity-1e155I": (lambda: trace_fidelity(np.eye(3), 1e155 * np.eye(3)), _GROWS.format("1.000e+155")),
     "trace_fidelity-overflow": (lambda: trace_fidelity(1e200 * np.eye(3), 1e200 * np.eye(3)),
-                                "fidelity exceeds 1 by inf: a map is not unitary"),
-    "subspace_fidelity-2I": (lambda: subspace_fidelity(2 * np.eye(3), _E3),
-                             "fidelity exceeds 1 by 1.000e+00: a map is not unitary"),
+                                _GROWS.format("1.000e+200")),
+    "subspace_fidelity-2I": (lambda: subspace_fidelity(2 * np.eye(3), _E3), _GROWS.format("1.000e+00")),
     "subspace_fidelity-overflow": (lambda: subspace_fidelity(np.full((3, 3), 1.5e308), SubspaceMapSpec(
-        source=(np.ones(3) / np.sqrt(3),), target=(basis_state(3, 0),))),
-                                   "fidelity exceeds 1 by inf: a map is not unitary"),
+        source=(np.ones(3) / np.sqrt(3),), target=(basis_state(3, 0),))), _GROWS.format("inf")),
     "mat_exp-1e200": (lambda: mat_exp(np.eye(2) * 1e200, 1.0), _PHASE.format("1e+200")),
     "mat_exp-overflow": (lambda: mat_exp(np.eye(2) * 1e200, -1e200), _PHASE.format("inf")),
     "mat_exp-past-limit": (lambda: mat_exp(np.diag([0.0, -2.0]), PHASE_LIMIT), _PHASE.format("9e+05")),
@@ -376,6 +384,16 @@ def test_a_fidelity_above_1_a_phase_without_digits_and_an_overflowing_defect_are
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+
+def test_a_block_of_a_unitary_still_scores():
+    # a block of a unitary is a contraction, as ``cli``'s block trace fidelity needs
+    u = haar_random_unitary(8, np.random.default_rng(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trace_fidelity(u[:3, :3], u[:3, :3]) == abs(np.trace(u[:3, :3].conj().T @ u[:3, :3])) / 3
+        assert trace_fidelity(np.eye(3), np.diag([1.0, 1.0, 0.0])) == pytest.approx(2 / 3, abs=1e-15)
+        assert subspace_fidelity(np.diag([1.0, 1.0, 0.0]), _E3_PAIR) == 1.0
 
 
 def test_rounding_above_1_is_clipped_and_the_limits_admit_what_they_bound():
@@ -395,6 +413,49 @@ def test_control_reads_the_phase_limit_of_core():
     from unimap import control
 
     assert control.PHASE_LIMIT is PHASE_LIMIT
+
+
+_QUBIT = np.array([[1.0, 0.0]])
+_SPIN_HALF = (np.zeros((2, 2)), (np.diag([0.5, -0.5]),), ((-1.0, 1.0),))
+_HUGE_ENTRY = "an entry is an integer that overflows a float"
+#: a number that is not one, or an integer too large for a float -> (call, the error it raises, its message)
+_NUMBER_CASES = {
+    "SearchConfig-huge": (lambda: SearchConfig(3, segment_duration=10**400), ValueError,
+                          "segment_duration is an integer that overflows a float"),
+    "ECConfig-huge": (lambda: ECConfig(epsilon_grid=(10**400,)), ValueError,
+                      "epsilon_grid angle is an integer that overflows a float"),
+    "Waveform-huge": (lambda: Waveform([10**400], [[0.0]]), ValueError, _HUGE_ENTRY),
+    "run_ec_trials-huge": (lambda: run_ec_trials(_QUBIT, 10**400, ec_maps()), ValueError, _HUGE_ENTRY),
+    "ControlSystem-huge-bound": (lambda: ControlSystem(*_SPIN_HALF[:2], ((-10**400, 1),), 0), ValueError,
+                                 f"one (lower, upper) bounds pair per control is required: got {((-10**400, 1),)!r} "
+                                 f"for 1 controls, which are not numbers ({_HUGE_ENTRY})"),
+    "Waveform-bool": (lambda: Waveform([True], [[0.0]]), TypeError, "True is not a real number"),
+    "Waveform-string": (lambda: Waveform(["1e-6"], [[0.0]]), TypeError, "'1e-6' is not a real number"),
+    "run_ec_trials-bool": (lambda: run_ec_trials(_QUBIT, True, ec_maps()), TypeError, "True is not a real number"),
+    "run_ec_trials-string": (lambda: run_ec_trials(_QUBIT, "0.1", ec_maps()), TypeError, "'0.1' is not a real number"),
+    "basis_state-bool": (lambda: basis_state(3, True), ValueError, "basis index must be an integer, got True"),
+    "basis_state-float": (lambda: basis_state(3, 1.0), ValueError, "basis index must be an integer, got 1.0"),
+    "ControlSystem-bool-index": (lambda: ControlSystem(*_SPIN_HALF, True), ValueError,
+                                 "fiducial index must be an integer, got True"),
+    "ControlSystem-float-index": (lambda: ControlSystem(*_SPIN_HALF, 1.0), ValueError,
+                                  "fiducial index must be an integer, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NUMBER_CASES))
+def test_a_number_that_is_not_one_or_overflows_a_float_is_refused(case):
+    # a bool index read as a mask, a number read from a string, or an OverflowError from the conversion fails here
+    call, error, message = _NUMBER_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_an_integer_index_of_numpy_s_type_is_an_index():
+    assert basis_state(3, np.int64(1)).tolist() == [0, 1, 0]
+    assert ControlSystem(*_SPIN_HALF, np.int64(1)).fiducial_state().tolist() == [0, 1]
+
 
 @pytest.mark.parametrize("d", [0, 1])
 @pytest.mark.parametrize("draw", [haar_random_state, haar_random_unitary], ids=["state", "unitary"])

@@ -311,7 +311,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("bad", ["0.1", True, None])
     def test_config_refuses_an_angle_that_is_not_a_number(self, bad):
-        with pytest.raises(ValueError, match=rf"^epsilon_grid must hold numbers, got {bad!r}$"):
+        with pytest.raises(ValueError, match=rf"^epsilon_grid angle must be a number, got {bad!r}$"):
             ECConfig(epsilon_grid=(0.1, bad))
 
     @pytest.mark.parametrize("bad", [0.1, "0.1", ((0.1, 0.2),)])
@@ -479,13 +479,20 @@ class TestBatchedTrials:
             run_ec_trials(good, [[0.1, 0.2]], ideal_maps)
         with pytest.raises(ValueError, match="none above 2.24712e\\+307 in size"):
             run_ec_trials(good, (0.1, -1e308), ideal_maps)
-        with pytest.raises(ValueError, match="^protocol maps do not preserve the state norm$"):
+        with pytest.raises(ValueError, match="^matrix is not unitary: U†U deviates from I by 3.000e\\+00$"):
             run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps))
-        with pytest.raises(ValueError, match="^protocol maps do not preserve the state norm$"):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             run_ec_trials(good, 0.1, tuple(np.full_like(m, np.nan) for m in ideal_maps))
+        # a recovery map acts on no state whose norm is checked: times 2 it would score a corrected fidelity of 1
+        # for every Bloch-axis state at eps = 0.3, and times 0 a fidelity of 0.58
+        encode, extract, recover = ideal_maps
+        for factor, defect in ((2, "3.000e+00"), (0, "1.000e+00")):
+            message = f"matrix is not unitary: U†U deviates from I by {defect}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_ec_trials(np.array(BLOCH_AXIS_STATES), 0.3, (encode, extract, factor * recover))
 
     def test_zero_qubit_rows_pass(self, ideal_maps):
-        # no row to check is no row out of norm, for the qubits and for the protocol's output
+        # no qubit row to check is no row out of norm
         for epsilon, shape in ((0.1, (0,)), ((0.1, 0.2), (2, 0)), ((), (0, 0))):
             assert [r.shape for r in run_ec_trials(np.zeros((0, 2)), epsilon, ideal_maps)] == [shape] * 3
 

@@ -14,7 +14,8 @@ refuses by hand against a ``*_TOL`` tolerance, as ``core._refuse_deviation``
 is that refusal, with its non-finite branch.  It keeps each record with one
 builder too: only ``subspace.phase_product`` builds a ``PhaseStep``, and
 only ``search`` builds a ``SearchResult``.  And it keeps one rule for a played waveform: every public function
-that takes a ``ControlSystem`` and a ``Waveform`` calls ``control.check_waveform``.
+that takes a ``ControlSystem`` and a ``Waveform`` calls ``control.check_waveform``.  Overflow handling keeps one
+home as well: no module but ``core`` enters ``np.errstate``.
 """
 
 import ast
@@ -209,3 +210,26 @@ def test_a_player_that_skips_the_rule_is_found(tmp_path):
                       "def _private(sys: ControlSystem, w: Waveform):\n    pass\n\n\n"
                       "def system_only(sys: ControlSystem, w):\n    pass\n")
     assert unchecked_players(module) == ["m.unchecked"]
+
+
+def errstate_entries(path: Path) -> list[str]:
+    """'module:line' of each call of ``errstate``, by name or attribute, in the module at ``path``, in line order:
+    each ``with`` or decorator that enters numpy's error state."""
+    calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)]
+    return [f"{path.stem}:{line}" for line in sorted(
+        c.lineno for c in calls if "errstate" in (getattr(c.func, "id", None), getattr(c.func, "attr", None)))]
+
+
+def test_only_core_enters_a_numpy_error_state():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"
+            for found in errstate_entries(path)] == []
+
+
+def test_an_error_state_entered_by_name_attribute_or_decorator_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\nfrom numpy import errstate\n\n\n"
+                      "def f(x):\n    with np.errstate(over='ignore'):\n        y = x * x\n"
+                      "    with open('f'), errstate(invalid='ignore'):\n        return y\n\n\n"
+                      "@np.errstate(all='ignore')\ndef g(x):\n    \"\"\"Enters no np.errstate(over).\"\"\"\n"
+                      "    return np.errstate, x\n")
+    assert errstate_entries(module) == ["m:6", "m:8", "m:12"]
