@@ -112,8 +112,7 @@ class ControlSystem:
             rows = sorted({np.shape(row) for row in self.amplitude_bounds})
             if len(rows) > 1:
                 raise ValueError(f"{rule}: the rows are ragged, with shapes {rows} for {len(controls)} controls") from None
-            given = f"got {self.amplitude_bounds!r} for {len(controls)} controls"
-            raise ValueError(f"{rule}: {given}, which are not numbers ({err})") from None
+            raise ValueError(f"{rule} for {len(controls)} controls: {err}") from None
         if bounds.shape != (len(controls), 2):
             raise ValueError(f"{rule}: got shape {bounds.shape} for {len(controls)} controls")
         pairs = bounds.tolist()

@@ -4,7 +4,10 @@ States are unit-norm complex vectors, unitaries and Hermitian generators
 are square complex ndarrays.  Everything here is a pure function; random
 sampling takes an explicit ``numpy.random.Generator`` so results are
 reproducible and streams are caller-owned.  The shared refusal rules live
-here, and so does the package's overflow handling (``np.errstate``): a
+here.  A state is a unit vector, so each entry point that takes one
+refuses an entry above ``SQUARE_LIMIT`` at the door (``_refuse_non_finite``)
+and then takes a plain ``np.linalg.norm``; the package's one overflow that
+numpy is told to ignore (``np.errstate``) is the Hermitian defect's.  A
 fidelity scores only maps that no vector grows under (``_contraction``),
 so its score is 1 only for maps that agree.
 """
@@ -27,6 +30,10 @@ SQUARE_LIMIT = 1e150
 #: largest |lambda t| (rad) a phase e^{-i lambda t} may reach: it is good to about |lambda t| 2^-52,
 #: so this keeps every phase within about 1e-10 rad
 PHASE_LIMIT = 4.5e5
+#: largest dimension of a gate, map or random draw: a dense complex d x d matrix is then 16 MiB, so the few dozen
+#: that a build or a Clifford check holds at once fit in a small machine's memory (at d = 100000 one alone is
+#: 149 GiB); the paper's maps act on at most the 16 hyperfine ground levels of cesium
+DIM_LIMIT = 1024
 
 
 def _refuse_deviation(value: float, tol: float, non_finite: str, deviation: str) -> None:
@@ -36,30 +43,19 @@ def _refuse_deviation(value: float, tol: float, non_finite: str, deviation: str)
         raise ValueError(non_finite if not np.isfinite(value) else deviation.format(value))
 
 
-def _refuse_non_finite(values, message: str) -> None:
-    """Raise ValueError(message) if values has a NaN or infinite entry, before any arithmetic can warn on it."""
+def _refuse_non_finite(values, message: str, oversized: str | None = None) -> None:
+    """Raise ValueError(message) if values has a NaN or infinite entry, before any arithmetic can warn on it; given
+    ``oversized``, raise that for an entry above ``SQUARE_LIMIT``, which no state, a unit vector, can have."""
     if not np.isfinite(values).all():
         raise ValueError(message)
+    if oversized is not None and _peak(values) > SQUARE_LIMIT:
+        raise ValueError(oversized)
 
 
 def _peak(values) -> float:
     """The largest modulus of the real and imaginary parts of ``values``: NaN or inf for a non-finite entry."""
     values = np.asarray(values)
     return max(np.abs(values.real).max(initial=0.0), np.abs(values.imag).max(initial=0.0))
-
-
-def _norm(values, axis=None):
-    """``np.linalg.norm(values, axis=axis)`` of finite values, with no overflow warning.
-
-    Where an entry above ``SQUARE_LIMIT`` could overflow the sum of squares,
-    the norm is taken of the values divided by their ``_peak`` and scaled
-    back: inf only when a norm itself overflows.
-    """
-    peak = _peak(values)
-    if not peak > SQUARE_LIMIT:
-        return np.linalg.norm(values, axis=axis)
-    with np.errstate(over="ignore"):
-        return peak * np.linalg.norm(np.asarray(values) / peak, axis=axis)
 
 
 def _is_real(x) -> bool:
@@ -107,9 +103,11 @@ def _check_counts(record, **lows: int) -> None:
 
 
 def _check_dim(d: int) -> int:
-    """d as an int, refusing a dimension below 2."""
+    """d as an int, refusing a dimension below 2 or above ``DIM_LIMIT`` before anything is allocated."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    if d > DIM_LIMIT:
+        raise ValueError(f"dimension must be <= {DIM_LIMIT}, got {d}")
     return int(d)
 
 
@@ -120,9 +118,9 @@ def as_state(psi, d: int | None = None) -> np.ndarray:
         raise ValueError(f"state dimension must be >= 2, got {v.size}")
     if d is not None and v.size != d:
         raise ValueError(f"state has dimension {v.size}, expected {d}")
-    _refuse_non_finite(v, "state has non-finite entries")
+    _refuse_non_finite(v, "state has non-finite entries", f"state has an entry above {SQUARE_LIMIT:g} in modulus")
     deviation = "state norm deviates from 1 by {:.3e}"
-    _refuse_deviation(abs(_norm(v) - 1.0), STATE_NORM_TOL, deviation.format(np.inf), deviation)
+    _refuse_deviation(abs(np.linalg.norm(v) - 1.0), STATE_NORM_TOL, deviation.format(np.inf), deviation)
     return v
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_states
 from .control import ControlSystem
-from .core import (STATE_NORM_TOL, _check_counts, _norm, _real_array, _real_number, _refuse_deviation,
+from .core import (STATE_NORM_TOL, _check_counts, _real_array, _real_number, _refuse_deviation,
                    _refuse_non_finite, assert_unitary)
 from .search import SearchConfig, SearchResult, add_symmetry
 from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
@@ -94,8 +94,8 @@ def run_ec_trials(qubits, epsilon, maps):
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError(f"need qubits of shape (n, 2), got {q.shape}")
     refusal = "qubit states must be finite with unit norm"
-    _refuse_non_finite(q, refusal)
-    _refuse_deviation(np.abs(_norm(q, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, refusal, refusal)
+    _refuse_non_finite(q, refusal, refusal)
+    _refuse_deviation(np.abs(np.linalg.norm(q, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, refusal, refusal)
     eps = _real_array(epsilon)
     if eps.ndim > 1 or not np.all(np.abs(eps) <= EPS_LIMIT):
         raise ValueError(f"epsilon must be one finite angle or a sequence of them, none above {EPS_LIMIT:.6g} in size")

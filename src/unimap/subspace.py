@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import TWO_PI, _contraction, as_state
+from .core import TWO_PI, _check_dim, _contraction, as_state
 from .search import SearchConfig, SearchResult, multi_start
 
 ORTHONORMAL_TOL = 1e-10
@@ -48,7 +48,7 @@ class SubspaceMapSpec:
         target = tuple(as_state(b) for b in self.target)
         if not source or len(source) != len(target):
             raise ValueError("source and target must be non-empty bases of equal size")
-        d = source[0].size
+        d = _check_dim(source[0].size)
         if len(source) > d:
             raise ValueError(f"basis size {len(source)} exceeds dimension {d}")
         for basis, label in ((source, "source"), (target, "target")):

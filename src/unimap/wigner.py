@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import spin_operators
-from .core import SQUARE_LIMIT, _norm, _peak, _refuse_deviation, _refuse_non_finite
+from .core import SQUARE_LIMIT, _refuse_deviation, _refuse_non_finite
 
 REALITY_TOL = 1e-10
 #: norm a state may have outside the spin block extract_block slices out
@@ -110,9 +110,8 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid must have at least 2 points per axis")
     non_finite = "Wigner values are not finite: state has non-finite entries"
-    _refuse_non_finite(arr, non_finite)
-    if arr.ndim == 1 and _peak(arr) > SQUARE_LIMIT:
-        raise ValueError(f"Wigner values would overflow: state has an entry above {SQUARE_LIMIT:g} in modulus")
+    oversized = f"Wigner values would overflow: state has an entry above {SQUARE_LIMIT:g} in modulus"
+    _refuse_non_finite(arr, non_finite, oversized if arr.ndim == 1 else None)
     rho = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
     dim = rho.shape[0]
     thetas = np.linspace(0.0, np.pi, n_theta)
@@ -137,9 +136,10 @@ def extract_block(state, start: int, size: int) -> np.ndarray:
     if start + size > v.size:
         raise ValueError(f"block [{start}, {start + size}) exceeds state dimension {v.size}")
     outside = np.delete(v, np.arange(start, start + size))
-    _refuse_non_finite(outside, "state has non-finite entries outside the requested block")
+    _refuse_non_finite(outside, "state has non-finite entries outside the requested block",
+                       f"state has an entry above {SQUARE_LIMIT:g} in modulus outside the requested block")
     support = "state has support {:.3e} outside the requested block"
-    _refuse_deviation(_norm(outside), SUPPORT_TOL, support.format(np.inf), support)
+    _refuse_deviation(np.linalg.norm(outside), SUPPORT_TOL, support.format(np.inf), support)
     block = v[start : start + size]
     _refuse_non_finite(block, "state has non-finite entries")
     return block

@@ -20,7 +20,7 @@ import unimap.cli
 import unimap.search
 import unimap.subspace
 from unimap.cesium import CesiumParams, build_restricted_system
-from unimap.cli import OPTIONAL_FLAGS, _resolve_state, build_parser, main
+from unimap.cli import FILE_FLAGS, OPTIONAL_FLAGS, _resolve_state, build_parser, main
 from unimap.control import Waveform, propagate
 from unimap.core import basis_state, haar_random_unitary
 from unimap.io import complex_to_pairs, load_schema, load_subspace_spec, load_waveform, save_waveform
@@ -1447,3 +1447,105 @@ def test_internal_key_error_exits_1_with_traceback(monkeypatch, capsys):
     assert run(["model", "info"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and "KeyError: 'entries'" in err
+
+
+
+#: the hostile values of the CLI census: a file's first entry, as JSON text (a waveform CSV reads the same text)
+_DIGITS_401 = "1" + "0" * 400
+_HOSTILE_ENTRIES = ("NaN", "Infinity", "-Infinity", "1e400", _DIGITS_401, "true", "null", '"1"', "[]", "{}",
+                    "0", "-1", "1e-320", "1e308", "1e155")
+#: a numeric flag's value; a count (an int flag) gets all but the 401-digit integer, which is a valid count
+#: asking for that much work (restarts, iterations)
+_HOSTILE_NUMBERS = ("nan", "inf", "-inf", "1e400", "True", _DIGITS_401, "0", "-1", "1e-320", "1e308")
+_HOSTILE_COUNTS = tuple(v for v in _HOSTILE_NUMBERS if v != _DIGITS_401)
+#: a size flag's value: 10**30 overflows any array size, and at d = 100000 one complex d x d matrix is 149 GiB
+_HOSTILE_SIZES = ("0", "1", "-1", str(10**30), "100000")
+
+_OPT = ["optimize-state", "--out-waveform", "{out}/w.csv", "--out-report", "{out}/r.json", *_FAST]
+_OPT_FIDUCIAL = [*_OPT, "--initial", "fiducial", "--target"]
+_SWEEP = ["ec-sweep", "--average", "axes", "--out", "{out}/ec.csv"]
+_WIGNER = ["wigner", "--state", "{file}", "--out", "{out}/g.csv"]
+_WAVEFORM_HEADER = "segment,duration_s,rf_x,rf_y,uw_x,uw_y,ls\n"
+
+
+def _amplitudes(n: int) -> dict:
+    """A unit state on n levels whose first entry, 0 when valid, is the census's ``HOSTILE``."""
+    return {"amplitudes": [["HOSTILE", 0.0], [0.6, 0.0], [0.8, 0.0]] + [[0.0, 0.0]] * (n - 3)}
+
+
+#: file kind -> (file name, a document with ``HOSTILE`` where the hostile entry goes, which 0 makes valid, as JSON
+#: or as CSV text, the argv of a run that reads it as {file}) for each document of that kind
+_CENSUS_FILES = {
+    "params": [("p.json", {field: "HOSTILE"}, [*_OPT_FIDUCIAL, "basis:0", "--params", "{file}"])
+               for field in ("rf_rabi_max", "rf_detuning")],
+    "spec": [("s.json", {"source": [[["HOSTILE", 0.0], [1.0, 0.0], [0.0, 0.0]]],
+                         "target": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
+              ["build-subspace-map", "--spec", "{file}", "--exact", "--out-report", "{out}/r.json"])],
+    "matrix_file": [("m.json", {"entries": [[["HOSTILE", 0.0], [0.0, 0.0], [1.0, 0.0]],
+                                            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]},
+                     ["build-unitary", "--matrix-file", "{file}", "--exact-mappers", "--out-report", "{out}/r.json"])],
+    "state": [("s.json", _amplitudes(n), [*_WIGNER, "--n-theta", "3", "--n-phi", "3", *block])
+              for n, block in ((7, []), (8, []), (8, ["--block", "0:7"]), (8, ["--block", "1:7"]))],
+    "initial": [("s.json", _amplitudes(8), [*_OPT, "--initial", "{file}", "--target", "basis:0"])],
+    "target": [("s.json", _amplitudes(8), [*_OPT_FIDUCIAL, "{file}"])],
+    # not a manifest input, as ``propagate`` writes no file
+    "waveform": [("w.csv", _WAVEFORM_HEADER + row, ["propagate", "--waveform", "{file}"])
+                 for row in ("0,HOSTILE,0,0,0,0,0\n", "0,1e-05,HOSTILE,0,0,0,0\n")],
+}
+#: number flag -> the argv of each run that reads it, the flag last
+_CENSUS_FLAGS = {
+    **{name: [[*_OPT_FIDUCIAL, "basis:0", f"--{name.replace('_', '-')}"]]
+       for name in ("segments", "segment_duration", "goal", "max_iterations", "restarts", "seed")},
+    **{name: [[*_SWEEP, f"--{name.replace('_', '-')}"]] for name in ("eps_min", "eps_max", "eps_count")},
+    "samples": [["ec-sweep", "--out", "{out}/ec.csv", "--samples"]],
+    "d": [["verify-clifford", "--d"],
+          ["build-unitary", "--gate", "X", "--exact-mappers", "--out-report", "{out}/r.json", "--d"]],
+    "epsilons": [[*_SWEEP, "--epsilons"]],
+    "n_theta": [[*_WIGNER, "--n-phi", "2", "--n-theta"]],
+    "n_phi": [[*_WIGNER, "--n-theta", "2", "--n-phi"]],
+}
+
+
+def _census_rows():
+    """(id, argv, file name, file text) of each census command: each document of each kind in ``FILE_FLAGS`` (and
+    the waveform) with each hostile entry, then each run of each number and size flag of ``OPTIONAL_FLAGS`` (and
+    --epsilons, --n-theta and --n-phi) with each hostile value, and basis:<k> with each hostile number."""
+    for kind in (*FILE_FLAGS, "waveform"):
+        for i, (name, doc, argv) in enumerate(_CENSUS_FILES[kind]):
+            text = doc if isinstance(doc, str) else json.dumps(doc).replace('"HOSTILE"', "HOSTILE")
+            for entry in _HOSTILE_ENTRIES:
+                yield f"{kind}{i}={entry[:8]}", argv, name, text.replace("HOSTILE", entry)
+    values = {**{name: _HOSTILE_NUMBERS if kind is float else _HOSTILE_COUNTS
+                 for name, (*_, kind, _) in OPTIONAL_FLAGS.items() if kind is not str},
+              "epsilons": _HOSTILE_NUMBERS, "d": _HOSTILE_SIZES, "n_theta": _HOSTILE_SIZES, "n_phi": _HOSTILE_SIZES}
+    state = json.dumps(_amplitudes(3)).replace('"HOSTILE"', "0.0")
+    for flag, flag_values in values.items():
+        for i, argv in enumerate(_CENSUS_FLAGS[flag]):
+            for value in flag_values:
+                yield f"--{flag}{i}={value[-8:]}", [*argv, value], "s.json", state
+    for value in _HOSTILE_NUMBERS:
+        yield f"basis={value[-8:]}", [*_OPT_FIDUCIAL, f"basis:{value}"], "s.json", state
+
+
+_CENSUS = list(_census_rows())
+
+
+@pytest.mark.parametrize("argv, name, text", [row[1:] for row in _CENSUS], ids=[row[0] for row in _CENSUS])
+def test_hostile_input_census_exits_0_or_2_with_no_warning(tmp_path, capsys, argv, name, text):
+    # every hostile value a file or a flag can carry is a valid input (exit 0) or a one-line refusal that writes
+    # nothing (exit 2), never an internal error (exit 1) or a numpy warning; the 314 rows take about 4 s on a
+    # 2-core machine, as each search stops after its first evaluation
+    (tmp_path / name).write_text(text)
+    argv = [a.format(out=tmp_path, file=tmp_path / name) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a value its type cannot read, after its usage lines
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        *usage, refusal = capsys.readouterr().err.splitlines()
+        assert "error: " in refusal and (usage == [] or usage[0].startswith("usage: "))
+        assert [p.name for p in tmp_path.iterdir()] == [name]

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from unimap.core import (
+    DIM_LIMIT,
     PHASE_LIMIT,
+    SQUARE_LIMIT,
     UNITARY_TOL,
     as_state,
     assert_hermitian,
@@ -324,14 +326,14 @@ def test_non_finite_entry_is_refused_before_any_arithmetic(entry_point, bad):
 #: ``{}`` standing for that size)
 _NOT_UNITARY = "matrix is not unitary: U†U deviates from I by inf"
 _OVERFLOW_CASES = {
-    "as_state": (lambda big: as_state(np.array([big, 0.0])), "state norm deviates from 1 by {:.3e}"),
+    "as_state": (lambda big: as_state(np.array([big, 0.0])), "state has an entry above 1e+150 in modulus"),
     "assert_unitary": (lambda big: assert_unitary(np.eye(3) * big), _NOT_UNITARY),
     "eig_unitary": (lambda big: eig_unitary(np.eye(3) * big), _NOT_UNITARY),
     "plan_unitary": (lambda big: plan_unitary(np.eye(3) * big), _NOT_UNITARY),
     "wigner_grid": (lambda big: wigner_grid(np.array([big, 0.0, 0.0]), 5, 5),
                     "Wigner values would overflow: state has an entry above 1e+150 in modulus"),
     "extract_block": (lambda big: extract_block(np.array([0.6, 0.8, big]), 0, 2),
-                      "state has support {:.3e} outside the requested block"),
+                      "state has an entry above 1e+150 in modulus outside the requested block"),
     "run_ec_trials": (lambda big: run_ec_trials(np.array([[big, 0.0]]), 0.1, ec_maps()),
                       "qubit states must be finite with unit norm"),
 }
@@ -346,6 +348,41 @@ def test_finite_entry_whose_square_overflows_is_refused_before_any_warning(entry
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{re.escape(message.format(big))}$"):
             call(big)
+
+
+_EC_MAPS = ec_maps()
+#: state entry point -> (call with one entry of the given size put in its input, the message it refuses an entry
+#: of exactly ``SQUARE_LIMIT`` with, or None where it takes one, the message of the door above it)
+_DOOR_CASES = {
+    "as_state": (lambda x: as_state(np.array([x, 0.0])), "state norm deviates from 1 by 1.000e+150",
+                 "state has an entry above 1e+150 in modulus"),
+    "wigner_grid": (lambda x: wigner_grid(np.array([x, 0.0, 0.0]), 5, 5), None,
+                    "Wigner values would overflow: state has an entry above 1e+150 in modulus"),
+    "extract_block": (lambda x: extract_block(np.array([0.6, 0.8, x]), 0, 2),
+                      "state has support 1.000e+150 outside the requested block",
+                      "state has an entry above 1e+150 in modulus outside the requested block"),
+    "run_ec_trials": (lambda x: run_ec_trials(np.array([[x, 0.0]]), 0.1, _EC_MAPS),
+                      "qubit states must be finite with unit norm", "qubit states must be finite with unit norm"),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(_DOOR_CASES))
+def test_state_entry_above_the_square_limit_is_refused_at_the_door(entry_point, monkeypatch):
+    # an entry of exactly SQUARE_LIMIT squares within float64 and is judged as before; the next float up is
+    # refused before any norm is taken
+    call, at_limit, above = _DOOR_CASES[entry_point]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if at_limit is None:
+            assert np.isfinite(call(SQUARE_LIMIT).values).all()
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(at_limit)}$"):
+                call(SQUARE_LIMIT)
+        norms = []
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: norms.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(above)}$"):
+            call(np.nextafter(SQUARE_LIMIT, np.inf))
+    assert norms == []
 
 
 _E3 = SubspaceMapSpec(source=(basis_state(3, 0),), target=(basis_state(3, 0),))
@@ -427,8 +464,11 @@ _NUMBER_CASES = {
     "Waveform-huge": (lambda: Waveform([10**400], [[0.0]]), ValueError, _HUGE_ENTRY),
     "run_ec_trials-huge": (lambda: run_ec_trials(_QUBIT, 10**400, ec_maps()), ValueError, _HUGE_ENTRY),
     "ControlSystem-huge-bound": (lambda: ControlSystem(*_SPIN_HALF[:2], ((-10**400, 1),), 0), ValueError,
-                                 f"one (lower, upper) bounds pair per control is required: got {((-10**400, 1),)!r} "
-                                 f"for 1 controls, which are not numbers ({_HUGE_ENTRY})"),
+                                 "one (lower, upper) bounds pair per control is required for 1 controls: "
+                                 f"{_HUGE_ENTRY}"),
+    "ControlSystem-unprintable-bound": (lambda: ControlSystem(*_SPIN_HALF[:2], ((-10**5000, 1),), 0), ValueError,
+                                        "one (lower, upper) bounds pair per control is required for 1 controls: "
+                                        f"{_HUGE_ENTRY}"),
     "Waveform-bool": (lambda: Waveform([True], [[0.0]]), TypeError, "True is not a real number"),
     "Waveform-string": (lambda: Waveform(["1e-6"], [[0.0]]), TypeError, "'1e-6' is not a real number"),
     "run_ec_trials-bool": (lambda: run_ec_trials(_QUBIT, True, ec_maps()), TypeError, "True is not a real number"),
@@ -462,6 +502,18 @@ def test_an_integer_index_of_numpy_s_type_is_an_index():
 def test_haar_draws_refuse_a_dimension_below_2(draw, d):
     with pytest.raises(ValueError, match=f"^dimension must be >= 2, got {d}$"):
         draw(d, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("d", [DIM_LIMIT + 1, 100000])
+@pytest.mark.parametrize("build", [lambda d: haar_random_state(d, np.random.default_rng(0)),
+                                   lambda d: haar_random_unitary(d, np.random.default_rng(0)),
+                                   lambda d: gate_from_name("X", d), lambda d: gate_from_name("G:3", d),
+                                   lambda d: SubspaceMapSpec(source=(np.eye(1, d)[0],), target=(np.eye(1, d)[0],))],
+                         ids=["haar-state", "haar-unitary", "X", "G3", "subspace-spec"])
+def test_a_dimension_above_the_limit_is_refused_before_anything_is_allocated(build, d):
+    # at d = 100000 one complex d x d matrix would take 149 GiB: numpy's MemoryError in place of the refusal fails here
+    with pytest.raises(ValueError, match=f"^dimension must be <= 1024, got {d}$"):
+        build(d)
 
 
 @pytest.mark.parametrize("call, message", [

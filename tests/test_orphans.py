@@ -15,7 +15,7 @@ is that refusal, with its non-finite branch.  It keeps each record with one
 builder too: only ``subspace.phase_product`` builds a ``PhaseStep``, and
 only ``search`` builds a ``SearchResult``.  And it keeps one rule for a played waveform: every public function
 that takes a ``ControlSystem`` and a ``Waveform`` calls ``control.check_waveform``.  Overflow handling keeps one
-home as well: no module but ``core`` enters ``np.errstate``.
+home as well: no module but ``core`` enters ``np.errstate``, and there only ``_hermitian_defect`` does.
 """
 
 import ast
@@ -223,6 +223,15 @@ def errstate_entries(path: Path) -> list[str]:
 def test_only_core_enters_a_numpy_error_state():
     assert [found for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"
             for found in errstate_entries(path)] == []
+
+
+def test_in_core_only_the_hermitian_defect_enters_a_numpy_error_state():
+    # a state is refused at the door above ``SQUARE_LIMIT``, so no norm needs an overflow guard
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    lines = {int(found.split(":")[1]) for found in errstate_entries(PACKAGE / "core.py")}
+    assert sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and lines & set(range(node.lineno, node.end_lineno + 1))) == ["_hermitian_defect"]
+    assert len(lines) == 1
 
 
 def test_an_error_state_entered_by_name_attribute_or_decorator_is_found(tmp_path):
