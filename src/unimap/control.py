@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import PHASE_LIMIT, _eig_exp, _is_integer, _real_array, assert_hermitian, basis_state
+from .core import PHASE_LIMIT, _eig_exp, _is_integer, _number_array, assert_hermitian, basis_state
 
 AMPLITUDE_TOL = 1e-12
 
@@ -104,10 +104,10 @@ class ControlSystem:
         for k, h in enumerate(checked):
             if h.shape != (d, d):
                 raise ValueError(f"control {k} has shape {h.shape}, expected {(d, d)}")
-        controls = _readonly(np.asarray(self.controls, dtype=complex))
+        controls = _readonly(_number_array(self.controls, complex))
         rule = "one (lower, upper) bounds pair per control is required"
         try:
-            bounds = _readonly(_real_array(self.amplitude_bounds))
+            bounds = _readonly(_number_array(self.amplitude_bounds))
         except (TypeError, ValueError) as err:
             rows = sorted({np.shape(row) for row in self.amplitude_bounds})
             if len(rows) > 1:
@@ -164,10 +164,10 @@ class Waveform:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        durations = _readonly(_real_array(self.durations))
+        durations = _readonly(_number_array(self.durations))
         if durations.ndim != 1:
             raise ValueError(f"durations must be 1-d (one per segment), got {durations.ndim}-d")
-        amplitudes = _real_array(self.amplitudes)
+        amplitudes = _number_array(self.amplitudes)
         if amplitudes.ndim != 2:
             raise ValueError(f"amplitudes must be 2-d (segments x controls), got {amplitudes.ndim}-d")
         if amplitudes.shape[0] != durations.size:

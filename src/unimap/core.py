@@ -4,7 +4,10 @@ States are unit-norm complex vectors, unitaries and Hermitian generators
 are square complex ndarrays.  Everything here is a pure function; random
 sampling takes an explicit ``numpy.random.Generator`` so results are
 reproducible and streams are caller-owned.  The shared refusal rules live
-here.  A state is a unit vector, so each entry point that takes one
+here.  Every array a caller hands the package is read by one rule,
+``_number_array``, as float or complex: a numpy array by its dtype, with
+no per-entry scan, anything else entry by entry, so a bool or a numeric
+string is never read as a number.  A state is a unit vector, so each entry point that takes one
 refuses an entry above ``SQUARE_LIMIT`` at the door (``_refuse_non_finite``)
 and then takes a plain ``np.linalg.norm``; the package's one overflow that
 numpy is told to ignore (``np.errstate``) is the Hermitian defect's.  A
@@ -14,7 +17,7 @@ so its score is 1 only for maps that agree.
 
 from __future__ import annotations
 
-from numbers import Integral, Real
+from numbers import Complex, Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -58,20 +61,20 @@ def _peak(values) -> float:
     return max(np.abs(values.real).max(initial=0.0), np.abs(values.imag).max(initial=0.0))
 
 
-def _is_real(x) -> bool:
-    """Whether x is a real number: a bool is not, nor is a numeric string, though numpy reads them as numbers."""
-    return isinstance(x, Real) and not isinstance(x, bool)
+def _is_number(x, kind: type = Real) -> bool:
+    """Whether x is a ``kind`` (Real, Complex or Integral) number: not a bool, though numpy reads it as one."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def _is_integer(x) -> bool:
-    """Whether x is an integer: ``_is_real`` and ``Integral``, so neither a bool nor a float of integral value."""
-    return _is_real(x) and isinstance(x, Integral)
+    """Whether x is an integer: ``_is_number`` of kind ``Integral``, so neither a bool nor a float of integral value."""
+    return _is_number(x, Integral)
 
 
 def _real_number(value, name: str) -> float:
-    """``value`` as a float, refusing one that is not ``_is_real``, or an integer too large for a float (Python and
+    """``value`` as a float, refusing one that is not ``_is_number``, or an integer too large for a float (Python and
     JSON integers are unbounded), with a message that starts with ``name``."""
-    if not _is_real(value):
+    if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
@@ -79,18 +82,24 @@ def _real_number(value, name: str) -> float:
         raise ValueError(f"{name} is an integer that overflows a float") from None
 
 
-def _real_array(values) -> np.ndarray:
-    """``np.asarray(values, dtype=float)``, whose own errors propagate, refusing as TypeError an entry that is not
-    ``_is_real`` but that the conversion reads as a number: None as nan, a bool as 0 or 1, a numeric string; and as
-    ValueError an integer too large for a float."""
+def _number_array(values, dtype: type = float) -> np.ndarray:
+    """``np.asarray(values, dtype)`` for dtype float or complex.  A typed (not object) ndarray or numpy scalar of a
+    numeric kind passes unscanned, and one of any other kind is a TypeError naming its first entry.  Else the
+    conversion's own errors propagate, and an entry that is not ``_is_number`` of the dtype's kind, but that it reads
+    as one (None as nan, a bool, a numeric string), is a TypeError; an integer too large for a float a ValueError."""
+    kind, what, kinds = (Real, "a real number", "iuf") if dtype is float else (Complex, "a number", "iufc")
+    if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind != "O":
+        if values.dtype.kind not in kinds:
+            raise TypeError(f"{(values.ravel()[:1].tolist() or [values.dtype])[0]!r} is not {what}")
+        return np.asarray(values, dtype=dtype)
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(values, dtype=dtype)
     except OverflowError:
         raise ValueError("an entry is an integer that overflows a float") from None
     entries = np.asarray(values, dtype=object).ravel().tolist()
-    # _is_real depends on the type alone, and costs about 0.5 µs a call: check one entry per type
-    if not all(map(_is_real, {type(x): x for x in entries}.values())):
-        raise TypeError(f"{next(x for x in entries if not _is_real(x))!r} is not a real number")
+    # the test depends on the type alone, and costs about 0.5 µs a call: check one entry per type
+    if not all(_is_number(x, kind) for x in {type(x): x for x in entries}.values()):
+        raise TypeError(f"{next(x for x in entries if not _is_number(x, kind))!r} is not {what}")
     return arr
 
 
@@ -103,7 +112,9 @@ def _check_counts(record, **lows: int) -> None:
 
 
 def _check_dim(d: int) -> int:
-    """d as an int, refusing a dimension below 2 or above ``DIM_LIMIT`` before anything is allocated."""
+    """d as an int, refusing a non-integer, or one below 2 or above ``DIM_LIMIT``, before anything is allocated."""
+    if not _is_integer(d):
+        raise ValueError(f"dimension must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if d > DIM_LIMIT:
@@ -113,7 +124,7 @@ def _check_dim(d: int) -> int:
 
 def as_state(psi, d: int | None = None) -> np.ndarray:
     """Validate and return a unit-norm complex state vector."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = _number_array(psi, complex).reshape(-1)
     if v.size < 2:
         raise ValueError(f"state dimension must be >= 2, got {v.size}")
     if d is not None and v.size != d:
@@ -137,7 +148,7 @@ def basis_state(d: int, index: int) -> np.ndarray:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity: inf where an entry above ``SQUARE_LIMIT`` could overflow it."""
-    u = np.asarray(u, dtype=complex)
+    u = _number_array(u, complex)
     if _peak(u) > SQUARE_LIMIT:
         return np.inf
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
@@ -148,7 +159,7 @@ def _square(m, defect, tol: float, deviation: str) -> np.ndarray:
 
     The entries are finite by then, so an infinite defect is one that overflows float64.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _number_array(m, complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _refuse_non_finite(m, "matrix has non-finite entries")
@@ -180,11 +191,12 @@ def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
     max|lambda| |t| above ``PHASE_LIMIT`` would carry no digits and is refused.
     """
     h = assert_hermitian(h)
+    t = _real_number(t, "time")
     if not np.isfinite(t):
         raise ValueError("time must be finite")
     lam, v = np.linalg.eigh(h)
     # a product of Python floats overflows to inf without a numpy warning
-    phase = float(np.abs(lam).max(initial=0.0)) * abs(float(t))
+    phase = float(np.abs(lam).max(initial=0.0)) * abs(t)
     deviation = ("phase max|lambda| |t| reaches {:.3g} rad, "
                  f"above the {PHASE_LIMIT:g} rad that keeps it accurate to 1e-10")
     _refuse_deviation(phase, PHASE_LIMIT, deviation.format(np.inf), deviation)
@@ -245,7 +257,7 @@ def eig_unitary(u: np.ndarray) -> SpectralDecomposition:
 def _contraction(m) -> np.ndarray:
     """``m`` as a complex matrix under which no vector grows: finite, with its largest singular value (inf where
     it overflows, with no numpy warning) within 1 + ``UNITARY_TOL``.  A unitary passes, and any block of one."""
-    m = np.asarray(m, dtype=complex)
+    m = _number_array(m, complex)
     _refuse_non_finite(m, "matrix has non-finite entries")
     deviation = "matrix is not a contraction: its largest singular value exceeds 1 by {:.3e}"
     _refuse_deviation(np.linalg.svd(m, compute_uv=False).max() - 1, UNITARY_TOL, deviation.format(np.inf), deviation)

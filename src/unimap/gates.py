@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _check_dim
+from .core import _check_dim, _is_integer
 
 
 def omega(d: int) -> complex:
@@ -58,7 +58,8 @@ def phase_S(d: int) -> np.ndarray:
 def mult_G(a: int, d: int) -> np.ndarray:
     """Modular multiplication G_a|j> = |a j mod d>, defined for gcd(a,d)=1."""
     d = _check_dim(d)
-    a = int(a)
+    if not _is_integer(a):
+        raise ValueError(f"a must be an integer, got {a!r}")
     if math.gcd(a, d) != 1:
         raise ValueError(f"a={a} is not invertible modulo d={d}")
     g = np.zeros((d, d), dtype=complex)

@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .control import Waveform
-from .core import _real_array
+from .core import _number_array
 from .ec import ECResult
 from .subspace import SubspaceMapSpec
 from .wigner import WignerGrid
@@ -104,13 +104,13 @@ def load_waveform(path: str) -> Waveform:
 
 
 def complex_to_pairs(values) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex).ravel()]
+    return [[float(z.real), float(z.imag)] for z in _number_array(values, complex).ravel()]
 
 
 def pairs_to_complex(data, what: str = "vector", matrix: bool = False) -> np.ndarray:
     """Complex values from a list of [re, im] pairs or, with ``matrix``, from a d x d matrix of them."""
     try:
-        arr = _real_array(data)
+        arr = _number_array(data)
     except (TypeError, ValueError):  # an object, null, bool, string, ragged row or huge integer
         arr = np.empty(0)
     if arr.ndim != (3 if matrix else 2) or arr.shape[-1] != 2 or (matrix and arr.shape[0] != arr.shape[1]):

@@ -60,7 +60,7 @@ from .control import (
     check_segment_phase,
     check_waveform,
 )
-from .core import _check_counts, _eig_exp, _real_number, as_state
+from .core import _check_counts, _eig_exp, _number_array, _real_number, as_state
 
 GRAD_NORM_STOP = 1e-9
 #: the Levenberg–Marquardt damping mu starts at MU_START times the largest diagonal entry of
@@ -127,9 +127,8 @@ class SearchResult:
     restart_index: int = 0
 
     def __post_init__(self):
-        hist = np.asarray(self.objective_history, dtype=float)
-        prop = np.asarray(self.propagator, dtype=complex)
-        for name, a in (("objective_history", hist), ("propagator", prop)):
+        for name, dtype in (("objective_history", float), ("propagator", complex)):
+            a = _number_array(getattr(self, name), dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 

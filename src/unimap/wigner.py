@@ -31,11 +31,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import spin_operators
-from .core import SQUARE_LIMIT, _refuse_deviation, _refuse_non_finite
+from .core import SQUARE_LIMIT, _number_array, _refuse_deviation, _refuse_non_finite
 
 REALITY_TOL = 1e-10
 #: norm a state may have outside the spin block extract_block slices out
 SUPPORT_TOL = 1e-10
+#: largest spin block: its (dim^2, dim, dim) complex tensor stack grows as dim^4, 16 MiB at 32 levels (23.8 GiB at 200),
+#: well above the 16 hyperfine ground levels of cesium
+BLOCK_LIMIT = 32
+#: most values one grid evaluation may hold, counted as (n_theta + dim^2)(n_phi + dim^2): that covers the grid
+#: (n_theta n_phi), the Legendre table (about dim^2 n_theta), the azimuthal phases (below dim^2 n_phi) and the
+#: tensor stack (dim^4); 10^7 complex values are 160 MB, and ``io.save_wigner_csv`` builds about 0.6 GB of text
+#: for a grid that large
+GRID_LIMIT = 10**7
 
 
 @lru_cache(maxsize=8)
@@ -49,6 +57,8 @@ def spherical_tensor_operators(dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if dim > BLOCK_LIMIT:
+        raise ValueError(f"spin block dimension must be <= {BLOCK_LIMIT}, got {dim}")
     f = (dim - 1) / 2.0
     ops = spin_operators(f)
     f_minus = ops.fx - 1j * ops.fy
@@ -104,7 +114,7 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     with a NaN or infinite entry, as non-finite rather than non-Hermitian,
     and a state vector with an entry whose outer product could overflow.
     """
-    arr = np.asarray(state, dtype=complex)
+    arr = _number_array(state, complex)
     if arr.ndim not in (1, 2) or arr.shape[0] != arr.shape[-1]:
         raise ValueError(f"state must be a vector or square matrix, got shape {arr.shape}")
     if n_theta < 2 or n_phi < 2:
@@ -112,8 +122,11 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     non_finite = "Wigner values are not finite: state has non-finite entries"
     oversized = f"Wigner values would overflow: state has an entry above {SQUARE_LIMIT:g} in modulus"
     _refuse_non_finite(arr, non_finite, oversized if arr.ndim == 1 else None)
+    dim = arr.shape[0]
+    if (n_theta + dim * dim) * (n_phi + dim * dim) > GRID_LIMIT:
+        raise ValueError(f"a {n_theta} x {n_phi} grid on a {dim}-level block needs (n_theta + dim^2)(n_phi + dim^2) "
+                         f"values, above {GRID_LIMIT:.0e}")
     rho = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
-    dim = rho.shape[0]
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     k = np.repeat(np.arange(dim), 2 * np.arange(dim) + 1)  # the rank of each row k^2 + k + q
@@ -130,7 +143,7 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
 
 def extract_block(state, start: int, size: int) -> np.ndarray:
     """Slice a spin block out of a larger state, rejecting outside support."""
-    v = np.asarray(state, dtype=complex).reshape(-1)
+    v = _number_array(state, complex).reshape(-1)
     if start < 0 or size < 0:
         raise ValueError(f"block {start}:{size} has a negative start or size")
     if start + size > v.size:

@@ -662,6 +662,23 @@ class TestWignerCLI:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.json"]
 
+    @pytest.mark.parametrize("levels, sizes, message", [
+        pytest.param(200, [], "a 61 x 120 grid on a 200-level block needs (n_theta + dim^2)(n_phi + dim^2) values, "
+                     "above 1e+07", id="200-levels"),
+        pytest.param(33, [], "spin block dimension must be <= 32, got 33", id="33-levels"),
+        pytest.param(3, ["--n-theta", "100000", "--n-phi", "100000"], "a 100000 x 100000 grid on a 3-level block "
+                     "needs (n_theta + dim^2)(n_phi + dim^2) values, above 1e+07", id="1e5-by-1e5-grid"),
+    ])
+    def test_a_block_or_grid_above_its_limit_exits_2_without_files(self, tmp_path, capsys, levels, sizes, message):
+        # a 200-level block's tensor stack is 23.8 GiB and a 10^5 x 10^5 grid 160 GB: numpy's MemoryError fails here
+        state = tmp_path / "psi.json"
+        state.write_text(json.dumps({"amplitudes": complex_to_pairs(np.eye(levels)[0])}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["wigner", "--state", str(state), *sizes, "--out", str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["psi.json"]
+
     @pytest.mark.parametrize("amplitude, message", [(np.nan, "non-finite"), (2.0, "norm deviates")])
     def test_invalid_state_exits_2_without_grid(self, tmp_path, capsys, amplitude, message):
         state = tmp_path / "psi.json"
@@ -1510,7 +1527,8 @@ _CENSUS_FLAGS = {
 def _census_rows():
     """(id, argv, file name, file text) of each census command: each document of each kind in ``FILE_FLAGS`` (and
     the waveform) with each hostile entry, then each run of each number and size flag of ``OPTIONAL_FLAGS`` (and
-    --epsilons, --n-theta and --n-phi) with each hostile value, and basis:<k> with each hostile number."""
+    --epsilons, --n-theta and --n-phi) with each hostile value, basis:<k> with each hostile number, and the Wigner
+    sizes that only two inputs together reach."""
     for kind in (*FILE_FLAGS, "waveform"):
         for i, (name, doc, argv) in enumerate(_CENSUS_FILES[kind]):
             text = doc if isinstance(doc, str) else json.dumps(doc).replace('"HOSTILE"', "HOSTILE")
@@ -1526,6 +1544,9 @@ def _census_rows():
                 yield f"--{flag}{i}={value[-8:]}", [*argv, value], "s.json", state
     for value in _HOSTILE_NUMBERS:
         yield f"basis={value[-8:]}", [*_OPT_FIDUCIAL, f"basis:{value}"], "s.json", state
+    # the Wigner sizes no single flag reaches: a 200-level block (a 23.8 GiB tensor stack) and a 160 GB grid
+    yield "wigner-200-levels", _WIGNER, "s.json", json.dumps(_amplitudes(200)).replace('"HOSTILE"', "0.0")
+    yield "wigner-grid=1e5x1e5", [*_WIGNER, "--n-theta", "100000", "--n-phi", "100000"], "s.json", state
 
 
 _CENSUS = list(_census_rows())
@@ -1534,7 +1555,7 @@ _CENSUS = list(_census_rows())
 @pytest.mark.parametrize("argv, name, text", [row[1:] for row in _CENSUS], ids=[row[0] for row in _CENSUS])
 def test_hostile_input_census_exits_0_or_2_with_no_warning(tmp_path, capsys, argv, name, text):
     # every hostile value a file or a flag can carry is a valid input (exit 0) or a one-line refusal that writes
-    # nothing (exit 2), never an internal error (exit 1) or a numpy warning; the 314 rows take about 4 s on a
+    # nothing (exit 2), never an internal error (exit 1) or a numpy warning; the 316 rows take about 4 s on a
     # 2-core machine, as each search stops after its first evaluation
     (tmp_path / name).write_text(text)
     argv = [a.format(out=tmp_path, file=tmp_path / name) for a in argv]

@@ -26,8 +26,9 @@ from unimap.core import (
 from unimap.control import ControlSystem, Waveform
 from unimap.ec import ECConfig, ec_maps, run_ec_trials
 from unimap.eigensynth import plan_unitary
-from unimap.gates import gate_from_name, pauli_Z
-from unimap.search import SearchConfig
+from unimap.gates import gate_from_name, mult_G, pauli_X, pauli_Z
+from unimap.io import complex_to_pairs, pairs_to_complex
+from unimap.search import SearchConfig, SearchResult
 from unimap.subspace import SubspaceMapSpec, subspace_fidelity
 from unimap.wigner import extract_block, multipole_components, wigner_grid
 
@@ -479,6 +480,33 @@ _NUMBER_CASES = {
                                  "fiducial index must be an integer, got True"),
     "ControlSystem-float-index": (lambda: ControlSystem(*_SPIN_HALF, 1.0), ValueError,
                                   "fiducial index must be an integer, got 1.0"),
+    # the complex entry points read a caller's array by the same rule, and a typed array by its dtype before a cast
+    "as_state-bool": (lambda: as_state([True, False]), TypeError, "True is not a number"),
+    "as_state-string": (lambda: as_state(["1", "0"]), TypeError, "'1' is not a number"),
+    "as_state-bool-array": (lambda: as_state(np.array([True, False])), TypeError, "True is not a number"),
+    "assert_unitary-string": (lambda: assert_unitary([["1", "0"], ["0", "1"]]), TypeError, "'1' is not a number"),
+    "trace_fidelity-bool": (lambda: trace_fidelity(np.eye(2), [[True, False], [False, True]]), TypeError,
+                            "True is not a number"),
+    "wigner_grid-bool-array": (lambda: wigner_grid(np.array([True, False]), 3, 3), TypeError, "True is not a number"),
+    "extract_block-string-array": (lambda: extract_block(np.array(["1", "0"]), 0, 2), TypeError,
+                                   "'1' is not a number"),
+    "run_ec_trials-bool-qubit": (lambda: run_ec_trials([[True, False]], 0.1, ec_maps()), TypeError,
+                                 "True is not a number"),
+    "ControlSystem-bool-control": (lambda: ControlSystem(_SPIN_HALF[0], (np.eye(2, dtype=bool),), _SPIN_HALF[2], 0),
+                                   TypeError, "True is not a number"),
+    # a complex array or numpy scalar given for a real one is refused before numpy's ComplexWarning
+    "Waveform-complex-amplitude": (lambda: Waveform([1e-6], np.array([[0.5 + 0j]])), TypeError,
+                                   "(0.5+0j) is not a real number"),
+    "run_ec_trials-complex-scalar": (lambda: run_ec_trials(_QUBIT, np.complex128(0.1), ec_maps()), TypeError,
+                                     "(0.1+0j) is not a real number"),
+    "run_ec_trials-complex-array": (lambda: run_ec_trials(_QUBIT, np.array([0.1, 0.2j]), ec_maps()), TypeError,
+                                    "(0.1+0j) is not a real number"),
+    # a dimension, a multiplier and a time are integers, integers and real numbers
+    "pauli_X-float-dimension": (lambda: pauli_X(3.9), ValueError, "dimension must be an integer, got 3.9"),
+    "pauli_Z-bool-dimension": (lambda: pauli_Z(True), ValueError, "dimension must be an integer, got True"),
+    "mult_G-string": (lambda: mult_G("2", 5), ValueError, "a must be an integer, got '2'"),
+    "mult_G-bool": (lambda: mult_G(True, 5), ValueError, "a must be an integer, got True"),
+    "mat_exp-bool-time": (lambda: mat_exp(np.eye(2), True), ValueError, "time must be a number, got True"),
 }
 
 
@@ -495,6 +523,60 @@ def test_a_number_that_is_not_one_or_overflows_a_float_is_refused(case):
 def test_an_integer_index_of_numpy_s_type_is_an_index():
     assert basis_state(3, np.int64(1)).tolist() == [0, 1, 0]
     assert ControlSystem(*_SPIN_HALF, np.int64(1)).fiducial_state().tolist() == [0, 1]
+    # a dimension and a multiplier of numpy's integer type are integers too
+    assert np.array_equal(mult_G(np.int64(3), np.int64(7)), mult_G(3, 7)) and pauli_X(np.int64(3)).shape == (3, 3)
+
+
+#: each entry point that converts a caller's array -> (a call of it on arrays built by ``typed(values)``, whether
+#: complex entries are valid there)
+_ARRAY_ENTRY_POINTS = {
+    "as_state": (lambda typed: as_state(typed([1, 0])), True),
+    "assert_unitary": (lambda typed: assert_unitary(typed(np.eye(2))), True),
+    "assert_hermitian": (lambda typed: assert_hermitian(typed(np.eye(2))), True),
+    "unitarity_defect": (lambda typed: unitarity_defect(typed(np.eye(2))), True),
+    "trace_fidelity": (lambda typed: trace_fidelity(typed(np.eye(2)), typed(np.eye(2))), True),
+    "ControlSystem-controls": (lambda typed: ControlSystem(typed(np.eye(2)), typed(np.eye(2)[None]), ((-1, 1),), 0),
+                               True),
+    "ControlSystem-bounds": (lambda typed: ControlSystem(*_SPIN_HALF[:2], typed([[-1, 1]]), 0), False),
+    "Waveform": (lambda typed: Waveform(typed([1]), typed([[1]])), False),
+    "run_ec_trials-qubits": (lambda typed: run_ec_trials(typed([[1, 0]]), 0.1, ec_maps()), True),
+    "run_ec_trials-epsilon": (lambda typed: run_ec_trials(_QUBIT, typed([0, 1]), ec_maps()), False),
+    "complex_to_pairs": (lambda typed: complex_to_pairs(typed([1, 0])), True),
+    "pairs_to_complex": (lambda typed: pairs_to_complex(typed([[1, 0], [0, 0]])), False),
+    "SearchResult-history": (lambda typed: SearchResult(Waveform([1.0], [[0.0]]), 1.0, 0, True, typed([1]),
+                                                        np.eye(2)), False),
+    "SearchResult-propagator": (lambda typed: SearchResult(Waveform([1.0], [[0.0]]), 1.0, 0, True, [1.0],
+                                                           typed(np.eye(2))), True),
+    "wigner_grid": (lambda typed: wigner_grid(typed([1, 0]), 3, 3), True),
+    "extract_block": (lambda typed: extract_block(typed([1, 0, 0]), 0, 2), True),
+}
+
+
+@pytest.mark.parametrize("name, dtype", [(name, dtype) for name, (_, complex_ok) in sorted(_ARRAY_ENTRY_POINTS.items())
+                                         for dtype in (np.int64, np.float64, np.complex128)
+                                         if complex_ok or dtype is not np.complex128])
+def test_an_int_float_or_complex_array_passes_every_entry_point(name, dtype):
+    call, _ = _ARRAY_ENTRY_POINTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(lambda values: np.array(values, dtype=dtype))
+
+
+def test_the_array_rule_passes_a_numeric_array_unscanned_and_uncopied(monkeypatch):
+    from unimap import core
+
+    def scanned(*args):
+        raise AssertionError("an entry was scanned")
+
+    monkeypatch.setattr(core, "_is_number", scanned)
+    for values, dtype in ((np.arange(3), float), (np.ones(2), complex), (np.float64(2.0), float), (np.int8(2), complex)):
+        assert np.array_equal(core._number_array(values, dtype), values)
+    # an array already of the dtype is returned as it is, so a shared read-only stack stays shared
+    for values, dtype in ((np.ones(2), float), (np.array([1j]), complex)):
+        assert core._number_array(values, dtype) is values
+    # an empty array of a kind that is not numeric has no first entry, so its dtype is named
+    with pytest.raises(TypeError, match=r"^dtype\('complex128'\) is not a real number$"):
+        core._number_array(np.zeros(0, dtype=complex))
 
 
 @pytest.mark.parametrize("d", [0, 1])

@@ -15,7 +15,9 @@ is that refusal, with its non-finite branch.  It keeps each record with one
 builder too: only ``subspace.phase_product`` builds a ``PhaseStep``, and
 only ``search`` builds a ``SearchResult``.  And it keeps one rule for a played waveform: every public function
 that takes a ``ControlSystem`` and a ``Waveform`` calls ``control.check_waveform``.  Overflow handling keeps one
-home as well: no module but ``core`` enters ``np.errstate``, and there only ``_hermitian_defect`` does.
+home as well: no module but ``core`` enters ``np.errstate``, and there only ``_hermitian_defect`` does.  And a
+caller's array has one rule: no module but ``core`` calls ``np.asarray`` with dtype float or complex, as
+``core._number_array`` is that conversion.
 """
 
 import ast
@@ -242,3 +244,29 @@ def test_an_error_state_entered_by_name_attribute_or_decorator_is_found(tmp_path
                       "@np.errstate(all='ignore')\ndef g(x):\n    \"\"\"Enters no np.errstate(over).\"\"\"\n"
                       "    return np.errstate, x\n")
     assert errstate_entries(module) == ["m:6", "m:8", "m:12"]
+
+
+def typed_conversions(path: Path) -> list[str]:
+    """'module:line' of each call of ``asarray``, by name or attribute, in the module at ``path`` whose dtype, by
+    keyword or as the second argument, is ``float`` or ``complex``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and "asarray" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+            if any(getattr(d, "id", None) in ("float", "complex") for d in dtypes):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_core_converts_a_caller_s_array_to_float_or_complex():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"
+            for found in typed_conversions(path)] == []
+
+
+def test_a_typed_conversion_by_keyword_position_or_name_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\nfrom numpy import asarray\n\n\n"
+                      "def f(x):\n    a = np.asarray(x, dtype=complex)\n    b = asarray(x, float)\n"
+                      "    c = np.asarray(x, dtype=object)\n    d = np.asarray(x)\n"
+                      "    \"\"\"Not np.asarray(x, dtype=float).\"\"\"\n    return np.asarray(\n        x, dtype=float)\n")
+    assert typed_conversions(module) == ["m:6", "m:7", "m:11"]

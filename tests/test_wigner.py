@@ -1,5 +1,9 @@
 """Spin Wigner grids: multipole expansion and qualitative features."""
 
+import re
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y, sph_legendre_p
@@ -7,7 +11,28 @@ from scipy.special import sph_harm_y, sph_legendre_p
 from unimap.cesium import spin_operators
 from unimap.core import basis_state, mat_exp
 from unimap.gates import dft_H
-from unimap.wigner import extract_block, multipole_components, sph_legendre, spherical_tensor_operators, wigner_grid
+from unimap.wigner import (
+    BLOCK_LIMIT,
+    GRID_LIMIT,
+    extract_block,
+    multipole_components,
+    sph_legendre,
+    spherical_tensor_operators,
+    wigner_grid,
+)
+
+
+def _refused_small(call, message):
+    """Run ``call`` under warnings-as-errors; it must raise ValueError(message) having allocated under 1 MB."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        assert tracemalloc.get_traced_memory()[1] < 1e6
+    finally:
+        tracemalloc.stop()
 
 
 class TestTensorOperators:
@@ -24,6 +49,13 @@ class TestTensorOperators:
     def test_refuses_a_dimension_below_1(self, dim):
         with pytest.raises(ValueError, match="^dimension must be >= 1$"):
             spherical_tensor_operators(dim)
+
+    def test_refuses_a_block_above_the_limit_before_allocating(self):
+        # the (dim^2, dim, dim) stack is 16 MiB at the limit and 19 MiB one level above it
+        assert BLOCK_LIMIT == 32 and spherical_tensor_operators(BLOCK_LIMIT).shape == (1024, 32, 32)
+        _refused_small(lambda: spherical_tensor_operators(BLOCK_LIMIT + 1), "spin block dimension must be <= 32, got 33")
+        _refused_small(lambda: wigner_grid(basis_state(BLOCK_LIMIT + 1, 0), 3, 3),
+                       "spin block dimension must be <= 32, got 33")
 
     def test_hermiticity_relation(self):
         tens = spherical_tensor_operators(7)
@@ -96,6 +128,17 @@ class TestWignerGrid:
             wigner_grid(np.zeros((2, 3)), 5, 6)
         with pytest.raises(ValueError, match="grid"):
             wigner_grid(basis_state(3, 0), n_theta=1, n_phi=6)
+
+    @pytest.mark.parametrize("dim, n_theta, n_phi", [(2, 996, 9997), (2, 9997, 996), (3, 10**5, 10**5),
+                                                      (32, 10**4, 2), (57, 2, 2)])
+    def test_refuses_a_grid_above_the_limit_before_allocating(self, dim, n_theta, n_phi):
+        # (n_theta + dim^2)(n_phi + dim^2) is 1000 x 10001 on two levels, just above the limit; a 10^5 x 10^5 grid
+        # would take 160 GB; 2 x 10^4 points on 32 levels have a Legendre table of 10^7 values; and at 57 levels
+        # dim^4 alone passes the limit
+        assert GRID_LIMIT == 10**7 and (n_theta + dim * dim) * (n_phi + dim * dim) > GRID_LIMIT
+        _refused_small(lambda: wigner_grid(basis_state(dim, 0), n_theta, n_phi),
+                       f"a {n_theta} x {n_phi} grid on a {dim}-level block needs (n_theta + dim^2)(n_phi + dim^2) "
+                       "values, above 1e+07")
 
     def test_rejects_nan_state(self):
         # a NaN entry makes every value non-finite, which says nothing about Hermiticity
