@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import ControlSystem
-from .core import _real_number, basis_state, mat_exp
+from .core import _integer, _real_number, basis_state, mat_exp
 
 DIM = 8
 FIDUCIAL_INDEX = 7
@@ -94,6 +94,7 @@ def build_restricted_system(params: CesiumParams | None = None, aux: int = +4) -
     block alone, the light shift on the fiducial alone.
     """
     params = params or CesiumParams()
+    aux = _integer(aux, "aux")
     if aux not in (+4, -4):
         raise ValueError(f"aux must be +4 or -4, got {aux}")
     drift, controls = _generators(params, aux)

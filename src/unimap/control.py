@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import PHASE_LIMIT, _eig_exp, _is_integer, _number_array, assert_hermitian, basis_state
+from .core import PHASE_LIMIT, _eig_exp, _integer, _number_array, assert_hermitian, basis_state
 
 AMPLITUDE_TOL = 1e-12
 
@@ -121,10 +121,7 @@ class ControlSystem:
                 raise ValueError(f"bounds for control {k} are empty: [{lo}, {hi}]")
             if not -np.inf < lo < hi < np.inf:
                 raise ValueError(f"bounds for control {k} are not finite: [{lo}, {hi}]")
-        if not _is_integer(self.fiducial_index):
-            raise ValueError(f"fiducial index must be an integer, got {self.fiducial_index!r}")
-        if not 0 <= self.fiducial_index < d:
-            raise ValueError(f"fiducial index {self.fiducial_index} out of range for d={d}")
+        object.__setattr__(self, "fiducial_index", _integer(self.fiducial_index, "fiducial index", 0, d - 1))
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "amplitude_bounds", bounds)

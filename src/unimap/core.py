@@ -7,7 +7,11 @@ reproducible and streams are caller-owned.  The shared refusal rules live
 here.  Every array a caller hands the package is read by one rule,
 ``_number_array``, as float or complex: a numpy array by its dtype, with
 no per-entry scan, anything else entry by entry, so a bool or a numeric
-string is never read as a number.  A state is a unit vector, so each entry point that takes one
+string is never read as a number.  Every count, index and dimension is
+read by one rule too, ``_integer``: an integer within the parameter's
+bounds, numpy's integer types included, passes as an int, and a bool, a
+float, a numeric string or an integer out of bounds is one ValueError
+that names the parameter.  A state is a unit vector, so each entry point that takes one
 refuses an entry above ``SQUARE_LIMIT`` at the door (``_refuse_non_finite``)
 and then takes a plain ``np.linalg.norm``; the package's one overflow that
 numpy is told to ignore (``np.errstate``) is the Hermitian defect's.  A
@@ -66,11 +70,6 @@ def _is_number(x, kind: type = Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
-def _is_integer(x) -> bool:
-    """Whether x is an integer: ``_is_number`` of kind ``Integral``, so neither a bool nor a float of integral value."""
-    return _is_number(x, Integral)
-
-
 def _real_number(value, name: str) -> float:
     """``value`` as a float, refusing one that is not ``_is_number``, or an integer too large for a float (Python and
     JSON integers are unbounded), with a message that starts with ``name``."""
@@ -103,23 +102,26 @@ def _number_array(values, dtype: type = float) -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int, refusing one that is not ``_is_number`` of kind ``Integral`` (a bool, a float of integral
+    value, a numeric string or a numpy float) or that lies outside [low, high], with one message naming ``name``."""
+    if _is_number(value, Integral):
+        value = int(value)
+        if (low is None or value >= low) and (high is None or value <= high):
+            return value
+    bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
 def _check_counts(record, **lows: int) -> None:
-    """Refuse a field of ``record`` that is not an integer at or above its lower bound, naming the field."""
+    """``_integer`` of each named field of ``record``, at or above its lower bound."""
     for name, low in lows.items():
-        value = getattr(record, name)
-        if not (_is_integer(value) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        _integer(getattr(record, name), name, low)
 
 
 def _check_dim(d: int) -> int:
-    """d as an int, refusing a non-integer, or one below 2 or above ``DIM_LIMIT``, before anything is allocated."""
-    if not _is_integer(d):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if d > DIM_LIMIT:
-        raise ValueError(f"dimension must be <= {DIM_LIMIT}, got {d}")
-    return int(d)
+    """d as an int from 2 to ``DIM_LIMIT`` (``_integer``), refused before anything is allocated."""
+    return _integer(d, "dimension", 2, DIM_LIMIT)
 
 
 def as_state(psi, d: int | None = None) -> np.ndarray:
@@ -127,7 +129,7 @@ def as_state(psi, d: int | None = None) -> np.ndarray:
     v = _number_array(psi, complex).reshape(-1)
     if v.size < 2:
         raise ValueError(f"state dimension must be >= 2, got {v.size}")
-    if d is not None and v.size != d:
+    if d is not None and v.size != _integer(d, "dimension", 2):
         raise ValueError(f"state has dimension {v.size}, expected {d}")
     _refuse_non_finite(v, "state has non-finite entries", f"state has an entry above {SQUARE_LIMIT:g} in modulus")
     deviation = "state norm deviates from 1 by {:.3e}"
@@ -137,12 +139,8 @@ def as_state(psi, d: int | None = None) -> np.ndarray:
 
 def basis_state(d: int, index: int) -> np.ndarray:
     """Standard basis vector |index> in dimension d; a bool index, which numpy reads as a mask, is refused."""
-    if not _is_integer(index):
-        raise ValueError(f"basis index must be an integer, got {index!r}")
-    if not 0 <= index < d:
-        raise ValueError(f"basis index {index} out of range for dimension {d}")
-    v = np.zeros(d, dtype=complex)
-    v[index] = 1.0
+    v = np.zeros(_integer(d, "dimension", 1), dtype=complex)
+    v[_integer(index, "basis index", 0, v.size - 1)] = 1.0
     return v
 
 

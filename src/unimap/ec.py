@@ -33,8 +33,7 @@ import numpy as np
 
 from .cesium import AUX_MIRRORS, CesiumParams, _level_state, build_restricted_system, x_basis_states
 from .control import ControlSystem
-from .core import (STATE_NORM_TOL, _check_counts, _number_array, _real_number, _refuse_deviation,
-                   _refuse_non_finite, assert_unitary)
+from .core import STATE_NORM_TOL, _check_counts, _number_array, _refuse_deviation, _refuse_non_finite, assert_unitary
 from .search import SearchConfig, SearchResult, add_symmetry
 from .subspace import ExactMapper, SearchedMapper, SubspaceMapSpec, SynthesisReport, synthesize_subspace_map
 
@@ -52,6 +51,19 @@ EPS_LIMIT = float(np.finfo(float).max / (2 * np.abs(FZ_SIM).max()))
 def sim_z_state(m: float) -> np.ndarray:
     """|3, m_z> (|m|<=3) or |4, +-4_z> on the 9-level simulation space."""
     return _level_state(np.diag(FZ_SIM), m, f"m_z={m}: no simulation level has it")
+
+
+def _angles(epsilon) -> np.ndarray:
+    """The error angles ``epsilon``, one angle or a sequence of them, as a float array (``core._number_array``),
+    refusing one that is not finite or whose dephasing phases 2 eps m overflow (above ``EPS_LIMIT`` in size)."""
+    eps = _number_array(epsilon)
+    if eps.ndim > 1:
+        raise ValueError(f"epsilon must be one angle or a sequence of them, got shape {eps.shape}")
+    _refuse_non_finite(eps, "epsilon must be finite")
+    huge = eps[np.abs(eps) > EPS_LIMIT].tolist()
+    if huge:
+        raise ValueError(f"epsilon {huge[0]!r} overflows the phases 2 eps m: |epsilon| must be <= {EPS_LIMIT:.6g}")
+    return eps
 
 
 def ec_map_specs() -> tuple[SubspaceMapSpec, SubspaceMapSpec, SubspaceMapSpec]:
@@ -96,9 +108,7 @@ def run_ec_trials(qubits, epsilon, maps):
     refusal = "qubit states must be finite with unit norm"
     _refuse_non_finite(q, refusal, refusal)
     _refuse_deviation(np.abs(np.linalg.norm(q, axis=-1) - 1.0).max(initial=0.0), STATE_NORM_TOL, refusal, refusal)
-    eps = _number_array(epsilon)
-    if eps.ndim > 1 or not np.all(np.abs(eps) <= EPS_LIMIT):
-        raise ValueError(f"epsilon must be one finite angle or a sequence of them, none above {EPS_LIMIT:.6g} in size")
+    eps = _angles(epsilon)
     # the diagonal of the dephasing unitary exp(-2 i eps Fz), one row per angle
     phases = np.exp(-2j * eps[..., None] * np.diag(FZ_SIM))[..., None, :]
     psi0 = q @ np.array([sim_z_state(4), sim_z_state(3)])
@@ -138,18 +148,13 @@ class ECConfig:
     average: str = "haar"  # "haar" (Monte Carlo) or "axes" (exact 2-design)
 
     def __post_init__(self):
-        if np.asarray(self.epsilon_grid, dtype=object).ndim != 1:
-            raise ValueError(f"epsilon_grid must be one sequence of angles, got {self.epsilon_grid!r}")
-        grid = tuple(_real_number(e, "epsilon_grid angle") for e in self.epsilon_grid)
-        if not grid or not all(np.isfinite(grid)):
-            raise ValueError("epsilon_grid must be non-empty and finite")
-        huge = [e for e in grid if not abs(e) <= EPS_LIMIT]
-        if huge:
-            raise ValueError(f"epsilon {huge[0]!r} overflows the phases 2 eps m: |epsilon| must be <= {EPS_LIMIT:.6g}")
+        grid = _angles(self.epsilon_grid)
+        if grid.ndim != 1 or not grid.size:
+            raise ValueError(f"epsilon_grid must be one non-empty sequence of angles, got {self.epsilon_grid!r}")
         _check_counts(self, samples=1, seed=0)
         if self.average not in ("haar", "axes"):
             raise ValueError(f"average must be 'haar' or 'axes', got {self.average!r}")
-        object.__setattr__(self, "epsilon_grid", grid)
+        object.__setattr__(self, "epsilon_grid", tuple(grid.tolist()))
 
     @property
     def n_states(self) -> int:

@@ -13,12 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _check_dim, _is_integer
+from .core import _check_dim, _integer
 
 
 def omega(d: int) -> complex:
     """Primitive d-th root of unity."""
-    return np.exp(2j * np.pi / d)
+    return np.exp(2j * np.pi / _integer(d, "dimension", 1))
 
 
 def pauli_X(d: int) -> np.ndarray:
@@ -58,8 +58,7 @@ def phase_S(d: int) -> np.ndarray:
 def mult_G(a: int, d: int) -> np.ndarray:
     """Modular multiplication G_a|j> = |a j mod d>, defined for gcd(a,d)=1."""
     d = _check_dim(d)
-    if not _is_integer(a):
-        raise ValueError(f"a must be an integer, got {a!r}")
+    a = _integer(a, "a")
     if math.gcd(a, d) != 1:
         raise ValueError(f"a={a} is not invertible modulo d={d}")
     g = np.zeros((d, d), dtype=complex)
@@ -68,8 +67,8 @@ def mult_G(a: int, d: int) -> np.ndarray:
 
 
 def gate_from_name(name: str, d: int) -> np.ndarray:
-    """Resolve a CLI-style gate name: X, Z, H, S, or G:<a>."""
-    key = name.strip().upper()
+    """Resolve a CLI-style gate name: X, Z, H, S, or G:<a>; anything else, a name that is no string too, is refused."""
+    key = name.strip().upper() if isinstance(name, str) else ""
     if key == "X":
         return pauli_X(d)
     if key == "Z":
@@ -110,8 +109,7 @@ def verify_clifford_relations(d: int, a: int | None = None) -> CliffordRelationR
     d = _check_dim(d)
     if a is None:
         a = 2 if d > 2 and math.gcd(2, d) == 1 else (3 if d > 3 and math.gcd(3, d) == 1 else 1)
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
+    a = _integer(a, "a", 1)
     x, z, h, s, g = pauli_X(d), pauli_Z(d), dft_H(d), phase_S(d), mult_G(a, d)
     a_inv = pow(a, -1, d)
 

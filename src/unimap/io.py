@@ -146,7 +146,8 @@ def load_matrix_json(path: str) -> np.ndarray:
 
 
 def load_subspace_spec(path: str) -> SubspaceMapSpec:
-    """Subspace spec from JSON with named (or listed) basis vectors; unknown fields are rejected."""
+    """Subspace spec from JSON with named (or listed) basis vectors; unknown fields are rejected, and every refusal,
+    ``SubspaceMapSpec``'s included, names the file."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: spec must be a JSON object")
@@ -166,14 +167,11 @@ def load_subspace_spec(path: str) -> SubspaceMapSpec:
             raise ValueError(f"{path}: field {field!r} must be an object or array")
         return tuple(pairs_to_complex(v, what=f"{path}: {name}") for name, v in pairs)
 
-    phase_correction = data.get("phase_correction", True)
-    if not isinstance(phase_correction, bool):
-        raise ValueError(f"{path}: field 'phase_correction' must be true or false, got {phase_correction!r}")
-    return SubspaceMapSpec(
-        source=basis("source"),
-        target=basis("target"),
-        phase_correction=phase_correction,
-    )
+    source, target = basis("source"), basis("target")
+    try:
+        return SubspaceMapSpec(source, target, data.get("phase_correction", True))
+    except ValueError as exc:  # the spec's own refusal, which names no file
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_ec_csv(path: str, result: ECResult) -> None:

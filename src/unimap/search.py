@@ -60,7 +60,7 @@ from .control import (
     check_segment_phase,
     check_waveform,
 )
-from .core import _check_counts, _eig_exp, _number_array, _real_number, as_state
+from .core import _check_counts, _eig_exp, _integer, _number_array, _real_number, as_state
 
 GRAD_NORM_STOP = 1e-9
 #: the Levenberg–Marquardt damping mu starts at MU_START times the largest diagonal entry of
@@ -255,6 +255,7 @@ def search_state_map(
     (``control.check_segment_phase``) is refused before the first step.
     """
     check_segment_phase(sys, cfg.segment_duration)
+    restart_index = _integer(restart_index, "restart_index", 0)
     psi_i = as_state(psi_i, sys.dim)
     psi_f = as_state(psi_f, sys.dim)
     durations = np.full(cfg.segment_count, cfg.segment_duration)
@@ -317,18 +318,20 @@ def _zero_seed_result(sys: ControlSystem, psi_i, psi_f, cfg: SearchConfig) -> Se
     that is the fiducial state itself), where the search would only add
     noise to an exact solution.  Every segment plays the drift alone: on a
     drift-free system (every searched build) the identity, so J0 comes from
-    <psi_f|psi_i> with no eigendecomposition; otherwise from ``_replayed``.
+    <psi_f|psi_i> with no eigendecomposition, and the record is built only
+    when J0 meets the goal; otherwise J0 comes from ``_replayed``.
     """
     if not all(lo <= 0.0 <= hi for lo, hi in sys.amplitude_bounds):
         return None
-    zero = Waveform(np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls)))
+    durations, amps = np.full(cfg.segment_count, cfg.segment_duration), np.zeros((cfg.segment_count, sys.n_controls))
     if sys.drift.any():
-        result = _replayed(sys, zero, psi_i, psi_f, cfg)
-    else:
-        overlap = np.vdot(psi_f, psi_i)
-        j0 = _fidelity(overlap, psi_i - overlap * psi_f)
-        result = SearchResult(zero, j0, 0, j0 >= cfg.fidelity_goal, np.array([j0]), np.eye(sys.dim, dtype=complex))
-    return result if result.converged else None
+        result = _replayed(sys, Waveform(durations, amps), psi_i, psi_f, cfg)
+        return result if result.converged else None
+    overlap = np.vdot(psi_f, psi_i)
+    j0 = _fidelity(overlap, psi_i - overlap * psi_f)
+    if not j0 >= cfg.fidelity_goal:
+        return None
+    return SearchResult(Waveform(durations, amps), j0, 0, True, np.array([j0]), np.eye(sys.dim, dtype=complex))
 
 
 def _replayed(sys: ControlSystem, w: Waveform, psi_i, psi_f, cfg: SearchConfig) -> SearchResult:
@@ -348,6 +351,9 @@ def add_symmetry(src: ControlSystem, dst: ControlSystem, mirror) -> bool:
     not src.  Returns whether S was kept; a detuned pair, or one whose
     controls S does not carry onto plus or minus each other, adds nothing.
     """
+    mirror = _number_array(mirror)
+    if mirror.shape != (dst.dim, dst.dim):
+        raise ValueError(f"mirror must have shape {(dst.dim, dst.dim)}, got {mirror.shape}")
     signs = _mirror_signs(src, dst, mirror)
     if signs is None:
         return False

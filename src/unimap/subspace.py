@@ -44,6 +44,8 @@ class SubspaceMapSpec:
     phase_correction: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.phase_correction, bool):
+            raise ValueError(f"phase_correction must be true or false, got {self.phase_correction!r}")
         source = tuple(as_state(a) for a in self.source)
         target = tuple(as_state(b) for b in self.target)
         if not source or len(source) != len(target):
@@ -216,12 +218,13 @@ class SynthesisReport(NamedTuple):
 def phase_product(dim: int, steps, mapper, score: Callable[[np.ndarray], float]) -> SynthesisReport:
     """Product of V† P(theta) V over the (phi, theta) steps of a dim-level target, first step rightmost.
 
-    A mapper of another dimension is refused.  A step whose phi is None is
+    A dim that ``core._check_dim`` refuses, or a mapper of another
+    dimension, is refused.  A step whose phi is None is
     skipped, its record's chi None; any other step's record is
     ``PhaseStep(theta, *mapper.map(phi))`` and its factor
     I + (e^{-i theta} - 1)|chi><chi|.  ``score`` gives the report's fidelity.
     """
-    if dim != mapper.dim:
+    if _check_dim(dim) != mapper.dim:
         raise ValueError(f"target dimension {dim} != mapper dimension {mapper.dim}")
     records = tuple(PhaseStep(theta, None) if phi is None else PhaseStep(theta, *mapper.map(phi))
                     for phi, theta in steps)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cesium import spin_operators
-from .core import SQUARE_LIMIT, _number_array, _refuse_deviation, _refuse_non_finite
+from .core import SQUARE_LIMIT, _integer, _number_array, _refuse_deviation, _refuse_non_finite
 
 REALITY_TOL = 1e-10
 #: norm a state may have outside the spin block extract_block slices out
@@ -46,7 +46,7 @@ BLOCK_LIMIT = 32
 GRID_LIMIT = 10**7
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed, so that 7.0 or True is refused, not served the cached 7 or 1
 def spherical_tensor_operators(dim: int) -> np.ndarray:
     """Orthonormal T_kq for spin F = (dim-1)/2 as one (dim^2, dim, dim) stack, T_kq at row k^2 + k + q.
 
@@ -55,10 +55,7 @@ def spherical_tensor_operators(dim: int) -> np.ndarray:
     positive on the stretched m=+F state) and descending in q with
     lowering-operator commutators.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if dim > BLOCK_LIMIT:
-        raise ValueError(f"spin block dimension must be <= {BLOCK_LIMIT}, got {dim}")
+    dim = _integer(dim, "spin block dimension", 1, BLOCK_LIMIT)
     f = (dim - 1) / 2.0
     ops = spin_operators(f)
     f_minus = ops.fx - 1j * ops.fy
@@ -117,8 +114,7 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
     arr = _number_array(state, complex)
     if arr.ndim not in (1, 2) or arr.shape[0] != arr.shape[-1]:
         raise ValueError(f"state must be a vector or square matrix, got shape {arr.shape}")
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError("grid must have at least 2 points per axis")
+    n_theta, n_phi = _integer(n_theta, "n_theta", 2), _integer(n_phi, "n_phi", 2)
     non_finite = "Wigner values are not finite: state has non-finite entries"
     oversized = f"Wigner values would overflow: state has an entry above {SQUARE_LIMIT:g} in modulus"
     _refuse_non_finite(arr, non_finite, oversized if arr.ndim == 1 else None)
@@ -144,8 +140,7 @@ def wigner_grid(state, n_theta: int, n_phi: int) -> WignerGrid:
 def extract_block(state, start: int, size: int) -> np.ndarray:
     """Slice a spin block out of a larger state, rejecting outside support."""
     v = _number_array(state, complex).reshape(-1)
-    if start < 0 or size < 0:
-        raise ValueError(f"block {start}:{size} has a negative start or size")
+    start, size = _integer(start, "block start", 0), _integer(size, "block size", 1)
     if start + size > v.size:
         raise ValueError(f"block [{start}, {start + size}) exceeds state dimension {v.size}")
     outside = np.delete(v, np.arange(start, start + size))

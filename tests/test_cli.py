@@ -100,7 +100,7 @@ class TestVerifyClifford:
     def test_multiplier_below_one_exits_2(self, tmp_path, capsys, monkeypatch, a, out):
         monkeypatch.chdir(tmp_path)
         assert run(["verify-clifford", "--d", "5", "--a", a, *out]) == 2
-        assert capsys.readouterr() == ("", f"error: a must be >= 1, got {a}\n")
+        assert capsys.readouterr() == ("", f"error: a must be an integer >= 1, got {a}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("a", ["10", "15"])
@@ -235,7 +235,7 @@ class TestBuildUnitary:
         # an explicit --d 0 is rejected, not replaced by the default d=7
         assert run(["build-unitary", "--gate", "X", "--d", "0", "--exact-mappers",
                     "--out-report", str(tmp_path / "r.json")]) == 2
-        assert "dimension must be >= 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dimension must be an integer in [2, 1024], got 0\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_one_by_one_matrix_exits_2_without_report(self, tmp_path, capsys):
@@ -651,8 +651,8 @@ class TestWignerCLI:
 
     @pytest.mark.parametrize("block, last, message", [
         pytest.param("0:3", "NaN", "state has non-finite entries outside the requested block", id="nan-outside"),
-        pytest.param("0:-3", "0", "block 0:-3 has a negative start or size", id="negative-size"),
-        pytest.param("-1:2", "0", "block -1:2 has a negative start or size", id="negative-start"),
+        pytest.param("0:-3", "0", "block size must be an integer >= 1, got -3", id="negative-size"),
+        pytest.param("-1:2", "0", "block start must be an integer >= 0, got -1", id="negative-start"),
         pytest.param("3", "0", "--block must be START:SIZE", id="no-size"),
     ])
     def test_bad_block_exits_2_without_files(self, tmp_path, capsys, monkeypatch, block, last, message):
@@ -665,7 +665,7 @@ class TestWignerCLI:
     @pytest.mark.parametrize("levels, sizes, message", [
         pytest.param(200, [], "a 61 x 120 grid on a 200-level block needs (n_theta + dim^2)(n_phi + dim^2) values, "
                      "above 1e+07", id="200-levels"),
-        pytest.param(33, [], "spin block dimension must be <= 32, got 33", id="33-levels"),
+        pytest.param(33, [], "spin block dimension must be an integer in [1, 32], got 33", id="33-levels"),
         pytest.param(3, ["--n-theta", "100000", "--n-phi", "100000"], "a 100000 x 100000 grid on a 3-level block "
                      "needs (n_theta + dim^2)(n_phi + dim^2) values, above 1e+07", id="1e5-by-1e5-grid"),
     ])

@@ -223,7 +223,7 @@ def test_a_mirror_between_systems_of_other_sizes_has_no_signs(cesium, two_level)
 
 @pytest.mark.parametrize("index", [-1, 8])
 def test_refuses_a_fiducial_index_out_of_range(cesium, index):
-    with pytest.raises(ValueError, match=f"fiducial index {index} out of range for d=8"):
+    with pytest.raises(ValueError, match=rf"^fiducial index must be an integer in \[0, 7\], got {index}$"):
         ControlSystem(cesium.drift, cesium.controls, cesium.amplitude_bounds, index)
 
 

@@ -1,8 +1,11 @@
 """Linear-algebra primitives: matrix exponential, unitary spectra, fidelities, and the non-finite and overflow
 refusals."""
 
+import ast
+import importlib
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +29,10 @@ from unimap.core import (
 from unimap.control import ControlSystem, Waveform
 from unimap.ec import ECConfig, ec_maps, run_ec_trials
 from unimap.eigensynth import plan_unitary
-from unimap.gates import gate_from_name, mult_G, pauli_X, pauli_Z
+from unimap.gates import gate_from_name, mult_G, pauli_X, pauli_Z, verify_clifford_relations
 from unimap.io import complex_to_pairs, pairs_to_complex
 from unimap.search import SearchConfig, SearchResult
-from unimap.subspace import SubspaceMapSpec, subspace_fidelity
+from unimap.subspace import ExactMapper, SubspaceMapSpec, subspace_fidelity
 from unimap.wigner import extract_block, multipole_components, wigner_grid
 
 
@@ -460,8 +463,7 @@ _HUGE_ENTRY = "an entry is an integer that overflows a float"
 _NUMBER_CASES = {
     "SearchConfig-huge": (lambda: SearchConfig(3, segment_duration=10**400), ValueError,
                           "segment_duration is an integer that overflows a float"),
-    "ECConfig-huge": (lambda: ECConfig(epsilon_grid=(10**400,)), ValueError,
-                      "epsilon_grid angle is an integer that overflows a float"),
+    "ECConfig-huge": (lambda: ECConfig(epsilon_grid=(10**400,)), ValueError, _HUGE_ENTRY),
     "Waveform-huge": (lambda: Waveform([10**400], [[0.0]]), ValueError, _HUGE_ENTRY),
     "run_ec_trials-huge": (lambda: run_ec_trials(_QUBIT, 10**400, ec_maps()), ValueError, _HUGE_ENTRY),
     "ControlSystem-huge-bound": (lambda: ControlSystem(*_SPIN_HALF[:2], ((-10**400, 1),), 0), ValueError,
@@ -474,12 +476,13 @@ _NUMBER_CASES = {
     "Waveform-string": (lambda: Waveform(["1e-6"], [[0.0]]), TypeError, "'1e-6' is not a real number"),
     "run_ec_trials-bool": (lambda: run_ec_trials(_QUBIT, True, ec_maps()), TypeError, "True is not a real number"),
     "run_ec_trials-string": (lambda: run_ec_trials(_QUBIT, "0.1", ec_maps()), TypeError, "'0.1' is not a real number"),
-    "basis_state-bool": (lambda: basis_state(3, True), ValueError, "basis index must be an integer, got True"),
-    "basis_state-float": (lambda: basis_state(3, 1.0), ValueError, "basis index must be an integer, got 1.0"),
+    "basis_state-bool": (lambda: basis_state(3, True), ValueError,
+                         "basis index must be an integer in [0, 2], got True"),
+    "basis_state-float": (lambda: basis_state(3, 1.0), ValueError, "basis index must be an integer in [0, 2], got 1.0"),
     "ControlSystem-bool-index": (lambda: ControlSystem(*_SPIN_HALF, True), ValueError,
-                                 "fiducial index must be an integer, got True"),
+                                 "fiducial index must be an integer in [0, 1], got True"),
     "ControlSystem-float-index": (lambda: ControlSystem(*_SPIN_HALF, 1.0), ValueError,
-                                  "fiducial index must be an integer, got 1.0"),
+                                  "fiducial index must be an integer in [0, 1], got 1.0"),
     # the complex entry points read a caller's array by the same rule, and a typed array by its dtype before a cast
     "as_state-bool": (lambda: as_state([True, False]), TypeError, "True is not a number"),
     "as_state-string": (lambda: as_state(["1", "0"]), TypeError, "'1' is not a number"),
@@ -502,11 +505,18 @@ _NUMBER_CASES = {
     "run_ec_trials-complex-array": (lambda: run_ec_trials(_QUBIT, np.array([0.1, 0.2j]), ec_maps()), TypeError,
                                     "(0.1+0j) is not a real number"),
     # a dimension, a multiplier and a time are integers, integers and real numbers
-    "pauli_X-float-dimension": (lambda: pauli_X(3.9), ValueError, "dimension must be an integer, got 3.9"),
-    "pauli_Z-bool-dimension": (lambda: pauli_Z(True), ValueError, "dimension must be an integer, got True"),
+    "pauli_X-float-dimension": (lambda: pauli_X(3.9), ValueError, "dimension must be an integer in [2, 1024], got 3.9"),
+    "pauli_Z-bool-dimension": (lambda: pauli_Z(True), ValueError,
+                               "dimension must be an integer in [2, 1024], got True"),
     "mult_G-string": (lambda: mult_G("2", 5), ValueError, "a must be an integer, got '2'"),
     "mult_G-bool": (lambda: mult_G(True, 5), ValueError, "a must be an integer, got True"),
     "mat_exp-bool-time": (lambda: mat_exp(np.eye(2), True), ValueError, "time must be a number, got True"),
+    # a flag is a bool and a gate name a string: "no" would plan the phase-corrected map, and 3 has no strip
+    "SubspaceMapSpec-string-flag": (lambda: SubspaceMapSpec(source=(basis_state(3, 0),), target=(basis_state(3, 1),),
+                                                            phase_correction="no"), ValueError,
+                                    "phase_correction must be true or false, got 'no'"),
+    "gate_from_name-int": (lambda: gate_from_name(3, 7), ValueError,
+                           "unknown gate name 3; expected X, Z, H, S, or G:<a>"),
 }
 
 
@@ -525,6 +535,89 @@ def test_an_integer_index_of_numpy_s_type_is_an_index():
     assert ControlSystem(*_SPIN_HALF, np.int64(1)).fiducial_state().tolist() == [0, 1]
     # a dimension and a multiplier of numpy's integer type are integers too
     assert np.array_equal(mult_G(np.int64(3), np.int64(7)), mult_G(3, 7)) and pauli_X(np.int64(3)).shape == (3, 3)
+    # pow(a, -1, d) takes the int the rule returns: numpy's int64 raised a TypeError there
+    assert verify_clifford_relations(7, np.int64(3)) == verify_clifford_relations(7, 3)
+
+
+_SPIN_HALF_SYSTEM = ControlSystem(np.zeros((2, 2)), (np.array([[0.0, 0.5], [0.5, 0.0]]),), ((-1.0, 1.0),), 0)
+#: every public function with an int parameter -> (a valid call's arguments, the lower bound of each int parameter,
+#: None where it has none); the census reads the int parameters from the code, so a new one without a row fails
+_INTEGER_CALLS = {
+    "build_restricted_system": ({"aux": 4}, {"aux": None}),
+    "as_state": ({"psi": [1, 0], "d": 2}, {"d": 2}),
+    "basis_state": ({"d": 3, "index": 1}, {"d": 1, "index": 0}),
+    "haar_random_state": ({"d": 3, "rng": np.random.default_rng(0)}, {"d": 2}),
+    "haar_random_unitary": ({"d": 3, "rng": np.random.default_rng(0)}, {"d": 2}),
+    "omega": ({"d": 3}, {"d": 1}),
+    "pauli_X": ({"d": 3}, {"d": 2}),
+    "pauli_Z": ({"d": 3}, {"d": 2}),
+    "dft_H": ({"d": 3}, {"d": 2}),
+    "phase_S": ({"d": 3}, {"d": 2}),
+    "mult_G": ({"a": 2, "d": 3}, {"a": None, "d": 2}),
+    "gate_from_name": ({"name": "X", "d": 3}, {"d": 2}),
+    "verify_clifford_relations": ({"d": 7, "a": 3}, {"d": 2, "a": 1}),
+    "search_state_map": ({"sys": _SPIN_HALF_SYSTEM, "psi_i": [1, 0], "psi_f": [0, 1],
+                          "cfg": SearchConfig(1, segment_duration=1e-3, max_iterations=0), "restart_index": 1},
+                         {"restart_index": 0}),
+    "phase_product": ({"dim": 2, "steps": [], "mapper": ExactMapper(2), "score": lambda u: 1.0}, {"dim": 2}),
+    "spherical_tensor_operators": ({"dim": 3}, {"dim": 1}),
+    "wigner_grid": ({"state": [1, 0], "n_theta": 3, "n_phi": 3}, {"n_theta": 2, "n_phi": 2}),
+    "extract_block": ({"state": [1, 0, 0], "start": 0, "size": 2}, {"start": 0, "size": 1}),
+}
+
+
+def integer_parameters() -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of each parameter annotated ``int``, or a union with ``int``, of a public
+    function at a package module's top level."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "unimap").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found += [(path.stem, node.name, arg.arg) for arg in [*node.args.args, *node.args.kwonlyargs]
+                          if arg.annotation is not None and "int" in ast.unparse(arg.annotation).split(" | ")]
+    return found
+
+
+_INTEGER_PARAMETERS = integer_parameters()
+
+
+def _census_rows():
+    """(function, parameter, a value that is no valid integer there) for each int parameter of the package."""
+    for _, function, name in _INTEGER_PARAMETERS:
+        low = _INTEGER_CALLS[function][1][name]
+        for bad in (2.5, "3", True, np.float64(3.0), *(() if low is None else (low - 1,))):
+            yield pytest.param(function, name, bad, id=f"{function}-{name}-{bad!r}")
+
+
+def _call(function: str, **changed):
+    """The function, found in the package by name, called with its valid arguments and ``changed``."""
+    module = next(module for module, name, _ in _INTEGER_PARAMETERS if name == function)
+    return getattr(importlib.import_module(f"unimap.{module}"), function)(**{**_INTEGER_CALLS[function][0], **changed})
+
+
+def test_the_census_has_one_valid_call_and_the_bounds_of_every_int_parameter():
+    found = {}
+    for _, function, name in _INTEGER_PARAMETERS:
+        found.setdefault(function, set()).add(name)
+    assert found == {function: set(lows) for function, (_, lows) in _INTEGER_CALLS.items()}
+
+
+@pytest.mark.parametrize("function, name, bad", list(_census_rows()))
+def test_library_census_every_int_parameter_refuses_what_is_no_integer_in_range(function, name, bad):
+    # 2.5, "3", True, 3.0 as numpy's float and one below the lower bound: each is the integer rule's one ValueError,
+    # never numpy's or Python's own error or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf" must be an integer( >= -?\d+| in \[-?\d+, \d+\])?, got "
+                                             rf"{re.escape(repr(bad))}$"):
+            _call(function, **{name: bad})
+
+
+@pytest.mark.parametrize("function, name", sorted({(f, n) for _, f, n in _INTEGER_PARAMETERS}))
+def test_library_census_an_integer_of_numpy_s_type_passes(function, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _call(function, **{name: np.int64(_INTEGER_CALLS[function][0][name])})
 
 
 #: each entry point that converts a caller's array -> (a call of it on arrays built by ``typed(values)``, whether
@@ -582,7 +675,7 @@ def test_the_array_rule_passes_a_numeric_array_unscanned_and_uncopied(monkeypatc
 @pytest.mark.parametrize("d", [0, 1])
 @pytest.mark.parametrize("draw", [haar_random_state, haar_random_unitary], ids=["state", "unitary"])
 def test_haar_draws_refuse_a_dimension_below_2(draw, d):
-    with pytest.raises(ValueError, match=f"^dimension must be >= 2, got {d}$"):
+    with pytest.raises(ValueError, match=rf"^dimension must be an integer in \[2, 1024\], got {d}$"):
         draw(d, np.random.default_rng(0))
 
 
@@ -594,14 +687,14 @@ def test_haar_draws_refuse_a_dimension_below_2(draw, d):
                          ids=["haar-state", "haar-unitary", "X", "G3", "subspace-spec"])
 def test_a_dimension_above_the_limit_is_refused_before_anything_is_allocated(build, d):
     # at d = 100000 one complex d x d matrix would take 149 GiB: numpy's MemoryError in place of the refusal fails here
-    with pytest.raises(ValueError, match=f"^dimension must be <= 1024, got {d}$"):
+    with pytest.raises(ValueError, match=rf"^dimension must be an integer in \[2, 1024\], got {d}$"):
         build(d)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: as_state(np.array([1.0])), "state dimension must be >= 2, got 1"),
-    (lambda: basis_state(3, 3), "basis index 3 out of range for dimension 3"),
-    (lambda: basis_state(3, -1), "basis index -1 out of range for dimension 3"),
+    (lambda: basis_state(3, 3), "basis index must be an integer in [0, 2], got 3"),
+    (lambda: basis_state(3, -1), "basis index must be an integer in [0, 2], got -1"),
     (lambda: assert_unitary(np.eye(3)[:2]), "expected a square matrix, got shape (2, 3)"),
     (lambda: assert_hermitian(np.zeros(4)), "expected a square matrix, got shape (4,)"),
     (lambda: mat_exp(np.eye(2), np.nan), "time must be finite"),

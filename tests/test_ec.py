@@ -309,15 +309,23 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {bad}$"):
             ECConfig(**{"epsilon_grid": (0.1,), name: bad})
 
-    @pytest.mark.parametrize("bad", ["0.1", True, None])
-    def test_config_refuses_an_angle_that_is_not_a_number(self, bad):
-        with pytest.raises(ValueError, match=rf"^epsilon_grid angle must be a number, got {bad!r}$"):
-            ECConfig(epsilon_grid=(0.1, bad))
+    @pytest.mark.parametrize("grid", [(0.1, "0.1"), (0.1, True), (0.1, None), "0.1"],
+                             ids=["0.1", "True", "None", "string-grid"])
+    def test_config_refuses_an_angle_that_is_not_a_number(self, grid):
+        # the array rule reads the grid, as it reads run_ec_trials' angles: a string, a bool or None is no angle
+        bad = grid[-1] if isinstance(grid, tuple) else grid
+        with pytest.raises(TypeError, match=rf"^{re.escape(repr(bad))} is not a real number$"):
+            ECConfig(epsilon_grid=grid)
 
-    @pytest.mark.parametrize("bad", [0.1, "0.1", ((0.1, 0.2),)])
-    def test_config_refuses_a_grid_that_is_not_one_sequence(self, bad):
-        # a scalar, a string and a nested grid are none of them one sequence of angles
-        with pytest.raises(ValueError, match=rf"^epsilon_grid must be one sequence of angles, got {re.escape(repr(bad))}$"):
+    @pytest.mark.parametrize("bad, message", [
+        (0.1, "epsilon_grid must be one non-empty sequence of angles, got 0.1"),
+        ((), "epsilon_grid must be one non-empty sequence of angles, got ()"),
+        (((0.1, 0.2),), "epsilon must be one angle or a sequence of them, got shape (1, 2)"),
+        ((0.1, np.nan), "epsilon must be finite"),
+    ], ids=["scalar", "empty", "nested", "nan"])
+    def test_config_refuses_a_grid_that_is_not_one_sequence(self, bad, message):
+        # a scalar, an empty grid and a nested grid are none of them one sequence of angles
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ECConfig(epsilon_grid=bad)
 
     def test_trigger_rate_matches_projector_oracle(self, ideal_maps):
@@ -477,7 +485,8 @@ class TestBatchedTrials:
             run_ec_trials(good, (0.1, float("inf")), ideal_maps)
         with pytest.raises(ValueError, match="sequence"):
             run_ec_trials(good, [[0.1, 0.2]], ideal_maps)
-        with pytest.raises(ValueError, match="none above 2.24712e\\+307 in size"):
+        huge = "epsilon -1e+308 overflows the phases 2 eps m: |epsilon| must be <= 2.24712e+307"
+        with pytest.raises(ValueError, match=f"^{re.escape(huge)}$"):
             run_ec_trials(good, (0.1, -1e308), ideal_maps)
         with pytest.raises(ValueError, match="^matrix is not unitary: U†U deviates from I by 3.000e\\+00$"):
             run_ec_trials(good, 0.1, tuple(2 * m for m in ideal_maps))
@@ -762,3 +771,16 @@ def test_synthesized_maps_equal_two_propagation_form(fixed_search):
         assert np.array_equal(got, expected)
         assert np.abs(got - conjugated).max() < 1e-12
     assert len(handed_out) == 6 and next(calls, None) is None
+
+
+def test_a_mirror_given_as_nested_lists_is_read_as_an_array():
+    # a list mirror was indexed as an array: "list indices must be integers or slices, not tuple"
+    from unimap.cesium import AUX_MIRRORS, CesiumParams, build_restricted_system
+    from unimap.search import add_symmetry
+
+    plus, minus = (build_restricted_system(CesiumParams(), aux=aux) for aux in (+4, -4))
+    assert add_symmetry(plus, minus, AUX_MIRRORS[+1].tolist())
+    assert np.array_equal(minus.symmetries[0][1](np.eye(8)), AUX_MIRRORS[+1])
+    with pytest.raises(ValueError, match=r"^mirror must have shape \(8, 8\), got \(7, 7\)$"):
+        add_symmetry(plus, minus, np.eye(7))
+    assert len(minus.symmetries) == 1

@@ -124,7 +124,7 @@ class TestRelationsReport:
 
     @pytest.mark.parametrize("a", [-1, 0])
     def test_multiplier_below_one_refused(self, a):
-        with pytest.raises(ValueError, match=f"a must be >= 1, got {a}"):
+        with pytest.raises(ValueError, match=f"^a must be an integer >= 1, got {a}$"):
             verify_clifford_relations(5, a=a)
 
     def test_all_gates_unitary(self):

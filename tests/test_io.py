@@ -169,7 +169,9 @@ class TestSubspaceSpecJSON:
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="phase_correction"):
+        # the spec's own rule refuses it, and the message names the file
+        message = f"{path}: phase_correction must be true or false, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_subspace_spec(str(path))
 
     @pytest.mark.parametrize("doc, message", [

@@ -17,7 +17,9 @@ only ``search`` builds a ``SearchResult``.  And it keeps one rule for a played w
 that takes a ``ControlSystem`` and a ``Waveform`` calls ``control.check_waveform``.  Overflow handling keeps one
 home as well: no module but ``core`` enters ``np.errstate``, and there only ``_hermitian_defect`` does.  And a
 caller's array has one rule: no module but ``core`` calls ``np.asarray`` with dtype float or complex, as
-``core._number_array`` is that conversion.
+``core._number_array`` is that conversion.  So has a caller's integer: no module but ``core`` reads
+``_is_integer`` or ``Integral``, or raises a message that says "must be an integer", as ``core._integer`` is that
+refusal.
 """
 
 import ast
@@ -270,3 +272,29 @@ def test_a_typed_conversion_by_keyword_position_or_name_is_found(tmp_path):
                       "    c = np.asarray(x, dtype=object)\n    d = np.asarray(x)\n"
                       "    \"\"\"Not np.asarray(x, dtype=float).\"\"\"\n    return np.asarray(\n        x, dtype=float)\n")
     assert typed_conversions(module) == ["m:6", "m:7", "m:11"]
+
+
+def integer_checks(path: Path) -> list[str]:
+    """'module:line' of each read of ``_is_integer`` or ``Integral``, by name or attribute, and of each ``raise``
+    whose message holds "must be an integer", in the module at ``path``, in line order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    raises = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              for part in ast.walk(node) if isinstance(part, ast.Constant) and "must be an integer" in str(part.value)}
+    reads = {line for name, line in _reads(tree) if name in ("_is_integer", "Integral")}
+    return [f"{path.stem}:{line}" for line in sorted(raises | reads)]
+
+
+def test_only_core_checks_that_a_value_is_an_integer():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"
+            for found in integer_checks(path)] == []
+
+
+def test_an_integer_check_by_name_attribute_or_message_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numbers\nfrom core import _is_integer\nimport core\n\n\n"
+                      "def f(x, n):\n    if not _is_integer(x):\n"
+                      "        raise ValueError(f'x must be an integer, got {x!r}')\n"
+                      "    if not core._is_integer(n) or isinstance(n, numbers.Integral):\n"
+                      "        raise ValueError('n must be an integer')\n"
+                      "    \"\"\"Not _is_integer(x): x must be an integer.\"\"\"\n    return x\n")
+    assert integer_checks(module) == ["m:7", "m:8", "m:9", "m:10"]

@@ -47,15 +47,16 @@ class TestTensorOperators:
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_refuses_a_dimension_below_1(self, dim):
-        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        with pytest.raises(ValueError, match=rf"^spin block dimension must be an integer in \[1, 32\], got {dim}$"):
             spherical_tensor_operators(dim)
 
     def test_refuses_a_block_above_the_limit_before_allocating(self):
         # the (dim^2, dim, dim) stack is 16 MiB at the limit and 19 MiB one level above it
         assert BLOCK_LIMIT == 32 and spherical_tensor_operators(BLOCK_LIMIT).shape == (1024, 32, 32)
-        _refused_small(lambda: spherical_tensor_operators(BLOCK_LIMIT + 1), "spin block dimension must be <= 32, got 33")
+        _refused_small(lambda: spherical_tensor_operators(BLOCK_LIMIT + 1),
+                       "spin block dimension must be an integer in [1, 32], got 33")
         _refused_small(lambda: wigner_grid(basis_state(BLOCK_LIMIT + 1, 0), 3, 3),
-                       "spin block dimension must be <= 32, got 33")
+                       "spin block dimension must be an integer in [1, 32], got 33")
 
     def test_hermiticity_relation(self):
         tens = spherical_tensor_operators(7)
@@ -126,7 +127,7 @@ class TestWignerGrid:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="vector or square"):
             wigner_grid(np.zeros((2, 3)), 5, 6)
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(ValueError, match="^n_theta must be an integer >= 2, got 1$"):
             wigner_grid(basis_state(3, 0), n_theta=1, n_phi=6)
 
     @pytest.mark.parametrize("dim, n_theta, n_phi", [(2, 996, 9997), (2, 9997, 996), (3, 10**5, 10**5),
